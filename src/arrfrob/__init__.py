@@ -54,9 +54,18 @@ from .frobenius import (
     potential_derivative_row,
     strata_restriction_k1,
 )
-from .cli import main, report_schema_version
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The command line is loaded on first use, not with the package, so that
+    # ``python -m arrfrob.cli`` does not find ``arrfrob.cli`` imported already.
+    if name in ("main", "report_schema_version"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ArrangementFamily",

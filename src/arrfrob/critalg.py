@@ -25,21 +25,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import linalg
 from .core import coords
 from .osflag import CoVector, sort_with_sign
 
 
 # ---------------------------------------------------------------------------
 # linear data of a fiber
-
-
-def f_values_at(family, z, t):
-    """All n values f_j = z_j + sum_m b_j^m t_m."""
-    zz = coords(z)
-    return tuple(
-        zz[j] + sum(family.b[j][m] * t[m] for m in range(family.k))
-        for j in range(family.n)
-    )
 
 
 def f_minor_form(family, indices):
@@ -69,42 +61,48 @@ def f_minor_value(family, z, indices):
 
 
 class MasterFunction:
-    """The potential Phi and its t-derivatives on a fixed fiber."""
+    """The potential Phi and its t-derivatives on a fixed fiber.
+
+    The coordinates z_j, b_j^m and the products a_j b_j^m, a_j b_j^m b_j^l
+    are converted to Python complex numbers once, here, so the derivatives
+    run in float arithmetic only."""
 
     def __init__(self, family, z):
         self.family = family
         self.z = coords(z)
+        ks = range(family.k)
+        self._z = [complex(v) for v in self.z]
+        self._b = [[complex(x) for x in row] for row in family.b]
+        self._ab = [[complex(a * row[m]) for a, row in zip(family.a, family.b)] for m in ks]
+        self._abb = [
+            [[complex(a * row[m] * row[l]) for a, row in zip(family.a, family.b)] for l in ks]
+            for m in ks
+        ]
+        # the unit of t and of the f_j on this fiber
+        self.size = max(abs(v) for v in self._z)
 
     def f_values(self, t):
-        return f_values_at(self.family, self.z, t)
+        ks = range(self.family.k)
+        return tuple(zj + sum(bj[m] * t[m] for m in ks) for zj, bj in zip(self._z, self._b))
 
     def value(self, t):
         total = complex(0)
         for a, f in zip(self.family.a, self.f_values(t)):
-            total += complex(a) * cmath.log(complex(f))
+            total += complex(a) * cmath.log(f)
         return total
 
     def gradient(self, t):
-        fam = self.family
         fs = self.f_values(t)
-        return tuple(
-            sum(fam.a[j] * fam.b[j][m] / fs[j] for j in range(fam.n))
-            for m in range(fam.k)
-        )
+        return tuple(sum(c / f for c, f in zip(row, fs)) for row in self._ab)
+
+    def gradient_scale(self, t):
+        """Size of the gradient's terms, max_m sum_j |a_j b_j^m / f_j|."""
+        fs = self.f_values(t)
+        return max(sum(abs(c / f) for c, f in zip(row, fs)) for row in self._ab)
 
     def hessian_matrix(self, t):
-        fam = self.family
-        fs = self.f_values(t)
-        return [
-            [
-                -sum(
-                    fam.a[j] * fam.b[j][m] * fam.b[j][l] / (fs[j] * fs[j])
-                    for j in range(fam.n)
-                )
-                for l in range(fam.k)
-            ]
-            for m in range(fam.k)
-        ]
+        squares = [f * f for f in self.f_values(t)]
+        return [[-sum(c / q for c, q in zip(row, squares)) for row in rows] for rows in self._abb]
 
     def hessian_det(self, t):
         h = self.hessian_matrix(t)
@@ -113,6 +111,15 @@ class MasterFunction:
         if self.family.k == 2:
             return h[0][0] * h[1][1] - h[0][1] * h[1][0]
         return complex(np.linalg.det(np.array(h, dtype=complex)))
+
+    def hessian_scale(self, t):
+        """Size of the Hessian determinant's terms: the k-th power of
+        max_{m,l} sum_j |a_j b_j^m b_j^l / f_j^2|."""
+        squares = [abs(f * f) for f in self.f_values(t)]
+        entry = max(
+            sum(abs(c) / q for c, q in zip(row, squares)) for rows in self._abb for row in rows
+        )
+        return entry**self.family.k
 
 
 @dataclass(frozen=True)
@@ -128,16 +135,25 @@ def expected_critical_count(family):
 
 
 def _newton_polish(master, t0, max_iter=50):
+    """Newton's method on the gradient from the seed t0. The gradient is
+    measured against the size of its terms and steps against the size of
+    the fiber, so no threshold depends on the units of the weights or of z.
+    Once the gradient is below 1e-13 of its terms, one more step reaches
+    the rounding floor (the convergence is quadratic). A seed that has not
+    got there within max_iter steps gives no point."""
     fam = master.family
     t = [complex(x) for x in t0]
+    close = False
     for _ in range(max_iter):
         try:
             grad = master.gradient(t)
+            scale = master.gradient_scale(t)
         except ZeroDivisionError:
             return None
         res = max(abs(g) for g in grad)
-        if res < 1e-13:
+        if close:
             break
+        close = res < 1e-13 * scale
         hess = master.hessian_matrix(t)
         if fam.k == 1:
             h = hess[0][0]
@@ -151,17 +167,14 @@ def _newton_polish(master, t0, max_iter=50):
             except np.linalg.LinAlgError:
                 return None
         t = [ti - si for ti, si in zip(t, step)]
-        if max(abs(s) for s in step) > 1e8:
+        if max(abs(s) for s in step) > 1e8 * master.size:
             return None
-    try:
-        grad = master.gradient(t)
-    except ZeroDivisionError:
+    else:
         return None
-    res = max(abs(g) for g in grad)
-    if res > 1e-9:
+    if res > 1e-9 * scale:
         return None
-    fs = tuple(complex(f) for f in master.f_values(t))
-    if min(abs(f) for f in fs) < 1e-9:
+    fs = master.f_values(t)
+    if min(abs(f) for f in fs) < 1e-9 * master.size:
         return None
     return CriticalPoint(
         t=tuple(t), f_values=fs, hessian=complex(master.hessian_det(t)), residual=res
@@ -175,6 +188,46 @@ def _poly_mul(p, q):
             continue
         for j, qj in enumerate(q):
             out[i + j] += pi * qj
+    return out
+
+
+def _poly_eval(coeffs, x):
+    """Horner evaluation of ascending coefficients at x."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
+def _poly_divmod(num, den):
+    """Quotient and remainder of ascending coefficient lists, exactly."""
+    rem = list(num)
+    deg = len(den) - 1
+    quot = [Fraction(0)] * max(len(num) - deg, 1)
+    for i in range(len(num) - 1 - deg, -1, -1):
+        coef = rem[i + deg] / den[-1]
+        quot[i] = coef
+        if coef:
+            for j, dj in enumerate(den):
+                rem[i + j] -= coef * dj
+    return quot, rem[:deg]
+
+
+def _interpolate(values):
+    """Ascending coefficients of the polynomial of degree < len(values) that
+    takes values[x] at x = 0, 1, 2, ... (Newton's divided differences)."""
+    c = list(values)
+    for level in range(1, len(c)):
+        for i in range(len(c) - 1, level - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / level
+    out = [c[-1]]
+    for node in range(len(c) - 2, -1, -1):
+        # out <- out * (x - node) + c[node]
+        out = (
+            [c[node] - node * out[0]]
+            + [out[i - 1] - node * out[i] for i in range(1, len(out))]
+            + [out[-1]]
+        )
     return out
 
 
@@ -228,50 +281,98 @@ def _pairwise_intersection_t1(family, zz):
     return vals
 
 
-def _solve_k2(family, z):
-    import sympy as sp
-
-    zz = [_rationalize(v) for v in coords(z)]
-    t1, t2 = sp.symbols("t1 t2")
-    fs = [
-        sp.Rational(zz[j]) + sp.Rational(family.b[j][0]) * t1 + sp.Rational(family.b[j][1]) * t2
+def _gradient_numerators_k2(family, zz):
+    """The numerators sum_j a_j b_j^m prod_{i != j} f_i (m = 1, 2) of the
+    k = 2 gradient, as dicts {(e1, e2): coefficient of t1^e1 t2^e2}."""
+    factors = [
+        {(0, 0): zz[j], (1, 0): family.b[j][0], (0, 1): family.b[j][1]}
         for j in range(family.n)
     ]
-    polys = []
+    numerators = []
     for m in range(2):
-        total = sp.Integer(0)
+        total = {}
         for j in range(family.n):
-            coef = sp.Rational(family.a[j] * family.b[j][m])
+            coef = family.a[j] * family.b[j][m]
             if coef == 0:
                 continue
-            prod = coef
+            prod = {(0, 0): coef}
             for i in range(family.n):
-                if i != j:
-                    prod *= fs[i]
-            total += prod
-        polys.append(sp.expand(total))
-    res = sp.resultant(sp.Poly(polys[0], t2), sp.Poly(polys[1], t2))
-    res_poly = sp.Poly(res, t1, domain="QQ")
-    # divide out the spurious pairwise-intersection roots exactly
-    spurious = sp.Poly(1, t1, domain="QQ")
+                if i == j:
+                    continue
+                step = {}
+                for (p1, p2), c in prod.items():
+                    for (q1, q2), d in factors[i].items():
+                        if d:
+                            key = (p1 + q1, p2 + q2)
+                            step[key] = step.get(key, 0) + c * d
+                prod = step
+            for key, c in prod.items():
+                total[key] = total.get(key, 0) + c
+        numerators.append({key: c for key, c in total.items() if c})
+    return numerators
+
+
+def _t2_rows(poly):
+    """rows[e] = ascending t1-coefficients of the coefficient of t2^e, up to
+    the t2-degree of the polynomial."""
+    width = max(e1 for e1, _ in poly) + 1
+    rows = [[Fraction(0)] * width for _ in range(max(e2 for _, e2 in poly) + 1)]
+    for (e1, e2), c in poly.items():
+        rows[e2][e1] = c
+    return rows
+
+
+def _sylvester_det(p_rows, q_rows, x):
+    """The resultant in t2 of two row polynomials at t1 = x: the determinant
+    of their Sylvester matrix, built with the t2-degrees of the bivariate
+    polynomials so that evaluating first commutes with the determinant."""
+    p = [_poly_eval(row, x) for row in reversed(p_rows)]
+    q = [_poly_eval(row, x) for row in reversed(q_rows)]
+    dp, dq = len(p) - 1, len(q) - 1
+    zero = [Fraction(0)] * (dp + dq)
+    mat = [zero[:i] + p + zero[: dq - 1 - i] for i in range(dq)]
+    mat += [zero[:i] + q + zero[: dp - 1 - i] for i in range(dp)]
+    return linalg.det(mat)
+
+
+def _resultant_k2(family, zz, numerators):
+    """res_{t2} of the two gradient numerators, a polynomial in t1 (ascending
+    Fraction coefficients), with the pairwise-intersection roots divided out
+    when they divide it. Exact: Sylvester determinants at D + 1 integer
+    values of t1, D the product of the total degrees, then interpolation."""
+    p_rows, q_rows = (_t2_rows(poly) for poly in numerators)
+    bound = 1
+    for poly in numerators:
+        bound *= max(e1 + e2 for e1, e2 in poly)
+    res = _interpolate([_sylvester_det(p_rows, q_rows, x) for x in range(bound + 1)])
+    while len(res) > 1 and res[-1] == 0:
+        res.pop()
+    spurious = [Fraction(1)]
     for val in _pairwise_intersection_t1(family, zz):
-        spurious *= sp.Poly([1, -sp.Rational(val)], t1, domain="QQ")
-    quotient, remainder = sp.div(res_poly, spurious)
-    if remainder.is_zero and quotient.degree() >= 1:
-        res_poly = quotient
-    coeffs = [complex(c) for c in res_poly.all_coeffs()]
-    while len(coeffs) > 1 and abs(coeffs[0]) == 0:
-        coeffs.pop(0)
-    if len(coeffs) <= 1:
+        spurious = _poly_mul(spurious, [-val, Fraction(1)])
+    quotient, remainder = _poly_divmod(res, spurious)
+    if not any(remainder) and len(quotient) >= 2:
+        return quotient
+    return res
+
+
+def _solve_k2(family, z):
+    zz = [_rationalize(v) for v in coords(z)]
+    numerators = _gradient_numerators_k2(family, zz)
+    if not all(numerators):
         return []
+    res = _resultant_k2(family, zz, numerators)
+    if len(res) <= 1:
+        return []
+    rows = [
+        [[complex(c) for c in row] for row in reversed(_t2_rows(poly))]
+        for poly in numerators
+    ]
     candidates = []
-    rows = [sp.Poly(p, t2) for p in polys]
-    for r1 in np.roots(coeffs):
-        for poly_row in rows:
-            row = [
-                complex(c.evalf(subs={t1: complex(r1)}))
-                for c in poly_row.all_coeffs()
-            ]
+    for r1 in np.roots([complex(c) for c in reversed(res)]):
+        r1 = complex(r1)
+        for poly_rows in rows:
+            row = [_poly_eval(coeffs, r1) for coeffs in poly_rows]
             scale = max(abs(c) for c in row)
             if scale == 0:
                 continue
@@ -281,15 +382,16 @@ def _solve_k2(family, z):
             if len(trimmed) <= 1:
                 continue
             for r2 in np.roots(trimmed):
-                candidates.append((complex(r1), complex(r2)))
+                candidates.append((r1, complex(r2)))
     return candidates
 
 
 def solve_critical(family, z, *, dedup_tol=1e-8):
     """All critical points of the potential on the fiber z.
 
-    Raises RuntimeError with a 'degenerate critical set' diagnostic when a
-    generic family does not produce the full count of distinct
+    Two points closer than dedup_tol relative to the size of z and t are
+    one. Raises RuntimeError with a 'degenerate critical set' diagnostic
+    when a generic family does not produce the full count of distinct
     nondegenerate points.
     """
     if family.k > 2:
@@ -301,8 +403,9 @@ def solve_critical(family, z, *, dedup_tol=1e-8):
         point = _newton_polish(master, seed)
         if point is None:
             continue
+        reach = dedup_tol * max(master.size, *(abs(v) for v in point.t))
         if any(
-            max(abs(pa - pb) for pa, pb in zip(point.t, prev.t)) < dedup_tol
+            max(abs(pa - pb) for pa, pb in zip(point.t, prev.t)) < reach
             for prev in points
         ):
             continue
@@ -314,7 +417,7 @@ def solve_critical(family, z, *, dedup_tol=1e-8):
                 f"degenerate critical set: found {len(points)} distinct critical "
                 f"points, expected {expected}"
             )
-        if any(abs(p.hessian) < 1e-12 for p in points):
+        if any(abs(p.hessian) < 1e-12 * master.hessian_scale(p.t) for p in points):
             raise RuntimeError(
                 "degenerate critical set: vanishing Hessian at a critical point"
             )
@@ -627,6 +730,14 @@ def residue_pairing_analytic(family, z, x, y, points=None):
     return total
 
 
+def residue_pairing_scale(family, x, y, points):
+    """sum_p |x(p) y(p) / Hess(p)|: the size of the terms of the residue
+    sum, against which its rounding is measured."""
+    return sum(
+        abs(evaluate(family, x, p) * evaluate(family, y, p) / p.hessian) for p in points
+    )
+
+
 def structural_pairing(family, x, y):
     """(-1)^k S(nu x, nu y) with nu the w-to-v coordinate identification;
     fiber-independent by construction."""
@@ -652,3 +763,16 @@ def euler_residual(family, z, points):
         )
         worst = max(worst, abs(val - complex(family.weight_sum)))
     return worst
+
+
+def euler_scale(family, z, points):
+    """Largest sum_j |z_j a_j / f_j(p)| over the points: the size of the
+    terms of the Euler identity."""
+    zz = coords(z)
+    return max(
+        (
+            sum(abs(complex(zz[j]) * complex(family.a[j]) / p.f_values[j]) for j in range(family.n))
+            for p in points
+        ),
+        default=0.0,
+    )

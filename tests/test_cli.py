@@ -124,26 +124,6 @@ def test_reports_are_byte_identical(k1_config, tmp_path):
         assert fh1.read() == fh2.read()
 
 
-def test_threaded_report_matches_serial(k1_config, tmp_path):
-    suites = "circuits,basis,symmetry,conformal"
-    serial = str(tmp_path / "serial.json")
-    threaded = str(tmp_path / "threaded.json")
-    env_args = ["check", "--config", k1_config, "--suites", suites, "--json"]
-    old = os.environ.get("ARRFROB_THREADS")
-    try:
-        os.environ["ARRFROB_THREADS"] = "1"
-        assert main(env_args + [serial]) == 0
-        os.environ["ARRFROB_THREADS"] = "4"
-        assert main(env_args + [threaded]) == 0
-    finally:
-        if old is None:
-            os.environ.pop("ARRFROB_THREADS", None)
-        else:
-            os.environ["ARRFROB_THREADS"] = old
-    with open(serial, "rb") as fh1, open(threaded, "rb") as fh2:
-        assert fh1.read() == fh2.read()
-
-
 def test_circuits_verb(k1_config, capsys):
     assert main(["circuits", "--config", k1_config]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -287,3 +267,114 @@ def _k1(tmp_path):
         },
         name="inner.json",
     )
+
+
+def _k2n4(weights, **extra):
+    return dict(
+        {"k": 2, "n": 4, "b": [[1, 0], [0, 1], [1, 1], [1, 2]], "weights": weights},
+        **extra,
+    )
+
+
+def _statuses(report):
+    return [
+        (suite, row["id"], row["status"])
+        for suite, body in report["suites"].items()
+        for row in body["checks"]
+    ]
+
+
+def _check_report(tmp_path, payload, suites, name):
+    out = tmp_path / f"{name}.report.json"
+    rc = main(
+        ["check", "--config", _write_config(tmp_path, payload, f"{name}.json"),
+         "--suites", suites, "--json", str(out)]
+    )
+    return rc, json.loads(out.read_text()) if out.exists() else None
+
+
+def test_scaled_weights_give_the_same_verdicts(tmp_path):
+    # weights x 10^6 used to abort with "found 2 distinct critical points,
+    # expected 3" (absolute Newton thresholds) and then fail the Euler and
+    # isometry rows (absolute tolerances)
+    suites = "critical,basis,canonical"
+    rc1, unit = _check_report(tmp_path, _k2n4(["2", "3", "5", "7"], seed=1), suites, "unit")
+    rc6, big = _check_report(
+        tmp_path, _k2n4(["2000000", "3000000", "5000000", "7000000"], seed=1), suites, "big"
+    )
+    assert rc1 == rc6 == 0
+    assert _statuses(big) == _statuses(unit)
+
+
+def test_critical_verb_on_a_scaled_fiber(tmp_path, capsys):
+    # z x 10^4 used to report 6 points (absolute dedup tolerance)
+    counts = []
+    for scale, z in ((1, ["7/4", "-5/2", "-12", "-1/3"]),
+                     (10**4, ["17500", "-25000", "-120000", "-10000/3"])):
+        cfg = _write_config(tmp_path, _k2n4(["2", "3", "5", "7"], z=z), f"z{scale}.json")
+        assert main(["critical", "--config", cfg]) == 0
+        counts.append(len(json.loads(capsys.readouterr().out)["points"]))
+    assert counts == [3, 3]
+
+
+def test_critical_suite_passes_with_large_weights(tmp_path):
+    weights = [str(w * 10**8) for w in (2, 3, 5, 7)]
+    rc, report = _check_report(tmp_path, _k2n4(weights, seed=1), "critical", "w8")
+    assert rc == 0
+    assert report["suites"]["critical"]["passed"] is True
+
+
+def test_contraction_row_fails_on_a_moved_point(tmp_path, monkeypatch):
+    import arrfrob.cli as cli
+    from arrfrob import critalg
+
+    solve = critalg.solve_critical
+
+    def moved(family, z):
+        master = critalg.MasterFunction(family, z)
+        out = []
+        for p in solve(family, z):
+            t = tuple(v * (1 + 1e-6) for v in p.t)
+            out.append(
+                critalg.CriticalPoint(t, master.f_values(t), master.hessian_det(t), p.residual)
+            )
+        return out
+
+    monkeypatch.setattr(cli.critalg, "solve_critical", moved)
+    rc, report = _check_report(tmp_path, _k2n4(["2", "3", "5", "7"], seed=1), "critical", "moved")
+    assert rc == 1
+    rows = [r for r in report["suites"]["critical"]["checks"]
+            if r["id"].startswith("contraction-relations")]
+    assert rows and all(r["status"] == "fail" for r in rows)
+
+
+def test_check_does_not_import_sympy(k2_config, tmp_path):
+    out = str(tmp_path / "r.json")
+    launcher = (
+        "import sys; from arrfrob.cli import main; "
+        f"code = main(['check', '--config', {k2_config!r}, "
+        f"'--suites', 'basis,canonical,critical', '--json', {out!r}]); "
+        "print('sympy' in sys.modules, code)"
+    )
+    src = str(Path(arrfrob.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0"]
+
+
+def test_python_m_arrfrob_cli_and_lazy_main():
+    src = str(Path(arrfrob.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    bare = subprocess.run(
+        [sys.executable, "-m", "arrfrob.cli"], capture_output=True, text=True, env=env
+    )
+    assert bare.returncode == 2
+    assert "usage: arrfrob" in bare.stderr
+    assert "RuntimeWarning" not in bare.stderr
+    assert arrfrob.main is main
+    assert arrfrob.report_schema_version() == report_schema_version()

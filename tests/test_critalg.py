@@ -106,6 +106,82 @@ def test_k2_clustered_spurious_roots():
     assert max(p.residual for p in pts) < 1e-9
 
 
+def _sympy_resultant(fam, z):
+    """res_{t2} of the two gradient numerators with the pairwise-intersection
+    roots divided out, by sympy; ascending coefficients."""
+    t1, t2 = sympy.symbols("t1 t2")
+
+    def q(x):
+        return sympy.Rational(str(x))
+
+    fs = [q(z[j]) + q(fam.b[j][0]) * t1 + q(fam.b[j][1]) * t2 for j in range(fam.n)]
+    numerators = [
+        sympy.expand(
+            sum(
+                q(fam.a[j] * fam.b[j][m])
+                * sympy.prod(fs[i] for i in range(fam.n) if i != j)
+                for j in range(fam.n)
+            )
+        )
+        for m in range(2)
+    ]
+    res = sympy.Poly(
+        sympy.resultant(sympy.Poly(numerators[0], t2), sympy.Poly(numerators[1], t2)),
+        t1,
+        domain="QQ",
+    )
+    spurious = sympy.Poly(1, t1, domain="QQ")
+    for (i, bi), (j, bj) in itertools.combinations(enumerate(fam.b), 2):
+        d = bi[0] * bj[1] - bi[1] * bj[0]
+        if d:
+            spurious *= sympy.Poly(t1 - q((-z[i] * bj[1] + z[j] * bi[1]) / d), t1, domain="QQ")
+    quotient, remainder = sympy.div(res, spurious)
+    if remainder.is_zero and quotient.degree() >= 1:
+        res = quotient
+    return [F(str(c)) for c in reversed(res.all_coeffs())]
+
+
+def test_k2_resultant_matches_sympy(fam_k2_n4, fam_k2_n5):
+    from arrfrob.core import sample_good_point
+    from arrfrob.critalg import _gradient_numerators_k2, _resultant_k2
+
+    clustered = ArrangementFamily(
+        k=2,
+        n=5,
+        b=((1, 0), (0, 1), (1, 1), (1, 2), (2, 1)),
+        a=(F(1, 2), F(3, 2), F(4), F(1, 4), F(1)),
+    )
+    cases = [(clustered, (F(11, 5), F(-7, 3), F(-2, 5), F(-9, 4), F(4, 5)))]
+    for fam in (fam_k2_n4, fam_k2_n5):
+        cases += [(fam, sample_good_point(fam, seed=s).z) for s in range(20)]
+    for fam, z in cases:
+        ours = _resultant_k2(fam, z, _gradient_numerators_k2(fam, z))
+        assert ours == _sympy_resultant(fam, z)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize(
+    "z_scale,a_scale",
+    [(F(10) ** 4, 1), (F(10) ** 11, 1), (F(1, 10**12), 1), (1, 10**8), (1, F(1, 10**6))],
+)
+def test_solving_is_scale_free(k, z_scale, a_scale):
+    # each of these used to lose points, find duplicates or report a
+    # vanishing Hessian: the Newton, dedup and Hessian thresholds were absolute
+    b = ((1, 0), (0, 1), (1, 1), (1, 2)) if k == 2 else ((1,),) * 4
+    weights = (F(2), F(3), F(5), F(7))
+    z = (F(7, 4), F(-5, 2), F(-12), F(-1, 3))
+    unit = solve_critical(ArrangementFamily(k=k, n=4, b=b, a=weights), z)
+    fam = ArrangementFamily(k=k, n=4, b=b, a=tuple(a_scale * w for w in weights))
+    scaled = solve_critical(fam, tuple(z_scale * v for v in z))
+    assert len(unit) == len(scaled) == expected_critical_count(fam)
+    for p in unit:
+        target = [complex(z_scale) * v for v in p.t]
+        assert any(
+            max(abs(u - v) for u, v in zip(q.t, target)) < 1e-9 * max(map(abs, target))
+            for q in scaled
+        )
+
+
 def test_k3_not_solvable(fam_k3_n5):
     with pytest.raises(ValueError):
         solve_critical(fam_k3_n5, (F(0), F(1), F(2), F(3), F(4)))
