@@ -113,14 +113,68 @@ def _parse_suites(text):
     return names
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _index_list(value, n, what):
+    """A list of hyperplane indices, each an int in 1..n."""
+    if not isinstance(value, list) or not all(_is_int(j) and 1 <= j <= n for j in value):
+        raise ConfigError(f"{what} must be a list of indices in 1..{n}, got {value!r}")
+    return tuple(value)
+
+
+def _parse_tuples(raw, family):
+    """The `tuples` key: derivative direction tuples of length 2k+1."""
+    if not isinstance(raw, list):
+        raise ConfigError("tuples must be a list of index lists")
+    tuples = [_index_list(t, family.n, "each tuple") for t in raw]
+    for t in tuples:
+        if len(t) != 2 * family.k + 1:
+            raise ConfigError(f"tuple {list(t)} needs {2 * family.k + 1} indices")
+    return tuples
+
+
+def _parse_partitions(raw, family):
+    """The `partitions` key: each partition splits 1..n into disjoint
+    nonempty blocks."""
+    if not isinstance(raw, list):
+        raise ConfigError("partitions must be a list of partitions")
+    partitions = []
+    for part in raw:
+        if not isinstance(part, list):
+            raise ConfigError(f"partition {part!r} must be a list of blocks")
+        blocks = tuple(_index_list(b, family.n, "each block") for b in part)
+        members = sorted(j for block in blocks for j in block)
+        if any(not block for block in blocks) or members != list(range(1, family.n + 1)):
+            raise ConfigError(
+                f"partition {part!r} must split 1..{family.n} into disjoint nonempty blocks"
+            )
+        partitions.append(blocks)
+    return partitions
+
+
 class RunSettings:
-    def __init__(self, raw, args):
+    """The run's settings, from the config and the command line; every
+    optional config key is validated here against the family."""
+
+    def __init__(self, raw, args, family):
         self.raw = raw
         self.seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
         self.tol = args.tol if args.tol is not None else float(raw.get("tol", 1e-8))
-        self.samples = int(raw.get("samples", 5))
+        self.samples = raw.get("samples", 5)
+        if not _is_int(self.samples) or self.samples < 1:
+            raise ConfigError(f"samples must be a positive integer, got {self.samples!r}")
         anchor = args.anchor if args.anchor is not None else raw.get("anchor")
-        self.anchor = int(anchor) if anchor is not None else None
+        if anchor is None:
+            anchor = critalg.default_anchor(family)
+        if not _is_int(anchor) or not 1 <= anchor <= family.n:
+            raise ConfigError(f"anchor must be an integer in 1..{family.n}, got {anchor!r}")
+        self.anchor = anchor
+        self.tuples = _parse_tuples(raw["tuples"], family) if "tuples" in raw else None
+        self.partitions = (
+            _parse_partitions(raw["partitions"], family) if "partitions" in raw else None
+        )
         if args.suites is not None:
             self.suites = _parse_suites(args.suites)
         elif "suites" in raw:
@@ -215,7 +269,7 @@ def _suite_basis(family, cfg):
         space.dimension == math.comb(family.n - 1, family.k),
         witness={"dimension": space.dimension},
     )
-    anchor = cfg.anchor or critalg.default_anchor(family)
+    anchor = cfg.anchor
     anchored = critalg.anchored_subsets(family, anchor)
     _row(rows, "anchored-basis-size", len(anchored) == math.comb(family.n - 1, family.k))
     gram = [
@@ -316,8 +370,11 @@ def _suite_critical(family, cfg):
             len(points) == expected,
             witness={"found": len(points), "expected": expected},
         )
-        minh = min(abs(p.hessian) for p in points)
-        _row(rows, f"hessian-nonzero-sample-{i}", minh > 1e-10, residual=minh)
+        # |Hess(p)| relative to the size of its terms, the test that
+        # solve_critical applies
+        master = critalg.MasterFunction(family, z)
+        minh = min(abs(p.hessian) / master.hessian_scale(p.t) for p in points)
+        _row(rows, f"hessian-nonzero-sample-{i}", minh >= 1e-12, residual=minh)
         er = critalg.euler_residual(family, z, points)
         tol = cfg.tol * critalg.euler_scale(family, z, points)
         _row(rows, f"euler-identity-sample-{i}", er <= tol, residual=er, tol=tol)
@@ -351,7 +408,7 @@ def _suite_canonical(family, cfg):
             residual=rep["residual"],
             tol=cfg.tol,
         )
-        basis = critalg.anchored_subsets(family, anchor or critalg.default_anchor(family))
+        basis = critalg.anchored_subsets(family, anchor)
         worst = scale = 0.0
         for T in basis:
             for U in basis:
@@ -515,10 +572,8 @@ def _suite_strata(family, cfg):
     if family.k != 1:
         _row(rows, "strata-restriction", True, skip=True)
         return rows, {"note": "strata restriction covers k = 1"}
-    raw = cfg.raw.get("partitions")
-    if raw is not None:
-        partitions = [tuple(tuple(b) for b in part) for part in raw]
-    else:
+    partitions = cfg.partitions
+    if partitions is None:
         partitions = [((1, 2),) + tuple((j,) for j in range(3, family.n + 1))]
         if family.n >= 4:
             partitions.append(
@@ -579,7 +634,7 @@ def _family_from_args(args):
 
 def _cmd_check(args):
     raw, family, _ = _family_from_args(args)
-    cfg = RunSettings(raw, args)
+    cfg = RunSettings(raw, args, family)
     suites_report = {}
     passed = True
     for name in cfg.suites:
@@ -606,7 +661,7 @@ def _cmd_check(args):
 
 def _cmd_circuits(args):
     raw, family, _ = _family_from_args(args)
-    cfg = RunSettings(raw, args)
+    cfg = RunSettings(raw, args, family)
     rows, extra = _suite_circuits(family, cfg)
     passed = all(r["status"] != "fail" for r in rows)
     report = {
@@ -621,7 +676,7 @@ def _cmd_circuits(args):
 
 def _cmd_basis(args):
     raw, family, _ = _family_from_args(args)
-    cfg = RunSettings(raw, args)
+    cfg = RunSettings(raw, args, family)
     rows, extra = _suite_basis(family, cfg)
     passed = all(r["status"] != "fail" for r in rows)
     report = {
@@ -636,7 +691,7 @@ def _cmd_basis(args):
 
 def _cmd_critical(args):
     raw, family, z = _family_from_args(args)
-    cfg = RunSettings(raw, args)
+    cfg = RunSettings(raw, args, family)
     if z is None:
         z = sample_good_point(family, seed=cfg.seed).z
     else:
@@ -661,12 +716,10 @@ def _cmd_critical(args):
 
 def _cmd_potential(args):
     raw, family, z = _family_from_args(args)
-    cfg = RunSettings(raw, args)
+    cfg = RunSettings(raw, args, family)
     zz = z.z if z is not None else sample_good_point(family, seed=cfg.seed).z
-    tuples = raw.get("tuples")
-    if tuples is not None:
-        tuples = [tuple(t) for t in tuples]
-    else:
+    tuples = cfg.tuples
+    if tuples is None:
         rng = random.Random(cfg.seed)
         tuples = [
             tuple(rng.randint(1, family.n) for _ in range(2 * family.k + 1))
@@ -690,7 +743,7 @@ def _cmd_potential(args):
 
 def _cmd_gm_flow(args):
     raw, family, z = _family_from_args(args)
-    cfg = RunSettings(raw, args)
+    cfg = RunSettings(raw, args, family)
     if "path" in raw:
         path = [tuple(parse_rational(v) for v in p) for p in raw["path"]]
     else:

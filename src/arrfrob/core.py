@@ -21,7 +21,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 
 from . import linalg
 
@@ -84,6 +84,10 @@ class ArrangementFamily:
     def _minor_cache(self):
         return {}
 
+    @cached_property
+    def _memo(self):
+        return {}
+
     def minor(self, indices):
         """det of the k x k submatrix of b picked by the given distinct rows,
         in the given order (swapping two indices flips the sign)."""
@@ -110,6 +114,27 @@ class ArrangementFamily:
     @cached_property
     def flag_index(self):
         return SubsetIndex(self)
+
+
+def per_family(fn):
+    """Memoize fn(family, *args) on the family itself.
+
+    The table lives in the family's own attributes and is keyed by the
+    function and the call's remaining (small int or tuple) arguments, so a
+    lookup never hashes the family's rationals and every value is freed
+    together with the family."""
+
+    @wraps(fn)
+    def memoized(family, *args):
+        table = family._memo
+        key = (fn, args)
+        try:
+            return table[key]
+        except KeyError:
+            value = table[key] = fn(family, *args)
+            return value
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -319,6 +344,3 @@ def sample_good_point(family, seed, budget=1000):
             return BasePoint(z)
     raise RuntimeError(f"no good base point found within {budget} draws")
 
-
-def minor_det(family, indices):
-    return family.minor(tuple(indices))

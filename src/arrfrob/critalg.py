@@ -21,12 +21,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
-from .core import coords
+from .core import coords, per_family
 from .osflag import CoVector, sort_with_sign
 
 
@@ -440,7 +439,7 @@ def default_anchor(family):
     return family.n
 
 
-@lru_cache(maxsize=None)
+@per_family
 def _elimination_row(family, pivot, tail):
     """Coefficients c_i with gen_pivot = sum_i c_i gen_i (i outside tail+pivot)
     from the contraction relation sum_i d_{(i,)+tail} gen_i = 0."""
@@ -482,7 +481,7 @@ def _exponent_key(exponents):
     return tuple(sorted((i, e) for i, e in exponents.items() if e))
 
 
-@lru_cache(maxsize=None)
+@per_family
 def _reduce_sorted(family, anchor, key):
     exps = dict(key)
     degree = sum(exps.values())

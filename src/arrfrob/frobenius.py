@@ -20,13 +20,12 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from . import critalg, gaussmanin, linalg
 from .core import ConfigError, coords, f_c_value, is_good_fiber
-from .core import ArrangementFamily
+from .core import ArrangementFamily, per_family
 from .linforms import LinExpr, linear_form
 from .osflag import (
     CoVector,
@@ -177,7 +176,7 @@ def contravariant_compositions(family, z, points=None, analytic=True):
 # conformal block section
 
 
-@lru_cache(maxsize=None)
+@per_family
 def _conformal_block_exprs_cached(family, anchor):
     index = family.flag_index
     exprs = [LinExpr.zero() for _ in range(len(index))]
@@ -330,7 +329,7 @@ def potential_first_closed_k1(family, z):
     return total / asum**3
 
 
-@lru_cache(maxsize=None)
+@per_family
 def potential_log_expr(family):
     """The log-type potential as an exact expression: for every independent
     (k+1)-subset u a term (prod a / (2k)! prod_m d_{u less m}^2) f_u^{2k} log f_u."""
@@ -356,22 +355,17 @@ def potential_log_expr(family):
     return terms
 
 
-_PTILDE_DIFF_CACHE = {}
-
-
 def potential_log_derivative_expr(family, directions):
-    """Iterated derivative of the log potential; cached along sorted
+    """Iterated derivative of the log potential; memoized along sorted
     prefixes since mixed partials commute."""
-    key = tuple(sorted(directions))
-    cache = _PTILDE_DIFF_CACHE.setdefault(family, {})
-    if key in cache:
-        return cache[key]
+    return _log_derivative_sorted(family, tuple(sorted(directions)))
+
+
+@per_family
+def _log_derivative_sorted(family, key):
     if not key:
-        expr = potential_log_expr(family)
-    else:
-        expr = potential_log_derivative_expr(family, key[:-1]).diff(key[-1])
-    cache[key] = expr
-    return expr
+        return potential_log_expr(family)
+    return _log_derivative_sorted(family, key[:-1]).diff(key[-1])
 
 
 def potential_derivative_row(family, z, directions, anchor=None, mode="exact"):
@@ -648,10 +642,6 @@ def flat_period_check(family, path, v=None, tol=1e-6, rtol=1e-10, anchor=None):
         "abs_err": err,
         "passed": err <= tol,
     }
-
-
-def _pair_with(family, weights, flag_coords, other_coords):
-    return np.dot(flag_coords * weights, other_coords)
 
 
 def twisted_pairing_invariance(family, path, kappa, start_plus, start_minus, rtol=1e-10, tol=1e-6):

@@ -2,6 +2,10 @@
 
 For each circuit C the operator L_C acts on the standard flag basis, and
 the connection operators are K_j(z) = sum_C (lambda_j^C / f_C(z)) L_C.
+The entries of L_C are tabulated once per family in flag positions
+(`_l_c_entries`), and `_sum_l_c` is the one place that sums scaled L_C
+into a matrix: exact K_j, its minor form, the curl's closed form, the
+symbolic K_j entries and the complex arrays of the integrator.
 Flat sections of slope kappa solve kappa dI/dz_j = K_j(z) I; transported
 along a path they stay inside the singular subspace and pair invariantly.
 
@@ -16,12 +20,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from . import critalg, linalg
-from .core import coords, f_c_value
+from .core import coords, f_c_value, per_family
 from .linforms import LinExpr, linear_form
 from .osflag import (
     FlagVector,
@@ -36,18 +39,21 @@ from .osflag import (
 # circuit operators
 
 
-@lru_cache(maxsize=None)
-def _l_c_columns(family, circuit_indices):
-    """Sparse columns of L_C: sorted input subset -> ((output subset, coef)...).
+@per_family
+def _l_c_entries(family, circuit_indices):
+    """L_C over the standard flag basis as (row, column, coef) triples in
+    flag positions, for a sorted circuit index tuple.
 
     The operator kills F_T unless T meets the circuit in all but one index;
-    output flags over dependent subsets are zero and dropped.
+    output flags over dependent subsets are zero and dropped. The outputs of
+    one column drop different circuit indices, so every entry of the matrix
+    receives at most one term.
     """
     index = family.flag_index
     cset = set(circuit_indices)
     r = len(circuit_indices)
-    columns = {}
-    for T in index:
+    entries = []
+    for q, T in enumerate(index):
         inter = [x for x in T if x in cset]
         if len(inter) != r - 1:
             continue
@@ -59,28 +65,25 @@ def _l_c_columns(family, circuit_indices):
         if sigma == 0:
             continue
         base = sigma if m % 2 == 0 else -sigma
-        terms = []
         for l, il in enumerate(circuit_indices, start=1):
             out = tuple(x for x in circuit_indices if x != il) + outside
             key, osign = sort_with_sign(out)
             if osign == 0 or key not in index:
                 continue
             sign = base if l % 2 == 0 else -base
-            terms.append((key, sign * osign * family.a[il - 1]))
-        if terms:
-            columns[T] = tuple(terms)
-    return columns
+            entries.append((index.position(key), q, sign * osign * family.a[il - 1]))
+    return tuple(entries)
 
 
-def l_c_matrix(family, circuit):
-    """Exact matrix of L_C over the standard flag basis."""
-    index = family.flag_index
-    n = len(index)
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for T, terms in _l_c_columns(family, circuit.indices).items():
-        q = index.position(T)
-        for key, coef in terms:
-            mat[index.position(key)][q] += coef
+def _sum_l_c(family, scales, zero):
+    """Dense flag-basis matrix of sum_C scale_C L_C over the (circuit
+    indices, scale_C) pairs. The entries start at `zero`, so they may be
+    Fractions, LinExprs or complex numbers."""
+    size = len(family.flag_index)
+    mat = [[zero] * size for _ in range(size)]
+    for indices, scale in scales:
+        for p, q, coef in _l_c_entries(family, indices):
+            mat[p][q] = mat[p][q] + scale * coef
     return mat
 
 
@@ -93,10 +96,8 @@ def k_operator(family, z, j):
     """Exact matrix of K_j(z) assembled from the circuit operators."""
     if not 1 <= j <= family.n:
         raise ValueError(f"index {j} out of range")
-    index = family.flag_index
-    n = len(index)
     zz = coords(z)
-    mat = [[Fraction(0)] * n for _ in range(n)]
+    scales = []
     for circuit in family.circuit_list:
         lam_j = circuit.coefficient(j)
         if lam_j == 0:
@@ -107,21 +108,15 @@ def k_operator(family, z, j):
                 f"fiber lies on the discriminant: f_C vanishes for circuit "
                 f"{circuit.indices}"
             )
-        scale = lam_j / fc
-        for T, terms in _l_c_columns(family, circuit.indices).items():
-            q = index.position(T)
-            for key, coef in terms:
-                mat[index.position(key)][q] += scale * coef
-    return mat
+        scales.append((circuit.indices, lam_j / fc))
+    return _sum_l_c(family, scales, Fraction(0))
 
 
 def k_operator_minor_form(family, z, j):
     """K_j(z) assembled from (k+1)-index minor data instead of circuits;
     only valid when every k-subset away from j is independent."""
-    index = family.flag_index
-    n = len(index)
     zz = coords(z)
-    mat = [[Fraction(0)] * n for _ in range(n)]
+    scales = []
     for tail in itertools.combinations(
         [i for i in range(1, family.n + 1) if i != j], family.k
     ):
@@ -134,12 +129,8 @@ def k_operator_minor_form(family, z, j):
             raise ValueError(
                 f"fiber lies on the pole locus of the minor form at {(j,) + tail}"
             )
-        scale = d_tail / fu
-        for T, terms in _l_c_columns(family, u).items():
-            q = index.position(T)
-            for key, coef in terms:
-                mat[index.position(key)][q] += scale * coef
-    return mat
+        scales.append((u, d_tail / fu))
+    return _sum_l_c(family, scales, Fraction(0))
 
 
 def apply_matrix(family, mat, vec):
@@ -203,9 +194,7 @@ def check_symmetry_and_invariance(family, z):
 def _k_entry_exprs(family, j):
     """Entries of K_j as exact expressions in z (sum of lambda_j / f_C
     multiples of circuit operator entries)."""
-    index = family.flag_index
-    n = len(index)
-    entries = [[LinExpr.zero() for _ in range(n)] for _ in range(n)]
+    scales = []
     for circuit in family.circuit_list:
         lam_j = circuit.coefficient(j)
         if lam_j == 0:
@@ -213,13 +202,8 @@ def _k_entry_exprs(family, j):
         lam_form = linear_form(
             [circuit.coefficient(i) for i in range(1, family.n + 1)]
         )
-        for T, terms in _l_c_columns(family, circuit.indices).items():
-            q = index.position(T)
-            for key, coef in terms:
-                entries[index.position(key)][q] = entries[index.position(key)][
-                    q
-                ] + LinExpr.monomial(lam_j * coef, {lam_form: -1})
-    return entries
+        scales.append((circuit.indices, LinExpr.monomial(lam_j, {lam_form: -1})))
+    return _sum_l_c(family, scales, LinExpr.zero())
 
 
 def curl_residual(family, z, pairs=None):
@@ -227,9 +211,8 @@ def curl_residual(family, z, pairs=None):
     entry of K_j in direction i must match the closed form
     -lambda_i lambda_j / f_C^2 summed over circuits, and the (i, j) and
     (j, i) derivative matrices must agree."""
-    index = family.flag_index
+    n = len(family.flag_index)
     zz = coords(z)
-    n = len(index)
     if pairs is None:
         pairs = list(itertools.combinations(range(1, family.n + 1), 2))
     exprs = {}
@@ -240,18 +223,15 @@ def curl_residual(family, z, pairs=None):
                 exprs[b] = _k_entry_exprs(family, b)
         closed = {}
         for a, b in ((i, j), (j, i)):
-            mat = [[Fraction(0)] * n for _ in range(n)]
+            scales = []
             for circuit in family.circuit_list:
                 lam_a = circuit.coefficient(a)
                 lam_b = circuit.coefficient(b)
                 if lam_a == 0 or lam_b == 0:
                     continue
                 fc = f_c_value(circuit, zz)
-                scale = -lam_a * lam_b / (fc * fc)
-                for T, terms in _l_c_columns(family, circuit.indices).items():
-                    q = index.position(T)
-                    for key, coef in terms:
-                        mat[index.position(key)][q] += scale * coef
+                scales.append((circuit.indices, -lam_a * lam_b / (fc * fc)))
+            mat = _sum_l_c(family, scales, Fraction(0))
             closed[(a, b)] = mat
             symbolic = exprs[b]
             for p in range(n):
@@ -336,24 +316,13 @@ def weighted_euler_residual(family, z):
 # flat-section transport
 
 
-@lru_cache(maxsize=None)
+@per_family
 def _circuit_arrays(family):
-    index = family.flag_index
-    n = len(index)
-    lams = []
-    ops = []
-    for circuit in family.circuit_list:
-        lam = np.zeros(family.n, dtype=complex)
-        for pos, i in enumerate(circuit.indices):
-            lam[i - 1] = complex(circuit.lam[pos])
-        mat = np.zeros((n, n), dtype=complex)
-        for T, terms in _l_c_columns(family, circuit.indices).items():
-            q = index.position(T)
-            for key, coef in terms:
-                mat[index.position(key)][q] += complex(coef)
-        lams.append(lam)
-        ops.append(mat)
-    return np.array(lams), np.array(ops)
+    """The circuit forms' z-coefficients and the L_C as complex arrays."""
+    circuits = family.circuit_list
+    lams = [[complex(c.coefficient(i)) for i in range(1, family.n + 1)] for c in circuits]
+    ops = [_sum_l_c(family, [(c.indices, 1)], 0j) for c in circuits]
+    return np.array(lams, dtype=complex), np.array(ops, dtype=complex)
 
 
 # Dormand-Prince embedded pair

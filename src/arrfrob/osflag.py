@@ -19,10 +19,9 @@ the first one.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from . import linalg
-from .core import coords, format_rational, parse_rational
+from .core import coords, format_rational, parse_rational, per_family
 
 
 def sort_with_sign(indices):
@@ -288,7 +287,7 @@ def _independent_subsets(family, size):
     ]
 
 
-@lru_cache(maxsize=None)
+@per_family
 def singular_subspace(family):
     space = SingularSubspace(family)
     expected = _binomial(family.n - 1, family.k)
@@ -305,7 +304,7 @@ def _binomial(n, k):
     return comb(n, k)
 
 
-@lru_cache(maxsize=None)
+@per_family
 def _v_vector_sorted(family, key):
     asum = family.weight_sum
     k = family.k

@@ -378,3 +378,78 @@ def test_python_m_arrfrob_cli_and_lazy_main():
     assert "RuntimeWarning" not in bare.stderr
     assert arrfrob.main is main
     assert arrfrob.report_schema_version() == report_schema_version()
+
+
+def test_small_weights_pass_the_hessian_rows(tmp_path):
+    # |Hess| scales as weight^k: with weights x 1e-6 an absolute threshold
+    # of 1e-10 failed 4 of these 5 rows while every other row passed
+    weights = [f"{w}/1000000" for w in (2, 3, 5, 7)]
+    rc, report = _check_report(
+        tmp_path, _k2n4(weights, seed=1), "critical,basis,canonical", "w-6"
+    )
+    assert rc == 0
+    rows = [r for r in report["suites"]["critical"]["checks"]
+            if r["id"].startswith("hessian-nonzero")]
+    assert len(rows) == 5 and all(r["status"] == "pass" for r in rows)
+
+
+_K1N4 = {"k": 1, "n": 4, "b": [[1], [1], [1], [1]], "weights": ["1", "2", "3", "5"]}
+
+
+@pytest.mark.parametrize(
+    "extra, argv",
+    [
+        ({"anchor": 99}, ["check", "--suites", "basis"]),
+        ({"anchor": 0}, ["check", "--suites", "basis"]),
+        ({"anchor": "2"}, ["check", "--suites", "basis"]),
+        ({}, ["check", "--suites", "basis", "--anchor", "5"]),
+        ({"samples": "x"}, ["check", "--suites", "flatness"]),
+        ({"samples": 2.5}, ["check", "--suites", "flatness"]),
+        ({"samples": 0}, ["check", "--suites", "flatness"]),
+        ({"tuples": [[1, 2, 99]]}, ["potential"]),
+        ({"tuples": [[1, 2]]}, ["potential"]),
+        ({"partitions": [[[1, 2], [2, 3], [4]]]}, ["check", "--suites", "strata"]),
+        ({"partitions": [[[1, 2], [3]]]}, ["check", "--suites", "strata"]),
+        ({"partitions": [[[1, 2], [], [3, 4]]]}, ["check", "--suites", "strata"]),
+    ],
+    ids=[
+        "anchor-99", "anchor-0", "anchor-string", "anchor-flag-5", "samples-string",
+        "samples-float", "samples-0", "tuple-index", "tuple-length",
+        "partition-overlap", "partition-cover", "partition-empty-block",
+    ],
+)
+def test_invalid_settings_are_exit_2(tmp_path, capsys, extra, argv):
+    cfg = _write_config(tmp_path, dict(_K1N4, **extra))
+    assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_partition_with_a_zero_block_weight_is_skipped(tmp_path):
+    payload = dict(_K1N4, weights=["1", "2", "-3", "5"], partitions=[[[1, 2, 3], [4]]])
+    rc, report = _check_report(tmp_path, payload, "strata", "zero-block")
+    assert rc == 0
+    assert _statuses(report) == [("strata", "strata-partition-0", "skip")]
+
+
+def test_check_releases_the_family(tmp_path, monkeypatch):
+    import gc
+    import weakref
+
+    import arrfrob.cli as cli
+
+    refs = []
+    load_family = cli.load_family
+
+    def load(raw):
+        family = load_family(raw)
+        refs.append(weakref.ref(family))
+        return family
+
+    monkeypatch.setattr(cli, "load_family", load)
+    payload = {"k": 2, "n": 3, "b": [[1, 0], [0, 1], [1, 1]], "weights": ["2", "3", "5"]}
+    rc, _ = _check_report(
+        tmp_path, payload, "basis,symmetry,conformal,potential,periods", "k2n3"
+    )
+    assert rc == 0
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None

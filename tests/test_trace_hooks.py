@@ -1,0 +1,42 @@
+"""Every name that the traced benchmark run (perfbench/optrace.py) wraps
+must still exist in the package, so a refactor cannot silently drop a
+per-layer metric. The tables are read from the file, not imported."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+OPTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "optrace.py"
+
+
+def _hook_tables():
+    tree = ast.parse(OPTRACE.read_text(encoding="utf-8"))
+    tables = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("SPANS", "HOT"):
+                tables[name] = ast.literal_eval(node.value)
+    return tables
+
+
+@pytest.mark.skipif(not OPTRACE.exists(), reason="perfbench is not in this tree")
+def test_every_traced_name_resolves():
+    tables = _hook_tables()
+    assert set(tables) == {"SPANS", "HOT"}
+    missing = []
+    for module, attr in [key for table in tables.values() for key in table]:
+        owner = importlib.import_module(f"arrfrob.{module}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            cls = getattr(owner, cls_name, None)
+            found = cls is not None and callable(vars(cls).get(meth))
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            missing.append(f"{module}.{attr}")
+    assert not missing
+    cli = importlib.import_module("arrfrob.cli")
+    assert set(cli._SUITE_RUNNERS) == set(cli.SUITES)
