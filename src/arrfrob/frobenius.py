@@ -646,7 +646,10 @@ def flat_period_check(family, path, v=None, tol=1e-6, rtol=1e-10, anchor=None):
 
 def twisted_pairing_invariance(family, path, kappa, start_plus, start_minus, rtol=1e-10, tol=1e-6):
     """Transport sections of slopes kappa and -kappa along the same path;
-    their pairing must stay constant at every waypoint."""
+    their pairing must stay constant at every waypoint. The drift is
+    compared with tol times `scale`, the largest sum of the pairing's terms
+    |w_T plus_T minus_T| over the waypoints, so the verdict does not depend
+    on the units of the weights or the sections."""
     index = family.flag_index
     weights = np.array(
         [complex(weight_product(family, T)) for T in index], dtype=complex
@@ -658,6 +661,7 @@ def twisted_pairing_invariance(family, path, kappa, start_plus, start_minus, rto
         [complex(c) for c in start_minus.to_coordinates(index)], dtype=complex
     )
     values = [np.dot(plus * weights, minus)]
+    scale = np.sum(np.abs(plus * weights * minus))
     for a, b in zip(path[:-1], path[1:]):
         rp = gaussmanin.flow_flat_section(
             family, [a, b], kappa, list(plus), rtol=rtol
@@ -672,8 +676,9 @@ def twisted_pairing_invariance(family, path, kappa, start_plus, start_minus, rto
             [complex(c) for c in rm.section.to_coordinates(index)], dtype=complex
         )
         values.append(np.dot(plus * weights, minus))
+        scale = max(scale, np.sum(np.abs(plus * weights * minus)))
     drift = max(abs(v - values[0]) for v in values)
-    return {"values": values, "drift": drift, "passed": drift <= tol}
+    return {"values": values, "drift": drift, "scale": scale, "passed": drift <= tol * scale}
 
 
 def twisted_period_relation(family, path, kappa, start, rtol=1e-10, tol=1e-6, anchor=None):

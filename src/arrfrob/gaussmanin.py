@@ -4,26 +4,32 @@ For each circuit C the operator L_C acts on the standard flag basis, and
 the connection operators are K_j(z) = sum_C (lambda_j^C / f_C(z)) L_C.
 The entries of L_C are tabulated once per family in flag positions
 (`_l_c_entries`), and `_sum_l_c` is the one place that sums scaled L_C
-into a matrix: exact K_j, its minor form, the curl's closed form, the
-symbolic K_j entries and the complex arrays of the integrator.
+into a matrix: exact K_j, its minor form, the symbolic K_j entries and
+the curl's closed form, and the complex arrays of the integrator.
 Flat sections of slope kappa solve kappa dI/dz_j = K_j(z) I; transported
 along a path they stay inside the singular subspace and pair invariantly.
 
 Everything fiber-exact here is done in rational arithmetic (operators,
-symmetry, curl, commutators on the singular subspace); transport is an
-adaptive embedded Runge-Kutta integrator over the circuit data with a
-discriminant-distance guard.
+symmetry, curl, commutators on the singular subspace). The flatness
+check builds each K_j(z) once per fiber as sparse rows of integer
+numerators over a common denominator and forms the commutators [K_i, K_j]
+in integer arithmetic. Its curl side is certified once per family: the
+symbolic differences between d_i K_j and the closed form are formed per
+family (`_curl_defects`), a flat family has none, and only a nonzero one
+is evaluated at a fiber. Transport is an adaptive embedded Runge-Kutta
+integrator over the circuit data with a discriminant-distance guard.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import critalg, linalg
+from . import critalg
 from .core import coords, f_c_value, per_family
 from .linforms import LinExpr, linear_form
 from .osflag import (
@@ -191,6 +197,12 @@ def check_symmetry_and_invariance(family, z):
     return report
 
 
+def _circuit_form(family, circuit):
+    """The circuit form f_C as a linear form in z."""
+    return linear_form([circuit.coefficient(i) for i in range(1, family.n + 1)])
+
+
+@per_family
 def _k_entry_exprs(family, j):
     """Entries of K_j as exact expressions in z (sum of lambda_j / f_C
     multiples of circuit operator entries)."""
@@ -199,76 +211,123 @@ def _k_entry_exprs(family, j):
         lam_j = circuit.coefficient(j)
         if lam_j == 0:
             continue
-        lam_form = linear_form(
-            [circuit.coefficient(i) for i in range(1, family.n + 1)]
-        )
-        scales.append((circuit.indices, LinExpr.monomial(lam_j, {lam_form: -1})))
+        form = _circuit_form(family, circuit)
+        scales.append((circuit.indices, LinExpr.monomial(lam_j, {form: -1})))
     return _sum_l_c(family, scales, LinExpr.zero())
+
+
+def _closed_curl_exprs(family, a, b):
+    """The closed form of d_a K_b as exact expressions in z:
+    -lambda_a lambda_b / f_C^2 summed over circuits."""
+    scales = []
+    for circuit in family.circuit_list:
+        lam_a = circuit.coefficient(a)
+        lam_b = circuit.coefficient(b)
+        if lam_a == 0 or lam_b == 0:
+            continue
+        form = _circuit_form(family, circuit)
+        scales.append((circuit.indices, LinExpr.monomial(-lam_a * lam_b, {form: -2})))
+    return _sum_l_c(family, scales, LinExpr.zero())
+
+
+@per_family
+def _curl_defects(family, i, j):
+    """The symbolic side of the curl check for the pair (i, j), built once
+    per family: the entries of d_a K_b minus its closed form for (a, b) =
+    (i, j) and (j, i), and of the two closed forms' difference, that are
+    not identically zero. A flat connection leaves none, so its curl holds
+    on every fiber."""
+    compared = []
+    closed = {}
+    for a, b in ((i, j), (j, i)):
+        closed[a, b] = _closed_curl_exprs(family, a, b)
+        for row, closed_row in zip(_k_entry_exprs(family, b), closed[a, b]):
+            compared.extend((x.diff(a), y) for x, y in zip(row, closed_row))
+    for row, other in zip(closed[i, j], closed[j, i]):
+        compared.extend(zip(row, other))
+    # the terms are kept in canonical form, so x - y is zero iff they agree
+    return tuple(x - y for x, y in compared if x.terms != y.terms)
 
 
 def curl_residual(family, z, pairs=None):
     """Exact residual of d(K_i dz_i + ...) = 0: the z-derivative of every
     entry of K_j in direction i must match the closed form
     -lambda_i lambda_j / f_C^2 summed over circuits, and the (i, j) and
-    (j, i) derivative matrices must agree."""
-    n = len(family.flag_index)
+    (j, i) derivative matrices must agree. Only the entries whose symbolic
+    difference is not identically zero are evaluated at the fiber."""
     zz = coords(z)
     if pairs is None:
         pairs = list(itertools.combinations(range(1, family.n + 1), 2))
-    exprs = {}
     worst = Fraction(0)
     for i, j in pairs:
-        for a, b in ((i, j), (j, i)):
-            if b not in exprs:
-                exprs[b] = _k_entry_exprs(family, b)
-        closed = {}
-        for a, b in ((i, j), (j, i)):
-            scales = []
-            for circuit in family.circuit_list:
-                lam_a = circuit.coefficient(a)
-                lam_b = circuit.coefficient(b)
-                if lam_a == 0 or lam_b == 0:
-                    continue
-                fc = f_c_value(circuit, zz)
-                scales.append((circuit.indices, -lam_a * lam_b / (fc * fc)))
-            mat = _sum_l_c(family, scales, Fraction(0))
-            closed[(a, b)] = mat
-            symbolic = exprs[b]
-            for p in range(n):
-                for q in range(n):
-                    val = symbolic[p][q].diff(a).evaluate_exact(zz)
-                    worst = max(worst, abs(val - mat[p][q]))
-        for p in range(n):
-            for q in range(n):
-                worst = max(worst, abs(closed[(i, j)][p][q] - closed[(j, i)][p][q]))
+        for defect in _curl_defects(family, i, j):
+            worst = max(worst, abs(defect.evaluate_exact(zz)))
     return worst
+
+
+def _integer_rows(mat):
+    """An exact matrix as sparse rows {column: numerator} of Python ints
+    over one common denominator, the lcm of the entry denominators."""
+    den = math.lcm(*(e.denominator for row in mat for e in row if e))
+    rows = [
+        {q: e.numerator * (den // e.denominator) for q, e in enumerate(row) if e}
+        for row in mat
+    ]
+    return rows, den
+
+
+def _sparse_product(left, right):
+    """Product of two matrices given as sparse integer rows."""
+    out = []
+    for row in left:
+        acc = {}
+        for m, x in row.items():
+            for q, y in right[m].items():
+                acc[q] = acc.get(q, 0) + x * y
+        out.append(acc)
+    return out
+
+
+def _commutator_rows(ki, kj):
+    """[K_i, K_j] from the integer forms (rows, D) of K_i and K_j: sparse
+    integer rows over D_i D_j, without zero entries."""
+    (rows_i, den_i), (rows_j, den_j) = ki, kj
+    out = []
+    for ij, ji in zip(_sparse_product(rows_i, rows_j), _sparse_product(rows_j, rows_i)):
+        for q, v in ji.items():
+            ij[q] = ij.get(q, 0) - v
+        out.append({q: v for q, v in ij.items() if v})
+    return out, den_i * den_j
 
 
 def commutator_residuals(family, z, pairs=None):
     """Exact [K_i, K_j] residual on the singular subspace plus the measured
-    sup-norm of the commutator on the whole flag space."""
-    space = singular_subspace(family)
+    sup-norm of the commutator on the whole flag space. The K_j are built
+    once per fiber as integer numerators over a common denominator, and the
+    commutators are formed in integer arithmetic."""
+    index = family.flag_index
+    basis = []
+    for vec in singular_subspace(family).basis:
+        values, den = _integer_rows([vec.to_coordinates(index)])
+        basis.append((values[0], den))
     if pairs is None:
         pairs = list(itertools.combinations(range(1, family.n + 1), 2))
-    mats = {}
+    ks = {}
     exact_worst = Fraction(0)
     full_worst = 0.0
     for i, j in pairs:
         for idx in (i, j):
-            if idx not in mats:
-                mats[idx] = k_operator(family, z, idx)
-        comm = linalg.mat_mul(mats[i], mats[j])
-        rev = linalg.mat_mul(mats[j], mats[i])
-        n = len(comm)
-        diff = [[comm[p][q] - rev[p][q] for q in range(n)] for p in range(n)]
-        for vec in space.basis:
-            image = apply_matrix(family, diff, vec)
-            residual = max((abs(c) for c in image.coeffs.values()), default=0)
-            exact_worst = max(exact_worst, residual)
-        full_worst = max(
-            full_worst,
-            max((abs(complex(e)) for row in diff for e in row), default=0.0),
-        )
+            if idx not in ks:
+                ks[idx] = _integer_rows(k_operator(family, z, idx))
+        rows, den = _commutator_rows(ks[i], ks[j])
+        for values, vec_den in basis:
+            image = [sum(c * values.get(q, 0) for q, c in row.items()) for row in rows]
+            residual = max(abs(c) for c in image)
+            if residual:
+                exact_worst = max(exact_worst, Fraction(residual, den * vec_den))
+        top = max((abs(v) for row in rows for v in row.values()), default=0)
+        # int / int is correctly rounded: the float of the exact rational
+        full_worst = max(full_worst, top / den)
     return exact_worst, full_worst
 
 

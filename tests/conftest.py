@@ -55,3 +55,27 @@ def fam_k3_n5():
 @pytest.fixture
 def z_k1_n3():
     return (F(0), F(1), F(3))
+
+
+_PRIME_ROWS = {
+    1: ((1,),) * 5,
+    2: ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1)),
+    3: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 4)),
+}
+
+
+@pytest.fixture
+def prime_config():
+    """Config documents of the generic families with the first n primes
+    as weights that the benchmark runs, keyed by (k, n) with n <= 5."""
+
+    def make(k, n, **extra):
+        return dict(
+            k=k,
+            n=n,
+            b=[list(row) for row in _PRIME_ROWS[k][:n]],
+            weights=[str(p) for p in (2, 3, 5, 7, 11)[:n]],
+            **extra,
+        )
+
+    return make

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -411,11 +412,34 @@ _K1N4 = {"k": 1, "n": 4, "b": [[1], [1], [1], [1]], "weights": ["1", "2", "3", "
         ({"partitions": [[[1, 2], [2, 3], [4]]]}, ["check", "--suites", "strata"]),
         ({"partitions": [[[1, 2], [3]]]}, ["check", "--suites", "strata"]),
         ({"partitions": [[[1, 2], [], [3, 4]]]}, ["check", "--suites", "strata"]),
+        ({"seed": "x"}, ["check", "--suites", "circuits"]),
+        ({"seed": 1.5}, ["check", "--suites", "circuits"]),
+        ({}, ["check", "--suites", "circuits", "--seed", "x"]),
+        ({}, ["check", "--suites", "circuits", "--seed", "1.5"]),
+        ({"tol": "tiny"}, ["check", "--suites", "circuits"]),
+        ({"tol": -1}, ["check", "--suites", "circuits"]),
+        ({"tol": 0}, ["check", "--suites", "circuits"]),
+        ({}, ["check", "--suites", "circuits", "--tol", "tiny"]),
+        ({}, ["check", "--suites", "circuits", "--tol", "-1"]),
+        ({}, ["check", "--suites", "circuits", "--tol", "nan"]),
+        ({}, ["check", "--suites", "circuits", "--tol", "inf"]),
+        ({"path": [[1, 2, 3, 4]]}, ["check", "--suites", "periods"]),
+        ({"path": [[1, 2]]}, ["check", "--suites", "periods"]),
+        ({"path": [[1, 2, 3], [1, 2, 3, 4, 5]]}, ["check", "--suites", "periods"]),
+        ({"path": [[1, 2, 3, 4], [1, 2, 3, 4, 5]]}, ["gm-flow"]),
+        ({"kappa": 0}, ["check", "--suites", "periods"]),
+        ({"kappa": "11"}, ["check", "--suites", "periods"]),
+        ({"kappa": "-11"}, ["gm-flow"]),
     ],
     ids=[
         "anchor-99", "anchor-0", "anchor-string", "anchor-flag-5", "samples-string",
         "samples-float", "samples-0", "tuple-index", "tuple-length",
         "partition-overlap", "partition-cover", "partition-empty-block",
+        "seed-string", "seed-float", "seed-flag-string", "seed-flag-float",
+        "tol-string", "tol-negative", "tol-zero", "tol-flag-string",
+        "tol-flag-negative", "tol-flag-nan", "tol-flag-inf", "path-one-fiber",
+        "path-short-fiber", "path-3-vs-5", "path-gm-flow", "kappa-0",
+        "kappa-weight-sum", "kappa-minus-weight-sum-gm-flow",
     ],
 )
 def test_invalid_settings_are_exit_2(tmp_path, capsys, extra, argv):
@@ -453,3 +477,53 @@ def test_check_releases_the_family(tmp_path, monkeypatch):
     assert rc == 0
     gc.collect()
     assert len(refs) == 1 and refs[0]() is None
+
+
+def test_seed_and_tol_flags_override_the_config(tmp_path, capsys):
+    cfg = _write_config(tmp_path, dict(_K1N4, seed=1, tol=1e-3))
+    assert main(["check", "--config", cfg, "--suites", "circuits",
+                 "--seed", "7", "--tol", "1e-6"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["seed"] == 7 and report["tolerance"] == 1e-6
+
+
+def test_configured_path_and_kappa_reach_the_periods_suite(tmp_path):
+    payload = dict(_K1N4, path=[["1/2", 2, 4, 6], [1, 3, 5, "13/2"]], kappa="7/2")
+    rc, report = _check_report(tmp_path, payload, "periods", "path")
+    assert rc == 0
+    assert report["suites"]["periods"]["kappa"] == "7/2"
+
+
+# sha256 of `check --suites flatness,symmetry` at seed 1 on the benchmark's
+# prime-weight families, pinned when the exact flatness kernels moved to
+# integer arithmetic. Every residual in these suites is the float of an
+# exact rational, so the bytes do not depend on the platform.
+_FLATNESS_SYMMETRY_SHA256 = {
+    (1, 5): "7996cb1407362349e8812817c33987d355cbb16381e7c8767fbaf7cbba1d0633",
+    (2, 4): "8490c9b061bf90ce0a91db27def40a47391e9e80112ed7888b2dfcc678758a75",
+    (3, 5): "3408c01c723be1aa4dd7237491c37984a5293967825fd78e1fdbd397e32ce2dc",
+}
+
+
+@pytest.mark.parametrize("k, n", sorted(_FLATNESS_SYMMETRY_SHA256))
+def test_flatness_and_symmetry_reports_are_pinned(k, n, tmp_path, prime_config):
+    out = tmp_path / "report.json"
+    cfg = _write_config(tmp_path, prime_config(k, n, seed=1))
+    assert main(["check", "--config", cfg, "--suites", "flatness,symmetry",
+                 "--json", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == _FLATNESS_SYMMETRY_SHA256[k, n]
+
+
+def test_pairing_row_tolerance_scales_with_the_pairing(tmp_path):
+    # weights 1/1000000, 2, 3: the pairing's terms are about 6e6, and the
+    # drift 4.2e-4 failed the absolute tolerance 1e-6
+    payload = {"k": 1, "n": 3, "b": [[1], [1], [1]],
+               "weights": ["1/1000000", "2", "3"], "seed": 1}
+    rc, report = _check_report(tmp_path, payload, "periods", "tiny")
+    assert rc == 0
+    (row,) = [r for r in report["suites"]["periods"]["checks"]
+              if r["id"] == "opposite-slope-pairing-constant"]
+    assert row["status"] == "pass"
+    assert row["residual"] > 1e-6
+    assert row["tolerance"] == pytest.approx(6.0, rel=1e-5)

@@ -397,3 +397,52 @@ def test_embedding_is_isometry(fam_k1_n4):
                 v_vector(quotient, (l,)), v_vector(quotient, (m,)), quotient
             )
             assert up == down
+
+
+def _periods_pairing(family, seed):
+    """twisted_pairing_invariance on the path, slope and sections that the
+    periods suite of `check` uses at the given config seed."""
+    from arrfrob import cli
+
+    space = singular_subspace(family)
+    return fro.twisted_pairing_invariance(
+        family,
+        cli._usable_path(family, seed + 13),
+        cli._default_kappa(family),
+        space.basis[0],
+        space.basis[min(1, space.dimension - 1)],
+        tol=1e-6,
+    )
+
+
+_TINY_WEIGHT = {"k": 1, "n": 3, "b": [[1], [1], [1]], "weights": ["1/1000000", "2", "3"]}
+
+
+@pytest.fixture(params=["k3n5", "tiny-weight"])
+def pairing_family(request, prime_config):
+    from arrfrob.core import load_family
+
+    if request.param == "k3n5":
+        return load_family(prime_config(3, 5))
+    return load_family(_TINY_WEIGHT)
+
+
+def test_pairing_drift_is_compared_with_the_pairing_scale(pairing_family):
+    # the pairing's terms reach 2.6e5 (k3n5) and 6e6 (weight 1/1000000):
+    # an absolute tolerance of 1e-6 failed both at relative drift 6e-11
+    rep = _periods_pairing(pairing_family, seed=1)
+    assert rep["drift"] > 1e-6
+    assert rep["drift"] <= 1e-9 * rep["scale"]
+    assert rep["passed"]
+
+
+def test_pairing_of_two_plus_kappa_sections_fails(pairing_family, monkeypatch):
+    flow = gm.flow_flat_section
+
+    def plus_slope(family, path, kappa, start, **kwargs):
+        return flow(family, path, abs(kappa), start, **kwargs)
+
+    monkeypatch.setattr(fro.gaussmanin, "flow_flat_section", plus_slope)
+    rep = _periods_pairing(pairing_family, seed=1)
+    assert rep["drift"] > 1e-3 * rep["scale"]
+    assert not rep["passed"]

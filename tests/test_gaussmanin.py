@@ -1,10 +1,15 @@
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from arrfrob.core import sample_good_point
+from arrfrob import gaussmanin
+from arrfrob.core import load_family, sample_good_point
 from arrfrob.critalg import monomial_to_w
 from arrfrob.gaussmanin import (
+    _commutator_rows,
+    _integer_rows,
     apply_matrix,
     check_conformal_block,
     check_flatness,
@@ -19,6 +24,8 @@ from arrfrob.gaussmanin import (
     symmetry_residual,
     weighted_euler_residual,
 )
+from arrfrob.linalg import mat_mul
+from arrfrob.linforms import LinExpr
 from arrfrob.osflag import (
     FlagVector,
     contravariant_pairing,
@@ -71,6 +78,86 @@ def test_flatness_exact(fixture, request):
     assert report["passed"]
     assert report["curl_exact_zero"]
     assert report["commutator_singular_exact_zero"]
+
+
+def _dense(rows, den, size):
+    return [[F(row.get(q, 0), den) for q in range(size)] for row in rows]
+
+
+@pytest.mark.parametrize("k, n", [(1, 5), (2, 4), (3, 5)])
+def test_integer_commutator_matches_fraction_products(k, n, prime_config):
+    fam = load_family(prime_config(k, n))
+    size = len(fam.flag_index)
+    fibers = [sample_good_point(fam, seed=s).z for s in range(3)]
+    nonzero = 0
+    for s, z in enumerate(fibers):
+        # K_j at the next fiber does not commute with K_i here, so the
+        # comparison sees nonzero entries too
+        other = fibers[(s + 1) % 3]
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            for ki, kj in (
+                (k_operator(fam, z, i), k_operator(fam, z, j)),
+                (k_operator(fam, z, i), k_operator(fam, other, j)),
+            ):
+                rows, den = _commutator_rows(_integer_rows(ki), _integer_rows(kj))
+                exact = [
+                    [x - y for x, y in zip(r1, r2)]
+                    for r1, r2 in zip(mat_mul(ki, kj), mat_mul(kj, ki))
+                ]
+                assert _dense(rows, den, size) == exact
+                assert all(v for row in rows for v in row.values())
+                nonzero += any(rows)
+    assert nonzero
+
+
+def test_integer_rows_keep_the_matrix(fam_k2_n4):
+    mat = k_operator(fam_k2_n4, (F(0), F(1, 2), F(3), F(-7, 3)), 2)
+    rows, den = _integer_rows(mat)
+    assert den == math.lcm(*(e.denominator for row in mat for e in row))
+    assert _dense(rows, den, len(mat)) == mat
+
+
+def test_doubled_circuit_operator_breaks_the_commutator(monkeypatch, fam_k2_n4):
+    # a fresh family, so no table of another test is reused
+    target = fam_k2_n4.circuit_list[0].indices
+    entries = gaussmanin._l_c_entries
+
+    def doubled(family, indices):
+        table = entries(family, indices)
+        if indices != target:
+            return table
+        return tuple((p, q, 2 * coef) for p, q, coef in table)
+
+    monkeypatch.setattr(gaussmanin, "_l_c_entries", doubled)
+    report = check_flatness(fam_k2_n4, sample_good_point(fam_k2_n4, seed=1).z)
+    assert not report["commutator_singular_exact_zero"]
+    assert report["commutator_full_norm"] > 0
+    assert not report["passed"]
+
+
+def test_curl_certificate_is_empty_for_flat_families(fam_k2_n5):
+    for i, j in itertools.combinations(range(1, 6), 2):
+        assert gaussmanin._curl_defects(fam_k2_n5, i, j) == ()
+
+
+def test_nonzero_symbolic_curl_fails_at_the_fiber(monkeypatch, fam_k2_n4):
+    exprs = gaussmanin._k_entry_exprs
+    spurious = LinExpr.monomial(1, {(1, 0, 0, 0): 1})  # z_1, with d_1 = 1
+
+    def perturbed(family, j):
+        mat = [list(row) for row in exprs(family, j)]
+        if j == 2:
+            mat[0][0] = mat[0][0] + spurious
+        return mat
+
+    monkeypatch.setattr(gaussmanin, "_k_entry_exprs", perturbed)
+    z = sample_good_point(fam_k2_n4, seed=1).z
+    assert gaussmanin.curl_residual(fam_k2_n4, z) == 1
+    report = check_flatness(fam_k2_n4, z)
+    assert not report["curl_exact_zero"]
+    assert report["commutator_singular_exact_zero"]
+    assert not report["passed"]
+    assert gaussmanin.curl_residual(fam_k2_n4, z, pairs=[(3, 4)]) == 0
 
 
 def test_weighted_euler(fam_k2_n4):
