@@ -586,13 +586,14 @@ def _suite_periods(family, cfg):
     kappa = cfg.kappa
     space = singular_subspace(family)
     try:
-        rep = frobenius.flat_period_check(family, path, tol=max(cfg.tol, 1e-6))
+        tol = max(cfg.tol, 1e-6)
+        rep = frobenius.flat_period_check(family, path, tol=tol)
         _row(
             rows,
             "flat-period-increment",
             rep["passed"],
             residual=rep["abs_err"],
-            tol=max(cfg.tol, 1e-6),
+            tol=tol * rep["scale"],
         )
         start_minus = space.basis[min(1, space.dimension - 1)]
         rep = frobenius.twisted_pairing_invariance(
@@ -606,10 +607,22 @@ def _suite_periods(family, cfg):
             tol=1e-6 * rep["scale"],
         )
         rep = frobenius.twisted_period_relation(family, path, kappa, space.basis[0], tol=1e-5)
-        _row(rows, "twisted-period-relation", rep["passed"], residual=rep["abs_err"], tol=1e-5)
+        _row(
+            rows,
+            "twisted-period-relation",
+            rep["passed"],
+            residual=rep["abs_err"],
+            tol=1e-5 * rep["scale"],
+        )
         if family.k == 1:
             rep = frobenius.twisted_closedness_k1(family, path[0], kappa, tol=1e-5)
-            _row(rows, "twisted-period-closedness", rep["passed"], residual=rep["curl"], tol=1e-5)
+            _row(
+                rows,
+                "twisted-period-closedness",
+                rep["passed"],
+                residual=rep["curl"],
+                tol=1e-5 * rep["scale"],
+            )
     except RuntimeError as exc:
         _row(rows, "period-path", True, skip=True)
         return rows, {"note": f"path unusable: {exc}"}
@@ -683,6 +696,16 @@ def _family_from_args(args):
 
 def _cmd_check(args):
     raw, family, _ = _family_from_args(args)
+    if not family.generic:
+        dependent = next(
+            T
+            for T in itertools.combinations(range(1, family.n + 1), family.k)
+            if family.minor(T) == 0
+        )
+        raise ConfigError(
+            f"the checks need a generic family, but the rows {dependent} of b "
+            "are linearly dependent"
+        )
     cfg = RunSettings(raw, args, family)
     suites_report = {}
     passed = True

@@ -12,6 +12,15 @@ vectors, the distinguished section q(z) with its polynomial coordinates,
 the potentials (quadratic and log-type), the metric eta, the period forms
 (flat and twisted), and the restriction of the whole structure to diagonal
 strata for one-dimensional arrangements.
+
+The period checks integrate S(., nu[a_i/f_i]) dz_i along transported flat
+sections. nu[a_i/f_i] is a polynomial of degree k - 1 in the fiber, so
+its coefficients are tabulated once per family (`_generator_table`) and
+each integrator stage evaluates all generators with one contraction. The
+period rows compare their residuals with a tolerance times the size of
+the terms they compare, and the transport guard is relative to the
+fiber's own circuit values, so no verdict depends on the units of the
+fiber or the weights.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -592,21 +602,52 @@ def eta_and_beta(family, z, anchor=None, analytic=False):
 # periods
 
 
-def _generator_section_coords(family, z, i, anchor=None):
-    """Flag coordinates of nu([a_i/f_i]) at a (possibly complex) fiber."""
-    gen = critalg.monomial_to_w(family, z, (i,), anchor)
-    vec = alpha_structural(family, gen)
+@per_family
+def _generator_table(family, anchor):
+    """nu([a_i/f_i]) as a polynomial in the fiber, tabulated once.
+
+    For k >= 2 the generator is padded with k - 1 factors of the unit
+    (1/|a|) sum_j z_j [a_j/f_j], so nu([a_i/f_i]) is homogeneous of degree
+    k - 1 in z; for k = 1 it is constant. Returns the degree-(k-1)
+    monomials as an (M, k-1) array of 0-based coordinate indices and the
+    complex table P[i, flag, m] of their coefficient vectors, each built
+    exactly through reduce_to_w_basis and nu (never from q, whose increment
+    the period rows compare against)."""
+    n, k = family.n, family.k
     index = family.flag_index
-    return np.array(
-        [complex(vec.get(T)) for T in index], dtype=complex
-    )
+    monos = list(itertools.combinations_with_replacement(range(1, n + 1), k - 1))
+    scale = Fraction(1) / family.weight_sum ** (k - 1)
+    table = np.zeros((n, len(index), len(monos)), dtype=complex)
+    for m, mono in enumerate(monos):
+        # every ordering of the padding factors gives the same monomial
+        orderings = math.factorial(k - 1)
+        for count in Counter(mono).values():
+            orderings //= math.factorial(count)
+        for i in range(1, n + 1):
+            wvec = critalg.reduce_to_w_basis(family, Counter((i,) + mono), anchor)
+            vec = alpha_structural(family, wvec * (scale * orderings))
+            table[i - 1, :, m] = [complex(vec.get(T)) for T in index]
+    idx = np.array(monos, dtype=int).reshape(len(monos), k - 1) - 1
+    return idx, table
+
+
+def _generator_sections(family, z, anchor):
+    """Flag coordinates of nu([a_i/f_i]) for every i at a (possibly complex)
+    fiber z, as an (n, dim) array: one monomial vector, one contraction."""
+    idx, table = _generator_table(family, anchor)
+    return table @ np.prod(np.asarray(z)[idx], axis=1)
 
 
 def flat_period_check(family, path, v=None, tol=1e-6, rtol=1e-10, anchor=None):
     """Quadrature of the covector S(v, nu gen_i) dz_i along a path against
-    the scaled increment (|a|/k) [S(v, q)] between the endpoints."""
+    the scaled increment (|a|/k) [S(v, q)] between the endpoints. The error
+    is compared with tol times `scale`, the sum of the absolute terms of the
+    two pairings in the increment, so the verdict does not depend on the
+    units of the fiber or the weights."""
     if v is None:
         v = singular_subspace(family).basis[0]
+    if anchor is None:
+        anchor = critalg.default_anchor(family)
     index = family.flag_index
     weights = np.array(
         [complex(weight_product(family, T)) for T in index], dtype=complex
@@ -615,12 +656,12 @@ def flat_period_check(family, path, v=None, tol=1e-6, rtol=1e-10, anchor=None):
     fixed = vcoords * weights
 
     def integrand(s, z, zdot, flag):
+        gens = _generator_sections(family, z, anchor)
         total = 0j
-        for i in range(1, family.n + 1):
-            if zdot[i - 1] == 0:
+        for i in range(family.n):
+            if zdot[i] == 0:
                 continue
-            gi = _generator_section_coords(family, list(z), i, anchor)
-            total += zdot[i - 1] * np.dot(fixed, gi)
+            total += zdot[i] * np.dot(fixed, gens[i])
         return total
 
     zero = FlagVector()
@@ -630,17 +671,22 @@ def flat_period_check(family, path, v=None, tol=1e-6, rtol=1e-10, anchor=None):
     quad = result.extras[0]
     q0 = period_map(family, list(coords(path[0])), anchor)
     q1 = period_map(family, list(coords(path[-1])), anchor)
-    scale = complex(Fraction(family.weight_sum, family.k))
-    delta = scale * (
+    factor = complex(Fraction(family.weight_sum, family.k))
+    delta = factor * (
         complex(contravariant_pairing(v, q1, family))
         - complex(contravariant_pairing(v, q0, family))
+    )
+    scale = abs(factor) * sum(
+        float(np.sum(np.abs(fixed * [complex(q.get(T)) for T in index])))
+        for q in (q0, q1)
     )
     err = abs(quad - delta)
     return {
         "quadrature": quad,
         "increment": delta,
         "abs_err": err,
-        "passed": err <= tol,
+        "scale": scale,
+        "passed": err <= tol * scale,
     }
 
 
@@ -683,26 +729,29 @@ def twisted_pairing_invariance(family, path, kappa, start_plus, start_minus, rto
 
 def twisted_period_relation(family, path, kappa, start, rtol=1e-10, tol=1e-6, anchor=None):
     """Transport a twisted section and compare the quadrature of its period
-    covector with the scaled increment of S(I, q). Slopes equal to the
-    weight sum over k are rejected."""
-    kappa_frac = kappa
+    covector with the scaled increment of S(I, q). The error is compared
+    with tol times `scale`, the sum of the absolute terms |w_T I_T q_T| of
+    the two pairings in the increment. Slopes equal to the weight sum over k
+    are rejected."""
     if kappa == Fraction(family.weight_sum, family.k):
         raise ValueError("slope |a|/k is excluded for twisted periods")
     factor = 1 / complex(kappa) + family.k / complex(family.weight_sum)
     if factor == 0:
         raise ValueError("slope -|a|/k degenerates the period relation")
+    if anchor is None:
+        anchor = critalg.default_anchor(family)
     index = family.flag_index
     weights = np.array(
         [complex(weight_product(family, T)) for T in index], dtype=complex
     )
 
     def integrand(s, z, zdot, flag):
+        gens = _generator_sections(family, z, anchor)
         total = 0j
-        for i in range(1, family.n + 1):
-            if zdot[i - 1] == 0:
+        for i in range(family.n):
+            if zdot[i] == 0:
                 continue
-            gi = _generator_section_coords(family, list(z), i, anchor)
-            total += zdot[i - 1] * np.dot(flag * weights, gi)
+            total += zdot[i] * np.dot(flag * weights, gens[i])
         return total
 
     result = gaussmanin.flow_flat_section(
@@ -719,20 +768,29 @@ def twisted_period_relation(family, path, kappa, start, rtol=1e-10, tol=1e-6, an
     q0c = np.array([complex(q0.get(T)) for T in index], dtype=complex)
     q1c = np.array([complex(q1.get(T)) for T in index], dtype=complex)
     delta = np.dot(end_coords * weights, q1c) - np.dot(start_coords * weights, q0c)
+    scale = float(
+        np.sum(np.abs(end_coords * weights * q1c))
+        + np.sum(np.abs(start_coords * weights * q0c))
+    )
     err = abs(delta - factor * result.extras[0])
     return {
         "increment": delta,
         "quadrature": result.extras[0],
         "factor": factor,
         "abs_err": err,
-        "passed": err <= tol,
+        "scale": scale,
+        "passed": err <= tol * scale,
     }
 
 
 def twisted_closedness_k1(family, z0, kappa, h=1e-4, rtol=1e-10, tol=1e-5):
     """Cross-difference the twisted period covector around a base fiber:
     for one-dimensional arrangements the form is closed, so the estimated
-    curl components must vanish within tolerance."""
+    curl components must vanish. The stencil step is h times the coordinate
+    distance from z0 to the nearest hyperplane of the discriminant, and the
+    curl is compared with tol times `scale`, the largest sum of the two
+    derivatives it subtracts, |d_i psi_j| + |d_j psi_i|, so the verdict does
+    not depend on the units of the fiber."""
     if family.k != 1:
         raise ValueError("closedness stencil implemented for k = 1")
     if kappa == Fraction(family.weight_sum, family.k):
@@ -741,40 +799,37 @@ def twisted_closedness_k1(family, z0, kappa, h=1e-4, rtol=1e-10, tol=1e-5):
     weights = np.array(
         [complex(weight_product(family, T)) for T in index], dtype=complex
     )
-    gen_coords = [
-        np.array(
-            [
-                complex(v_vector(family, (i,)).get(T)) / complex(family.b[i - 1][0])
-                for T in index
-            ],
-            dtype=complex,
-        )
-        for i in range(1, family.n + 1)
-    ]
     z0 = [complex(v) for v in coords(z0)]
+    gens = _generator_sections(family, z0, critalg.default_anchor(family))
     start = singular_subspace(family).basis[0]
+    step = h * min(
+        abs(f_c_value(c, z0)) / float(max(abs(lam) for lam in c.lam))
+        for c in family.circuit_list
+    )
 
     def psi_at(zstar):
         res = gaussmanin.flow_flat_section(family, [z0, zstar], kappa, start, rtol=rtol)
         flag = np.array(
             [complex(c) for c in res.section.to_coordinates(index)], dtype=complex
         )
-        return [np.dot(flag * weights, g) for g in gen_coords]
+        return [np.dot(flag * weights, g) for g in gens]
 
-    worst = 0.0
+    worst = scale = 0.0
     for i, j in itertools.combinations(range(family.n), 2):
         def shifted(axis, sign):
             z = list(z0)
-            z[axis] = z[axis] + sign * h
+            z[axis] = z[axis] + sign * step
             return z
 
         psi_ip = psi_at(shifted(i, +1))
         psi_im = psi_at(shifted(i, -1))
         psi_jp = psi_at(shifted(j, +1))
         psi_jm = psi_at(shifted(j, -1))
-        curl = (psi_ip[j] - psi_im[j]) / (2 * h) - (psi_jp[i] - psi_jm[i]) / (2 * h)
-        worst = max(worst, abs(curl))
-    return {"curl": worst, "passed": worst <= tol}
+        di_psi_j = (psi_ip[j] - psi_im[j]) / (2 * step)
+        dj_psi_i = (psi_jp[i] - psi_jm[i]) / (2 * step)
+        worst = max(worst, abs(di_psi_j - dj_psi_i))
+        scale = max(scale, abs(di_psi_j) + abs(dj_psi_i))
+    return {"curl": worst, "scale": scale, "passed": worst <= tol * scale}
 
 
 # ---------------------------------------------------------------------------

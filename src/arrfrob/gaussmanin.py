@@ -17,7 +17,8 @@ in integer arithmetic. Its curl side is certified once per family: the
 symbolic differences between d_i K_j and the closed form are formed per
 family (`_curl_defects`), a flat family has none, and only a nonzero one
 is evaluated at a fiber. Transport is an adaptive embedded Runge-Kutta
-integrator over the circuit data with a discriminant-distance guard.
+integrator over the circuit data; it stops where min_C |f_C| falls below
+1e-6 of max_C |f_C|, a guard that does not depend on the fiber's units.
 """
 
 from __future__ import annotations
@@ -434,7 +435,8 @@ def flow_flat_section(
 
     extras: optional callables g(s, z, zdot, I) -> complex appended to the
     state as path quadratures. The integrator aborts if the path comes
-    within `guard` of the discriminant or the step size underflows.
+    within `guard` of the discriminant, relative to the fiber's own size
+    (min_C |f_C(z)| < guard * max_C |f_C(z)|), or the step size underflows.
     """
     kappa = complex(kappa)
     if kappa == 0:
@@ -461,10 +463,10 @@ def flow_flat_section(
 
     def derivative(z, zdot, s, state):
         fvals = lams @ z
-        small = np.min(np.abs(fvals))
-        if small < guard:
+        sizes = np.abs(fvals)
+        if np.min(sizes) < guard * np.max(sizes):
             raise RuntimeError(
-                f"path within {guard} of the discriminant at s={s:.6f}, "
+                f"path within a relative {guard} of the discriminant at s={s:.6f}, "
                 f"z={[complex(v) for v in z]}"
             )
         coefs = (lams @ zdot) / fvals

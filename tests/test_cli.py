@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -430,6 +431,10 @@ _K1N4 = {"k": 1, "n": 4, "b": [[1], [1], [1], [1]], "weights": ["1", "2", "3", "
         ({"kappa": 0}, ["check", "--suites", "periods"]),
         ({"kappa": "11"}, ["check", "--suites", "periods"]),
         ({"kappa": "-11"}, ["gm-flow"]),
+        # rows 3 and 4 are dependent: this used to print "error: v vector
+        # for (1, 3) fails the singularity conditions" and exit 1
+        ({"k": 2, "b": [[1, 0], [0, 1], [1, 1], [2, 2]], "weights": ["2", "3", "5", "7"]},
+         ["check"]),
     ],
     ids=[
         "anchor-99", "anchor-0", "anchor-string", "anchor-flag-5", "samples-string",
@@ -439,7 +444,7 @@ _K1N4 = {"k": 1, "n": 4, "b": [[1], [1], [1], [1]], "weights": ["1", "2", "3", "
         "tol-string", "tol-negative", "tol-zero", "tol-flag-string",
         "tol-flag-negative", "tol-flag-nan", "tol-flag-inf", "path-one-fiber",
         "path-short-fiber", "path-3-vs-5", "path-gm-flow", "kappa-0",
-        "kappa-weight-sum", "kappa-minus-weight-sum-gm-flow",
+        "kappa-weight-sum", "kappa-minus-weight-sum-gm-flow", "non-generic",
     ],
 )
 def test_invalid_settings_are_exit_2(tmp_path, capsys, extra, argv):
@@ -527,3 +532,34 @@ def test_pairing_row_tolerance_scales_with_the_pairing(tmp_path):
     assert row["status"] == "pass"
     assert row["residual"] > 1e-6
     assert row["tolerance"] == pytest.approx(6.0, rel=1e-5)
+
+
+_K1N5_PATH = [[1, 2, 3, 4, 5], [1, "5/2", "7/2", "9/2", 6]]
+
+
+def _scaled_path(exponent):
+    return [[str(F(x) * F(10) ** exponent) for x in fiber] for fiber in _K1N5_PATH]
+
+
+@pytest.mark.parametrize("exponent", [-7, 10, 12])
+def test_scaled_path_gives_the_same_period_verdicts(exponent, tmp_path, prime_config):
+    # x1e-7 used to turn all four rows into one period-path skip (the guard
+    # compared min |f_C| with an absolute 1e-6), x1e10 failed
+    # flat-period-increment (residual 3.8e-6 against an absolute 1e-6) and
+    # x1e12 also twisted-period-relation (2.1e-4 against 1e-5)
+    reports = []
+    for e in (0, exponent):
+        payload = prime_config(1, 5, path=_scaled_path(e))
+        rc, report = _check_report(tmp_path, payload, "periods", f"e{e}")
+        assert rc == 0
+        reports.append(report)
+    unit, scaled = reports
+    assert _statuses(scaled) == _statuses(unit)
+    assert {status for _, _, status in _statuses(unit)} == {"pass"}
+    assert len(_statuses(unit)) == 4
+    # q is linear in the fiber for k = 1, so these rows' terms scale with it
+    for unit_row, scaled_row in zip(unit["suites"]["periods"]["checks"],
+                                    scaled["suites"]["periods"]["checks"]):
+        if unit_row["id"] in ("flat-period-increment", "twisted-period-relation"):
+            ratio = scaled_row["tolerance"] / unit_row["tolerance"]
+            assert ratio == pytest.approx(10.0**exponent, rel=1e-6)

@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from arrfrob import critalg, frobenius as fro, gaussmanin as gm, linalg
-from arrfrob.core import ArrangementFamily, is_good_fiber, sample_good_point
+from arrfrob.core import ArrangementFamily, is_good_fiber, load_family, sample_good_point
 from arrfrob.osflag import (
     CoVector,
     FlagVector,
@@ -446,3 +448,64 @@ def test_pairing_of_two_plus_kappa_sections_fails(pairing_family, monkeypatch):
     rep = _periods_pairing(pairing_family, seed=1)
     assert rep["drift"] > 1e-3 * rep["scale"]
     assert not rep["passed"]
+
+
+# ---------------------------------------------------------------------------
+# the generator table of the period integrands
+
+_TABLE_FAMILIES = [(1, 5), (2, 4), (3, 5)]
+
+
+def _complex_fibers(n, count, seed):
+    rng = random.Random(seed)
+    return [
+        [complex(rng.uniform(-6, 6), rng.uniform(-6, 6)) for _ in range(n)]
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("k, n", _TABLE_FAMILIES)
+def test_generator_table_matches_the_monomial_route(k, n, prime_config):
+    family = load_family(prime_config(k, n))
+    index = family.flag_index
+    anchor = critalg.default_anchor(family)
+    for z in _complex_fibers(n, 20, seed=10 * k + n):
+        gens = fro._generator_sections(family, z, anchor)
+        assert gens.shape == (n, len(index))
+        for i in range(1, n + 1):
+            vec = fro.alpha_structural(family, critalg.monomial_to_w(family, z, (i,), anchor))
+            ref = np.array([complex(vec.get(T)) for T in index])
+            assert np.max(np.abs(gens[i - 1] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k, n", _TABLE_FAMILIES)
+def test_generator_table_does_not_depend_on_the_anchor(k, n, prime_config):
+    family = load_family(prime_config(k, n))
+    monos_1, table_1 = fro._generator_table(family, 1)
+    monos_n, table_n = fro._generator_table(family, n)
+    assert np.array_equal(monos_1, monos_n)
+    assert np.array_equal(table_1, table_n)
+
+
+def _period_rows(family, seed):
+    """flat_period_check and twisted_period_relation on the path, slope and
+    section that the periods suite of `check` uses at the given seed."""
+    from arrfrob import cli
+
+    path = cli._usable_path(family, seed + 13)
+    flat = fro.flat_period_check(family, path, tol=1e-6)
+    twisted = fro.twisted_period_relation(
+        family, path, cli._default_kappa(family), singular_subspace(family).basis[0], tol=1e-5
+    )
+    return flat, twisted
+
+
+def test_doubling_one_generator_fails_a_period_row(prime_config):
+    flat, twisted = _period_rows(load_family(prime_config(2, 4)), seed=1)
+    assert flat["passed"] and twisted["passed"]
+    for i in range(4):
+        family = load_family(prime_config(2, 4))
+        _, table = fro._generator_table(family, critalg.default_anchor(family))
+        table[i] *= 2
+        flat, twisted = _period_rows(family, seed=1)
+        assert not (flat["passed"] and twisted["passed"]), i

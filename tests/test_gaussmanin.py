@@ -236,6 +236,19 @@ def test_guard_trips_on_discriminant_crossing(fam_k1_n3):
         )
 
 
+def test_guard_is_relative_to_the_fiber(prime_config):
+    # kappa dI = sum_j K_j dz_j I is unchanged by z -> t z, so a path and
+    # its scaled copy transport to the same section; x1e-7 used to trip
+    # the absolute guard (min |f_C| < 1e-6) at the first stage
+    family = load_family(prime_config(1, 5))
+    path = [(1, 2, 3, 4, 5), (1, F(5, 2), F(7, 2), F(9, 2), 6)]
+    start = singular_subspace(family).basis[0]
+    unit = flow_flat_section(family, path, 17, start)
+    for t in (F(1, 10**7), F(10**12)):
+        scaled = flow_flat_section(family, [[t * x for x in p] for p in path], 17, start)
+        assert max_abs_diff(scaled.section, unit.section) <= 1e-12 * unit.section.norm_inf()
+
+
 def test_flow_needs_two_waypoints(fam_k1_n3, z_k1_n3):
     with pytest.raises(ValueError):
         flow_flat_section(
