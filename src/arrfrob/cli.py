@@ -655,7 +655,7 @@ def _suite_strata(family, cfg):
                 f"strata-partition-{p_index}-sample-{i}",
                 rep["passed"],
                 residual=rep["log_potential_limit_residual"],
-                tol=1e-6,
+                tol=1e-6 * rep["log_potential_limit_scale"],
                 witness={k: v for k, v in rep.items() if not k.startswith("log")},
             )
     return rows, {}
@@ -689,13 +689,11 @@ def _emit(report, args):
 
 
 def _family_from_args(args):
+    """The config, its family and its preferred fiber. Every verb needs a
+    generic family, so one with a vanishing k x k minor of b is a config
+    error here, before any check runs."""
     raw = _load_config(args.config)
     family = load_family(raw)
-    return raw, family, getattr(family, "preferred_z", None)
-
-
-def _cmd_check(args):
-    raw, family, _ = _family_from_args(args)
     if not family.generic:
         dependent = next(
             T
@@ -706,6 +704,11 @@ def _cmd_check(args):
             f"the checks need a generic family, but the rows {dependent} of b "
             "are linearly dependent"
         )
+    return raw, family, getattr(family, "preferred_z", None)
+
+
+def _cmd_check(args):
+    raw, family, _ = _family_from_args(args)
     cfg = RunSettings(raw, args, family)
     suites_report = {}
     passed = True

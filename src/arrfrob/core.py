@@ -76,7 +76,7 @@ class ArrangementFamily:
         if sum(self.a) == 0:
             raise ConfigError("weights sum to zero")
 
-    @property
+    @cached_property
     def weight_sum(self):
         return sum(self.a)
 

@@ -33,9 +33,11 @@ from .osflag import CoVector, sort_with_sign
 # linear data of a fiber
 
 
+@per_family
 def f_minor_form(family, indices):
     """z-coefficients of the alternating (k+1)-index form
-    sum_m (-1)^m z_{u_m} d_{u without u_m}."""
+    sum_m (-1)^m z_{u_m} d_{u without u_m}, built once per family and
+    index tuple."""
     u = tuple(indices)
     if len(u) != family.k + 1:
         raise ValueError(f"expected {family.k + 1} indices, got {len(u)}")
@@ -540,19 +542,34 @@ def reduce_to_w_basis(family, exponents, anchor=None):
 
 
 def generator_times_w(family, z, i, wvec):
-    """Product [a_i/f_i] * (w-span element) with closed-form coefficients."""
+    """Product [a_i/f_i] * (w-span element) with closed-form coefficients.
+    The products [a_i/f_i] * w_T are built once per family and fiber."""
+    zz = coords(z)
+    products = _fiber_products(family, zz)
     out = CoVector()
     for T, coef in wvec.items():
-        out = out + _gen_times_sorted(family, z, i, T) * coef
+        for U, c in _gen_times_sorted(family, zz, products, i, T):
+            out.accumulate(U, c * coef)
     return out
 
 
-def _gen_times_sorted(family, z, i, T):
-    n = family.n
+@per_family
+def _fiber_products(family, zz):
+    """The products [a_i/f_i] * w_T at the exact fiber zz, filled in as
+    they are asked for: (i, T) -> ((U, coefficient), ...), a tuple, so no
+    caller can change a shared product."""
+    return {}
+
+
+def _gen_times_sorted(family, zz, products, i, T):
+    try:
+        return products[i, T]
+    except KeyError:
+        pass
     out = CoVector()
     if i not in T:
         u = (i,) + T
-        denom = f_minor_value(family, z, u)
+        denom = f_minor_value(family, zz, u)
         if denom == 0:
             raise ValueError(
                 f"fiber lies on the pole locus of the product rule at {u}"
@@ -564,17 +581,19 @@ def _gen_times_sorted(family, z, i, T):
                 continue  # the w symbol of a dependent subset is zero
             coef = scale * family.a[uell - 1]
             out.accumulate(child, coef if ell % 2 == 0 else -coef)
-        return out
-    rest = tuple(x for x in T if x != i)
-    _, sgn = sort_with_sign(rest + (i,))
-    for s in range(1, n + 1):
-        if s == i or s in rest:
-            continue
-        key, s_sgn = sort_with_sign(rest + (s,))
-        if family.minor(key) == 0:
-            continue
-        out = out + _gen_times_sorted(family, z, i, key) * (-sgn * s_sgn)
-    return out
+    else:
+        rest = tuple(x for x in T if x != i)
+        _, sgn = sort_with_sign(rest + (i,))
+        for s in range(1, family.n + 1):
+            if s == i or s in rest:
+                continue
+            key, s_sgn = sort_with_sign(rest + (s,))
+            if family.minor(key) == 0:
+                continue
+            for U, c in _gen_times_sorted(family, zz, products, i, key):
+                out.accumulate(U, c * (-sgn * s_sgn))
+    value = products[i, T] = tuple(out.items())
+    return value
 
 
 def canonicalize(family, wvec, anchor=None):

@@ -10,10 +10,14 @@ Flat sections of slope kappa solve kappa dI/dz_j = K_j(z) I; transported
 along a path they stay inside the singular subspace and pair invariantly.
 
 Everything fiber-exact here is done in rational arithmetic (operators,
-symmetry, curl, commutators on the singular subspace). The flatness
-check builds each K_j(z) once per fiber as sparse rows of integer
-numerators over a common denominator and forms the commutators [K_i, K_j]
-in integer arithmetic. Its curl side is certified once per family: the
+symmetry, curl, commutators on the singular subspace). Each exact K_j(z)
+is built once per family and fiber (`fiber_k_operator`, rows of tuples)
+and shared by the flatness, symmetry, Euler and conformal-block checks;
+the derivatives of the block section q come from a per-family table of
+expressions (`frobenius.conformal_block_derivative_exprs`). The flatness
+check turns each K_j(z) into sparse rows of integer numerators over a
+common denominator and forms the commutators [K_i, K_j] in integer
+arithmetic. Its curl side is certified once per family: the
 symbolic differences between d_i K_j and the closed form are formed per
 family (`_curl_defects`), a flat family has none, and only a nonzero one
 is evaluated at a fiber. Transport is an adaptive embedded Runge-Kutta
@@ -119,6 +123,17 @@ def k_operator(family, z, j):
     return _sum_l_c(family, scales, Fraction(0))
 
 
+@per_family
+def _k_operator_at(family, zz, j):
+    return tuple(tuple(row) for row in k_operator(family, zz, j))
+
+
+def fiber_k_operator(family, z, j):
+    """K_j(z) built once per family and exact fiber and shared by every
+    check at that fiber, so its rows are tuples that no caller can change."""
+    return _k_operator_at(family, coords(z), j)
+
+
 def k_operator_minor_form(family, z, j):
     """K_j(z) assembled from (k+1)-index minor data instead of circuits;
     only valid when every k-subset away from j is independent."""
@@ -186,7 +201,7 @@ def check_symmetry_and_invariance(family, z):
     report = {"fiber": [str(v) for v in coords(z)], "operators": []}
     ok = True
     for j in range(1, family.n + 1):
-        mat = k_operator(family, z, j)
+        mat = fiber_k_operator(family, z, j)
         sym = symmetry_residual(family, mat)
         inv = invariance_residual(family, mat)
         good = sym == 0 and inv == 0
@@ -319,7 +334,7 @@ def commutator_residuals(family, z, pairs=None):
     for i, j in pairs:
         for idx in (i, j):
             if idx not in ks:
-                ks[idx] = _integer_rows(k_operator(family, z, idx))
+                ks[idx] = _integer_rows(fiber_k_operator(family, z, idx))
         rows, den = _commutator_rows(ks[i], ks[j])
         for values, vec_den in basis:
             image = [sum(c * values.get(q, 0) for q, c in row.items()) for row in rows]
@@ -354,7 +369,7 @@ def weighted_euler_residual(family, z):
     for j in range(1, family.n + 1):
         if zz[j - 1] == 0:
             continue
-        mat = k_operator(family, zz, j)
+        mat = fiber_k_operator(family, zz, j)
         for p in range(n):
             zpj = zz[j - 1]
             row = mat[p]
@@ -563,16 +578,16 @@ def pairing_functional(family, vec):
 def check_conformal_block(family, z, anchor=None):
     """Exact check of (|a|/k) d_j q = K_j q at a fiber, with the section's
     coordinates differentiated symbolically."""
-    from .frobenius import conformal_block_exprs
+    from .frobenius import conformal_block_derivative_exprs, conformal_block_exprs
 
     index = family.flag_index
     zz = coords(z)
-    exprs = conformal_block_exprs(family, anchor)
-    values = [expr.evaluate_exact(zz) for expr in exprs]
+    values = [expr.evaluate_exact(zz) for expr in conformal_block_exprs(family, anchor)]
     scale = Fraction(family.weight_sum, family.k)
     for j in range(1, family.n + 1):
-        mat = k_operator(family, zz, j)
-        lhs = [scale * expr.diff(j).evaluate_exact(zz) for expr in exprs]
+        mat = fiber_k_operator(family, zz, j)
+        derivs = conformal_block_derivative_exprs(family, (j,), anchor)
+        lhs = [scale * expr.evaluate_exact(zz) for expr in derivs]
         rhs = [
             sum(mat[p][q] * values[q] for q in range(len(index)) if values[q])
             for p in range(len(index))
@@ -590,15 +605,15 @@ def derivative_sections(family, z, directions, anchor=None):
     Returns the pair (symbolic, algebraic) of flag vectors; they must agree
     exactly. Orders r > k give the zero section.
     """
-    from .frobenius import alpha_structural, conformal_block_exprs
+    from .frobenius import alpha_structural, conformal_block_derivative_exprs
 
     index = family.flag_index
     zz = coords(z)
     r = len(directions)
-    exprs = conformal_block_exprs(family, anchor)
     symbolic = FlagVector()
-    for pos, expr in enumerate(exprs):
-        val = expr.diff_path(directions).evaluate_exact(zz)
+    derivs = conformal_block_derivative_exprs(family, directions, anchor)
+    for pos, expr in enumerate(derivs):
+        val = expr.evaluate_exact(zz)
         if val != 0:
             symbolic.coeffs[index.subset(pos)] = val
     falling = Fraction(1)

@@ -460,7 +460,7 @@ def test_partition_with_a_zero_block_weight_is_skipped(tmp_path):
     assert _statuses(report) == [("strata", "strata-partition-0", "skip")]
 
 
-def test_check_releases_the_family(tmp_path, monkeypatch):
+def _assert_check_releases_the_family(tmp_path, monkeypatch, payload, suites):
     import gc
     import weakref
 
@@ -475,13 +475,26 @@ def test_check_releases_the_family(tmp_path, monkeypatch):
         return family
 
     monkeypatch.setattr(cli, "load_family", load)
-    payload = {"k": 2, "n": 3, "b": [[1, 0], [0, 1], [1, 1]], "weights": ["2", "3", "5"]}
-    rc, _ = _check_report(
-        tmp_path, payload, "basis,symmetry,conformal,potential,periods", "k2n3"
-    )
+    rc, _ = _check_report(tmp_path, payload, suites, "release")
     assert rc == 0
     gc.collect()
     assert len(refs) == 1 and refs[0]() is None
+
+
+def test_check_releases_the_family(tmp_path, monkeypatch):
+    payload = {"k": 2, "n": 3, "b": [[1, 0], [0, 1], [1, 1]], "weights": ["2", "3", "5"]}
+    _assert_check_releases_the_family(
+        tmp_path, monkeypatch, payload, "basis,symmetry,conformal,potential,periods"
+    )
+
+
+def test_exact_suites_release_the_family_with_its_fiber_tables(
+    tmp_path, monkeypatch, prime_config
+):
+    # the K_j(z), generator-product and derivative tables live on the family
+    _assert_check_releases_the_family(
+        tmp_path, monkeypatch, prime_config(3, 4, seed=1), _EXACT_SUITES
+    )
 
 
 def test_seed_and_tol_flags_override_the_config(tmp_path, capsys):
@@ -518,6 +531,64 @@ def test_flatness_and_symmetry_reports_are_pinned(k, n, tmp_path, prime_config):
                  "--json", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == _FLATNESS_SYMMETRY_SHA256[k, n]
+
+
+# sha256 of `check` over the suites of the benchmark's `exact` workload at
+# seed 1, pinned before their tables (P and its derivatives, the derivatives
+# of q, K_j(z) and the generator products) were built once and shared.
+_EXACT_SUITES = "circuits,flatness,symmetry,conformal,potential"
+_EXACT_SHA256 = {
+    (3, 4): "840c87f33e6c9196553def4c04108858b571f9aefcc8fa86686659bc3b461ef9",
+    (3, 5): "bd9b95496021a704045f98302e6c2523ed21a88133ddbfbffeac62e5b81817da",
+}
+
+
+@pytest.mark.parametrize("k, n", sorted(_EXACT_SHA256))
+def test_exact_suite_reports_are_pinned(k, n, tmp_path, prime_config):
+    out = tmp_path / "report.json"
+    cfg = _write_config(tmp_path, prime_config(k, n, seed=1))
+    assert main(["check", "--config", cfg, "--suites", _EXACT_SUITES,
+                 "--json", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == _EXACT_SHA256[k, n]
+
+
+_NON_GENERIC = {"k": 2, "n": 4, "b": [[1, 0], [0, 1], [1, 1], [2, 2]],
+                "weights": ["2", "3", "5", "7"]}
+
+
+@pytest.mark.parametrize(
+    "verb", ["check", "circuits", "basis", "critical", "potential", "gm-flow"]
+)
+def test_every_verb_rejects_a_non_generic_family(verb, tmp_path, capsys):
+    # rows 3 and 4 are dependent: basis and critical used to exit 1 on false
+    # fail rows, potential with "log potential closed form needs a generic
+    # family", and circuits and gm-flow to exit 0
+    cfg = _write_config(tmp_path, _NON_GENERIC)
+    assert main([verb, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "(3, 4)" in err
+
+
+@pytest.mark.parametrize("factor", [10**6, 10**8])
+def test_scaled_weights_give_the_same_strata_verdicts(factor, tmp_path, prime_config):
+    # weights x1e6 used to fail all six rows (residuals 0.07-0.83 against an
+    # absolute 1e-6), x1e8 with residuals of 1e3-7e3
+    reports = []
+    for scale in (1, factor):
+        payload = prime_config(1, 5, seed=1)
+        payload["weights"] = [str(int(w) * scale) for w in payload["weights"]]
+        rc, report = _check_report(tmp_path, payload, "strata", f"w{scale}")
+        assert rc == 0
+        reports.append(report)
+    unit, scaled = reports
+    assert _statuses(scaled) == _statuses(unit)
+    assert len(_statuses(unit)) == 6
+    # the log potential is quadratic in the weights for k = 1
+    for unit_row, scaled_row in zip(unit["suites"]["strata"]["checks"],
+                                    scaled["suites"]["strata"]["checks"]):
+        ratio = scaled_row["tolerance"] / unit_row["tolerance"]
+        assert ratio == pytest.approx(float(factor) ** 2, rel=1e-9)
 
 
 def test_pairing_row_tolerance_scales_with_the_pairing(tmp_path):

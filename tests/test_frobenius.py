@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -7,6 +8,7 @@ import pytest
 
 from arrfrob import critalg, frobenius as fro, gaussmanin as gm, linalg
 from arrfrob.core import ArrangementFamily, is_good_fiber, load_family, sample_good_point
+from arrfrob.linforms import LinExpr
 from arrfrob.osflag import (
     CoVector,
     FlagVector,
@@ -14,6 +16,7 @@ from arrfrob.osflag import (
     max_abs_diff,
     singular_subspace,
     v_vector,
+    weight_product,
 )
 
 
@@ -509,3 +512,113 @@ def test_doubling_one_generator_fails_a_period_row(prime_config):
         table[i] *= 2
         flat, twisted = _period_rows(family, seed=1)
         assert not (flat["passed"] and twisted["passed"]), i
+
+
+# ---------------------------------------------------------------------------
+# the tables built once per family and per fiber
+
+
+def _fresh_family(k, n, prime_config):
+    """A new family object, so none of its tables is built yet."""
+    return load_family(prime_config(k, n))
+
+
+def _direction_orders(family, seed, max_order):
+    """A few random direction tuples of every order up to max_order, each
+    with all of its orderings."""
+    rng = random.Random(seed)
+    tuples = [
+        tuple(rng.randint(1, family.n) for _ in range(r))
+        for r in range(1, max_order + 1)
+        for _ in range(2)
+    ]
+    return [sorted(set(itertools.permutations(t))) for t in tuples]
+
+
+@pytest.mark.parametrize("k, n", _TABLE_FAMILIES)
+def test_potential_ladder_table_matches_a_fresh_build(k, n, prime_config):
+    family = _fresh_family(k, n, prime_config)
+    fibers = [sample_good_point(family, seed=s).z for s in range(3)]
+    P = fro.potential_quadratic_expr(family)
+    assert fro.potential_quadratic_expr(family) is P
+    for z in fibers:
+        assert P.evaluate_exact(z) == fro.potential_first(family, z)
+    # a new family and the unshared route: P rebuilt from q, then
+    # differentiated in each order
+    fresh = _fresh_family(k, n, prime_config)
+    index = fresh.flag_index
+    rebuilt = LinExpr.zero()
+    for pos, expr in enumerate(fro.conformal_block_exprs(fresh)):
+        rebuilt = rebuilt + (expr * expr).scale(weight_product(fresh, index.subset(pos)))
+    for orders in _direction_orders(family, seed=k + n, max_order=2 * k):
+        table = fro.potential_quadratic_derivative_expr(family, orders[0])
+        values = [table.evaluate_exact(z) for z in fibers]
+        for dirs in orders:
+            assert fro.potential_quadratic_derivative_expr(family, dirs) is table
+            derivative = rebuilt.diff_path(dirs)
+            assert [derivative.evaluate_exact(z) for z in fibers] == values
+
+
+@pytest.mark.parametrize("k, n", _TABLE_FAMILIES)
+def test_block_derivative_table_matches_a_fresh_build(k, n, prime_config):
+    family = _fresh_family(k, n, prime_config)
+    fibers = [sample_good_point(family, seed=s).z for s in range(3)]
+    base = fro.conformal_block_exprs(family)
+    assert fro.conformal_block_derivative_exprs(family, ()) is base
+    exprs = fro.conformal_block_exprs(_fresh_family(k, n, prime_config))
+    for orders in _direction_orders(family, seed=2 * k + n, max_order=k + 1):
+        table = fro.conformal_block_derivative_exprs(family, orders[0])
+        assert isinstance(table, tuple)
+        values = [[e.evaluate_exact(z) for e in table] for z in fibers]
+        for dirs in orders:
+            assert fro.conformal_block_derivative_exprs(family, dirs) is table
+            fresh = [expr.diff_path(dirs) for expr in exprs]
+            assert [[e.evaluate_exact(z) for e in fresh] for z in fibers] == values
+
+
+@pytest.mark.parametrize("k, n", _TABLE_FAMILIES)
+def test_generator_products_match_a_fresh_build(k, n, prime_config):
+    family = _fresh_family(k, n, prime_config)
+    subsets = family.flag_index.subsets
+    for seed in range(3):
+        z = sample_good_point(family, seed=seed).z
+        fresh = _fresh_family(k, n, prime_config)
+        for i in range(1, n + 1):
+            for T in subsets:
+                shared = critalg.generator_times_w(family, z, i, CoVector.basis(T))
+                # the caller owns the returned vector: changing it leaves
+                # the shared product alone
+                shared.accumulate(subsets[0], F(1, 7))
+                again = critalg.generator_times_w(family, z, i, CoVector.basis(T))
+                assert again == critalg.generator_times_w(fresh, z, i, CoVector.basis(T))
+        products = critalg._fiber_products(family, z)
+        assert products and all(isinstance(p, tuple) for p in products.values())
+    # products of k + 1 and k + 2 generators, in every order
+    z = sample_good_point(family, seed=0).z
+    for orders in _direction_orders(family, seed=n, max_order=k + 2)[2 * k:]:
+        fresh = _fresh_family(k, n, prime_config)
+        for dirs in orders:
+            assert critalg.monomial_to_w(family, z, dirs) == critalg.monomial_to_w(
+                fresh, z, dirs
+            )
+
+
+@pytest.mark.parametrize(
+    "partition, x",
+    [
+        (((1, 2), (3,), (4,), (5,)), (F(0), F(5), F(9), F(-3, 2))),
+        (((1, 2), (3, 4), (5,)), (F(1), F(-4), F(7, 3))),
+    ],
+)
+@pytest.mark.parametrize("exponent", [-9, -4, 0, 9])
+def test_strata_limit_does_not_depend_on_the_fiber_units(
+    partition, x, exponent, prime_config
+):
+    # with an absolute offset step of 1e-8 the limit row failed at x1e-4
+    # (residual 3e-6) and below (5.3 at x1e-7, 520 at x1e-9)
+    family = load_family(prime_config(1, 5))
+    scaled = tuple(v * F(10) ** exponent for v in x)
+    rep = fro.strata_restriction_k1(family, partition, scaled)
+    assert rep["passed"], rep
+    scale = rep["log_potential_limit_scale"]
+    assert rep["log_potential_limit_residual"] <= 1e-13 * scale

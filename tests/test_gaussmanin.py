@@ -16,6 +16,7 @@ from arrfrob.gaussmanin import (
     check_symmetry_and_invariance,
     derivative_sections,
     discriminant_min,
+    fiber_k_operator,
     flow_flat_section,
     invariance_residual,
     k_operator,
@@ -183,6 +184,32 @@ def test_k_operator_preserves_singular(fam_k2_n5):
         mat = k_operator(fam_k2_n5, z, j)
         for vec in space.basis:
             assert space.contains(apply_matrix(fam_k2_n5, mat, vec))
+
+
+@pytest.mark.parametrize("k, n", [(1, 5), (2, 4), (3, 5)])
+def test_shared_k_operator_matches_a_fresh_build(k, n, prime_config):
+    family = load_family(prime_config(k, n))
+    for seed in range(3):
+        z = sample_good_point(family, seed=seed).z
+        fresh = load_family(prime_config(k, n))
+        for j in range(1, n + 1):
+            shared = fiber_k_operator(family, z, j)
+            assert fiber_k_operator(family, list(z), j) is shared
+            assert [list(row) for row in shared] == k_operator(fresh, z, j)
+
+
+def test_shared_k_operator_cannot_be_changed(fam_k2_n4):
+    z = sample_good_point(fam_k2_n4, seed=3).z
+    shared = fiber_k_operator(fam_k2_n4, z, 2)
+    with pytest.raises(TypeError):
+        shared[0][0] = F(1)
+    with pytest.raises(TypeError):
+        shared[0] = shared[1]
+    # k_operator itself still hands out a matrix of its own
+    own = k_operator(fam_k2_n4, z, 2)
+    own[0][0] += 1
+    assert fiber_k_operator(fam_k2_n4, z, 2) is shared
+    assert [list(row) for row in shared] == k_operator(fam_k2_n4, z, 2)
 
 
 # ---------------------------------------------------------------------------
