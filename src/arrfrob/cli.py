@@ -18,6 +18,8 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import critalg, frobenius, gaussmanin, linalg
 from .core import (
     ConfigError,
@@ -343,12 +345,11 @@ def _suite_basis(family, cfg):
         "singular_dimension": space.dimension,
         "anchor": anchor,
     }
-    if family.k <= 2:
-        z = sample_good_point(family, seed=cfg.seed).z
-        points = cfg.critical_points(family, z)
-        cond = critalg.evaluation_matrix(family, points, anchor)[1]
-        _row(rows, "evaluation-matrix-finite-condition", bool(cond < 1e12), residual=cond)
-        extra["evaluation_condition"] = _fixed(cond)
+    z = sample_good_point(family, seed=cfg.seed).z
+    points = cfg.critical_points(family, z)
+    cond = critalg.evaluation_matrix(family, points, anchor)[1]
+    _row(rows, "evaluation-matrix-finite-condition", bool(cond < 1e12), residual=cond)
+    extra["evaluation_condition"] = _fixed(cond)
     return rows, extra
 
 
@@ -409,9 +410,6 @@ def _contraction_residual(family, points):
 
 def _suite_critical(family, cfg):
     rows = []
-    if family.k > 2:
-        _row(rows, "critical-solving", True, skip=True)
-        return rows, {"note": "numeric critical solving covers k <= 2"}
     expected = critalg.expected_critical_count(family)
     for i, z in enumerate(_sample_fibers(family, cfg.seed, cfg.samples)):
         points = cfg.critical_points(family, z)
@@ -438,18 +436,23 @@ def _suite_critical(family, cfg):
 def _suite_canonical(family, cfg):
     rows = []
     anchor = cfg.anchor
+    basis = critalg.anchored_subsets(family, anchor)
+    covectors = [CoVector.basis(T) for T in basis]
+    exact = np.array(
+        [[complex(critalg.structural_pairing(family, x, y)) for y in covectors] for x in covectors]
+    )
     for i, z in enumerate(_sample_fibers(family, cfg.seed, cfg.samples)):
         comp = frobenius.contravariant_compositions(family, z, analytic=False)
         _row(rows, f"compositions-exact-sample-{i}", comp["exact"])
-        if family.k > 2:
-            continue
         points = cfg.critical_points(family, z)
         rep = frobenius.naive_iso_and_constant(family, z, anchor, points=points)
+        expected = rep["expected"]
+        deviation = abs(rep["constant"] - expected)
         _row(
             rows,
-            f"constant-is-one-sample-{i}",
-            abs(rep["constant"] - 1) <= 1e-7,
-            residual=abs(rep["constant"] - 1),
+            f"constant-is-{'one' if expected == 1 else 'minus-one'}-sample-{i}",
+            deviation <= 1e-7,
+            residual=deviation,
             tol=1e-7,
         )
         _row(
@@ -459,16 +462,9 @@ def _suite_canonical(family, cfg):
             residual=rep["residual"],
             tol=cfg.tol,
         )
-        basis = critalg.anchored_subsets(family, anchor)
-        worst = scale = 0.0
-        for T in basis:
-            for U in basis:
-                x, y = CoVector.basis(T), CoVector.basis(U)
-                analytic = critalg.residue_pairing_analytic(family, z, x, y, points)
-                exact = critalg.structural_pairing(family, x, y)
-                worst = max(worst, abs(analytic - complex(exact)))
-                scale = max(scale, critalg.residue_pairing_scale(family, x, y, points))
-        tol = cfg.tol * scale
+        analytic, terms = critalg.residue_gram(family, points, basis)
+        worst = float(np.max(np.abs(analytic - exact)))
+        tol = cfg.tol * float(np.max(terms))
         _row(rows, f"isometry-sample-{i}", worst <= tol, residual=worst, tol=tol)
     return rows, {}
 

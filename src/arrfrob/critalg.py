@@ -6,6 +6,15 @@ f_j = z_j + sum_m b_j^m t_m. Its critical set in the arrangement complement
 is finite (count C(n-1, k) for generic data) and the algebra of functions
 on it carries a residue form (x, y) = sum_p x(p) y(p) / Hess(p).
 
+The critical points are solved from the spectrum of the connection, for
+every k: on the singular subspace Sing, K_j(z) is conjugate to
+multiplication by [a_j/f_j] (`frobenius.k_operator_agreement` checks this
+exactly), so the eigenvectors of one fixed combination sum_j c_j K_j|Sing
+give a_j/f_j(p) at every critical point p (the Stickelberger eigenvalue
+method). Each eigenvector seeds Newton's method on the master gradient,
+which alone certifies the point. Residue sums read the values w_T(p) from
+one float table per set of points.
+
 Algebra elements are stored as coordinate vectors over the symbols w_T
 (T a sorted independent k-subset), where w_T is the class of the function
 (prod_{j in T} a_j) d_T / prod_{j in T} f_j. The generators [a_i/f_i]
@@ -24,9 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
 from .core import coords, per_family
-from .osflag import CoVector, sort_with_sign
+from .osflag import CoVector, singular_subspace, sort_with_sign
 
 
 # ---------------------------------------------------------------------------
@@ -182,56 +190,6 @@ def _newton_polish(master, t0, max_iter=50):
     )
 
 
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi == 0:
-            continue
-        for j, qj in enumerate(q):
-            out[i + j] += pi * qj
-    return out
-
-
-def _poly_eval(coeffs, x):
-    """Horner evaluation of ascending coefficients at x."""
-    value = 0
-    for c in reversed(coeffs):
-        value = value * x + c
-    return value
-
-
-def _poly_divmod(num, den):
-    """Quotient and remainder of ascending coefficient lists, exactly."""
-    rem = list(num)
-    deg = len(den) - 1
-    quot = [Fraction(0)] * max(len(num) - deg, 1)
-    for i in range(len(num) - 1 - deg, -1, -1):
-        coef = rem[i + deg] / den[-1]
-        quot[i] = coef
-        if coef:
-            for j, dj in enumerate(den):
-                rem[i + j] -= coef * dj
-    return quot, rem[:deg]
-
-
-def _interpolate(values):
-    """Ascending coefficients of the polynomial of degree < len(values) that
-    takes values[x] at x = 0, 1, 2, ... (Newton's divided differences)."""
-    c = list(values)
-    for level in range(1, len(c)):
-        for i in range(len(c) - 1, level - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / level
-    out = [c[-1]]
-    for node in range(len(c) - 2, -1, -1):
-        # out <- out * (x - node) + c[node]
-        out = (
-            [c[node] - node * out[0]]
-            + [out[i - 1] - node * out[i] for i in range(1, len(out))]
-            + [out[-1]]
-        )
-    return out
-
-
 def _rationalize(value):
     if isinstance(value, (Fraction, int)):
         return Fraction(value)
@@ -242,165 +200,73 @@ def _rationalize(value):
     raise ValueError("critical solving needs real rational fiber coordinates")
 
 
-def _solve_k1(family, z):
-    zz = [_rationalize(v) for v in coords(z)]
-    # clear denominators of sum_j a_j b_j / (z_j + b_j t): coefficients of
-    # sum_j a_j b_j prod_{i != j} (z_i + b_i t), ascending powers of t
-    factors = [[zz[j], family.b[j][0]] for j in range(family.n)]
-    numer = [Fraction(0)]
-    for j in range(family.n):
-        term = [family.a[j] * family.b[j][0]]
-        for i in range(family.n):
-            if i != j:
-                term = _poly_mul(term, factors[i])
-        if len(term) > len(numer):
-            numer += [Fraction(0)] * (len(term) - len(numer))
-        for i, c in enumerate(term):
-            numer[i] += c
-    while len(numer) > 1 and numer[-1] == 0:
-        numer.pop()
-    if len(numer) <= 1:
-        return []
-    coeffs = [complex(c) for c in reversed(numer)]
-    return [(root,) for root in np.roots(coeffs)]
+@per_family
+def _singular_frame(family):
+    """The exact singular basis as float columns over the flag positions,
+    and its pseudo-inverse, which maps a vector of the span to its
+    coordinates in that basis."""
+    space = singular_subspace(family)
+    frame = np.array(
+        [[float(v.get(T)) for v in space.basis] for T in family.flag_index], dtype=float
+    ).reshape(len(family.flag_index), space.dimension)
+    return frame, np.linalg.pinv(frame)
 
 
-def _pairwise_intersection_t1(family, zz):
-    """First coordinates of all pairwise hyperplane intersections. These are
-    always common zeros of the two gradient numerators (every term carries
-    one of the two vanishing factors), so they show up as roots of the
-    elimination resultant; they can pile up into high-multiplicity clusters
-    (all pairs through a vertical line share t1), which would wreck the
-    floating-point root finder unless stripped exactly."""
-    vals = []
-    for i, j in itertools.combinations(range(1, family.n + 1), 2):
-        d = family.minor((i, j))
-        if d == 0:
-            continue
-        bi, bj = family.b[i - 1], family.b[j - 1]
-        vals.append((-zz[i - 1] * bj[1] + zz[j - 1] * bi[1]) / d)
-    return vals
+def _spectral_seeds(family, zz):
+    """One seed t per eigenvector of sum_j c_j K_j(z) restricted to Sing.
+
+    On Sing, K_j(z) is conjugate to multiplication by [a_j/f_j] in the
+    algebra of the critical set, so the eigenvectors of one generic
+    combination are joint eigenvectors of every K_j, and the Rayleigh
+    quotient of K_j at the eigenvector of the point p is a_j/f_j(p). The
+    weights c_j are fixed and incommensurable, each divided by the size of
+    its K_j so that no generator dominates. With g_j = 1/f_j(p) read off
+    the quotients, the equations g_j (z_j + b_j . t) = 1 are linear in t
+    and are solved by least squares over all j."""
+    from .gaussmanin import fiber_k_operator
+
+    frame, to_coords = _singular_frame(family)
+    ops = np.array(
+        [
+            to_coords @ np.array(fiber_k_operator(family, zz, j), dtype=float) @ frame
+            for j in range(1, family.n + 1)
+        ]
+    )
+    sizes = np.linalg.norm(ops, axis=(1, 2))
+    weights = 1.0 / (np.arange(1, family.n + 1) + math.sqrt(2.0))
+    weights = weights / np.where(sizes > 0, sizes, 1.0)
+    _, vecs = np.linalg.eig(np.tensordot(weights, ops, axes=1))
+    quotients = np.einsum("ip,jiq,qp->jp", vecs.conj(), ops, vecs) / np.einsum(
+        "ip,ip->p", vecs.conj(), vecs
+    )
+    inv_f = quotients / np.array([float(a) for a in family.a])[:, None]
+    b = np.array([[float(x) for x in row] for row in family.b], dtype=float)
+    z = np.array([float(v) for v in zz], dtype=float)
+    seeds = []
+    for col in inv_f.T:
+        t = np.linalg.lstsq(col[:, None] * b, 1 - col * z, rcond=None)[0]
+        seeds.append(tuple(complex(v) for v in t))
+    return seeds
 
 
-def _gradient_numerators_k2(family, zz):
-    """The numerators sum_j a_j b_j^m prod_{i != j} f_i (m = 1, 2) of the
-    k = 2 gradient, as dicts {(e1, e2): coefficient of t1^e1 t2^e2}."""
-    factors = [
-        {(0, 0): zz[j], (1, 0): family.b[j][0], (0, 1): family.b[j][1]}
-        for j in range(family.n)
-    ]
-    numerators = []
-    for m in range(2):
-        total = {}
-        for j in range(family.n):
-            coef = family.a[j] * family.b[j][m]
-            if coef == 0:
-                continue
-            prod = {(0, 0): coef}
-            for i in range(family.n):
-                if i == j:
-                    continue
-                step = {}
-                for (p1, p2), c in prod.items():
-                    for (q1, q2), d in factors[i].items():
-                        if d:
-                            key = (p1 + q1, p2 + q2)
-                            step[key] = step.get(key, 0) + c * d
-                prod = step
-            for key, c in prod.items():
-                total[key] = total.get(key, 0) + c
-        numerators.append({key: c for key, c in total.items() if c})
-    return numerators
-
-
-def _t2_rows(poly):
-    """rows[e] = ascending t1-coefficients of the coefficient of t2^e, up to
-    the t2-degree of the polynomial."""
-    width = max(e1 for e1, _ in poly) + 1
-    rows = [[Fraction(0)] * width for _ in range(max(e2 for _, e2 in poly) + 1)]
-    for (e1, e2), c in poly.items():
-        rows[e2][e1] = c
-    return rows
-
-
-def _sylvester_det(p_rows, q_rows, x):
-    """The resultant in t2 of two row polynomials at t1 = x: the determinant
-    of their Sylvester matrix, built with the t2-degrees of the bivariate
-    polynomials so that evaluating first commutes with the determinant."""
-    p = [_poly_eval(row, x) for row in reversed(p_rows)]
-    q = [_poly_eval(row, x) for row in reversed(q_rows)]
-    dp, dq = len(p) - 1, len(q) - 1
-    zero = [Fraction(0)] * (dp + dq)
-    mat = [zero[:i] + p + zero[: dq - 1 - i] for i in range(dq)]
-    mat += [zero[:i] + q + zero[: dp - 1 - i] for i in range(dp)]
-    return linalg.det(mat)
-
-
-def _resultant_k2(family, zz, numerators):
-    """res_{t2} of the two gradient numerators, a polynomial in t1 (ascending
-    Fraction coefficients), with the pairwise-intersection roots divided out
-    when they divide it. Exact: Sylvester determinants at D + 1 integer
-    values of t1, D the product of the total degrees, then interpolation."""
-    p_rows, q_rows = (_t2_rows(poly) for poly in numerators)
-    bound = 1
-    for poly in numerators:
-        bound *= max(e1 + e2 for e1, e2 in poly)
-    res = _interpolate([_sylvester_det(p_rows, q_rows, x) for x in range(bound + 1)])
-    while len(res) > 1 and res[-1] == 0:
-        res.pop()
-    spurious = [Fraction(1)]
-    for val in _pairwise_intersection_t1(family, zz):
-        spurious = _poly_mul(spurious, [-val, Fraction(1)])
-    quotient, remainder = _poly_divmod(res, spurious)
-    if not any(remainder) and len(quotient) >= 2:
-        return quotient
-    return res
-
-
-def _solve_k2(family, z):
-    zz = [_rationalize(v) for v in coords(z)]
-    numerators = _gradient_numerators_k2(family, zz)
-    if not all(numerators):
-        return []
-    res = _resultant_k2(family, zz, numerators)
-    if len(res) <= 1:
-        return []
-    rows = [
-        [[complex(c) for c in row] for row in reversed(_t2_rows(poly))]
-        for poly in numerators
-    ]
-    candidates = []
-    for r1 in np.roots([complex(c) for c in reversed(res)]):
-        r1 = complex(r1)
-        for poly_rows in rows:
-            row = [_poly_eval(coeffs, r1) for coeffs in poly_rows]
-            scale = max(abs(c) for c in row)
-            if scale == 0:
-                continue
-            trimmed = [c / scale for c in row]
-            while len(trimmed) > 1 and abs(trimmed[0]) < 1e-12:
-                trimmed.pop(0)
-            if len(trimmed) <= 1:
-                continue
-            for r2 in np.roots(trimmed):
-                candidates.append((r1, complex(r2)))
-    return candidates
+def _canonical_order(point):
+    return tuple(v.real for v in point.t) + tuple(v.imag for v in point.t)
 
 
 def solve_critical(family, z, *, dedup_tol=1e-8):
-    """All critical points of the potential on the fiber z.
+    """All critical points of the potential on the fiber z, sorted on the
+    real and then the imaginary parts of t.
 
-    Two points closer than dedup_tol relative to the size of z and t are
-    one. Raises RuntimeError with a 'degenerate critical set' diagnostic
-    when a generic family does not produce the full count of distinct
-    nondegenerate points.
+    Each eigenvector of the connection on Sing gives one seed, polished by
+    Newton's method on the master gradient. Two points closer than
+    dedup_tol relative to the size of z and t are one. Raises RuntimeError
+    with a 'degenerate critical set' diagnostic when a generic family does
+    not produce the full count of distinct nondegenerate points.
     """
-    if family.k > 2:
-        raise ValueError("critical solving is supported for k <= 2")
-    master = MasterFunction(family, [_rationalize(v) for v in coords(z)])
-    seeds = _solve_k1(family, z) if family.k == 1 else _solve_k2(family, z)
+    zz = tuple(_rationalize(v) for v in coords(z))
+    master = MasterFunction(family, zz)
     points = []
-    for seed in seeds:
+    for seed in _spectral_seeds(family, zz):
         point = _newton_polish(master, seed)
         if point is None:
             continue
@@ -422,7 +288,7 @@ def solve_critical(family, z, *, dedup_tol=1e-8):
             raise RuntimeError(
                 "degenerate critical set: vanishing Hessian at a critical point"
             )
-    return points
+    return sorted(points, key=_canonical_order)
 
 
 # ---------------------------------------------------------------------------
@@ -709,20 +575,39 @@ def multiply(family, z, x, y, anchor=None):
 # evaluation and pairings
 
 
+def minor_products(family, subsets, values):
+    """d_T * prod_{j in T} values[p, j - 1] for every point p (row) and
+    subset T (column), from one row of per-hyperplane values per point."""
+    values = np.asarray(values, dtype=complex).reshape(-1, family.n)
+    if not subsets:
+        return np.zeros((len(values), 0), dtype=complex)
+    minors = np.array([float(family.minor(T)) for T in subsets])
+    return minors * np.prod(values[:, np.array(subsets, dtype=int) - 1], axis=2)
+
+
+def w_matrix(family, points, subsets):
+    """Values of w_T at the critical points in floats: one row per point,
+    one column per subset."""
+    weights = np.array([float(a) for a in family.a])
+    f_values = np.array([p.f_values for p in points], dtype=complex)
+    return minor_products(family, subsets, weights / f_values.reshape(-1, family.n))
+
+
+def values_at(family, wvec, points):
+    """Values of a w-span element at the critical points, in floats."""
+    subsets = tuple(T for T, _ in wvec.items())
+    coefs = np.array([complex(c) for _, c in wvec.items()], dtype=complex)
+    return w_matrix(family, points, subsets) @ coefs
+
+
 def w_value(family, T, point):
     """Value of w_T at a critical point."""
-    value = family.minor(T)
-    for j in T:
-        value = value * family.a[j - 1] / point.f_values[j - 1]
-    return complex(value)
+    return complex(w_matrix(family, [point], (T,))[0, 0])
 
 
 def evaluate(family, wvec, point):
     """Value of a w-span element at a critical point."""
-    total = complex(0)
-    for T, coef in wvec.items():
-        total += complex(coef) * w_value(family, T, point)
-    return total
+    return complex(values_at(family, wvec, [point])[0])
 
 
 def evaluation_matrix(family, points, anchor=None):
@@ -730,30 +615,32 @@ def evaluation_matrix(family, points, anchor=None):
     condition number."""
     if anchor is None:
         anchor = default_anchor(family)
-    basis = anchored_subsets(family, anchor)
-    mat = np.array(
-        [[w_value(family, T, p) for T in basis] for p in points], dtype=complex
-    )
+    mat = w_matrix(family, points, anchored_subsets(family, anchor))
     cond = float(np.linalg.cond(mat)) if mat.size else float("inf")
     return mat, cond
+
+
+def _inverse_hessians(points):
+    return 1 / np.array([p.hessian for p in points], dtype=complex)
 
 
 def residue_pairing_analytic(family, z, x, y, points=None):
     """(x, y) = sum over critical points of x(p) y(p) / Hess(p)."""
     if points is None:
         points = solve_critical(family, z)
-    total = complex(0)
-    for p in points:
-        total += evaluate(family, x, p) * evaluate(family, y, p) / p.hessian
-    return total
+    inv_h = _inverse_hessians(points)
+    return complex(np.sum(values_at(family, x, points) * values_at(family, y, points) * inv_h))
 
 
-def residue_pairing_scale(family, x, y, points):
-    """sum_p |x(p) y(p) / Hess(p)|: the size of the terms of the residue
-    sum, against which its rounding is measured."""
-    return sum(
-        abs(evaluate(family, x, p) * evaluate(family, y, p) / p.hessian) for p in points
-    )
+def residue_gram(family, points, subsets):
+    """The residue pairings (w_T, w_U) over the given subsets, W^T
+    diag(1/Hess) W with W = w_matrix, and the size of their terms,
+    |W|^T diag(1/|Hess|) |W|, against which their rounding is measured."""
+    w = w_matrix(family, points, subsets)
+    inv_h = _inverse_hessians(points)
+    gram = w.T @ (inv_h[:, None] * w)
+    scale = np.abs(w).T @ (np.abs(inv_h)[:, None] * np.abs(w))
+    return gram, scale
 
 
 def structural_pairing(family, x, y):

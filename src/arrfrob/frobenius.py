@@ -105,23 +105,32 @@ def canonical_iso_analytic(family, z, wvec, points=None):
     if points is None:
         points = critalg.solve_critical(family, z)
     index = family.flag_index
+    weights = critalg.values_at(family, wvec, points) / [p.hessian for p in points]
+    inverse_f = [[1 / f for f in p.f_values] for p in points]
+    frames = critalg.minor_products(family, index.subsets, inverse_f)
     out = FlagVector()
-    for p in points:
-        gval = critalg.evaluate(family, wvec, p)
-        if gval == 0:
-            continue
-        for T in index:
-            frame = complex(family.minor(T))
-            for j in T:
-                frame /= p.f_values[j - 1]
-            out.accumulate(T, gval * frame / p.hessian)
+    for T, coef in zip(index, weights @ frames):
+        out.accumulate(T, complex(coef))
     return out
+
+
+def identification_constant(family):
+    """The scalar c with (residue identification) = c * nu.
+
+    The F_T-coefficient of the identification of w_U is the residue pairing
+    (w_U, w_T) / prod_{j in T} a_j = (-1)^k S(v_U, v_T) / prod_{j in T} a_j,
+    and S(v_U, v_T) = s S(v_U, F_T) = s (prod_{j in T} a_j) (v_U)_T, where
+    s = 1 for k >= 2 (v_T is the projection of F_T onto Sing) and s = -1
+    for k = 1 (v_j is minus that projection). So c = (-1)^k s: 1 for k = 1
+    and (-1)^k from k = 2 on."""
+    return 1 if family.k == 1 else (-1) ** family.k
 
 
 def naive_iso_and_constant(family, z, anchor=None, points=None):
     """Measure the scalar relating the analytic identification to nu on the
     anchored basis. Returns the fitted constant, its spread over matrix
-    entries, and the worst coefficient residual after rescaling."""
+    entries, the worst coefficient residual after rescaling, and the
+    constant that the identity predicts (`identification_constant`)."""
     if anchor is None:
         anchor = critalg.default_anchor(family)
     if points is None:
@@ -144,7 +153,12 @@ def naive_iso_and_constant(family, z, anchor=None, points=None):
     worst = 0.0
     for analytic, structural in pairs:
         worst = max(worst, max_abs_diff(analytic, structural * constant))
-    return {"constant": constant, "spread": spread, "residual": worst}
+    return {
+        "constant": constant,
+        "spread": spread,
+        "residual": worst,
+        "expected": identification_constant(family),
+    }
 
 
 def contravariant_map_class(family, flagvec):
@@ -177,7 +191,7 @@ def contravariant_compositions(family, z, points=None, analytic=True):
         if lhs != rhs:
             exact_ok = False
     result = {"sign": sign, "exact": exact_ok}
-    if analytic and family.k <= 2:
+    if analytic:
         worst = 0.0
         if points is None:
             points = critalg.solve_critical(family, z)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -634,3 +635,70 @@ def test_scaled_path_gives_the_same_period_verdicts(exponent, tmp_path, prime_co
         if unit_row["id"] in ("flat-period-increment", "twisted-period-relation"):
             ratio = scaled_row["tolerance"] / unit_row["tolerance"]
             assert ratio == pytest.approx(10.0**exponent, rel=1e-6)
+
+
+def _scaled(payload, factor):
+    return dict(payload, weights=[str(F(w) * factor) for w in payload["weights"]])
+
+
+def _permuted(payload, order):
+    out = dict(payload)
+    for key in ("b", "weights", "z"):
+        if key in payload:
+            out[key] = [payload[key][i] for i in order]
+    return out
+
+
+def _critical_points(tmp_path, payload, name, capsys):
+    assert main(["critical", "--config", _write_config(tmp_path, payload, name)]) == 0
+    points = json.loads(capsys.readouterr().out)["points"]
+    return [tuple(complex(*map(float, re_im)) for re_im in p["t"]) for p in points]
+
+
+def _same_points(found, target):
+    assert len(found) == len(target)
+    for p in found:
+        size = max(1.0, *map(abs, p))
+        assert min(max(abs(u - v) for u, v in zip(p, q)) for q in target) <= 1e-9 * size
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 5)])
+def test_verdicts_and_points_are_invariant_under_scaling_and_relabelling(
+    k, n, tmp_path, prime_config, capsys
+):
+    base = prime_config(k, n, seed=1, z=["7/4", "-5/2", "-12", "-1/3", "9/7"][:n])
+    variants = {
+        "scaled": _scaled(base, F(10) ** 6),
+        "shrunk": _scaled(base, F(1, 1000)),
+        "permuted": _permuted(base, [2, 4, 0, 3, 1][:n]),
+    }
+    suites = "critical,canonical"
+    rc, ref = _check_report(tmp_path, base, suites, "base")
+    assert rc == 0
+    points = _critical_points(tmp_path, base, "base-z.json", capsys)
+    assert len(points) == math.comb(n - 1, k)
+    for name, payload in variants.items():
+        rc, report = _check_report(tmp_path, payload, suites, name)
+        assert rc == 0
+        assert _statuses(report) == _statuses(ref)
+        # relabelling the hyperplanes moves z with them, so t stays put
+        _same_points(_critical_points(tmp_path, payload, f"{name}-z.json", capsys), points)
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 5)])
+def test_reports_do_not_depend_on_the_hash_seed(k, n, tmp_path, prime_config):
+    cfg = _write_config(tmp_path, prime_config(k, n, seed=2))
+    src = str(Path(arrfrob.__file__).resolve().parents[1])
+    digests = []
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / f"report-{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "arrfrob", "check", "--config", cfg,
+             "--suites", "basis,critical,canonical", "--json", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]

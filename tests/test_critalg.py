@@ -2,10 +2,12 @@ import itertools
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 import sympy
 
-from arrfrob.core import ArrangementFamily
+from arrfrob import critalg
+from arrfrob.core import ArrangementFamily, sample_good_point
 from arrfrob.critalg import (
     MasterFunction,
     anchored_subsets,
@@ -25,6 +27,18 @@ from arrfrob.critalg import (
     w_value,
 )
 from arrfrob.osflag import CoVector
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+_ROWS = {
+    1: ((1,),) * 10,
+    2: ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1)),
+    3: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 4), (1, 3, 9)),
+}
+
+
+def _prime_family(k, n):
+    """The benchmark's families: the first n primes as weights."""
+    return ArrangementFamily(k=k, n=n, b=_ROWS[k][:n], a=tuple(F(p) for p in _PRIMES[:n]))
 
 
 def test_f_minor_matches_sympy_det(fam_k2_n4, z_k2_n4=(F(0), F(1), F(3), F(7))):
@@ -141,25 +155,48 @@ def _sympy_resultant(fam, z):
     return [F(str(c)) for c in reversed(res.all_coeffs())]
 
 
-def test_k2_resultant_matches_sympy(fam_k2_n4, fam_k2_n5):
-    from arrfrob.core import sample_good_point
-    from arrfrob.critalg import _gradient_numerators_k2, _resultant_k2
-
-    clustered = ArrangementFamily(
-        k=2,
-        n=5,
-        b=((1, 0), (0, 1), (1, 1), (1, 2), (2, 1)),
-        a=(F(1, 2), F(3, 2), F(4), F(1, 4), F(1)),
+def _hits(values, targets):
+    """Every value lies within 1e-9 (relative) of some target."""
+    return all(
+        min(abs(v - t) for t in targets) <= 1e-9 * max(1.0, abs(v)) for v in values
     )
-    cases = [(clustered, (F(11, 5), F(-7, 3), F(-2, 5), F(-9, 4), F(4, 5)))]
+
+
+def test_k2_points_match_the_sympy_resultant(fam_k2_n4, fam_k2_n5):
+    # independent oracle: the t1 of every solved point is a root of the
+    # sympy elimination resultant, and every root of it is hit
     for fam in (fam_k2_n4, fam_k2_n5):
-        cases += [(fam, sample_good_point(fam, seed=s).z) for s in range(20)]
-    for fam, z in cases:
-        ours = _resultant_k2(fam, z, _gradient_numerators_k2(fam, z))
-        assert ours == _sympy_resultant(fam, z)
+        for seed in range(3):
+            z = sample_good_point(fam, seed=seed).z
+            res = _sympy_resultant(fam, z)
+            roots = [complex(r) for r in np.roots([float(c) for c in reversed(res)])]
+            t1 = [p.t[0] for p in solve_critical(fam, z)]
+            assert len(roots) == len(t1) == expected_critical_count(fam)
+            assert _hits(t1, roots) and _hits(roots, t1)
 
 
-@pytest.mark.parametrize("k", [1, 2])
+def test_k1_points_match_the_sympy_gradient_numerator(fam_k1_n3, fam_k1_n4):
+    t = sympy.symbols("t")
+    for fam in (fam_k1_n3, fam_k1_n4, _prime_family(1, 5)):
+        for seed in range(3):
+            z = sample_good_point(fam, seed=seed).z
+            fs = [sympy.Rational(str(z[j])) + sympy.Rational(str(fam.b[j][0])) * t
+                  for j in range(fam.n)]
+            numerator = sympy.Poly(
+                sum(
+                    sympy.Rational(str(fam.a[j] * fam.b[j][0]))
+                    * sympy.prod(fs[i] for i in range(fam.n) if i != j)
+                    for j in range(fam.n)
+                ),
+                t,
+            )
+            roots = [complex(r) for r in numerator.nroots(n=30)]
+            found = [p.t[0] for p in solve_critical(fam, z)]
+            assert len(roots) == len(found) == expected_critical_count(fam)
+            assert _hits(found, roots) and _hits(roots, found)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize(
     "z_scale,a_scale",
     [(F(10) ** 4, 1), (F(10) ** 11, 1), (F(1, 10**12), 1), (1, 10**8), (1, F(1, 10**6))],
@@ -167,11 +204,12 @@ def test_k2_resultant_matches_sympy(fam_k2_n4, fam_k2_n5):
 def test_solving_is_scale_free(k, z_scale, a_scale):
     # each of these used to lose points, find duplicates or report a
     # vanishing Hessian: the Newton, dedup and Hessian thresholds were absolute
-    b = ((1, 0), (0, 1), (1, 1), (1, 2)) if k == 2 else ((1,),) * 4
-    weights = (F(2), F(3), F(5), F(7))
-    z = (F(7, 4), F(-5, 2), F(-12), F(-1, 3))
-    unit = solve_critical(ArrangementFamily(k=k, n=4, b=b, a=weights), z)
-    fam = ArrangementFamily(k=k, n=4, b=b, a=tuple(a_scale * w for w in weights))
+    n = 5 if k == 3 else 4
+    b = _ROWS[k][:n]
+    weights = (F(2), F(3), F(5), F(7), F(11))[:n]
+    z = (F(7, 4), F(-5, 2), F(-12), F(-1, 3), F(9, 7))[:n]
+    unit = solve_critical(ArrangementFamily(k=k, n=n, b=b, a=weights), z)
+    fam = ArrangementFamily(k=k, n=n, b=b, a=tuple(a_scale * w for w in weights))
     scaled = solve_critical(fam, tuple(z_scale * v for v in z))
     assert len(unit) == len(scaled) == expected_critical_count(fam)
     for p in unit:
@@ -182,9 +220,50 @@ def test_solving_is_scale_free(k, z_scale, a_scale):
         )
 
 
-def test_k3_not_solvable(fam_k3_n5):
-    with pytest.raises(ValueError):
-        solve_critical(fam_k3_n5, (F(0), F(1), F(2), F(3), F(4)))
+def _relative_residual(master, point):
+    return max(abs(g) for g in master.gradient(point.t)) / master.gradient_scale(point.t)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_k3_gives_the_full_critical_set(n):
+    fam = _prime_family(3, n)
+    for seed in range(3):
+        z = sample_good_point(fam, seed=seed).z
+        pts = solve_critical(fam, z)
+        master = MasterFunction(fam, z)
+        assert len(pts) == math.comb(n - 1, 3)
+        assert max(_relative_residual(master, p) for p in pts) <= 1e-12
+        for p, q in itertools.combinations(pts, 2):
+            gap = max(abs(u - v) for u, v in zip(p.t, q.t))
+            assert gap > 1e-6 * max(master.size, *map(abs, p.t))
+
+
+@pytest.mark.parametrize("k, n", [(1, 10), (2, 5), (3, 5)])
+def test_newton_runs_once_per_critical_point(k, n, monkeypatch):
+    # each eigenvector of the connection on Sing seeds exactly one point,
+    # so Newton runs on no duplicate and no dead-end seed
+    calls = []
+    polish = critalg._newton_polish
+
+    def spy(master, t0, *args, **kwargs):
+        calls.append(t0)
+        return polish(master, t0, *args, **kwargs)
+
+    monkeypatch.setattr(critalg, "_newton_polish", spy)
+    fam = _prime_family(k, n)
+    for seed in range(3):
+        calls.clear()
+        solve_critical(fam, sample_good_point(fam, seed=seed).z)
+        assert len(calls) == math.comb(n - 1, k)
+
+
+def test_points_come_in_a_canonical_order(fam_k2_n5):
+    z = sample_good_point(fam_k2_n5, seed=4).z
+    keys = [
+        tuple(v.real for v in p.t) + tuple(v.imag for v in p.t)
+        for p in solve_critical(fam_k2_n5, z)
+    ]
+    assert keys == sorted(keys)
 
 
 def test_hessian_matches_numeric(fam_k2_n4):

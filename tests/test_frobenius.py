@@ -51,6 +51,19 @@ def test_measured_constant_is_one(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
         assert rep["residual"] < 1e-8
 
 
+def test_measured_constant_is_minus_one_for_k3(fam_k1_n3, fam_k2_n4, fam_k3_n5):
+    # the residue identification is (-1)^k nu for k >= 2, where v_T is the
+    # projection of F_T onto Sing; k = 1 flips the sign of v_j as well
+    assert fro.identification_constant(fam_k1_n3) == fro.identification_constant(fam_k2_n4) == 1
+    for seed in range(3):
+        z = sample_good_point(fam_k3_n5, seed=seed).z
+        rep = fro.naive_iso_and_constant(fam_k3_n5, z)
+        assert rep["expected"] == fro.identification_constant(fam_k3_n5) == -1
+        assert abs(rep["constant"] + 1) < 1e-7
+        assert rep["residual"] < 1e-8
+        assert rep["spread"] < 1e-8
+
+
 def test_k1_generator_images(fam_k1_n3, z_k1_n3):
     fam = fam_k1_n3
     pts = critalg.solve_critical(fam, z_k1_n3)
