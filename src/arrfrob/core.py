@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import cached_property, wraps
 
 from . import linalg
+from .linforms import FormTable
 
 
 class ConfigError(ValueError):
@@ -88,6 +89,30 @@ class ArrangementFamily:
     def _memo(self):
         return {}
 
+    @cached_property
+    def _fibers(self):
+        return {}
+
+    @cached_property
+    def forms(self):
+        """The family's table of interned linear forms, shared by all of
+        its expressions; their values at a fiber live in that fiber's
+        entry (`fiber_entry`)."""
+        return FormTable(self._fibers)
+
+    def fiber_entry(self, z):
+        """The one dict that holds every exact table of the fiber z: the
+        integer K_j(z), the values of the interned forms, the circuit
+        values and the generator products."""
+        return self._fibers.setdefault(coords(z), {})
+
+    def release_fibers(self):
+        """Free the tables of every fiber (`fiber_entry`) and keep the
+        family's own tables. A long-lived family checked at many fibers
+        otherwise holds tens of KB per fiber; the next check at a fiber
+        rebuilds what it needs."""
+        self._fibers.clear()
+
     def minor(self, indices):
         """det of the k x k submatrix of b picked by the given distinct rows,
         in the given order (swapping two indices flips the sign)."""
@@ -132,6 +157,26 @@ def per_family(fn):
             return table[key]
         except KeyError:
             value = table[key] = fn(family, *args)
+            return value
+
+    return memoized
+
+
+def per_fiber(fn):
+    """Memoize fn(family, zz, *args) in the family's entry for the exact
+    fiber zz (`ArrangementFamily.fiber_entry`), keyed by the function and
+    the remaining arguments; zz reaches fn as a plain coordinate tuple.
+    `ArrangementFamily.release_fibers` frees every such table at once."""
+
+    @wraps(fn)
+    def memoized(family, z, *args):
+        zz = coords(z)
+        entry = family.fiber_entry(zz)
+        key = (fn, args)
+        try:
+            return entry[key]
+        except KeyError:
+            value = entry[key] = fn(family, zz, *args)
             return value
 
     return memoized

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import coords, per_family
+from .core import coords, per_family, per_fiber
 from .osflag import CoVector, singular_subspace, sort_with_sign
 
 
@@ -228,7 +228,7 @@ def _spectral_seeds(family, zz):
     frame, to_coords = _singular_frame(family)
     ops = np.array(
         [
-            to_coords @ np.array(fiber_k_operator(family, zz, j), dtype=float) @ frame
+            to_coords @ fiber_k_operator(family, zz, j).floats() @ frame
             for j in range(1, family.n + 1)
         ]
     )
@@ -419,7 +419,7 @@ def generator_times_w(family, z, i, wvec):
     return out
 
 
-@per_family
+@per_fiber
 def _fiber_products(family, zz):
     """The products [a_i/f_i] * w_T at the exact fiber zz, filled in as
     they are asked for: (i, T) -> ((U, coefficient), ...), a tuple, so no

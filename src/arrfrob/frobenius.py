@@ -17,10 +17,15 @@ Tables that do not depend on the fiber are built once per family
 (`core.per_family`): the coordinates of q and their derivatives, the
 quadratic potential P = S(q, q) and its derivatives, and the log
 potential and its derivatives. Derivatives are keyed by sorted direction
-tuples, since mixed partials commute. Tables of one fiber (the connection
-operators K_j(z) and the generator products in the algebra) are built
-once per family and exact fiber by `gaussmanin.fiber_k_operator` and
-`critalg.generator_times_w`, so the checks of one run share them.
+tuples, since mixed partials commute. Tables of one fiber (the integer
+connection operators K_j(z), the values of the interned linear forms and
+the generator products in the algebra) are built once per family and
+exact fiber, in that fiber's entry of the family (`core.per_fiber`), by
+`gaussmanin.fiber_k_operator`, `linforms.LinExpr.evaluate_exact` and
+`critalg.generator_times_w`, so the checks of one run share them;
+`ArrangementFamily.release_fibers` frees them all. The exact side of
+`contravariant_compositions` does not read the fiber and is decided once
+per family.
 
 The period checks integrate S(., nu[a_i/f_i]) dz_i along transported flat
 sections. nu[a_i/f_i] is a polynomial of degree k - 1 in the fiber, so
@@ -45,7 +50,7 @@ import numpy as np
 from . import critalg, gaussmanin, linalg
 from .core import ConfigError, coords, f_c_value, is_good_fiber
 from .core import ArrangementFamily, per_family
-from .linforms import LinExpr, linear_form
+from .linforms import LinExpr
 from .osflag import (
     CoVector,
     FlagVector,
@@ -169,16 +174,16 @@ def contravariant_map_class(family, flagvec):
     return out
 
 
-def contravariant_compositions(family, z, points=None, analytic=True):
-    """Check alpha o [S] = (-1)^k pi and [S] o alpha = (-1)^k id, with the
-    k = 1 conventions flipping both signs. Exact through nu; optionally also
-    measured through the residue identification."""
+@per_family
+def _exact_compositions(family):
+    """The exact side of `contravariant_compositions`: it goes through nu,
+    the weight form and the Sing projection, none of which depends on the
+    fiber, so it is decided once per family."""
     sign = -1 if family.k == 1 else 1
     space = singular_subspace(family)
-    index = family.flag_index
     anchor = critalg.default_anchor(family)
     exact_ok = True
-    for T in index:
+    for T in family.flag_index:
         # alpha([S] F_T) vs sign * projection of F_T
         image = alpha_structural(family, contravariant_map_class(family, FlagVector.basis(T)))
         proj = space.project(FlagVector.basis(T))
@@ -190,8 +195,19 @@ def contravariant_compositions(family, z, points=None, analytic=True):
         rhs = critalg.canonicalize(family, CoVector.basis(T) * sign, anchor)
         if lhs != rhs:
             exact_ok = False
-    result = {"sign": sign, "exact": exact_ok}
+    return exact_ok
+
+
+def contravariant_compositions(family, z, points=None, analytic=True):
+    """Check alpha o [S] = (-1)^k pi and [S] o alpha = (-1)^k id, with the
+    k = 1 conventions flipping both signs. Exact through nu, once per
+    family since that side never reads z; optionally also measured through
+    the residue identification at the fiber z."""
+    sign = -1 if family.k == 1 else 1
+    result = {"sign": sign, "exact": _exact_compositions(family)}
     if analytic:
+        space = singular_subspace(family)
+        index = family.flag_index
         worst = 0.0
         if points is None:
             points = critalg.solve_critical(family, z)
@@ -243,8 +259,8 @@ def _block_derivative_sorted(family, anchor, key):
                     f"closed form needs independent subsets inside {u}"
                 )
             denom *= minor if m % 2 == 0 else -minor
-        form = linear_form(critalg.f_minor_form(family, u))
-        mono = LinExpr.monomial(scale / denom, {form: family.k})
+        form = critalg.f_minor_form(family, u)
+        mono = LinExpr.monomial(scale / denom, {form: family.k}, forms=family.forms)
         for subset, coef in v_vector(family, T).coeffs.items():
             pos = index.position(subset)
             exprs[pos] = exprs[pos] + mono.scale(coef)
@@ -397,8 +413,10 @@ def potential_log_expr(family):
             raise ValueError("log potential closed form needs a generic family")
         for idx in u:
             coef *= family.a[idx - 1]
-        form = linear_form(critalg.f_minor_form(family, u))
-        terms = terms + LinExpr.monomial(coef / denom, {form: 2 * k}, log_form=form)
+        form = critalg.f_minor_form(family, u)
+        terms = terms + LinExpr.monomial(
+            coef / denom, {form: 2 * k}, log_form=form, forms=family.forms
+        )
     return terms
 
 

@@ -3,24 +3,31 @@
 For each circuit C the operator L_C acts on the standard flag basis, and
 the connection operators are K_j(z) = sum_C (lambda_j^C / f_C(z)) L_C.
 The entries of L_C are tabulated once per family in flag positions
-(`_l_c_entries`), and `_sum_l_c` is the one place that sums scaled L_C
-into a matrix: exact K_j, its minor form, the symbolic K_j entries and
-the curl's closed form, and the complex arrays of the integrator.
+(`_l_c_entries`, and as integers over the weights' denominator in
+`_l_c_integer`); `_sum_l_c` sums scaled L_C into a dense matrix of
+Fractions, LinExprs or complex numbers: the minor form of K_j, the
+symbolic K_j entries and the curl's closed form, and the complex arrays
+of the integrator.
 Flat sections of slope kappa solve kappa dI/dz_j = K_j(z) I; transported
 along a path they stay inside the singular subspace and pair invariantly.
 
-Everything fiber-exact here is done in rational arithmetic (operators,
-symmetry, curl, commutators on the singular subspace). Each exact K_j(z)
-is built once per family and fiber (`fiber_k_operator`, rows of tuples)
-and shared by the flatness, symmetry, Euler and conformal-block checks;
-the derivatives of the block section q come from a per-family table of
-expressions (`frobenius.conformal_block_derivative_exprs`). The flatness
-check turns each K_j(z) into sparse rows of integer numerators over a
-common denominator and forms the commutators [K_i, K_j] in integer
-arithmetic. Its curl side is certified once per family: the
-symbolic differences between d_i K_j and the closed form are formed per
-family (`_curl_defects`), a flat family has none, and only a nonzero one
-is evaluated at a fiber. Transport is an adaptive embedded Runge-Kutta
+Everything fiber-exact here is exact, and its kernels run on integers.
+`k_operator` assembles K_j(z) directly as an `IntegerMatrix`, sparse rows
+of integer numerators over one common denominator, from the circuit
+values f_C(z), computed once per circuit and fiber. `fiber_k_operator`
+keeps one such matrix per (fiber, j) in the fiber's entry of the family
+(`core.per_fiber`), and every operator identity at the fiber reads it:
+the commutators [K_i, K_j] on the singular subspace, the S-symmetry, the
+invariance of Sing (integer singular basis against integer singular
+conditions), the weighted Euler identity and the conformal-block
+equations, all in integer arithmetic; `critalg.solve_critical` reads its
+floats. The public residual functions also take a caller's dense matrix.
+The derivatives of the block section q come from a per-family table of
+expressions (`frobenius.conformal_block_derivative_exprs`). The curl side
+of flatness is certified once per family: the symbolic differences
+between d_i K_j and the closed form are formed per family
+(`_curl_defects`), a flat family has none, and only a nonzero one is
+evaluated at a fiber. Transport is an adaptive embedded Runge-Kutta
 integrator over the circuit data; it stops where min_C |f_C| falls below
 1e-6 of max_C |f_C|, a guard that does not depend on the fiber's units.
 """
@@ -31,11 +38,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
 from . import critalg
-from .core import coords, f_c_value, per_family
+from .core import coords, f_c_value, per_family, per_fiber
 from .linforms import LinExpr, linear_form
 from .osflag import (
     FlagVector,
@@ -103,35 +112,124 @@ def discriminant_min(family, z):
     return min(abs(complex(f_c_value(c, z))) for c in family.circuit_list)
 
 
+class IntegerMatrix(NamedTuple):
+    """An exact square matrix as sparse rows of integer numerators over one
+    common denominator: rows[p] maps a column q to the numerator of the
+    entry (p, q) and omits zero entries. The rows are read-only mappings,
+    so a matrix shared between checks cannot be changed by one of them."""
+
+    rows: tuple
+    den: int
+
+    def dense(self):
+        """The entries as a list of rows of Fractions."""
+        size = len(self.rows)
+        return [[Fraction(row.get(q, 0), self.den) for q in range(size)] for row in self.rows]
+
+    def floats(self):
+        """The entries as a float array. int / int is correctly rounded,
+        so each entry is the float of the exact rational, bit for bit the
+        float(Fraction) of the dense form."""
+        size = len(self.rows)
+        out = np.zeros((size, size), dtype=float)
+        for p, row in enumerate(self.rows):
+            for q, v in row.items():
+                out[p, q] = v / self.den
+        return out
+
+
+def _integer_rows(mat):
+    """A dense exact matrix as an IntegerMatrix over the lcm of its entry
+    denominators."""
+    den = math.lcm(*(e.denominator for row in mat for e in row if e))
+    rows = tuple(
+        MappingProxyType(
+            {q: e.numerator * (den // e.denominator) for q, e in enumerate(row) if e}
+        )
+        for row in mat
+    )
+    return IntegerMatrix(rows, den)
+
+
+def _as_integer(mat):
+    """A caller's matrix, dense or already an IntegerMatrix, as an
+    IntegerMatrix."""
+    return mat if isinstance(mat, IntegerMatrix) else _integer_rows(mat)
+
+
+def _integer_vector(values):
+    """Dense exact coordinates as ({position: numerator}, denominator)."""
+    rows, den = _integer_rows([values])
+    return rows[0], den
+
+
+def _dot(row, values):
+    """Sum of row[q] * values[q] over the entries of the sparse row."""
+    return sum(c * values.get(q, 0) for q, c in row.items())
+
+
+def _weight_denominator(family):
+    return math.lcm(*(w.denominator for w in family.a))
+
+
+@per_family
+def _l_c_integer(family, circuit_indices):
+    """L_C as (row, column, numerator) triples over the common denominator
+    of the weights (`_weight_denominator`)."""
+    den = _weight_denominator(family)
+    return tuple(
+        (p, q, (coef * den).numerator) for p, q, coef in _l_c_entries(family, circuit_indices)
+    )
+
+
+@per_fiber
+def _circuit_values(family, zz):
+    """f_C(z) for every circuit of the family, once per fiber."""
+    return tuple(f_c_value(c, zz) for c in family.circuit_list)
+
+
 def k_operator(family, z, j):
-    """Exact matrix of K_j(z) assembled from the circuit operators."""
+    """Exact K_j(z) = sum_C (lambda_j^C / f_C(z)) L_C as an IntegerMatrix.
+
+    The scales lambda_j^C / f_C(z) are brought to one denominator and the
+    integer L_C entries are summed in integer arithmetic; the result is
+    reduced by the gcd of its denominator and numerators."""
     if not 1 <= j <= family.n:
         raise ValueError(f"index {j} out of range")
-    zz = coords(z)
     scales = []
-    for circuit in family.circuit_list:
+    for circuit, fc in zip(family.circuit_list, _circuit_values(family, z)):
         lam_j = circuit.coefficient(j)
         if lam_j == 0:
             continue
-        fc = f_c_value(circuit, zz)
         if fc == 0:
             raise ValueError(
                 f"fiber lies on the discriminant: f_C vanishes for circuit "
                 f"{circuit.indices}"
             )
-        scales.append((circuit.indices, lam_j / fc))
-    return _sum_l_c(family, scales, Fraction(0))
+        scale = lam_j / fc
+        scales.append((circuit.indices, scale.numerator, scale.denominator))
+    common = math.lcm(*(den for _, _, den in scales))
+    acc = [{} for _ in family.flag_index]
+    for indices, num, den in scales:
+        mult = num * (common // den)
+        for p, q, coef in _l_c_integer(family, indices):
+            row = acc[p]
+            row[q] = row.get(q, 0) + mult * coef
+    den = common * _weight_denominator(family)
+    divisor = math.gcd(den, *(v for row in acc for v in row.values()))
+    rows = tuple(
+        MappingProxyType({q: v // divisor for q, v in row.items() if v}) for row in acc
+    )
+    return IntegerMatrix(rows, den // divisor)
 
 
-@per_family
-def _k_operator_at(family, zz, j):
-    return tuple(tuple(row) for row in k_operator(family, zz, j))
-
-
-def fiber_k_operator(family, z, j):
-    """K_j(z) built once per family and exact fiber and shared by every
-    check at that fiber, so its rows are tuples that no caller can change."""
-    return _k_operator_at(family, coords(z), j)
+@per_fiber
+def fiber_k_operator(family, zz, j):
+    """K_j(z) as built by `k_operator`, once per family and exact fiber, in
+    the fiber's entry of the family (`core.per_fiber`). Every exact check
+    at the fiber reads this one IntegerMatrix, and `critalg.solve_critical`
+    reads its floats."""
+    return k_operator(family, zz, j)
 
 
 def k_operator_minor_form(family, z, j):
@@ -156,14 +254,16 @@ def k_operator_minor_form(family, z, j):
 
 
 def apply_matrix(family, mat, vec):
-    """Apply an exact flag-basis matrix to a FlagVector."""
+    """Apply an exact flag-basis matrix (dense or an IntegerMatrix) to a
+    FlagVector."""
+    mat = _as_integer(mat)
     index = family.flag_index
-    cols = vec.to_coordinates(index)
+    values, vec_den = _integer_vector(vec.to_coordinates(index))
     out = FlagVector()
-    for p, subset in enumerate(index):
-        total = sum(mat[p][q] * cols[q] for q in range(len(index)) if cols[q])
-        if total:
-            out.coeffs[subset] = total
+    for subset, row in zip(index, mat.rows):
+        num = _dot(row, values)
+        if num:
+            out.coeffs[subset] = Fraction(num, mat.den * vec_den)
     return out
 
 
@@ -171,27 +271,51 @@ def apply_matrix(family, mat, vec):
 # structure checks
 
 
+@per_family
+def _integer_weights(family):
+    """The diagonal weight form, prod_{j in T} a_j for each flag position,
+    as integer numerators over one denominator."""
+    values, den = _integer_vector([weight_product(family, T) for T in family.flag_index])
+    return [values[p] for p in range(len(family.flag_index))], den
+
+
+@per_family
+def _integer_sing(family):
+    """The singular basis vectors and the singular conditions as sparse
+    integer vectors over the flag positions: two tuples of
+    ({position: numerator}, denominator) pairs."""
+    space = singular_subspace(family)
+    basis = tuple(_integer_vector(v.to_coordinates(family.flag_index)) for v in space.basis)
+    return basis, tuple(_integer_vector(row) for row in space.conditions)
+
+
 def symmetry_residual(family, mat):
-    """Max |S(M e_p, e_q) - S(e_p, M e_q)| over basis pairs. The weight form
-    is diagonal on flags, so this is |w_p M_qp - w_q M_pq|."""
-    index = family.flag_index
-    weights = [weight_product(family, T) for T in index]
+    """Max |S(M e_p, e_q) - S(e_p, M e_q)| over basis pairs, exactly. The
+    weight form is diagonal on flags, so this is |w_p M_pq - w_q M_qp|,
+    formed from the integer numerators of M and of the weights."""
+    mat = _as_integer(mat)
+    weights, weight_den = _integer_weights(family)
+    rows = mat.rows
     worst = 0
-    for p in range(len(index)):
-        for q in range(p + 1, len(index)):
-            diff = weights[q] * mat[q][p] - weights[p] * mat[p][q]
-            worst = max(worst, abs(diff))
-    return worst
+    for p, row in enumerate(rows):
+        for q, v in row.items():
+            if q != p:
+                worst = max(worst, abs(weights[p] * v - weights[q] * rows[q].get(p, 0)))
+    return Fraction(worst, weight_den * mat.den)
 
 
 def invariance_residual(family, mat):
-    """Max violation of the singular conditions on images of the singular
-    basis under the matrix."""
-    space = singular_subspace(family)
-    worst = 0
-    for vec in space.basis:
-        image = apply_matrix(family, mat, vec)
-        worst = max(worst, space.membership_residual(image))
+    """Max violation of the singular conditions on the images of the
+    singular basis under the matrix, exactly, in integer arithmetic."""
+    mat = _as_integer(mat)
+    basis, conditions = _integer_sing(family)
+    worst = Fraction(0)
+    for values, vec_den in basis:
+        image = dict(enumerate(_dot(row, values) for row in mat.rows))
+        for condition, cond_den in conditions:
+            total = _dot(condition, image)
+            if total:
+                worst = max(worst, Fraction(abs(total), mat.den * vec_den * cond_den))
     return worst
 
 
@@ -228,7 +352,9 @@ def _k_entry_exprs(family, j):
         if lam_j == 0:
             continue
         form = _circuit_form(family, circuit)
-        scales.append((circuit.indices, LinExpr.monomial(lam_j, {form: -1})))
+        scales.append(
+            (circuit.indices, LinExpr.monomial(lam_j, {form: -1}, forms=family.forms))
+        )
     return _sum_l_c(family, scales, LinExpr.zero())
 
 
@@ -242,7 +368,8 @@ def _closed_curl_exprs(family, a, b):
         if lam_a == 0 or lam_b == 0:
             continue
         form = _circuit_form(family, circuit)
-        scales.append((circuit.indices, LinExpr.monomial(-lam_a * lam_b, {form: -2})))
+        mono = LinExpr.monomial(-lam_a * lam_b, {form: -2}, forms=family.forms)
+        scales.append((circuit.indices, mono))
     return _sum_l_c(family, scales, LinExpr.zero())
 
 
@@ -281,17 +408,6 @@ def curl_residual(family, z, pairs=None):
     return worst
 
 
-def _integer_rows(mat):
-    """An exact matrix as sparse rows {column: numerator} of Python ints
-    over one common denominator, the lcm of the entry denominators."""
-    den = math.lcm(*(e.denominator for row in mat for e in row if e))
-    rows = [
-        {q: e.numerator * (den // e.denominator) for q, e in enumerate(row) if e}
-        for row in mat
-    ]
-    return rows, den
-
-
 def _sparse_product(left, right):
     """Product of two matrices given as sparse integer rows."""
     out = []
@@ -318,26 +434,19 @@ def _commutator_rows(ki, kj):
 
 def commutator_residuals(family, z, pairs=None):
     """Exact [K_i, K_j] residual on the singular subspace plus the measured
-    sup-norm of the commutator on the whole flag space. The K_j are built
-    once per fiber as integer numerators over a common denominator, and the
-    commutators are formed in integer arithmetic."""
-    index = family.flag_index
-    basis = []
-    for vec in singular_subspace(family).basis:
-        values, den = _integer_rows([vec.to_coordinates(index)])
-        basis.append((values[0], den))
+    sup-norm of the commutator on the whole flag space, formed in integer
+    arithmetic from the per-fiber integer K_j (`fiber_k_operator`)."""
+    basis, _ = _integer_sing(family)
     if pairs is None:
         pairs = list(itertools.combinations(range(1, family.n + 1), 2))
-    ks = {}
     exact_worst = Fraction(0)
     full_worst = 0.0
     for i, j in pairs:
-        for idx in (i, j):
-            if idx not in ks:
-                ks[idx] = _integer_rows(fiber_k_operator(family, z, idx))
-        rows, den = _commutator_rows(ks[i], ks[j])
+        rows, den = _commutator_rows(
+            fiber_k_operator(family, z, i), fiber_k_operator(family, z, j)
+        )
         for values, vec_den in basis:
-            image = [sum(c * values.get(q, 0) for q, c in row.items()) for row in rows]
+            image = [_dot(row, values) for row in rows]
             residual = max(abs(c) for c in image)
             if residual:
                 exact_worst = max(exact_worst, Fraction(residual, den * vec_den))
@@ -361,29 +470,30 @@ def check_flatness(family, z, pairs=None):
 
 
 def weighted_euler_residual(family, z):
-    """Exact residual of (sum_j z_j K_j) v = |a| v on the singular basis."""
-    index = family.flag_index
+    """Exact residual of (sum_j z_j K_j) v = |a| v on the singular basis,
+    with sum_j z_j K_j summed over one denominator in integer arithmetic."""
     zz = coords(z)
-    n = len(index)
-    total = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(1, family.n + 1):
-        if zz[j - 1] == 0:
-            continue
-        mat = fiber_k_operator(family, zz, j)
-        for p in range(n):
-            zpj = zz[j - 1]
-            row = mat[p]
-            trow = total[p]
-            for q in range(n):
-                if row[q]:
-                    trow[q] += zpj * row[q]
-    space = singular_subspace(family)
+    terms = [
+        (Fraction(zz[j - 1]), fiber_k_operator(family, zz, j))
+        for j in range(1, family.n + 1)
+        if zz[j - 1] != 0
+    ]
+    common = math.lcm(*(zj.denominator * mat.den for zj, mat in terms))
+    total = [{} for _ in family.flag_index]
+    for zj, mat in terms:
+        mult = zj.numerator * (common // (zj.denominator * mat.den))
+        for acc, row in zip(total, mat.rows):
+            for q, v in row.items():
+                acc[q] = acc.get(q, 0) + mult * v
     asum = family.weight_sum
+    basis, _ = _integer_sing(family)
     worst = Fraction(0)
-    for vec in space.basis:
-        image = apply_matrix(family, total, vec) - vec * asum
-        residual = max((abs(c) for c in image.coeffs.values()), default=0)
-        worst = max(worst, residual)
+    for values, vec_den in basis:
+        # (T v)_p / (common vec_den) - |a| v_p / vec_den over one denominator
+        for p, row in enumerate(total):
+            num = asum.denominator * _dot(row, values) - common * asum.numerator * values.get(p, 0)
+            if num:
+                worst = max(worst, Fraction(abs(num), common * asum.denominator * vec_den))
     return worst
 
 
@@ -580,20 +690,19 @@ def check_conformal_block(family, z, anchor=None):
     coordinates differentiated symbolically."""
     from .frobenius import conformal_block_derivative_exprs, conformal_block_exprs
 
-    index = family.flag_index
     zz = coords(z)
-    values = [expr.evaluate_exact(zz) for expr in conformal_block_exprs(family, anchor)]
+    q_values, q_den = _integer_vector(
+        [expr.evaluate_exact(zz) for expr in conformal_block_exprs(family, anchor)]
+    )
     scale = Fraction(family.weight_sum, family.k)
     for j in range(1, family.n + 1):
         mat = fiber_k_operator(family, zz, j)
         derivs = conformal_block_derivative_exprs(family, (j,), anchor)
-        lhs = [scale * expr.evaluate_exact(zz) for expr in derivs]
-        rhs = [
-            sum(mat[p][q] * values[q] for q in range(len(index)) if values[q])
-            for p in range(len(index))
-        ]
-        if any(l != r for l, r in zip(lhs, rhs)):
-            return False
+        for row, expr in zip(mat.rows, derivs):
+            lhs = scale * expr.evaluate_exact(zz)
+            # (K_j q)_p is _dot(row, q_values) / (mat.den * q_den)
+            if lhs.numerator * mat.den * q_den != _dot(row, q_values) * lhs.denominator:
+                return False
     return True
 
 

@@ -554,6 +554,52 @@ def test_exact_suite_reports_are_pinned(k, n, tmp_path, prime_config):
     assert digest == _EXACT_SHA256[k, n]
 
 
+# sha256 of `check --suites basis,canonical` at seed 1, pinned before the
+# exact compositions were decided once per family and the solver read its
+# floats from the integer K_j(z).
+_CANONICAL_SHA256 = {
+    (2, 4): "ee40937b61cea246980e4b755b03d344427f9dc88609d76cf22af86309d43e1a",
+}
+
+
+@pytest.mark.parametrize("k, n", sorted(_CANONICAL_SHA256))
+def test_canonical_suite_reports_are_pinned(k, n, tmp_path, prime_config):
+    out = tmp_path / "report.json"
+    cfg = _write_config(tmp_path, prime_config(k, n, seed=1))
+    assert main(["check", "--config", cfg, "--suites", "basis,canonical",
+                 "--json", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == _CANONICAL_SHA256[k, n]
+
+
+def test_exact_suites_build_each_operator_and_form_value_once(
+    tmp_path, monkeypatch, prime_config
+):
+    from collections import Counter
+
+    from arrfrob import gaussmanin, linforms
+
+    builds, values = Counter(), Counter()
+    build, value = gaussmanin.k_operator, linforms.form_value
+
+    def spy_build(family, z, j):
+        builds[tuple(z), j] += 1
+        return build(family, z, j)
+
+    def spy_value(form, z):
+        values[form, tuple(z)] += 1
+        return value(form, z)
+
+    monkeypatch.setattr(gaussmanin, "k_operator", spy_build)
+    monkeypatch.setattr(linforms, "form_value", spy_value)
+    cfg = _write_config(tmp_path, prime_config(3, 5, seed=1))
+    assert main(["check", "--config", cfg, "--suites", _EXACT_SUITES,
+                 "--json", str(tmp_path / "report.json")]) == 0
+    # every (fiber, j) integer K_j and every (form, fiber) value, once
+    assert len(builds) >= 5 * 5 and set(builds.values()) == {1}
+    assert len(values) >= 5 * 10 and set(values.values()) == {1}
+
+
 _NON_GENERIC = {"k": 2, "n": 4, "b": [[1, 0], [0, 1], [1, 1], [2, 2]],
                 "weights": ["2", "3", "5", "7"]}
 

@@ -154,3 +154,46 @@ def test_flag_index_excludes_dependent():
     # rows 1 and 2 are parallel, so (1,2) is not independent
     assert (1, 2) not in fam.flag_index.subsets
     assert (1, 3) in fam.flag_index.subsets
+
+
+def test_release_fibers_frees_every_per_fiber_table(prime_config):
+    # the integer K_j(z), the circuit and form values and the generator
+    # products of each fiber live in one entry per fiber; one call frees
+    # them all and keeps the family's own tables
+    import gc
+    import tracemalloc
+
+    from arrfrob.critalg import monomial_to_w
+    from arrfrob.gaussmanin import (
+        check_conformal_block,
+        check_symmetry_and_invariance,
+        weighted_euler_residual,
+    )
+
+    family = load_family(prime_config(3, 5))
+    fibers = [sample_good_point(family, seed=s).z for s in range(40)]
+
+    def check(z):
+        assert check_symmetry_and_invariance(family, z)["passed"]
+        assert weighted_euler_residual(family, z) == 0
+        assert check_conformal_block(family, z)
+        monomial_to_w(family, z, (1, 2, 3, 4, 5))
+
+    check(fibers[0])  # builds the per-family tables
+    family.release_fibers()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for z in fibers:
+            check(z)
+        held = tracemalloc.get_traced_memory()[0] - base
+        family.release_fibers()
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held > 40 * 10_000
+    assert left < 4_000
+    # the family still checks a fiber after the release
+    check(fibers[0])

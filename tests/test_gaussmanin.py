@@ -2,11 +2,12 @@ import itertools
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from arrfrob import gaussmanin
-from arrfrob.core import load_family, sample_good_point
-from arrfrob.critalg import monomial_to_w
+from arrfrob.core import f_c_value, load_family, sample_good_point
+from arrfrob.critalg import monomial_to_w, solve_critical
 from arrfrob.gaussmanin import (
     _commutator_rows,
     _integer_rows,
@@ -39,13 +40,13 @@ from arrfrob.osflag import (
 def test_operator_routes_agree(fam_k2_n4):
     z = (F(0), F(1), F(3), F(7))
     for j in range(1, 5):
-        assert k_operator(fam_k2_n4, z, j) == k_operator_minor_form(fam_k2_n4, z, j)
+        assert k_operator(fam_k2_n4, z, j).dense() == k_operator_minor_form(fam_k2_n4, z, j)
 
 
 def test_operator_routes_agree_k1(fam_k1_n4):
     z = (F(0), F(1), F(3), F(-2))
     for j in range(1, 5):
-        assert k_operator(fam_k1_n4, z, j) == k_operator_minor_form(fam_k1_n4, z, j)
+        assert k_operator(fam_k1_n4, z, j).dense() == k_operator_minor_form(fam_k1_n4, z, j)
 
 
 def test_operator_rejects_bad_fiber(fam_k1_n3):
@@ -85,6 +86,17 @@ def _dense(rows, den, size):
     return [[F(row.get(q, 0), den) for q in range(size)] for row in rows]
 
 
+def _fraction_k_operator(family, z, j):
+    """K_j(z) summed in Fraction arithmetic: the reference for the integer
+    assembly of `k_operator`."""
+    scales = [
+        (c.indices, c.coefficient(j) / f_c_value(c, z))
+        for c in family.circuit_list
+        if c.coefficient(j)
+    ]
+    return gaussmanin._sum_l_c(family, scales, F(0))
+
+
 @pytest.mark.parametrize("k, n", [(1, 5), (2, 4), (3, 5)])
 def test_integer_commutator_matches_fraction_products(k, n, prime_config):
     fam = load_family(prime_config(k, n))
@@ -100,7 +112,8 @@ def test_integer_commutator_matches_fraction_products(k, n, prime_config):
                 (k_operator(fam, z, i), k_operator(fam, z, j)),
                 (k_operator(fam, z, i), k_operator(fam, other, j)),
             ):
-                rows, den = _commutator_rows(_integer_rows(ki), _integer_rows(kj))
+                rows, den = _commutator_rows(ki, kj)
+                ki, kj = ki.dense(), kj.dense()
                 exact = [
                     [x - y for x, y in zip(r1, r2)]
                     for r1, r2 in zip(mat_mul(ki, kj), mat_mul(kj, ki))
@@ -112,7 +125,7 @@ def test_integer_commutator_matches_fraction_products(k, n, prime_config):
 
 
 def test_integer_rows_keep_the_matrix(fam_k2_n4):
-    mat = k_operator(fam_k2_n4, (F(0), F(1, 2), F(3), F(-7, 3)), 2)
+    mat = k_operator(fam_k2_n4, (F(0), F(1, 2), F(3), F(-7, 3)), 2).dense()
     rows, den = _integer_rows(mat)
     assert den == math.lcm(*(e.denominator for row in mat for e in row))
     assert _dense(rows, den, len(mat)) == mat
@@ -170,11 +183,13 @@ def test_weighted_euler(fam_k2_n4):
 def test_apply_matrix_matches_coordinates(fam_k1_n3, z_k1_n3):
     mat = k_operator(fam_k1_n3, z_k1_n3, 1)
     vec = v_vector(fam_k1_n3, (2,))
-    image = apply_matrix(fam_k1_n3, mat, vec)
     cols = vec.to_coordinates(fam_k1_n3.flag_index)
-    for p, subset in enumerate(fam_k1_n3.flag_index):
-        expect = sum(mat[p][q] * cols[q] for q in range(len(cols)))
-        assert image.get(subset) == expect
+    dense = mat.dense()
+    # the integer form and a caller's dense matrix give the same image
+    for image in (apply_matrix(fam_k1_n3, mat, vec), apply_matrix(fam_k1_n3, dense, vec)):
+        for p, subset in enumerate(fam_k1_n3.flag_index):
+            expect = sum(dense[p][q] * cols[q] for q in range(len(cols)))
+            assert image.get(subset) == expect
 
 
 def test_k_operator_preserves_singular(fam_k2_n5):
@@ -188,14 +203,19 @@ def test_k_operator_preserves_singular(fam_k2_n5):
 
 @pytest.mark.parametrize("k, n", [(1, 5), (2, 4), (3, 5)])
 def test_shared_k_operator_matches_a_fresh_build(k, n, prime_config):
+    # the integer rows over their denominator are K_j(z) exactly, against
+    # a sum of Fractions on a family that shares no table with it
     family = load_family(prime_config(k, n))
+    size = len(family.flag_index)
     for seed in range(3):
         z = sample_good_point(family, seed=seed).z
         fresh = load_family(prime_config(k, n))
         for j in range(1, n + 1):
             shared = fiber_k_operator(family, z, j)
             assert fiber_k_operator(family, list(z), j) is shared
-            assert [list(row) for row in shared] == k_operator(fresh, z, j)
+            assert _dense(shared.rows, shared.den, size) == _fraction_k_operator(fresh, z, j)
+            assert all(v for row in shared.rows for v in row.values())
+            assert math.gcd(shared.den, *(v for row in shared.rows for v in row.values())) == 1
 
 
 def test_shared_k_operator_cannot_be_changed(fam_k2_n4):
@@ -205,11 +225,75 @@ def test_shared_k_operator_cannot_be_changed(fam_k2_n4):
         shared[0][0] = F(1)
     with pytest.raises(TypeError):
         shared[0] = shared[1]
-    # k_operator itself still hands out a matrix of its own
+    q = next(iter(shared.rows[0]))
+    with pytest.raises(TypeError):
+        shared.rows[0][q] = 1
+    # k_operator itself builds a matrix of its own each time
     own = k_operator(fam_k2_n4, z, 2)
-    own[0][0] += 1
+    assert own is not shared and own == shared
     assert fiber_k_operator(fam_k2_n4, z, 2) is shared
-    assert [list(row) for row in shared] == k_operator(fam_k2_n4, z, 2)
+
+
+@pytest.mark.parametrize("k, n", [(1, 5), (2, 4), (3, 5)])
+def test_solver_reads_the_floats_of_the_exact_entries(k, n, prime_config, monkeypatch):
+    # int / int is correctly rounded: the floats solve_critical reads are
+    # float(Fraction) of the exact entries, bit for bit
+    read = []
+    floats = gaussmanin.IntegerMatrix.floats
+
+    def spy(mat):
+        out = floats(mat)
+        read.append(out)
+        return out
+
+    monkeypatch.setattr(gaussmanin.IntegerMatrix, "floats", spy)
+    family = load_family(prime_config(k, n))
+    for seed in range(2):
+        z = sample_good_point(family, seed=seed).z
+        read.clear()
+        solve_critical(family, z)
+        expect = [
+            np.array(_fraction_k_operator(family, z, j), dtype=float) for j in range(1, n + 1)
+        ]
+        assert len(read) == n
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(read, expect))
+
+
+def _corrupted_k_operator(monkeypatch, target):
+    """Make k_operator add 1 to the numerator of one off-diagonal entry of
+    K_target, as built for the per-fiber table."""
+    build = gaussmanin.k_operator
+
+    def corrupted(family, z, j):
+        mat = build(family, z, j)
+        if j != target:
+            return mat
+        rows = [dict(row) for row in mat.rows]
+        rows[0][1] = rows[0].get(1, 0) + 1
+        return gaussmanin.IntegerMatrix(tuple(rows), mat.den)
+
+    monkeypatch.setattr(gaussmanin, "k_operator", corrupted)
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (3, 5)])
+def test_one_corrupted_entry_fails_every_operator_identity(k, n, prime_config, monkeypatch):
+    family = load_family(prime_config(k, n))
+    z = sample_good_point(family, seed=1).z
+    _corrupted_k_operator(monkeypatch, target=2)
+    report = check_symmetry_and_invariance(family, z)
+    op = report["operators"][1]
+    assert not op["symmetric"] and not op["invariant"]
+    assert all(o["symmetric"] and o["invariant"] for o in report["operators"] if o["index"] != 2)
+    assert not check_flatness(family, z)["commutator_singular_exact_zero"]
+    assert weighted_euler_residual(family, z) > 0
+    assert not check_conformal_block(family, z)
+    # the same checks pass on a fiber built without the corruption
+    monkeypatch.undo()
+    clean = load_family(prime_config(k, n))
+    assert check_symmetry_and_invariance(clean, z)["passed"]
+    assert check_flatness(clean, z)["passed"]
+    assert weighted_euler_residual(clean, z) == 0
+    assert check_conformal_block(clean, z)
 
 
 # ---------------------------------------------------------------------------

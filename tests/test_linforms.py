@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from arrfrob.linforms import LinExpr, form_value, linear_form
+from arrfrob.linforms import FormTable, LinExpr, form_value, linear_form
 
 
 def _sym_of_form(form, zs):
@@ -12,13 +12,14 @@ def _sym_of_form(form, zs):
 
 
 def _sym_of_expr(expr, zs):
+    # term keys hold interned form ids; expr.forms gives their coefficients
     total = sympy.Integer(0)
     for (powers, logf), coef in expr.terms.items():
         term = sympy.Rational(coef.numerator, coef.denominator)
         for form, exp in powers:
-            term *= _sym_of_form(form, zs) ** exp
+            term *= _sym_of_form(expr.forms[form], zs) ** exp
         if logf is not None:
-            term *= sympy.log(_sym_of_form(logf, zs))
+            term *= sympy.log(_sym_of_form(expr.forms[logf], zs))
         total += term
     return total
 
@@ -103,3 +104,76 @@ def test_diff_path_commutes():
     for _ in range(10):
         expr = _random_expr(rng, 3, with_log=True)
         assert expr.diff_path((1, 2)).terms == expr.diff_path((2, 1)).terms
+
+
+def test_same_expression_built_in_two_orders_has_equal_terms():
+    rng = random.Random(41)
+    forms = FormTable()
+    coeffs = [
+        (F(rng.randint(1, 3)), F(rng.randint(-3, 3)), F(rng.randint(-3, 3))) for _ in range(4)
+    ]
+    m = [
+        LinExpr.monomial(F(i + 1, 3), {c: i - 1}, forms=forms)
+        for i, c in enumerate(coeffs)
+    ]
+    logged = LinExpr.monomial(F(2), {coeffs[0]: 2}, log_form=coeffs[1], forms=forms)
+    left = ((m[0] * m[1]) + m[2]) * m[3] + logged
+    right = logged + m[3] * (m[2] + m[1] * m[0])
+    assert left.terms == right.terms
+    assert left.diff(2).diff(3).terms == right.diff(3).diff(2).terms
+    # term keys hold interned ids, never the forms' rationals
+    for (powers, logform), _ in left.terms.items():
+        assert all(type(fid) is int and type(exp) is int for fid, exp in powers)
+        assert logform is None or type(logform) is int
+
+
+def test_expressions_of_two_families_do_not_mix():
+    from arrfrob.core import load_family
+    from arrfrob.frobenius import potential_quadratic_expr
+
+    weights = ["2", "3", "5", "7"]
+    a = load_family({"k": 2, "n": 4, "b": [[1, 0], [0, 1], [1, 1], [1, 2]], "weights": weights})
+    b = load_family({"k": 2, "n": 4, "b": [[1, 0], [0, 1], [1, 3], [2, 1]], "weights": weights})
+    pa, pb = potential_quadratic_expr(a), potential_quadratic_expr(b)
+    assert pa.forms is a.forms and pb.forms is b.forms
+    # the same ids name different forms in the two tables
+    assert a.forms[0] != b.forms[0]
+    z = (F(1), F(-2, 3), F(5), F(7, 2))
+    va, vb = pa.evaluate_exact(z), pb.evaluate_exact(z)
+    assert va != vb
+    size_b = len(b.forms)
+    assert (pa + pb).evaluate_exact(z) == va + vb
+    assert (pa - pb).evaluate_exact(z) == va - vb
+    assert (pa * pb).evaluate_exact(z) == va * vb
+    # combining re-interns into the left side's table; the other is untouched
+    assert len(b.forms) == size_b
+    assert pb.evaluate_exact(z) == vb
+    # each family keeps its form values in its own fiber entry
+    assert a.fiber_entry(z)[FormTable] != b.fiber_entry(z)[FormTable]
+
+
+def test_form_values_are_computed_once_per_fiber(monkeypatch):
+    import arrfrob.linforms as linforms
+
+    calls = []
+    real = linforms.form_value
+
+    def spy(form, z):
+        calls.append((form, tuple(z)))
+        return real(form, z)
+
+    monkeypatch.setattr(linforms, "form_value", spy)
+    forms = FormTable()
+    f, g = (F(1), F(2)), (F(-1), F(3))
+    expr = LinExpr.monomial(F(1, 2), {f: 2, g: -1}, forms=forms)
+    expr = expr + LinExpr.monomial(3, {g: 1}, forms=forms)
+    z, w = (F(1), F(1)), (F(2), F(-1, 3))
+    value = expr.evaluate_exact(z)
+    assert expr.evaluate_exact(z) == value == F(9, 2) / 2 + 6
+    assert sorted(calls) == sorted([(f, z), (g, z)])
+    # a form interned later is evaluated once, on first use at the fiber
+    h = (F(0), F(1))
+    later = LinExpr.monomial(1, {h: 3}, forms=forms)
+    assert later.evaluate_exact(z) == 1
+    assert expr.evaluate_exact(w) == expr.evaluate_exact(w)
+    assert sorted(calls) == sorted([(f, z), (g, z), (h, z), (f, w), (g, w), (h, w)])
