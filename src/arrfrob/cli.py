@@ -581,9 +581,16 @@ def _suite_periods(family, cfg):
     path = cfg.path if cfg.path is not None else _usable_path(family, cfg.seed + 13)
     kappa = cfg.kappa
     space = singular_subspace(family)
+    plus, minus = space.basis[0], space.basis[min(1, space.dimension - 1)]
     try:
+        # one transport carries every period row's sections and quadratures
+        run = frobenius.period_transport(family, path, kappa, plus, minus, v=plus)
+    except RuntimeError as exc:
+        _row(rows, "period-path", True, skip=True)
+        extra = {"note": f"path unusable: {exc}"}
+    else:
         tol = max(cfg.tol, 1e-6)
-        rep = frobenius.flat_period_check(family, path, tol=tol)
+        rep = frobenius.flat_period_check(family, path, plus, tol=tol, transport=run)
         _row(
             rows,
             "flat-period-increment",
@@ -591,9 +598,8 @@ def _suite_periods(family, cfg):
             residual=rep["abs_err"],
             tol=tol * rep["scale"],
         )
-        start_minus = space.basis[min(1, space.dimension - 1)]
         rep = frobenius.twisted_pairing_invariance(
-            family, path, kappa, space.basis[0], start_minus, tol=1e-6
+            family, path, kappa, plus, minus, tol=1e-6, transport=run
         )
         _row(
             rows,
@@ -602,7 +608,9 @@ def _suite_periods(family, cfg):
             residual=rep["drift"],
             tol=1e-6 * rep["scale"],
         )
-        rep = frobenius.twisted_period_relation(family, path, kappa, space.basis[0], tol=1e-5)
+        rep = frobenius.twisted_period_relation(
+            family, path, kappa, plus, tol=1e-5, transport=run
+        )
         _row(
             rows,
             "twisted-period-relation",
@@ -610,19 +618,22 @@ def _suite_periods(family, cfg):
             residual=rep["abs_err"],
             tol=1e-5 * rep["scale"],
         )
-        if family.k == 1:
-            rep = frobenius.twisted_closedness_k1(family, path[0], kappa, tol=1e-5)
+        extra = {"kappa": _num(kappa)}
+    if family.k == 1:
+        # an exact identity at the base fiber: no transport, so an unusable
+        # path leaves it standing unless the base fiber itself is bad
+        if is_good_fiber(family, path[0]):
+            rep = frobenius.twisted_closedness_k1(family, path[0])
             _row(
                 rows,
                 "twisted-period-closedness",
                 rep["passed"],
-                residual=rep["curl"],
-                tol=1e-5 * rep["scale"],
+                residual=rep["residual"],
+                witness={"z": _vector(path[0])},
             )
-    except RuntimeError as exc:
-        _row(rows, "period-path", True, skip=True)
-        return rows, {"note": f"path unusable: {exc}"}
-    return rows, {"kappa": _num(kappa)}
+        else:
+            _row(rows, "twisted-period-closedness", True, skip=True)
+    return rows, extra
 
 
 def _suite_strata(family, cfg):

@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import coords, per_family, per_fiber
-from .osflag import CoVector, singular_subspace, sort_with_sign
+from .osflag import CoVector, gram_v, singular_subspace, sort_with_sign
 
 
 # ---------------------------------------------------------------------------
@@ -643,15 +643,33 @@ def residue_gram(family, points, subsets):
     return gram, scale
 
 
+@per_family
+def _gram(family, T, U):
+    """S(v_T, v_U) (`osflag.gram_v`) of two sorted k-subsets, once per
+    family and pair; it does not depend on the fiber."""
+    return gram_v(family, T, U)
+
+
+def _sorted_terms(vec):
+    """The coefficients of a w-vector over sorted subsets, with the sign of
+    each sort applied."""
+    out = {}
+    for T, coef in vec.items():
+        key, sign = sort_with_sign(tuple(T))
+        if sign:
+            out[key] = out.get(key, 0) + sign * coef
+    return out
+
+
 def structural_pairing(family, x, y):
     """(-1)^k S(nu x, nu y) with nu the w-to-v coordinate identification;
-    fiber-independent by construction."""
-    from .osflag import gram_v
-
+    fiber-independent by construction, and read from one table of
+    S(v_T, v_U) over sorted subsets per family (`_gram`)."""
+    right = _sorted_terms(y)
     total = Fraction(0)
-    for T, ct in x.items():
-        for U, cu in y.items():
-            g = gram_v(family, T, U)
+    for T, ct in _sorted_terms(x).items():
+        for U, cu in right.items():
+            g = _gram(family, T, U)
             if g:
                 total += ct * cu * g
     return total if family.k % 2 == 0 else -total

@@ -27,19 +27,19 @@ exact fiber, in that fiber's entry of the family (`core.per_fiber`), by
 `contravariant_compositions` does not read the fiber and is decided once
 per family.
 
-The period checks integrate S(., nu[a_i/f_i]) dz_i along transported flat
-sections. nu[a_i/f_i] is a polynomial of degree k - 1 in the fiber, so
-its coefficients are tabulated once per family (`_generator_table`) and
-each integrator stage evaluates all generators with one contraction. The
-period rows and the strata limit compare their residuals with a tolerance
-times the size of the terms they compare, and the transport guard and
-the strata offset step are relative to the fiber's own circuit values, so
-no verdict depends on the units of the fiber or the weights.
+The period rows share one transport (`period_transport`): the sections of
+slopes kappa and -kappa and the flat and twisted quadratures of
+S(., nu[a_i/f_i]) dz_i in one integrator run. nu[a_i/f_i] is a polynomial
+of degree k - 1 in the fiber, tabulated once per family, exactly
+(`_exact_generators`) and as floats (`_generator_table`). For k = 1 the
+closedness of the twisted period covector is an exact identity at the
+base fiber (`twisted_closedness_k1`), with no transport. The numeric rows
+compare residuals with a tolerance times the size of the terms compared,
+so no verdict depends on the units of the fiber or the weights.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from collections import Counter
@@ -48,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import critalg, gaussmanin, linalg
-from .core import ConfigError, coords, f_c_value, is_good_fiber
+from .core import coords, f_c_value, is_good_fiber
 from .core import ArrangementFamily, per_family
 from .linforms import LinExpr
 from .osflag import (
@@ -57,7 +57,6 @@ from .osflag import (
     contravariant_pairing,
     max_abs_diff,
     singular_subspace,
-    sort_with_sign,
     v_vector,
     weight_product,
 )
@@ -673,31 +672,41 @@ def eta_and_beta(family, z, anchor=None, analytic=False):
 
 
 @per_family
-def _generator_table(family, anchor):
-    """nu([a_i/f_i]) as a polynomial in the fiber, tabulated once.
-
-    For k >= 2 the generator is padded with k - 1 factors of the unit
-    (1/|a|) sum_j z_j [a_j/f_j], so nu([a_i/f_i]) is homogeneous of degree
-    k - 1 in z; for k = 1 it is constant. Returns the degree-(k-1)
-    monomials as an (M, k-1) array of 0-based coordinate indices and the
-    complex table P[i, flag, m] of their coefficient vectors, each built
-    exactly through reduce_to_w_basis and nu (never from q, whose increment
-    the period rows compare against)."""
+def _exact_generators(family, anchor):
+    """nu([a_i/f_i]) as a polynomial in the fiber, exactly: the degree-(k-1)
+    monomials (tuples of 1-based coordinate indices) and, for each i, the
+    FlagVector coefficient of each. For k >= 2 the generator is padded with
+    k - 1 factors of the unit (1/|a|) sum_j z_j [a_j/f_j], so it is
+    homogeneous of degree k - 1; for k = 1 it is constant. Built through
+    reduce_to_w_basis and nu, never from q, whose increment the period rows
+    compare against."""
     n, k = family.n, family.k
-    index = family.flag_index
     monos = list(itertools.combinations_with_replacement(range(1, n + 1), k - 1))
     scale = Fraction(1) / family.weight_sum ** (k - 1)
-    table = np.zeros((n, len(index), len(monos)), dtype=complex)
-    for m, mono in enumerate(monos):
+    gens = [[] for _ in range(n)]
+    for mono in monos:
         # every ordering of the padding factors gives the same monomial
         orderings = math.factorial(k - 1)
         for count in Counter(mono).values():
             orderings //= math.factorial(count)
         for i in range(1, n + 1):
             wvec = critalg.reduce_to_w_basis(family, Counter((i,) + mono), anchor)
-            vec = alpha_structural(family, wvec * (scale * orderings))
-            table[i - 1, :, m] = [complex(vec.get(T)) for T in index]
-    idx = np.array(monos, dtype=int).reshape(len(monos), k - 1) - 1
+            gens[i - 1].append(alpha_structural(family, wvec * (scale * orderings)))
+    return monos, gens
+
+
+@per_family
+def _generator_table(family, anchor):
+    """`_exact_generators` as floats for the integrator: the monomials as an
+    (M, k-1) array of 0-based coordinate indices and the complex table
+    P[i, flag, m] of their coefficient vectors."""
+    monos, gens = _exact_generators(family, anchor)
+    index = family.flag_index
+    table = np.array(
+        [[[complex(vec.get(T)) for vec in row] for T in index] for row in gens],
+        dtype=complex,
+    )
+    idx = np.array(monos, dtype=int).reshape(len(monos), family.k - 1) - 1
     return idx, table
 
 
@@ -708,7 +717,44 @@ def _generator_sections(family, z, anchor):
     return table @ np.prod(np.asarray(z)[idx], axis=1)
 
 
-def flat_period_check(family, path, v=None, tol=1e-6, rtol=1e-10, anchor=None):
+@per_family
+def _flag_weights(family):
+    """The weight form prod_{j in T} a_j over the flag positions, complex."""
+    return np.array([complex(weight_product(family, T)) for T in family.flag_index])
+
+
+def _flag_array(family, vec):
+    return np.array([complex(vec.get(T)) for T in family.flag_index], dtype=complex)
+
+
+def period_transport(family, path, kappa=None, start_plus=None, start_minus=None, v=None,
+                     rtol=1e-10, anchor=None):
+    """One `flow_flat_section` run for every period row. It carries the
+    slope-kappa section from start_plus, the slope -kappa section from
+    start_minus, and two quadratures, each stage evaluating the generators
+    once: extras[0] of S(v, nu[a_i/f_i]) dz_i and extras[1] of
+    S(I, nu[a_i/f_i]) dz_i for the slope-kappa section I (0 without v or I).
+    The period checks read their part of such a run passed as `transport`,
+    and run their own otherwise."""
+    if anchor is None:
+        anchor = critalg.default_anchor(family)
+    weights = _flag_weights(family)
+    fixed = 0 * weights if v is None else gaussmanin.pairing_functional(family, v)
+    blocks = [(sign * kappa, start) for sign, start in ((1, start_plus), (-1, start_minus))
+              if start is not None]
+
+    def integrand(s, z, zdot, sections):
+        along = zdot @ _generator_sections(family, z, anchor)
+        plus = 0 * weights if start_plus is None else sections[0] * weights
+        return [fixed @ along, plus @ along]
+
+    return gaussmanin.flow_flat_section(
+        family, path, tuple(k for k, _ in blocks), tuple(x for _, x in blocks), rtol=rtol,
+        extras=[integrand],
+    )
+
+
+def flat_period_check(family, path, v=None, tol=1e-6, rtol=1e-10, anchor=None, transport=None):
     """Quadrature of the covector S(v, nu gen_i) dz_i along a path against
     the scaled increment (|a|/k) [S(v, q)] between the endpoints. The error
     is compared with tol times `scale`, the sum of the absolute terms of the
@@ -718,37 +764,19 @@ def flat_period_check(family, path, v=None, tol=1e-6, rtol=1e-10, anchor=None):
         v = singular_subspace(family).basis[0]
     if anchor is None:
         anchor = critalg.default_anchor(family)
-    index = family.flag_index
-    weights = np.array(
-        [complex(weight_product(family, T)) for T in index], dtype=complex
-    )
-    vcoords = np.array([complex(v.get(T)) for T in index], dtype=complex)
-    fixed = vcoords * weights
-
-    def integrand(s, z, zdot, flag):
-        gens = _generator_sections(family, z, anchor)
-        total = 0j
-        for i in range(family.n):
-            if zdot[i] == 0:
-                continue
-            total += zdot[i] * np.dot(fixed, gens[i])
-        return total
-
-    zero = FlagVector()
-    result = gaussmanin.flow_flat_section(
-        family, path, 1.0, zero, rtol=rtol, extras=[integrand]
-    )
-    quad = result.extras[0]
-    q0 = period_map(family, list(coords(path[0])), anchor)
-    q1 = period_map(family, list(coords(path[-1])), anchor)
+    if transport is None:
+        transport = period_transport(family, path, v=v, rtol=rtol, anchor=anchor)
+    quad = transport.extras[0]
+    fixed = gaussmanin.pairing_functional(family, v)
+    q0 = period_map(family, path[0], anchor)
+    q1 = period_map(family, path[-1], anchor)
     factor = complex(Fraction(family.weight_sum, family.k))
     delta = factor * (
         complex(contravariant_pairing(v, q1, family))
         - complex(contravariant_pairing(v, q0, family))
     )
     scale = abs(factor) * sum(
-        float(np.sum(np.abs(fixed * [complex(q.get(T)) for T in index])))
-        for q in (q0, q1)
+        float(np.sum(np.abs(fixed * _flag_array(family, q)))) for q in (q0, q1)
     )
     err = abs(quad - delta)
     return {
@@ -760,44 +788,25 @@ def flat_period_check(family, path, v=None, tol=1e-6, rtol=1e-10, anchor=None):
     }
 
 
-def twisted_pairing_invariance(family, path, kappa, start_plus, start_minus, rtol=1e-10, tol=1e-6):
+def twisted_pairing_invariance(family, path, kappa, start_plus, start_minus, rtol=1e-10, tol=1e-6,
+                               transport=None):
     """Transport sections of slopes kappa and -kappa along the same path;
     their pairing must stay constant at every waypoint. The drift is
     compared with tol times `scale`, the largest sum of the pairing's terms
     |w_T plus_T minus_T| over the waypoints, so the verdict does not depend
     on the units of the weights or the sections."""
-    index = family.flag_index
-    weights = np.array(
-        [complex(weight_product(family, T)) for T in index], dtype=complex
-    )
-    plus = np.array(
-        [complex(c) for c in start_plus.to_coordinates(index)], dtype=complex
-    )
-    minus = np.array(
-        [complex(c) for c in start_minus.to_coordinates(index)], dtype=complex
-    )
-    values = [np.dot(plus * weights, minus)]
-    scale = np.sum(np.abs(plus * weights * minus))
-    for a, b in zip(path[:-1], path[1:]):
-        rp = gaussmanin.flow_flat_section(
-            family, [a, b], kappa, list(plus), rtol=rtol
-        )
-        rm = gaussmanin.flow_flat_section(
-            family, [a, b], -kappa, list(minus), rtol=rtol
-        )
-        plus = np.array(
-            [complex(c) for c in rp.section.to_coordinates(index)], dtype=complex
-        )
-        minus = np.array(
-            [complex(c) for c in rm.section.to_coordinates(index)], dtype=complex
-        )
-        values.append(np.dot(plus * weights, minus))
-        scale = max(scale, np.sum(np.abs(plus * weights * minus)))
+    if transport is None:
+        transport = period_transport(family, path, kappa, start_plus, start_minus, rtol=rtol)
+    weights = _flag_weights(family)
+    terms = [plus * weights * minus for plus, minus, *_ in transport.waypoints]
+    values = [np.sum(t) for t in terms]
+    scale = max(np.sum(np.abs(t)) for t in terms)
     drift = max(abs(v - values[0]) for v in values)
     return {"values": values, "drift": drift, "scale": scale, "passed": drift <= tol * scale}
 
 
-def twisted_period_relation(family, path, kappa, start, rtol=1e-10, tol=1e-6, anchor=None):
+def twisted_period_relation(family, path, kappa, start, rtol=1e-10, tol=1e-6, anchor=None,
+                            transport=None):
     """Transport a twisted section and compare the quadrature of its period
     covector with the scaled increment of S(I, q). The error is compared
     with tol times `scale`, the sum of the absolute terms |w_T I_T q_T| of
@@ -810,42 +819,23 @@ def twisted_period_relation(family, path, kappa, start, rtol=1e-10, tol=1e-6, an
         raise ValueError("slope -|a|/k degenerates the period relation")
     if anchor is None:
         anchor = critalg.default_anchor(family)
-    index = family.flag_index
-    weights = np.array(
-        [complex(weight_product(family, T)) for T in index], dtype=complex
-    )
-
-    def integrand(s, z, zdot, flag):
-        gens = _generator_sections(family, z, anchor)
-        total = 0j
-        for i in range(family.n):
-            if zdot[i] == 0:
-                continue
-            total += zdot[i] * np.dot(flag * weights, gens[i])
-        return total
-
-    result = gaussmanin.flow_flat_section(
-        family, path, kappa, start, rtol=rtol, extras=[integrand]
-    )
-    end_coords = np.array(
-        [complex(c) for c in result.section.to_coordinates(index)], dtype=complex
-    )
-    start_coords = np.array(
-        [complex(c) for c in start.to_coordinates(index)], dtype=complex
-    )
-    q0 = period_map(family, list(coords(path[0])), anchor)
-    q1 = period_map(family, list(coords(path[-1])), anchor)
-    q0c = np.array([complex(q0.get(T)) for T in index], dtype=complex)
-    q1c = np.array([complex(q1.get(T)) for T in index], dtype=complex)
+    if transport is None:
+        transport = period_transport(family, path, kappa, start, rtol=rtol, anchor=anchor)
+    weights = _flag_weights(family)
+    start_coords = transport.waypoints[0][0]
+    end_coords = transport.waypoints[-1][0]
+    q0c = _flag_array(family, period_map(family, path[0], anchor))
+    q1c = _flag_array(family, period_map(family, path[-1], anchor))
     delta = np.dot(end_coords * weights, q1c) - np.dot(start_coords * weights, q0c)
     scale = float(
         np.sum(np.abs(end_coords * weights * q1c))
         + np.sum(np.abs(start_coords * weights * q0c))
     )
-    err = abs(delta - factor * result.extras[0])
+    quad = transport.extras[1]
+    err = abs(delta - factor * quad)
     return {
         "increment": delta,
-        "quadrature": result.extras[0],
+        "quadrature": quad,
         "factor": factor,
         "abs_err": err,
         "scale": scale,
@@ -853,53 +843,38 @@ def twisted_period_relation(family, path, kappa, start, rtol=1e-10, tol=1e-6, an
     }
 
 
-def twisted_closedness_k1(family, z0, kappa, h=1e-4, rtol=1e-10, tol=1e-5):
-    """Cross-difference the twisted period covector around a base fiber:
-    for one-dimensional arrangements the form is closed, so the estimated
-    curl components must vanish. The stencil step is h times the coordinate
-    distance from z0 to the nearest hyperplane of the discriminant, and the
-    curl is compared with tol times `scale`, the largest sum of the two
-    derivatives it subtracts, |d_i psi_j| + |d_j psi_i|, so the verdict does
-    not depend on the units of the fiber."""
+def twisted_closedness_k1(family, z0):
+    """Closedness of the twisted period covector psi_i = S(I, g_i),
+    g_i = nu([a_i/f_i]), of a one-dimensional arrangement, exactly at z0.
+    For k = 1 the g_i are constant and kappa d_j I = K_j I, so the covector
+    is closed iff S(K_j b, g_i) = S(K_i b, g_j) for every singular basis
+    vector b and i < j. Both sides are formed in integers from
+    `gaussmanin.fiber_k_operator` and `_exact_generators`, without the
+    S-symmetry of K_j; the residual is the largest difference, exactly."""
     if family.k != 1:
-        raise ValueError("closedness stencil implemented for k = 1")
-    if kappa == Fraction(family.weight_sum, family.k):
-        raise ValueError("slope |a|/k is excluded for twisted periods")
-    index = family.flag_index
-    weights = np.array(
-        [complex(weight_product(family, T)) for T in index], dtype=complex
+        raise ValueError("closedness identity implemented for k = 1")
+    zz = coords(z0)
+    _, gens = _exact_generators(family, critalg.default_anchor(family))
+    weights = [weight_product(family, T) for T in family.flag_index]
+    # S(x, g_i) = sum_p x_p covectors[i][p] / cov_den
+    covectors, cov_den = gaussmanin._integer_rows(
+        [[w * g.get(T) for w, T in zip(weights, family.flag_index)] for (g,) in gens]
     )
-    z0 = [complex(v) for v in coords(z0)]
-    gens = _generator_sections(family, z0, critalg.default_anchor(family))
-    start = singular_subspace(family).basis[0]
-    step = h * min(
-        abs(f_c_value(c, z0)) / float(max(abs(lam) for lam in c.lam))
-        for c in family.circuit_list
-    )
-
-    def psi_at(zstar):
-        res = gaussmanin.flow_flat_section(family, [z0, zstar], kappa, start, rtol=rtol)
-        flag = np.array(
-            [complex(c) for c in res.section.to_coordinates(index)], dtype=complex
-        )
-        return [np.dot(flag * weights, g) for g in gens]
-
-    worst = scale = 0.0
-    for i, j in itertools.combinations(range(family.n), 2):
-        def shifted(axis, sign):
-            z = list(z0)
-            z[axis] = z[axis] + sign * step
-            return z
-
-        psi_ip = psi_at(shifted(i, +1))
-        psi_im = psi_at(shifted(i, -1))
-        psi_jp = psi_at(shifted(j, +1))
-        psi_jm = psi_at(shifted(j, -1))
-        di_psi_j = (psi_ip[j] - psi_im[j]) / (2 * step)
-        dj_psi_i = (psi_jp[i] - psi_jm[i]) / (2 * step)
-        worst = max(worst, abs(di_psi_j - dj_psi_i))
-        scale = max(scale, abs(di_psi_j) + abs(dj_psi_i))
-    return {"curl": worst, "scale": scale, "passed": worst <= tol * scale}
+    basis, _ = gaussmanin._integer_sing(family)
+    mats = [gaussmanin.fiber_k_operator(family, zz, j) for j in range(1, family.n + 1)]
+    worst = Fraction(0)
+    for values, vec_den in basis:
+        # (K_j b)_p is images[j][p] / (mats[j].den * vec_den)
+        images = [
+            dict(enumerate(gaussmanin._dot(row, values) for row in mat.rows)) for mat in mats
+        ]
+        for i, j in itertools.combinations(range(family.n), 2):
+            lhs = gaussmanin._dot(covectors[i], images[j]) * mats[i].den
+            rhs = gaussmanin._dot(covectors[j], images[i]) * mats[j].den
+            if lhs != rhs:
+                den = mats[i].den * mats[j].den * vec_den * cov_den
+                worst = max(worst, Fraction(abs(lhs - rhs), den))
+    return {"residual": worst, "passed": worst == 0}
 
 
 # ---------------------------------------------------------------------------

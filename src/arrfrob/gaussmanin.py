@@ -2,34 +2,27 @@
 
 For each circuit C the operator L_C acts on the standard flag basis, and
 the connection operators are K_j(z) = sum_C (lambda_j^C / f_C(z)) L_C.
-The entries of L_C are tabulated once per family in flag positions
-(`_l_c_entries`, and as integers over the weights' denominator in
-`_l_c_integer`); `_sum_l_c` sums scaled L_C into a dense matrix of
-Fractions, LinExprs or complex numbers: the minor form of K_j, the
-symbolic K_j entries and the curl's closed form, and the complex arrays
-of the integrator.
-Flat sections of slope kappa solve kappa dI/dz_j = K_j(z) I; transported
-along a path they stay inside the singular subspace and pair invariantly.
+L_C is tabulated once per family in flag positions (`_l_c_entries`, and
+over the weights' denominator in `_l_c_integer`); `_sum_l_c` sums scaled
+L_C into a dense matrix of Fractions, LinExprs or complex numbers.
 
-Everything fiber-exact here is exact, and its kernels run on integers.
-`k_operator` assembles K_j(z) directly as an `IntegerMatrix`, sparse rows
-of integer numerators over one common denominator, from the circuit
-values f_C(z), computed once per circuit and fiber. `fiber_k_operator`
-keeps one such matrix per (fiber, j) in the fiber's entry of the family
-(`core.per_fiber`), and every operator identity at the fiber reads it:
-the commutators [K_i, K_j] on the singular subspace, the S-symmetry, the
-invariance of Sing (integer singular basis against integer singular
-conditions), the weighted Euler identity and the conformal-block
-equations, all in integer arithmetic; `critalg.solve_critical` reads its
-floats. The public residual functions also take a caller's dense matrix.
-The derivatives of the block section q come from a per-family table of
-expressions (`frobenius.conformal_block_derivative_exprs`). The curl side
-of flatness is certified once per family: the symbolic differences
-between d_i K_j and the closed form are formed per family
-(`_curl_defects`), a flat family has none, and only a nonzero one is
-evaluated at a fiber. Transport is an adaptive embedded Runge-Kutta
-integrator over the circuit data; it stops where min_C |f_C| falls below
-1e-6 of max_C |f_C|, a guard that does not depend on the fiber's units.
+Exact checks run on integers. `k_operator` assembles K_j(z) as an
+`IntegerMatrix`, sparse integer rows over one denominator, from the
+circuit values f_C(z), computed once per circuit and fiber.
+`fiber_k_operator` keeps one per (fiber, j) in the fiber's entry of the
+family (`core.per_fiber`); the commutators on Sing, the S-symmetry, Sing
+invariance, the weighted Euler identity, the conformal-block equations
+and `critalg.solve_critical` all read it. The curl side of flatness is
+certified once per family: a flat family has no nonzero symbolic
+difference between d_i K_j and its closed form (`_curl_defects`).
+
+`flow_flat_section` is the one transport: an adaptive Dormand-Prince
+integrator of kappa dI = (sum_j K_j dz_j) I along a piecewise-linear path.
+It carries one section, or several of different slopes, with path
+quadratures; each stage forms sum_C (lambda_C . zdot / f_C) L_C once from
+circuit values precomputed per segment. Each section and each quadrature
+has its own error scale. It stops where min_C |f_C| falls below 1e-6 of
+max_C |f_C|, a guard that does not depend on the fiber's units.
 """
 
 from __future__ import annotations
@@ -48,7 +41,6 @@ from .core import coords, f_c_value, per_family, per_fiber
 from .linforms import LinExpr, linear_form
 from .osflag import (
     FlagVector,
-    contravariant_pairing,
     singular_subspace,
     sort_with_sign,
     weight_product,
@@ -503,16 +495,20 @@ def weighted_euler_residual(family, z):
 
 @per_family
 def _circuit_arrays(family):
-    """The circuit forms' z-coefficients and the L_C as complex arrays."""
+    """The circuit forms' z-coefficients and the L_C, flattened to
+    (circuits, dim * dim), as complex arrays."""
     circuits = family.circuit_list
     lams = [[complex(c.coefficient(i)) for i in range(1, family.n + 1)] for c in circuits]
     ops = [_sum_l_c(family, [(c.indices, 1)], 0j) for c in circuits]
-    return np.array(lams, dtype=complex), np.array(ops, dtype=complex)
+    size = len(family.flag_index)
+    return np.array(lams, dtype=complex), np.array(ops, dtype=complex).reshape(len(ops), size * size)
 
 
-# Dormand-Prince embedded pair
+# Dormand-Prince embedded pair. The last row of _DP_A is the fifth-order
+# weights, so the seventh stage, taken at the new state, is the first stage
+# of the next step on the same segment.
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
+_DP_A = np.array([row + (0.0,) * (7 - len(row)) for row in (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -520,26 +516,28 @@ _DP_A = (
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (
-    5179 / 57600,
-    0.0,
-    7571 / 16695,
-    393 / 640,
-    -92097 / 339200,
-    187 / 2100,
-    1 / 40,
-)
+)])
+# fifth-order minus fourth-order weights: the embedded error estimate
+_DP_E = _DP_A[6] - (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100,
+                    1 / 40)
 
 
 @dataclass
 class FlowResult:
-    section: FlagVector
+    """Quadratures, step counts, trajectory, the sections at each waypoint
+    as (sections, dim) arrays, and the flag subsets."""
+
     extras: tuple
     steps: int
     rejected: int
     trajectory: list
+    waypoints: list
+    subsets: tuple
+
+    @property
+    def section(self):
+        """The first section at the end of the path."""
+        return FlagVector.from_coordinates(self.subsets, self.waypoints[-1][0])
 
 
 def flow_flat_section(
@@ -555,109 +553,113 @@ def flow_flat_section(
     record=False,
     max_steps=200_000,
 ):
-    """Transport a section along a piecewise-linear path in fiber space,
+    """Transport flat sections along a piecewise-linear path in fiber space,
     solving kappa dI = (sum_j K_j dz_j) I with adaptive step control.
 
-    extras: optional callables g(s, z, zdot, I) -> complex appended to the
-    state as path quadratures. The integrator aborts if the path comes
-    within `guard` of the discriminant, relative to the fiber's own size
-    (min_C |f_C(z)| < guard * max_C |f_C(z)|), or the step size underflows.
+    kappa and start are one slope and its start vector (a FlagVector or
+    coordinates), or equal-length tuples of them carried in one run.
+    extras: callables g(s, z, zdot, I) -> complex or 1-D array, integrated
+    as quadratures; I is the section, or the (sections, dim) array. Each
+    section and quadrature has its own error scale. The integrator aborts
+    if the path comes within `guard` of the discriminant, relative to the
+    fiber's own size (min_C |f_C(z)| < guard * max_C |f_C(z)|), or the step
+    size underflows.
     """
-    kappa = complex(kappa)
-    if kappa == 0:
+    several = isinstance(kappa, (tuple, list))
+    slopes = np.array(kappa if several else [kappa], dtype=complex).reshape(-1, 1)
+    starts = [v.to_coordinates(family.flag_index) if isinstance(v, FlagVector) else v
+              for v in (start if several else [start])]
+    if not slopes.all():
         raise ValueError("slope kappa must be nonzero")
     waypoints = [np.array([complex(v) for v in coords(p)]) for p in path]
     if len(waypoints) < 2:
         raise ValueError("path needs at least two fiber points")
-    index = family.flag_index
-    dim = len(index)
+    count, dim = len(slopes), len(family.flag_index)
+    size = count * dim
+    if len(starts) != count:
+        raise ValueError("need one start vector per slope")
+    y = np.zeros((count, dim), dtype=complex)
+    for row, values in zip(y, starts):
+        # reshape raises ValueError on a start of the wrong dimension
+        row[:] = np.reshape(np.array(values, dtype=complex), dim)
+    y = y.reshape(size)
     lams, ops = _circuit_arrays(family)
     extras = tuple(extras or ())
-    if isinstance(start, FlagVector):
-        y_flag = np.array(
-            [complex(c) for c in start.to_coordinates(index)], dtype=complex
-        )
-    else:
-        y_flag = np.array([complex(c) for c in start], dtype=complex)
-        if y_flag.shape != (dim,):
-            raise ValueError("start vector has the wrong dimension")
-    y = np.concatenate([y_flag, np.zeros(len(extras), dtype=complex)])
+    nodes = [y.reshape(count, dim).copy()]
     nseg = len(waypoints) - 1
     trajectory = []
     steps = rejected = 0
+    stages = None
 
-    def derivative(z, zdot, s, state):
-        fvals = lams @ z
+    def block_max(v):  # max |v| of each section and each quadrature
+        a = np.abs(v)
+        return np.concatenate((a[:size].reshape(count, dim).max(axis=1), a[size:]))
+
+    # reads the segment data (z0, step_z, zdot, alpha, beta, rate) of the
+    # segment being integrated
+    def derivative(u, s, state):
+        fvals = alpha + u * beta
         sizes = np.abs(fvals)
-        if np.min(sizes) < guard * np.max(sizes):
+        z = z0 + u * step_z
+        if sizes.min() < guard * sizes.max():
             raise RuntimeError(
                 f"path within a relative {guard} of the discriminant at s={s:.6f}, "
                 f"z={[complex(v) for v in z]}"
             )
-        coefs = (lams @ zdot) / fvals
-        mat = np.tensordot(coefs, ops, axes=1)
-        flag = state[:dim]
-        out = np.empty_like(state)
-        out[:dim] = mat @ flag / kappa
-        for e, fn in enumerate(extras):
-            out[dim + e] = fn(s, z, zdot, flag)
-        return out
+        mat = ((rate / fvals) @ ops).reshape(dim, dim)
+        flags = state[:size].reshape(count, dim)
+        parts = [((mat @ flags.T).T / slopes).reshape(size)]
+        sections = flags if several else flags[0]
+        parts.extend(np.atleast_1d(fn(s, z, zdot, sections)) for fn in extras)
+        return np.concatenate(parts)
 
     if record:
-        trajectory.append(_trajectory_row(0.0, waypoints[0], y[:dim]))
+        trajectory.append(_trajectory_row(0.0, waypoints[0], y[:size]))
     for seg in range(nseg):
-        z0, z1 = waypoints[seg], waypoints[seg + 1]
-        zdot = (z1 - z0) * nseg  # d z / d s with s spanning 1/nseg per segment
+        z0 = waypoints[seg]
+        step_z = waypoints[seg + 1] - z0
+        zdot = step_z * nseg  # d z / d s with s spanning 1/nseg per segment
+        alpha, beta, rate = lams @ z0, lams @ step_z, lams @ zdot
         s0, s1 = seg / nseg, (seg + 1) / nseg
         seg_len = s1 - s0
         s = s0
         h = seg_len / 32
+        first = derivative(0.0, s, y)
+        if stages is None:
+            y = np.concatenate((y, np.zeros(len(first) - size, dtype=complex)))
+            stages = np.empty((7, len(y)), dtype=complex)
+        stages[0] = first
         while s < s1 - 1e-15:
             h = min(h, s1 - s)
             if h < seg_len * 1e-13:
-                zc = z0 + (s - s0) * nseg * (z1 - z0)
+                zc = z0 + (s - s0) * nseg * step_z
                 raise RuntimeError(
                     f"step size underflow at s={s:.8f}, z={[complex(v) for v in zc]}"
                 )
             if steps + rejected > max_steps:
                 raise RuntimeError("transport exceeded the step budget")
-            ks = []
-            for stage in range(7):
+            for stage in range(1, 7):
                 ss = s + _DP_C[stage] * h
-                ys = y.copy()
-                for w, kv in zip(_DP_A[stage], ks):
-                    ys += h * w * kv
-                zc = z0 + (ss - s0) * nseg * (z1 - z0)
-                ks.append(derivative(zc, zdot, ss, ys))
-            y5 = y.copy()
-            y4 = y.copy()
-            for w5, w4, kv in zip(_DP_B5, _DP_B4, ks):
-                if w5:
-                    y5 += h * w5 * kv
-                if w4:
-                    y4 += h * w4 * kv
-            scale = atol + rtol * max(np.max(np.abs(y)), np.max(np.abs(y5)))
-            err = np.max(np.abs(y5 - y4)) / scale
+                ys = y + (h * _DP_A[stage, :stage]) @ stages[:stage]
+                stages[stage] = derivative((ss - s0) * nseg, ss, ys)
+            # ys is now the fifth-order solution at s + h
+            error = block_max(h * (_DP_E @ stages))
+            scale = atol + rtol * np.maximum(block_max(y), block_max(ys))
+            err = np.max(error / scale)
             if err <= 1.0:
                 s += h
-                y = y5
+                y = ys
+                stages[0] = stages[6]
                 steps += 1
                 if record:
-                    zc = z0 + (s - s0) * nseg * (z1 - z0)
-                    trajectory.append(_trajectory_row(s, zc, y[:dim]))
+                    zc = z0 + (s - s0) * nseg * step_z
+                    trajectory.append(_trajectory_row(s, zc, y[:size]))
             else:
                 rejected += 1
             factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
             h *= min(5.0, max(0.2, factor))
-    section = FlagVector.from_coordinates(index.subsets, list(y[:dim]))
-    section.coeffs = {k: v for k, v in section.coeffs.items() if v != 0}
-    return FlowResult(
-        section=section,
-        extras=tuple(y[dim:]),
-        steps=steps,
-        rejected=rejected,
-        trajectory=trajectory,
-    )
+        nodes.append(y[:size].reshape(count, dim).copy())
+    return FlowResult(tuple(y[size:]), steps, rejected, trajectory, nodes, family.flag_index.subsets)
 
 
 def _trajectory_row(s, z, flag):
@@ -671,13 +673,8 @@ def _trajectory_row(s, z, flag):
 def pairing_functional(family, vec):
     """Constant data for fast S(vec, .) evaluation along a flow: weights of
     the diagonal form folded into the fixed argument's coordinates."""
-    index = family.flag_index
     return np.array(
-        [
-            complex(vec.get(T)) * complex(weight_product(family, T))
-            for T in index
-        ],
-        dtype=complex,
+        [complex(vec.get(T)) * complex(weight_product(family, T)) for T in family.flag_index]
     )
 
 

@@ -387,6 +387,22 @@ def test_structural_matches_analytic_pairing(fam_k2_n4):
             assert abs(exact - analytic) < 1e-8
 
 
+@pytest.mark.parametrize("fixture", ["fam_k2_n4", "fam_k3_n5"])
+def test_gram_table_matches_gram_v(fixture, request):
+    from arrfrob.osflag import gram_v
+
+    fam = request.getfixturevalue(fixture)
+    sign = 1 if fam.k % 2 == 0 else -1
+    tuples = list(itertools.permutations(range(1, fam.n + 1), fam.k))
+    for T in tuples:
+        for U in tuples:
+            g = gram_v(fam, T, U)
+            if T == tuple(sorted(T)) and U == tuple(sorted(U)):
+                assert critalg._gram(fam, T, U) == g
+            # unsorted keys read the table with the signs of their sorts
+            assert structural_pairing(fam, CoVector.basis(T), CoVector.basis(U)) == sign * g
+
+
 def test_evaluation_matrix_invertible(fam_k2_n4):
     z = (F(0), F(1), F(3), F(7))
     pts = solve_critical(fam_k2_n4, z)

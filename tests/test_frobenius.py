@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -321,8 +322,83 @@ def test_twisted_relation_rejects_special_slopes(fam_k2_n4, z_k2_n4):
 
 
 def test_twisted_closedness_k1(fam_k1_n3, z_k1_n3):
-    rep = fro.twisted_closedness_k1(fam_k1_n3, z_k1_n3, F(7, 2), h=1e-4, tol=1e-5)
+    rep = fro.twisted_closedness_k1(fam_k1_n3, z_k1_n3)
     assert rep["passed"]
+    assert rep["residual"] == 0
+
+
+def _closedness(family, seed=1):
+    """twisted_closedness_k1 at the base fiber of the periods suite's path."""
+    from arrfrob import cli
+
+    return fro.twisted_closedness_k1(family, cli._usable_path(family, seed + 13)[0])
+
+
+def test_closedness_fails_when_one_generator_is_doubled(prime_config):
+    assert _closedness(load_family(prime_config(1, 5)))["passed"]
+    for i in range(5):
+        family = load_family(prime_config(1, 5))
+        _, gens = fro._exact_generators(family, critalg.default_anchor(family))
+        (g,) = gens[i]
+        g.coeffs = {T: 2 * c for T, c in g.coeffs.items()}
+        rep = _closedness(family)
+        assert not rep["passed"] and rep["residual"] > 0, i
+
+
+def test_closedness_fails_when_one_numerator_of_k2_changes(prime_config, monkeypatch):
+    family = load_family(prime_config(1, 5))
+    build = gm.fiber_k_operator
+
+    def perturbed(family, z, j):
+        mat = build(family, z, j)
+        if j != 2:
+            return mat
+        rows = [dict(row) for row in mat.rows]
+        q = next(iter(rows[0]))
+        rows[0][q] += 1
+        return gm.IntegerMatrix(tuple(rows), mat.den)
+
+    monkeypatch.setattr(gm, "fiber_k_operator", perturbed)
+    rep = _closedness(family)
+    assert not rep["passed"] and rep["residual"] > 0
+
+
+@pytest.mark.parametrize("weight_factor, fiber_factor", [(10**6, 1), (1, F(1, 10**7))])
+def test_closedness_does_not_depend_on_units(weight_factor, fiber_factor, prime_config):
+    from arrfrob import cli
+
+    config = prime_config(1, 5)
+    config["weights"] = [str(F(w) * weight_factor) for w in config["weights"]]
+    family = load_family(config)
+    z0 = cli._usable_path(family, 14)[0]
+    rep = fro.twisted_closedness_k1(family, [fiber_factor * x for x in z0])
+    assert rep["passed"] and rep["residual"] == 0
+
+
+def test_periods_suite_transports_once_and_closedness_never(prime_config, monkeypatch, tmp_path):
+    from arrfrob import cli
+
+    calls = []
+    flow = gm.flow_flat_section
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(gm, "flow_flat_section", spy)
+    for k, n in ((1, 5), (2, 3), (3, 4)):
+        config = tmp_path / f"k{k}n{n}.json"
+        config.write_text(json.dumps(prime_config(k, n, seed=1)))
+        calls.clear()
+        out = tmp_path / f"k{k}n{n}.report.json"
+        assert cli.main(["check", "--config", str(config), "--suites", "periods",
+                         "--json", str(out)]) == 0
+        assert len(calls) == 1, (k, n)
+        rows = json.loads(out.read_text())["suites"]["periods"]["checks"]
+        assert {row["status"] for row in rows} == {"pass"}
+    calls.clear()
+    assert _closedness(load_family(prime_config(1, 5)))["passed"]
+    assert calls == []
 
 
 def test_transport_preserves_singularity(fam_k2_n4, z_k2_n4):
@@ -447,9 +523,14 @@ def pairing_family(request, prime_config):
 
 def test_pairing_drift_is_compared_with_the_pairing_scale(pairing_family):
     # the pairing's terms reach 2.6e5 (k3n5) and 6e6 (weight 1/1000000):
-    # an absolute tolerance of 1e-6 failed both at relative drift 6e-11
+    # an absolute tolerance of 1e-6 failed both at relative drift 6e-11.
+    # The weight-1/1000000 drift still exceeds 1e-6; on k3n5 the one-run
+    # transport keeps it below, so there the premise is the scale itself
     rep = _periods_pairing(pairing_family, seed=1)
-    assert rep["drift"] > 1e-6
+    if pairing_family.k == 3:
+        assert rep["scale"] > 1e5
+    else:
+        assert rep["drift"] > 1e-6
     assert rep["drift"] <= 1e-9 * rep["scale"]
     assert rep["passed"]
 
@@ -457,10 +538,11 @@ def test_pairing_drift_is_compared_with_the_pairing_scale(pairing_family):
 def test_pairing_of_two_plus_kappa_sections_fails(pairing_family, monkeypatch):
     flow = gm.flow_flat_section
 
-    def plus_slope(family, path, kappa, start, **kwargs):
-        return flow(family, path, abs(kappa), start, **kwargs)
+    def plus_slopes(family, path, kappa, start, **kwargs):
+        # the one run carries (kappa, -kappa): transport both at +kappa
+        return flow(family, path, tuple(abs(k) for k in kappa), start, **kwargs)
 
-    monkeypatch.setattr(fro.gaussmanin, "flow_flat_section", plus_slope)
+    monkeypatch.setattr(fro.gaussmanin, "flow_flat_section", plus_slopes)
     rep = _periods_pairing(pairing_family, seed=1)
     assert rep["drift"] > 1e-3 * rep["scale"]
     assert not rep["passed"]

@@ -383,6 +383,44 @@ def test_extras_quadrature(fam_k1_n3, z_k1_n3):
     assert abs(result.extras[0] - 1.0) < 1e-10
 
 
+def test_a_large_quadrature_does_not_loosen_the_section(prime_config):
+    # each section and each quadrature is measured against its own size; a
+    # constant 1e8 quadrature used to set the scale of the whole state and
+    # left the section 1.3e-2 off after 20 steps
+    from arrfrob import cli
+
+    family = load_family(prime_config(1, 5))
+    path = cli._usable_path(family, 14)
+    start = singular_subspace(family).basis[0]
+    reference = flow_flat_section(family, path, 17, start, rtol=1e-13)
+    loaded = flow_flat_section(family, path, 17, start, extras=(lambda s, z, zdot, flag: 1e8,))
+    error = max_abs_diff(loaded.section, reference.section) / reference.section.norm_inf()
+    assert error <= 1e-9
+    assert abs(loaded.extras[0] - 1e8) <= 1e-12 * 1e8
+
+
+def test_sections_carried_together_match_their_own_runs(prime_config):
+    # one run of the slopes (17, -17) transports each section as its own
+    # run does, and stops at every waypoint
+    from arrfrob import cli
+
+    family = load_family(prime_config(2, 4))
+    path = cli._usable_path(family, 14)
+    space = singular_subspace(family)
+    starts = (space.basis[0], space.basis[1])
+    both = flow_flat_section(family, path, (17, -17), starts)
+    assert len(both.waypoints) == len(path)
+    index = family.flag_index
+    for b, (slope, start) in enumerate(zip((17, -17), starts)):
+        assert list(both.waypoints[0][b]) == [complex(c) for c in start.to_coordinates(index)]
+        alone = flow_flat_section(family, path, slope, start, rtol=1e-12)
+        reference = np.array([complex(c) for c in alone.section.to_coordinates(index)])
+        error = np.max(np.abs(both.waypoints[-1][b] - reference))
+        assert error <= 1e-8 * np.max(np.abs(reference))
+    with pytest.raises(ValueError):
+        flow_flat_section(family, path, (17, -17), starts[:1])
+
+
 def test_trajectory_format(fam_k1_n3, z_k1_n3):
     path = [z_k1_n3, (F(1, 2), F(1), F(3))]
     result = flow_flat_section(
