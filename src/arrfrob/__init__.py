@@ -60,7 +60,7 @@ __version__ = "0.1.0"
 
 def __getattr__(name):
     # The command line is loaded on first use, not with the package, so that
-    # ``python -m arrfrob.cli`` does not find ``arrfrob.cli`` imported already.
+    # ``import arrfrob`` does not load it; ``python -m arrfrob`` runs it.
     if name in ("main", "report_schema_version"):
         from . import cli
 

@@ -493,21 +493,14 @@ def _suite_conformal(family, cfg):
 def _suite_potential(family, cfg):
     rows = []
     for i, z in enumerate(_sample_fibers(family, cfg.seed, cfg.samples)):
-        if family.k == 1:
-            closed = frobenius.potential_first_closed_k1(family, z) if all(
-                row[0] == 1 for row in family.b
-            ) else None
+        closed = None
+        if family.k == 1 and all(row[0] == 1 for row in family.b):
+            closed = frobenius.potential_first_closed_k1(family, z)
         elif family.k == 2:
             closed = frobenius.potential_first_closed_k2(family, z)
-        else:
-            closed = None
-        if closed is not None:
-            _row(
-                rows,
-                f"quadratic-potential-closed-form-sample-{i}",
-                frobenius.potential_first(family, z, cfg.anchor) == closed,
-            )
         P = frobenius.potential_first(family, z, cfg.anchor)
+        if closed is not None:
+            _row(rows, f"quadratic-potential-closed-form-sample-{i}", P == closed)
         scaled = frobenius.potential_first(
             family, tuple(3 * v for v in z), cfg.anchor
         )
@@ -892,7 +885,3 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -103,7 +103,7 @@ class ArrangementFamily:
     def fiber_entry(self, z):
         """The one dict that holds every exact table of the fiber z: the
         integer K_j(z), the values of the interned forms, the circuit
-        values and the generator products."""
+        values and the multiplication tables of the algebra."""
         return self._fibers.setdefault(coords(z), {})
 
     def release_fibers(self):

@@ -21,6 +21,10 @@ Algebra elements are stored as coordinate vectors over the symbols w_T
 multiply into the w-span with closed-form coefficients, and any degree-k
 monomial in the generators reduces to the anchored basis
 {w_T : anchor not in T} with z-independent rational coefficients.
+
+The algebra of one fiber is built once in integers (`_fiber_algebra`):
+multiplication by each [a_i/f_i] on the anchored basis as a
+`linalg.IntegerMatrix`, and the unit. Every product reads these tables.
 """
 
 from __future__ import annotations
@@ -28,13 +32,15 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .core import coords, per_family, per_fiber
-from .osflag import CoVector, gram_v, singular_subspace, sort_with_sign
+from .linalg import _dot, _integer_rows, _integer_sum, _integer_vector, _reduced_matrix
+from .osflag import CoVector, gram_v, singular_subspace, sort_with_sign, weight_product
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +93,11 @@ class MasterFunction:
             [[complex(a * row[m] * row[l]) for a, row in zip(family.a, family.b)] for l in ks]
             for m in ks
         ]
+        # |d_T^2 prod_{j in T} a_j| for every k-subset T (Cauchy-Binet terms)
+        self._binet = [
+            (tuple(j - 1 for j in T), abs(float(family.minor(T) ** 2 * weight_product(family, T))))
+            for T in itertools.combinations(range(1, family.n + 1), family.k)
+        ]
         # the unit of t and of the f_j on this fiber
         self.size = max(abs(v) for v in self._z)
 
@@ -122,13 +133,11 @@ class MasterFunction:
         return complex(np.linalg.det(np.array(h, dtype=complex)))
 
     def hessian_scale(self, t):
-        """Size of the Hessian determinant's terms: the k-th power of
-        max_{m,l} sum_j |a_j b_j^m b_j^l / f_j^2|."""
+        """Size of the Hessian determinant's terms: by Cauchy-Binet Hess =
+        (-1)^k sum_T d_T^2 prod_{j in T} a_j / f_j^2 over the k-subsets T,
+        and the scale is the sum of the absolute values of these terms."""
         squares = [abs(f * f) for f in self.f_values(t)]
-        entry = max(
-            sum(abs(c) / q for c, q in zip(row, squares)) for rows in self._abb for row in rows
-        )
-        return entry**self.family.k
+        return sum(c / math.prod(squares[j] for j in T) for T, c in self._binet)
 
 
 @dataclass(frozen=True)
@@ -148,19 +157,20 @@ def _newton_polish(master, t0, max_iter=50):
     measured against the size of its terms and steps against the size of
     the fiber, so no threshold depends on the units of the weights or of z.
     Once the gradient is below 1e-13 of its terms, one more step reaches
-    the rounding floor (the convergence is quadratic). A seed that has not
-    got there within max_iter steps gives no point."""
+    the rounding floor (the convergence is quadratic). Where that floor
+    lies higher (the f_j nearly cancel), the last of max_iter steps is
+    kept if it meets the bound of 1e-9 that every point meets."""
     fam = master.family
     t = [complex(x) for x in t0]
     close = False
-    for _ in range(max_iter):
+    for iteration in range(max_iter + 1):
         try:
             grad = master.gradient(t)
             scale = master.gradient_scale(t)
         except ZeroDivisionError:
             return None
         res = max(abs(g) for g in grad)
-        if close:
+        if close or iteration == max_iter:
             break
         close = res < 1e-13 * scale
         hess = master.hessian_matrix(t)
@@ -178,8 +188,6 @@ def _newton_polish(master, t0, max_iter=50):
         t = [ti - si for ti, si in zip(t, step)]
         if max(abs(s) for s in step) > 1e8 * master.size:
             return None
-    else:
-        return None
     if res > 1e-9 * scale:
         return None
     fs = master.f_values(t)
@@ -191,13 +199,11 @@ def _newton_polish(master, t0, max_iter=50):
 
 
 def _rationalize(value):
-    if isinstance(value, (Fraction, int)):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
     if isinstance(value, complex) and value.imag == 0:
-        return Fraction(value.real)
-    raise ValueError("critical solving needs real rational fiber coordinates")
+        value = value.real
+    if isinstance(value, (Fraction, int, float)):
+        return Fraction(value)
+    raise ValueError("the exact algebra needs real rational fiber coordinates")
 
 
 @per_family
@@ -295,12 +301,9 @@ def solve_critical(family, z, *, dedup_tol=1e-8):
 # the w-coordinate algebra
 
 
-def independent_k_subsets(family):
-    return family.flag_index.subsets
-
-
+@per_family
 def anchored_subsets(family, anchor):
-    return tuple(T for T in independent_k_subsets(family) if anchor not in T)
+    return tuple(T for T in family.flag_index if anchor not in T)
 
 
 def default_anchor(family):
@@ -324,15 +327,11 @@ def _elimination_row(family, pivot, tail):
     return tuple(row)
 
 
-def _pick_tail(family, pivot, must_have, avoid):
-    """A (k-1)-subset containing must_have, avoiding avoid and pivot, with a
-    nonzero pivot minor."""
+def _pick_tail(family, pivot, must_have):
+    """A (k-1)-subset containing must_have and not pivot, with a nonzero
+    pivot minor."""
     must = tuple(sorted(must_have))
-    pool = [
-        i
-        for i in range(1, family.n + 1)
-        if i != pivot and i not in must and i not in avoid
-    ]
+    pool = [i for i in range(1, family.n + 1) if i != pivot and i not in must]
     need = family.k - 1 - len(must)
     if need < 0:
         raise ValueError("monomial support too large for elimination")
@@ -352,45 +351,25 @@ def _exponent_key(exponents):
 @per_family
 def _reduce_sorted(family, anchor, key):
     exps = dict(key)
-    degree = sum(exps.values())
-    if degree != family.k:
+    if sum(exps.values()) != family.k:
         raise ValueError("reduction expects a degree-k monomial")
-    support = sorted(exps)
-    if exps.get(anchor):
-        # eliminate one anchor factor
-        rest = dict(exps)
-        rest[anchor] -= 1
-        must = [i for i in rest if rest[i] and i != anchor]
-        tail = _pick_tail(family, anchor, must, avoid=())
-        out = CoVector()
-        for i, coef in _elimination_row(family, anchor, tail):
-            child = dict(rest)
-            child[i] = child.get(i, 0) + 1
-            sub = _reduce_sorted(family, anchor, _exponent_key(child))
-            out = out + sub * coef
-        return out
-    squares = [i for i in support if exps[i] >= 2]
-    if not squares:
-        T = tuple(support)
+    squares = [i for i in sorted(exps) if exps[i] >= 2]
+    if not exps.get(anchor) and not squares:
+        T = tuple(sorted(exps))
         minor = family.minor(T)
         if minor == 0:
             raise ValueError(f"unsupported family: dependent subset {T}")
-        out = CoVector()
-        out.accumulate(T, 1 / minor)
-        return out
-    pivot = squares[0]
-    rest = dict(exps)
-    rest[pivot] -= 1
+        return CoVector({T: 1 / minor})
+    # eliminate one factor of the anchor, or else of the first square, by a
+    # contraction relation whose tail holds the other factors and the anchor
+    pivot = anchor if exps.get(anchor) else squares[0]
+    rest = {**exps, pivot: exps[pivot] - 1}
     must = [i for i in rest if rest[i] and i != pivot]
-    if anchor not in must:
-        must.append(anchor)
-    tail = _pick_tail(family, pivot, must, avoid=())
+    tail = _pick_tail(family, pivot, must if pivot == anchor else must + [anchor])
     out = CoVector()
     for i, coef in _elimination_row(family, pivot, tail):
-        child = dict(rest)
-        child[i] = child.get(i, 0) + 1
-        sub = _reduce_sorted(family, anchor, _exponent_key(child))
-        out = out + sub * coef
+        child = {**rest, i: rest.get(i, 0) + 1}
+        out = out + _reduce_sorted(family, anchor, _exponent_key(child)) * coef
     return out
 
 
@@ -407,61 +386,6 @@ def reduce_to_w_basis(family, exponents, anchor=None):
     return _reduce_sorted(family, anchor, _exponent_key(exps))
 
 
-def generator_times_w(family, z, i, wvec):
-    """Product [a_i/f_i] * (w-span element) with closed-form coefficients.
-    The products [a_i/f_i] * w_T are built once per family and fiber."""
-    zz = coords(z)
-    products = _fiber_products(family, zz)
-    out = CoVector()
-    for T, coef in wvec.items():
-        for U, c in _gen_times_sorted(family, zz, products, i, T):
-            out.accumulate(U, c * coef)
-    return out
-
-
-@per_fiber
-def _fiber_products(family, zz):
-    """The products [a_i/f_i] * w_T at the exact fiber zz, filled in as
-    they are asked for: (i, T) -> ((U, coefficient), ...), a tuple, so no
-    caller can change a shared product."""
-    return {}
-
-
-def _gen_times_sorted(family, zz, products, i, T):
-    try:
-        return products[i, T]
-    except KeyError:
-        pass
-    out = CoVector()
-    if i not in T:
-        u = (i,) + T
-        denom = f_minor_value(family, zz, u)
-        if denom == 0:
-            raise ValueError(
-                f"fiber lies on the pole locus of the product rule at {u}"
-            )
-        scale = family.minor(T) / denom
-        for ell, uell in enumerate(u):
-            child = u[:ell] + u[ell + 1 :]
-            if family.minor(tuple(sorted(child))) == 0:
-                continue  # the w symbol of a dependent subset is zero
-            coef = scale * family.a[uell - 1]
-            out.accumulate(child, coef if ell % 2 == 0 else -coef)
-    else:
-        rest = tuple(x for x in T if x != i)
-        _, sgn = sort_with_sign(rest + (i,))
-        for s in range(1, family.n + 1):
-            if s == i or s in rest:
-                continue
-            key, s_sgn = sort_with_sign(rest + (s,))
-            if family.minor(key) == 0:
-                continue
-            for U, c in _gen_times_sorted(family, zz, products, i, key):
-                out.accumulate(U, c * (-sgn * s_sgn))
-    value = products[i, T] = tuple(out.items())
-    return value
-
-
 def canonicalize(family, wvec, anchor=None):
     """Rewrite a w-span element over the anchored basis using the slot
     relation sum_s w_{R+(s)} = 0."""
@@ -469,106 +393,189 @@ def canonicalize(family, wvec, anchor=None):
         anchor = default_anchor(family)
     out = CoVector()
     for T, coef in wvec.items():
-        if anchor not in T:
-            out.accumulate(T, coef)
-            continue
-        rest = tuple(x for x in T if x != anchor)
-        _, sgn = sort_with_sign(rest + (anchor,))
-        for s in range(1, family.n + 1):
-            if s == anchor or s in rest:
-                continue
-            key, s_sgn = sort_with_sign(rest + (s,))
-            if family.minor(key) == 0:
-                continue
-            out.accumulate(key, -sgn * s_sgn * coef)
+        for key, sign in _slot_relation(family, T, anchor) if anchor in T else ((T, 1),):
+            out.accumulate(key, sign * coef)
     return out
+
+
+@per_family
+def _slot_relation(family, T, i):
+    """w_T for i in T as sum_s (+-1) w_{key_s} over the independent keys
+    (T less i) + (s), by the slot relation: the (key, sign) pairs."""
+    rest = tuple(x for x in T if x != i)
+    _, sgn = sort_with_sign(rest + (i,))
+    pairs = []
+    for s in range(1, family.n + 1):
+        key, s_sgn = sort_with_sign(rest + (s,))
+        if s != i and s_sgn and family.minor(key) != 0:
+            pairs.append((key, -sgn * s_sgn))
+    return tuple(pairs)
+
+
+# ---------------------------------------------------------------------------
+# the algebra of one fiber, in integers
+
+
+@per_family
+def _product_terms(family, i, T):
+    """[a_i/f_i] * w_T by the closed-form product rule as {u: w-span
+    element}, each divided by f_u(z) (`f_minor_value`), u sorted (k+1)-index
+    tuples; no coefficient reads the fiber. i in T is first moved out."""
+    if i not in T:
+        full = (i,) + T
+        u, sign = sort_with_sign(full)
+        out = CoVector()
+        for ell, uell in enumerate(full):
+            child = full[:ell] + full[ell + 1 :]
+            if family.minor(tuple(sorted(child))) == 0:
+                continue  # the w symbol of a dependent subset is zero
+            coef = sign * family.minor(T) * family.a[uell - 1]
+            out.accumulate(child, coef if ell % 2 == 0 else -coef)
+        return {u: out}
+    terms = {}
+    for key, sign in _slot_relation(family, T, i):
+        for u, vec in _product_terms(family, i, key).items():
+            terms[u] = terms.get(u, CoVector()) + vec * sign
+    return terms
+
+
+@per_family
+def _fiber_independent_algebra(family, anchor):
+    """The parts of the algebra that do not read the fiber, in integers:
+    per generator, {u: A_u} with multiplication by [a_i/f_i] equal to
+    sum_u A_u / f_u(z) on the anchored basis; the unit sum_T c_T
+    f_{u_T}(z)^k w_T, u_T = sorted((anchor,) + T), as (u_T, numerator of
+    c_T) pairs over one denominator; and the forms f_u that are not
+    identically zero, as integer z-coefficients over one denominator."""
+    k, basis = family.k, anchored_subsets(family, anchor)
+    gens = []
+    for i in range(1, family.n + 1):
+        parts = {}
+        for q, T in enumerate(basis):
+            for u, vec in _product_terms(family, i, T).items():
+                part = parts.setdefault(u, [[0] * len(basis) for _ in basis])
+                for U, c in canonicalize(family, vec, anchor).items():
+                    part[basis.index(U)][q] = c
+        gens.append({u: _integer_rows(part) for u, part in parts.items()})
+    unit = []
+    for T in basis:
+        u = (anchor,) + T
+        denom = math.prod((-1) ** m * family.minor(u[:m] + u[m + 1 :]) for m in range(k + 1))
+        if denom == 0:
+            raise ValueError(f"unsupported family: dependent subset inside {u}")
+        key, sign = sort_with_sign(u)
+        unit.append((key, sign**k / (denom * family.weight_sum**k)))
+    nums, unit_den = _integer_vector([c for _, c in unit])
+    unit = [(u, nums.get(p, 0)) for p, (u, _) in enumerate(unit)]
+    subsets = itertools.combinations(range(1, family.n + 1), k + 1)
+    subsets = [u for u in subsets if any(f_minor_form(family, u))]
+    forms = _integer_rows([f_minor_form(family, u) for u in subsets])
+    return gens, (unit, unit_den), (dict(zip(subsets, forms.rows)), forms.den)
+
+
+@per_fiber
+def _fiber_algebra(family, zz, anchor):
+    """The algebra of the critical set at the rational fiber zz, in
+    integers: multiplication by each [a_i/f_i] on the anchored basis, and
+    the unit as a one-row matrix, all `linalg.IntegerMatrix`es."""
+    gens, (unit, unit_den), (forms, form_den) = _fiber_independent_algebra(family, anchor)
+    z_values, z_den = _integer_vector([_rationalize(v) for v in zz])
+    # f_u(z) = values[u] / (form_den * z_den)
+    values = {u: _dot(row, z_values) for u, row in forms.items()}
+    pole = next((u for u, v in values.items() if v == 0), None)
+    if pole is not None:
+        raise ValueError(f"fiber lies on the pole locus of the product rule at {pole}")
+    tables = tuple(
+        _integer_sum([(form_den * z_den, values[u], part) for u, part in parts.items()])
+        for parts in gens
+    )
+    vec = {p: c * values[u] ** family.k for p, (u, c) in enumerate(unit)}
+    return tables, _reduced_matrix([vec], unit_den * (form_den * z_den) ** family.k)
+
+
+def _times(tables, gens, vec):
+    """M_{g_r} ... M_{g_1} applied to the one-row IntegerMatrix vec, with
+    M_g = tables[g - 1]."""
+    for g in gens:
+        table, values = tables[g - 1], vec.rows[0]
+        rows = [{p: _dot(row, values) for p, row in enumerate(table.rows)}]
+        vec = _reduced_matrix(rows, table.den * vec.den)
+    return vec
+
+
+def _anchored(family, wvec, anchor):
+    """A w-span element as a one-row IntegerMatrix over the anchored basis."""
+    if any(anchor in T for T, _ in wvec.items()):
+        wvec = canonicalize(family, wvec, anchor)
+    return _integer_rows([[wvec.coeffs.get(T, 0) for T in anchored_subsets(family, anchor)]])
+
+
+def _covector(family, anchor, vec):
+    """A one-row IntegerMatrix over the anchored basis as a w-span element."""
+    basis = anchored_subsets(family, anchor)
+    out = CoVector()
+    out.coeffs = {basis[p]: Fraction(v, vec.den) for p, v in vec.rows[0].items()}
+    return out
+
+
+def generator_times_w(family, z, i, wvec):
+    """Product [a_i/f_i] * (w-span element) in anchored coordinates, read
+    from the fiber's table of [a_i/f_i] (`_fiber_algebra`)."""
+    anchor = default_anchor(family)
+    tables, _ = _fiber_algebra(family, z, anchor)
+    return _covector(family, anchor, _times(tables, (i,), _anchored(family, wvec, anchor)))
 
 
 def monomial_to_w(family, z, gens, anchor=None):
     """Class of prod [a_i/f_i] over the given generator indices (any number
-    of factors) in the anchored basis."""
+    of factors) in the anchored basis: M_{g_r} ... M_{g_1} applied to the
+    unit, with M_g the fiber's table of [a_g/f_g]."""
     if anchor is None:
         anchor = default_anchor(family)
-    gens = tuple(gens)
-    k = family.k
-    if len(gens) == k:
-        exps = {}
-        for g in gens:
-            exps[g] = exps.get(g, 0) + 1
-        return reduce_to_w_basis(family, exps, anchor)
-    if len(gens) > k:
-        head, rest = gens[:k], gens[k:]
-        out = monomial_to_w(family, z, head, anchor)
-        for g in rest:
-            out = generator_times_w(family, z, g, out)
-        return canonicalize(family, out, anchor)
-    # pad with the identity written as (1/|a|) sum_j z_j [a_j/f_j]
-    zz = coords(z)
-    pad = k - len(gens)
-    scale = Fraction(1) / family.weight_sum**pad
-    out = CoVector()
-    for extra in itertools.product(range(1, family.n + 1), repeat=pad):
-        coef = scale
-        for j in extra:
-            zj = zz[j - 1]
-            if zj == 0:
-                coef = 0
-                break
-            coef = coef * zj
-        if coef == 0:
-            continue
-        exps = {}
-        for g in gens + extra:
-            exps[g] = exps.get(g, 0) + 1
-        out = out + reduce_to_w_basis(family, exps, anchor) * coef
-    return out
+    if not all(1 <= g <= family.n for g in gens):
+        raise ValueError(f"bad generator index in {tuple(gens)}")
+    tables, unit = _fiber_algebra(family, z, anchor)
+    return _covector(family, anchor, _times(tables, gens, unit))
 
 
-def identity_closed_form(family, z, anchor=None):
-    """The unit of the algebra from the anchored minor expansion."""
-    if anchor is None:
-        anchor = default_anchor(family)
-    zz = coords(z)
+def _reduced_unit_power(family, zz, anchor):
+    """The k-th power of (1/|a|) sum_j z_j [a_j/f_j], each monomial reduced
+    by `reduce_to_w_basis`: the unit by a route that reads no table."""
     out = CoVector()
-    scale = Fraction(1) / family.weight_sum**family.k
-    for T in anchored_subsets(family, anchor):
-        u = (anchor,) + T
-        denom = 1
-        for m in range(len(u)):
-            minor = family.minor(u[:m] + u[m + 1 :])
-            if minor == 0:
-                raise ValueError(
-                    f"unsupported family: dependent subset inside {u}"
-                )
-            denom = denom * (minor if m % 2 == 0 else -minor)
-        fval = f_minor_value(family, zz, u)
-        out.accumulate(T, scale * fval**family.k / denom)
+    for mono in itertools.product(range(1, family.n + 1), repeat=family.k):
+        coef = math.prod(zz[j - 1] for j in mono) / family.weight_sum**family.k
+        if coef:
+            out = out + reduce_to_w_basis(family, Counter(mono), anchor) * coef
     return out
 
 
 def identity_element(family, z, anchor=None, cross_check=False):
-    """The unit of the algebra; optionally verify the closed form against
-    the reduced k-th power of (1/|a|) sum_j z_j [a_j/f_j]."""
+    """The unit of the algebra from the anchored minor expansion, read from
+    the fiber's table; optionally verify it against the reduced k-th power
+    of (1/|a|) sum_j z_j [a_j/f_j] (`_reduced_unit_power`)."""
     if anchor is None:
         anchor = default_anchor(family)
-    closed = identity_closed_form(family, z, anchor)
-    if cross_check:
-        reduced = monomial_to_w(family, z, (), anchor)
-        if closed != reduced:
-            raise RuntimeError("identity element routes disagree")
+    closed = _covector(family, anchor, _fiber_algebra(family, z, anchor)[1])
+    if cross_check and closed != _reduced_unit_power(family, coords(z), anchor):
+        raise RuntimeError("identity element routes disagree")
     return closed
 
 
 def multiply(family, z, x, y, anchor=None):
-    """Product of two w-span elements, in anchored coordinates."""
-    out = CoVector()
-    for T, coef in x.items():
-        minor = family.minor(T)
-        acc = y * (coef * minor)
-        for g in T:
-            acc = generator_times_w(family, z, g, acc)
-        out = out + acc
-    return canonicalize(family, out, anchor)
+    """Product of two w-span elements, in anchored coordinates: each term
+    x_T w_T = x_T d_T prod_{g in T} [a_g/f_g] of x acts on y through the
+    fiber's generator tables."""
+    if anchor is None:
+        anchor = default_anchor(family)
+    basis = anchored_subsets(family, anchor)
+    tables, _ = _fiber_algebra(family, z, anchor)
+    left, right = _anchored(family, x, anchor), _anchored(family, y, anchor)
+    minors, minor_den = _integer_vector([family.minor(T) for T in basis])
+    parts = [
+        (c * minors[p], left.den * minor_den, _times(tables, basis[p], right))
+        for p, c in left.rows[0].items()
+    ]
+    return _covector(family, anchor, _integer_sum(parts)) if parts else CoVector()
 
 
 # ---------------------------------------------------------------------------
@@ -644,35 +651,24 @@ def residue_gram(family, points, subsets):
 
 
 @per_family
-def _gram(family, T, U):
-    """S(v_T, v_U) (`osflag.gram_v`) of two sorted k-subsets, once per
-    family and pair; it does not depend on the fiber."""
-    return gram_v(family, T, U)
-
-
-def _sorted_terms(vec):
-    """The coefficients of a w-vector over sorted subsets, with the sign of
-    each sort applied."""
-    out = {}
-    for T, coef in vec.items():
-        key, sign = sort_with_sign(tuple(T))
-        if sign:
-            out[key] = out.get(key, 0) + sign * coef
-    return out
+def _anchored_gram(family, anchor):
+    """(-1)^k S(v_T, v_U) (`osflag.gram_v`) over the anchored basis, as an
+    IntegerMatrix, once per family."""
+    basis = anchored_subsets(family, anchor)
+    sign = 1 if family.k % 2 == 0 else -1
+    return _integer_rows([[sign * gram_v(family, T, U) for U in basis] for T in basis])
 
 
 def structural_pairing(family, x, y):
-    """(-1)^k S(nu x, nu y) with nu the w-to-v coordinate identification;
-    fiber-independent by construction, and read from one table of
-    S(v_T, v_U) over sorted subsets per family (`_gram`)."""
-    right = _sorted_terms(y)
-    total = Fraction(0)
-    for T, ct in _sorted_terms(x).items():
-        for U, cu in right.items():
-            g = _gram(family, T, U)
-            if g:
-                total += ct * cu * g
-    return total if family.k % 2 == 0 else -total
+    """(-1)^k S(nu x, nu y) with nu the w-to-v coordinate identification,
+    in integers from one Gram table per family. It does not read the fiber,
+    and as the v_T obey the slot relation too, any w-span element is first
+    rewritten over the default anchor's basis."""
+    anchor = default_anchor(family)
+    gram = _anchored_gram(family, anchor)
+    left, right = _anchored(family, x, anchor), _anchored(family, y, anchor)
+    total = sum(c * _dot(gram.rows[p], right.rows[0]) for p, c in left.rows[0].items())
+    return Fraction(total, left.den * right.den * gram.den)
 
 
 def euler_residual(family, z, points):

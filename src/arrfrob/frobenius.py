@@ -18,12 +18,13 @@ Tables that do not depend on the fiber are built once per family
 quadratic potential P = S(q, q) and its derivatives, and the log
 potential and its derivatives. Derivatives are keyed by sorted direction
 tuples, since mixed partials commute. Tables of one fiber (the integer
-connection operators K_j(z), the values of the interned linear forms and
-the generator products in the algebra) are built once per family and
-exact fiber, in that fiber's entry of the family (`core.per_fiber`), by
-`gaussmanin.fiber_k_operator`, `linforms.LinExpr.evaluate_exact` and
-`critalg.generator_times_w`, so the checks of one run share them;
-`ArrangementFamily.release_fibers` frees them all. The exact side of
+K_j(z), the values of the interned linear forms and the integer
+multiplication tables of the algebra, which the potential rows read) are
+built once per family and exact fiber, in that fiber's entry of the
+family (`core.per_fiber`), by `gaussmanin.fiber_k_operator`,
+`linforms.LinExpr.evaluate_exact` and `critalg._fiber_algebra`, so the
+checks of one run share them; `ArrangementFamily.release_fibers` frees
+them all. The exact side of
 `contravariant_compositions` does not read the fiber and is decided once
 per family.
 
@@ -857,7 +858,7 @@ def twisted_closedness_k1(family, z0):
     _, gens = _exact_generators(family, critalg.default_anchor(family))
     weights = [weight_product(family, T) for T in family.flag_index]
     # S(x, g_i) = sum_p x_p covectors[i][p] / cov_den
-    covectors, cov_den = gaussmanin._integer_rows(
+    covectors, cov_den = linalg._integer_rows(
         [[w * g.get(T) for w, T in zip(weights, family.flag_index)] for (g,) in gens]
     )
     basis, _ = gaussmanin._integer_sing(family)
@@ -866,11 +867,11 @@ def twisted_closedness_k1(family, z0):
     for values, vec_den in basis:
         # (K_j b)_p is images[j][p] / (mats[j].den * vec_den)
         images = [
-            dict(enumerate(gaussmanin._dot(row, values) for row in mat.rows)) for mat in mats
+            dict(enumerate(linalg._dot(row, values) for row in mat.rows)) for mat in mats
         ]
         for i, j in itertools.combinations(range(family.n), 2):
-            lhs = gaussmanin._dot(covectors[i], images[j]) * mats[i].den
-            rhs = gaussmanin._dot(covectors[j], images[i]) * mats[j].den
+            lhs = linalg._dot(covectors[i], images[j]) * mats[i].den
+            rhs = linalg._dot(covectors[j], images[i]) * mats[j].den
             if lhs != rhs:
                 den = mats[i].den * mats[j].den * vec_den * cov_den
                 worst = max(worst, Fraction(abs(lhs - rhs), den))

@@ -6,8 +6,8 @@ L_C is tabulated once per family in flag positions (`_l_c_entries`, and
 over the weights' denominator in `_l_c_integer`); `_sum_l_c` sums scaled
 L_C into a dense matrix of Fractions, LinExprs or complex numbers.
 
-Exact checks run on integers. `k_operator` assembles K_j(z) as an
-`IntegerMatrix`, sparse integer rows over one denominator, from the
+Exact checks run on integers. `k_operator` assembles K_j(z) as a
+`linalg.IntegerMatrix`, sparse integer rows over one denominator, from the
 circuit values f_C(z), computed once per circuit and fiber.
 `fiber_k_operator` keeps one per (fiber, j) in the fiber's entry of the
 family (`core.per_fiber`); the commutators on Sing, the S-symmetry, Sing
@@ -31,13 +31,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
 from . import critalg
 from .core import coords, f_c_value, per_family, per_fiber
+from .linalg import IntegerMatrix, _dot, _integer_rows, _integer_sum, _integer_vector
+from .linalg import _reduced_matrix
 from .linforms import LinExpr, linear_form
 from .osflag import (
     FlagVector,
@@ -104,60 +104,10 @@ def discriminant_min(family, z):
     return min(abs(complex(f_c_value(c, z))) for c in family.circuit_list)
 
 
-class IntegerMatrix(NamedTuple):
-    """An exact square matrix as sparse rows of integer numerators over one
-    common denominator: rows[p] maps a column q to the numerator of the
-    entry (p, q) and omits zero entries. The rows are read-only mappings,
-    so a matrix shared between checks cannot be changed by one of them."""
-
-    rows: tuple
-    den: int
-
-    def dense(self):
-        """The entries as a list of rows of Fractions."""
-        size = len(self.rows)
-        return [[Fraction(row.get(q, 0), self.den) for q in range(size)] for row in self.rows]
-
-    def floats(self):
-        """The entries as a float array. int / int is correctly rounded,
-        so each entry is the float of the exact rational, bit for bit the
-        float(Fraction) of the dense form."""
-        size = len(self.rows)
-        out = np.zeros((size, size), dtype=float)
-        for p, row in enumerate(self.rows):
-            for q, v in row.items():
-                out[p, q] = v / self.den
-        return out
-
-
-def _integer_rows(mat):
-    """A dense exact matrix as an IntegerMatrix over the lcm of its entry
-    denominators."""
-    den = math.lcm(*(e.denominator for row in mat for e in row if e))
-    rows = tuple(
-        MappingProxyType(
-            {q: e.numerator * (den // e.denominator) for q, e in enumerate(row) if e}
-        )
-        for row in mat
-    )
-    return IntegerMatrix(rows, den)
-
-
 def _as_integer(mat):
     """A caller's matrix, dense or already an IntegerMatrix, as an
     IntegerMatrix."""
     return mat if isinstance(mat, IntegerMatrix) else _integer_rows(mat)
-
-
-def _integer_vector(values):
-    """Dense exact coordinates as ({position: numerator}, denominator)."""
-    rows, den = _integer_rows([values])
-    return rows[0], den
-
-
-def _dot(row, values):
-    """Sum of row[q] * values[q] over the entries of the sparse row."""
-    return sum(c * values.get(q, 0) for q, c in row.items())
 
 
 def _weight_denominator(family):
@@ -207,12 +157,7 @@ def k_operator(family, z, j):
         for p, q, coef in _l_c_integer(family, indices):
             row = acc[p]
             row[q] = row.get(q, 0) + mult * coef
-    den = common * _weight_denominator(family)
-    divisor = math.gcd(den, *(v for row in acc for v in row.values()))
-    rows = tuple(
-        MappingProxyType({q: v // divisor for q, v in row.items() if v}) for row in acc
-    )
-    return IntegerMatrix(rows, den // divisor)
+    return _reduced_matrix(acc, common * _weight_denominator(family))
 
 
 @per_fiber
@@ -465,24 +410,16 @@ def weighted_euler_residual(family, z):
     """Exact residual of (sum_j z_j K_j) v = |a| v on the singular basis,
     with sum_j z_j K_j summed over one denominator in integer arithmetic."""
     zz = coords(z)
-    terms = [
-        (Fraction(zz[j - 1]), fiber_k_operator(family, zz, j))
-        for j in range(1, family.n + 1)
-        if zz[j - 1] != 0
-    ]
-    common = math.lcm(*(zj.denominator * mat.den for zj, mat in terms))
-    total = [{} for _ in family.flag_index]
-    for zj, mat in terms:
-        mult = zj.numerator * (common // (zj.denominator * mat.den))
-        for acc, row in zip(total, mat.rows):
-            for q, v in row.items():
-                acc[q] = acc.get(q, 0) + mult * v
-    asum = family.weight_sum
+    total = _integer_sum(
+        [(v.numerator, v.denominator, fiber_k_operator(family, zz, j))
+         for j, v in enumerate(zz, 1) if v]
+    )
+    asum, common = family.weight_sum, total.den
     basis, _ = _integer_sing(family)
     worst = Fraction(0)
     for values, vec_den in basis:
         # (T v)_p / (common vec_den) - |a| v_p / vec_den over one denominator
-        for p, row in enumerate(total):
+        for p, row in enumerate(total.rows):
             num = asum.denominator * _dot(row, values) - common * asum.numerator * values.get(p, 0)
             if num:
                 worst = max(worst, Fraction(abs(num), common * asum.denominator * vec_den))

@@ -2,12 +2,19 @@
 
 Matrices are plain lists of row lists. Everything here stays exact; float
 and complex work elsewhere goes through numpy. Dimensions in this package
-are tiny (at most a few hundred rows), so Gauss-Jordan is plenty.
+are tiny (at most a few hundred rows), so Gauss-Jordan is plenty. The
+per-fiber tables (K_j(z) in `gaussmanin`, the critical algebra in
+`critalg`) are `IntegerMatrix`es, so exact checks on them use integers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from types import MappingProxyType
+from typing import NamedTuple
+
+import numpy as np
 
 
 def identity(n):
@@ -128,3 +135,69 @@ def inv(a):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
+
+
+class IntegerMatrix(NamedTuple):
+    """An exact matrix (a vector is one row) as sparse rows of integer
+    numerators over one denominator: rows[p] maps a column q to the
+    numerator of the entry (p, q) and omits zeros. The rows are read-only,
+    so a matrix shared between checks cannot be changed by one of them."""
+
+    rows: tuple
+    den: int
+
+    def dense(self):
+        """The entries of a square matrix as a list of rows of Fractions."""
+        size = len(self.rows)
+        return [[Fraction(row.get(q, 0), self.den) for q in range(size)] for row in self.rows]
+
+    def floats(self):
+        """The entries of a square matrix as a float array. int / int is
+        correctly rounded, so each entry is the float of the exact rational,
+        bit for bit the float(Fraction) of the dense form."""
+        size = len(self.rows)
+        out = np.zeros((size, size), dtype=float)
+        for p, row in enumerate(self.rows):
+            for q, v in row.items():
+                out[p, q] = v / self.den
+        return out
+
+
+def _reduced_matrix(rows, den):
+    """IntegerMatrix of integer rows ({column: numerator} dicts) over den,
+    with the gcd of den and every numerator divided out."""
+    g = math.gcd(den, *(v for row in rows for v in row.values()))
+    rows = tuple(MappingProxyType({q: v // g for q, v in row.items() if v}) for row in rows)
+    return IntegerMatrix(rows, den // g)
+
+
+def _integer_sum(terms):
+    """sum of (num / den) M over (num, den, IntegerMatrix M) triples of one
+    shape, as an IntegerMatrix, in integer arithmetic."""
+    common = math.lcm(*(den * mat.den for _, den, mat in terms))
+    acc = [{} for _ in terms[0][2].rows]
+    for num, den, mat in terms:
+        mult = num * (common // (den * mat.den))
+        for out, row in zip(acc, mat.rows):
+            for q, v in row.items():
+                out[q] = out.get(q, 0) + mult * v
+    return _reduced_matrix(acc, common)
+
+
+def _integer_rows(mat):
+    """A dense exact matrix as an IntegerMatrix over the lcm of its entry
+    denominators."""
+    den = math.lcm(*(e.denominator for row in mat for e in row if e))
+    rows = [{q: e.numerator * (den // e.denominator) for q, e in enumerate(r) if e} for r in mat]
+    return _reduced_matrix(rows, den)
+
+
+def _integer_vector(values):
+    """Dense exact coordinates as ({position: numerator}, denominator)."""
+    rows, den = _integer_rows([values])
+    return rows[0], den
+
+
+def _dot(row, values):
+    """Sum of row[q] * values[q] over the entries of the sparse row."""
+    return sum(c * values.get(q, 0) for q, c in row.items())

@@ -374,7 +374,7 @@ def test_python_m_arrfrob_cli_and_lazy_main():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     bare = subprocess.run(
-        [sys.executable, "-m", "arrfrob.cli"], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "arrfrob"], capture_output=True, text=True, env=env
     )
     assert bare.returncode == 2
     assert "usage: arrfrob" in bare.stderr
@@ -397,6 +397,46 @@ def test_small_weights_pass_the_hessian_rows(tmp_path):
 
 
 _K1N4 = {"k": 1, "n": 4, "b": [[1], [1], [1], [1]], "weights": ["1", "2", "3", "5"]}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_k4_family_passes_every_suite(tmp_path, seed):
+    # rows (1, x, x^2, x^3) for x = 0..5: with the k-th power of the largest
+    # Hessian entry as its scale, |Hess| looked 1e-13 to 1e-9 of it and
+    # every run aborted with "vanishing Hessian"; at seed 3 one Newton seed
+    # also stalled at a rounding floor above 1e-13 of the gradient's terms
+    payload = {
+        "k": 4,
+        "n": 6,
+        "b": [[1, x, x * x, x**3] for x in range(6)],
+        "weights": ["2", "3", "5", "7", "11", "13"],
+        "seed": seed,
+    }
+    rc, report = _check_report(tmp_path, payload, ",".join(SUITES), f"k4n6-{seed}")
+    assert rc == 0
+    assert not [row for row in _statuses(report) if row[2] == "fail"]
+
+
+def test_changed_table_numerator_fails_the_ladder(tmp_path, monkeypatch):
+    from arrfrob import critalg, linalg
+
+    payload = _k2n4(["2", "3", "5", "7"], seed=1)
+    rc, report = _check_report(tmp_path, payload, "potential", "kept")
+    assert rc == 0
+    real = critalg._fiber_algebra
+
+    def tampered(family, z, anchor):
+        # one numerator of the table of [a_1/f_1], off by one
+        tables, unit = real(family, z, anchor)
+        rows = list(tables[0].rows)
+        rows[0] = {**rows[0], 0: rows[0].get(0, 0) + 1}
+        return (linalg.IntegerMatrix(tuple(rows), tables[0].den),) + tables[1:], unit
+
+    monkeypatch.setattr(critalg, "_fiber_algebra", tampered)
+    rc, report = _check_report(tmp_path, payload, "potential", "changed")
+    assert rc == 1
+    ladder = [row for row in _statuses(report) if "ladder" in row[1]]
+    assert ladder and any(status == "fail" for _, _, status in ladder)
 
 
 @pytest.mark.parametrize(

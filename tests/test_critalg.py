@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
-from arrfrob import critalg
+from arrfrob import critalg, linalg
 from arrfrob.core import ArrangementFamily, sample_good_point
 from arrfrob.critalg import (
     MasterFunction,
@@ -393,13 +393,17 @@ def test_gram_table_matches_gram_v(fixture, request):
 
     fam = request.getfixturevalue(fixture)
     sign = 1 if fam.k % 2 == 0 else -1
+    gram = critalg._anchored_gram(fam, fam.n)
+    position = {T: p for p, T in enumerate(anchored_subsets(fam, fam.n))}
     tuples = list(itertools.permutations(range(1, fam.n + 1), fam.k))
     for T in tuples:
         for U in tuples:
             g = gram_v(fam, T, U)
-            if T == tuple(sorted(T)) and U == tuple(sorted(U)):
-                assert critalg._gram(fam, T, U) == g
-            # unsorted keys read the table with the signs of their sorts
+            if T in position and U in position:
+                entry = gram.rows[position[T]].get(position[U], 0)
+                assert F(entry, gram.den) == sign * g
+            # unsorted keys and keys holding the anchor are rewritten in the
+            # anchored chart first
             assert structural_pairing(fam, CoVector.basis(T), CoVector.basis(U)) == sign * g
 
 
@@ -429,3 +433,85 @@ def test_w_value_scales_with_minor(fam_k2_n4):
     val = w_value(fam, (1, 2), p)
     expect = complex(fam.minor((1, 2))) * _direct_monomial_value(fam, (1, 2), p)
     assert abs(val - expect) < 1e-12 * max(1.0, abs(expect))
+
+
+# ---------------------------------------------------------------------------
+# the integer multiplication tables of one fiber
+
+
+_TABLE_CASES = [(1, 5), (2, 4), (3, 5)]
+
+
+def _table_fibers(fam):
+    return [sample_good_point(fam, seed=s).z for s in (0, 7)]
+
+
+@pytest.mark.parametrize("k, n", _TABLE_CASES)
+def test_table_products_match_the_fiber_independent_reduction(k, n):
+    # oracle: reduce_to_w_basis eliminates generators with minors only and
+    # reads neither the fiber nor the tables
+    fam = _prime_family(k, n)
+    for z in _table_fibers(fam):
+        for mono in itertools.combinations_with_replacement(range(1, n + 1), k):
+            exps = {i: mono.count(i) for i in set(mono)}
+            assert monomial_to_w(fam, z, mono) == reduce_to_w_basis(fam, exps)
+            # any order of the factors, and the chart of anchor 1
+            assert monomial_to_w(fam, z, mono[::-1], anchor=1) == reduce_to_w_basis(
+                fam, exps, anchor=1
+            )
+
+
+@pytest.mark.parametrize("k, n", _TABLE_CASES)
+def test_euler_identity_on_the_tables(k, n):
+    # (1/|a|) sum_j z_j [a_j/f_j] is the unit, so (1/|a|) sum_j z_j M_j = I
+    fam = _prime_family(k, n)
+    for z in _table_fibers(fam):
+        tables, _ = critalg._fiber_algebra(fam, z, fam.n)
+        dense = [table.dense() for table in tables]
+        size = len(anchored_subsets(fam, fam.n))
+        for p in range(size):
+            for q in range(size):
+                total = sum(zj * mat[p][q] for zj, mat in zip(z, dense)) / fam.weight_sum
+                assert total == (1 if p == q else 0)
+
+
+def test_cross_check_catches_a_changed_unit(fam_k2_n4, monkeypatch):
+    z = (F(0), F(1), F(3), F(7))
+    identity_element(fam_k2_n4, z, cross_check=True)
+    real = critalg._fiber_algebra
+
+    def tampered(family, z, anchor):
+        # one numerator of the unit, off by one
+        tables, unit = real(family, z, anchor)
+        row = unit.rows[0]
+        return tables, linalg.IntegerMatrix(({**row, 0: row.get(0, 0) + 1},), unit.den)
+
+    monkeypatch.setattr(critalg, "_fiber_algebra", tampered)
+    with pytest.raises(RuntimeError, match="routes disagree"):
+        identity_element(fam_k2_n4, z, cross_check=True)
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (3, 6)])
+def test_algebra_at_a_new_fiber_does_no_fraction_arithmetic(k, n, monkeypatch):
+    fam = _prime_family(k, n)
+    first, second = _table_fibers(fam)
+
+    def run(z):
+        prod = monomial_to_w(fam, z, (1,) * (2 * k + 1))
+        return structural_pairing(fam, prod, identity_element(fam, z))
+
+    expected = run(second)
+    fam.release_fibers()
+    run(first)  # the tables of the family are built
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__pow__"):
+        real = getattr(F, name)
+
+        def counted(*args, _real=real):
+            calls.append(1)
+            return _real(*args)
+
+        monkeypatch.setattr(F, name, counted)
+    assert run(second) == expected
+    assert not calls
