@@ -518,14 +518,6 @@ def _covector(family, anchor, vec):
     return out
 
 
-def generator_times_w(family, z, i, wvec):
-    """Product [a_i/f_i] * (w-span element) in anchored coordinates, read
-    from the fiber's table of [a_i/f_i] (`_fiber_algebra`)."""
-    anchor = default_anchor(family)
-    tables, _ = _fiber_algebra(family, z, anchor)
-    return _covector(family, anchor, _times(tables, (i,), _anchored(family, wvec, anchor)))
-
-
 def monomial_to_w(family, z, gens, anchor=None):
     """Class of prod [a_i/f_i] over the given generator indices (any number
     of factors) in the anchored basis: M_{g_r} ... M_{g_1} applied to the

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -554,13 +555,50 @@ def test_pairing_of_two_plus_kappa_sections_fails(pairing_family, monkeypatch):
 _TABLE_FAMILIES = [(1, 5), (2, 4), (3, 5)]
 
 
+def _complex_fibers(n, count, seed):
+    rng = random.Random(seed)
+    return [
+        [complex(rng.uniform(-6, 6), rng.uniform(-6, 6)) for _ in range(n)]
+        for _ in range(count)
+    ]
+
+
+def _padded_generators(family, anchor):
+    """nu([a_i/f_i]) by the padding route, for every i: a function of a
+    (possibly complex) fiber z giving the (n, dim) array of the sum over
+    ordered (k-1)-tuples g of prod_{j in g} z_j / |a|^(k-1) times nu of
+    reduce_to_w_basis((i,) + g), which does not read the fiber."""
+    n, k, index = family.n, family.k, family.flag_index
+    monos = list(itertools.product(range(1, n + 1), repeat=k - 1))
+    coeffs = np.zeros((n, len(monos), len(index)), dtype=complex)
+    for i in range(1, n + 1):
+        for m, g in enumerate(monos):
+            wvec = critalg.reduce_to_w_basis(family, Counter((i,) + g), anchor)
+            vec = fro.alpha_structural(family, wvec)
+            coeffs[i - 1, m] = [complex(vec.get(T)) for T in index]
+    scale = float(family.weight_sum) ** (k - 1)
+
+    def sections(z):
+        weights = np.array([math.prod(z[j - 1] for j in g) for g in monos], dtype=complex)
+        return np.einsum("imd,m->id", coeffs, weights) / scale
+
+    return sections
+
+
 @pytest.mark.parametrize("k, n", _TABLE_FAMILIES)
 def test_generator_table_matches_the_monomial_route(k, n, prime_config):
     family = load_family(prime_config(k, n))
     index = family.flag_index
     anchor = critalg.default_anchor(family)
-    # the algebra is exact, so the reference fibers are rational; the table
-    # is a polynomial of degree k - 1 in z, so 20 fibers pin it down
+    # at complex fibers, where the period path runs, against the padding route
+    padded = _padded_generators(family, anchor)
+    for z in _complex_fibers(n, 20, seed=10 * k + n):
+        gens = fro._generator_sections(family, z, anchor)
+        ref = padded(z)
+        assert gens.shape == ref.shape == (n, len(index))
+        assert np.max(np.abs(gens - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # at rational fibers against the exact algebra's tables, which need
+    # real rational coordinates
     for seed in range(20):
         z = sample_good_point(family, seed=10 * k + n + seed).z
         gens = fro._generator_sections(family, [complex(v) for v in z], anchor)
@@ -675,12 +713,13 @@ def test_generator_products_match_a_fresh_build(k, n, prime_config):
         fresh = _fresh_family(k, n, prime_config)
         for i in range(1, n + 1):
             for T in subsets:
-                shared = critalg.generator_times_w(family, z, i, CoVector.basis(T))
+                # [a_i/f_i] w_T = d_T [a_i/f_i] prod_{j in T} [a_j/f_j]
+                shared = critalg.monomial_to_w(family, z, (i,) + T)
                 # the caller owns the returned vector: changing it leaves
                 # the shared product alone
                 shared.accumulate(subsets[0], F(1, 7))
-                again = critalg.generator_times_w(family, z, i, CoVector.basis(T))
-                assert again == critalg.generator_times_w(fresh, z, i, CoVector.basis(T))
+                again = critalg.monomial_to_w(family, z, (i,) + T)
+                assert again == critalg.monomial_to_w(fresh, z, (i,) + T)
         # one table per generator and fiber, shared and read-only
         tables, unit = critalg._fiber_algebra(family, z, n)
         assert critalg._fiber_algebra(family, z, n)[0] is tables
