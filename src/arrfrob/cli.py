@@ -14,15 +14,15 @@ import argparse
 import itertools
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import critalg, frobenius, gaussmanin, linalg
 from .core import (
     ConfigError,
+    _is_int,
     check_unbalanced,
     circuits,
     coords,
@@ -32,6 +32,7 @@ from .core import (
     parse_rational,
     sample_good_point,
 )
+from .linalg import np
 from .osflag import (
     CoVector,
     FlagVector,
@@ -101,9 +102,23 @@ def _load_config(path):
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return raw
+
+
+def _check_json_path(path):
+    """A --json report path must name a file in an existing directory, so
+    that a run does not fail at its end, after every suite."""
+    if os.path.isdir(path):
+        raise ConfigError(f"--json names a directory: {path}")
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"--json directory does not exist: {directory}")
 
 
 def _parse_suites(text):
@@ -114,10 +129,6 @@ def _parse_suites(text):
         if name not in SUITES:
             raise ConfigError(f"unknown suite: {name}")
     return names
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _index_list(value, n, what):
@@ -877,6 +888,8 @@ def main(argv=None):
         # fast with a config-error exit
         if args.suites is not None:
             _parse_suites(args.suites)
+        if args.json:
+            _check_json_path(args.json)
         code = handlers[args.verb](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

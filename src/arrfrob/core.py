@@ -34,6 +34,11 @@ class ConfigError(ValueError):
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
+def _is_int(value):
+    """An int that is not a bool (JSON true/false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(value):
     """Parse "p" or "p/q" (q > 0) into a Fraction; plain ints pass through."""
     if isinstance(value, bool):
@@ -271,8 +276,8 @@ def load_family(config):
     if missing:
         raise ConfigError(f"config missing keys: {', '.join(missing)}")
     k, n = doc["k"], doc["n"]
-    if not isinstance(k, int) or not isinstance(n, int):
-        raise ConfigError("k and n must be integers")
+    if not _is_int(k) or not _is_int(n):
+        raise ConfigError(f"k and n must be integers, got k={k!r}, n={n!r}")
     raw_b = doc["b"]
     if not isinstance(raw_b, list) or any(not isinstance(r, list) for r in raw_b):
         raise ConfigError("b must be a list of rows")
@@ -311,7 +316,7 @@ def _load_document(config):
             try:
                 with open(config, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
         try:
             return json.loads(text)

@@ -36,10 +36,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .core import coords, per_family, per_fiber
-from .linalg import _dot, _integer_rows, _integer_sum, _integer_vector, _reduced_matrix
+from .linalg import _dot, _integer_rows, _integer_sum, _integer_vector, _reduced_matrix, np
 from .osflag import CoVector, gram_v, singular_subspace, sort_with_sign, weight_product
 
 

@@ -46,11 +46,10 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
-
 from . import critalg, gaussmanin, linalg
 from .core import coords, f_c_value, is_good_fiber
 from .core import ArrangementFamily, per_family
+from .linalg import np
 from .linforms import LinExpr
 from .osflag import (
     CoVector,

@@ -32,12 +32,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import critalg
 from .core import coords, f_c_value, per_family, per_fiber
 from .linalg import IntegerMatrix, _dot, _integer_rows, _integer_sum, _integer_vector
-from .linalg import _reduced_matrix
+from .linalg import _reduced_matrix, np
 from .linforms import LinExpr, linear_form
 from .osflag import (
     FlagVector,
@@ -441,11 +439,12 @@ def _circuit_arrays(family):
     return np.array(lams, dtype=complex), np.array(ops, dtype=complex).reshape(len(ops), size * size)
 
 
-# Dormand-Prince embedded pair. The last row of _DP_A is the fifth-order
-# weights, so the seventh stage, taken at the new state, is the first stage
-# of the next step on the same segment.
+# Dormand-Prince embedded pair, as float tuples (flow_flat_section makes the
+# arrays). The last row of _DP_A is the fifth-order weights, so the seventh
+# stage, taken at the new state, is the first stage of the next step on the
+# same segment.
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = np.array([row + (0.0,) * (7 - len(row)) for row in (
+_DP_A = tuple(row + (0.0,) * (7 - len(row)) for row in (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -453,10 +452,11 @@ _DP_A = np.array([row + (0.0,) * (7 - len(row)) for row in (
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)])
+))
 # fifth-order minus fourth-order weights: the embedded error estimate
-_DP_E = _DP_A[6] - (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100,
-                    1 / 40)
+_DP_E = tuple(a - b for a, b in zip(_DP_A[6], (
+    5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40,
+)))
 
 
 @dataclass
@@ -521,6 +521,7 @@ def flow_flat_section(
         row[:] = np.reshape(np.array(values, dtype=complex), dim)
     y = y.reshape(size)
     lams, ops = _circuit_arrays(family)
+    dp_a, dp_e = np.array(_DP_A), np.array(_DP_E)
     extras = tuple(extras or ())
     nodes = [y.reshape(count, dim).copy()]
     nseg = len(waypoints) - 1
@@ -577,10 +578,10 @@ def flow_flat_section(
                 raise RuntimeError("transport exceeded the step budget")
             for stage in range(1, 7):
                 ss = s + _DP_C[stage] * h
-                ys = y + (h * _DP_A[stage, :stage]) @ stages[:stage]
+                ys = y + (h * dp_a[stage, :stage]) @ stages[:stage]
                 stages[stage] = derivative((ss - s0) * nseg, ss, ys)
             # ys is now the fifth-order solution at s + h
-            error = block_max(h * (_DP_E @ stages))
+            error = block_max(h * (dp_e @ stages))
             scale = atol + rtol * np.maximum(block_max(y), block_max(ys))
             err = np.max(error / scale)
             if err <= 1.0:

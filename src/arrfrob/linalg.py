@@ -1,20 +1,41 @@
 """Exact linear algebra over ``fractions.Fraction``.
 
 Matrices are plain lists of row lists. Everything here stays exact; float
-and complex work elsewhere goes through numpy. Dimensions in this package
-are tiny (at most a few hundred rows), so Gauss-Jordan is plenty. The
-per-fiber tables (K_j(z) in `gaussmanin`, the critical algebra in
-`critalg`) are `IntegerMatrix`es, so exact checks on them use integers.
+and complex work elsewhere goes through numpy, as the handle ``np`` defined
+here. Dimensions in this package are tiny (at most a few hundred rows), so
+Gauss-Jordan is plenty. The per-fiber tables (K_j(z) in `gaussmanin`, the
+critical algebra in `critalg`) are `IntegerMatrix`es, so exact checks on
+them use integers.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
-import numpy as np
+
+def _lazy_module(name):
+    """The module `name`, executed on its first attribute access rather than
+    here, or the module itself if it is loaded already."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# numpy costs a start-up of about 0.15 s that the exact checks never use, so
+# it loads when a float computation first runs.
+np = _lazy_module("numpy")
 
 
 def identity(n):

@@ -58,6 +58,30 @@ def test_bad_json_is_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_directory_is_exit_2(tmp_path, capsys):
+    assert main(["check", "--config", str(tmp_path)]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_non_utf8_config_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"k": 1, "note": "\u00e9"}'.encode("latin-1"))
+    assert main(["check", "--config", str(path)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing/r.json", "."])
+def test_bad_json_path_is_exit_2_before_any_work(k1_config, tmp_path, monkeypatch, capsys, where):
+    from arrfrob import cli
+
+    def run_nothing(args):
+        raise AssertionError("the check ran")
+
+    monkeypatch.setattr(cli, "_cmd_check", run_nothing)
+    assert main(["check", "--config", k1_config, "--json", str(tmp_path / where)]) == 2
+    assert "--json" in capsys.readouterr().err
+
+
 def test_unknown_suite_is_exit_2(k1_config, capsys):
     assert main(["check", "--config", k1_config, "--suites", "nope"]) == 2
     err = capsys.readouterr().err
@@ -351,31 +375,64 @@ def test_contraction_row_fails_on_a_moved_point(tmp_path, monkeypatch):
     assert rows and all(r["status"] == "fail" for r in rows)
 
 
-def test_check_does_not_import_sympy(k2_config, tmp_path):
-    out = str(tmp_path / "r.json")
-    launcher = (
-        "import sys; from arrfrob.cli import main; "
-        f"code = main(['check', '--config', {k2_config!r}, "
-        f"'--suites', 'basis,canonical,critical', '--json', {out!r}]); "
-        "print('sympy' in sys.modules, code)"
-    )
+def _fresh_python(*args):
+    """Run the interpreter with `args` in a new process that imports this
+    checkout of arrfrob."""
     src = str(Path(arrfrob.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", launcher], capture_output=True, text=True, env=env
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_check_does_not_import_sympy(k2_config, tmp_path):
+    out = str(tmp_path / "r.json")
+    proc = _fresh_python(
+        "-c",
+        "import sys; from arrfrob.cli import main; "
+        f"code = main(['check', '--config', {k2_config!r}, "
+        f"'--suites', 'basis,canonical,critical', '--json', {out!r}]); "
+        "print('sympy' in sys.modules, code)",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "0"]
 
 
-def test_python_m_arrfrob_cli_and_lazy_main():
-    src = str(Path(arrfrob.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    bare = subprocess.run(
-        [sys.executable, "-m", "arrfrob"], capture_output=True, text=True, env=env
+def test_exact_suites_and_circuits_do_not_load_numpy(k2_config, tmp_path):
+    out = str(tmp_path / "r.json")
+    proc = _fresh_python(
+        "-c",
+        "import sys; from arrfrob.cli import main; "
+        f"codes = [main(['check', '--config', {k2_config!r}, '--suites', "
+        f"'circuits,flatness,symmetry,conformal,potential', '--json', {out!r}]), "
+        f"main(['circuits', '--config', {k2_config!r}, '--json', {out!r}])]; "
+        "print(*codes, *sorted(m for m in sys.modules if m.startswith('numpy.')))",
     )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+@pytest.mark.parametrize("suites", ["periods", "basis,canonical"])
+def test_first_numpy_load_gives_the_in_process_report(k2_config, tmp_path, suites):
+    # the fresh process loads numpy inside the suite, at its first float
+    # computation
+    fresh = str(tmp_path / "fresh.json")
+    here = str(tmp_path / "here.json")
+    proc = _fresh_python(
+        "-c",
+        "import sys; from arrfrob.cli import main; "
+        "before = 'numpy.linalg' in sys.modules; "
+        f"code = main(['check', '--config', {k2_config!r}, '--suites', {suites!r}, "
+        f"'--json', {fresh!r}]); "
+        "print(before, 'numpy.linalg' in sys.modules, code)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "0"]
+    assert main(["check", "--config", k2_config, "--suites", suites, "--json", here]) == 0
+    assert Path(fresh).read_bytes() == Path(here).read_bytes()
+
+
+def test_python_m_arrfrob_cli_and_lazy_main():
+    bare = _fresh_python("-m", "arrfrob")
     assert bare.returncode == 2
     assert "usage: arrfrob" in bare.stderr
     assert "RuntimeWarning" not in bare.stderr

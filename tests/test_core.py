@@ -124,9 +124,25 @@ def test_load_family_roundtrip(tmp_path):
     assert fam.preferred_z.z == (F(0), F(1), F(3))
 
 
+def test_load_family_unreadable_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"k": 1, "note": "é"}'.encode("latin-1"))
+    for source in (str(path), str(tmp_path)):
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_family(source)
+
+
 def test_load_family_missing_keys():
     with pytest.raises(ConfigError):
         load_family({"k": 1, "n": 3, "b": [[1], [1], [1]]})
+
+
+@pytest.mark.parametrize("k, n", [(True, 3), (1, True)])
+def test_load_family_rejects_boolean_k_and_n(k, n):
+    # JSON true is a Python bool, an int subclass: "k": true once loaded as k = 1
+    doc = {"k": k, "n": n, "b": [[1], [1], [1]], "weights": ["1", "2", "3"]}
+    with pytest.raises(ConfigError, match="must be integers"):
+        load_family(doc)
 
 
 def test_load_family_rejects_balanced_circuit():
