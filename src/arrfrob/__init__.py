@@ -40,6 +40,7 @@ from .gaussmanin import (
     check_flatness,
     check_symmetry_and_invariance,
     derivative_sections,
+    flatness_certificate,
     flow_flat_section,
     k_operator,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "derivative_sections",
     "eta_and_beta",
     "expected_critical_count",
+    "flatness_certificate",
     "flow_flat_section",
     "identity_element",
     "is_good_fiber",

@@ -3,8 +3,7 @@
 For each circuit C the operator L_C acts on the standard flag basis, and
 the connection operators are K_j(z) = sum_C (lambda_j^C / f_C(z)) L_C.
 L_C is tabulated once per family in flag positions (`_l_c_entries`, and
-over the weights' denominator in `_l_c_integer`); `_sum_l_c` sums scaled
-L_C into a dense matrix of Fractions, LinExprs or complex numbers.
+over the weights' denominator in `_l_c_integer`).
 
 Exact checks run on integers. `k_operator` assembles K_j(z) as a
 `linalg.IntegerMatrix`, sparse integer rows over one denominator, from the
@@ -12,9 +11,12 @@ circuit values f_C(z), computed once per circuit and fiber.
 `fiber_k_operator` keeps one per (fiber, j) in the fiber's entry of the
 family (`core.per_fiber`); the commutators on Sing, the S-symmetry, Sing
 invariance, the weighted Euler identity, the conformal-block equations
-and `critalg.solve_critical` all read it. The curl side of flatness is
-certified once per family: a flat family has no nonzero symbolic
-difference between d_i K_j and its closed form (`_curl_defects`).
+and `critalg.solve_critical` all read it. Flatness is certified once per
+family by Kohno's criterion (`flatness_certificate`): every residue
+preserves Sing, and on Sing it commutes with the sum of the residues of
+each codimension-2 flat of the discriminant through it, in integer
+arithmetic on tables that do not depend on the fiber. The commutators
+[K_i, K_j] at sampled fibers are a cross-check.
 
 `flow_flat_section` is the one transport: an adaptive Dormand-Prince
 integrator of kappa dI = (sum_j K_j dz_j) I along a piecewise-linear path.
@@ -36,7 +38,6 @@ from . import critalg
 from .core import coords, f_c_value, per_family, per_fiber
 from .linalg import IntegerMatrix, _dot, _integer_rows, _integer_sum, _integer_vector
 from .linalg import _reduced_matrix, np
-from .linforms import LinExpr, linear_form
 from .osflag import (
     FlagVector,
     singular_subspace,
@@ -83,18 +84,6 @@ def _l_c_entries(family, circuit_indices):
             sign = base if l % 2 == 0 else -base
             entries.append((index.position(key), q, sign * osign * family.a[il - 1]))
     return tuple(entries)
-
-
-def _sum_l_c(family, scales, zero):
-    """Dense flag-basis matrix of sum_C scale_C L_C over the (circuit
-    indices, scale_C) pairs. The entries start at `zero`, so they may be
-    Fractions, LinExprs or complex numbers."""
-    size = len(family.flag_index)
-    mat = [[zero] * size for _ in range(size)]
-    for indices, scale in scales:
-        for p, q, coef in _l_c_entries(family, indices):
-            mat[p][q] = mat[p][q] + scale * coef
-    return mat
 
 
 def discriminant_min(family, z):
@@ -165,27 +154,6 @@ def fiber_k_operator(family, zz, j):
     at the fiber reads this one IntegerMatrix, and `critalg.solve_critical`
     reads its floats."""
     return k_operator(family, zz, j)
-
-
-def k_operator_minor_form(family, z, j):
-    """K_j(z) assembled from (k+1)-index minor data instead of circuits;
-    only valid when every k-subset away from j is independent."""
-    zz = coords(z)
-    scales = []
-    for tail in itertools.combinations(
-        [i for i in range(1, family.n + 1) if i != j], family.k
-    ):
-        d_tail = family.minor(tail)
-        if d_tail == 0:
-            continue
-        u = tuple(sorted((j,) + tail))
-        fu = critalg.f_minor_value(family, zz, (j,) + tail)
-        if fu == 0:
-            raise ValueError(
-                f"fiber lies on the pole locus of the minor form at {(j,) + tail}"
-            )
-        scales.append((u, d_tail / fu))
-    return _sum_l_c(family, scales, Fraction(0))
 
 
 def apply_matrix(family, mat, vec):
@@ -272,77 +240,6 @@ def check_symmetry_and_invariance(family, z):
     return report
 
 
-def _circuit_form(family, circuit):
-    """The circuit form f_C as a linear form in z."""
-    return linear_form([circuit.coefficient(i) for i in range(1, family.n + 1)])
-
-
-@per_family
-def _k_entry_exprs(family, j):
-    """Entries of K_j as exact expressions in z (sum of lambda_j / f_C
-    multiples of circuit operator entries)."""
-    scales = []
-    for circuit in family.circuit_list:
-        lam_j = circuit.coefficient(j)
-        if lam_j == 0:
-            continue
-        form = _circuit_form(family, circuit)
-        scales.append(
-            (circuit.indices, LinExpr.monomial(lam_j, {form: -1}, forms=family.forms))
-        )
-    return _sum_l_c(family, scales, LinExpr.zero())
-
-
-def _closed_curl_exprs(family, a, b):
-    """The closed form of d_a K_b as exact expressions in z:
-    -lambda_a lambda_b / f_C^2 summed over circuits."""
-    scales = []
-    for circuit in family.circuit_list:
-        lam_a = circuit.coefficient(a)
-        lam_b = circuit.coefficient(b)
-        if lam_a == 0 or lam_b == 0:
-            continue
-        form = _circuit_form(family, circuit)
-        mono = LinExpr.monomial(-lam_a * lam_b, {form: -2}, forms=family.forms)
-        scales.append((circuit.indices, mono))
-    return _sum_l_c(family, scales, LinExpr.zero())
-
-
-@per_family
-def _curl_defects(family, i, j):
-    """The symbolic side of the curl check for the pair (i, j), built once
-    per family: the entries of d_a K_b minus its closed form for (a, b) =
-    (i, j) and (j, i), and of the two closed forms' difference, that are
-    not identically zero. A flat connection leaves none, so its curl holds
-    on every fiber."""
-    compared = []
-    closed = {}
-    for a, b in ((i, j), (j, i)):
-        closed[a, b] = _closed_curl_exprs(family, a, b)
-        for row, closed_row in zip(_k_entry_exprs(family, b), closed[a, b]):
-            compared.extend((x.diff(a), y) for x, y in zip(row, closed_row))
-    for row, other in zip(closed[i, j], closed[j, i]):
-        compared.extend(zip(row, other))
-    # the terms are kept in canonical form, so x - y is zero iff they agree
-    return tuple(x - y for x, y in compared if x.terms != y.terms)
-
-
-def curl_residual(family, z, pairs=None):
-    """Exact residual of d(K_i dz_i + ...) = 0: the z-derivative of every
-    entry of K_j in direction i must match the closed form
-    -lambda_i lambda_j / f_C^2 summed over circuits, and the (i, j) and
-    (j, i) derivative matrices must agree. Only the entries whose symbolic
-    difference is not identically zero are evaluated at the fiber."""
-    zz = coords(z)
-    if pairs is None:
-        pairs = list(itertools.combinations(range(1, family.n + 1), 2))
-    worst = Fraction(0)
-    for i, j in pairs:
-        for defect in _curl_defects(family, i, j):
-            worst = max(worst, abs(defect.evaluate_exact(zz)))
-    return worst
-
-
 def _sparse_product(left, right):
     """Product of two matrices given as sparse integer rows."""
     out = []
@@ -391,16 +288,136 @@ def commutator_residuals(family, z, pairs=None):
     return exact_worst, full_worst
 
 
+def _integer_form(circuit):
+    """The circuit form f_C as coprime integer coefficients, ((index,
+    coefficient), ...), the first positive since lambda^C starts with 1:
+    one key per hyperplane of the discriminant."""
+    den = math.lcm(*(x.denominator for x in circuit.lam))
+    values = [x.numerator * (den // x.denominator) for x in circuit.lam]
+    g = math.gcd(*values)
+    return tuple((i, v // g) for i, v in zip(circuit.indices, values))
+
+
+def _plucker_key(u, v):
+    """The 2-plane spanned by two non-proportional integer forms as its
+    nonzero Plucker coordinates ((a, b), u_a v_b - u_b v_a) for a < b,
+    divided by their gcd and signed so that the first is positive: one key
+    per codimension-2 flat of the discriminant."""
+    du, dv = dict(u), dict(v)
+    entries = []
+    for a, b in itertools.combinations(sorted(du.keys() | dv.keys()), 2):
+        p = du.get(a, 0) * dv.get(b, 0) - du.get(b, 0) * dv.get(a, 0)
+        if p:
+            entries.append(((a, b), p))
+    g = math.gcd(*(p for _, p in entries)) * (1 if entries[0][1] > 0 else -1)
+    return tuple((ab, p // g) for ab, p in entries)
+
+
+def _restricted_residue(family, members, free, common):
+    """The residue sum_C L_C of one hyperplane, over its circuits `members`,
+    on the singular subspace: sparse integer rows over the weights'
+    denominator times `common`, and whether some image leaves Sing.
+
+    The singular basis has a 1 at its own free column and 0 at the others,
+    so an image in Sing has as coordinates its entries at the free columns;
+    `common` is the lcm of the basis denominators."""
+    basis, conditions = _integer_sing(family)
+    columns = {}
+    for indices in members:
+        for p, q, coef in _l_c_integer(family, indices):
+            columns.setdefault(q, []).append((p, coef))
+    rows = [{} for _ in basis]
+    moved = False
+    for i, (values, den) in enumerate(basis):
+        image = {}
+        for q, x in values.items():
+            for p, c in columns.get(q, ()):
+                image[p] = image.get(p, 0) + c * x
+        moved = moved or any(_dot(condition, image) for condition, _ in conditions)
+        scale = common // den
+        for row, f in zip(rows, free):
+            if image.get(f):
+                row[i] = image[f] * scale
+    return rows, moved
+
+
+@per_family
+def flatness_certificate(family):
+    """Kohno's criterion for the connection on Sing, once per family.
+
+    Omega = sum_H R_H dlog f_H, summed over the hyperplanes H of the
+    discriminant (circuits with proportional forms share one, and its
+    residue R_H is the sum of their L_C). Omega is flat on Sing at every
+    fiber when every R_H preserves Sing ("invariant") and, for every
+    codimension-2 flat X of the discriminant and every H containing X,
+    [R_H, sum_{H' containing X} R_H'] vanishes on Sing ("commuting"; the
+    last H of a flat follows from the others). Both halves run on integer
+    tables that do not depend on the fiber. The report lists the circuits
+    whose residue leaves Sing ("moving") and, per failing flat, the
+    circuits of the flat ("failing")."""
+    basis, _ = _integer_sing(family)
+    free = []
+    for i, (values, den) in enumerate(basis):
+        # the pivots a nullspace vector fills lie left of its free column
+        f = max(values)
+        if values[f] != den or any(f in other for other, _ in basis[:i] + basis[i + 1:]):
+            raise RuntimeError("the singular basis is not in nullspace form")
+        free.append(f)
+    common = math.lcm(*(den for _, den in basis))
+    hyperplanes = {}
+    for circuit in family.circuit_list:
+        hyperplanes.setdefault(_integer_form(circuit), []).append(circuit.indices)
+    members = list(hyperplanes.values())
+    residues, moving = [], []
+    for group in members:
+        rows, moved = _restricted_residue(family, group, free, common)
+        residues.append(rows)
+        if moved:
+            moving.extend(group)
+    flats = {}
+    for (h1, u), (h2, v) in itertools.combinations(enumerate(hyperplanes), 2):
+        flats.setdefault(_plucker_key(u, v), set()).update((h1, h2))
+    failing = []
+    sizes = {}
+    for flat in flats.values():
+        flat = sorted(flat)
+        sizes[len(flat)] = sizes.get(len(flat), 0) + 1
+        # [R_h, S_X] for every h but the last; with two hyperplanes, [R_1, R_2]
+        if len(flat) == 2:
+            total = residues[flat[1]]
+        else:
+            total = [{} for _ in basis]
+            for h in flat:
+                for acc, row in zip(total, residues[h]):
+                    for q, v in row.items():
+                        acc[q] = acc.get(q, 0) + v
+        if any(any(_commutator_rows((residues[h], 1), (total, 1))[0]) for h in flat[:-1]):
+            failing.append([c for h in flat for c in members[h]])
+    return {
+        "circuits": len(family.circuit_list),
+        "hyperplanes": len(members),
+        "flats": len(flats),
+        "flat_sizes": dict(sorted(sizes.items())),
+        "moving": moving,
+        "failing": failing,
+        "invariant": not moving,
+        "commuting": not failing,
+        "passed": not moving and not failing,
+    }
+
+
 def check_flatness(family, z, pairs=None):
-    """Curl and singular-subspace commutator checks at a fiber; the full
-    flag-space commutator norm is reported but not asserted."""
-    curl = curl_residual(family, z, pairs)
+    """Flatness at a fiber: the per-family certificate
+    (`flatness_certificate`, built on the first call) and the sampled
+    commutators [K_i, K_j] on the singular subspace; the full flag-space
+    commutator norm is reported but not asserted."""
+    certified = flatness_certificate(family)["passed"]
     on_sing, on_full = commutator_residuals(family, z, pairs)
     return {
-        "curl_exact_zero": curl == 0,
+        "certificate_passed": certified,
         "commutator_singular_exact_zero": on_sing == 0,
         "commutator_full_norm": float(on_full),
-        "passed": curl == 0 and on_sing == 0,
+        "passed": certified and on_sing == 0,
     }
 
 
@@ -434,9 +451,12 @@ def _circuit_arrays(family):
     (circuits, dim * dim), as complex arrays."""
     circuits = family.circuit_list
     lams = [[complex(c.coefficient(i)) for i in range(1, family.n + 1)] for c in circuits]
-    ops = [_sum_l_c(family, [(c.indices, 1)], 0j) for c in circuits]
     size = len(family.flag_index)
-    return np.array(lams, dtype=complex), np.array(ops, dtype=complex).reshape(len(ops), size * size)
+    ops = np.zeros((len(circuits), size * size), dtype=complex)
+    for op, c in zip(ops, circuits):
+        for p, q, coef in _l_c_entries(family, c.indices):
+            op[p * size + q] = complex(coef)
+    return np.array(lams, dtype=complex), ops
 
 
 # Dormand-Prince embedded pair, as float tuples (flow_flat_section makes the

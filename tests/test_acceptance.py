@@ -144,14 +144,15 @@ FLATNESS_CASES = [
 
 
 def test_criterion_05_flatness_and_symmetry():
-    # exact rational vanishing of the curl and of the commutators on the
-    # singular subspace, and exact S-symmetry of every operator, at 5
-    # random good fibers per family
+    # Kohno's certificate once per family, exact rational vanishing of the
+    # commutators on the singular subspace, and exact S-symmetry of every
+    # operator, at 5 random good fibers per family
     for fam in FLATNESS_CASES:
+        assert gm.flatness_certificate(fam)["passed"], (fam.k, fam.n)
         for seed in range(5):
             z = sample_good_point(fam, seed=seed).z
             flat = gm.check_flatness(fam, z)
-            assert flat["curl_exact_zero"], (fam.k, fam.n, seed)
+            assert flat["certificate_passed"], (fam.k, fam.n, seed)
             assert flat["commutator_singular_exact_zero"], (fam.k, fam.n, seed)
             sym = gm.check_symmetry_and_invariance(fam, z)
             assert sym["passed"], (fam.k, fam.n, seed)

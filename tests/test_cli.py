@@ -496,6 +496,68 @@ def test_changed_table_numerator_fails_the_ladder(tmp_path, monkeypatch):
     assert ladder and any(status == "fail" for _, _, status in ladder)
 
 
+def test_changed_circuit_entry_fails_the_certificate_rows(tmp_path, monkeypatch):
+    from arrfrob import gaussmanin
+
+    payload = _k2n4(["2", "3", "5", "7"], seed=1)
+    rc, report = _check_report(tmp_path, payload, "flatness", "kept")
+    assert rc == 0
+    assert [row["id"] for row in report["suites"]["flatness"]["checks"][:2]] == [
+        "singular-invariance-certificate",
+        "kohno-certificate",
+    ]
+    table = gaussmanin._l_c_integer
+
+    def changed(family, indices):
+        # one numerator of L_(1,2,3), off by one
+        entries = table(family, indices)
+        if indices != (1, 2, 3):
+            return entries
+        (p, q, coef), rest = entries[0], entries[1:]
+        return ((p, q, coef + 1),) + rest
+
+    monkeypatch.setattr(gaussmanin, "_l_c_integer", changed)
+    rc, report = _check_report(tmp_path, payload, "flatness", "changed")
+    assert rc == 1
+    rows = {row["id"]: row for row in report["suites"]["flatness"]["checks"]}
+    invariance = rows["singular-invariance-certificate"]
+    kohno = rows["kohno-certificate"]
+    assert invariance["status"] == kohno["status"] == "fail"
+    assert invariance["witness"]["offenders"] == [[1, 2, 3]]
+    assert kohno["witness"]["flats"] == 1 and kohno["witness"]["circuits"] == 4
+
+
+def test_flatness_suite_builds_no_symbolic_expression(tmp_path, monkeypatch):
+    from arrfrob.linforms import LinExpr
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("flatness built or read a symbolic expression")
+
+    for name in ("zero", "monomial", "diff", "evaluate_exact"):
+        monkeypatch.setattr(LinExpr, name, refuse)
+    payload = {"k": 3, "n": 6, "b": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1],
+                                     [1, 2, 4], [1, 3, 9]],
+               "weights": ["2", "3", "5", "7", "11", "13"], "seed": 1}
+    rc, report = _check_report(tmp_path, payload, "flatness", "k3n6")
+    assert rc == 0 and len(report["suites"]["flatness"]["checks"]) == 2 + 5
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"k": 1, "n": 2, "b": [[1], [1]], "weights": ["2", "3"]},
+        {"k": 2, "n": 3, "b": [[1, 0], [0, 1], [1, 1]], "weights": ["2", "3", "5"]},
+    ],
+)
+def test_families_without_flats_pass_the_certificate(tmp_path, payload):
+    rc, report = _check_report(tmp_path, payload, "flatness", "one-circuit")
+    assert rc == 0
+    assert [row[1:] for row in _statuses(report)[:2]] == [
+        ("singular-invariance-certificate", "pass"),
+        ("kohno-certificate", "pass"),
+    ]
+
+
 @pytest.mark.parametrize(
     "extra, argv",
     [
@@ -612,12 +674,14 @@ def test_configured_path_and_kappa_reach_the_periods_suite(tmp_path):
 
 # sha256 of `check --suites flatness,symmetry` at seed 1 on the benchmark's
 # prime-weight families, pinned when the exact flatness kernels moved to
-# integer arithmetic. Every residual in these suites is the float of an
-# exact rational, so the bytes do not depend on the platform.
+# integer arithmetic and pinned again when the per-fiber curl rows gave way
+# to the per-family certificate rows (the other rows kept their bytes).
+# Every residual in these suites is the float of an exact rational, so the
+# bytes do not depend on the platform.
 _FLATNESS_SYMMETRY_SHA256 = {
-    (1, 5): "7996cb1407362349e8812817c33987d355cbb16381e7c8767fbaf7cbba1d0633",
-    (2, 4): "8490c9b061bf90ce0a91db27def40a47391e9e80112ed7888b2dfcc678758a75",
-    (3, 5): "3408c01c723be1aa4dd7237491c37984a5293967825fd78e1fdbd397e32ce2dc",
+    (1, 5): "76118ba85f32ee6dc654743a938d50ab69bf0eebe0488091a5e8a2dee7c03e75",
+    (2, 4): "5c75aa5620dd91bcb3998d5bfe348fcb4b13f6d9df6cdfa77d24b127469dec4e",
+    (3, 5): "fd0c6fcf85a65e66ad0aaea2b9dbb6add77ef7375c6fcdb2eb839f5971bc7632",
 }
 
 
@@ -633,11 +697,13 @@ def test_flatness_and_symmetry_reports_are_pinned(k, n, tmp_path, prime_config):
 
 # sha256 of `check` over the suites of the benchmark's `exact` workload at
 # seed 1, pinned before their tables (P and its derivatives, the derivatives
-# of q, K_j(z) and the generator products) were built once and shared.
+# of q, K_j(z) and the generator products) were built once and shared, and
+# pinned again when the curl rows of `flatness` gave way to the certificate
+# rows.
 _EXACT_SUITES = "circuits,flatness,symmetry,conformal,potential"
 _EXACT_SHA256 = {
-    (3, 4): "840c87f33e6c9196553def4c04108858b571f9aefcc8fa86686659bc3b461ef9",
-    (3, 5): "bd9b95496021a704045f98302e6c2523ed21a88133ddbfbffeac62e5b81817da",
+    (3, 4): "46a83d087d6c976ddc67b0326c393f96b29cda26273cca4767f8b91fc7180e36",
+    (3, 5): "1bdfe5caabf9e7d71d9cf30c74d255f60a965df31ac511e82b590c2aa2cc1f19",
 }
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from arrfrob import gaussmanin
-from arrfrob.core import f_c_value, load_family, sample_good_point
-from arrfrob.critalg import monomial_to_w, solve_critical
+from arrfrob.core import ArrangementFamily, coords, f_c_value, load_family, sample_good_point
+from arrfrob.critalg import f_minor_value, monomial_to_w, solve_critical
 from arrfrob.gaussmanin import (
     _commutator_rows,
     _integer_rows,
@@ -18,16 +18,15 @@ from arrfrob.gaussmanin import (
     derivative_sections,
     discriminant_min,
     fiber_k_operator,
+    flatness_certificate,
     flow_flat_section,
     invariance_residual,
     k_operator,
-    k_operator_minor_form,
     pairing_functional,
     symmetry_residual,
     weighted_euler_residual,
 )
 from arrfrob.linalg import mat_mul
-from arrfrob.linforms import LinExpr
 from arrfrob.osflag import (
     FlagVector,
     contravariant_pairing,
@@ -37,16 +36,44 @@ from arrfrob.osflag import (
 )
 
 
+def _sum_l_c(family, scales):
+    """Dense flag-basis matrix of sum_C scale_C L_C over (circuit indices,
+    scale_C) pairs, in Fraction arithmetic."""
+    size = len(family.flag_index)
+    mat = [[F(0)] * size for _ in range(size)]
+    for indices, scale in scales:
+        for p, q, coef in gaussmanin._l_c_entries(family, indices):
+            mat[p][q] += scale * coef
+    return mat
+
+
+def _minor_form_k_operator(family, z, j):
+    """K_j(z) assembled from (k+1)-index minor data instead of circuits, an
+    independent route to `k_operator`; only valid when every k-subset away
+    from j is independent."""
+    zz = coords(z)
+    scales = []
+    for tail in itertools.combinations(
+        [i for i in range(1, family.n + 1) if i != j], family.k
+    ):
+        d_tail = family.minor(tail)
+        if d_tail == 0:
+            continue
+        u = tuple(sorted((j,) + tail))
+        scales.append((u, d_tail / f_minor_value(family, zz, (j,) + tail)))
+    return _sum_l_c(family, scales)
+
+
 def test_operator_routes_agree(fam_k2_n4):
     z = (F(0), F(1), F(3), F(7))
     for j in range(1, 5):
-        assert k_operator(fam_k2_n4, z, j).dense() == k_operator_minor_form(fam_k2_n4, z, j)
+        assert k_operator(fam_k2_n4, z, j).dense() == _minor_form_k_operator(fam_k2_n4, z, j)
 
 
 def test_operator_routes_agree_k1(fam_k1_n4):
     z = (F(0), F(1), F(3), F(-2))
     for j in range(1, 5):
-        assert k_operator(fam_k1_n4, z, j).dense() == k_operator_minor_form(fam_k1_n4, z, j)
+        assert k_operator(fam_k1_n4, z, j).dense() == _minor_form_k_operator(fam_k1_n4, z, j)
 
 
 def test_operator_rejects_bad_fiber(fam_k1_n3):
@@ -78,7 +105,7 @@ def test_flatness_exact(fixture, request):
     z = sample_good_point(fam, seed=5).z
     report = check_flatness(fam, z)
     assert report["passed"]
-    assert report["curl_exact_zero"]
+    assert report["certificate_passed"]
     assert report["commutator_singular_exact_zero"]
 
 
@@ -94,7 +121,7 @@ def _fraction_k_operator(family, z, j):
         for c in family.circuit_list
         if c.coefficient(j)
     ]
-    return gaussmanin._sum_l_c(family, scales, F(0))
+    return _sum_l_c(family, scales)
 
 
 @pytest.mark.parametrize("k, n", [(1, 5), (2, 4), (3, 5)])
@@ -146,32 +173,126 @@ def test_doubled_circuit_operator_breaks_the_commutator(monkeypatch, fam_k2_n4):
     report = check_flatness(fam_k2_n4, sample_good_point(fam_k2_n4, seed=1).z)
     assert not report["commutator_singular_exact_zero"]
     assert report["commutator_full_norm"] > 0
+    assert not report["certificate_passed"]
     assert not report["passed"]
 
 
-def test_curl_certificate_is_empty_for_flat_families(fam_k2_n5):
-    for i, j in itertools.combinations(range(1, 6), 2):
-        assert gaussmanin._curl_defects(fam_k2_n5, i, j) == ()
+def test_kohno_certificate_holds_for_flat_families(fam_k2_n5):
+    cert = flatness_certificate(fam_k2_n5)
+    assert cert["passed"] and cert["invariant"] and cert["commuting"]
+    assert cert["moving"] == [] and cert["failing"] == []
+    # ten circuits, ten distinct hyperplanes; the 4-subsets of 5 give five
+    # flats of four circuits, the other 15 pairs a flat each
+    assert (cert["circuits"], cert["hyperplanes"], cert["flats"]) == (10, 10, 20)
+    assert cert["flat_sizes"] == {2: 15, 4: 5}
+    assert flatness_certificate(fam_k2_n5) is cert
 
 
-def test_nonzero_symbolic_curl_fails_at_the_fiber(monkeypatch, fam_k2_n4):
-    exprs = gaussmanin._k_entry_exprs
-    spurious = LinExpr.monomial(1, {(1, 0, 0, 0): 1})  # z_1, with d_1 = 1
+def test_broken_kohno_certificate_fails_at_every_fiber(monkeypatch, fam_k2_n4):
+    # one entry of the restricted residue of the first hyperplane changed:
+    # the sampled commutators do not see it, the certificate does
+    restrict = gaussmanin._restricted_residue
 
-    def perturbed(family, j):
-        mat = [list(row) for row in exprs(family, j)]
-        if j == 2:
-            mat[0][0] = mat[0][0] + spurious
-        return mat
+    def perturbed(family, members, free, common):
+        rows, moved = restrict(family, members, free, common)
+        if members == [family.circuit_list[0].indices]:
+            rows = [dict(row) for row in rows]
+            rows[0][0] = rows[0].get(0, 0) + 1
+        return rows, moved
 
-    monkeypatch.setattr(gaussmanin, "_k_entry_exprs", perturbed)
-    z = sample_good_point(fam_k2_n4, seed=1).z
-    assert gaussmanin.curl_residual(fam_k2_n4, z) == 1
-    report = check_flatness(fam_k2_n4, z)
-    assert not report["curl_exact_zero"]
-    assert report["commutator_singular_exact_zero"]
-    assert not report["passed"]
-    assert gaussmanin.curl_residual(fam_k2_n4, z, pairs=[(3, 4)]) == 0
+    monkeypatch.setattr(gaussmanin, "_restricted_residue", perturbed)
+    cert = flatness_certificate(fam_k2_n4)
+    assert cert["invariant"] and not cert["commuting"]
+    assert cert["failing"] == [[c.indices for c in fam_k2_n4.circuit_list]]
+    for seed in range(3):
+        report = check_flatness(fam_k2_n4, sample_good_point(fam_k2_n4, seed=seed).z)
+        assert report["commutator_singular_exact_zero"]
+        assert not report["certificate_passed"] and not report["passed"]
+
+
+def _changed_l_c_entry(monkeypatch, target):
+    """Make `_l_c_integer` add 1 to the numerator of the first entry of the
+    circuit operator L_target."""
+    table = gaussmanin._l_c_integer
+
+    def changed(family, indices):
+        entries = table(family, indices)
+        if indices != target:
+            return entries
+        (p, q, coef), rest = entries[0], entries[1:]
+        return ((p, q, coef + 1),) + rest
+
+    monkeypatch.setattr(gaussmanin, "_l_c_integer", changed)
+
+
+@pytest.mark.parametrize("k, n", [(1, 5), (2, 4), (2, 5), (3, 5)])
+def test_one_changed_circuit_entry_fails_both_halves_of_the_certificate(
+    k, n, prime_config, monkeypatch
+):
+    family = load_family(prime_config(k, n))
+    target = family.circuit_list[0].indices
+    _changed_l_c_entry(monkeypatch, target)
+    cert = flatness_certificate(family)
+    assert not cert["invariant"] and not cert["commuting"] and not cert["passed"]
+    assert cert["moving"] == [target]
+    assert all(target in flat for flat in cert["failing"])
+    monkeypatch.undo()
+    assert flatness_certificate(load_family(prime_config(k, n)))["passed"]
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+_ROWS = {
+    1: ((1,),) * 10,
+    2: ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1)),
+    3: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 4), (1, 3, 9)),
+    4: tuple((1, x, x * x, x**3) for x in range(6)),
+}
+
+
+def _prime_family(k, n):
+    """The first n primes as weights; k2n7 adds the rows (1, 3) and (3, 1)
+    to the benchmark's k = 2 rows, and k4n6 has the rows (1, x, x^2, x^3)."""
+    return ArrangementFamily(k=k, n=n, b=_ROWS[k][:n], a=tuple(F(p) for p in _PRIMES[:n]))
+
+
+@pytest.mark.parametrize(
+    "k, n, circuits, flat_sizes",
+    [
+        (1, 2, 1, {}),  # one circuit, no codimension-2 flat
+        (2, 3, 1, {}),
+        (3, 5, 5, {5: 1}),  # every relation lies in one 2-plane
+        (1, 10, 45, {2: 630, 3: 120}),  # 750 flats: the triples and pairs of pairs
+        (2, 7, 35, {2: 385, 4: 35}),
+        (4, 6, 6, {6: 1}),
+    ],
+)
+def test_certificate_flats(k, n, circuits, flat_sizes):
+    cert = flatness_certificate(_prime_family(k, n))
+    assert cert["passed"]
+    assert cert["circuits"] == cert["hyperplanes"] == circuits
+    assert cert["flat_sizes"] == flat_sizes
+    assert cert["flats"] == sum(flat_sizes.values())
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 6)])
+def test_certificate_does_no_fraction_arithmetic(k, n, monkeypatch):
+    family = _prime_family(k, n)
+    # the shared integer tables: Sing and every L_C
+    gaussmanin._integer_sing(family)
+    for circuit in family.circuit_list:
+        gaussmanin._l_c_integer(family, circuit.indices)
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__pow__"):
+        real = getattr(F, name)
+
+        def counted(*args, _real=real):
+            calls.append(1)
+            return _real(*args)
+
+        monkeypatch.setattr(F, name, counted)
+    assert flatness_certificate(family)["passed"]
+    assert not calls
 
 
 def test_weighted_euler(fam_k2_n4):

@@ -3,11 +3,12 @@ small families, weights, and fibers."""
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from arrfrob import critalg
 from arrfrob.core import ArrangementFamily, ConfigError, circuits, sample_good_point
-from arrfrob.gaussmanin import apply_matrix, k_operator
+from arrfrob.gaussmanin import apply_matrix, flatness_certificate, k_operator
 from arrfrob.osflag import (
     contravariant_pairing,
     gram_v,
@@ -144,3 +145,36 @@ def test_sort_sign_multiplicative(perm):
     swapped[0], swapped[1] = swapped[1], swapped[0]
     _, sign2 = sort_with_sign(tuple(swapped))
     assert sign2 == -sign
+
+
+# one generic family per k = 1..4 with the first n primes as weights; k = 4
+# is k4n6, the rows (1, x, x^2, x^3) for x = 0..5
+CERTIFIED_ROWS = {
+    1: ((1,),) * 5,
+    2: K2_SLOPES,
+    3: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 4)),
+    4: tuple((1, x, x * x, x**3) for x in range(6)),
+}
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _certificate_summary(rows, weights):
+    fam = ArrangementFamily(k=len(rows[0]), n=len(rows), b=rows, a=weights)
+    cert = flatness_certificate(fam)
+    keys = ("passed", "invariant", "commuting", "circuits", "hyperplanes", "flats", "flat_sizes")
+    return {key: cert[key] for key in keys}
+
+
+@pytest.mark.parametrize("k", sorted(CERTIFIED_ROWS))
+@settings(deadline=None, derandomize=True, max_examples=5)
+@given(scale=nonzero_weight, data=st.data())
+def test_certificate_ignores_hyperplane_order_and_weight_units(k, scale, data):
+    rows = CERTIFIED_ROWS[k]
+    weights = tuple(F(p) for p in PRIMES[: len(rows)])
+    perm = data.draw(st.permutations(range(len(rows))))
+    base = _certificate_summary(rows, weights)
+    assert base["passed"]
+    moved = _certificate_summary(
+        tuple(rows[i] for i in perm), tuple(scale * weights[i] for i in perm)
+    )
+    assert moved == base
