@@ -3,9 +3,12 @@ deterministic sampling, JSON report emission.
 
 Verbs: check, circuits, basis, critical, potential, gm-flow. Exit codes:
 0 all checks pass, 1 at least one identity failed (witnesses in the
-report), 2 configuration problem. Identical (config, seed) pairs produce
-byte-identical reports; numeric fields are rounded to 12 significant
-digits before serialization.
+report), 2 configuration problem, 3 a `check` suite raised an error: the
+report is written with a `suite-error` row (status `error`, the message as
+witness) in that suite, which does not pass, and the other suites run. An
+error outside a `check` suite exits 1. Identical (config, seed) pairs
+produce byte-identical reports; numeric fields are rounded to 12
+significant digits before serialization.
 """
 
 from __future__ import annotations
@@ -19,29 +22,26 @@ import random
 import sys
 from fractions import Fraction
 
-from . import critalg, frobenius, gaussmanin, linalg
+from . import linalg
 from .core import (
     ConfigError,
     _is_int,
     check_unbalanced,
     circuits,
-    coords,
+    default_anchor,
     format_rational,
     is_good_fiber,
     load_family,
     parse_rational,
     sample_good_point,
 )
-from .linalg import np
-from .osflag import (
-    CoVector,
-    FlagVector,
-    contravariant_pairing,
-    max_abs_diff,
-    singular_subspace,
-    v_vector,
-    weight_product,
-)
+from .linalg import _lazy_module, np
+
+# A verb or suite executes only the modules that it calls into.
+critalg = _lazy_module("arrfrob.critalg")
+frobenius = _lazy_module("arrfrob.frobenius")
+gaussmanin = _lazy_module("arrfrob.gaussmanin")
+osflag = _lazy_module("arrfrob.osflag")
 
 SUITES = (
     "circuits",
@@ -197,6 +197,23 @@ def _parse_tol(raw, flag):
     return float(tol)
 
 
+def _parse_anchor(raw, flag, family):
+    """The anchor hyperplane of the critical algebra's basis, an index in
+    1..n: from `--anchor`, the config, or else `core.default_anchor`."""
+    if flag is not None:
+        try:
+            anchor = int(flag)
+        except ValueError:
+            raise ConfigError(f"--anchor must be an integer, got {flag!r}") from None
+    else:
+        anchor = raw.get("anchor")
+        if anchor is None:
+            anchor = default_anchor(family)
+    if not _is_int(anchor) or not 1 <= anchor <= family.n:
+        raise ConfigError(f"anchor must be an integer in 1..{family.n}, got {anchor!r}")
+    return anchor
+
+
 def _parse_path(raw, family):
     """The `path` key: at least two fibers of n rationals each."""
     if not isinstance(raw, list) or len(raw) < 2:
@@ -227,12 +244,7 @@ class RunSettings:
         self.samples = raw.get("samples", 5)
         if not _is_int(self.samples) or self.samples < 1:
             raise ConfigError(f"samples must be a positive integer, got {self.samples!r}")
-        anchor = args.anchor if args.anchor is not None else raw.get("anchor")
-        if anchor is None:
-            anchor = critalg.default_anchor(family)
-        if not _is_int(anchor) or not 1 <= anchor <= family.n:
-            raise ConfigError(f"anchor must be an integer in 1..{family.n}, got {anchor!r}")
-        self.anchor = anchor
+        self.anchor = _parse_anchor(raw, args.anchor, family)
         self.tuples = _parse_tuples(raw["tuples"], family) if "tuples" in raw else None
         self.partitions = (
             _parse_partitions(raw["partitions"], family) if "partitions" in raw else None
@@ -326,7 +338,7 @@ def _suite_basis(family, cfg):
         if family.minor(T) != 0
     )
     _row(rows, "flag-basis-size", len(index) == expected_flag)
-    space = singular_subspace(family)
+    space = osflag.singular_subspace(family)
     _row(
         rows,
         "singular-dimension",
@@ -337,14 +349,14 @@ def _suite_basis(family, cfg):
     anchored = critalg.anchored_subsets(family, anchor)
     _row(rows, "anchored-basis-size", len(anchored) == math.comb(family.n - 1, family.k))
     gram = [
-        [contravariant_pairing(u, w, family) for w in space.basis] for u in space.basis
+        [osflag.contravariant_pairing(u, w, family) for w in space.basis] for u in space.basis
     ]
     gdet = linalg.det(gram)
     _row(rows, "v-gram-nondegenerate", gdet != 0, witness={"det": _num(gdet)})
     if family.k == 1:
-        vs = [v_vector(family, (j,)) for j in range(1, family.n)]
-        gram_v = [[contravariant_pairing(u, w, family) for w in vs] for u in vs]
-        closed = weight_product(family, range(1, family.n + 1)) / family.weight_sum
+        vs = [osflag.v_vector(family, (j,)) for j in range(1, family.n)]
+        gram_v = [[osflag.contravariant_pairing(u, w, family) for w in vs] for u in vs]
+        closed = osflag.weight_product(family, range(1, family.n + 1)) / family.weight_sum
         _row(
             rows,
             "v-gram-determinant-closed-form",
@@ -451,7 +463,7 @@ def _suite_canonical(family, cfg):
     rows = []
     anchor = cfg.anchor
     basis = critalg.anchored_subsets(family, anchor)
-    covectors = [CoVector.basis(T) for T in basis]
+    covectors = [osflag.CoVector.basis(T) for T in basis]
     exact = np.array(
         [[complex(critalg.structural_pairing(family, x, y)) for y in covectors] for x in covectors]
     )
@@ -587,7 +599,7 @@ def _suite_periods(family, cfg):
     rows = []
     path = cfg.path if cfg.path is not None else _usable_path(family, cfg.seed + 13)
     kappa = cfg.kappa
-    space = singular_subspace(family)
+    space = osflag.singular_subspace(family)
     plus, minus = space.basis[0], space.basis[min(1, space.dimension - 1)]
     try:
         # one transport carries every period row's sections and quadratures
@@ -726,9 +738,18 @@ def _cmd_check(args):
     cfg = RunSettings(raw, args, family)
     suites_report = {}
     passed = True
+    errored = False
     for name in cfg.suites:
-        rows, extra = _SUITE_RUNNERS[name](family, cfg)
-        ok = all(r["status"] != "fail" for r in rows)
+        try:
+            rows, extra = _SUITE_RUNNERS[name](family, cfg)
+        except ConfigError:
+            raise
+        except (ValueError, RuntimeError) as exc:
+            # one suite's error leaves the other suites' verdicts standing
+            rows = [{"id": "suite-error", "status": "error", "witness": {"error": str(exc)}}]
+            extra = {}
+            errored = True
+        ok = all(r["status"] not in ("fail", "error") for r in rows)
         passed = passed and ok
         suites_report[name] = {"passed": ok, "checks": rows, **extra}
     report = {
@@ -745,6 +766,8 @@ def _cmd_check(args):
         "passed": passed,
     }
     _emit(report, args)
+    if errored:
+        return 3
     return 0 if passed else 1
 
 
@@ -834,7 +857,7 @@ def _cmd_gm_flow(args):
     raw, family, z = _family_from_args(args)
     cfg = RunSettings(raw, args, family)
     path = cfg.path if cfg.path is not None else _usable_path(family, cfg.seed + 13, 2)
-    start = singular_subspace(family).basis[0]
+    start = osflag.singular_subspace(family).basis[0]
     result = gaussmanin.flow_flat_section(
         family, path, cfg.kappa, start, rtol=cfg.tol if cfg.tol < 1e-8 else 1e-10,
         record=True,
@@ -871,7 +894,7 @@ def _build_parser():
         p.add_argument("--seed", default=None)
         p.add_argument("--tol", default=None)
         p.add_argument("--json", default=None)
-        p.add_argument("--anchor", type=int, default=None)
+        p.add_argument("--anchor", default=None)
     return parser
 
 

@@ -296,6 +296,12 @@ def load_family(config):
     return family
 
 
+def default_anchor(family):
+    """The hyperplane left out of the anchored basis {w_T : anchor not in T}
+    of the critical algebra when the run names none: the last one."""
+    return family.n
+
+
 def check_unbalanced(family):
     """Weight checks beyond a_j != 0 and |a| != 0: every circuit's weight sum
     must be nonzero too. Sufficient for generic families; degenerate families

@@ -36,9 +36,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import coords, per_family, per_fiber
-from .linalg import _dot, _integer_rows, _integer_sum, _integer_vector, _reduced_matrix, np
-from .osflag import CoVector, gram_v, singular_subspace, sort_with_sign, weight_product
+from .core import coords, default_anchor, per_family, per_fiber
+from .linalg import _dot, _integer_rows, _integer_sum, _integer_vector, _lazy_module
+from .linalg import _reduced_matrix, np
+
+gaussmanin = _lazy_module("arrfrob.gaussmanin")
+osflag = _lazy_module("arrfrob.osflag")
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +96,10 @@ class MasterFunction:
         ]
         # |d_T^2 prod_{j in T} a_j| for every k-subset T (Cauchy-Binet terms)
         self._binet = [
-            (tuple(j - 1 for j in T), abs(float(family.minor(T) ** 2 * weight_product(family, T))))
+            (
+                tuple(j - 1 for j in T),
+                abs(float(family.minor(T) ** 2 * osflag.weight_product(family, T))),
+            )
             for T in itertools.combinations(range(1, family.n + 1), family.k)
         ]
         # the unit of t and of the f_j on this fiber
@@ -209,7 +215,7 @@ def _singular_frame(family):
     """The exact singular basis as float columns over the flag positions,
     and its pseudo-inverse, which maps a vector of the span to its
     coordinates in that basis."""
-    space = singular_subspace(family)
+    space = osflag.singular_subspace(family)
     frame = np.array(
         [[float(v.get(T)) for v in space.basis] for T in family.flag_index], dtype=float
     ).reshape(len(family.flag_index), space.dimension)
@@ -227,12 +233,10 @@ def _spectral_seeds(family, zz):
     its K_j so that no generator dominates. With g_j = 1/f_j(p) read off
     the quotients, the equations g_j (z_j + b_j . t) = 1 are linear in t
     and are solved by least squares over all j."""
-    from .gaussmanin import fiber_k_operator
-
     frame, to_coords = _singular_frame(family)
     ops = np.array(
         [
-            to_coords @ fiber_k_operator(family, zz, j).floats() @ frame
+            to_coords @ gaussmanin.fiber_k_operator(family, zz, j).floats() @ frame
             for j in range(1, family.n + 1)
         ]
     )
@@ -304,10 +308,6 @@ def anchored_subsets(family, anchor):
     return tuple(T for T in family.flag_index if anchor not in T)
 
 
-def default_anchor(family):
-    return family.n
-
-
 @per_family
 def _elimination_row(family, pivot, tail):
     """Coefficients c_i with gen_pivot = sum_i c_i gen_i (i outside tail+pivot)
@@ -357,14 +357,14 @@ def _reduce_sorted(family, anchor, key):
         minor = family.minor(T)
         if minor == 0:
             raise ValueError(f"unsupported family: dependent subset {T}")
-        return CoVector({T: 1 / minor})
+        return osflag.CoVector({T: 1 / minor})
     # eliminate one factor of the anchor, or else of the first square, by a
     # contraction relation whose tail holds the other factors and the anchor
     pivot = anchor if exps.get(anchor) else squares[0]
     rest = {**exps, pivot: exps[pivot] - 1}
     must = [i for i in rest if rest[i] and i != pivot]
     tail = _pick_tail(family, pivot, must if pivot == anchor else must + [anchor])
-    out = CoVector()
+    out = osflag.CoVector()
     for i, coef in _elimination_row(family, pivot, tail):
         child = {**rest, i: rest.get(i, 0) + 1}
         out = out + _reduce_sorted(family, anchor, _exponent_key(child)) * coef
@@ -389,7 +389,7 @@ def canonicalize(family, wvec, anchor=None):
     relation sum_s w_{R+(s)} = 0."""
     if anchor is None:
         anchor = default_anchor(family)
-    out = CoVector()
+    out = osflag.CoVector()
     for T, coef in wvec.items():
         for key, sign in _slot_relation(family, T, anchor) if anchor in T else ((T, 1),):
             out.accumulate(key, sign * coef)
@@ -401,10 +401,10 @@ def _slot_relation(family, T, i):
     """w_T for i in T as sum_s (+-1) w_{key_s} over the independent keys
     (T less i) + (s), by the slot relation: the (key, sign) pairs."""
     rest = tuple(x for x in T if x != i)
-    _, sgn = sort_with_sign(rest + (i,))
+    _, sgn = osflag.sort_with_sign(rest + (i,))
     pairs = []
     for s in range(1, family.n + 1):
-        key, s_sgn = sort_with_sign(rest + (s,))
+        key, s_sgn = osflag.sort_with_sign(rest + (s,))
         if s != i and s_sgn and family.minor(key) != 0:
             pairs.append((key, -sgn * s_sgn))
     return tuple(pairs)
@@ -421,8 +421,8 @@ def _product_terms(family, i, T):
     tuples; no coefficient reads the fiber. i in T is first moved out."""
     if i not in T:
         full = (i,) + T
-        u, sign = sort_with_sign(full)
-        out = CoVector()
+        u, sign = osflag.sort_with_sign(full)
+        out = osflag.CoVector()
         for ell, uell in enumerate(full):
             child = full[:ell] + full[ell + 1 :]
             if family.minor(tuple(sorted(child))) == 0:
@@ -433,7 +433,7 @@ def _product_terms(family, i, T):
     terms = {}
     for key, sign in _slot_relation(family, T, i):
         for u, vec in _product_terms(family, i, key).items():
-            terms[u] = terms.get(u, CoVector()) + vec * sign
+            terms[u] = terms.get(u, osflag.CoVector()) + vec * sign
     return terms
 
 
@@ -461,7 +461,7 @@ def _fiber_independent_algebra(family, anchor):
         denom = math.prod((-1) ** m * family.minor(u[:m] + u[m + 1 :]) for m in range(k + 1))
         if denom == 0:
             raise ValueError(f"unsupported family: dependent subset inside {u}")
-        key, sign = sort_with_sign(u)
+        key, sign = osflag.sort_with_sign(u)
         unit.append((key, sign**k / (denom * family.weight_sum**k)))
     nums, unit_den = _integer_vector([c for _, c in unit])
     unit = [(u, nums.get(p, 0)) for p, (u, _) in enumerate(unit)]
@@ -511,7 +511,7 @@ def _anchored(family, wvec, anchor):
 def _covector(family, anchor, vec):
     """A one-row IntegerMatrix over the anchored basis as a w-span element."""
     basis = anchored_subsets(family, anchor)
-    out = CoVector()
+    out = osflag.CoVector()
     out.coeffs = {basis[p]: Fraction(v, vec.den) for p, v in vec.rows[0].items()}
     return out
 
@@ -531,7 +531,7 @@ def monomial_to_w(family, z, gens, anchor=None):
 def _reduced_unit_power(family, zz, anchor):
     """The k-th power of (1/|a|) sum_j z_j [a_j/f_j], each monomial reduced
     by `reduce_to_w_basis`: the unit by a route that reads no table."""
-    out = CoVector()
+    out = osflag.CoVector()
     for mono in itertools.product(range(1, family.n + 1), repeat=family.k):
         coef = math.prod(zz[j - 1] for j in mono) / family.weight_sum**family.k
         if coef:
@@ -565,7 +565,7 @@ def multiply(family, z, x, y, anchor=None):
         (c * minors[p], left.den * minor_den, _times(tables, basis[p], right))
         for p, c in left.rows[0].items()
     ]
-    return _covector(family, anchor, _integer_sum(parts)) if parts else CoVector()
+    return _covector(family, anchor, _integer_sum(parts)) if parts else osflag.CoVector()
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +646,7 @@ def _anchored_gram(family, anchor):
     IntegerMatrix, once per family."""
     basis = anchored_subsets(family, anchor)
     sign = 1 if family.k % 2 == 0 else -1
-    return _integer_rows([[sign * gram_v(family, T, U) for U in basis] for T in basis])
+    return _integer_rows([[sign * osflag.gram_v(family, T, U) for U in basis] for T in basis])
 
 
 def structural_pairing(family, x, y):

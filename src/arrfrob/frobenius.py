@@ -46,20 +46,15 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from . import critalg, gaussmanin, linalg
-from .core import coords, f_c_value, is_good_fiber
+from . import linalg
+from .core import coords, default_anchor, f_c_value, is_good_fiber
 from .core import ArrangementFamily, per_family
-from .linalg import np
+from .linalg import _lazy_module, np
 from .linforms import LinExpr
-from .osflag import (
-    CoVector,
-    FlagVector,
-    contravariant_pairing,
-    max_abs_diff,
-    singular_subspace,
-    v_vector,
-    weight_product,
-)
+
+critalg = _lazy_module("arrfrob.critalg")
+gaussmanin = _lazy_module("arrfrob.gaussmanin")
+osflag = _lazy_module("arrfrob.osflag")
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +63,9 @@ from .osflag import (
 
 def alpha_structural(family, wvec):
     """nu: send each w_T coordinate to the singular vector v_T."""
-    out = FlagVector()
+    out = osflag.FlagVector()
     for T, coef in wvec.items():
-        out = out + v_vector(family, T) * coef
+        out = out + osflag.v_vector(family, T) * coef
     return out
 
 
@@ -78,13 +73,13 @@ def nu_inverse(family, flagvec, anchor=None):
     """Coordinates of a singular vector over the anchored v basis, as a
     w-span element."""
     if anchor is None:
-        anchor = critalg.default_anchor(family)
+        anchor = default_anchor(family)
     basis = critalg.anchored_subsets(family, anchor)
     index = family.flag_index
     rows = []
     for pos in range(len(index)):
         subset = index.subset(pos)
-        row = [v_vector(family, T).get(subset) for T in basis]
+        row = [osflag.v_vector(family, T).get(subset) for T in basis]
         row.append(flagvec.get(subset))
         rows.append(row)
     reduced, pivots = linalg.rref(rows, ncols=len(basis))
@@ -96,7 +91,7 @@ def nu_inverse(family, flagvec, anchor=None):
             continue
         if reduced[r][len(basis)] != 0:
             raise ValueError("vector does not lie in the singular subspace")
-    out = CoVector()
+    out = osflag.CoVector()
     for T, val in zip(basis, solution):
         if val != 0:
             out.coeffs[T] = val
@@ -112,7 +107,7 @@ def canonical_iso_analytic(family, z, wvec, points=None):
     weights = critalg.values_at(family, wvec, points) / [p.hessian for p in points]
     inverse_f = [[1 / f for f in p.f_values] for p in points]
     frames = critalg.minor_products(family, index.subsets, inverse_f)
-    out = FlagVector()
+    out = osflag.FlagVector()
     for T, coef in zip(index, weights @ frames):
         out.accumulate(T, complex(coef))
     return out
@@ -136,15 +131,15 @@ def naive_iso_and_constant(family, z, anchor=None, points=None):
     entries, the worst coefficient residual after rescaling, and the
     constant that the identity predicts (`identification_constant`)."""
     if anchor is None:
-        anchor = critalg.default_anchor(family)
+        anchor = default_anchor(family)
     if points is None:
         points = critalg.solve_critical(family, z)
     ratios = []
     pairs = []
     for T in critalg.anchored_subsets(family, anchor):
-        wv = CoVector.basis(T)
+        wv = osflag.CoVector.basis(T)
         analytic = canonical_iso_analytic(family, z, wv, points)
-        structural = v_vector(family, T)
+        structural = osflag.v_vector(family, T)
         pairs.append((analytic, structural))
         scale = structural.norm_inf()
         for key, sval in structural.coeffs.items():
@@ -156,7 +151,7 @@ def naive_iso_and_constant(family, z, anchor=None, points=None):
     spread = max(abs(r - constant) for r in ratios)
     worst = 0.0
     for analytic, structural in pairs:
-        worst = max(worst, max_abs_diff(analytic, structural * constant))
+        worst = max(worst, osflag.max_abs_diff(analytic, structural * constant))
     return {
         "constant": constant,
         "spread": spread,
@@ -167,7 +162,7 @@ def naive_iso_and_constant(family, z, anchor=None, points=None):
 
 def contravariant_map_class(family, flagvec):
     """The weight-form map from flags to algebra classes, F_T -> w_T."""
-    out = CoVector()
+    out = osflag.CoVector()
     for T, coef in flagvec.items():
         out.coeffs[T] = coef
     return out
@@ -179,19 +174,20 @@ def _exact_compositions(family):
     the weight form and the Sing projection, none of which depends on the
     fiber, so it is decided once per family."""
     sign = -1 if family.k == 1 else 1
-    space = singular_subspace(family)
-    anchor = critalg.default_anchor(family)
+    space = osflag.singular_subspace(family)
+    anchor = default_anchor(family)
     exact_ok = True
     for T in family.flag_index:
         # alpha([S] F_T) vs sign * projection of F_T
-        image = alpha_structural(family, contravariant_map_class(family, FlagVector.basis(T)))
-        proj = space.project(FlagVector.basis(T))
+        flag = osflag.FlagVector.basis(T)
+        image = alpha_structural(family, contravariant_map_class(family, flag))
+        proj = space.project(flag)
         if image != proj * sign:
             exact_ok = False
         # [S](alpha w_T) vs sign * w_T, compared in anchored coordinates
-        back = contravariant_map_class(family, v_vector(family, T))
+        back = contravariant_map_class(family, osflag.v_vector(family, T))
         lhs = critalg.canonicalize(family, back, anchor)
-        rhs = critalg.canonicalize(family, CoVector.basis(T) * sign, anchor)
+        rhs = critalg.canonicalize(family, osflag.CoVector.basis(T) * sign, anchor)
         if lhs != rhs:
             exact_ok = False
     return exact_ok
@@ -205,17 +201,17 @@ def contravariant_compositions(family, z, points=None, analytic=True):
     sign = -1 if family.k == 1 else 1
     result = {"sign": sign, "exact": _exact_compositions(family)}
     if analytic:
-        space = singular_subspace(family)
+        space = osflag.singular_subspace(family)
         index = family.flag_index
         worst = 0.0
         if points is None:
             points = critalg.solve_critical(family, z)
         for T in index:
             image = canonical_iso_analytic(
-                family, z, contravariant_map_class(family, FlagVector.basis(T)), points
+                family, z, contravariant_map_class(family, osflag.FlagVector.basis(T)), points
             )
-            proj = space.project(FlagVector.basis(T))
-            worst = max(worst, max_abs_diff(image, proj * sign))
+            proj = space.project(osflag.FlagVector.basis(T))
+            worst = max(worst, osflag.max_abs_diff(image, proj * sign))
         result["analytic_residual"] = worst
     return result
 
@@ -236,7 +232,7 @@ def conformal_block_derivative_exprs(family, directions, anchor=None):
     built once per family, along sorted direction tuples since mixed
     partials commute."""
     if anchor is None:
-        anchor = critalg.default_anchor(family)
+        anchor = default_anchor(family)
     return _block_derivative_sorted(family, anchor, tuple(sorted(directions)))
 
 
@@ -260,7 +256,7 @@ def _block_derivative_sorted(family, anchor, key):
             denom *= minor if m % 2 == 0 else -minor
         form = critalg.f_minor_form(family, u)
         mono = LinExpr.monomial(scale / denom, {form: family.k}, forms=family.forms)
-        for subset, coef in v_vector(family, T).coeffs.items():
+        for subset, coef in osflag.v_vector(family, T).coeffs.items():
             pos = index.position(subset)
             exprs[pos] = exprs[pos] + mono.scale(coef)
     return tuple(exprs)
@@ -269,7 +265,7 @@ def _block_derivative_sorted(family, anchor, key):
 def period_map(family, z, anchor=None):
     """The section q at a fiber, q(z) = nu of the algebra unit."""
     zz = coords(z)
-    out = FlagVector()
+    out = osflag.FlagVector()
     index = family.flag_index
     for pos, expr in enumerate(conformal_block_exprs(family, anchor)):
         val = expr.evaluate(zz)
@@ -320,7 +316,7 @@ def multiplication_k1_closed(family, z, i, j):
         raise ValueError("closed form is for k = 1")
     if i != j:
         return _k1_kj_on_vi(family, z, i, j) * family.b[i - 1][0]
-    out = FlagVector()
+    out = osflag.FlagVector()
     for s in range(1, family.n + 1):
         if s != i:
             out = out - multiplication_k1_closed(family, z, s, i)
@@ -337,9 +333,9 @@ def k_operator_agreement(family, z, anchor=None):
         mat = gaussmanin.fiber_k_operator(family, zz, j)
         gen = critalg.monomial_to_w(family, zz, (j,), anchor)
         for T in critalg.anchored_subsets(
-            family, anchor or critalg.default_anchor(family)
+            family, anchor or default_anchor(family)
         ):
-            v = v_vector(family, T)
+            v = osflag.v_vector(family, T)
             lhs = alpha_structural(
                 family,
                 critalg.multiply(family, zz, gen, nu_inverse(family, v, anchor), anchor),
@@ -357,7 +353,7 @@ def k_operator_agreement(family, z, anchor=None):
 def potential_first(family, z, anchor=None):
     """The quadratic potential P = S(q, q) at a fiber."""
     q = period_map(family, z, anchor)
-    return contravariant_pairing(q, q, family)
+    return osflag.contravariant_pairing(q, q, family)
 
 
 def potential_first_closed_k2(family, z):
@@ -488,7 +484,7 @@ def potential_quadratic_derivative_expr(family, directions, anchor=None):
     """Iterated derivative of P; memoized along sorted prefixes since mixed
     partials commute."""
     if anchor is None:
-        anchor = critalg.default_anchor(family)
+        anchor = default_anchor(family)
     return _quadratic_derivative_sorted(family, anchor, tuple(sorted(directions)))
 
 
@@ -499,7 +495,7 @@ def _quadratic_derivative_sorted(family, anchor, key):
     index = family.flag_index
     total = LinExpr.zero()
     for pos, expr in enumerate(conformal_block_exprs(family, anchor)):
-        weight = weight_product(family, index.subset(pos))
+        weight = osflag.weight_product(family, index.subset(pos))
         total = total + (expr * expr).scale(weight)
     return total
 
@@ -594,7 +590,7 @@ def eta_matrix_from_section(family, z, anchor=None):
     index = family.flag_index
     grads = []
     for j in range(1, family.n + 1):
-        vec = FlagVector()
+        vec = osflag.FlagVector()
         derivs = conformal_block_derivative_exprs(family, (j,), anchor)
         for pos, expr in enumerate(derivs):
             val = expr.evaluate_exact(zz)
@@ -605,7 +601,7 @@ def eta_matrix_from_section(family, z, anchor=None):
     if family.k % 2 == 1:
         scale = -scale
     return [
-        [scale * contravariant_pairing(grads[i], grads[j], family) for j in range(family.n)]
+        [scale * osflag.contravariant_pairing(grads[i], grads[j], family) for j in range(family.n)]
         for i in range(family.n)
     ]
 
@@ -720,7 +716,7 @@ def _generator_sections(family, z, anchor):
 @per_family
 def _flag_weights(family):
     """The weight form prod_{j in T} a_j over the flag positions, complex."""
-    return np.array([complex(weight_product(family, T)) for T in family.flag_index])
+    return np.array([complex(osflag.weight_product(family, T)) for T in family.flag_index])
 
 
 def _flag_array(family, vec):
@@ -737,7 +733,7 @@ def period_transport(family, path, kappa=None, start_plus=None, start_minus=None
     The period checks read their part of such a run passed as `transport`,
     and run their own otherwise."""
     if anchor is None:
-        anchor = critalg.default_anchor(family)
+        anchor = default_anchor(family)
     weights = _flag_weights(family)
     fixed = 0 * weights if v is None else gaussmanin.pairing_functional(family, v)
     blocks = [(sign * kappa, start) for sign, start in ((1, start_plus), (-1, start_minus))
@@ -761,9 +757,9 @@ def flat_period_check(family, path, v=None, tol=1e-6, rtol=1e-10, anchor=None, t
     two pairings in the increment, so the verdict does not depend on the
     units of the fiber or the weights."""
     if v is None:
-        v = singular_subspace(family).basis[0]
+        v = osflag.singular_subspace(family).basis[0]
     if anchor is None:
-        anchor = critalg.default_anchor(family)
+        anchor = default_anchor(family)
     if transport is None:
         transport = period_transport(family, path, v=v, rtol=rtol, anchor=anchor)
     quad = transport.extras[0]
@@ -772,8 +768,8 @@ def flat_period_check(family, path, v=None, tol=1e-6, rtol=1e-10, anchor=None, t
     q1 = period_map(family, path[-1], anchor)
     factor = complex(Fraction(family.weight_sum, family.k))
     delta = factor * (
-        complex(contravariant_pairing(v, q1, family))
-        - complex(contravariant_pairing(v, q0, family))
+        complex(osflag.contravariant_pairing(v, q1, family))
+        - complex(osflag.contravariant_pairing(v, q0, family))
     )
     scale = abs(factor) * sum(
         float(np.sum(np.abs(fixed * _flag_array(family, q)))) for q in (q0, q1)
@@ -818,7 +814,7 @@ def twisted_period_relation(family, path, kappa, start, rtol=1e-10, tol=1e-6, an
     if factor == 0:
         raise ValueError("slope -|a|/k degenerates the period relation")
     if anchor is None:
-        anchor = critalg.default_anchor(family)
+        anchor = default_anchor(family)
     if transport is None:
         transport = period_transport(family, path, kappa, start, rtol=rtol, anchor=anchor)
     weights = _flag_weights(family)
@@ -854,8 +850,8 @@ def twisted_closedness_k1(family, z0):
     if family.k != 1:
         raise ValueError("closedness identity implemented for k = 1")
     zz = coords(z0)
-    _, gens = _exact_generators(family, critalg.default_anchor(family))
-    weights = [weight_product(family, T) for T in family.flag_index]
+    _, gens = _exact_generators(family, default_anchor(family))
+    weights = [osflag.weight_product(family, T) for T in family.flag_index]
     # S(x, g_i) = sum_p x_p covectors[i][p] / cov_den
     covectors, cov_den = linalg._integer_rows(
         [[w * g.get(T) for w, T in zip(weights, family.flag_index)] for (g,) in gens]
@@ -938,7 +934,7 @@ def stratum_point(blocks, x):
 
 def embed_flag(blocks, qvec):
     """Push a quotient flag vector forward: F_l -> sum of the block's F_j."""
-    out = FlagVector()
+    out = osflag.FlagVector()
     for (l,), coef in qvec.items():
         for j in blocks[l - 1]:
             out.accumulate((j,), coef)
@@ -951,7 +947,7 @@ def _block_k_sum(family, blocks, z, ell, target):
     cross-block ones."""
     ell_block = blocks[ell - 1]
     target_block = blocks[target - 1]
-    out = FlagVector()
+    out = osflag.FlagVector()
     if ell != target:
         for j in ell_block:
             for i in target_block:
@@ -977,9 +973,10 @@ def _k1_kj_on_vi(family, z, j, i):
     if denom == 0:
         raise ValueError(f"stratum fiber degenerates the pair ({j}, {i})")
     scale = family.b[i - 1][0] / denom
-    return v_vector(family, (i,)) * (scale * family.a[j - 1]) - v_vector(
-        family, (j,)
-    ) * (scale * family.a[i - 1])
+    return (
+        osflag.v_vector(family, (i,)) * (scale * family.a[j - 1])
+        - osflag.v_vector(family, (j,)) * (scale * family.a[i - 1])
+    )
 
 
 def _block_product(family, blocks, z, ell, target):
@@ -987,7 +984,7 @@ def _block_product(family, blocks, z, ell, target):
     in-block diagonal rewritten through cross-block products."""
     ell_block = blocks[ell - 1]
     target_block = blocks[target - 1]
-    out = FlagVector()
+    out = osflag.FlagVector()
     if ell != target:
         for j in ell_block:
             for i in target_block:
@@ -1024,10 +1021,10 @@ def strata_restriction_k1(family, partition, x, tol=1e-6, eps=Fraction(1, 10**8)
     # embedded distinguished vectors
     ok = True
     for ell in range(1, quotient.n + 1):
-        lhs = embed_flag(blocks, v_vector(quotient, (ell,)))
-        rhs = FlagVector()
+        lhs = embed_flag(blocks, osflag.v_vector(quotient, (ell,)))
+        rhs = osflag.FlagVector()
         for j in blocks[ell - 1]:
-            rhs = rhs + v_vector(family, (j,))
+            rhs = rhs + osflag.v_vector(family, (j,))
         ok = ok and lhs == rhs
     report["v_embedding_exact"] = ok
 
@@ -1035,13 +1032,13 @@ def strata_restriction_k1(family, partition, x, tol=1e-6, eps=Fraction(1, 10**8)
     ok = True
     for ell in range(1, quotient.n + 1):
         for m in range(1, quotient.n + 1):
-            lhs = contravariant_pairing(
-                embed_flag(blocks, FlagVector.basis((ell,))),
-                embed_flag(blocks, FlagVector.basis((m,))),
+            lhs = osflag.contravariant_pairing(
+                embed_flag(blocks, osflag.FlagVector.basis((ell,))),
+                embed_flag(blocks, osflag.FlagVector.basis((m,))),
                 family,
             )
-            rhs = contravariant_pairing(
-                FlagVector.basis((ell,)), FlagVector.basis((m,)), quotient
+            rhs = osflag.contravariant_pairing(
+                osflag.FlagVector.basis((ell,)), osflag.FlagVector.basis((m,)), quotient
             )
             ok = ok and lhs == rhs
     report["isometry_exact"] = ok
@@ -1053,7 +1050,7 @@ def strata_restriction_k1(family, partition, x, tol=1e-6, eps=Fraction(1, 10**8)
         for target in range(1, quotient.n + 1):
             lhs = embed_flag(
                 blocks,
-                gaussmanin.apply_matrix(quotient, mat, v_vector(quotient, (target,))),
+                gaussmanin.apply_matrix(quotient, mat, osflag.v_vector(quotient, (target,))),
             )
             rhs = _block_k_sum(family, blocks, z, ell, target)
             ok = ok and lhs == rhs
@@ -1068,8 +1065,8 @@ def strata_restriction_k1(family, partition, x, tol=1e-6, eps=Fraction(1, 10**8)
                 induced_multiplication_on_sing(
                     quotient,
                     xx,
-                    v_vector(quotient, (ell,)),
-                    v_vector(quotient, (target,)),
+                    osflag.v_vector(quotient, (ell,)),
+                    osflag.v_vector(quotient, (target,)),
                 ),
             )
             rhs = _block_product(family, blocks, z, ell, target)

@@ -34,16 +34,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import critalg
 from .core import coords, f_c_value, per_family, per_fiber
 from .linalg import IntegerMatrix, _dot, _integer_rows, _integer_sum, _integer_vector
-from .linalg import _reduced_matrix, np
-from .osflag import (
-    FlagVector,
-    singular_subspace,
-    sort_with_sign,
-    weight_product,
-)
+from .linalg import _lazy_module, _reduced_matrix, np
+
+critalg = _lazy_module("arrfrob.critalg")
+frobenius = _lazy_module("arrfrob.frobenius")
+osflag = _lazy_module("arrfrob.osflag")
 
 
 # ---------------------------------------------------------------------------
@@ -72,13 +69,13 @@ def _l_c_entries(family, circuit_indices):
         m = circuit_indices.index(missing) + 1
         outside = tuple(x for x in T if x not in cset)
         arranged = tuple(x for x in circuit_indices if x != missing) + outside
-        _, sigma = sort_with_sign(arranged)
+        _, sigma = osflag.sort_with_sign(arranged)
         if sigma == 0:
             continue
         base = sigma if m % 2 == 0 else -sigma
         for l, il in enumerate(circuit_indices, start=1):
             out = tuple(x for x in circuit_indices if x != il) + outside
-            key, osign = sort_with_sign(out)
+            key, osign = osflag.sort_with_sign(out)
             if osign == 0 or key not in index:
                 continue
             sign = base if l % 2 == 0 else -base
@@ -162,7 +159,7 @@ def apply_matrix(family, mat, vec):
     mat = _as_integer(mat)
     index = family.flag_index
     values, vec_den = _integer_vector(vec.to_coordinates(index))
-    out = FlagVector()
+    out = osflag.FlagVector()
     for subset, row in zip(index, mat.rows):
         num = _dot(row, values)
         if num:
@@ -178,7 +175,7 @@ def apply_matrix(family, mat, vec):
 def _integer_weights(family):
     """The diagonal weight form, prod_{j in T} a_j for each flag position,
     as integer numerators over one denominator."""
-    values, den = _integer_vector([weight_product(family, T) for T in family.flag_index])
+    values, den = _integer_vector([osflag.weight_product(family, T) for T in family.flag_index])
     return [values[p] for p in range(len(family.flag_index))], den
 
 
@@ -187,7 +184,7 @@ def _integer_sing(family):
     """The singular basis vectors and the singular conditions as sparse
     integer vectors over the flag positions: two tuples of
     ({position: numerator}, denominator) pairs."""
-    space = singular_subspace(family)
+    space = osflag.singular_subspace(family)
     basis = tuple(_integer_vector(v.to_coordinates(family.flag_index)) for v in space.basis)
     return basis, tuple(_integer_vector(row) for row in space.conditions)
 
@@ -494,7 +491,7 @@ class FlowResult:
     @property
     def section(self):
         """The first section at the end of the path."""
-        return FlagVector.from_coordinates(self.subsets, self.waypoints[-1][0])
+        return osflag.FlagVector.from_coordinates(self.subsets, self.waypoints[-1][0])
 
 
 def flow_flat_section(
@@ -524,7 +521,7 @@ def flow_flat_section(
     """
     several = isinstance(kappa, (tuple, list))
     slopes = np.array(kappa if several else [kappa], dtype=complex).reshape(-1, 1)
-    starts = [v.to_coordinates(family.flag_index) if isinstance(v, FlagVector) else v
+    starts = [v.to_coordinates(family.flag_index) if isinstance(v, osflag.FlagVector) else v
               for v in (start if several else [start])]
     if not slopes.all():
         raise ValueError("slope kappa must be nonzero")
@@ -632,7 +629,10 @@ def pairing_functional(family, vec):
     """Constant data for fast S(vec, .) evaluation along a flow: weights of
     the diagonal form folded into the fixed argument's coordinates."""
     return np.array(
-        [complex(vec.get(T)) * complex(weight_product(family, T)) for T in family.flag_index]
+        [
+            complex(vec.get(T)) * complex(osflag.weight_product(family, T))
+            for T in family.flag_index
+        ]
     )
 
 
@@ -643,16 +643,14 @@ def pairing_functional(family, vec):
 def check_conformal_block(family, z, anchor=None):
     """Exact check of (|a|/k) d_j q = K_j q at a fiber, with the section's
     coordinates differentiated symbolically."""
-    from .frobenius import conformal_block_derivative_exprs, conformal_block_exprs
-
     zz = coords(z)
     q_values, q_den = _integer_vector(
-        [expr.evaluate_exact(zz) for expr in conformal_block_exprs(family, anchor)]
+        [expr.evaluate_exact(zz) for expr in frobenius.conformal_block_exprs(family, anchor)]
     )
     scale = Fraction(family.weight_sum, family.k)
     for j in range(1, family.n + 1):
         mat = fiber_k_operator(family, zz, j)
-        derivs = conformal_block_derivative_exprs(family, (j,), anchor)
+        derivs = frobenius.conformal_block_derivative_exprs(family, (j,), anchor)
         for row, expr in zip(mat.rows, derivs):
             lhs = scale * expr.evaluate_exact(zz)
             # (K_j q)_p is _dot(row, q_values) / (mat.den * q_den)
@@ -669,13 +667,11 @@ def derivative_sections(family, z, directions, anchor=None):
     Returns the pair (symbolic, algebraic) of flag vectors; they must agree
     exactly. Orders r > k give the zero section.
     """
-    from .frobenius import alpha_structural, conformal_block_derivative_exprs
-
     index = family.flag_index
     zz = coords(z)
     r = len(directions)
-    symbolic = FlagVector()
-    derivs = conformal_block_derivative_exprs(family, directions, anchor)
+    symbolic = osflag.FlagVector()
+    derivs = frobenius.conformal_block_derivative_exprs(family, directions, anchor)
     for pos, expr in enumerate(derivs):
         val = expr.evaluate_exact(zz)
         if val != 0:
@@ -684,10 +680,10 @@ def derivative_sections(family, z, directions, anchor=None):
     for i in range(r):
         falling *= family.k - i
     if falling == 0:
-        algebraic = FlagVector()
+        algebraic = osflag.FlagVector()
     else:
         wvec = critalg.monomial_to_w(family, zz, tuple(directions), anchor)
-        algebraic = alpha_structural(family, wvec) * (
+        algebraic = frobenius.alpha_structural(family, wvec) * (
             falling / family.weight_sum**r
         )
     return symbolic, algebraic

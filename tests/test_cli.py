@@ -11,6 +11,7 @@ import pytest
 
 import arrfrob
 from arrfrob.cli import SUITES, main, report_schema_version
+from arrfrob.core import ConfigError
 
 
 def _write_config(tmp_path, payload, name="fam.json"):
@@ -282,6 +283,39 @@ def test_check_exit_1_on_failed_identity(tmp_path, capsys, monkeypatch):
     assert report["suites"]["circuits"]["checks"][0]["witness"] == "forced failure"
 
 
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_a_suite_that_raises_leaves_a_partial_report(tmp_path, capsys, monkeypatch, error):
+    import arrfrob.cli as cli
+
+    def broken(family, cfg):
+        raise error("suite broke")
+
+    cfg = _k1(tmp_path)
+    assert main(["check", "--config", cfg, "--suites", "circuits,flatness"]) == 0
+    ref = json.loads(capsys.readouterr().out)
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "basis", broken)
+    assert main(["check", "--config", cfg, "--suites", "circuits,basis,flatness"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert report["suites"]["basis"] == {
+        "passed": False,
+        "checks": [{"id": "suite-error", "status": "error", "witness": {"error": "suite broke"}}],
+    }
+    # the suites before and after the broken one ran as they run without it
+    assert {name: report["suites"][name] for name in ref["suites"]} == ref["suites"]
+
+
+def test_a_config_error_in_a_suite_is_still_exit_2(tmp_path, capsys, monkeypatch):
+    import arrfrob.cli as cli
+
+    def unusable(family, cfg):
+        raise ConfigError("no path for this family")
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "periods", unusable)
+    assert main(["check", "--config", _k1(tmp_path), "--suites", "circuits,periods"]) == 2
+    assert capsys.readouterr().err == "config error: no path for this family\n"
+
+
 def _k1(tmp_path):
     return _write_config(
         tmp_path,
@@ -398,17 +432,64 @@ def test_check_does_not_import_sympy(k2_config, tmp_path):
 
 
 def test_exact_suites_and_circuits_do_not_load_numpy(k2_config, tmp_path):
+    # A module that has not run is absent from sys.modules or still an
+    # unloaded lazy module, whose type subclasses ModuleType until its first
+    # attribute access. Each line lists what has run after one more step.
     out = str(tmp_path / "r.json")
     proc = _fresh_python(
         "-c",
-        "import sys; from arrfrob.cli import main; "
-        f"codes = [main(['check', '--config', {k2_config!r}, '--suites', "
-        f"'circuits,flatness,symmetry,conformal,potential', '--json', {out!r}]), "
-        f"main(['circuits', '--config', {k2_config!r}, '--json', {out!r}])]; "
-        "print(*codes, *sorted(m for m in sys.modules if m.startswith('numpy.')))",
+        "import sys, types\n"
+        "def executed():\n"
+        "    return sorted(m for m, mod in sys.modules.items()\n"
+        "                  if m.split('.')[0] in ('arrfrob', 'numpy')\n"
+        "                  and type(mod) is types.ModuleType)\n"
+        "import arrfrob\n"
+        "print(*executed())\n"
+        "from arrfrob.cli import main\n"
+        f"code = main(['circuits', '--config', {k2_config!r}, '--json', {out!r}])\n"
+        "print(code, *executed())\n"
+        f"code = main(['check', '--config', {k2_config!r}, '--suites', 'flatness,symmetry', "
+        f"'--json', {out!r}])\n"
+        "print(code, *executed())\n"
+        f"code = main(['check', '--config', {k2_config!r}, '--suites', "
+        f"'circuits,flatness,symmetry,conformal,potential', '--json', {out!r}])\n"
+        "print(code, *(m for m in executed() if m.split('.')[0] == 'numpy'))\n",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0"]
+    assert proc.stdout.splitlines() == [
+        "arrfrob",
+        "0 arrfrob arrfrob.cli arrfrob.core arrfrob.linalg arrfrob.linforms",
+        "0 arrfrob arrfrob.cli arrfrob.core arrfrob.gaussmanin arrfrob.linalg arrfrob.linforms "
+        "arrfrob.osflag",
+        "0",
+    ]
+
+
+def test_numpy_runs_after_every_package_module_waiting_for_first_use():
+    # compiled after numpy, a module's compiler memory would add to the peak
+    # RSS of a float command; the first numpy submodule import shows which
+    # package modules had run when numpy started
+    proc = _fresh_python(
+        "-c",
+        "import sys, types\n"
+        "from arrfrob import cli\n"
+        "seen = []\n"
+        "class Watch:\n"
+        "    @staticmethod\n"
+        "    def find_spec(name, path=None, target=None):\n"
+        "        if name.startswith('numpy.') and not seen:\n"
+        "            seen.append(sorted(m for m, mod in sys.modules.items()\n"
+        "                               if m.startswith('arrfrob.')\n"
+        "                               and type(mod) is types.ModuleType))\n"
+        "sys.meta_path.insert(0, Watch)\n"
+        "cli.np.pi\n"
+        "print(*seen[0])\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "arrfrob.cli", "arrfrob.core", "arrfrob.critalg", "arrfrob.frobenius",
+        "arrfrob.gaussmanin", "arrfrob.linalg", "arrfrob.linforms", "arrfrob.osflag",
+    ]
 
 
 @pytest.mark.parametrize("suites", ["periods", "basis,canonical"])
@@ -438,6 +519,41 @@ def test_python_m_arrfrob_cli_and_lazy_main():
     assert "RuntimeWarning" not in bare.stderr
     assert arrfrob.main is main
     assert arrfrob.report_schema_version() == report_schema_version()
+
+
+def test_every_public_name_is_its_defining_module_object():
+    for name in arrfrob.__all__:
+        obj = getattr(arrfrob, name)
+        assert obj.__module__.startswith("arrfrob."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        arrfrob.no_such_name
+
+
+def test_star_import_and_submodule_import_in_a_fresh_interpreter():
+    proc = _fresh_python(
+        "-c",
+        "import arrfrob\n"
+        "from arrfrob import *\n"
+        "print(sorted(set(arrfrob.__all__) - set(globals())))\n"
+        "from arrfrob import critalg\n"
+        "print(critalg.solve_critical is solve_critical)\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]
+    # after the command line binds its lazy handle, the import returns the
+    # handle without running it
+    proc = _fresh_python(
+        "-c",
+        "import sys, types\n"
+        "from arrfrob import cli\n"
+        "from arrfrob import critalg\n"
+        "print(critalg is cli.critalg is sys.modules['arrfrob.critalg'])\n"
+        "print(type(critalg) is types.ModuleType)\n"
+        "print(callable(critalg.solve_critical))\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True", "False", "True"]
 
 
 def test_small_weights_pass_the_hessian_rows(tmp_path):
@@ -565,6 +681,8 @@ def test_families_without_flats_pass_the_certificate(tmp_path, payload):
         ({"anchor": 0}, ["check", "--suites", "basis"]),
         ({"anchor": "2"}, ["check", "--suites", "basis"]),
         ({}, ["check", "--suites", "basis", "--anchor", "5"]),
+        ({}, ["check", "--suites", "basis", "--anchor", "x"]),
+        ({}, ["check", "--suites", "basis", "--anchor", "1.5"]),
         ({"samples": "x"}, ["check", "--suites", "flatness"]),
         ({"samples": 2.5}, ["check", "--suites", "flatness"]),
         ({"samples": 0}, ["check", "--suites", "flatness"]),
@@ -597,7 +715,8 @@ def test_families_without_flats_pass_the_certificate(tmp_path, payload):
          ["check"]),
     ],
     ids=[
-        "anchor-99", "anchor-0", "anchor-string", "anchor-flag-5", "samples-string",
+        "anchor-99", "anchor-0", "anchor-string", "anchor-flag-5", "anchor-flag-string",
+        "anchor-flag-float", "samples-string",
         "samples-float", "samples-0", "tuple-index", "tuple-length",
         "partition-overlap", "partition-cover", "partition-empty-block",
         "seed-string", "seed-float", "seed-flag-string", "seed-flag-float",
@@ -611,6 +730,12 @@ def test_invalid_settings_are_exit_2(tmp_path, capsys, extra, argv):
     cfg = _write_config(tmp_path, dict(_K1N4, **extra))
     assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--anchor"])
+def test_integer_flags_are_config_errors_with_one_message(k1_config, capsys, flag):
+    assert main(["check", "--config", k1_config, "--suites", "basis", flag, "x"]) == 2
+    assert capsys.readouterr().err == f"config error: {flag} must be an integer, got 'x'\n"
 
 
 def test_partition_with_a_zero_block_weight_is_skipped(tmp_path):

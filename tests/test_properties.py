@@ -10,6 +10,7 @@ from arrfrob import critalg
 from arrfrob.core import ArrangementFamily, ConfigError, circuits, sample_good_point
 from arrfrob.gaussmanin import apply_matrix, flatness_certificate, k_operator
 from arrfrob.osflag import (
+    CoVector,
     contravariant_pairing,
     gram_v,
     singular_subspace,
@@ -124,8 +125,8 @@ def test_operators_symmetric_and_invariant(fam, seed):
 def test_product_commutative_on_samples(fam, seed):
     z = sample_good_point(fam, seed=seed).z
     basis = critalg.anchored_subsets(fam, critalg.default_anchor(fam))
-    x = critalg.CoVector.basis(basis[0])
-    y = critalg.CoVector.basis(basis[-1])
+    x = CoVector.basis(basis[0])
+    y = CoVector.basis(basis[-1])
     assert critalg.multiply(fam, z, x, y) == critalg.multiply(fam, z, y, x)
 
 

@@ -4,6 +4,9 @@ per-layer metric. The tables are read from the file, not imported."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,27 @@ def test_every_traced_name_resolves():
     assert not missing
     cli = importlib.import_module("arrfrob.cli")
     assert set(cli._SUITE_RUNNERS) == set(cli.SUITES)
+
+
+@pytest.mark.skipif(not OPTRACE.exists(), reason="perfbench is not in this tree")
+def test_traced_modules_are_bound_after_the_package_and_cli_imports():
+    # optrace's install() reads sys.modules["arrfrob.<module>"] for every
+    # table entry right after these two imports; a module that is first
+    # imported later would be missing there.
+    modules = sorted({module for table in _hook_tables().values() for module, _ in table})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; import arrfrob; from arrfrob import cli; "
+            f"print(*[m for m in {modules!r} if f'arrfrob.{{m}}' not in sys.modules])",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
