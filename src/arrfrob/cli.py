@@ -121,14 +121,21 @@ def _check_json_path(path):
         raise ConfigError(f"--json directory does not exist: {directory}")
 
 
-def _parse_suites(text):
-    names = [s.strip() for s in text.split(",") if s.strip()]
+def _suite_names(names):
+    """A non-empty list of known suite names, from `--suites` or the
+    config's `suites` key."""
+    if not isinstance(names, list):
+        raise ConfigError(f"suites must be a list of suite names, got {names!r}")
     if not names:
         raise ConfigError("empty suite list")
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite: {name}")
     return names
+
+
+def _parse_suites(text):
+    return _suite_names([s.strip() for s in text.split(",") if s.strip()])
 
 
 def _index_list(value, n, what):
@@ -256,10 +263,7 @@ class RunSettings:
         if args.suites is not None:
             self.suites = _parse_suites(args.suites)
         elif "suites" in raw:
-            self.suites = list(raw["suites"])
-            for name in self.suites:
-                if name not in SUITES:
-                    raise ConfigError(f"unknown suite: {name}")
+            self.suites = _suite_names(raw["suites"])
         else:
             self.suites = list(SUITES)
         self._critical = {}
@@ -376,17 +380,22 @@ def _suite_basis(family, cfg):
     return rows, extra
 
 
+def _certificate_row(rows, ident, offenders, counts):
+    """A per-family certificate's row: it passes when nothing offends; the
+    witness has the family's counts and the first few offenders (circuits,
+    the circuits of a flat, or flags)."""
+    witness = dict(counts, count=len(offenders), offenders=offenders[:5])
+    _row(rows, ident, not offenders, witness=witness)
+
+
 def _suite_flatness(family, cfg):
     rows = []
     cert = gaussmanin.flatness_certificate(family)
-    counts = {key: cert[key] for key in ("circuits", "hyperplanes", "flats")}
-    for ident, ok, offenders in (
-        ("singular-invariance-certificate", cert["invariant"], cert["moving"]),
-        ("kohno-certificate", cert["commuting"], cert["failing"]),
-    ):
-        # the first few offending circuits, or circuit groups of a flat
-        witness = dict(counts, count=len(offenders), offenders=offenders[:5])
-        _row(rows, ident, ok, witness=witness)
+    counts = {key: cert[key] for key in ("circuits", "hyperplanes")}
+    _certificate_row(rows, "singular-invariance-certificate", cert["moving"], counts)
+    _certificate_row(
+        rows, "kohno-certificate", cert["failing"], dict(counts, flats=cert["flats"])
+    )
     for i, z in enumerate(_sample_fibers(family, cfg.seed, cfg.samples)):
         rep = gaussmanin.check_flatness(family, z)
         _row(
@@ -401,14 +410,14 @@ def _suite_flatness(family, cfg):
 
 def _suite_symmetry(family, cfg):
     rows = []
-    for i, z in enumerate(_sample_fibers(family, cfg.seed, cfg.samples)):
-        rep = gaussmanin.check_symmetry_and_invariance(family, z)
-        ok_sym = all(op["symmetric"] for op in rep["operators"])
-        ok_inv = all(op["invariant"] for op in rep["operators"])
-        _row(rows, f"operator-symmetry-sample-{i}", ok_sym, witness={"z": _vector(z)})
-        _row(rows, f"subspace-invariance-sample-{i}", ok_inv, witness={"z": _vector(z)})
-        wer = gaussmanin.weighted_euler_residual(family, z)
-        _row(rows, f"weighted-euler-sample-{i}", wer == 0, residual=wer)
+    rep = gaussmanin.check_symmetry_and_invariance(family)
+    counts = {key: rep[key] for key in ("circuits", "hyperplanes")}
+    for ident, key in (
+        ("residue-symmetry-certificate", "asymmetric"),
+        ("singular-invariance-certificate", "moving"),
+        ("weighted-euler-certificate", "off_euler"),
+    ):
+        _certificate_row(rows, ident, rep[key], counts)
     return rows, {}
 
 
@@ -771,25 +780,12 @@ def _cmd_check(args):
     return 0 if passed else 1
 
 
-def _cmd_circuits(args):
+def _cmd_suite(args):
+    """The `circuits` and `basis` verbs: the suite of the verb's name, its
+    rows at the top level of the report."""
     raw, family, _ = _family_from_args(args)
     cfg = RunSettings(raw, args, family)
-    rows, extra = _suite_circuits(family, cfg)
-    passed = all(r["status"] != "fail" for r in rows)
-    report = {
-        "schema": report_schema_version(),
-        "checks": rows,
-        "passed": passed,
-        **extra,
-    }
-    _emit(report, args)
-    return 0 if passed else 1
-
-
-def _cmd_basis(args):
-    raw, family, _ = _family_from_args(args)
-    cfg = RunSettings(raw, args, family)
-    rows, extra = _suite_basis(family, cfg)
+    rows, extra = _SUITE_RUNNERS[args.verb](family, cfg)
     passed = all(r["status"] != "fail" for r in rows)
     report = {
         "schema": report_schema_version(),
@@ -903,8 +899,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     handlers = {
         "check": _cmd_check,
-        "circuits": _cmd_circuits,
-        "basis": _cmd_basis,
+        "circuits": _cmd_suite,
+        "basis": _cmd_suite,
         "critical": _cmd_critical,
         "potential": _cmd_potential,
         "gm-flow": _cmd_gm_flow,

@@ -289,10 +289,10 @@ def load_family(config):
     family = ArrangementFamily(k=k, n=n, b=b, a=a)
     check_unbalanced(family)
     if "z" in doc:
-        z = tuple(parse_rational(x) for x in doc["z"])
-        if len(z) != n:
-            raise ConfigError("z must have length n")
-        object.__setattr__(family, "preferred_z", BasePoint(z))
+        raw_z = doc["z"]
+        if not isinstance(raw_z, list) or len(raw_z) != n:
+            raise ConfigError(f"z must be a list of n = {n} rationals, got {raw_z!r}")
+        object.__setattr__(family, "preferred_z", BasePoint(tuple(map(parse_rational, raw_z))))
     return family
 
 

@@ -9,14 +9,20 @@ Exact checks run on integers. `k_operator` assembles K_j(z) as a
 `linalg.IntegerMatrix`, sparse integer rows over one denominator, from the
 circuit values f_C(z), computed once per circuit and fiber.
 `fiber_k_operator` keeps one per (fiber, j) in the fiber's entry of the
-family (`core.per_fiber`); the commutators on Sing, the S-symmetry, Sing
-invariance, the weighted Euler identity, the conformal-block equations
-and `critalg.solve_critical` all read it. Flatness is certified once per
-family by Kohno's criterion (`flatness_certificate`): every residue
-preserves Sing, and on Sing it commutes with the sum of the residues of
-each codimension-2 flat of the discriminant through it, in integer
-arithmetic on tables that do not depend on the fiber. The commutators
-[K_i, K_j] at sampled fibers are a cross-check.
+family (`core.per_fiber`); the sampled commutators on Sing, the
+conformal-block equations and `critalg.solve_critical` all read it.
+
+The structure of the connection is decided once per family, in integer
+arithmetic on tables that do not depend on the fiber, so each verdict
+holds at every fiber. Both certificates start from one residue step
+(`_sing_residues`): the residue of each hyperplane of the discriminant,
+the sum of its L_C, restricted to Sing, and whether it preserves Sing.
+`flatness_certificate` adds Kohno's criterion: on Sing every residue
+commutes with the sum of the residues of each codimension-2 flat of the
+discriminant through it. The commutators [K_i, K_j] at sampled fibers
+are a cross-check. `check_symmetry_and_invariance` adds the S-symmetry
+of every L_C and sum_C L_C = |a| on Sing, which is the weighted Euler
+identity sum_j z_j K_j(z) = |a| on Sing at every fiber.
 
 `flow_flat_section` is the one transport: an adaptive Dormand-Prince
 integrator of kappa dI = (sum_j K_j dz_j) I along a piecewise-linear path.
@@ -35,8 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import coords, f_c_value, per_family, per_fiber
-from .linalg import IntegerMatrix, _dot, _integer_rows, _integer_sum, _integer_vector
-from .linalg import _lazy_module, _reduced_matrix, np
+from .linalg import _dot, _integer_vector, _lazy_module, _reduced_matrix, np
 
 critalg = _lazy_module("arrfrob.critalg")
 frobenius = _lazy_module("arrfrob.frobenius")
@@ -86,12 +91,6 @@ def _l_c_entries(family, circuit_indices):
 def discriminant_min(family, z):
     """min over circuits of |f_C(z)|."""
     return min(abs(complex(f_c_value(c, z))) for c in family.circuit_list)
-
-
-def _as_integer(mat):
-    """A caller's matrix, dense or already an IntegerMatrix, as an
-    IntegerMatrix."""
-    return mat if isinstance(mat, IntegerMatrix) else _integer_rows(mat)
 
 
 def _weight_denominator(family):
@@ -154,9 +153,7 @@ def fiber_k_operator(family, zz, j):
 
 
 def apply_matrix(family, mat, vec):
-    """Apply an exact flag-basis matrix (dense or an IntegerMatrix) to a
-    FlagVector."""
-    mat = _as_integer(mat)
+    """Apply an exact flag-basis matrix, an IntegerMatrix, to a FlagVector."""
     index = family.flag_index
     values, vec_den = _integer_vector(vec.to_coordinates(index))
     out = osflag.FlagVector()
@@ -168,7 +165,7 @@ def apply_matrix(family, mat, vec):
 
 
 # ---------------------------------------------------------------------------
-# structure checks
+# per-family certificates and sampled commutators
 
 
 @per_family
@@ -187,54 +184,6 @@ def _integer_sing(family):
     space = osflag.singular_subspace(family)
     basis = tuple(_integer_vector(v.to_coordinates(family.flag_index)) for v in space.basis)
     return basis, tuple(_integer_vector(row) for row in space.conditions)
-
-
-def symmetry_residual(family, mat):
-    """Max |S(M e_p, e_q) - S(e_p, M e_q)| over basis pairs, exactly. The
-    weight form is diagonal on flags, so this is |w_p M_pq - w_q M_qp|,
-    formed from the integer numerators of M and of the weights."""
-    mat = _as_integer(mat)
-    weights, weight_den = _integer_weights(family)
-    rows = mat.rows
-    worst = 0
-    for p, row in enumerate(rows):
-        for q, v in row.items():
-            if q != p:
-                worst = max(worst, abs(weights[p] * v - weights[q] * rows[q].get(p, 0)))
-    return Fraction(worst, weight_den * mat.den)
-
-
-def invariance_residual(family, mat):
-    """Max violation of the singular conditions on the images of the
-    singular basis under the matrix, exactly, in integer arithmetic."""
-    mat = _as_integer(mat)
-    basis, conditions = _integer_sing(family)
-    worst = Fraction(0)
-    for values, vec_den in basis:
-        image = dict(enumerate(_dot(row, values) for row in mat.rows))
-        for condition, cond_den in conditions:
-            total = _dot(condition, image)
-            if total:
-                worst = max(worst, Fraction(abs(total), mat.den * vec_den * cond_den))
-    return worst
-
-
-def check_symmetry_and_invariance(family, z):
-    """Every K_j must be S-symmetric and preserve the singular subspace,
-    exactly, at the given fiber."""
-    report = {"fiber": [str(v) for v in coords(z)], "operators": []}
-    ok = True
-    for j in range(1, family.n + 1):
-        mat = fiber_k_operator(family, z, j)
-        sym = symmetry_residual(family, mat)
-        inv = invariance_residual(family, mat)
-        good = sym == 0 and inv == 0
-        ok = ok and good
-        report["operators"].append(
-            {"index": j, "symmetric": sym == 0, "invariant": inv == 0}
-        )
-    report["passed"] = ok
-    return report
 
 
 def _sparse_product(left, right):
@@ -261,16 +210,14 @@ def _commutator_rows(ki, kj):
     return out, den_i * den_j
 
 
-def commutator_residuals(family, z, pairs=None):
+def commutator_residuals(family, z):
     """Exact [K_i, K_j] residual on the singular subspace plus the measured
     sup-norm of the commutator on the whole flag space, formed in integer
     arithmetic from the per-fiber integer K_j (`fiber_k_operator`)."""
     basis, _ = _integer_sing(family)
-    if pairs is None:
-        pairs = list(itertools.combinations(range(1, family.n + 1), 2))
     exact_worst = Fraction(0)
     full_worst = 0.0
-    for i, j in pairs:
+    for i, j in itertools.combinations(range(1, family.n + 1), 2):
         rows, den = _commutator_rows(
             fiber_k_operator(family, z, i), fiber_k_operator(family, z, j)
         )
@@ -339,19 +286,14 @@ def _restricted_residue(family, members, free, common):
 
 
 @per_family
-def flatness_certificate(family):
-    """Kohno's criterion for the connection on Sing, once per family.
-
-    Omega = sum_H R_H dlog f_H, summed over the hyperplanes H of the
-    discriminant (circuits with proportional forms share one, and its
-    residue R_H is the sum of their L_C). Omega is flat on Sing at every
-    fiber when every R_H preserves Sing ("invariant") and, for every
-    codimension-2 flat X of the discriminant and every H containing X,
-    [R_H, sum_{H' containing X} R_H'] vanishes on Sing ("commuting"; the
-    last H of a flat follows from the others). Both halves run on integer
-    tables that do not depend on the fiber. The report lists the circuits
-    whose residue leaves Sing ("moving") and, per failing flat, the
-    circuits of the flat ("failing")."""
+def _sing_residues(family):
+    """The residue step that `flatness_certificate` and
+    `check_symmetry_and_invariance` share, once per family: the hyperplanes
+    of the discriminant ({integer form: [circuit indices, ...]}; circuits
+    with proportional forms share one), the free column of each singular
+    basis vector, the residue R_H = sum_C L_C of each hyperplane restricted
+    to Sing (`_restricted_residue`), and the circuits of the residues that
+    leave Sing ("moving")."""
     basis, _ = _integer_sing(family)
     free = []
     for i, (values, den) in enumerate(basis):
@@ -364,13 +306,32 @@ def flatness_certificate(family):
     hyperplanes = {}
     for circuit in family.circuit_list:
         hyperplanes.setdefault(_integer_form(circuit), []).append(circuit.indices)
-    members = list(hyperplanes.values())
     residues, moving = [], []
-    for group in members:
+    for group in hyperplanes.values():
         rows, moved = _restricted_residue(family, group, free, common)
         residues.append(rows)
         if moved:
             moving.extend(group)
+    return hyperplanes, free, residues, moving
+
+
+@per_family
+def flatness_certificate(family):
+    """Kohno's criterion for the connection on Sing, once per family.
+
+    Omega = sum_H R_H dlog f_H, summed over the hyperplanes H of the
+    discriminant (circuits with proportional forms share one, and its
+    residue R_H is the sum of their L_C). Omega is flat on Sing at every
+    fiber when every R_H preserves Sing ("invariant") and, for every
+    codimension-2 flat X of the discriminant and every H containing X,
+    [R_H, sum_{H' containing X} R_H'] vanishes on Sing ("commuting"; the
+    last H of a flat follows from the others). Both halves run on integer
+    tables that do not depend on the fiber; the first is the residue step
+    (`_sing_residues`). The report lists the circuits whose residue leaves
+    Sing ("moving") and, per failing flat, the circuits of the flat
+    ("failing")."""
+    hyperplanes, _, residues, moving = _sing_residues(family)
+    members = list(hyperplanes.values())
     flats = {}
     for (h1, u), (h2, v) in itertools.combinations(enumerate(hyperplanes), 2):
         flats.setdefault(_plucker_key(u, v), set()).update((h1, h2))
@@ -383,7 +344,7 @@ def flatness_certificate(family):
         if len(flat) == 2:
             total = residues[flat[1]]
         else:
-            total = [{} for _ in basis]
+            total = [{} for _ in residues[flat[0]]]
             for h in flat:
                 for acc, row in zip(total, residues[h]):
                     for q, v in row.items():
@@ -403,13 +364,13 @@ def flatness_certificate(family):
     }
 
 
-def check_flatness(family, z, pairs=None):
+def check_flatness(family, z):
     """Flatness at a fiber: the per-family certificate
     (`flatness_certificate`, built on the first call) and the sampled
     commutators [K_i, K_j] on the singular subspace; the full flag-space
     commutator norm is reported but not asserted."""
     certified = flatness_certificate(family)["passed"]
-    on_sing, on_full = commutator_residuals(family, z, pairs)
+    on_sing, on_full = commutator_residuals(family, z)
     return {
         "certificate_passed": certified,
         "commutator_singular_exact_zero": on_sing == 0,
@@ -418,24 +379,51 @@ def check_flatness(family, z, pairs=None):
     }
 
 
-def weighted_euler_residual(family, z):
-    """Exact residual of (sum_j z_j K_j) v = |a| v on the singular basis,
-    with sum_j z_j K_j summed over one denominator in integer arithmetic."""
-    zz = coords(z)
-    total = _integer_sum(
-        [(v.numerator, v.denominator, fiber_k_operator(family, zz, j))
-         for j, v in enumerate(zz, 1) if v]
-    )
-    asum, common = family.weight_sum, total.den
+def check_symmetry_and_invariance(family):
+    """S-symmetry, Sing invariance and the weighted Euler identity of every
+    K_j(z), decided once for every fiber from the circuit operators.
+
+    K_j(z) = sum_H (lambda_j^H / f_H(z)) R_H over the hyperplanes H of the
+    discriminant, and the functions 1/f_H are linearly independent. So
+    every K_j(z) preserves Sing at every fiber exactly when every R_H does,
+    the residue step of `flatness_certificate`. Every K_j(z) is S-symmetric
+    when every L_C is, w_p L_pq = w_q L_qp in the integer tables; where no
+    two circuits share a hyperplane, only then. As sum_j z_j lambda_j^C =
+    f_C(z), sum_j z_j K_j(z) = sum_C L_C at every fiber, so the weighted
+    Euler identity (sum_j z_j K_j) v = |a| v on Sing is sum_C L_C = |a| on
+    Sing. The report lists the circuits whose L_C is not symmetric
+    ("asymmetric"), the circuits whose residue leaves Sing ("moving"), and
+    the singular basis vectors, each as the flag of its free column, that
+    sum_C L_C does not scale by |a| ("off_euler")."""
+    weights, _ = _integer_weights(family)
+    asymmetric = []
+    total = [{} for _ in family.flag_index]
+    for circuit in family.circuit_list:
+        table = {(p, q): coef for p, q, coef in _l_c_integer(family, circuit.indices)}
+        if any(weights[p] * coef != weights[q] * table.get((q, p), 0)
+               for (p, q), coef in table.items()):
+            asymmetric.append(circuit.indices)
+        for (p, q), coef in table.items():
+            total[p][q] = total[p].get(q, 0) + coef
+    hyperplanes, free, _, moving = _sing_residues(family)
+    # sum_C L_C and |a| over the weights' denominator D: D |a| = scale / asum.denominator
+    asum = family.weight_sum
+    scale = _weight_denominator(family) * asum.numerator
     basis, _ = _integer_sing(family)
-    worst = Fraction(0)
-    for values, vec_den in basis:
-        # (T v)_p / (common vec_den) - |a| v_p / vec_den over one denominator
-        for p, row in enumerate(total.rows):
-            num = asum.denominator * _dot(row, values) - common * asum.numerator * values.get(p, 0)
-            if num:
-                worst = max(worst, Fraction(abs(num), common * asum.denominator * vec_den))
-    return worst
+    off_euler = [
+        list(family.flag_index.subset(f))
+        for f, (values, _) in zip(free, basis)
+        if any(asum.denominator * _dot(row, values) != scale * values.get(p, 0)
+               for p, row in enumerate(total))
+    ]
+    return {
+        "circuits": len(family.circuit_list),
+        "hyperplanes": len(hyperplanes),
+        "asymmetric": asymmetric,
+        "moving": moving,
+        "off_euler": off_euler,
+        "passed": not (asymmetric or moving or off_euler),
+    }
 
 
 # ---------------------------------------------------------------------------

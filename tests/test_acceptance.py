@@ -20,6 +20,8 @@ from arrfrob.osflag import (
     v_vector,
 )
 
+from fiber_oracles import operator_residuals
+
 K2_SLOPES = ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3))
 PRIMES = (1, 2, 3, 5, 7, 11, 13)
 
@@ -144,18 +146,19 @@ FLATNESS_CASES = [
 
 
 def test_criterion_05_flatness_and_symmetry():
-    # Kohno's certificate once per family, exact rational vanishing of the
-    # commutators on the singular subspace, and exact S-symmetry of every
-    # operator, at 5 random good fibers per family
+    # Kohno's certificate and the symmetry certificate once per family;
+    # exact rational vanishing of the commutators on the singular subspace,
+    # and exact S-symmetry and Sing invariance of every operator, at 5
+    # random good fibers per family
     for fam in FLATNESS_CASES:
         assert gm.flatness_certificate(fam)["passed"], (fam.k, fam.n)
+        assert gm.check_symmetry_and_invariance(fam)["passed"], (fam.k, fam.n)
         for seed in range(5):
             z = sample_good_point(fam, seed=seed).z
             flat = gm.check_flatness(fam, z)
             assert flat["certificate_passed"], (fam.k, fam.n, seed)
             assert flat["commutator_singular_exact_zero"], (fam.k, fam.n, seed)
-            sym = gm.check_symmetry_and_invariance(fam, z)
-            assert sym["passed"], (fam.k, fam.n, seed)
+            assert operator_residuals(fam, z) == [(0, 0)] * fam.n, (fam.k, fam.n, seed)
 
 
 def test_criterion_06_conformal_block():

@@ -612,9 +612,24 @@ def test_changed_table_numerator_fails_the_ladder(tmp_path, monkeypatch):
     assert ladder and any(status == "fail" for _, _, status in ladder)
 
 
-def test_changed_circuit_entry_fails_the_certificate_rows(tmp_path, monkeypatch):
+def _change_one_entry_of_l_123(monkeypatch):
+    """Make one off-diagonal numerator of L_(1,2,3) off by one."""
     from arrfrob import gaussmanin
 
+    table = gaussmanin._l_c_integer
+
+    def changed(family, indices):
+        entries = table(family, indices)
+        if indices != (1, 2, 3):
+            return entries
+        (p, q, coef), rest = entries[0], entries[1:]
+        assert p != q
+        return ((p, q, coef + 1),) + rest
+
+    monkeypatch.setattr(gaussmanin, "_l_c_integer", changed)
+
+
+def test_changed_circuit_entry_fails_the_certificate_rows(tmp_path, monkeypatch):
     payload = _k2n4(["2", "3", "5", "7"], seed=1)
     rc, report = _check_report(tmp_path, payload, "flatness", "kept")
     assert rc == 0
@@ -622,17 +637,7 @@ def test_changed_circuit_entry_fails_the_certificate_rows(tmp_path, monkeypatch)
         "singular-invariance-certificate",
         "kohno-certificate",
     ]
-    table = gaussmanin._l_c_integer
-
-    def changed(family, indices):
-        # one numerator of L_(1,2,3), off by one
-        entries = table(family, indices)
-        if indices != (1, 2, 3):
-            return entries
-        (p, q, coef), rest = entries[0], entries[1:]
-        return ((p, q, coef + 1),) + rest
-
-    monkeypatch.setattr(gaussmanin, "_l_c_integer", changed)
+    _change_one_entry_of_l_123(monkeypatch)
     rc, report = _check_report(tmp_path, payload, "flatness", "changed")
     assert rc == 1
     rows = {row["id"]: row for row in report["suites"]["flatness"]["checks"]}
@@ -641,6 +646,32 @@ def test_changed_circuit_entry_fails_the_certificate_rows(tmp_path, monkeypatch)
     assert invariance["status"] == kohno["status"] == "fail"
     assert invariance["witness"]["offenders"] == [[1, 2, 3]]
     assert kohno["witness"]["flats"] == 1 and kohno["witness"]["circuits"] == 4
+
+
+def test_symmetry_suite_is_three_certificate_rows(tmp_path, monkeypatch):
+    payload = _k2n4(["2", "3", "5", "7"], seed=1)
+    ids = [
+        "residue-symmetry-certificate",
+        "singular-invariance-certificate",
+        "weighted-euler-certificate",
+    ]
+    rc, report = _check_report(tmp_path, payload, "symmetry", "kept")
+    assert rc == 0
+    assert _statuses(report) == [("symmetry", ident, "pass") for ident in ids]
+    _change_one_entry_of_l_123(monkeypatch)
+    rc, report = _check_report(tmp_path, payload, "flatness,symmetry", "changed")
+    assert rc == 1
+    rows = {row["id"]: row for row in report["suites"]["symmetry"]["checks"]}
+    assert list(rows) == ids and all(row["status"] == "fail" for row in rows.values())
+    counts = {"circuits": 4, "hyperplanes": 4}
+    assert rows["residue-symmetry-certificate"]["witness"] == dict(
+        counts, count=1, offenders=[[1, 2, 3]]
+    )
+    # the invariance row is the flatness suite's row, witness and all
+    flatness = report["suites"]["flatness"]["checks"]
+    assert rows["singular-invariance-certificate"] == flatness[0]
+    euler = rows["weighted-euler-certificate"]["witness"]
+    assert euler["count"] >= 1 and all(len(flag) == 2 for flag in euler["offenders"])
 
 
 def test_flatness_suite_builds_no_symbolic_expression(tmp_path, monkeypatch):
@@ -713,6 +744,15 @@ def test_families_without_flats_pass_the_certificate(tmp_path, payload):
         # for (1, 3) fails the singularity conditions" and exit 1
         ({"k": 2, "b": [[1, 0], [0, 1], [1, 1], [2, 2]], "weights": ["2", "3", "5", "7"]},
          ["check"]),
+        # a number used to raise TypeError (exit 1), a string was read name
+        # by character, and an empty list passed vacuously
+        ({"suites": 5}, ["check"]),
+        ({"suites": "flatness"}, ["check"]),
+        ({"suites": []}, ["check"]),
+        ({"suites": ["flatness", "nope"]}, ["check"]),
+        ({"suites": 5}, ["circuits"]),
+        ({"z": 5}, ["critical"]),
+        ({"z": 5}, ["circuits"]),
     ],
     ids=[
         "anchor-99", "anchor-0", "anchor-string", "anchor-flag-5", "anchor-flag-string",
@@ -724,6 +764,8 @@ def test_families_without_flats_pass_the_certificate(tmp_path, payload):
         "tol-flag-negative", "tol-flag-nan", "tol-flag-inf", "path-one-fiber",
         "path-short-fiber", "path-3-vs-5", "path-gm-flow", "kappa-0",
         "kappa-weight-sum", "kappa-minus-weight-sum-gm-flow", "non-generic",
+        "suites-number", "suites-string", "suites-empty", "suites-unknown",
+        "suites-number-circuits", "z-number-critical", "z-number-circuits",
     ],
 )
 def test_invalid_settings_are_exit_2(tmp_path, capsys, extra, argv):
@@ -799,14 +841,16 @@ def test_configured_path_and_kappa_reach_the_periods_suite(tmp_path):
 
 # sha256 of `check --suites flatness,symmetry` at seed 1 on the benchmark's
 # prime-weight families, pinned when the exact flatness kernels moved to
-# integer arithmetic and pinned again when the per-fiber curl rows gave way
-# to the per-family certificate rows (the other rows kept their bytes).
-# Every residual in these suites is the float of an exact rational, so the
-# bytes do not depend on the platform.
+# integer arithmetic, pinned again when the per-fiber curl rows gave way
+# to the per-family certificate rows, and pinned again when the 3 x samples
+# per-fiber rows of `symmetry` gave way to its three per-family certificate
+# rows (each time the other rows kept their bytes). Every residual in these
+# suites is the float of an exact rational, so the bytes do not depend on
+# the platform.
 _FLATNESS_SYMMETRY_SHA256 = {
-    (1, 5): "76118ba85f32ee6dc654743a938d50ab69bf0eebe0488091a5e8a2dee7c03e75",
-    (2, 4): "5c75aa5620dd91bcb3998d5bfe348fcb4b13f6d9df6cdfa77d24b127469dec4e",
-    (3, 5): "fd0c6fcf85a65e66ad0aaea2b9dbb6add77ef7375c6fcdb2eb839f5971bc7632",
+    (1, 5): "6686fda5ce3214a0b5d625f92a3e09c3ff50213f9772b005577a341b31ad0e65",
+    (2, 4): "01b1faa1410bf3ab38ce4e8429bc19298a930d45d654215016339887c4d1910d",
+    (3, 5): "07b162064509a6aa3ad08f623d65dee3a1e2fc824624dc5ec15ebd284d684992",
 }
 
 
@@ -822,13 +866,14 @@ def test_flatness_and_symmetry_reports_are_pinned(k, n, tmp_path, prime_config):
 
 # sha256 of `check` over the suites of the benchmark's `exact` workload at
 # seed 1, pinned before their tables (P and its derivatives, the derivatives
-# of q, K_j(z) and the generator products) were built once and shared, and
+# of q, K_j(z) and the generator products) were built once and shared,
 # pinned again when the curl rows of `flatness` gave way to the certificate
-# rows.
+# rows, and again when the sampled rows of `symmetry` gave way to its
+# per-family certificate rows.
 _EXACT_SUITES = "circuits,flatness,symmetry,conformal,potential"
 _EXACT_SHA256 = {
-    (3, 4): "46a83d087d6c976ddc67b0326c393f96b29cda26273cca4767f8b91fc7180e36",
-    (3, 5): "1bdfe5caabf9e7d71d9cf30c74d255f60a965df31ac511e82b590c2aa2cc1f19",
+    (3, 4): "9307e9099991f557d9ec9e6ad4899756611cf3e9048b8e9d0d43dbdd988f0b14",
+    (3, 5): "5a5deb03805315727ed0c3c151120950acdd8134d6d23914aa1f2121c954fc29",
 }
 
 

@@ -357,7 +357,7 @@ def test_closedness_fails_when_one_numerator_of_k2_changes(prime_config, monkeyp
         rows = [dict(row) for row in mat.rows]
         q = next(iter(rows[0]))
         rows[0][q] += 1
-        return gm.IntegerMatrix(tuple(rows), mat.den)
+        return linalg.IntegerMatrix(tuple(rows), mat.den)
 
     monkeypatch.setattr(gm, "fiber_k_operator", perturbed)
     rep = _closedness(family)

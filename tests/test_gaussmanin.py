@@ -10,7 +10,6 @@ from arrfrob.core import ArrangementFamily, coords, f_c_value, load_family, samp
 from arrfrob.critalg import f_minor_value, monomial_to_w, solve_critical
 from arrfrob.gaussmanin import (
     _commutator_rows,
-    _integer_rows,
     apply_matrix,
     check_conformal_block,
     check_flatness,
@@ -20,19 +19,23 @@ from arrfrob.gaussmanin import (
     fiber_k_operator,
     flatness_certificate,
     flow_flat_section,
-    invariance_residual,
     k_operator,
     pairing_functional,
-    symmetry_residual,
-    weighted_euler_residual,
 )
-from arrfrob.linalg import mat_mul
+from arrfrob.linalg import IntegerMatrix, _integer_rows, mat_mul
 from arrfrob.osflag import (
     FlagVector,
     contravariant_pairing,
     max_abs_diff,
     singular_subspace,
     v_vector,
+)
+
+from fiber_oracles import (
+    invariance_residual,
+    operator_residuals,
+    symmetry_residual,
+    weighted_euler_residual,
 )
 
 
@@ -84,19 +87,23 @@ def test_operator_rejects_bad_fiber(fam_k1_n3):
 
 
 def test_symmetry_and_invariance(fam_k2_n4):
-    report = check_symmetry_and_invariance(fam_k2_n4, (F(0), F(1), F(3), F(7)))
+    report = check_symmetry_and_invariance(fam_k2_n4)
     assert report["passed"]
-    assert all(op["symmetric"] and op["invariant"] for op in report["operators"])
+    assert report["asymmetric"] == report["moving"] == report["off_euler"] == []
+    assert (report["circuits"], report["hyperplanes"]) == (4, 4)
+    # and at one fiber, from the operators themselves
+    assert operator_residuals(fam_k2_n4, (F(0), F(1), F(3), F(7))) == [(0, 0)] * 4
 
 
 def test_symmetry_negative_control(fam_k2_n4):
+    # the per-fiber oracles see a matrix that is not symmetric, or moves Sing
     dim = len(fam_k2_n4.flag_index)
     mat = [[F(0)] * dim for _ in range(dim)]
     mat[0][1] = F(1)
-    assert symmetry_residual(fam_k2_n4, mat) > 0
+    assert symmetry_residual(fam_k2_n4, _integer_rows(mat)) > 0
     one_corner = [[F(0)] * dim for _ in range(dim)]
     one_corner[0][0] = F(1)
-    assert invariance_residual(fam_k2_n4, one_corner) > 0
+    assert invariance_residual(fam_k2_n4, _integer_rows(one_corner)) > 0
 
 
 @pytest.mark.parametrize("fixture", ["fam_k1_n4", "fam_k2_n4"])
@@ -212,7 +219,7 @@ def test_broken_kohno_certificate_fails_at_every_fiber(monkeypatch, fam_k2_n4):
 
 def _changed_l_c_entry(monkeypatch, target):
     """Make `_l_c_integer` add 1 to the numerator of the first entry of the
-    circuit operator L_target."""
+    circuit operator L_target, an off-diagonal one."""
     table = gaussmanin._l_c_integer
 
     def changed(family, indices):
@@ -220,6 +227,7 @@ def _changed_l_c_entry(monkeypatch, target):
         if indices != target:
             return entries
         (p, q, coef), rest = entries[0], entries[1:]
+        assert p != q
         return ((p, q, coef + 1),) + rest
 
     monkeypatch.setattr(gaussmanin, "_l_c_integer", changed)
@@ -236,8 +244,62 @@ def test_one_changed_circuit_entry_fails_both_halves_of_the_certificate(
     assert not cert["invariant"] and not cert["commuting"] and not cert["passed"]
     assert cert["moving"] == [target]
     assert all(target in flat for flat in cert["failing"])
+    # the symmetry certificate names the circuit too, and reads the same
+    # residue step
+    report = check_symmetry_and_invariance(family)
+    assert report["asymmetric"] == report["moving"] == [target]
     monkeypatch.undo()
     assert flatness_certificate(load_family(prime_config(k, n)))["passed"]
+
+
+def _doubled_l_c(monkeypatch, target):
+    """Make `_l_c_integer` double the circuit operator L_target: it stays
+    S-symmetric and keeps Sing, and sum_C L_C changes on Sing."""
+    table = gaussmanin._l_c_integer
+
+    def doubled(family, indices):
+        entries = table(family, indices)
+        if indices != target:
+            return entries
+        return tuple((p, q, 2 * coef) for p, q, coef in entries)
+
+    monkeypatch.setattr(gaussmanin, "_l_c_integer", doubled)
+
+
+@pytest.mark.parametrize("change", [None, "entry", "doubled"])
+@pytest.mark.parametrize(
+    "k, n, weights",
+    [
+        (1, 5, None),
+        (2, 4, None),
+        (3, 5, None),
+        (4, 6, None),
+        (2, 5, (-3, F(1, 2), 5, F(7, 3), -11)),
+    ],
+)
+def test_symmetry_certificate_agrees_with_the_fiber_oracles(k, n, weights, change, monkeypatch):
+    # the per-family verdicts are the verdicts of the per-fiber residuals of
+    # K_j(z) at every sampled fiber, with and without a changed L_C; the
+    # rational weights of mixed sign give the weights a denominator
+    family = _prime_family(k, n)
+    if weights is not None:
+        family = ArrangementFamily(k=k, n=n, b=family.b, a=tuple(map(F, weights)))
+    target = family.circuit_list[0].indices
+    if change == "entry":
+        _changed_l_c_entry(monkeypatch, target)
+    elif change == "doubled":
+        _doubled_l_c(monkeypatch, target)
+    report = check_symmetry_and_invariance(family)
+    assert report["passed"] == (change is None)
+    # the Euler row names each singular basis vector by its free column
+    space = singular_subspace(family)
+    assert all(any(v.get(tuple(flag)) == 1 for v in space.basis) for flag in report["off_euler"])
+    for seed in range(5):
+        z = sample_good_point(family, seed=seed).z
+        residuals = operator_residuals(family, z)
+        assert all(sym == 0 for sym, _ in residuals) == (not report["asymmetric"])
+        assert all(inv == 0 for _, inv in residuals) == (not report["moving"])
+        assert (weighted_euler_residual(family, z) == 0) == (not report["off_euler"])
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -277,8 +339,10 @@ def test_certificate_flats(k, n, circuits, flat_sizes):
 @pytest.mark.parametrize("k, n", [(2, 5), (3, 6)])
 def test_certificate_does_no_fraction_arithmetic(k, n, monkeypatch):
     family = _prime_family(k, n)
-    # the shared integer tables: Sing and every L_C
+    # the shared tables: Sing, the weights, |a| and every L_C
     gaussmanin._integer_sing(family)
+    gaussmanin._integer_weights(family)
+    family.weight_sum
     for circuit in family.circuit_list:
         gaussmanin._l_c_integer(family, circuit.indices)
     calls = []
@@ -292,6 +356,7 @@ def test_certificate_does_no_fraction_arithmetic(k, n, monkeypatch):
 
         monkeypatch.setattr(F, name, counted)
     assert flatness_certificate(family)["passed"]
+    assert check_symmetry_and_invariance(family)["passed"]
     assert not calls
 
 
@@ -305,12 +370,12 @@ def test_apply_matrix_matches_coordinates(fam_k1_n3, z_k1_n3):
     mat = k_operator(fam_k1_n3, z_k1_n3, 1)
     vec = v_vector(fam_k1_n3, (2,))
     cols = vec.to_coordinates(fam_k1_n3.flag_index)
+    # the image of the integer form against a dense product in Fractions
     dense = mat.dense()
-    # the integer form and a caller's dense matrix give the same image
-    for image in (apply_matrix(fam_k1_n3, mat, vec), apply_matrix(fam_k1_n3, dense, vec)):
-        for p, subset in enumerate(fam_k1_n3.flag_index):
-            expect = sum(dense[p][q] * cols[q] for q in range(len(cols)))
-            assert image.get(subset) == expect
+    image = apply_matrix(fam_k1_n3, mat, vec)
+    for p, subset in enumerate(fam_k1_n3.flag_index):
+        expect = sum(dense[p][q] * cols[q] for q in range(len(cols)))
+        assert image.get(subset) == expect
 
 
 def test_k_operator_preserves_singular(fam_k2_n5):
@@ -360,14 +425,14 @@ def test_solver_reads_the_floats_of_the_exact_entries(k, n, prime_config, monkey
     # int / int is correctly rounded: the floats solve_critical reads are
     # float(Fraction) of the exact entries, bit for bit
     read = []
-    floats = gaussmanin.IntegerMatrix.floats
+    floats = IntegerMatrix.floats
 
     def spy(mat):
         out = floats(mat)
         read.append(out)
         return out
 
-    monkeypatch.setattr(gaussmanin.IntegerMatrix, "floats", spy)
+    monkeypatch.setattr(IntegerMatrix, "floats", spy)
     family = load_family(prime_config(k, n))
     for seed in range(2):
         z = sample_good_point(family, seed=seed).z
@@ -391,7 +456,7 @@ def _corrupted_k_operator(monkeypatch, target):
             return mat
         rows = [dict(row) for row in mat.rows]
         rows[0][1] = rows[0].get(1, 0) + 1
-        return gaussmanin.IntegerMatrix(tuple(rows), mat.den)
+        return IntegerMatrix(tuple(rows), mat.den)
 
     monkeypatch.setattr(gaussmanin, "k_operator", corrupted)
 
@@ -401,17 +466,16 @@ def test_one_corrupted_entry_fails_every_operator_identity(k, n, prime_config, m
     family = load_family(prime_config(k, n))
     z = sample_good_point(family, seed=1).z
     _corrupted_k_operator(monkeypatch, target=2)
-    report = check_symmetry_and_invariance(family, z)
-    op = report["operators"][1]
-    assert not op["symmetric"] and not op["invariant"]
-    assert all(o["symmetric"] and o["invariant"] for o in report["operators"] if o["index"] != 2)
+    residuals = operator_residuals(family, z)
+    assert all(r > 0 for r in residuals[1])
+    assert all(r == (0, 0) for j, r in enumerate(residuals, 1) if j != 2)
     assert not check_flatness(family, z)["commutator_singular_exact_zero"]
     assert weighted_euler_residual(family, z) > 0
     assert not check_conformal_block(family, z)
     # the same checks pass on a fiber built without the corruption
     monkeypatch.undo()
     clean = load_family(prime_config(k, n))
-    assert check_symmetry_and_invariance(clean, z)["passed"]
+    assert operator_residuals(clean, z) == [(0, 0)] * n
     assert check_flatness(clean, z)["passed"]
     assert weighted_euler_residual(clean, z) == 0
     assert check_conformal_block(clean, z)
