@@ -19,7 +19,6 @@ import itertools
 import json
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 
@@ -57,14 +56,48 @@ def format_rational(value):
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-@dataclass(frozen=True)
-class ArrangementFamily:
-    k: int
-    n: int
-    b: tuple  # n rows, each a k-tuple of Fraction
-    a: tuple  # n weights, Fraction
+class Frozen:
+    """A value object: `__init__` sets the attributes named in `_fields`
+    once (with object.__setattr__), they cannot be reassigned, and equality,
+    hashing and repr go by them. Computed attributes are `cached_property`,
+    which writes the instance dict directly."""
 
-    def __post_init__(self):
+    _fields = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class ArrangementFamily(Frozen):
+    """The family (k, n, b, a): b holds n rows, each a k-tuple of Fraction,
+    and a the n weights, Fraction."""
+
+    _fields = ("k", "n", "b", "a")
+
+    def __init__(self, k, n, b, a):
+        super().__init__(k, n, b, a)
         if not (isinstance(self.k, int) and isinstance(self.n, int)):
             raise ConfigError("k and n must be integers")
         if self.k < 1 or self.n <= self.k:
@@ -81,6 +114,10 @@ class ArrangementFamily:
                 raise ConfigError(f"weight a_{j} is zero")
         if sum(self.a) == 0:
             raise ConfigError("weights sum to zero")
+
+    # defined here, not inherited, so that perfbench/optrace.py can wrap it
+    def __hash__(self):
+        return hash((self.k, self.n, self.b, self.a))
 
     @cached_property
     def weight_sum(self):
@@ -187,12 +224,11 @@ def per_fiber(fn):
     return memoized
 
 
-@dataclass(frozen=True)
-class BasePoint:
-    z: tuple
+class BasePoint(Frozen):
+    _fields = ("z",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", tuple(self.z))
+    def __init__(self, z):
+        super().__init__(tuple(z))
 
     def __len__(self):
         return len(self.z)
@@ -211,12 +247,14 @@ def coords(z):
     return tuple(z)
 
 
-@dataclass(frozen=True)
-class Circuit:
-    indices: tuple  # sorted 1-based index tuple
-    lam: tuple  # relation coefficients, normalized so lam[0] == 1
+class Circuit(Frozen):
+    """A circuit: its sorted 1-based index tuple and the coefficients of its
+    relation, normalized so that lam[0] == 1."""
 
-    def __post_init__(self):
+    _fields = ("indices", "lam")
+
+    def __init__(self, indices, lam):
+        super().__init__(indices, lam)
         if list(self.indices) != sorted(self.indices):
             raise ValueError("circuit indices must be sorted")
         if self.lam[0] != 1:
@@ -292,7 +330,13 @@ def load_family(config):
         raw_z = doc["z"]
         if not isinstance(raw_z, list) or len(raw_z) != n:
             raise ConfigError(f"z must be a list of n = {n} rationals, got {raw_z!r}")
-        object.__setattr__(family, "preferred_z", BasePoint(tuple(map(parse_rational, raw_z))))
+        z = BasePoint(map(parse_rational, raw_z))
+        if not is_good_fiber(family, z):
+            vanishing = next(c for c in family.circuit_list if f_c_value(c, z) == 0)
+            raise ConfigError(
+                f"z lies on the discriminant: f_C vanishes for circuit {vanishing.indices}"
+            )
+        object.__setattr__(family, "preferred_z", z)
     return family
 
 

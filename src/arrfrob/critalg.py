@@ -33,10 +33,9 @@ import cmath
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import coords, default_anchor, per_family, per_fiber
+from .core import Frozen, coords, default_anchor, per_family, per_fiber
 from .linalg import _dot, _integer_rows, _integer_sum, _integer_vector, _lazy_module
 from .linalg import _reduced_matrix, np
 
@@ -144,12 +143,11 @@ class MasterFunction:
         return sum(c / math.prod(squares[j] for j in T) for T, c in self._binet)
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    t: tuple
-    f_values: tuple
-    hessian: complex
-    residual: float
+class CriticalPoint(Frozen):
+    """A critical point t, the values f_j(t), the Hessian determinant there
+    and the gradient residual that Newton's method left."""
+
+    _fields = ("t", "f_values", "hessian", "residual")
 
 
 def expected_critical_count(family):
@@ -197,9 +195,7 @@ def _newton_polish(master, t0, max_iter=50):
     fs = master.f_values(t)
     if min(abs(f) for f in fs) < 1e-9 * master.size:
         return None
-    return CriticalPoint(
-        t=tuple(t), f_values=fs, hessian=complex(master.hessian_det(t)), residual=res
-    )
+    return CriticalPoint(tuple(t), fs, complex(master.hessian_det(t)), res)
 
 
 def _rationalize(value):

@@ -9,20 +9,21 @@ Exact checks run on integers. `k_operator` assembles K_j(z) as a
 `linalg.IntegerMatrix`, sparse integer rows over one denominator, from the
 circuit values f_C(z), computed once per circuit and fiber.
 `fiber_k_operator` keeps one per (fiber, j) in the fiber's entry of the
-family (`core.per_fiber`); the sampled commutators on Sing, the
-conformal-block equations and `critalg.solve_critical` all read it.
+family (`core.per_fiber`); the conformal-block equations and
+`critalg.solve_critical` read it.
 
 The structure of the connection is decided once per family, in integer
 arithmetic on tables that do not depend on the fiber, so each verdict
-holds at every fiber. Both certificates start from one residue step
-(`_sing_residues`): the residue of each hyperplane of the discriminant,
-the sum of its L_C, restricted to Sing, and whether it preserves Sing.
-`flatness_certificate` adds Kohno's criterion: on Sing every residue
-commutes with the sum of the residues of each codimension-2 flat of the
-discriminant through it. The commutators [K_i, K_j] at sampled fibers
-are a cross-check. `check_symmetry_and_invariance` adds the S-symmetry
-of every L_C and sum_C L_C = |a| on Sing, which is the weighted Euler
-identity sum_j z_j K_j(z) = |a| on Sing at every fiber.
+holds at every fiber and no K_j(z) is built for it. Both certificates
+start from one residue step (`_sing_residues`): the residue of each
+hyperplane of the discriminant, the sum of its L_C, restricted to Sing,
+and whether it preserves Sing. `flatness_certificate` adds Kohno's
+criterion: on Sing every residue commutes with the sum of the residues of
+each codimension-2 flat of the discriminant through it, and
+`check_flatness` reports its verdict. `check_symmetry_and_invariance`
+adds the S-symmetry of every L_C and sum_C L_C = |a| on Sing, which is
+the weighted Euler identity sum_j z_j K_j(z) = |a| on Sing at every
+fiber.
 
 `flow_flat_section` is the one transport: an adaptive Dormand-Prince
 integrator of kappa dI = (sum_j K_j dz_j) I along a piecewise-linear path.
@@ -37,8 +38,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .core import coords, f_c_value, per_family, per_fiber
 from .linalg import _dot, _integer_vector, _lazy_module, _reduced_matrix, np
@@ -165,7 +166,7 @@ def apply_matrix(family, mat, vec):
 
 
 # ---------------------------------------------------------------------------
-# per-family certificates and sampled commutators
+# per-family certificates
 
 
 @per_family
@@ -208,28 +209,6 @@ def _commutator_rows(ki, kj):
             ij[q] = ij.get(q, 0) - v
         out.append({q: v for q, v in ij.items() if v})
     return out, den_i * den_j
-
-
-def commutator_residuals(family, z):
-    """Exact [K_i, K_j] residual on the singular subspace plus the measured
-    sup-norm of the commutator on the whole flag space, formed in integer
-    arithmetic from the per-fiber integer K_j (`fiber_k_operator`)."""
-    basis, _ = _integer_sing(family)
-    exact_worst = Fraction(0)
-    full_worst = 0.0
-    for i, j in itertools.combinations(range(1, family.n + 1), 2):
-        rows, den = _commutator_rows(
-            fiber_k_operator(family, z, i), fiber_k_operator(family, z, j)
-        )
-        for values, vec_den in basis:
-            image = [_dot(row, values) for row in rows]
-            residual = max(abs(c) for c in image)
-            if residual:
-                exact_worst = max(exact_worst, Fraction(residual, den * vec_den))
-        top = max((abs(v) for row in rows for v in row.values()), default=0)
-        # int / int is correctly rounded: the float of the exact rational
-        full_worst = max(full_worst, top / den)
-    return exact_worst, full_worst
 
 
 def _integer_form(circuit):
@@ -364,19 +343,10 @@ def flatness_certificate(family):
     }
 
 
-def check_flatness(family, z):
-    """Flatness at a fiber: the per-family certificate
-    (`flatness_certificate`, built on the first call) and the sampled
-    commutators [K_i, K_j] on the singular subspace; the full flag-space
-    commutator norm is reported but not asserted."""
-    certified = flatness_certificate(family)["passed"]
-    on_sing, on_full = commutator_residuals(family, z)
-    return {
-        "certificate_passed": certified,
-        "commutator_singular_exact_zero": on_sing == 0,
-        "commutator_full_norm": float(on_full),
-        "passed": certified and on_sing == 0,
-    }
+def check_flatness(family):
+    """Flatness of the connection on Sing at every fiber: the verdict of
+    Kohno's criterion (`flatness_certificate`), decided once per family."""
+    return flatness_certificate(family)
 
 
 def check_symmetry_and_invariance(family):
@@ -464,17 +434,10 @@ _DP_E = tuple(a - b for a, b in zip(_DP_A[6], (
 )))
 
 
-@dataclass
-class FlowResult:
-    """Quadratures, step counts, trajectory, the sections at each waypoint
-    as (sections, dim) arrays, and the flag subsets."""
-
-    extras: tuple
-    steps: int
-    rejected: int
-    trajectory: list
-    waypoints: list
-    subsets: tuple
+class FlowResult(SimpleNamespace):
+    """Quadratures (`extras`), step counts (`steps`, `rejected`), the
+    `trajectory`, the sections at each waypoint as (sections, dim) arrays
+    (`waypoints`), and the flag `subsets`."""
 
     @property
     def section(self):
@@ -602,7 +565,8 @@ def flow_flat_section(
             factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
             h *= min(5.0, max(0.2, factor))
         nodes.append(y[:size].reshape(count, dim).copy())
-    return FlowResult(tuple(y[size:]), steps, rejected, trajectory, nodes, family.flag_index.subsets)
+    return FlowResult(extras=tuple(y[size:]), steps=steps, rejected=rejected,
+                      trajectory=trajectory, waypoints=nodes, subsets=family.flag_index.subsets)
 
 
 def _trajectory_row(s, z, flag):

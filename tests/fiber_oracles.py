@@ -1,16 +1,45 @@
 """Per-fiber references for the per-family operator certificates.
 
-The program decides the S-symmetry, the Sing invariance and the weighted
-Euler identity of every K_j(z) once per family, from the circuit operators
-(`gaussmanin.check_symmetry_and_invariance`). These functions decide them
+The program decides the flatness, the S-symmetry, the Sing invariance and
+the weighted Euler identity of every K_j(z) once per family, from the
+circuit operators (`gaussmanin.check_flatness`,
+`gaussmanin.check_symmetry_and_invariance`). These functions decide them
 at one fiber instead, from the exact K_j(z) that `fiber_k_operator` builds
 there, so the tests can compare the two routes and check single fibers."""
 
+import itertools
 from fractions import Fraction
 
 from arrfrob.core import coords
-from arrfrob.gaussmanin import _integer_sing, _integer_weights, fiber_k_operator
+from arrfrob.gaussmanin import (
+    _commutator_rows,
+    _integer_sing,
+    _integer_weights,
+    fiber_k_operator,
+)
 from arrfrob.linalg import _dot, _integer_sum
+
+
+def commutator_residuals(family, z):
+    """Exact [K_i, K_j] residual on the singular subspace plus the measured
+    sup-norm of the commutator on the whole flag space, formed in integer
+    arithmetic from the per-fiber integer K_j (`fiber_k_operator`)."""
+    basis, _ = _integer_sing(family)
+    exact_worst = Fraction(0)
+    full_worst = 0.0
+    for i, j in itertools.combinations(range(1, family.n + 1), 2):
+        rows, den = _commutator_rows(
+            fiber_k_operator(family, z, i), fiber_k_operator(family, z, j)
+        )
+        for values, vec_den in basis:
+            image = [_dot(row, values) for row in rows]
+            residual = max(abs(c) for c in image)
+            if residual:
+                exact_worst = max(exact_worst, Fraction(residual, den * vec_den))
+        top = max((abs(v) for row in rows for v in row.values()), default=0)
+        # int / int is correctly rounded: the float of the exact rational
+        full_worst = max(full_worst, top / den)
+    return exact_worst, full_worst
 
 
 def symmetry_residual(family, mat):

@@ -431,6 +431,20 @@ def test_check_does_not_import_sympy(k2_config, tmp_path):
     assert proc.stdout.split() == ["False", "0"]
 
 
+def test_circuits_does_not_import_dataclasses_or_inspect(k2_config, tmp_path):
+    # `dataclasses` imports `inspect`, `ast`, `dis` and `tokenize`, which no
+    # command needs, at every launch
+    out = str(tmp_path / "r.json")
+    proc = _fresh_python(
+        "-c",
+        "import sys; from arrfrob.cli import main; "
+        f"code = main(['circuits', '--config', {k2_config!r}, '--json', {out!r}]); "
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules, code)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "0"]
+
+
 def test_exact_suites_and_circuits_do_not_load_numpy(k2_config, tmp_path):
     # A module that has not run is absent from sys.modules or still an
     # unloaded lazy module, whose type subclasses ModuleType until its first
@@ -674,6 +688,10 @@ def test_symmetry_suite_is_three_certificate_rows(tmp_path, monkeypatch):
     assert euler["count"] >= 1 and all(len(flag) == 2 for flag in euler["offenders"])
 
 
+_K3N6 = {"k": 3, "n": 6, "b": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 4], [1, 3, 9]],
+         "weights": ["2", "3", "5", "7", "11", "13"], "seed": 1}
+
+
 def test_flatness_suite_builds_no_symbolic_expression(tmp_path, monkeypatch):
     from arrfrob.linforms import LinExpr
 
@@ -682,11 +700,31 @@ def test_flatness_suite_builds_no_symbolic_expression(tmp_path, monkeypatch):
 
     for name in ("zero", "monomial", "diff", "evaluate_exact"):
         monkeypatch.setattr(LinExpr, name, refuse)
-    payload = {"k": 3, "n": 6, "b": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1],
-                                     [1, 2, 4], [1, 3, 9]],
-               "weights": ["2", "3", "5", "7", "11", "13"], "seed": 1}
-    rc, report = _check_report(tmp_path, payload, "flatness", "k3n6")
-    assert rc == 0 and len(report["suites"]["flatness"]["checks"]) == 2 + 5
+    rc, report = _check_report(tmp_path, _K3N6, "flatness", "k3n6")
+    assert rc == 0 and len(report["suites"]["flatness"]["checks"]) == 2
+
+
+def test_flatness_suite_builds_no_fiber_table(tmp_path, monkeypatch):
+    # the certificate decides every fiber at once: no K_j(z) is built and
+    # the family holds no fiber's tables afterwards
+    import arrfrob.cli as cli
+    from arrfrob import gaussmanin
+
+    families = []
+    load_family = cli.load_family
+
+    def load(raw):
+        families.append(load_family(raw))
+        return families[-1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("flatness built an operator K_j(z)")
+
+    monkeypatch.setattr(cli, "load_family", load)
+    monkeypatch.setattr(gaussmanin, "k_operator", refuse)
+    rc, _ = _check_report(tmp_path, _K3N6, "flatness", "k3n6")
+    assert rc == 0
+    assert len(families) == 1 and families[0]._fibers == {}
 
 
 @pytest.mark.parametrize(
@@ -774,6 +812,20 @@ def test_invalid_settings_are_exit_2(tmp_path, capsys, extra, argv):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("verb", ["check", "circuits", "basis", "critical", "potential", "gm-flow"])
+def test_a_z_on_the_discriminant_is_exit_2(tmp_path, verb):
+    # f_C = z_1 - z_2 vanishes: `potential` used to exit 1 with a
+    # ZeroDivisionError traceback, `critical` exited 1, the others ignored z
+    payload = {"k": 1, "n": 3, "b": [[1], [1], [1]], "weights": ["1", "2", "3"], "z": [1, 1, 1]}
+    cfg = _write_config(tmp_path, payload)
+    proc = _fresh_python("-m", "arrfrob", verb, "--config", cfg)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(
+        "config error: z lies on the discriminant: f_C vanishes for circuit (1, 2)"
+    )
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("flag", ["--seed", "--anchor"])
 def test_integer_flags_are_config_errors_with_one_message(k1_config, capsys, flag):
     assert main(["check", "--config", k1_config, "--suites", "basis", flag, "x"]) == 2
@@ -842,15 +894,17 @@ def test_configured_path_and_kappa_reach_the_periods_suite(tmp_path):
 # sha256 of `check --suites flatness,symmetry` at seed 1 on the benchmark's
 # prime-weight families, pinned when the exact flatness kernels moved to
 # integer arithmetic, pinned again when the per-fiber curl rows gave way
-# to the per-family certificate rows, and pinned again when the 3 x samples
+# to the per-family certificate rows, pinned again when the 3 x samples
 # per-fiber rows of `symmetry` gave way to its three per-family certificate
-# rows (each time the other rows kept their bytes). Every residual in these
-# suites is the float of an exact rational, so the bytes do not depend on
-# the platform.
+# rows, and pinned again when the sampled `commutator-singular-sample-<i>`
+# rows left `flatness`, whose verdict the Kohno certificate decides for
+# every fiber (each time the other rows kept their bytes). Every residual
+# in these suites is the float of an exact rational, so the bytes do not
+# depend on the platform.
 _FLATNESS_SYMMETRY_SHA256 = {
-    (1, 5): "6686fda5ce3214a0b5d625f92a3e09c3ff50213f9772b005577a341b31ad0e65",
-    (2, 4): "01b1faa1410bf3ab38ce4e8429bc19298a930d45d654215016339887c4d1910d",
-    (3, 5): "07b162064509a6aa3ad08f623d65dee3a1e2fc824624dc5ec15ebd284d684992",
+    (1, 5): "35cf74e711563b456ce6ab73d81ebbb456c720c1968ddef6fb57ab5449a08549",
+    (2, 4): "bc31f0a3880fb523c2a6246216926d9b9f4687f665af1de2d784339421197979",
+    (3, 5): "984c25ef7ed54de56c5facd87423f799a13b67c60446af4dd14e69b053842d9b",
 }
 
 
@@ -868,12 +922,13 @@ def test_flatness_and_symmetry_reports_are_pinned(k, n, tmp_path, prime_config):
 # seed 1, pinned before their tables (P and its derivatives, the derivatives
 # of q, K_j(z) and the generator products) were built once and shared,
 # pinned again when the curl rows of `flatness` gave way to the certificate
-# rows, and again when the sampled rows of `symmetry` gave way to its
-# per-family certificate rows.
+# rows, again when the sampled rows of `symmetry` gave way to its
+# per-family certificate rows, and again when the sampled commutator rows
+# left `flatness` (the other suites kept their bytes).
 _EXACT_SUITES = "circuits,flatness,symmetry,conformal,potential"
 _EXACT_SHA256 = {
-    (3, 4): "9307e9099991f557d9ec9e6ad4899756611cf3e9048b8e9d0d43dbdd988f0b14",
-    (3, 5): "5a5deb03805315727ed0c3c151120950acdd8134d6d23914aa1f2121c954fc29",
+    (3, 4): "eaf70768a2617a0130ea15a3f740a25017a4fd1fa52612fe9b0be20baf7a9bf8",
+    (3, 5): "91a0ef150224f9cb52d2d82f292db0c486ec5474ec0748dcb5a09241bf5027bd",
 }
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from arrfrob.core import (
     ArrangementFamily,
+    BasePoint,
+    Circuit,
     ConfigError,
     check_unbalanced,
     circuits,
@@ -151,6 +153,32 @@ def test_load_family_rejects_a_z_that_is_not_a_list_of_n(z):
     # character
     doc = {"k": 1, "n": 3, "b": [[1], [1], [1]], "weights": ["1", "2", "3"], "z": z}
     with pytest.raises(ConfigError, match="z must be a list of n = 3 rationals"):
+        load_family(doc)
+
+
+def test_value_classes_compare_by_their_fields_and_stay_frozen(fam_k2_n4):
+    twin = ArrangementFamily(k=2, n=4, b=fam_k2_n4.b, a=fam_k2_n4.a)
+    assert twin == fam_k2_n4 and hash(twin) == hash(fam_k2_n4) and twin is not fam_k2_n4
+    assert twin != ArrangementFamily(k=2, n=4, b=fam_k2_n4.b, a=(F(1), F(2), F(3), F(7)))
+    circuit = fam_k2_n4.circuit_list[0]
+    assert Circuit(circuit.indices, circuit.lam) == circuit
+    assert BasePoint([F(1), F(2)]) == BasePoint((F(1), F(2)))
+    assert hash(BasePoint([F(1), F(2)])) == hash(BasePoint((F(1), F(2))))
+    for value, field in ((twin, "k"), (circuit, "lam"), (BasePoint([1]), "z")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    # computed attributes are cached on the instance
+    assert twin.weight_sum == 11 and twin.circuit_list is twin.circuit_list
+
+
+def test_load_family_rejects_a_z_on_the_discriminant():
+    # f_C = z_2 - z_3 vanishes: the verbs that read z used to exit 1, one of
+    # them with a ZeroDivisionError traceback
+    doc = {"k": 1, "n": 3, "b": [[1], [1], [1]], "weights": ["1", "2", "3"],
+           "z": ["0", "1", "1"]}
+    with pytest.raises(ConfigError, match=r"f_C vanishes for circuit \(2, 3\)"):
         load_family(doc)
 
 
