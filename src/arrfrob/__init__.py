@@ -58,7 +58,6 @@ _EXPORTS = {
         "a_constant",
         "alpha_structural",
         "canonical_iso_analytic",
-        "eta_and_beta",
         "naive_iso_and_constant",
         "period_map",
         "potential_first",

@@ -147,8 +147,8 @@ def _index_list(value, n, what):
 
 def _parse_tuples(raw, family):
     """The `tuples` key: derivative direction tuples of length 2k+1."""
-    if not isinstance(raw, list):
-        raise ConfigError("tuples must be a list of index lists")
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError("tuples must be a non-empty list of index lists")
     tuples = [_index_list(t, family.n, "each tuple") for t in raw]
     for t in tuples:
         if len(t) != 2 * family.k + 1:
@@ -159,8 +159,8 @@ def _parse_tuples(raw, family):
 def _parse_partitions(raw, family):
     """The `partitions` key: each partition splits 1..n into disjoint
     nonempty blocks."""
-    if not isinstance(raw, list):
-        raise ConfigError("partitions must be a list of partitions")
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError("partitions must be a non-empty list of partitions")
     partitions = []
     for part in raw:
         if not isinstance(part, list):
@@ -352,20 +352,17 @@ def _suite_basis(family, cfg):
     anchor = cfg.anchor
     anchored = critalg.anchored_subsets(family, anchor)
     _row(rows, "anchored-basis-size", len(anchored) == math.comb(family.n - 1, family.k))
-    gram = [
-        [osflag.contravariant_pairing(u, w, family) for w in space.basis] for u in space.basis
-    ]
-    gdet = linalg.det(gram)
+    gdet = linalg.det(space.gram)
     _row(rows, "v-gram-nondegenerate", gdet != 0, witness={"det": _num(gdet)})
     if family.k == 1:
         vs = [osflag.v_vector(family, (j,)) for j in range(1, family.n)]
-        gram_v = [[osflag.contravariant_pairing(u, w, family) for w in vs] for u in vs]
+        vdet = linalg.det([[osflag.contravariant_pairing(u, w, family) for w in vs] for u in vs])
         closed = osflag.weight_product(family, range(1, family.n + 1)) / family.weight_sum
         _row(
             rows,
             "v-gram-determinant-closed-form",
-            linalg.det(gram_v) == closed,
-            witness={"det": _num(linalg.det(gram_v)), "expected": _num(closed)},
+            vdet == closed,
+            witness={"det": _num(vdet), "expected": _num(closed)},
         )
     extra = {
         "flag_dimension": len(index),
@@ -449,7 +446,7 @@ def _suite_critical(family, cfg):
         # solve_critical applies
         master = critalg.MasterFunction(family, z)
         minh = min(abs(p.hessian) / master.hessian_scale(p.t) for p in points)
-        _row(rows, f"hessian-nonzero-sample-{i}", minh >= 1e-12, residual=minh)
+        _row(rows, f"hessian-nonzero-sample-{i}", minh >= critalg.HESSIAN_FLOOR, residual=minh)
         er = critalg.euler_residual(family, z, points)
         tol = cfg.tol * critalg.euler_scale(family, z, points)
         _row(rows, f"euler-identity-sample-{i}", er <= tol, residual=er, tol=tol)
@@ -681,7 +678,7 @@ def _suite_strata(family, cfg):
                 f"strata-partition-{p_index}-sample-{i}",
                 rep["passed"],
                 residual=rep["log_potential_limit_residual"],
-                tol=1e-6 * rep["log_potential_limit_scale"],
+                tol=frobenius.STRATA_LIMIT_TOL * rep["log_potential_limit_scale"],
                 witness={k: v for k, v in rep.items() if not k.startswith("log")},
             )
     return rows, {}

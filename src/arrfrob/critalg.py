@@ -7,12 +7,13 @@ is finite (count C(n-1, k) for generic data) and the algebra of functions
 on it carries a residue form (x, y) = sum_p x(p) y(p) / Hess(p).
 
 The critical points are solved from the spectrum of the connection, for
-every k: on the singular subspace Sing, K_j(z) is conjugate to
-multiplication by [a_j/f_j] (`frobenius.k_operator_agreement` checks this
-exactly), so the eigenvectors of one fixed combination sum_j c_j K_j|Sing
-give a_j/f_j(p) at every critical point p (the Stickelberger eigenvalue
-method). Each eigenvector seeds Newton's method on the master gradient,
-which alone certifies the point. Residue sums read the values w_T(p) from
+every k: on the singular subspace Sing, K_j(z) is conjugate through
+nu: w_T -> v_T to multiplication by [a_j/f_j] (the test oracle
+`k_operator_agreement` checks this exactly at single fibers), so the
+eigenvectors of one fixed combination sum_j c_j K_j|Sing give a_j/f_j(p)
+at every critical point p (the Stickelberger eigenvalue method). Each
+eigenvector seeds Newton's method on the master gradient, which alone
+certifies the point. Residue sums read the values w_T(p) from
 one float table per set of points.
 
 Algebra elements are stored as coordinate vectors over the symbols w_T
@@ -257,6 +258,11 @@ def _canonical_order(point):
     return tuple(v.real for v in point.t) + tuple(v.imag for v in point.t)
 
 
+# the smallest |Hess(p)| of a nondegenerate critical point, relative to
+# the size of the determinant's terms (`MasterFunction.hessian_scale`)
+HESSIAN_FLOOR = 1e-12
+
+
 def solve_critical(family, z, *, dedup_tol=1e-8):
     """All critical points of the potential on the fiber z, sorted on the
     real and then the imaginary parts of t.
@@ -288,7 +294,7 @@ def solve_critical(family, z, *, dedup_tol=1e-8):
                 f"degenerate critical set: found {len(points)} distinct critical "
                 f"points, expected {expected}"
             )
-        if any(abs(p.hessian) < 1e-12 * master.hessian_scale(p.t) for p in points):
+        if any(abs(p.hessian) < HESSIAN_FLOOR * master.hessian_scale(p.t) for p in points):
             raise RuntimeError(
                 "degenerate critical set: vanishing Hessian at a critical point"
             )

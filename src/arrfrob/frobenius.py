@@ -7,11 +7,14 @@ isometry up to the residue-form sign (-1)^k; the analytic identification
 through critical-point residues must agree with it up to one global scalar
 that is measured, never assumed.
 
-On top of the identification live the induced multiplication on singular
-vectors, the distinguished section q(z) with its polynomial coordinates,
-the potentials (quadratic and log-type), the metric eta, the period forms
-(flat and twisted), and the restriction of the whole structure to diagonal
-strata for one-dimensional arrangements.
+On top of the identification live the distinguished section q(z) with its
+polynomial coordinates, the potentials (quadratic and log-type), the
+period forms (flat and twisted), and the restriction of the whole
+structure to diagonal strata for one-dimensional arrangements. The product
+of singular vectors is the algebra product carried through nu,
+v_S * v_T = nu(w_S w_T), so no check inverts nu: the strata restriction
+multiplies the quotient's w_T and compares the image with closed-form
+block sums of v_j * v_i = b_j K_j v_i.
 
 Tables that do not depend on the fiber are built once per family
 (`core.per_family`): the coordinates of q and their derivatives, the
@@ -66,35 +69,6 @@ def alpha_structural(family, wvec):
     out = osflag.FlagVector()
     for T, coef in wvec.items():
         out = out + osflag.v_vector(family, T) * coef
-    return out
-
-
-def nu_inverse(family, flagvec, anchor=None):
-    """Coordinates of a singular vector over the anchored v basis, as a
-    w-span element."""
-    if anchor is None:
-        anchor = default_anchor(family)
-    basis = critalg.anchored_subsets(family, anchor)
-    index = family.flag_index
-    rows = []
-    for pos in range(len(index)):
-        subset = index.subset(pos)
-        row = [osflag.v_vector(family, T).get(subset) for T in basis]
-        row.append(flagvec.get(subset))
-        rows.append(row)
-    reduced, pivots = linalg.rref(rows, ncols=len(basis))
-    solution = [Fraction(0)] * len(basis)
-    for r, pc in enumerate(pivots):
-        solution[pc] = reduced[r][len(basis)]
-    for r in range(len(pivots), len(rows)):
-        if any(reduced[r][c] != 0 for c in range(len(basis))):
-            continue
-        if reduced[r][len(basis)] != 0:
-            raise ValueError("vector does not lie in the singular subspace")
-    out = osflag.CoVector()
-    for T, val in zip(basis, solution):
-        if val != 0:
-            out.coeffs[T] = val
     return out
 
 
@@ -298,55 +272,6 @@ def period_kernel_matrix(family, z, anchor=None):
 
 
 # ---------------------------------------------------------------------------
-# induced multiplication on singular vectors
-
-
-def induced_multiplication_on_sing(family, z, x_flag, y_flag, anchor=None):
-    """Product of two singular vectors transported through the algebra."""
-    wx = nu_inverse(family, x_flag, anchor)
-    wy = nu_inverse(family, y_flag, anchor)
-    product = critalg.multiply(family, z, wx, wy, anchor)
-    return alpha_structural(family, product)
-
-
-def multiplication_k1_closed(family, z, i, j):
-    """Closed form of v_i * v_j for one-dimensional arrangements:
-    b_i K_i v_j off the diagonal, minus the off-diagonal sum on it."""
-    if family.k != 1:
-        raise ValueError("closed form is for k = 1")
-    if i != j:
-        return _k1_kj_on_vi(family, z, i, j) * family.b[i - 1][0]
-    out = osflag.FlagVector()
-    for s in range(1, family.n + 1):
-        if s != i:
-            out = out - multiplication_k1_closed(family, z, s, i)
-    return out
-
-
-def k_operator_agreement(family, z, anchor=None):
-    """Exact check of the generator action: for every j and every anchored
-    basis vector v, nu([a_j/f_j] * nu^{-1} v) equals K_j(z) v."""
-    zz = coords(z)
-    index = family.flag_index
-    worst_ok = True
-    for j in range(1, family.n + 1):
-        mat = gaussmanin.fiber_k_operator(family, zz, j)
-        gen = critalg.monomial_to_w(family, zz, (j,), anchor)
-        for T in critalg.anchored_subsets(
-            family, anchor or default_anchor(family)
-        ):
-            v = osflag.v_vector(family, T)
-            lhs = alpha_structural(
-                family,
-                critalg.multiply(family, zz, gen, nu_inverse(family, v, anchor), anchor),
-            )
-            rhs = gaussmanin.apply_matrix(family, mat, v)
-            if lhs != rhs:
-                worst_ok = False
-    return worst_ok
-
-
-# ---------------------------------------------------------------------------
 # potentials
 
 
@@ -543,124 +468,6 @@ def a_constant(k, r):
             // (math.factorial(k - i) * math.factorial(k - r + i))
         )
     return total
-
-
-def kernel_relation_residual(family, z, directions, tail):
-    """Exact residual of the contraction relation applied to a 2k-fold
-    derivative of the log potential: sum_j d_{(j,)+tail} d/dz_j of it."""
-    if len(directions) != 2 * family.k:
-        raise ValueError(f"need {2 * family.k} directions")
-    zz = coords(z)
-    base = potential_log_derivative_expr(family, directions)
-    total = Fraction(0)
-    for j in range(1, family.n + 1):
-        if j in tail:
-            continue
-        minor = family.minor((j,) + tuple(tail))
-        if minor == 0:
-            continue
-        total += minor * base.diff(j).evaluate_exact(zz)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# metric data
-
-
-def eta_matrix_structural(family, z, anchor=None):
-    """eta(d_i, d_j) as the residue form of generator pairs, computed
-    through the structural identification (exact)."""
-    zz = coords(z)
-    gens = [
-        critalg.monomial_to_w(family, zz, (i,), anchor)
-        for i in range(1, family.n + 1)
-    ]
-    mat = []
-    for i in range(family.n):
-        row = []
-        for j in range(family.n):
-            row.append(critalg.structural_pairing(family, gens[i], gens[j]))
-        mat.append(row)
-    return mat
-
-
-def eta_matrix_from_section(family, z, anchor=None):
-    """eta via the derivative route: (|a|^2/k^2) (-1)^k S(d_i q, d_j q)."""
-    zz = coords(z)
-    index = family.flag_index
-    grads = []
-    for j in range(1, family.n + 1):
-        vec = osflag.FlagVector()
-        derivs = conformal_block_derivative_exprs(family, (j,), anchor)
-        for pos, expr in enumerate(derivs):
-            val = expr.evaluate_exact(zz)
-            if val != 0:
-                vec.coeffs[index.subset(pos)] = val
-        grads.append(vec)
-    scale = Fraction(family.weight_sum**2, family.k**2)
-    if family.k % 2 == 1:
-        scale = -scale
-    return [
-        [scale * osflag.contravariant_pairing(grads[i], grads[j], family) for j in range(family.n)]
-        for i in range(family.n)
-    ]
-
-
-def eta_matrix_analytic(family, z, points=None, anchor=None):
-    """eta via critical-point residues (numeric)."""
-    zz = coords(z)
-    if points is None:
-        points = critalg.solve_critical(family, zz)
-    gens = [
-        critalg.monomial_to_w(family, zz, (i,), anchor)
-        for i in range(1, family.n + 1)
-    ]
-    return [
-        [
-            critalg.residue_pairing_analytic(family, zz, gens[i], gens[j], points)
-            for j in range(family.n)
-        ]
-        for i in range(family.n)
-    ]
-
-
-def eta_and_beta(family, z, anchor=None, analytic=False):
-    """Bundle of metric checks: structural vs derivative route (exact),
-    k = 1 constants when applicable, and the kernel directions of the
-    tangent map."""
-    structural = eta_matrix_structural(family, z, anchor)
-    from_section = eta_matrix_from_section(family, z, anchor)
-    agree = structural == from_section
-    report = {"eta_routes_equal": agree}
-    if family.k == 1:
-        asum = family.weight_sum
-        expected = [
-            [
-                (family.a[i] * family.a[j]) / asum
-                if i != j
-                else family.a[i] ** 2 / asum - family.a[i]
-                for j in range(family.n)
-            ]
-            for i in range(family.n)
-        ]
-        if all(row[0] == 1 for row in family.b):
-            report["k1_constants_equal"] = structural == expected
-        kernel = [family.b[j][0] for j in range(family.n)]
-        residual = max(
-            abs(sum(kernel[i] * structural[i][j] for i in range(family.n)))
-            for j in range(family.n)
-        )
-        report["kernel_direction_exact"] = residual == 0
-    if analytic:
-        numeric = eta_matrix_analytic(family, z, anchor=anchor)
-        worst = max(
-            abs(complex(structural[i][j]) - numeric[i][j])
-            for i in range(family.n)
-            for j in range(family.n)
-        )
-        report["analytic_residual"] = worst
-    report["passed"] = agree and report.get("k1_constants_equal", True)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -941,30 +748,6 @@ def embed_flag(blocks, qvec):
     return out
 
 
-def _block_k_sum(family, blocks, z, ell, target):
-    """sum_{j in block ell} K_j applied to the embedded v of block `target`,
-    evaluated at the stratum fiber with the diagonal terms rewritten through
-    cross-block ones."""
-    ell_block = blocks[ell - 1]
-    target_block = blocks[target - 1]
-    out = osflag.FlagVector()
-    if ell != target:
-        for j in ell_block:
-            for i in target_block:
-                out = out + _k1_kj_on_vi(family, z, j, i)
-        return out
-    outside = [
-        i
-        for block_pos, block in enumerate(blocks)
-        if block_pos != ell - 1
-        for i in block
-    ]
-    for j in ell_block:
-        for i in outside:
-            out = out - _k1_kj_on_vi(family, z, j, i)
-    return out
-
-
 def _k1_kj_on_vi(family, z, j, i):
     """Closed form K_j v_i for distinct indices of a one-dimensional
     arrangement, valid whenever f_{(j,i)}(z) is nonzero."""
@@ -979,30 +762,35 @@ def _k1_kj_on_vi(family, z, j, i):
     )
 
 
-def _block_product(family, blocks, z, ell, target):
-    """sum over the two blocks of v_j * v_i at the stratum fiber, with the
-    in-block diagonal rewritten through cross-block products."""
-    ell_block = blocks[ell - 1]
-    target_block = blocks[target - 1]
-    out = osflag.FlagVector()
-    if ell != target:
-        for j in ell_block:
-            for i in target_block:
-                out = out + _k1_kj_on_vi(family, z, j, i) * family.b[j - 1][0]
-        return out
-    outside = [
-        i
-        for block_pos, block in enumerate(blocks)
-        if block_pos != ell - 1
-        for i in block
-    ]
-    for j in ell_block:
-        for i in outside:
-            out = out - _k1_kj_on_vi(family, z, i, j) * family.b[i - 1][0]
-    return out
+def _block_sums(family, blocks, z):
+    """The block sums at the stratum fiber z of K_j v_i and of the product
+    v_j * v_i = b_j K_j v_i, over j in block ell and i in block m, keyed by
+    (ell, m); each K_j v_i is built once. Within one block these terms have
+    poles on the stratum, but v_1 + ... + v_n = 0, so the sums of (ell, ell)
+    are minus those of (ell, m) over every other block m."""
+    count = len(blocks)
+    k_sums, products = {}, {}
+    for ell, m in itertools.permutations(range(1, count + 1), 2):
+        k_sum = product = osflag.FlagVector()
+        for j in blocks[ell - 1]:
+            for i in blocks[m - 1]:
+                term = _k1_kj_on_vi(family, z, j, i)
+                k_sum = k_sum + term
+                product = product + term * family.b[j - 1][0]
+        k_sums[ell, m], products[ell, m] = k_sum, product
+    for sums in (k_sums, products):
+        for ell in range(1, count + 1):
+            sums[ell, ell] = -sum(
+                (sums[ell, m] for m in range(1, count + 1) if m != ell), osflag.FlagVector()
+            )
+    return k_sums, products
 
 
-def strata_restriction_k1(family, partition, x, tol=1e-6, eps=Fraction(1, 10**8)):
+# the relative tolerance of the strata log-potential limit
+STRATA_LIMIT_TOL = 1e-6
+
+
+def strata_restriction_k1(family, partition, x, tol=STRATA_LIMIT_TOL, eps=Fraction(1, 10**8)):
     """Restrict the structure to a diagonal stratum and verify that the
     quotient family reproduces it: embedded v vectors, the weight form,
     connection sums, induced products, the section q, the potential P, and
@@ -1043,35 +831,21 @@ def strata_restriction_k1(family, partition, x, tol=1e-6, eps=Fraction(1, 10**8)
             ok = ok and lhs == rhs
     report["isometry_exact"] = ok
 
-    # block sums of connection operators
-    ok = True
+    # block sums of connection operators and of products, the quotient's
+    # products through the genuine algebra: nu(w_ell * w_m) = v_ell * v_m
+    k_sums, products = _block_sums(family, blocks, z)
+    k_ok = product_ok = True
     for ell in range(1, quotient.n + 1):
         mat = gaussmanin.k_operator(quotient, xx, ell)
-        for target in range(1, quotient.n + 1):
-            lhs = embed_flag(
-                blocks,
-                gaussmanin.apply_matrix(quotient, mat, osflag.v_vector(quotient, (target,))),
-            )
-            rhs = _block_k_sum(family, blocks, z, ell, target)
-            ok = ok and lhs == rhs
-    report["connection_restriction_exact"] = ok
-
-    # induced products, with the quotient side through the genuine algebra
-    ok = True
-    for ell in range(1, quotient.n + 1):
-        for target in range(1, quotient.n + 1):
-            lhs = embed_flag(
-                blocks,
-                induced_multiplication_on_sing(
-                    quotient,
-                    xx,
-                    osflag.v_vector(quotient, (ell,)),
-                    osflag.v_vector(quotient, (target,)),
-                ),
-            )
-            rhs = _block_product(family, blocks, z, ell, target)
-            ok = ok and lhs == rhs
-    report["product_restriction_exact"] = ok
+        w_ell = osflag.CoVector.basis((ell,))
+        for m in range(1, quotient.n + 1):
+            image = gaussmanin.apply_matrix(quotient, mat, osflag.v_vector(quotient, (m,)))
+            k_ok = k_ok and embed_flag(blocks, image) == k_sums[ell, m]
+            product = critalg.multiply(quotient, xx, w_ell, osflag.CoVector.basis((m,)))
+            product = embed_flag(blocks, alpha_structural(quotient, product))
+            product_ok = product_ok and product == products[ell, m]
+    report["connection_restriction_exact"] = k_ok
+    report["product_restriction_exact"] = product_ok
 
     # section and quadratic potential agree on the stratum
     q_full = period_map(family, z)

@@ -1,23 +1,40 @@
-"""Per-fiber references for the per-family operator certificates.
+"""Per-fiber references for the per-family certificates, and the
+references of the Frobenius structure that no command runs.
 
 The program decides the flatness, the S-symmetry, the Sing invariance and
 the weighted Euler identity of every K_j(z) once per family, from the
 circuit operators (`gaussmanin.check_flatness`,
-`gaussmanin.check_symmetry_and_invariance`). These functions decide them
-at one fiber instead, from the exact K_j(z) that `fiber_k_operator` builds
-there, so the tests can compare the two routes and check single fibers."""
+`gaussmanin.check_symmetry_and_invariance`). The first functions here
+decide them at one fiber instead, from the exact K_j(z) that
+`fiber_k_operator` builds there, so the tests can compare the two routes
+and check single fibers.
+
+The rest are references for the identification nu: w_T -> v_T and the
+structures carried through it: nu^{-1} by a linear solve, the product of
+two singular vectors through the algebra, its closed form for k = 1, the
+generator action K_j(z) = nu [a_j/f_j] nu^{-1}, the metric eta by three
+routes, and the contraction relations of the log potential."""
 
 import itertools
 from fractions import Fraction
 
-from arrfrob.core import coords
+from arrfrob import critalg
+from arrfrob.core import coords, default_anchor
+from arrfrob.frobenius import (
+    _k1_kj_on_vi,
+    alpha_structural,
+    conformal_block_derivative_exprs,
+    potential_log_derivative_expr,
+)
 from arrfrob.gaussmanin import (
     _commutator_rows,
     _integer_sing,
     _integer_weights,
+    apply_matrix,
     fiber_k_operator,
 )
-from arrfrob.linalg import _dot, _integer_sum
+from arrfrob.linalg import _dot, _integer_sum, rref
+from arrfrob.osflag import CoVector, FlagVector, contravariant_pairing, v_vector
 
 
 def commutator_residuals(family, z):
@@ -97,3 +114,183 @@ def weighted_euler_residual(family, z):
             if num:
                 worst = max(worst, Fraction(abs(num), common * asum.denominator * vec_den))
     return worst
+
+
+def nu_inverse(family, flagvec, anchor=None):
+    """Coordinates of a singular vector over the anchored v basis, as a
+    w-span element."""
+    if anchor is None:
+        anchor = default_anchor(family)
+    basis = critalg.anchored_subsets(family, anchor)
+    index = family.flag_index
+    rows = []
+    for pos in range(len(index)):
+        subset = index.subset(pos)
+        row = [v_vector(family, T).get(subset) for T in basis]
+        row.append(flagvec.get(subset))
+        rows.append(row)
+    reduced, pivots = rref(rows, ncols=len(basis))
+    solution = [Fraction(0)] * len(basis)
+    for r, pc in enumerate(pivots):
+        solution[pc] = reduced[r][len(basis)]
+    for r in range(len(pivots), len(rows)):
+        if any(reduced[r][c] != 0 for c in range(len(basis))):
+            continue
+        if reduced[r][len(basis)] != 0:
+            raise ValueError("vector does not lie in the singular subspace")
+    out = CoVector()
+    for T, val in zip(basis, solution):
+        if val != 0:
+            out.coeffs[T] = val
+    return out
+
+
+def induced_multiplication_on_sing(family, z, x_flag, y_flag, anchor=None):
+    """Product of two singular vectors transported through the algebra."""
+    wx = nu_inverse(family, x_flag, anchor)
+    wy = nu_inverse(family, y_flag, anchor)
+    product = critalg.multiply(family, z, wx, wy, anchor)
+    return alpha_structural(family, product)
+
+
+def multiplication_k1_closed(family, z, i, j):
+    """Closed form of v_i * v_j for one-dimensional arrangements:
+    b_i K_i v_j off the diagonal, minus the off-diagonal sum on it."""
+    if family.k != 1:
+        raise ValueError("closed form is for k = 1")
+    if i != j:
+        return _k1_kj_on_vi(family, z, i, j) * family.b[i - 1][0]
+    out = FlagVector()
+    for s in range(1, family.n + 1):
+        if s != i:
+            out = out - multiplication_k1_closed(family, z, s, i)
+    return out
+
+
+def k_operator_agreement(family, z, anchor=None):
+    """Exact check of the generator action: for every j and every anchored
+    T, nu([a_j/f_j] * w_T) equals K_j(z) v_T, where v_T = nu(w_T)."""
+    zz = coords(z)
+    worst_ok = True
+    for j in range(1, family.n + 1):
+        mat = fiber_k_operator(family, zz, j)
+        gen = critalg.monomial_to_w(family, zz, (j,), anchor)
+        for T in critalg.anchored_subsets(family, anchor or default_anchor(family)):
+            product = critalg.multiply(family, zz, gen, CoVector.basis(T), anchor)
+            if alpha_structural(family, product) != apply_matrix(family, mat, v_vector(family, T)):
+                worst_ok = False
+    return worst_ok
+
+
+def kernel_relation_residual(family, z, directions, tail):
+    """Exact residual of the contraction relation applied to a 2k-fold
+    derivative of the log potential: sum_j d_{(j,)+tail} d/dz_j of it."""
+    if len(directions) != 2 * family.k:
+        raise ValueError(f"need {2 * family.k} directions")
+    zz = coords(z)
+    base = potential_log_derivative_expr(family, directions)
+    total = Fraction(0)
+    for j in range(1, family.n + 1):
+        if j in tail:
+            continue
+        minor = family.minor((j,) + tuple(tail))
+        if minor == 0:
+            continue
+        total += minor * base.diff(j).evaluate_exact(zz)
+    return total
+
+
+def eta_matrix_structural(family, z, anchor=None):
+    """eta(d_i, d_j) as the residue form of generator pairs, computed
+    through the structural identification (exact)."""
+    zz = coords(z)
+    gens = [
+        critalg.monomial_to_w(family, zz, (i,), anchor)
+        for i in range(1, family.n + 1)
+    ]
+    mat = []
+    for i in range(family.n):
+        row = []
+        for j in range(family.n):
+            row.append(critalg.structural_pairing(family, gens[i], gens[j]))
+        mat.append(row)
+    return mat
+
+
+def eta_matrix_from_section(family, z, anchor=None):
+    """eta via the derivative route: (|a|^2/k^2) (-1)^k S(d_i q, d_j q)."""
+    zz = coords(z)
+    index = family.flag_index
+    grads = []
+    for j in range(1, family.n + 1):
+        vec = FlagVector()
+        derivs = conformal_block_derivative_exprs(family, (j,), anchor)
+        for pos, expr in enumerate(derivs):
+            val = expr.evaluate_exact(zz)
+            if val != 0:
+                vec.coeffs[index.subset(pos)] = val
+        grads.append(vec)
+    scale = Fraction(family.weight_sum**2, family.k**2)
+    if family.k % 2 == 1:
+        scale = -scale
+    return [
+        [scale * contravariant_pairing(grads[i], grads[j], family) for j in range(family.n)]
+        for i in range(family.n)
+    ]
+
+
+def eta_matrix_analytic(family, z, points=None, anchor=None):
+    """eta via critical-point residues (numeric)."""
+    zz = coords(z)
+    if points is None:
+        points = critalg.solve_critical(family, zz)
+    gens = [
+        critalg.monomial_to_w(family, zz, (i,), anchor)
+        for i in range(1, family.n + 1)
+    ]
+    return [
+        [
+            critalg.residue_pairing_analytic(family, zz, gens[i], gens[j], points)
+            for j in range(family.n)
+        ]
+        for i in range(family.n)
+    ]
+
+
+def eta_and_beta(family, z, anchor=None, analytic=False):
+    """Bundle of metric checks: structural vs derivative route (exact),
+    k = 1 constants when applicable, and the kernel directions of the
+    tangent map."""
+    structural = eta_matrix_structural(family, z, anchor)
+    from_section = eta_matrix_from_section(family, z, anchor)
+    agree = structural == from_section
+    report = {"eta_routes_equal": agree}
+    if family.k == 1:
+        asum = family.weight_sum
+        expected = [
+            [
+                (family.a[i] * family.a[j]) / asum
+                if i != j
+                else family.a[i] ** 2 / asum - family.a[i]
+                for j in range(family.n)
+            ]
+            for i in range(family.n)
+        ]
+        if all(row[0] == 1 for row in family.b):
+            report["k1_constants_equal"] = structural == expected
+        kernel = [family.b[j][0] for j in range(family.n)]
+        residual = max(
+            abs(sum(kernel[i] * structural[i][j] for i in range(family.n)))
+            for j in range(family.n)
+        )
+        report["kernel_direction_exact"] = residual == 0
+    if analytic:
+        numeric = eta_matrix_analytic(family, z, anchor=anchor)
+        worst = max(
+            abs(complex(structural[i][j]) - numeric[i][j])
+            for i in range(family.n)
+            for j in range(family.n)
+        )
+        report["analytic_residual"] = worst
+    report["passed"] = agree and report.get("k1_constants_equal", True)
+    return report

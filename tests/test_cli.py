@@ -757,9 +757,13 @@ def test_families_without_flats_pass_the_certificate(tmp_path, payload):
         ({"samples": 0}, ["check", "--suites", "flatness"]),
         ({"tuples": [[1, 2, 99]]}, ["potential"]),
         ({"tuples": [[1, 2]]}, ["potential"]),
+        # an empty list used to pass with no derivatives
+        ({"tuples": []}, ["potential"]),
         ({"partitions": [[[1, 2], [2, 3], [4]]]}, ["check", "--suites", "strata"]),
         ({"partitions": [[[1, 2], [3]]]}, ["check", "--suites", "strata"]),
         ({"partitions": [[[1, 2], [], [3, 4]]]}, ["check", "--suites", "strata"]),
+        # an empty list used to pass with no rows
+        ({"partitions": []}, ["check", "--suites", "strata"]),
         ({"seed": "x"}, ["check", "--suites", "circuits"]),
         ({"seed": 1.5}, ["check", "--suites", "circuits"]),
         ({}, ["check", "--suites", "circuits", "--seed", "x"]),
@@ -795,8 +799,8 @@ def test_families_without_flats_pass_the_certificate(tmp_path, payload):
     ids=[
         "anchor-99", "anchor-0", "anchor-string", "anchor-flag-5", "anchor-flag-string",
         "anchor-flag-float", "samples-string",
-        "samples-float", "samples-0", "tuple-index", "tuple-length",
-        "partition-overlap", "partition-cover", "partition-empty-block",
+        "samples-float", "samples-0", "tuple-index", "tuple-length", "tuples-empty",
+        "partition-overlap", "partition-cover", "partition-empty-block", "partitions-empty",
         "seed-string", "seed-float", "seed-flag-string", "seed-flag-float",
         "tol-string", "tol-negative", "tol-zero", "tol-flag-string",
         "tol-flag-negative", "tol-flag-nan", "tol-flag-inf", "path-one-fiber",
@@ -958,6 +962,42 @@ def test_canonical_suite_reports_are_pinned(k, n, tmp_path, prime_config):
                  "--json", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == _CANONICAL_SHA256[k, n]
+
+
+# sha256 of `check --suites strata` at seed 1, pinned before the product
+# row read w_l * w_m from the quotient's algebra in place of solving for
+# nu^{-1}(v_l), and before one pass over the block pairs formed both the
+# connection and the product block sums. The k = 1 families of the
+# benchmark all have unit slopes; only "k1n6-slopes" exercises the factor
+# b_j of v_j * v_i = b_j K_j v_i.
+_STRATA_FAMILIES = {
+    "k1n5": {"k": 1, "n": 5, "b": [[1]] * 5, "weights": ["2", "3", "5", "7", "11"]},
+    "k1n10": {
+        "k": 1,
+        "n": 10,
+        "b": [[1]] * 10,
+        "weights": [str(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)],
+    },
+    "k1n6-slopes": {
+        "k": 1,
+        "n": 6,
+        "b": [["1"], ["1"], ["2"], ["2"], ["-1/3"], ["5"]],
+        "weights": ["2", "-3/2", "5", "7", "11", "1/3"],
+    },
+}
+_STRATA_SHA256 = {
+    "k1n5": "e887b484fa1da8e6c46aa8b050755fcab7f6fe8b7973ada204ea84610f888ae7",
+    "k1n10": "bcc80d2255a3d8f2a68a92e661aba53e62237bfa1010cdf69126ac6865e0c682",
+    "k1n6-slopes": "7b4ddf340f3619353f94ed3c55ebf8e1484374527b868650f6bcbdeac0420981",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STRATA_SHA256))
+def test_strata_reports_are_pinned(name, tmp_path):
+    out = tmp_path / "report.json"
+    cfg = _write_config(tmp_path, dict(_STRATA_FAMILIES[name], seed=1))
+    assert main(["check", "--config", cfg, "--suites", "strata", "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _STRATA_SHA256[name]
 
 
 def test_exact_suites_build_each_operator_and_form_value_once(

@@ -20,6 +20,14 @@ from arrfrob.osflag import (
     v_vector,
     weight_product,
 )
+from fiber_oracles import (
+    eta_and_beta,
+    induced_multiplication_on_sing,
+    k_operator_agreement,
+    kernel_relation_residual,
+    multiplication_k1_closed,
+    nu_inverse,
+)
 
 
 @pytest.fixture()
@@ -38,12 +46,12 @@ def test_nu_roundtrip(fam_k1_n3, fam_k2_n4):
         for pos, T in enumerate(basis):
             wv.coeffs[T] = F(pos + 1, 3)
         flag = fro.alpha_structural(fam, wv)
-        assert fro.nu_inverse(fam, flag) == wv
+        assert nu_inverse(fam, flag) == wv
 
 
 def test_nu_inverse_rejects_nonsingular(fam_k1_n3):
     with pytest.raises(ValueError):
-        fro.nu_inverse(fam_k1_n3, FlagVector.basis((1,)))
+        nu_inverse(fam_k1_n3, FlagVector.basis((1,)))
 
 
 def test_measured_constant_is_one(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
@@ -139,8 +147,8 @@ def test_section_kernel_k2_rank(fam_k2_n4, z_k2_n4):
 
 
 def test_generator_action_agreement(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
-    assert fro.k_operator_agreement(fam_k1_n3, z_k1_n3)
-    assert fro.k_operator_agreement(fam_k2_n4, z_k2_n4)
+    assert k_operator_agreement(fam_k1_n3, z_k1_n3)
+    assert k_operator_agreement(fam_k2_n4, z_k2_n4)
 
 
 def test_section_is_unit(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
@@ -148,15 +156,15 @@ def test_section_is_unit(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
         q = fro.period_map(fam, z)
         for T in critalg.anchored_subsets(fam, critalg.default_anchor(fam)):
             v = v_vector(fam, T)
-            assert fro.induced_multiplication_on_sing(fam, z, q, v) == v
+            assert induced_multiplication_on_sing(fam, z, q, v) == v
 
 
 def test_k1_product_closed_form(fam_k1_n3, z_k1_n3):
     fam = fam_k1_n3
     for i in range(1, 4):
         for j in range(1, 4):
-            lhs = fro.multiplication_k1_closed(fam, z_k1_n3, i, j)
-            rhs = fro.induced_multiplication_on_sing(
+            lhs = multiplication_k1_closed(fam, z_k1_n3, i, j)
+            rhs = induced_multiplication_on_sing(
                 fam, z_k1_n3, v_vector(fam, (i,)), v_vector(fam, (j,))
             )
             assert lhs == rhs
@@ -167,7 +175,7 @@ def test_induced_product_properties(fam_k2_n4, z_k2_n4):
     x = v_vector(fam, (1, 2))
     y = v_vector(fam, (2, 3))
     w = v_vector(fam, (1, 3)) * F(2, 5)
-    mult = lambda u, v: fro.induced_multiplication_on_sing(fam, z_k2_n4, u, v)
+    mult = lambda u, v: induced_multiplication_on_sing(fam, z_k2_n4, u, v)
     assert mult(x, y) == mult(y, x)
     assert mult(mult(x, y), w) == mult(x, mult(y, w))
     # Frobenius compatibility S(x*y, w) = S(x, y*w)
@@ -268,7 +276,7 @@ def test_kernel_relations(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
         tails = [()] if k == 1 else [(i,) for i in range(1, fam.n + 1)]
         dirs = tuple((i % fam.n) + 1 for i in range(2 * k))
         for tail in tails:
-            assert fro.kernel_relation_residual(fam, z, dirs, tail) == 0
+            assert kernel_relation_residual(fam, z, dirs, tail) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +285,7 @@ def test_kernel_relations(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
 
 def test_eta_reports(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
     for fam, z in ((fam_k1_n3, z_k1_n3), (fam_k2_n4, z_k2_n4)):
-        rep = fro.eta_and_beta(fam, z, analytic=True)
+        rep = eta_and_beta(fam, z, analytic=True)
         assert rep["passed"]
         assert rep["eta_routes_equal"]
         assert rep["analytic_residual"] < 1e-7
@@ -446,6 +454,47 @@ def test_strata_limit_survives_tight_gaps():
         rep = fro.strata_restriction_k1(fam, partition, x)
         assert rep["passed"], rep
         assert rep["log_potential_limit_residual"] < 1e-10
+
+
+# slopes other than 1, so that v_j * v_i = b_j K_j v_i carries a factor b_j
+_SLOPE_FAMILY = ArrangementFamily(
+    k=1,
+    n=6,
+    b=((1,), (1,), (2,), (2,), (F(-1, 3),), (5,)),
+    a=(F(2), F(-3, 2), F(5), F(7), F(11), F(1, 3)),
+)
+_SLOPE_PARTITIONS = [((1, 2), (3,), (4,), (5,), (6,)), ((1, 2), (3, 4), (5,), (6,))]
+
+
+def _strata_failures(family, partition):
+    quotient, _ = fro.quotient_family_k1(family, partition)
+    rep = fro.strata_restriction_k1(family, partition, sample_good_point(quotient, seed=1).z)
+    return {key for key, value in rep.items() if value is False and key != "passed"}
+
+
+@pytest.mark.parametrize("partition", _SLOPE_PARTITIONS)
+def test_a_halved_quotient_generator_fails_only_the_product_row(partition, monkeypatch):
+    fiber_algebra = critalg._fiber_algebra
+
+    def halved(family, zz, anchor):
+        tables, unit = fiber_algebra(family, zz, anchor)
+        if family is _SLOPE_FAMILY:
+            return tables, unit
+        first = linalg.IntegerMatrix(tables[0].rows, 2 * tables[0].den)
+        return (first,) + tables[1:], unit
+
+    monkeypatch.setattr(critalg, "_fiber_algebra", halved)
+    assert _strata_failures(_SLOPE_FAMILY, partition) == {"product_restriction_exact"}
+
+
+@pytest.mark.parametrize("partition", _SLOPE_PARTITIONS)
+def test_a_sign_flip_of_k_j_v_i_fails_the_connection_and_product_rows(partition, monkeypatch):
+    k1_kj_on_vi = fro._k1_kj_on_vi
+    monkeypatch.setattr(fro, "_k1_kj_on_vi", lambda *args: -k1_kj_on_vi(*args))
+    assert _strata_failures(_SLOPE_FAMILY, partition) == {
+        "connection_restriction_exact",
+        "product_restriction_exact",
+    }
 
 
 def test_quotient_family_weights(fam_k1_n4):
