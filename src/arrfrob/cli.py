@@ -266,15 +266,6 @@ class RunSettings:
             self.suites = _suite_names(raw["suites"])
         else:
             self.suites = list(SUITES)
-        self._critical = {}
-
-    def critical_points(self, family, z):
-        """The critical points on the fiber z, solved once per run: the
-        suites of one run share their sampled fibers."""
-        key = tuple(z)
-        if key not in self._critical:
-            self._critical[key] = critalg.solve_critical(family, z)
-        return self._critical[key]
 
 
 def _sample_fibers(family, seed, count):
@@ -352,7 +343,9 @@ def _suite_basis(family, cfg):
     anchor = cfg.anchor
     anchored = critalg.anchored_subsets(family, anchor)
     _row(rows, "anchored-basis-size", len(anchored) == math.comb(family.n - 1, family.k))
-    gdet = linalg.det(space.gram)
+    # a zero determinant raises in `SingularSubspace`, before this row, and
+    # so shows as the suite's `suite-error` row
+    gdet = space.gram_det
     _row(rows, "v-gram-nondegenerate", gdet != 0, witness={"det": _num(gdet)})
     if family.k == 1:
         vs = [osflag.v_vector(family, (j,)) for j in range(1, family.n)]
@@ -370,7 +363,7 @@ def _suite_basis(family, cfg):
         "anchor": anchor,
     }
     z = sample_good_point(family, seed=cfg.seed).z
-    points = cfg.critical_points(family, z)
+    points = critalg.solve_critical(family, z)
     cond = critalg.evaluation_matrix(family, points, anchor)[1]
     _row(rows, "evaluation-matrix-finite-condition", bool(cond < 1e12), residual=cond)
     extra["evaluation_condition"] = _fixed(cond)
@@ -435,7 +428,7 @@ def _suite_critical(family, cfg):
     rows = []
     expected = critalg.expected_critical_count(family)
     for i, z in enumerate(_sample_fibers(family, cfg.seed, cfg.samples)):
-        points = cfg.critical_points(family, z)
+        points = critalg.solve_critical(family, z)
         _row(
             rows,
             f"critical-count-sample-{i}",
@@ -458,6 +451,8 @@ def _suite_critical(family, cfg):
 
 def _suite_canonical(family, cfg):
     rows = []
+    # the exact compositions do not read the fiber: one verdict per family
+    _row(rows, "compositions-exact", frobenius.contravariant_compositions(family))
     anchor = cfg.anchor
     basis = critalg.anchored_subsets(family, anchor)
     covectors = [osflag.CoVector.basis(T) for T in basis]
@@ -465,10 +460,7 @@ def _suite_canonical(family, cfg):
         [[complex(critalg.structural_pairing(family, x, y)) for y in covectors] for x in covectors]
     )
     for i, z in enumerate(_sample_fibers(family, cfg.seed, cfg.samples)):
-        comp = frobenius.contravariant_compositions(family, z, analytic=False)
-        _row(rows, f"compositions-exact-sample-{i}", comp["exact"])
-        points = cfg.critical_points(family, z)
-        rep = frobenius.naive_iso_and_constant(family, z, anchor, points=points)
+        rep = frobenius.naive_iso_and_constant(family, z, anchor)
         expected = rep["expected"]
         deviation = abs(rep["constant"] - expected)
         _row(
@@ -485,6 +477,7 @@ def _suite_canonical(family, cfg):
             residual=rep["residual"],
             tol=cfg.tol,
         )
+        points = critalg.solve_critical(family, z)
         analytic, terms = critalg.residue_gram(family, points, basis)
         worst = float(np.max(np.abs(analytic - exact)))
         tol = cfg.tol * float(np.max(terms))
@@ -600,13 +593,13 @@ def _suite_periods(family, cfg):
     plus, minus = space.basis[0], space.basis[min(1, space.dimension - 1)]
     try:
         # one transport carries every period row's sections and quadratures
-        run = frobenius.period_transport(family, path, kappa, plus, minus, v=plus)
+        run = frobenius.period_transport(family, path, kappa, plus, minus, plus)
     except RuntimeError as exc:
         _row(rows, "period-path", True, skip=True)
         extra = {"note": f"path unusable: {exc}"}
     else:
         tol = max(cfg.tol, 1e-6)
-        rep = frobenius.flat_period_check(family, path, plus, tol=tol, transport=run)
+        rep = frobenius.flat_period_check(family, path, plus, run, tol)
         _row(
             rows,
             "flat-period-increment",
@@ -614,9 +607,7 @@ def _suite_periods(family, cfg):
             residual=rep["abs_err"],
             tol=tol * rep["scale"],
         )
-        rep = frobenius.twisted_pairing_invariance(
-            family, path, kappa, plus, minus, tol=1e-6, transport=run
-        )
+        rep = frobenius.twisted_pairing_invariance(family, run, 1e-6)
         _row(
             rows,
             "opposite-slope-pairing-constant",
@@ -624,9 +615,7 @@ def _suite_periods(family, cfg):
             residual=rep["drift"],
             tol=1e-6 * rep["scale"],
         )
-        rep = frobenius.twisted_period_relation(
-            family, path, kappa, plus, tol=1e-5, transport=run
-        )
+        rep = frobenius.twisted_period_relation(family, path, kappa, run, 1e-5)
         _row(
             rows,
             "twisted-period-relation",

@@ -427,20 +427,24 @@ def is_good_fiber(family, z):
     return all(f_c_value(c, zc) != 0 for c in family.circuit_list)
 
 
-def sample_good_point(family, seed, budget=1000):
+# draws of `sample_good_point` before it gives up
+SAMPLE_BUDGET = 1000
+
+
+def sample_good_point(family, seed):
     """Rejection-sample a rational base point off the discriminant.
 
     Deterministic for a fixed seed. Numerators lie in [-12, 12] and
     denominators in [1, 6]; the discriminant has measure zero, so for a
-    reasonable family this ends quickly. A budget exhaustion signals a
-    degenerate family and raises.
+    reasonable family this ends quickly. Exhausting SAMPLE_BUDGET draws
+    signals a degenerate family and raises.
     """
     rng = random.Random(seed)
-    for _ in range(budget):
+    for _ in range(SAMPLE_BUDGET):
         z = tuple(
             Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(family.n)
         )
         if is_good_fiber(family, z):
             return BasePoint(z)
-    raise RuntimeError(f"no good base point found within {budget} draws")
+    raise RuntimeError(f"no good base point found within {SAMPLE_BUDGET} draws")
 

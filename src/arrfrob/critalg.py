@@ -13,8 +13,10 @@ nu: w_T -> v_T to multiplication by [a_j/f_j] (the test oracle
 eigenvectors of one fixed combination sum_j c_j K_j|Sing give a_j/f_j(p)
 at every critical point p (the Stickelberger eigenvalue method). Each
 eigenvector seeds Newton's method on the master gradient, which alone
-certifies the point. Residue sums read the values w_T(p) from
-one float table per set of points.
+certifies the point. `solve_critical` keeps the points of each
+fiber in that fiber's entry of the family (`core.per_fiber`), so the
+basis, critical and canonical checks of one run share them. Residue sums
+read the values w_T(p) from one float table per set of points.
 
 Algebra elements are stored as coordinate vectors over the symbols w_T
 (T a sorted independent k-subset), where w_T is the class of the function
@@ -33,7 +35,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 
 from .core import Frozen, coords, default_anchor, per_family, per_fiber
@@ -155,25 +156,29 @@ def expected_critical_count(family):
     return math.comb(family.n - 1, family.k)
 
 
-def _newton_polish(master, t0, max_iter=50):
+# the most Newton steps from one seed
+NEWTON_MAX_ITER = 50
+
+
+def _newton_polish(master, t0):
     """Newton's method on the gradient from the seed t0. The gradient is
     measured against the size of its terms and steps against the size of
     the fiber, so no threshold depends on the units of the weights or of z.
     Once the gradient is below 1e-13 of its terms, one more step reaches
     the rounding floor (the convergence is quadratic). Where that floor
-    lies higher (the f_j nearly cancel), the last of max_iter steps is
+    lies higher (the f_j nearly cancel), the last of NEWTON_MAX_ITER steps is
     kept if it meets the bound of 1e-9 that every point meets."""
     fam = master.family
     t = [complex(x) for x in t0]
     close = False
-    for iteration in range(max_iter + 1):
+    for iteration in range(NEWTON_MAX_ITER + 1):
         try:
             grad = master.gradient(t)
             scale = master.gradient_scale(t)
         except ZeroDivisionError:
             return None
         res = max(abs(g) for g in grad)
-        if close or iteration == max_iter:
+        if close or iteration == NEWTON_MAX_ITER:
             break
         close = res < 1e-13 * scale
         hess = master.hessian_matrix(t)
@@ -262,25 +267,31 @@ def _canonical_order(point):
 # the size of the determinant's terms (`MasterFunction.hessian_scale`)
 HESSIAN_FLOOR = 1e-12
 
+# two polished points closer than this, relative to the size of z and t,
+# are one
+DEDUP_TOL = 1e-8
 
-def solve_critical(family, z, *, dedup_tol=1e-8):
-    """All critical points of the potential on the fiber z, sorted on the
-    real and then the imaginary parts of t.
+
+@per_fiber
+def solve_critical(family, zz):
+    """All critical points of the potential on the fiber zz, as a tuple
+    sorted on the real and then the imaginary parts of t, solved once per
+    family and fiber.
 
     Each eigenvector of the connection on Sing gives one seed, polished by
     Newton's method on the master gradient. Two points closer than
-    dedup_tol relative to the size of z and t are one. Raises RuntimeError
-    with a 'degenerate critical set' diagnostic when a generic family does
-    not produce the full count of distinct nondegenerate points.
+    DEDUP_TOL are one. Raises RuntimeError with a 'degenerate critical set'
+    diagnostic when a generic family does not produce the full count of
+    distinct nondegenerate points.
     """
-    zz = tuple(_rationalize(v) for v in coords(z))
+    zz = tuple(_rationalize(v) for v in zz)
     master = MasterFunction(family, zz)
     points = []
     for seed in _spectral_seeds(family, zz):
         point = _newton_polish(master, seed)
         if point is None:
             continue
-        reach = dedup_tol * max(master.size, *(abs(v) for v in point.t))
+        reach = DEDUP_TOL * max(master.size, *(abs(v) for v in point.t))
         if any(
             max(abs(pa - pb) for pa, pb in zip(point.t, prev.t)) < reach
             for prev in points
@@ -298,7 +309,7 @@ def solve_critical(family, z, *, dedup_tol=1e-8):
             raise RuntimeError(
                 "degenerate critical set: vanishing Hessian at a critical point"
             )
-    return sorted(points, key=_canonical_order)
+    return tuple(sorted(points, key=_canonical_order))
 
 
 # ---------------------------------------------------------------------------
@@ -530,27 +541,12 @@ def monomial_to_w(family, z, gens, anchor=None):
     return _covector(family, anchor, _times(tables, gens, unit))
 
 
-def _reduced_unit_power(family, zz, anchor):
-    """The k-th power of (1/|a|) sum_j z_j [a_j/f_j], each monomial reduced
-    by `reduce_to_w_basis`: the unit by a route that reads no table."""
-    out = osflag.CoVector()
-    for mono in itertools.product(range(1, family.n + 1), repeat=family.k):
-        coef = math.prod(zz[j - 1] for j in mono) / family.weight_sum**family.k
-        if coef:
-            out = out + reduce_to_w_basis(family, Counter(mono), anchor) * coef
-    return out
-
-
-def identity_element(family, z, anchor=None, cross_check=False):
+def identity_element(family, z, anchor=None):
     """The unit of the algebra from the anchored minor expansion, read from
-    the fiber's table; optionally verify it against the reduced k-th power
-    of (1/|a|) sum_j z_j [a_j/f_j] (`_reduced_unit_power`)."""
+    the fiber's table."""
     if anchor is None:
         anchor = default_anchor(family)
-    closed = _covector(family, anchor, _fiber_algebra(family, z, anchor)[1])
-    if cross_check and closed != _reduced_unit_power(family, coords(z), anchor):
-        raise RuntimeError("identity element routes disagree")
-    return closed
+    return _covector(family, anchor, _fiber_algebra(family, z, anchor)[1])
 
 
 def multiply(family, z, x, y, anchor=None):
@@ -599,11 +595,6 @@ def values_at(family, wvec, points):
     return w_matrix(family, points, subsets) @ coefs
 
 
-def w_value(family, T, point):
-    """Value of w_T at a critical point."""
-    return complex(w_matrix(family, [point], (T,))[0, 0])
-
-
 def evaluate(family, wvec, point):
     """Value of a w-span element at a critical point."""
     return complex(values_at(family, wvec, [point])[0])
@@ -623,10 +614,10 @@ def _inverse_hessians(points):
     return 1 / np.array([p.hessian for p in points], dtype=complex)
 
 
-def residue_pairing_analytic(family, z, x, y, points=None):
-    """(x, y) = sum over critical points of x(p) y(p) / Hess(p)."""
-    if points is None:
-        points = solve_critical(family, z)
+def residue_pairing_analytic(family, z, x, y):
+    """(x, y) = sum over the critical points of the fiber z of
+    x(p) y(p) / Hess(p)."""
+    points = solve_critical(family, z)
     inv_h = _inverse_hessians(points)
     return complex(np.sum(values_at(family, x, points) * values_at(family, y, points) * inv_h))
 

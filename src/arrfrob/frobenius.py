@@ -27,7 +27,8 @@ built once per family and exact fiber, in that fiber's entry of the
 family (`core.per_fiber`), by `gaussmanin.fiber_k_operator`,
 `linforms.LinExpr.evaluate_exact` and `critalg._fiber_algebra`, so the
 checks of one run share them; `ArrangementFamily.release_fibers` frees
-them all. The exact side of
+them all, and with them the critical points that `critalg.solve_critical`
+keeps there, which the residue identification reads.
 `contravariant_compositions` does not read the fiber and is decided once
 per family.
 
@@ -72,11 +73,11 @@ def alpha_structural(family, wvec):
     return out
 
 
-def canonical_iso_analytic(family, z, wvec, points=None):
+def canonical_iso_analytic(family, z, wvec):
     """The residue-sum identification: an algebra element g goes to
-    sum_p g(p) sum_T (d_T / prod_{j in T} f_j(p)) F_T / Hess(p)."""
-    if points is None:
-        points = critalg.solve_critical(family, z)
+    sum_p g(p) sum_T (d_T / prod_{j in T} f_j(p)) F_T / Hess(p) over the
+    critical points p of the fiber z."""
+    points = critalg.solve_critical(family, z)
     index = family.flag_index
     weights = critalg.values_at(family, wvec, points) / [p.hessian for p in points]
     inverse_f = [[1 / f for f in p.f_values] for p in points]
@@ -99,20 +100,18 @@ def identification_constant(family):
     return 1 if family.k == 1 else (-1) ** family.k
 
 
-def naive_iso_and_constant(family, z, anchor=None, points=None):
+def naive_iso_and_constant(family, z, anchor=None):
     """Measure the scalar relating the analytic identification to nu on the
     anchored basis. Returns the fitted constant, its spread over matrix
     entries, the worst coefficient residual after rescaling, and the
     constant that the identity predicts (`identification_constant`)."""
     if anchor is None:
         anchor = default_anchor(family)
-    if points is None:
-        points = critalg.solve_critical(family, z)
     ratios = []
     pairs = []
     for T in critalg.anchored_subsets(family, anchor):
         wv = osflag.CoVector.basis(T)
-        analytic = canonical_iso_analytic(family, z, wv, points)
+        analytic = canonical_iso_analytic(family, z, wv)
         structural = osflag.v_vector(family, T)
         pairs.append((analytic, structural))
         scale = structural.norm_inf()
@@ -143,10 +142,11 @@ def contravariant_map_class(family, flagvec):
 
 
 @per_family
-def _exact_compositions(family):
-    """The exact side of `contravariant_compositions`: it goes through nu,
-    the weight form and the Sing projection, none of which depends on the
-    fiber, so it is decided once per family."""
+def contravariant_compositions(family):
+    """Whether alpha o [S] = (-1)^k pi and [S] o alpha = (-1)^k id, with the
+    k = 1 conventions flipping both signs, exactly through nu. Neither nu,
+    the weight form nor the Sing projection reads the fiber, so the verdict
+    is decided once per family."""
     sign = -1 if family.k == 1 else 1
     space = osflag.singular_subspace(family)
     anchor = default_anchor(family)
@@ -165,29 +165,6 @@ def _exact_compositions(family):
         if lhs != rhs:
             exact_ok = False
     return exact_ok
-
-
-def contravariant_compositions(family, z, points=None, analytic=True):
-    """Check alpha o [S] = (-1)^k pi and [S] o alpha = (-1)^k id, with the
-    k = 1 conventions flipping both signs. Exact through nu, once per
-    family since that side never reads z; optionally also measured through
-    the residue identification at the fiber z."""
-    sign = -1 if family.k == 1 else 1
-    result = {"sign": sign, "exact": _exact_compositions(family)}
-    if analytic:
-        space = osflag.singular_subspace(family)
-        index = family.flag_index
-        worst = 0.0
-        if points is None:
-            points = critalg.solve_critical(family, z)
-        for T in index:
-            image = canonical_iso_analytic(
-                family, z, contravariant_map_class(family, osflag.FlagVector.basis(T)), points
-            )
-            proj = space.project(osflag.FlagVector.basis(T))
-            worst = max(worst, osflag.max_abs_diff(image, proj * sign))
-        result["analytic_residual"] = worst
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -246,29 +223,6 @@ def period_map(family, z, anchor=None):
         if val != 0:
             out.coeffs[index.subset(pos)] = val
     return out
-
-
-def q_coordinate_values(family, z):
-    """For one-dimensional arrangements: the n numbers q_j with
-    q = (1/|a|) sum_j q_j F_j."""
-    if family.k != 1:
-        raise ValueError("coordinate values are defined for k = 1")
-    q = period_map(family, z)
-    return tuple(family.weight_sum * q.get((j,)) for j in range(1, family.n + 1))
-
-
-def period_kernel_matrix(family, z, anchor=None):
-    """Exact Jacobian of the section q at a fiber: rows are flag positions,
-    columns the n fiber directions."""
-    zz = coords(z)
-    columns = [
-        conformal_block_derivative_exprs(family, (j,), anchor)
-        for j in range(1, family.n + 1)
-    ]
-    return [
-        [column[pos].evaluate_exact(zz) for column in columns]
-        for pos in range(len(family.flag_index))
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +307,10 @@ def _log_derivative_sorted(family, key):
     return _log_derivative_sorted(family, key[:-1]).diff(key[-1])
 
 
-def potential_derivative_row(family, z, directions, anchor=None, mode="exact"):
+def potential_derivative_row(family, z, directions, anchor=None):
     """One report row comparing the (2k+1)-fold derivative of the log
-    potential with the residue pairing of the generator product against the
-    algebra unit."""
+    potential with the pairing of the generator product against the algebra
+    unit, both exact."""
     k = family.k
     if len(directions) != 2 * k + 1:
         raise ValueError(f"need {2 * k + 1} directions, got {len(directions)}")
@@ -364,50 +318,21 @@ def potential_derivative_row(family, z, directions, anchor=None, mode="exact"):
     lhs = potential_log_derivative_expr(family, directions).evaluate_exact(zz)
     wprod = critalg.monomial_to_w(family, zz, tuple(directions), anchor)
     iden = critalg.identity_element(family, zz, anchor)
-    if mode == "exact":
-        pairing = critalg.structural_pairing(family, wprod, iden)
-        rhs = pairing if k % 2 == 0 else -pairing
-        err = abs(lhs - rhs)
-        return {
-            "tuple": list(directions),
-            "lhs": str(lhs),
-            "rhs": str(rhs),
-            "mode": "exact",
-            "abs_err": float(err),
-        }
-    points = critalg.solve_critical(family, zz)
-    pairing = critalg.residue_pairing_analytic(family, zz, wprod, iden, points)
+    pairing = critalg.structural_pairing(family, wprod, iden)
     rhs = pairing if k % 2 == 0 else -pairing
-    err = abs(complex(lhs) - rhs)
     return {
         "tuple": list(directions),
-        "lhs": str(complex(lhs)),
+        "lhs": str(lhs),
         "rhs": str(rhs),
-        "mode": "analytic",
-        "abs_err": float(err),
+        "mode": "exact",
+        "abs_err": float(abs(lhs - rhs)),
     }
 
 
-def potential_report(family, z, tuples=None, anchor=None, mode="exact"):
-    """Rows for a batch of direction tuples; default all sorted tuples."""
-    if tuples is None:
-        tuples = itertools.combinations_with_replacement(
-            range(1, family.n + 1), 2 * family.k + 1
-        )
-    return [
-        potential_derivative_row(family, z, tup, anchor, mode) for tup in tuples
-    ]
-
-
-def potential_quadratic_expr(family, anchor=None):
-    """P as an exact polynomial expression in the fiber coordinates, built
-    once per family and anchor."""
-    return potential_quadratic_derivative_expr(family, (), anchor)
-
-
 def potential_quadratic_derivative_expr(family, directions, anchor=None):
-    """Iterated derivative of P; memoized along sorted prefixes since mixed
-    partials commute."""
+    """Iterated derivative of P (P itself for no directions), built once per
+    family and anchor; memoized along sorted prefixes since mixed partials
+    commute."""
     if anchor is None:
         anchor = default_anchor(family)
     return _quadratic_derivative_sorted(family, anchor, tuple(sorted(directions)))
@@ -530,49 +455,42 @@ def _flag_array(family, vec):
     return np.array([complex(vec.get(T)) for T in family.flag_index], dtype=complex)
 
 
-def period_transport(family, path, kappa=None, start_plus=None, start_minus=None, v=None,
-                     rtol=1e-10, anchor=None):
-    """One `flow_flat_section` run for every period row. It carries the
-    slope-kappa section from start_plus, the slope -kappa section from
-    start_minus, and two quadratures, each stage evaluating the generators
-    once: extras[0] of S(v, nu[a_i/f_i]) dz_i and extras[1] of
-    S(I, nu[a_i/f_i]) dz_i for the slope-kappa section I (0 without v or I).
-    The period checks read their part of such a run passed as `transport`,
-    and run their own otherwise."""
-    if anchor is None:
-        anchor = default_anchor(family)
+# the relative step tolerance of the period transport
+PERIOD_RTOL = 1e-10
+
+
+def period_transport(family, path, kappa, start_plus, start_minus, v):
+    """The one `flow_flat_section` run that every period row reads. It
+    carries the slope-kappa section from start_plus, the slope -kappa
+    section from start_minus, and two quadratures, each stage evaluating
+    the generators once: extras[0] of S(v, nu[a_i/f_i]) dz_i and extras[1]
+    of S(I, nu[a_i/f_i]) dz_i for the slope-kappa section I. The generator
+    table does not depend on the anchor, so the default one is used."""
+    anchor = default_anchor(family)
     weights = _flag_weights(family)
-    fixed = 0 * weights if v is None else gaussmanin.pairing_functional(family, v)
-    blocks = [(sign * kappa, start) for sign, start in ((1, start_plus), (-1, start_minus))
-              if start is not None]
+    fixed = gaussmanin.pairing_functional(family, v)
 
     def integrand(s, z, zdot, sections):
         along = zdot @ _generator_sections(family, z, anchor)
-        plus = 0 * weights if start_plus is None else sections[0] * weights
-        return [fixed @ along, plus @ along]
+        return [fixed @ along, sections[0] * weights @ along]
 
     return gaussmanin.flow_flat_section(
-        family, path, tuple(k for k, _ in blocks), tuple(x for _, x in blocks), rtol=rtol,
+        family, path, (kappa, -kappa), (start_plus, start_minus), rtol=PERIOD_RTOL,
         extras=[integrand],
     )
 
 
-def flat_period_check(family, path, v=None, tol=1e-6, rtol=1e-10, anchor=None, transport=None):
-    """Quadrature of the covector S(v, nu gen_i) dz_i along a path against
-    the scaled increment (|a|/k) [S(v, q)] between the endpoints. The error
-    is compared with tol times `scale`, the sum of the absolute terms of the
-    two pairings in the increment, so the verdict does not depend on the
-    units of the fiber or the weights."""
-    if v is None:
-        v = osflag.singular_subspace(family).basis[0]
-    if anchor is None:
-        anchor = default_anchor(family)
-    if transport is None:
-        transport = period_transport(family, path, v=v, rtol=rtol, anchor=anchor)
-    quad = transport.extras[0]
+def flat_period_check(family, path, v, run, tol):
+    """Quadrature of the covector S(v, nu gen_i) dz_i along a path, from
+    the `period_transport` run, against the scaled increment (|a|/k)
+    [S(v, q)] between the endpoints. The error is compared with tol times
+    `scale`, the sum of the absolute terms of the two pairings in the
+    increment, so the verdict does not depend on the units of the fiber or
+    the weights."""
+    quad = run.extras[0]
     fixed = gaussmanin.pairing_functional(family, v)
-    q0 = period_map(family, path[0], anchor)
-    q1 = period_map(family, path[-1], anchor)
+    q0 = period_map(family, path[0])
+    q1 = period_map(family, path[-1])
     factor = complex(Fraction(family.weight_sum, family.k))
     delta = factor * (
         complex(osflag.contravariant_pairing(v, q1, family))
@@ -591,50 +509,41 @@ def flat_period_check(family, path, v=None, tol=1e-6, rtol=1e-10, anchor=None, t
     }
 
 
-def twisted_pairing_invariance(family, path, kappa, start_plus, start_minus, rtol=1e-10, tol=1e-6,
-                               transport=None):
-    """Transport sections of slopes kappa and -kappa along the same path;
-    their pairing must stay constant at every waypoint. The drift is
-    compared with tol times `scale`, the largest sum of the pairing's terms
-    |w_T plus_T minus_T| over the waypoints, so the verdict does not depend
-    on the units of the weights or the sections."""
-    if transport is None:
-        transport = period_transport(family, path, kappa, start_plus, start_minus, rtol=rtol)
+def twisted_pairing_invariance(family, run, tol):
+    """The pairing of the sections of slopes kappa and -kappa of the
+    `period_transport` run must stay constant at every waypoint. The drift
+    is compared with tol times `scale`, the largest sum of the pairing's
+    terms |w_T plus_T minus_T| over the waypoints, so the verdict does not
+    depend on the units of the weights or the sections."""
     weights = _flag_weights(family)
-    terms = [plus * weights * minus for plus, minus, *_ in transport.waypoints]
+    terms = [plus * weights * minus for plus, minus, *_ in run.waypoints]
     values = [np.sum(t) for t in terms]
     scale = max(np.sum(np.abs(t)) for t in terms)
     drift = max(abs(v - values[0]) for v in values)
     return {"values": values, "drift": drift, "scale": scale, "passed": drift <= tol * scale}
 
 
-def twisted_period_relation(family, path, kappa, start, rtol=1e-10, tol=1e-6, anchor=None,
-                            transport=None):
-    """Transport a twisted section and compare the quadrature of its period
-    covector with the scaled increment of S(I, q). The error is compared
-    with tol times `scale`, the sum of the absolute terms |w_T I_T q_T| of
-    the two pairings in the increment. Slopes equal to the weight sum over k
-    are rejected."""
-    if kappa == Fraction(family.weight_sum, family.k):
-        raise ValueError("slope |a|/k is excluded for twisted periods")
+def twisted_period_relation(family, path, kappa, run, tol):
+    """Compare the quadrature of the period covector of the slope-kappa
+    section of the `period_transport` run with the scaled increment of
+    S(I, q). The error is compared with tol times `scale`, the sum of the
+    absolute terms |w_T I_T q_T| of the two pairings in the increment.
+    The slopes +-|a|/k are rejected, compared exactly."""
+    special = Fraction(family.weight_sum, family.k)
+    if Fraction(kappa) in (special, -special):
+        raise ValueError(f"the slopes +-|a|/k = +-{special} are excluded for twisted periods")
     factor = 1 / complex(kappa) + family.k / complex(family.weight_sum)
-    if factor == 0:
-        raise ValueError("slope -|a|/k degenerates the period relation")
-    if anchor is None:
-        anchor = default_anchor(family)
-    if transport is None:
-        transport = period_transport(family, path, kappa, start, rtol=rtol, anchor=anchor)
     weights = _flag_weights(family)
-    start_coords = transport.waypoints[0][0]
-    end_coords = transport.waypoints[-1][0]
-    q0c = _flag_array(family, period_map(family, path[0], anchor))
-    q1c = _flag_array(family, period_map(family, path[-1], anchor))
+    start_coords = run.waypoints[0][0]
+    end_coords = run.waypoints[-1][0]
+    q0c = _flag_array(family, period_map(family, path[0]))
+    q1c = _flag_array(family, period_map(family, path[-1]))
     delta = np.dot(end_coords * weights, q1c) - np.dot(start_coords * weights, q0c)
     scale = float(
         np.sum(np.abs(end_coords * weights * q1c))
         + np.sum(np.abs(start_coords * weights * q0c))
     )
-    quad = transport.extras[1]
+    quad = run.extras[1]
     err = abs(delta - factor * quad)
     return {
         "increment": delta,
@@ -786,16 +695,19 @@ def _block_sums(family, blocks, z):
     return k_sums, products
 
 
-# the relative tolerance of the strata log-potential limit
+# the relative tolerance of the strata log-potential limit, and its offset
+# step relative to the distance to the quotient's discriminant
 STRATA_LIMIT_TOL = 1e-6
+STRATA_STEP = Fraction(1, 10**8)
 
 
-def strata_restriction_k1(family, partition, x, tol=STRATA_LIMIT_TOL, eps=Fraction(1, 10**8)):
+def strata_restriction_k1(family, partition, x):
     """Restrict the structure to a diagonal stratum and verify that the
     quotient family reproduces it: embedded v vectors, the weight form,
     connection sums, induced products, the section q, the potential P, and
     (numerically) the second derivatives of the log potential. The last
-    compares its residual with tol times `log_potential_limit_scale`, the
+    compares its residual with STRATA_LIMIT_TOL times
+    `log_potential_limit_scale`, the
     largest sum of the absolute terms it compares."""
     quotient, blocks = quotient_family_k1(family, partition)
     xx = coords(x)
@@ -861,10 +773,10 @@ def strata_restriction_k1(family, partition, x, tol=STRATA_LIMIT_TOL, eps=Fracti
     # inverse cube of the smallest gap between block coordinates, so a single
     # evaluation can miss a tight tolerance at unlucky points.  Evaluating at
     # eps and eps/2 and extrapolating the linear term away leaves only the
-    # O(eps^2) tail.  The step is eps times the coordinate distance from x
-    # to the quotient's discriminant, and the error is compared with tol
-    # times the size of the terms compared, so neither depends on the units
-    # of the fiber or the weights.
+    # O(eps^2) tail.  The step eps is STRATA_STEP times the coordinate
+    # distance from x to the quotient's discriminant, and the error is
+    # compared with STRATA_LIMIT_TOL times the size of the terms compared,
+    # so neither depends on the units of the fiber or the weights.
     gap = min(
         abs(f_c_value(c, xx)) / max(abs(lam) for lam in c.lam)
         for c in quotient.circuit_list
@@ -885,14 +797,15 @@ def strata_restriction_k1(family, partition, x, tol=STRATA_LIMIT_TOL, eps=Fracti
             target = complex(
                 potential_log_derivative_expr(quotient, (ell, m)).evaluate(xx)
             )
-            half, full = block_terms(eps / 2, ell, m), block_terms(eps, ell, m)
+            half = block_terms(STRATA_STEP / 2, ell, m)
+            full = block_terms(STRATA_STEP, ell, m)
             value = 2 * sum(half) - sum(full)
             worst = max(worst, abs(value - target))
             size = 2 * sum(map(abs, half)) + sum(map(abs, full)) + abs(target)
             scale = max(scale, size)
     report["log_potential_limit_residual"] = worst
     report["log_potential_limit_scale"] = scale
-    report["log_potential_limit_ok"] = worst <= tol * scale
+    report["log_potential_limit_ok"] = worst <= STRATA_LIMIT_TOL * scale
 
     report["passed"] = all(
         report[key]

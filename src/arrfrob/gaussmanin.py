@@ -89,11 +89,6 @@ def _l_c_entries(family, circuit_indices):
     return tuple(entries)
 
 
-def discriminant_min(family, z):
-    """min over circuits of |f_C(z)|."""
-    return min(abs(complex(f_c_value(c, z))) for c in family.circuit_list)
-
-
 def _weight_denominator(family):
     return math.lcm(*(w.denominator for w in family.a))
 
@@ -434,6 +429,13 @@ _DP_E = tuple(a - b for a, b in zip(_DP_A[6], (
 )))
 
 
+# the absolute part of the integrator's error scale, the relative distance
+# to the discriminant at which it stops, and the most steps it takes
+FLOW_ATOL = 1e-12
+FLOW_GUARD = 1e-6
+FLOW_MAX_STEPS = 200_000
+
+
 class FlowResult(SimpleNamespace):
     """Quadratures (`extras`), step counts (`steps`, `rejected`), the
     `trajectory`, the sections at each waypoint as (sections, dim) arrays
@@ -445,19 +447,7 @@ class FlowResult(SimpleNamespace):
         return osflag.FlagVector.from_coordinates(self.subsets, self.waypoints[-1][0])
 
 
-def flow_flat_section(
-    family,
-    path,
-    kappa,
-    start,
-    *,
-    rtol=1e-10,
-    atol=1e-12,
-    guard=1e-6,
-    extras=None,
-    record=False,
-    max_steps=200_000,
-):
+def flow_flat_section(family, path, kappa, start, *, rtol=1e-10, extras=None, record=False):
     """Transport flat sections along a piecewise-linear path in fiber space,
     solving kappa dI = (sum_j K_j dz_j) I with adaptive step control.
 
@@ -466,9 +456,9 @@ def flow_flat_section(
     extras: callables g(s, z, zdot, I) -> complex or 1-D array, integrated
     as quadratures; I is the section, or the (sections, dim) array. Each
     section and quadrature has its own error scale. The integrator aborts
-    if the path comes within `guard` of the discriminant, relative to the
-    fiber's own size (min_C |f_C(z)| < guard * max_C |f_C(z)|), or the step
-    size underflows.
+    if the path comes within FLOW_GUARD of the discriminant, relative to the
+    fiber's own size (min_C |f_C(z)| < FLOW_GUARD * max_C |f_C(z)|), if the
+    step size underflows, or after FLOW_MAX_STEPS steps.
     """
     several = isinstance(kappa, (tuple, list))
     slopes = np.array(kappa if several else [kappa], dtype=complex).reshape(-1, 1)
@@ -507,9 +497,9 @@ def flow_flat_section(
         fvals = alpha + u * beta
         sizes = np.abs(fvals)
         z = z0 + u * step_z
-        if sizes.min() < guard * sizes.max():
+        if sizes.min() < FLOW_GUARD * sizes.max():
             raise RuntimeError(
-                f"path within a relative {guard} of the discriminant at s={s:.6f}, "
+                f"path within a relative {FLOW_GUARD} of the discriminant at s={s:.6f}, "
                 f"z={[complex(v) for v in z]}"
             )
         mat = ((rate / fvals) @ ops).reshape(dim, dim)
@@ -542,7 +532,7 @@ def flow_flat_section(
                 raise RuntimeError(
                     f"step size underflow at s={s:.8f}, z={[complex(v) for v in zc]}"
                 )
-            if steps + rejected > max_steps:
+            if steps + rejected > FLOW_MAX_STEPS:
                 raise RuntimeError("transport exceeded the step budget")
             for stage in range(1, 7):
                 ss = s + _DP_C[stage] * h
@@ -550,7 +540,7 @@ def flow_flat_section(
                 stages[stage] = derivative((ss - s0) * nseg, ss, ys)
             # ys is now the fifth-order solution at s + h
             error = block_max(h * (dp_e @ stages))
-            scale = atol + rtol * np.maximum(block_max(y), block_max(ys))
+            scale = FLOW_ATOL + rtol * np.maximum(block_max(y), block_max(ys))
             err = np.max(error / scale)
             if err <= 1.0:
                 s += h

@@ -78,10 +78,6 @@ def identity(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
-def mat_vec(a, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
-
-
 def mat_mul(a, b):
     cols = len(b[0])
     return [

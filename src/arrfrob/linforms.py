@@ -114,12 +114,6 @@ class LinExpr:
         return cls()
 
     @classmethod
-    def constant(cls, value):
-        out = cls()
-        out._accumulate((), None, Fraction(value))
-        return out
-
-    @classmethod
     def monomial(cls, coef, powers, log_form=None, forms=None):
         """coef * prod form^exp [* log log_form] with the forms given as
         coefficient sequences and interned in `forms` (a fresh table when
@@ -237,12 +231,6 @@ class LinExpr:
                     merged[logform] = merged.get(logform, 0) - 1
                     out._accumulate(_sorted_powers(merged), None, coef * slope)
         return out
-
-    def diff_path(self, indices):
-        expr = self
-        for j in indices:
-            expr = expr.diff(j)
-        return expr
 
     def evaluate(self, z):
         """Value at z; exact Fraction when no log factor survives and z is

@@ -18,10 +18,12 @@ the first one.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 from . import linalg
-from .core import coords, format_rational, parse_rational, per_family
+from .core import per_family
 
 
 def sort_with_sign(indices):
@@ -136,30 +138,6 @@ class IndexedVector:
                 out.coeffs[subset] = val
         return out
 
-    def to_json(self):
-        rows = []
-        for key in sorted(self.coeffs):
-            val = self.coeffs[key]
-            if isinstance(val, Fraction) or isinstance(val, int):
-                coeff = format_rational(val)
-            else:
-                val = complex(val)
-                coeff = [val.real, val.imag]
-            rows.append({"indices": list(key), "coeff": coeff})
-        return rows
-
-    @classmethod
-    def from_json(cls, rows):
-        out = cls()
-        for row in rows:
-            coeff = row["coeff"]
-            if isinstance(coeff, list):
-                value = complex(coeff[0], coeff[1])
-            else:
-                value = parse_rational(coeff)
-            out.accumulate(tuple(row["indices"]), value)
-        return out
-
 
 class FlagVector(IndexedVector):
     """Element of V in the standard basis F_T."""
@@ -197,7 +175,9 @@ def contravariant_pairing(u, w, family):
 
 class SingularSubspace:
     """Kernel of the weight conditions sum_j a_j c_{(j,)+T'} = 0 over all
-    independent (k-1)-subsets T', with an exact basis and Gram matrix."""
+    independent (k-1)-subsets T', with an exact basis, Gram matrix and
+    Gram determinant `gram_det`. A zero determinant raises ValueError here,
+    before anything reads the subspace."""
 
     def __init__(self, family):
         self.family = family
@@ -220,7 +200,8 @@ class SingularSubspace:
             [contravariant_pairing(u, w, family) for w in self.basis]
             for u in self.basis
         ]
-        if self.basis and linalg.det(self.gram) == 0:
+        self.gram_det = linalg.det(self.gram)
+        if self.basis and self.gram_det == 0:
             raise ValueError("weight form degenerates on the singular subspace")
         self._gram_inv = linalg.inv(self.gram) if self.basis else []
 
@@ -228,32 +209,13 @@ class SingularSubspace:
     def dimension(self):
         return len(self.basis)
 
-    def membership_residual(self, u):
-        """Max |condition(u)| over all defining conditions (0 iff singular)."""
+    def contains(self, u):
+        """Whether u meets every singular condition exactly."""
         index = self.family.flag_index
-        worst = 0
-        for row in self.conditions:
-            total = 0
-            for key, val in u.coeffs.items():
-                coeff = row[index.position(key)]
-                if coeff:
-                    total += coeff * val
-            worst = max(worst, abs(complex(total)))
-        return worst
-
-    def contains(self, u, tol=None):
-        if tol is None:
-            index = self.family.flag_index
-            for row in self.conditions:
-                total = Fraction(0)
-                for key, val in u.coeffs.items():
-                    coeff = row[index.position(key)]
-                    if coeff:
-                        total += coeff * val
-                if total != 0:
-                    return False
-            return True
-        return self.membership_residual(u) <= tol
+        return all(
+            sum(row[index.position(key)] * val for key, val in u.coeffs.items()) == 0
+            for row in self.conditions
+        )
 
     def coordinates(self, u):
         """Coefficients of u in the singular basis (u must lie in the span)."""
@@ -276,8 +238,6 @@ class SingularSubspace:
 
 
 def _independent_subsets(family, size):
-    import itertools
-
     if size == 0:
         return [()]
     return [
@@ -290,18 +250,12 @@ def _independent_subsets(family, size):
 @per_family
 def singular_subspace(family):
     space = SingularSubspace(family)
-    expected = _binomial(family.n - 1, family.k)
+    expected = math.comb(family.n - 1, family.k)
     if family.generic and space.dimension != expected:
         raise RuntimeError(
             f"singular subspace has dimension {space.dimension}, expected {expected}"
         )
     return space
-
-
-def _binomial(n, k):
-    from math import comb
-
-    return comb(n, k)
 
 
 @per_family
@@ -363,7 +317,3 @@ def gram_v(family, left, right):
     _, ysign = sort_with_sign(tail + (y,))
     value = -weight_product(family, tail) * family.a[x - 1] * family.a[y - 1] / asum
     return lsign * rsign * xsign * ysign * value
-
-
-def orthogonal_projection(family, u):
-    return singular_subspace(family).project(u)

@@ -13,9 +13,15 @@ The rest are references for the identification nu: w_T -> v_T and the
 structures carried through it: nu^{-1} by a linear solve, the product of
 two singular vectors through the algebra, its closed form for k = 1, the
 generator action K_j(z) = nu [a_j/f_j] nu^{-1}, the metric eta by three
-routes, and the contraction relations of the log potential."""
+routes, and the contraction relations of the log potential. Then the
+second routes that the program does not take: the unit as a reduced k-th
+power, the compositions and the potential rows through residue sums at the
+critical points, the potential rows of every sorted tuple, the Jacobian of
+q, and the distance of a float vector from the singular subspace."""
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 from arrfrob import critalg
@@ -23,7 +29,10 @@ from arrfrob.core import coords, default_anchor
 from arrfrob.frobenius import (
     _k1_kj_on_vi,
     alpha_structural,
+    canonical_iso_analytic,
     conformal_block_derivative_exprs,
+    contravariant_map_class,
+    potential_derivative_row,
     potential_log_derivative_expr,
 )
 from arrfrob.gaussmanin import (
@@ -34,7 +43,14 @@ from arrfrob.gaussmanin import (
     fiber_k_operator,
 )
 from arrfrob.linalg import _dot, _integer_sum, rref
-from arrfrob.osflag import CoVector, FlagVector, contravariant_pairing, v_vector
+from arrfrob.osflag import (
+    CoVector,
+    FlagVector,
+    contravariant_pairing,
+    max_abs_diff,
+    singular_subspace,
+    v_vector,
+)
 
 
 def commutator_residuals(family, z):
@@ -239,18 +255,16 @@ def eta_matrix_from_section(family, z, anchor=None):
     ]
 
 
-def eta_matrix_analytic(family, z, points=None, anchor=None):
+def eta_matrix_analytic(family, z, anchor=None):
     """eta via critical-point residues (numeric)."""
     zz = coords(z)
-    if points is None:
-        points = critalg.solve_critical(family, zz)
     gens = [
         critalg.monomial_to_w(family, zz, (i,), anchor)
         for i in range(1, family.n + 1)
     ]
     return [
         [
-            critalg.residue_pairing_analytic(family, zz, gens[i], gens[j], points)
+            critalg.residue_pairing_analytic(family, zz, gens[i], gens[j])
             for j in range(family.n)
         ]
         for i in range(family.n)
@@ -294,3 +308,77 @@ def eta_and_beta(family, z, anchor=None, analytic=False):
         report["analytic_residual"] = worst
     report["passed"] = agree and report.get("k1_constants_equal", True)
     return report
+
+
+def reduced_unit_power(family, z, anchor=None):
+    """The k-th power of (1/|a|) sum_j z_j [a_j/f_j], each monomial reduced
+    by `critalg.reduce_to_w_basis`: the unit by a route that reads no
+    table of the fiber."""
+    zz = coords(z)
+    out = CoVector()
+    for mono in itertools.product(range(1, family.n + 1), repeat=family.k):
+        coef = math.prod(zz[j - 1] for j in mono) / family.weight_sum**family.k
+        if coef:
+            out = out + critalg.reduce_to_w_basis(family, Counter(mono), anchor) * coef
+    return out
+
+
+def compositions_analytic_residual(family, z):
+    """Worst deviation of alpha o [S] from (-1)^k pi (both signs flipped for
+    k = 1) with alpha the residue identification at the fiber z, over the
+    flag basis."""
+    sign = -1 if family.k == 1 else 1
+    space = singular_subspace(family)
+    worst = 0.0
+    for T in family.flag_index:
+        flag = FlagVector.basis(T)
+        image = canonical_iso_analytic(family, z, contravariant_map_class(family, flag))
+        worst = max(worst, max_abs_diff(image, space.project(flag) * sign))
+    return worst
+
+
+def potential_report(family, z):
+    """`frobenius.potential_derivative_row` for every sorted tuple of 2k + 1
+    directions."""
+    tuples = itertools.combinations_with_replacement(range(1, family.n + 1), 2 * family.k + 1)
+    return [potential_derivative_row(family, z, tup) for tup in tuples]
+
+
+def potential_row_analytic(family, z, directions, anchor=None):
+    """`frobenius.potential_derivative_row` with the pairing summed over the
+    critical points of z in floats, and its absolute error."""
+    zz = coords(z)
+    lhs = potential_log_derivative_expr(family, directions).evaluate_exact(zz)
+    wprod = critalg.monomial_to_w(family, zz, tuple(directions), anchor)
+    iden = critalg.identity_element(family, zz, anchor)
+    pairing = critalg.residue_pairing_analytic(family, zz, wprod, iden)
+    rhs = pairing if family.k % 2 == 0 else -pairing
+    return abs(complex(lhs) - rhs)
+
+
+def section_jacobian(family, z, anchor=None):
+    """Exact Jacobian of the section q at a fiber: rows are flag positions,
+    columns the n fiber directions."""
+    zz = coords(z)
+    columns = [
+        conformal_block_derivative_exprs(family, (j,), anchor)
+        for j in range(1, family.n + 1)
+    ]
+    return [
+        [column[pos].evaluate_exact(zz) for column in columns]
+        for pos in range(len(family.flag_index))
+    ]
+
+
+def membership_residual(family, u):
+    """Max |condition(u)| over the singular conditions, for a vector with
+    float coordinates (0 iff u is singular)."""
+    space = singular_subspace(family)
+    index = family.flag_index
+    return max(
+        (
+            abs(complex(sum(row[index.position(key)] * val for key, val in u.coeffs.items())))
+            for row in space.conditions
+        ),
+        default=0.0,
+    )

@@ -948,9 +948,12 @@ def test_exact_suite_reports_are_pinned(k, n, tmp_path, prime_config):
 
 # sha256 of `check --suites basis,canonical` at seed 1, pinned before the
 # exact compositions were decided once per family and the solver read its
-# floats from the integer K_j(z).
+# floats from the integer K_j(z), and pinned again when the
+# `compositions-exact-sample-<i>` rows, which all read that one per-family
+# verdict, gave way to one `compositions-exact` row first in the suite (the
+# other rows kept their bytes).
 _CANONICAL_SHA256 = {
-    (2, 4): "ee40937b61cea246980e4b755b03d344427f9dc88609d76cf22af86309d43e1a",
+    (2, 4): "28d8c8586302e1ac905328993c47e716d6dd335d1d2272f0dd6814becdfdec36",
 }
 
 
@@ -962,6 +965,68 @@ def test_canonical_suite_reports_are_pinned(k, n, tmp_path, prime_config):
                  "--json", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == _CANONICAL_SHA256[k, n]
+
+
+# sha256 of `check --suites <suite>` at seed 1, pinned before the critical
+# points of a fiber were kept by `critalg.solve_critical` in place of a
+# cache in `cli`, and before the period checks lost their own transport.
+_SUITE_SHA256 = {
+    ("periods", 1, 5): "cef2dae923807337ab898c7a88d34f5cc3acd3387ec930e837f6bdef21ec9531",
+    ("periods", 2, 3): "5abe1c3192a969d4db9cad8cfb07277e7819efe999b86f8afe29eab1b90fcfaf",
+    ("critical", 2, 4): "b4e82989f7c971885d85dbdf15acd367ea623ed85373e34329ee09bdb25bf376",
+}
+
+
+@pytest.mark.parametrize("suite, k, n", sorted(_SUITE_SHA256))
+def test_period_and_critical_reports_are_pinned(suite, k, n, tmp_path, prime_config):
+    out = tmp_path / "report.json"
+    cfg = _write_config(tmp_path, prime_config(k, n, seed=1))
+    assert main(["check", "--config", cfg, "--suites", suite, "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _SUITE_SHA256[suite, k, n]
+
+
+def test_a_basis_run_takes_the_singular_gram_determinant_once(
+    tmp_path, monkeypatch, prime_config
+):
+    # SingularSubspace keeps the determinant that it tests, and the
+    # `v-gram-nondegenerate` row reads it there
+    from arrfrob import linalg, osflag
+    from arrfrob.core import load_family
+
+    gram = osflag.SingularSubspace(load_family(prime_config(2, 4))).gram
+    det = linalg.det
+    matrices = []
+
+    def counted(rows):
+        matrices.append([list(row) for row in rows])
+        return det(rows)
+
+    monkeypatch.setattr(linalg, "det", counted)
+    cfg = _write_config(tmp_path, prime_config(2, 4, seed=1))
+    assert main(["check", "--config", cfg, "--suites", "basis",
+                 "--json", str(tmp_path / "report.json")]) == 0
+    assert matrices.count(gram) == 1
+
+
+def test_each_sampled_fiber_is_solved_once_per_run(tmp_path, monkeypatch, prime_config):
+    # basis samples the fiber of seed 1, which critical and canonical sample
+    # too, with four more: five distinct fibers, each solved once
+    from arrfrob import cli, critalg
+
+    seeds = critalg._spectral_seeds
+    fibers = []
+
+    def counted(family, zz):
+        fibers.append(zz)
+        return seeds(family, zz)
+
+    monkeypatch.setattr(critalg, "_spectral_seeds", counted)
+    out = tmp_path / "report.json"
+    cfg = _write_config(tmp_path, prime_config(2, 5, seed=1))
+    assert main(["check", "--config", cfg, "--suites", "basis,critical,canonical",
+                 "--json", str(out)]) == 0
+    assert len(fibers) == len(set(fibers)) == 5
+    assert not hasattr(cli.RunSettings, "critical_points")
 
 
 # sha256 of `check --suites strata` at seed 1, pinned before the product

@@ -21,12 +21,17 @@ from arrfrob.osflag import (
     weight_product,
 )
 from fiber_oracles import (
+    compositions_analytic_residual,
     eta_and_beta,
     induced_multiplication_on_sing,
     k_operator_agreement,
     kernel_relation_residual,
+    membership_residual,
     multiplication_k1_closed,
     nu_inverse,
+    potential_report,
+    potential_row_analytic,
+    section_jacobian,
 )
 
 
@@ -76,28 +81,24 @@ def test_measured_constant_is_minus_one_for_k3(fam_k1_n3, fam_k2_n4, fam_k3_n5):
 
 def test_k1_generator_images(fam_k1_n3, z_k1_n3):
     fam = fam_k1_n3
-    pts = critalg.solve_critical(fam, z_k1_n3)
     for m in range(1, 4):
         gen = critalg.monomial_to_w(fam, z_k1_n3, (m,))
-        img = fro.canonical_iso_analytic(fam, z_k1_n3, gen, pts)
+        img = fro.canonical_iso_analytic(fam, z_k1_n3, gen)
         target = v_vector(fam, (m,)) * F(1, fam.b[m - 1][0])
         assert max_abs_diff(img, target) < 1e-8
 
 
 def test_k2_basis_images(fam_k2_n4, z_k2_n4):
     fam = fam_k2_n4
-    pts = critalg.solve_critical(fam, z_k2_n4)
     for T in fam.flag_index:
-        img = fro.canonical_iso_analytic(fam, z_k2_n4, CoVector.basis(T), pts)
+        img = fro.canonical_iso_analytic(fam, z_k2_n4, CoVector.basis(T))
         assert max_abs_diff(img, v_vector(fam, T)) < 1e-8
 
 
 def test_compositions(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
     for fam, z in ((fam_k1_n3, z_k1_n3), (fam_k2_n4, z_k2_n4)):
-        rep = fro.contravariant_compositions(fam, z)
-        assert rep["exact"]
-        assert rep["sign"] == (-1 if fam.k == 1 else 1)
-        assert rep.get("analytic_residual", 0) < 1e-8
+        assert fro.contravariant_compositions(fam) is True
+        assert compositions_analytic_residual(fam, z) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +106,10 @@ def test_compositions(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
 
 
 def test_frozen_section_values(fam_k1_n3_unit):
-    qv = fro.q_coordinate_values(fam_k1_n3_unit, (F(0), F(1), F(3)))
+    # q = (1/|a|) sum_j q_j F_j
+    fam = fam_k1_n3_unit
+    q = fro.period_map(fam, (F(0), F(1), F(3)))
+    qv = tuple(fam.weight_sum * q.get((j,)) for j in range(1, fam.n + 1))
     assert qv == (F(4, 3), F(1, 3), F(-5, 3))
 
 
@@ -126,14 +130,14 @@ def test_section_homogeneity(fam_k2_n4, z_k2_n4):
 
 
 def test_section_kernel_k1(fam_k1_n3, z_k1_n3):
-    mat = fro.period_kernel_matrix(fam_k1_n3, z_k1_n3)
+    mat = section_jacobian(fam_k1_n3, z_k1_n3)
     for row in mat:
         assert sum(row[j] * fam_k1_n3.b[j][0] for j in range(3)) == 0
 
 
 def test_section_kernel_k2_rank(fam_k2_n4, z_k2_n4):
     fam = fam_k2_n4
-    mat = fro.period_kernel_matrix(fam, z_k2_n4)
+    mat = section_jacobian(fam, z_k2_n4)
     kern_dirs = []
     for i in range(1, fam.n + 1):
         u = [F(0)] * fam.n
@@ -226,15 +230,12 @@ def test_derivative_row_k1_frozen(fam_k1_n3, z_k1_n3):
 
 def test_potential_report_all_rows_exact(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
     for fam, z in ((fam_k1_n3, z_k1_n3), (fam_k2_n4, z_k2_n4)):
-        rows = fro.potential_report(fam, z)
+        rows = potential_report(fam, z)
         assert rows and all(r["abs_err"] == 0.0 for r in rows)
 
 
 def test_derivative_row_analytic_mode(fam_k2_n4, z_k2_n4):
-    row = fro.potential_derivative_row(
-        fam_k2_n4, z_k2_n4, (3, 1, 2, 1, 2), mode="analytic"
-    )
-    assert row["abs_err"] < 1e-7
+    assert potential_row_analytic(fam_k2_n4, z_k2_n4, (3, 1, 2, 1, 2)) < 1e-7
 
 
 def test_worked_k2_derivative(fam_k2_n4, z_k2_n4):
@@ -298,36 +299,49 @@ def test_eta_reports(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
 # periods
 
 
+def _one_run(family, path, kappa):
+    """The period transport of the periods suite of `check`: the sections
+    of slopes kappa and -kappa from the first two singular basis vectors,
+    and the quadratures against the first, which is returned too."""
+    space = singular_subspace(family)
+    plus, minus = space.basis[0], space.basis[min(1, space.dimension - 1)]
+    return fro.period_transport(family, path, kappa, plus, minus, plus), plus
+
+
 def test_flat_periods(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
     path2 = [z_k2_n4, (F(2), F(1), F(-9), F(6)), (F(3), F(-2), F(-8), F(4))]
     for p in path2:
         assert is_good_fiber(fam_k2_n4, p)
-    rep = fro.flat_period_check(fam_k2_n4, path2, tol=1e-6)
-    assert rep["passed"]
+    run, v = _one_run(fam_k2_n4, path2, F(17))
+    assert fro.flat_period_check(fam_k2_n4, path2, v, run, 1e-6)["passed"]
     path1 = [z_k1_n3, (F(1), F(4), F(6)), (F(-2), F(1), F(2))]
-    rep = fro.flat_period_check(fam_k1_n3, path1, tol=1e-8)
-    assert rep["passed"]
+    run, v = _one_run(fam_k1_n3, path1, F(17))
+    assert fro.flat_period_check(fam_k1_n3, path1, v, run, 1e-8)["passed"]
 
 
 def test_twisted_pairing_and_relation(fam_k2_n4, z_k2_n4):
     fam = fam_k2_n4
     path = [z_k2_n4, (F(2), F(1), F(-9), F(6)), (F(3), F(-2), F(-8), F(4))]
-    space = singular_subspace(fam)
-    rep = fro.twisted_pairing_invariance(
-        fam, path, F(17, 5), space.basis[0], space.basis[1], tol=1e-7
-    )
-    assert rep["passed"]
-    rep = fro.twisted_period_relation(fam, path, F(17, 5), space.basis[0], tol=1e-6)
-    assert rep["passed"]
+    run, _ = _one_run(fam, path, F(17, 5))
+    assert fro.twisted_pairing_invariance(fam, run, 1e-7)["passed"]
+    assert fro.twisted_period_relation(fam, path, F(17, 5), run, 1e-6)["passed"]
 
 
 def test_twisted_relation_rejects_special_slopes(fam_k2_n4, z_k2_n4):
-    fam = fam_k2_n4
-    path = [z_k2_n4, (F(2), F(1), F(-9), F(6))]
-    v = singular_subspace(fam).basis[0]
-    for slope in (F(fam.weight_sum, fam.k), -F(fam.weight_sum, fam.k)):
-        with pytest.raises(ValueError):
-            fro.twisted_period_relation(fam, path, slope, v)
+    # on k3n4, 1/kappa + k/|a| at kappa = -11/3 = -|a|/k is -5.6e-17 in
+    # floats, not 0: the slopes are compared as rationals
+    k3n4 = ArrangementFamily(
+        k=3, n=4, b=((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), a=(F(1), F(2), F(3), F(5))
+    )
+    cases = (
+        (fam_k2_n4, [z_k2_n4, (F(2), F(1), F(-9), F(6))]),
+        (k3n4, [sample_good_point(k3n4, seed=s).z for s in (1, 2)]),
+    )
+    for fam, path in cases:
+        for slope in (F(fam.weight_sum, fam.k), -F(fam.weight_sum, fam.k)):
+            # the slope is rejected before the transport run is read
+            with pytest.raises(ValueError):
+                fro.twisted_period_relation(fam, path, slope, None, 1e-6)
 
 
 def test_twisted_closedness_k1(fam_k1_n3, z_k1_n3):
@@ -415,7 +429,7 @@ def test_transport_preserves_singularity(fam_k2_n4, z_k2_n4):
     path = [z_k2_n4, (F(2), F(1), F(-9), F(6)), (F(3), F(-2), F(-8), F(4))]
     space = singular_subspace(fam)
     res = gm.flow_flat_section(fam, path, F(17, 5), space.basis[0], rtol=1e-11)
-    assert space.membership_residual(res.section) < 1e-8
+    assert membership_residual(fam, res.section) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -548,15 +562,8 @@ def _periods_pairing(family, seed):
     periods suite of `check` uses at the given config seed."""
     from arrfrob import cli
 
-    space = singular_subspace(family)
-    return fro.twisted_pairing_invariance(
-        family,
-        cli._usable_path(family, seed + 13),
-        cli._default_kappa(family),
-        space.basis[0],
-        space.basis[min(1, space.dimension - 1)],
-        tol=1e-6,
-    )
+    run, _ = _one_run(family, cli._usable_path(family, seed + 13), cli._default_kappa(family))
+    return fro.twisted_pairing_invariance(family, run, 1e-6)
 
 
 _TINY_WEIGHT = {"k": 1, "n": 3, "b": [[1], [1], [1]], "weights": ["1/1000000", "2", "3"]}
@@ -668,15 +675,15 @@ def test_generator_table_does_not_depend_on_the_anchor(k, n, prime_config):
 
 
 def _period_rows(family, seed):
-    """flat_period_check and twisted_period_relation on the path, slope and
-    section that the periods suite of `check` uses at the given seed."""
+    """flat_period_check and twisted_period_relation on the one transport
+    run that the periods suite of `check` makes at the given seed."""
     from arrfrob import cli
 
     path = cli._usable_path(family, seed + 13)
-    flat = fro.flat_period_check(family, path, tol=1e-6)
-    twisted = fro.twisted_period_relation(
-        family, path, cli._default_kappa(family), singular_subspace(family).basis[0], tol=1e-5
-    )
+    kappa = cli._default_kappa(family)
+    run, v = _one_run(family, path, kappa)
+    flat = fro.flat_period_check(family, path, v, run, 1e-6)
+    twisted = fro.twisted_period_relation(family, path, kappa, run, 1e-5)
     return flat, twisted
 
 
@@ -700,6 +707,13 @@ def _fresh_family(k, n, prime_config):
     return load_family(prime_config(k, n))
 
 
+def _diff_along(expr, directions):
+    """expr differentiated in each direction in turn."""
+    for j in directions:
+        expr = expr.diff(j)
+    return expr
+
+
 def _direction_orders(family, seed, max_order):
     """A few random direction tuples of every order up to max_order, each
     with all of its orderings."""
@@ -716,8 +730,8 @@ def _direction_orders(family, seed, max_order):
 def test_potential_ladder_table_matches_a_fresh_build(k, n, prime_config):
     family = _fresh_family(k, n, prime_config)
     fibers = [sample_good_point(family, seed=s).z for s in range(3)]
-    P = fro.potential_quadratic_expr(family)
-    assert fro.potential_quadratic_expr(family) is P
+    P = fro.potential_quadratic_derivative_expr(family, ())
+    assert fro.potential_quadratic_derivative_expr(family, ()) is P
     for z in fibers:
         assert P.evaluate_exact(z) == fro.potential_first(family, z)
     # a new family and the unshared route: P rebuilt from q, then
@@ -732,7 +746,7 @@ def test_potential_ladder_table_matches_a_fresh_build(k, n, prime_config):
         values = [table.evaluate_exact(z) for z in fibers]
         for dirs in orders:
             assert fro.potential_quadratic_derivative_expr(family, dirs) is table
-            derivative = rebuilt.diff_path(dirs)
+            derivative = _diff_along(rebuilt, dirs)
             assert [derivative.evaluate_exact(z) for z in fibers] == values
 
 
@@ -749,7 +763,7 @@ def test_block_derivative_table_matches_a_fresh_build(k, n, prime_config):
         values = [[e.evaluate_exact(z) for e in table] for z in fibers]
         for dirs in orders:
             assert fro.conformal_block_derivative_exprs(family, dirs) is table
-            fresh = [expr.diff_path(dirs) for expr in exprs]
+            fresh = [_diff_along(expr, dirs) for expr in exprs]
             assert [[e.evaluate_exact(z) for e in fresh] for z in fibers] == values
 
 

@@ -15,7 +15,6 @@ from arrfrob.gaussmanin import (
     check_flatness,
     check_symmetry_and_invariance,
     derivative_sections,
-    discriminant_min,
     fiber_k_operator,
     flatness_certificate,
     flow_flat_section,
@@ -670,10 +669,6 @@ def test_conformal_section_is_flat_under_transport(fam_k1_n3, z_k1_n3):
         start=q0,
     )
     assert max_abs_diff(result.section, q1) < 1e-9
-
-
-def test_discriminant_min(fam_k1_n3, z_k1_n3):
-    assert discriminant_min(fam_k1_n3, z_k1_n3) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

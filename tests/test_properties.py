@@ -17,6 +17,7 @@ from arrfrob.osflag import (
     sort_with_sign,
     v_vector,
 )
+from fiber_oracles import reduced_unit_power
 
 nonzero_weight = st.builds(
     F,
@@ -134,7 +135,7 @@ def test_product_commutative_on_samples(fam, seed):
 @given(fam=k1_families, seed=st.integers(min_value=0, max_value=25))
 def test_identity_routes_agree_everywhere(fam, seed):
     z = sample_good_point(fam, seed=seed).z
-    critalg.identity_element(fam, z, cross_check=True)
+    assert critalg.identity_element(fam, z) == reduced_unit_power(fam, z)
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
