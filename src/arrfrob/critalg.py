@@ -595,11 +595,6 @@ def values_at(family, wvec, points):
     return w_matrix(family, points, subsets) @ coefs
 
 
-def evaluate(family, wvec, point):
-    """Value of a w-span element at a critical point."""
-    return complex(values_at(family, wvec, [point])[0])
-
-
 def evaluation_matrix(family, points, anchor=None):
     """Matrix of anchored basis values at the critical points, with its
     condition number."""

@@ -438,13 +438,6 @@ def _generator_table(family, anchor):
     return idx, table
 
 
-def _generator_sections(family, z, anchor):
-    """Flag coordinates of nu([a_i/f_i]) for every i at a (possibly complex)
-    fiber z, as an (n, dim) array: one monomial vector, one contraction."""
-    idx, table = _generator_table(family, anchor)
-    return table @ np.prod(np.asarray(z)[idx], axis=1)
-
-
 @per_family
 def _flag_weights(family):
     """The weight form prod_{j in T} a_j over the flag positions, complex."""
@@ -462,17 +455,19 @@ PERIOD_RTOL = 1e-10
 def period_transport(family, path, kappa, start_plus, start_minus, v):
     """The one `flow_flat_section` run that every period row reads. It
     carries the slope-kappa section from start_plus, the slope -kappa
-    section from start_minus, and two quadratures, each stage evaluating
-    the generators once: extras[0] of S(v, nu[a_i/f_i]) dz_i and extras[1]
-    of S(I, nu[a_i/f_i]) dz_i for the slope-kappa section I. The generator
-    table does not depend on the anchor, so the default one is used."""
-    anchor = default_anchor(family)
+    section from start_minus, and two quadratures, each step evaluating
+    the generators once at all of its nodes: extras[0] of S(v, nu[a_i/f_i])
+    dz_i and extras[1] of S(I, nu[a_i/f_i]) dz_i for the slope-kappa section
+    I. The generator table is read once per run; it does not depend on the
+    anchor, so the default one is used."""
+    idx, table = _generator_table(family, default_anchor(family))
     weights = _flag_weights(family)
     fixed = gaussmanin.pairing_functional(family, v)
 
     def integrand(s, z, zdot, sections):
-        along = zdot @ _generator_sections(family, z, anchor)
-        return [fixed @ along, sections[0] * weights @ along]
+        # sum_i zdot_i nu[a_i/f_i] at every node: (nodes, dim)
+        along = np.prod(z[..., idx], axis=-1) @ (zdot @ table.transpose(1, 0, 2)).T
+        return along @ fixed, np.sum(sections[..., 0, :] * weights * along, axis=-1)
 
     return gaussmanin.flow_flat_section(
         family, path, (kappa, -kappa), (start_plus, start_minus), rtol=PERIOD_RTOL,

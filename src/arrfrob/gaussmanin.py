@@ -25,13 +25,16 @@ adds the S-symmetry of every L_C and sum_C L_C = |a| on Sing, which is
 the weighted Euler identity sum_j z_j K_j(z) = |a| on Sing at every
 fiber.
 
-`flow_flat_section` is the one transport: an adaptive Dormand-Prince
-integrator of kappa dI = (sum_j K_j dz_j) I along a piecewise-linear path.
-It carries one section, or several of different slopes, with path
-quadratures; each stage forms sum_C (lambda_C . zdot / f_C) L_C once from
-circuit values precomputed per segment. Each section and each quadrature
-has its own error scale. It stops where min_C |f_C| falls below 1e-6 of
-max_C |f_C|, a guard that does not depend on the fiber's units.
+`flow_flat_section` transports flat sections of kappa dI = (sum_j K_j dz_j)
+I, of one or several slopes, with path quadratures, by Taylor steps: each
+f_C is linear on a segment, so sum_C (lambda_C . zdot / f_C) L_C is a
+geometric series and the Taylor coefficients follow a linear recurrence.
+A step ends at 0.9 of the nearest pole, or where the last two terms of any
+coordinate reach rtol of its own size (at least 1e-9 of its section's
+largest); Gauss-Legendre nodes in the step carry the quadratures. Each f_C
+comes closest to 0 on a segment at a point found in closed form, and the
+transport stops if there min_C |f_C| < 1e-6 max_C |f_C|, a guard that does
+not depend on the fiber's units.
 """
 
 from __future__ import annotations
@@ -397,47 +400,43 @@ def check_symmetry_and_invariance(family):
 
 @per_family
 def _circuit_arrays(family):
-    """The circuit forms' z-coefficients and the L_C, flattened to
-    (circuits, dim * dim), as complex arrays."""
+    """The circuit forms' z-coefficients, and the transposed L_C flattened
+    to (circuits, dim * dim), as complex arrays: row C holds L_C^T."""
     circuits = family.circuit_list
     lams = [[complex(c.coefficient(i)) for i in range(1, family.n + 1)] for c in circuits]
     size = len(family.flag_index)
     ops = np.zeros((len(circuits), size * size), dtype=complex)
     for op, c in zip(ops, circuits):
         for p, q, coef in _l_c_entries(family, c.indices):
-            op[p * size + q] = complex(coef)
+            op[q * size + p] = complex(coef)
     return np.array(lams, dtype=complex), ops
 
 
-# Dormand-Prince embedded pair, as float tuples (flow_flat_section makes the
-# arrays). The last row of _DP_A is the fifth-order weights, so the seventh
-# stage, taken at the new state, is the first stage of the next step on the
-# same segment.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = tuple(row + (0.0,) * (7 - len(row)) for row in (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-))
-# fifth-order minus fourth-order weights: the embedded error estimate
-_DP_E = tuple(a - b for a, b in zip(_DP_A[6], (
-    5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40,
-)))
-
-
-# the absolute part of the integrator's error scale, the relative distance
-# to the discriminant at which it stops, and the most steps it takes
-FLOW_ATOL = 1e-12
+# the degree of the Taylor series of each step, the fewest Gauss-Legendre
+# nodes of its quadratures, the floor of a coordinate's size in the tail
+# test relative to its section, the relative distance to the discriminant
+# at which the transport stops, and the most steps it takes
+FLOW_ORDER = 24
+FLOW_NODES = 16
+FLOW_FLOOR = 1e-9
 FLOW_GUARD = 1e-6
 FLOW_MAX_STEPS = 200_000
 
 
+def _gauss_legendre(count):
+    """The count-point Gauss-Legendre rule on [0, 1], by Newton on P_count."""
+    x = np.array([math.cos(math.pi * (i + 0.75) / (count + 0.5)) for i in range(count)])
+    for _ in range(6):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, count + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        slope = count * (x * p1 - p0) / (x * x - 1)
+        x = x - p1 / slope
+    return (1 - x) / 2, 1 / ((1 - x * x) * slope * slope)
+
+
 class FlowResult(SimpleNamespace):
-    """Quadratures (`extras`), step counts (`steps`, `rejected`), the
+    """Quadratures (`extras`), step counts (`steps`; `rejected` is 0), the
     `trajectory`, the sections at each waypoint as (sections, dim) arrays
     (`waypoints`), and the flag `subsets`."""
 
@@ -447,18 +446,36 @@ class FlowResult(SimpleNamespace):
         return osflag.FlagVector.from_coordinates(self.subsets, self.waypoints[-1][0])
 
 
+def _guard_segment(alpha, rate, s0, seg_len, z0, zdot):
+    """Raise if the segment s0 + [0, seg_len] comes within a relative
+    FLOW_GUARD of the discriminant. Each f_C = alpha_C + t rate_C is linear
+    in t, so its closest point to 0 is found in closed form and compared
+    with the largest |f_C'| there."""
+    reach = np.maximum((rate * rate.conj()).real, 1e-300)  # an f_C constant on the segment: t = 0
+    closest = np.minimum(np.maximum(-(alpha * rate.conj()).real / reach, 0), seg_len)
+    sizes = np.abs(alpha[None, :] + closest[:, None] * rate[None, :])
+    near = np.diagonal(sizes) < FLOW_GUARD * sizes.max(axis=1)
+    if near.any():
+        t = closest[np.argmax(near)]
+        raise RuntimeError(
+            f"path within a relative {FLOW_GUARD} of the discriminant at s={s0 + t:.6f}, "
+            f"z={[complex(v) for v in z0 + t * zdot]}"
+        )
+
+
 def flow_flat_section(family, path, kappa, start, *, rtol=1e-10, extras=None, record=False):
     """Transport flat sections along a piecewise-linear path in fiber space,
-    solving kappa dI = (sum_j K_j dz_j) I with adaptive step control.
+    solving kappa dI = (sum_j K_j dz_j) I by Taylor steps of FLOW_ORDER.
 
     kappa and start are one slope and its start vector (a FlagVector or
     coordinates), or equal-length tuples of them carried in one run.
-    extras: callables g(s, z, zdot, I) -> complex or 1-D array, integrated
-    as quadratures; I is the section, or the (sections, dim) array. Each
-    section and quadrature has its own error scale. The integrator aborts
-    if the path comes within FLOW_GUARD of the discriminant, relative to the
-    fiber's own size (min_C |f_C(z)| < FLOW_GUARD * max_C |f_C(z)|), if the
-    step size underflows, or after FLOW_MAX_STEPS steps.
+    extras: callables g(s, z, zdot, I) integrated as quadratures, called once
+    per step on its P Gauss-Legendre nodes: s of shape (P,), z (P, n), I (P,
+    dim) or (P, sections, dim). Each returns a scalar, P values, or an (m,
+    P) array of m quadratures. Each step keeps the last two terms of every
+    coordinate within rtol of its size. The integrator aborts if the path
+    comes within a relative FLOW_GUARD of the discriminant (min_C |f_C| <
+    FLOW_GUARD max_C |f_C|), if the step underflows, or after FLOW_MAX_STEPS.
     """
     several = isinstance(kappa, (tuple, list))
     slopes = np.array(kappa if several else [kappa], dtype=complex).reshape(-1, 1)
@@ -470,93 +487,76 @@ def flow_flat_section(family, path, kappa, start, *, rtol=1e-10, extras=None, re
     if len(waypoints) < 2:
         raise ValueError("path needs at least two fiber points")
     count, dim = len(slopes), len(family.flag_index)
-    size = count * dim
     if len(starts) != count:
         raise ValueError("need one start vector per slope")
     y = np.zeros((count, dim), dtype=complex)
     for row, values in zip(y, starts):
         # reshape raises ValueError on a start of the wrong dimension
         row[:] = np.reshape(np.array(values, dtype=complex), dim)
-    y = y.reshape(size)
     lams, ops = _circuit_arrays(family)
-    dp_a, dp_e = np.array(_DP_A), np.array(_DP_E)
+    order = FLOW_ORDER
+    # column order - j of `series` holds the degree-j coefficients, so the
+    # coefficients of degrees n, ..., 0 are its last n + 1 columns
+    series = np.zeros((count, order + 1, dim), dtype=complex)
+    degrees = np.arange(order, -1, -1)
+    geometric = np.empty((order, len(ops)), dtype=complex)
+    # the truncated period integrand has degree order + k - 1
+    nodes, weights = _gauss_legendre(max(FLOW_NODES, (order + family.k + 1) // 2))
     extras = tuple(extras or ())
-    nodes = [y.reshape(count, dim).copy()]
+    totals = [0.0] * len(extras)
+    ends = [y.copy()]
     nseg = len(waypoints) - 1
-    trajectory = []
-    steps = rejected = 0
-    stages = None
-
-    def block_max(v):  # max |v| of each section and each quadrature
-        a = np.abs(v)
-        return np.concatenate((a[:size].reshape(count, dim).max(axis=1), a[size:]))
-
-    # reads the segment data (z0, step_z, zdot, alpha, beta, rate) of the
-    # segment being integrated
-    def derivative(u, s, state):
-        fvals = alpha + u * beta
-        sizes = np.abs(fvals)
-        z = z0 + u * step_z
-        if sizes.min() < FLOW_GUARD * sizes.max():
-            raise RuntimeError(
-                f"path within a relative {FLOW_GUARD} of the discriminant at s={s:.6f}, "
-                f"z={[complex(v) for v in z]}"
-            )
-        mat = ((rate / fvals) @ ops).reshape(dim, dim)
-        flags = state[:size].reshape(count, dim)
-        parts = [((mat @ flags.T).T / slopes).reshape(size)]
-        sections = flags if several else flags[0]
-        parts.extend(np.atleast_1d(fn(s, z, zdot, sections)) for fn in extras)
-        return np.concatenate(parts)
-
-    if record:
-        trajectory.append(_trajectory_row(0.0, waypoints[0], y[:size]))
+    seg_len = 1 / nseg
+    trajectory = [_trajectory_row(0.0, waypoints[0], y.ravel())] if record else []
+    steps = 0
     for seg in range(nseg):
         z0 = waypoints[seg]
-        step_z = waypoints[seg + 1] - z0
-        zdot = step_z * nseg  # d z / d s with s spanning 1/nseg per segment
-        alpha, beta, rate = lams @ z0, lams @ step_z, lams @ zdot
-        s0, s1 = seg / nseg, (seg + 1) / nseg
-        seg_len = s1 - s0
-        s = s0
-        h = seg_len / 32
-        first = derivative(0.0, s, y)
-        if stages is None:
-            y = np.concatenate((y, np.zeros(len(first) - size, dtype=complex)))
-            stages = np.empty((7, len(y)), dtype=complex)
-        stages[0] = first
-        while s < s1 - 1e-15:
-            h = min(h, s1 - s)
-            if h < seg_len * 1e-13:
-                zc = z0 + (s - s0) * nseg * step_z
-                raise RuntimeError(
-                    f"step size underflow at s={s:.8f}, z={[complex(v) for v in zc]}"
-                )
-            if steps + rejected > FLOW_MAX_STEPS:
+        zdot = (waypoints[seg + 1] - z0) * nseg  # d z / d s, s spanning 1/nseg per segment
+        alpha, rate = lams @ z0, lams @ zdot
+        s0 = seg / nseg
+        _guard_segment(alpha, rate, s0, seg_len, z0, zdot)
+        t = 0.0
+        while t < seg_len - 1e-15:
+            if steps >= FLOW_MAX_STEPS:
                 raise RuntimeError("transport exceeded the step budget")
-            for stage in range(1, 7):
-                ss = s + _DP_C[stage] * h
-                ys = y + (h * dp_a[stage, :stage]) @ stages[:stage]
-                stages[stage] = derivative((ss - s0) * nseg, ss, ys)
-            # ys is now the fifth-order solution at s + h
-            error = block_max(h * (dp_e @ stages))
-            scale = FLOW_ATOL + rtol * np.maximum(block_max(y), block_max(ys))
-            err = np.max(error / scale)
-            if err <= 1.0:
-                s += h
-                y = ys
-                stages[0] = stages[6]
-                steps += 1
-                if record:
-                    zc = z0 + (s - s0) * nseg * step_z
-                    trajectory.append(_trajectory_row(s, zc, y[:size]))
-            else:
-                rejected += 1
-            factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
-            h *= min(5.0, max(0.2, factor))
-        nodes.append(y[:size].reshape(count, dim).copy())
-    return FlowResult(extras=tuple(y[size:]), steps=steps, rejected=rejected,
-                      trajectory=trajectory, waypoints=nodes, subsets=family.flag_index.subsets)
+            # rate_C / f_C(t + h) = sum_m rho_C (-rho_C)^m h^m with rho = rate / f_C(t)
+            rho = rate / (alpha + t * rate)
+            geometric[0], geometric[1:] = rho, -rho
+            blocks = (np.cumprod(geometric, axis=0) @ ops).reshape(order * dim, dim)
+            # (n + 1) kappa I_{n+1} = sum_{m <= n} A_m I_{n-m}, in rows: I A_m^T
+            series[:, order] = y
+            for n in range(order):
+                acc = series[:, order - n:].reshape(count, (n + 1) * dim) @ blocks[:(n + 1) * dim]
+                series[:, order - n - 1] = acc / ((n + 1) * slopes)
+            radius = np.abs(rho).max()
+            tau = min(seg_len - t, 0.9 / radius) if radius else seg_len - t
+            # the terms of degrees order and order - 1 against each coordinate's size
+            mag = np.abs(y)[:, None]
+            size = np.maximum(mag, FLOW_FLOOR * mag.max(axis=2, keepdims=True))
+            tails = np.abs(series[:, :2])
+            worst = (tails / np.maximum(size, 1e-300)).max(axis=(0, 2))  # 0 on a zero section
+            tau = min([tau] + [(rtol / w) ** (1 / j) for j, w in zip((order, order - 1), worst) if w])
+            if tau < seg_len * 1e-13:
+                zc = [complex(v) for v in z0 + t * zdot]
+                raise RuntimeError(f"step size underflow at s={s0 + t:.8f}, z={zc}")
+            if extras:
+                hs = tau * nodes
+                at = (hs[:, None] ** degrees) @ series  # (sections, P, dim)
+                zs = z0 + (t + hs)[:, None] * zdot
+                sections = at.transpose(1, 0, 2) if several else at[0]
+                for i, fn in enumerate(extras):
+                    vals = np.atleast_1d(fn(s0 + t + hs, zs, zdot, sections))
+                    vals = np.broadcast_to(vals, vals.shape[:-1] + hs.shape)
+                    totals[i] = totals[i] + vals @ (tau * weights)
+            y = (tau ** degrees) @ series
+            t = seg_len if tau == seg_len - t else t + tau
+            steps += 1
+            if record:
+                trajectory.append(_trajectory_row(s0 + t, z0 + t * zdot, y.ravel()))
+        ends.append(y.copy())
+    quadratures = tuple(v for total in totals for v in np.atleast_1d(total))
+    return FlowResult(extras=quadratures, steps=steps, rejected=0, trajectory=trajectory,
+                      waypoints=ends, subsets=family.flag_index.subsets)
 
 
 def _trajectory_row(s, z, flag):

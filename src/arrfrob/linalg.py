@@ -164,23 +164,6 @@ def det(rows):
     return result if sign == 1 else -result
 
 
-def solve(a, b):
-    """Exact solution of ``a x = b``; raises ValueError when there is none
-    or it is not unique."""
-    ncols = len(a[0])
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    red, pivots = rref(aug, ncols=ncols)
-    if len(pivots) < ncols:
-        raise ValueError("system is underdetermined or singular")
-    for i in range(len(pivots), len(red)):
-        if red[i][ncols] != 0:
-            raise ValueError("system is inconsistent")
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
-
-
 def inv(a):
     n = len(a)
     aug = [list(row) + ident for row, ident in zip(a, identity(n))]

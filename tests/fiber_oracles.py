@@ -17,12 +17,19 @@ routes, and the contraction relations of the log potential. Then the
 second routes that the program does not take: the unit as a reduced k-th
 power, the compositions and the potential rows through residue sums at the
 critical points, the potential rows of every sorted tuple, the Jacobian of
-q, and the distance of a float vector from the singular subspace."""
+q, and the distance of a float vector from the singular subspace. Last,
+the routes that no code of the program calls: an exact linear solve, the
+value of a w-span element at one critical point, and the adaptive
+Dormand-Prince transport that the Taylor steps of
+`gaussmanin.flow_flat_section` replaced, an independent integrator of the
+same equation with the same path quadratures."""
 
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 
 from arrfrob import critalg
 from arrfrob.core import coords, default_anchor
@@ -36,9 +43,12 @@ from arrfrob.frobenius import (
     potential_log_derivative_expr,
 )
 from arrfrob.gaussmanin import (
+    FlowResult,
     _commutator_rows,
     _integer_sing,
     _integer_weights,
+    _l_c_entries,
+    _trajectory_row,
     apply_matrix,
     fiber_k_operator,
 )
@@ -382,3 +392,177 @@ def membership_residual(family, u):
         ),
         default=0.0,
     )
+
+
+def solve(a, b):
+    """Exact solution of ``a x = b``; raises ValueError when there is none
+    or it is not unique."""
+    ncols = len(a[0])
+    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
+    red, pivots = rref(aug, ncols=ncols)
+    if len(pivots) < ncols:
+        raise ValueError("system is underdetermined or singular")
+    for i in range(len(pivots), len(red)):
+        if red[i][ncols] != 0:
+            raise ValueError("system is inconsistent")
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
+
+
+def evaluate(family, wvec, point):
+    """Value of a w-span element at a critical point."""
+    return complex(critalg.values_at(family, wvec, [point])[0])
+
+
+# ---------------------------------------------------------------------------
+# the Dormand-Prince transport
+
+
+def _dp_circuit_arrays(family):
+    """The circuit forms' z-coefficients and the L_C, flattened to
+    (circuits, dim * dim), as complex arrays."""
+    circuits = family.circuit_list
+    lams = [[complex(c.coefficient(i)) for i in range(1, family.n + 1)] for c in circuits]
+    size = len(family.flag_index)
+    ops = np.zeros((len(circuits), size * size), dtype=complex)
+    for op, c in zip(ops, circuits):
+        for p, q, coef in _l_c_entries(family, c.indices):
+            op[p * size + q] = complex(coef)
+    return np.array(lams, dtype=complex), ops
+
+
+# Dormand-Prince embedded pair, as float tuples (flow_dormand_prince makes the
+# arrays). The last row of _DP_A is the fifth-order weights, so the seventh
+# stage, taken at the new state, is the first stage of the next step on the
+# same segment.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = tuple(row + (0.0,) * (7 - len(row)) for row in (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+))
+# fifth-order minus fourth-order weights: the embedded error estimate
+_DP_E = tuple(a - b for a, b in zip(_DP_A[6], (
+    5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40,
+)))
+
+
+# the absolute part of the integrator's error scale, the relative distance
+# to the discriminant at which it stops, and the most steps it takes
+DP_ATOL = 1e-12
+DP_GUARD = 1e-6
+DP_MAX_STEPS = 200_000
+
+
+def flow_dormand_prince(family, path, kappa, start, *, rtol=1e-10, extras=None, record=False):
+    """`gaussmanin.flow_flat_section` by an adaptive Dormand-Prince
+    integrator: the same arguments and the same FlowResult, but each extra
+    g(s, z, zdot, I) is called at one point, with z of shape (n,) and I the
+    section, or the (sections, dim) array, and returns a complex or a 1-D
+    array. Each section and quadrature has its own error scale. The
+    integrator aborts if a stage comes within DP_GUARD of the discriminant,
+    relative to the fiber's own size, if the step size underflows, or after
+    DP_MAX_STEPS steps."""
+    several = isinstance(kappa, (tuple, list))
+    slopes = np.array(kappa if several else [kappa], dtype=complex).reshape(-1, 1)
+    starts = [v.to_coordinates(family.flag_index) if isinstance(v, FlagVector) else v
+              for v in (start if several else [start])]
+    if not slopes.all():
+        raise ValueError("slope kappa must be nonzero")
+    waypoints = [np.array([complex(v) for v in coords(p)]) for p in path]
+    if len(waypoints) < 2:
+        raise ValueError("path needs at least two fiber points")
+    count, dim = len(slopes), len(family.flag_index)
+    size = count * dim
+    if len(starts) != count:
+        raise ValueError("need one start vector per slope")
+    y = np.zeros((count, dim), dtype=complex)
+    for row, values in zip(y, starts):
+        # reshape raises ValueError on a start of the wrong dimension
+        row[:] = np.reshape(np.array(values, dtype=complex), dim)
+    y = y.reshape(size)
+    lams, ops = _dp_circuit_arrays(family)
+    dp_a, dp_e = np.array(_DP_A), np.array(_DP_E)
+    extras = tuple(extras or ())
+    nodes = [y.reshape(count, dim).copy()]
+    nseg = len(waypoints) - 1
+    trajectory = []
+    steps = rejected = 0
+    stages = None
+
+    def block_max(v):  # max |v| of each section and each quadrature
+        a = np.abs(v)
+        return np.concatenate((a[:size].reshape(count, dim).max(axis=1), a[size:]))
+
+    # reads the segment data (z0, step_z, zdot, alpha, beta, rate) of the
+    # segment being integrated
+    def derivative(u, s, state):
+        fvals = alpha + u * beta
+        sizes = np.abs(fvals)
+        z = z0 + u * step_z
+        if sizes.min() < DP_GUARD * sizes.max():
+            raise RuntimeError(
+                f"path within a relative {DP_GUARD} of the discriminant at s={s:.6f}, "
+                f"z={[complex(v) for v in z]}"
+            )
+        mat = ((rate / fvals) @ ops).reshape(dim, dim)
+        flags = state[:size].reshape(count, dim)
+        parts = [((mat @ flags.T).T / slopes).reshape(size)]
+        sections = flags if several else flags[0]
+        parts.extend(np.atleast_1d(fn(s, z, zdot, sections)) for fn in extras)
+        return np.concatenate(parts)
+
+    if record:
+        trajectory.append(_trajectory_row(0.0, waypoints[0], y[:size]))
+    for seg in range(nseg):
+        z0 = waypoints[seg]
+        step_z = waypoints[seg + 1] - z0
+        zdot = step_z * nseg  # d z / d s with s spanning 1/nseg per segment
+        alpha, beta, rate = lams @ z0, lams @ step_z, lams @ zdot
+        s0, s1 = seg / nseg, (seg + 1) / nseg
+        seg_len = s1 - s0
+        s = s0
+        h = seg_len / 32
+        first = derivative(0.0, s, y)
+        if stages is None:
+            y = np.concatenate((y, np.zeros(len(first) - size, dtype=complex)))
+            stages = np.empty((7, len(y)), dtype=complex)
+        stages[0] = first
+        while s < s1 - 1e-15:
+            h = min(h, s1 - s)
+            if h < seg_len * 1e-13:
+                zc = z0 + (s - s0) * nseg * step_z
+                raise RuntimeError(
+                    f"step size underflow at s={s:.8f}, z={[complex(v) for v in zc]}"
+                )
+            if steps + rejected > DP_MAX_STEPS:
+                raise RuntimeError("transport exceeded the step budget")
+            for stage in range(1, 7):
+                ss = s + _DP_C[stage] * h
+                ys = y + (h * dp_a[stage, :stage]) @ stages[:stage]
+                stages[stage] = derivative((ss - s0) * nseg, ss, ys)
+            # ys is now the fifth-order solution at s + h
+            error = block_max(h * (dp_e @ stages))
+            scale = DP_ATOL + rtol * np.maximum(block_max(y), block_max(ys))
+            err = np.max(error / scale)
+            if err <= 1.0:
+                s += h
+                y = ys
+                stages[0] = stages[6]
+                steps += 1
+                if record:
+                    zc = z0 + (s - s0) * nseg * step_z
+                    trajectory.append(_trajectory_row(s, zc, y[:size]))
+            else:
+                rejected += 1
+            factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
+            h *= min(5.0, max(0.2, factor))
+        nodes.append(y[:size].reshape(count, dim).copy())
+    return FlowResult(extras=tuple(y[size:]), steps=steps, rejected=rejected,
+                      trajectory=trajectory, waypoints=nodes, subsets=family.flag_index.subsets)

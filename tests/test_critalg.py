@@ -13,7 +13,6 @@ from arrfrob.critalg import (
     anchored_subsets,
     canonicalize,
     euler_residual,
-    evaluate,
     evaluation_matrix,
     expected_critical_count,
     f_minor_value,
@@ -27,7 +26,7 @@ from arrfrob.critalg import (
     w_matrix,
 )
 from arrfrob.osflag import CoVector
-from fiber_oracles import reduced_unit_power
+from fiber_oracles import evaluate, reduced_unit_power
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 _ROWS = {

@@ -641,6 +641,13 @@ def _padded_generators(family, anchor):
     return sections
 
 
+def _generator_sections(family, z, anchor):
+    """The float generator table at one (possibly complex) fiber: nu([a_i/f_i])
+    for every i as an (n, dim) array."""
+    idx, table = fro._generator_table(family, anchor)
+    return table @ np.prod(np.asarray(z)[idx], axis=1)
+
+
 @pytest.mark.parametrize("k, n", _TABLE_FAMILIES)
 def test_generator_table_matches_the_monomial_route(k, n, prime_config):
     family = load_family(prime_config(k, n))
@@ -649,7 +656,7 @@ def test_generator_table_matches_the_monomial_route(k, n, prime_config):
     # at complex fibers, where the period path runs, against the padding route
     padded = _padded_generators(family, anchor)
     for z in _complex_fibers(n, 20, seed=10 * k + n):
-        gens = fro._generator_sections(family, z, anchor)
+        gens = _generator_sections(family, z, anchor)
         ref = padded(z)
         assert gens.shape == ref.shape == (n, len(index))
         assert np.max(np.abs(gens - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -657,7 +664,7 @@ def test_generator_table_matches_the_monomial_route(k, n, prime_config):
     # real rational coordinates
     for seed in range(20):
         z = sample_good_point(family, seed=10 * k + n + seed).z
-        gens = fro._generator_sections(family, [complex(v) for v in z], anchor)
+        gens = _generator_sections(family, [complex(v) for v in z], anchor)
         assert gens.shape == (n, len(index))
         for i in range(1, n + 1):
             vec = fro.alpha_structural(family, critalg.monomial_to_w(family, z, (i,), anchor))

@@ -32,6 +32,7 @@ from arrfrob.osflag import (
 
 from fiber_oracles import (
     commutator_residuals,
+    flow_dormand_prince,
     invariance_residual,
     operator_residuals,
     symmetry_residual,
@@ -567,6 +568,16 @@ def test_guard_is_relative_to_the_fiber(prime_config):
         assert max_abs_diff(scaled.section, unit.section) <= 1e-12 * unit.section.norm_inf()
 
 
+def test_guard_trips_inside_a_segment(fam_k1_n3):
+    # both ends lie a distance 1 from the hyperplane z_1 = z_2, a third of
+    # the fiber's size, and the segment passes it at 1e-7 halfway: each f_C
+    # is linear along the segment, so its closest point is found exactly
+    start = v_vector(fam_k1_n3, (1,))
+    gap = 1e-7j
+    with pytest.raises(RuntimeError, match=r"discriminant at s=0\.500000"):
+        flow_flat_section(fam_k1_n3, [(gap, 1, 3), (2 + gap, 1, 3)], kappa=5.0, start=start)
+
+
 def test_flow_needs_two_waypoints(fam_k1_n3, z_k1_n3):
     with pytest.raises(ValueError):
         flow_flat_section(
@@ -626,6 +637,59 @@ def test_sections_carried_together_match_their_own_runs(prime_config):
         assert error <= 1e-8 * np.max(np.abs(reference))
     with pytest.raises(ValueError):
         flow_flat_section(family, path, (17, -17), starts[:1])
+
+
+def _period_run(family, monkeypatch):
+    """The `period_transport` run that `check --suites periods` makes at
+    config seed 1, and the arguments it passed to `flow_flat_section`."""
+    from arrfrob import cli, frobenius
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return flow_flat_section(*args, **kwargs)
+
+    monkeypatch.setattr(gaussmanin, "flow_flat_section", spy)
+    path = cli._usable_path(family, 14)
+    space = singular_subspace(family)
+    plus, minus = space.basis[0], space.basis[min(1, space.dimension - 1)]
+    run = frobenius.period_transport(family, path, cli._default_kappa(family), plus, minus, plus)
+    (call,) = calls
+    return run, call
+
+
+@pytest.mark.parametrize("k, n", [(1, 5), (2, 4), (3, 5), (4, 6)])
+def test_taylor_transport_matches_the_dormand_prince_oracle(k, n, monkeypatch):
+    # the period run against an independent integrator at rtol 1e-13: each
+    # section at every waypoint, and each quadrature against the integral of
+    # the size of its integrand, whose terms cancel
+    family = _prime_family(k, n)
+    run, (args, kwargs) = _period_run(family, monkeypatch)
+    reference = flow_dormand_prince(*args, **dict(kwargs, rtol=1e-13))
+    for got, ref in zip(run.waypoints, reference.waypoints, strict=True):
+        for got_b, ref_b in zip(got, ref, strict=True):
+            assert np.max(np.abs(got_b - ref_b)) <= 1e-9 * np.max(np.abs(ref_b))
+    (integrand,) = kwargs["extras"]
+    sizes = flow_flat_section(*args, extras=[lambda *point: np.abs(integrand(*point))]).extras
+    for got, ref, size in zip(run.extras, reference.extras, sizes, strict=True):
+        assert abs(got - ref) <= 1e-9 * size
+    if (k, n) == (1, 5):
+        assert run.steps <= 60 and run.rejected == 0
+
+
+def test_taylor_error_falls_with_rtol(prime_config):
+    from arrfrob import cli
+
+    family = load_family(prime_config(2, 4))
+    path = cli._usable_path(family, 14)
+    start = singular_subspace(family).basis[0]
+    reference = flow_dormand_prince(family, path, 17, start, rtol=1e-13).waypoints[-1][0]
+    errors = []
+    for rtol in (1e-8, 1e-12):
+        end = flow_flat_section(family, path, 17, start, rtol=rtol).waypoints[-1][0]
+        errors.append(np.max(np.abs(end - reference)) / np.max(np.abs(reference)))
+    assert errors[1] < 1e-2 * errors[0]
 
 
 def test_trajectory_format(fam_k1_n3, z_k1_n3):
