@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, wraps
 
 from . import linalg
-from .linforms import FormTable
+from .linforms import FiberTables, FormTable
 
 
 class ConfigError(ValueError):
@@ -133,7 +133,7 @@ class ArrangementFamily(Frozen):
 
     @cached_property
     def _fibers(self):
-        return {}
+        return FiberTables()
 
     @cached_property
     def forms(self):
@@ -146,7 +146,7 @@ class ArrangementFamily(Frozen):
         """The one dict that holds every exact table of the fiber z: the
         integer K_j(z), the values of the interned forms, the circuit
         values and the multiplication tables of the algebra."""
-        return self._fibers.setdefault(coords(z), {})
+        return self._fibers.entry(coords(z))
 
     def release_fibers(self):
         """Free the tables of every fiber (`fiber_entry`) and keep the

@@ -14,7 +14,7 @@ structure to diagonal strata for one-dimensional arrangements. The product
 of singular vectors is the algebra product carried through nu,
 v_S * v_T = nu(w_S w_T), so no check inverts nu: the strata restriction
 multiplies the quotient's w_T and compares the image with closed-form
-block sums of v_j * v_i = b_j K_j v_i.
+block sums of v_j * v_i = b_j K_j v_i, formed as integer rows.
 
 Tables that do not depend on the fiber are built once per family
 (`core.per_family`): the coordinates of q and their derivatives, the
@@ -652,40 +652,60 @@ def embed_flag(blocks, qvec):
     return out
 
 
+@per_family
+def _k1_v_rows(family):
+    """v_1, ..., v_n of a one-dimensional arrangement as one-row
+    IntegerMatrixes over the flag positions."""
+    index = family.flag_index
+    return tuple(
+        linalg._integer_rows([osflag.v_vector(family, (i,)).to_coordinates(index)])
+        for i in range(1, family.n + 1)
+    )
+
+
 def _k1_kj_on_vi(family, z, j, i):
-    """Closed form K_j v_i for distinct indices of a one-dimensional
-    arrangement, valid whenever f_{(j,i)}(z) is nonzero."""
+    """Closed form K_j v_i = (b_i / f_{(j,i)}(z)) (a_j v_i - a_i v_j) for
+    distinct indices of a one-dimensional arrangement, valid whenever
+    f_{(j,i)}(z) is nonzero, as a one-row IntegerMatrix over the flag
+    positions."""
     zz = coords(z)
     denom = critalg.f_minor_value(family, zz, (j, i))
     if denom == 0:
         raise ValueError(f"stratum fiber degenerates the pair ({j}, {i})")
     scale = family.b[i - 1][0] / denom
-    return (
-        osflag.v_vector(family, (i,)) * (scale * family.a[j - 1])
-        - osflag.v_vector(family, (j,)) * (scale * family.a[i - 1])
+    rows = _k1_v_rows(family)
+    left, right = scale * family.a[j - 1], -scale * family.a[i - 1]
+    return linalg._integer_sum(
+        [
+            (left.numerator, left.denominator, rows[i - 1]),
+            (right.numerator, right.denominator, rows[j - 1]),
+        ]
     )
 
 
 def _block_sums(family, blocks, z):
     """The block sums at the stratum fiber z of K_j v_i and of the product
     v_j * v_i = b_j K_j v_i, over j in block ell and i in block m, keyed by
-    (ell, m); each K_j v_i is built once. Within one block these terms have
-    poles on the stratum, but v_1 + ... + v_n = 0, so the sums of (ell, ell)
-    are minus those of (ell, m) over every other block m."""
+    (ell, m), as one-row IntegerMatrixes over the flag positions; each
+    K_j v_i is built once. Within one block these terms have poles on the
+    stratum, but v_1 + ... + v_n = 0, so the sums of (ell, ell) are minus
+    those of (ell, m) over every other block m."""
     count = len(blocks)
     k_sums, products = {}, {}
     for ell, m in itertools.permutations(range(1, count + 1), 2):
-        k_sum = product = osflag.FlagVector()
+        k_terms, product_terms = [], []
         for j in blocks[ell - 1]:
+            slope = family.b[j - 1][0]
             for i in blocks[m - 1]:
                 term = _k1_kj_on_vi(family, z, j, i)
-                k_sum = k_sum + term
-                product = product + term * family.b[j - 1][0]
-        k_sums[ell, m], products[ell, m] = k_sum, product
+                k_terms.append((1, 1, term))
+                product_terms.append((slope.numerator, slope.denominator, term))
+        k_sums[ell, m] = linalg._integer_sum(k_terms)
+        products[ell, m] = linalg._integer_sum(product_terms)
     for sums in (k_sums, products):
         for ell in range(1, count + 1):
-            sums[ell, ell] = -sum(
-                (sums[ell, m] for m in range(1, count + 1) if m != ell), osflag.FlagVector()
+            sums[ell, ell] = linalg._integer_sum(
+                [(-1, 1, sums[ell, m]) for m in range(1, count + 1) if m != ell]
             )
     return k_sums, products
 
@@ -741,16 +761,21 @@ def strata_restriction_k1(family, partition, x):
     # block sums of connection operators and of products, the quotient's
     # products through the genuine algebra: nu(w_ell * w_m) = v_ell * v_m
     k_sums, products = _block_sums(family, blocks, z)
+
+    def embedded(qvec):
+        vec = embed_flag(blocks, qvec)
+        return linalg._integer_rows([vec.to_coordinates(family.flag_index)])
+
     k_ok = product_ok = True
     for ell in range(1, quotient.n + 1):
         mat = gaussmanin.k_operator(quotient, xx, ell)
         w_ell = osflag.CoVector.basis((ell,))
         for m in range(1, quotient.n + 1):
             image = gaussmanin.apply_matrix(quotient, mat, osflag.v_vector(quotient, (m,)))
-            k_ok = k_ok and embed_flag(blocks, image) == k_sums[ell, m]
+            k_ok = k_ok and embedded(image) == k_sums[ell, m]
             product = critalg.multiply(quotient, xx, w_ell, osflag.CoVector.basis((m,)))
-            product = embed_flag(blocks, alpha_structural(quotient, product))
-            product_ok = product_ok and product == products[ell, m]
+            product = alpha_structural(quotient, product)
+            product_ok = product_ok and embedded(product) == products[ell, m]
     report["connection_restriction_exact"] = k_ok
     report["product_restriction_exact"] = product_ok
 

@@ -182,7 +182,7 @@ def _integer_sing(family):
     ({position: numerator}, denominator) pairs."""
     space = osflag.singular_subspace(family)
     basis = tuple(_integer_vector(v.to_coordinates(family.flag_index)) for v in space.basis)
-    return basis, tuple(_integer_vector(row) for row in space.conditions)
+    return basis, space.integer_conditions
 
 
 def _sparse_product(left, right):

@@ -1,11 +1,17 @@
-"""Exact linear algebra over ``fractions.Fraction``.
+"""Exact linear algebra on rational matrices, computed in integers.
 
-Matrices are plain lists of row lists. Everything here stays exact; float
-and complex work elsewhere goes through numpy, as the handle ``np`` defined
-here. Dimensions in this package are tiny (at most a few hundred rows), so
-Gauss-Jordan is plenty. The per-fiber tables (K_j(z) in `gaussmanin`, the
-critical algebra in `critalg`) are `IntegerMatrix`es, so exact checks on
-them use integers.
+Matrices are plain lists of row lists of rationals (Fraction or int).
+Everything here stays exact; float and complex work elsewhere goes
+through numpy, as the handle ``np`` defined here. Dimensions in this
+package are tiny (at most a few hundred rows), so Gauss-Jordan is plenty.
+The elimination is fraction-free: each input row is cleared of
+denominators, each row update is an integer combination divided by the
+gcd of the new row, and the determinant follows Bareiss (Math. Comp. 22,
+1968). The results are converted to Fraction once, at the end; the
+reduced row echelon form, the determinant and the inverse are unique, so
+they are the rationals that Fraction arithmetic gives. The per-fiber
+tables (K_j(z) in `gaussmanin`, the critical algebra in `critalg`) are
+`IntegerMatrix`es, so exact checks on them use integers too.
 """
 
 from __future__ import annotations
@@ -86,41 +92,87 @@ def mat_mul(a, b):
     ]
 
 
+def _cleared(row):
+    """A rational row as integers: (numerators over the lcm of its
+    denominators, divided by their gcd; the rational by which the row was
+    multiplied, as a (numerator, denominator) pair)."""
+    den = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = math.gcd(*ints) or 1
+    return [x // g for x in ints], (den, g)
+
+
+def _gauss_jordan(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination over the first ``ncols``
+    columns, with the pivot choice and row order of the rational algorithm
+    (first nonzero entry at or below the current row).
+
+    Returns ``(m, pivots, scales)``: m holds integer rows, each an integer
+    multiple of the matching row of the reduced row echelon form. Row r <
+    len(pivots) is that row times its pivot entry m[r][pivots[r]]; every
+    later row is it times scales[r], a (numerator, denominator) pair. Each
+    update divides the new row by the gcd of its entries, so the integers
+    stay as small as the rows allow.
+    """
+    m, scales = [], []
+    for row in rows:
+        ints, scale = _cleared(row)
+        m.append(ints)
+        scales.append(scale)
+    pivots = []
+    r, nrows = 0, len(m)
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        scales[r], scales[pivot] = scales[pivot], scales[r]
+        prow = m[r]
+        p = prow[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                new = [p * x - f * y for x, y in zip(m[i], prow)]
+                g = math.gcd(*new)
+                if g > 1:
+                    new = [x // g for x in new]
+                else:
+                    g = 1  # a row that became zero keeps any scale
+                m[i] = new
+                num, den = scales[i]
+                scales[i] = (num * p, den * g)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots, scales
+
+
 def rref(rows, ncols=None):
     """Reduced row echelon form over the first ``ncols`` columns.
 
     Returns ``(reduced_rows, pivot_columns)``. Columns past ``ncols`` ride
     along (used for augmented systems).
     """
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
+    if not rows:
+        return [], []
     if ncols is None:
-        ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv_p = Fraction(1) / m[r][c]
-        m[r] = [x * inv_p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+        ncols = len(rows[0])
+    m, pivots, scales = _gauss_jordan(rows, ncols)
+    out = []
+    for r, row in enumerate(m):
+        if r < len(pivots):
+            num, den = row[pivots[r]], 1
+        else:
+            num, den = scales[r]
+        out.append([Fraction(x * den, num) for x in row])
+    return out, pivots
 
 
 def rank(rows):
     if not rows:
         return 0
-    return len(rref(rows)[1])
+    return len(_gauss_jordan(rows, len(rows[0]))[1])
 
 
 def nullspace(rows, ncols):
@@ -130,47 +182,53 @@ def nullspace(rows, ncols):
     An empty row list yields the standard basis.
     """
     if rows:
-        red, pivots = rref(rows, ncols)
+        m, pivots, _ = _gauss_jordan(rows, ncols)
     else:
-        red, pivots = [], []
+        m, pivots = [], []
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+            v[pc] = Fraction(-m[r][fc], m[r][pc])
         basis.append(v)
     return basis
 
 
 def det(rows):
+    """Determinant by Bareiss's fraction-free elimination: after step c
+    every entry below and right of the pivot is a (c+1) x (c+1) minor of
+    the cleared matrix, so each division by the previous pivot is exact."""
     n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    result = Fraction(1)
+    m, num, den = [], 1, 1
+    for row in rows:
+        ints, (mult, g) = _cleared(row)
+        m.append(ints)
+        num, den = num * g, den * mult
+    sign, prev = 1, 1
     for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != c:
             m[c], m[pivot] = m[pivot], m[c]
             sign = -sign
-        result *= m[c][c]
-        inv_p = Fraction(1) / m[c][c]
+        prow = m[c]
+        p = prow[c]
         for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv_p
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result if sign == 1 else -result
+            f = m[i][c]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], prow)]
+        prev = p
+    return Fraction(sign * prev * num, den)
 
 
 def inv(a):
     n = len(a)
-    aug = [list(row) + ident for row, ident in zip(a, identity(n))]
-    red, pivots = rref(aug, ncols=n)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    m, pivots, _ = _gauss_jordan(aug, n)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [[Fraction(x, row[r]) for x in row[n:]] for r, row in enumerate(m)]
 
 
 class IntegerMatrix(NamedTuple):

@@ -10,6 +10,17 @@ logarithm. The family is closed under z-differentiation, which is the whole
 point: repeated derivatives of f^(2k) log f eventually cancel every log
 coefficient, after which evaluation is exact rational arithmetic.
 
+The arithmetic is in integers. An expression keeps its coefficients as
+integer numerators over one positive denominator, with no common factor,
+so adding, scaling and multiplying expressions multiply and add ints. A
+form is kept both as its Fraction coefficients and as integer numerators
+over one denominator; `diff` multiplies by those numerators and puts the
+result over the expression's denominator times the lcm of the forms'
+denominators.
+A log factor keeps its form as it is, scale included: log(s g) and
+log g differ by the constant log s, so a form is never replaced by a
+primitive integer multiple of it.
+
 Linear forms are interned: a `FormTable` gives each distinct coefficient
 tuple a small int id, and a term key holds only those ids and exponents, so
 building and differentiating expressions never hashes a rational. Every
@@ -17,10 +28,10 @@ expression carries the table its ids refer to; a family owns one table
 (`ArrangementFamily.forms`) shared by all of its expressions, and
 expressions over two tables combine by re-interning the other side's forms.
 The values of a table's forms at an exact fiber are computed once per
-fiber and kept in that fiber's entry of the owner's per-fiber tables
-(`ArrangementFamily.release_fibers` frees them); `evaluate_exact` reads
-them there and sums the terms in integer arithmetic over a common
-denominator.
+fiber and kept in that fiber's entry of the owner's per-fiber tables (a
+`FiberTables`; `ArrangementFamily.release_fibers` frees them);
+`evaluate_exact` reads them there and sums the terms in integer
+arithmetic over a common denominator.
 """
 
 from __future__ import annotations
@@ -46,21 +57,52 @@ def _is_rational(values):
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
+class FiberTables(dict):
+    """Exact fiber (a coordinate tuple) -> the dict of that fiber's tables.
+
+    Hashing a fiber hashes its Fractions, and each of those hashes takes a
+    modular inverse. The checks of a run look one fiber up many times in a
+    row, with one coordinate tuple, so the entry of the last fiber looked
+    up is kept with that tuple and found again by identity."""
+
+    __slots__ = ("_last",)
+
+    def __init__(self):
+        super().__init__()
+        self._last = (None, None)
+
+    def entry(self, zz):
+        last, entry = self._last
+        if last is not zz:
+            entry = self.setdefault(zz, {})
+            self._last = (zz, entry)
+        return entry
+
+    def clear(self):
+        super().clear()
+        self._last = (None, None)
+
+
 class FormTable:
     """Interned linear forms: id -> coefficient tuple, and their values at
     exact fibers.
 
-    `fibers` maps an exact fiber to the dict of its per-fiber tables; the
-    values of this table's forms go there under the key `FormTable`, so
-    the owner of `fibers` frees them with the rest of the fiber. A table
-    made without one keeps its own."""
+    Each form is kept as its Fraction coefficients and as integer
+    numerators over one denominator, which `LinExpr.diff` reads with the
+    lcm of those denominators. `fibers`
+    (a `FiberTables`) maps an exact fiber to the dict of its per-fiber
+    tables; the values of this table's forms go there under the key
+    `FormTable`, so the owner of `fibers` frees them with the rest of the
+    fiber. A table made without one keeps its own."""
 
-    __slots__ = ("_forms", "_ids", "_fibers")
+    __slots__ = ("_forms", "_ints", "_den", "_ids", "_fibers")
 
     def __init__(self, fibers=None):
         self._forms = []
+        self._ints = []
+        self._den = 1  # lcm of the denominators of the interned forms
         self._ids = {}
-        self._fibers = {} if fibers is None else fibers
+        self._fibers = FiberTables() if fibers is None else fibers
 
     def __len__(self):
         return len(self._forms)
@@ -76,13 +118,16 @@ class FormTable:
         except KeyError:
             form_id = self._ids[form] = len(self._forms)
             self._forms.append(form)
+            den = math.lcm(*(c.denominator for c in form))
+            self._ints.append((tuple(c.numerator * (den // c.denominator) for c in form), den))
+            self._den = math.lcm(self._den, den)
             return form_id
 
     def values(self, zz):
         """(numerator, denominator) of every interned form at the rational
         fiber zz, each form evaluated once per fiber; forms interned after
         the fiber's list was built are appended to it."""
-        entry = self._fibers.setdefault(zz, {})
+        entry = self._fibers.entry(zz)
         values = entry.get(FormTable)
         if values is None:
             values = entry[FormTable] = []
@@ -96,18 +141,52 @@ def _sorted_powers(powers):
     return tuple(sorted((f, e) for f, e in powers.items() if e))
 
 
+def _add_to(nums, key, value):
+    new = nums.get(key, 0) + value
+    if new:
+        nums[key] = new
+    else:
+        nums.pop(key, None)
+
+
+def _reduced(nums, den, forms):
+    """LinExpr of integer numerators over den > 0, with the gcd of den and
+    every numerator divided out."""
+    g = math.gcd(den, *nums.values())
+    if g != 1:
+        nums = {key: v // g for key, v in nums.items()}
+        den //= g
+    out = LinExpr(forms=forms)
+    out._nums, out.den = nums, den
+    return out
+
+
 class LinExpr:
     """Sum of rational multiples of monomials in linear forms, each term
-    optionally multiplied by the log of one linear form."""
+    optionally multiplied by the log of one linear form.
 
-    __slots__ = ("terms", "forms")
+    The coefficients are integer numerators over one positive denominator
+    `den` per expression, with no common factor, so every operation on
+    them is integer arithmetic. A term key is (powers, logform): powers a
+    tuple of (form id, exponent) sorted on the id and logform a form id or
+    None; the ids refer to `forms`, which is None only while every term is
+    a constant."""
+
+    __slots__ = ("_nums", "den", "forms")
 
     def __init__(self, terms=None, forms=None):
-        # key: (powers, logform) with powers a tuple of (form id, exp)
-        # sorted on the id and logform a form id or None; the ids refer to
-        # `forms`, which is None only while every term is a constant
-        self.terms = dict(terms) if terms else {}
+        # terms: term key -> rational coefficient
+        coefs = {key: Fraction(c) for key, c in terms.items() if c} if terms else {}
+        self.den = math.lcm(*(c.denominator for c in coefs.values()))
+        self._nums = {
+            key: c.numerator * (self.den // c.denominator) for key, c in coefs.items()
+        }
         self.forms = forms
+
+    @property
+    def terms(self):
+        """Term key -> rational coefficient."""
+        return {key: Fraction(num, self.den) for key, num in self._nums.items()}
 
     @classmethod
     def zero(cls):
@@ -120,39 +199,26 @@ class LinExpr:
         None)."""
         if forms is None:
             forms = FormTable()
-        out = cls(forms=forms)
         clean = {}
         for form, exp in dict(powers).items():
             if exp:
                 fid = forms.intern(form)
                 clean[fid] = clean.get(fid, 0) + exp
         logform = forms.intern(log_form) if log_form else None
-        out._accumulate(_sorted_powers(clean), logform, Fraction(coef))
-        return out
-
-    def _accumulate(self, powers, logform, coef):
-        if coef == 0:
-            return
-        key = (powers, logform)
-        old = self.terms.get(key)
-        new = coef if old is None else old + coef
-        if new == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
+        return cls({(_sorted_powers(clean), logform): coef}, forms)
 
     def _aligned(self, other):
         """The table of a result combining self and other, and other's
-        terms keyed in it: other's forms are interned into self's table
-        when the two differ."""
+        numerators keyed in it: other's forms are interned into self's
+        table when the two differ."""
         mine, theirs = self.forms, other.forms
         if theirs is None or theirs is mine:
-            return mine, other.terms
+            return mine, other._nums
         if mine is None:
-            return theirs, other.terms
+            return theirs, other._nums
         ids = {}
-        terms = {}
-        for (powers, logform), coef in other.terms.items():
+        nums = {}
+        for (powers, logform), num in other._nums.items():
             moved = {}
             for fid, exp in powers:
                 if fid not in ids:
@@ -162,60 +228,66 @@ class LinExpr:
                 if logform not in ids:
                     ids[logform] = mine.intern(theirs[logform])
                 logform = ids[logform]
-            terms[_sorted_powers(moved), logform] = coef
-        return mine, terms
+            nums[_sorted_powers(moved), logform] = num
+        return mine, nums
 
     def is_zero(self):
-        return not self.terms
+        return not self._nums
 
     def has_log(self):
-        return any(logform is not None for (_, logform) in self.terms)
+        return any(logform is not None for (_, logform) in self._nums)
 
     def __add__(self, other):
-        forms, terms = self._aligned(other)
-        out = LinExpr(self.terms, forms)
-        for (powers, logform), coef in terms.items():
-            out._accumulate(powers, logform, coef)
-        return out
+        forms, theirs = self._aligned(other)
+        den = math.lcm(self.den, other.den)
+        mine_mult, their_mult = den // self.den, den // other.den
+        nums = {key: v * mine_mult for key, v in self._nums.items()}
+        for key, v in theirs.items():
+            _add_to(nums, key, v * their_mult)
+        return _reduced(nums, den, forms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LinExpr({key: -c for key, c in self.terms.items()}, self.forms)
+        return _reduced({key: -v for key, v in self._nums.items()}, self.den, self.forms)
 
     def scale(self, scalar):
         scalar = Fraction(scalar)
         if scalar == 0:
             return LinExpr(forms=self.forms)
-        return LinExpr({key: c * scalar for key, c in self.terms.items()}, self.forms)
+        p = scalar.numerator
+        nums = {key: v * p for key, v in self._nums.items()}
+        return _reduced(nums, self.den * scalar.denominator, self.forms)
 
     def __mul__(self, other):
         if isinstance(other, LinExpr):
-            forms, other_terms = self._aligned(other)
-            out = LinExpr(forms=forms)
-            for (p1, l1), c1 in self.terms.items():
-                for (p2, l2), c2 in other_terms.items():
+            forms, theirs = self._aligned(other)
+            nums = {}
+            for (p1, l1), c1 in self._nums.items():
+                for (p2, l2), c2 in theirs.items():
                     if l1 is not None and l2 is not None:
                         raise ValueError("product would carry two log factors")
                     merged = dict(p1)
                     for fid, exp in p2:
                         merged[fid] = merged.get(fid, 0) + exp
-                    out._accumulate(
-                        _sorted_powers(merged), l1 if l1 is not None else l2, c1 * c2
-                    )
-            return out
+                    key = (_sorted_powers(merged), l1 if l1 is not None else l2)
+                    _add_to(nums, key, c1 * c2)
+            return _reduced(nums, self.den * other.den, forms)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def diff(self, j):
-        """Derivative in z_j (1-based)."""
-        out = LinExpr(forms=self.forms)
-        forms = self.forms._forms if self.forms is not None else ()
-        for (powers, logform), coef in self.terms.items():
+        """Derivative in z_j (1-based), in integers: the slope of a form is
+        its integer numerator over its denominator, and the new terms go
+        over den times the lcm of the table's form denominators."""
+        nums = {}
+        ints, lcm = (self.forms._ints, self.forms._den) if self.forms is not None else ((), 1)
+        for (powers, logform), num in self._nums.items():
             for idx, (fid, exp) in enumerate(powers):
-                slope = forms[fid][j - 1]
+                coeffs, den = ints[fid]
+                slope = coeffs[j - 1]
                 if not slope:
                     continue
                 rest = list(powers)
@@ -223,14 +295,15 @@ class LinExpr:
                     rest.pop(idx)
                 else:
                     rest[idx] = (fid, exp - 1)
-                out._accumulate(tuple(rest), logform, coef * exp * slope)
+                _add_to(nums, (tuple(rest), logform), num * exp * slope * (lcm // den))
             if logform is not None:
-                slope = forms[logform][j - 1]
+                coeffs, den = ints[logform]
+                slope = coeffs[j - 1]
                 if slope:
                     merged = dict(powers)
                     merged[logform] = merged.get(logform, 0) - 1
-                    out._accumulate(_sorted_powers(merged), None, coef * slope)
-        return out
+                    _add_to(nums, (_sorted_powers(merged), None), num * slope * (lcm // den))
+        return _reduced(nums, self.den * lcm, self.forms)
 
     def evaluate(self, z):
         """Value at z; exact Fraction when no log factor survives and z is
@@ -246,8 +319,9 @@ class LinExpr:
             return values[fid]
 
         total = complex(0)
-        for (powers, logform), coef in self.terms.items():
-            value = complex(coef)
+        den = self.den
+        for (powers, logform), num in self._nums.items():
+            value = complex(num / den)
             for fid, exp in powers:
                 value *= value_of(fid) ** exp
             if logform is not None:
@@ -264,8 +338,8 @@ class LinExpr:
             raise ValueError("expression still carries a log factor")
         values = self.forms.values(tuple(z)) if self.forms is not None else ()
         total_num, total_den = 0, 1
-        for (powers, _), coef in self.terms.items():
-            num, den = coef.numerator, coef.denominator
+        for (powers, _), num in self._nums.items():
+            den = 1
             for fid, exp in powers:
                 vnum, vden = values[fid]
                 if exp > 0:
@@ -282,7 +356,7 @@ class LinExpr:
                 common = math.lcm(total_den, den)
                 total_num = total_num * (common // total_den) + num * (common // den)
                 total_den = common
-        return Fraction(total_num, total_den)
+        return Fraction(total_num, total_den * self.den)
 
     def __repr__(self):
-        return f"LinExpr({len(self.terms)} terms)"
+        return f"LinExpr({len(self._nums)} terms)"

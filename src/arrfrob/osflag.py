@@ -192,6 +192,8 @@ class SingularSubspace:
                 row[index.position(key)] += family.a[j - 1] * sign
             conditions.append(row)
         self.conditions = conditions
+        # the same conditions as ({position: numerator}, denominator) pairs
+        self.integer_conditions = tuple(linalg._integer_vector(row) for row in conditions)
         kernel = linalg.nullspace(conditions, len(index))
         self.basis = tuple(
             FlagVector.from_coordinates(index.subsets, vec) for vec in kernel
@@ -210,12 +212,15 @@ class SingularSubspace:
         return len(self.basis)
 
     def contains(self, u):
-        """Whether u meets every singular condition exactly."""
-        index = self.family.flag_index
-        return all(
-            sum(row[index.position(key)] * val for key, val in u.coeffs.items()) == 0
-            for row in self.conditions
-        )
+        """Whether u meets every singular condition exactly: u over the lcm
+        of its denominators against the conditions as integer rows."""
+        position = self.family.flag_index.position
+        den = math.lcm(*(val.denominator for val in u.coeffs.values()))
+        values = {
+            position(key): val.numerator * (den // val.denominator)
+            for key, val in u.coeffs.items()
+        }
+        return not any(linalg._dot(row, values) for row, _ in self.integer_conditions)
 
     def coordinates(self, u):
         """Coefficients of u in the singular basis (u must lie in the span)."""

@@ -19,10 +19,11 @@ power, the compositions and the potential rows through residue sums at the
 critical points, the potential rows of every sorted tuple, the Jacobian of
 q, and the distance of a float vector from the singular subspace. Last,
 the routes that no code of the program calls: an exact linear solve, the
-value of a w-span element at one critical point, and the adaptive
-Dormand-Prince transport that the Taylor steps of
-`gaussmanin.flow_flat_section` replaced, an independent integrator of the
-same equation with the same path quadratures."""
+value of a w-span element at one critical point, the Gauss-Jordan
+elimination in Fraction arithmetic that the fraction-free kernel of
+`linalg` replaced, and the adaptive Dormand-Prince transport that the
+Taylor steps of `gaussmanin.flow_flat_section` replaced, an independent
+integrator of the same equation with the same path quadratures."""
 
 import itertools
 import math
@@ -185,7 +186,9 @@ def multiplication_k1_closed(family, z, i, j):
     if family.k != 1:
         raise ValueError("closed form is for k = 1")
     if i != j:
-        return _k1_kj_on_vi(family, z, i, j) * family.b[i - 1][0]
+        term = _k1_kj_on_vi(family, z, i, j)
+        values = [Fraction(term.rows[0].get(p, 0), term.den) for p in range(family.n)]
+        return FlagVector.from_coordinates(family.flag_index, values) * family.b[i - 1][0]
     out = FlagVector()
     for s in range(1, family.n + 1):
         if s != i:
@@ -414,6 +417,92 @@ def solve(a, b):
 def evaluate(family, wvec, point):
     """Value of a w-span element at a critical point."""
     return complex(critalg.values_at(family, wvec, [point])[0])
+
+
+# ---------------------------------------------------------------------------
+# the rational Gauss-Jordan elimination
+
+
+def fraction_rref(rows, ncols=None):
+    """Reduced row echelon form over the first ``ncols`` columns, in
+    Fraction arithmetic: the elimination that the fraction-free kernel of
+    `linalg` replaced, with the same pivot choice and row order."""
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    if ncols is None:
+        ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv_p = Fraction(1) / m[r][c]
+        m[r] = [x * inv_p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def fraction_rank(rows):
+    if not rows:
+        return 0
+    return len(fraction_rref(rows)[1])
+
+
+def fraction_nullspace(rows, ncols):
+    if rows:
+        red, pivots = fraction_rref(rows, ncols)
+    else:
+        red, pivots = [], []
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def fraction_det(rows):
+    n = len(rows)
+    m = [list(r) for r in rows]
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            sign = -sign
+        result *= m[c][c]
+        inv_p = Fraction(1) / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv_p
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return result if sign == 1 else -result
+
+
+def fraction_inv(a):
+    n = len(a)
+    aug = [
+        list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)
+    ]
+    red, pivots = fraction_rref(aug, ncols=n)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
 
 
 # ---------------------------------------------------------------------------

@@ -989,6 +989,56 @@ def test_period_and_critical_reports_are_pinned(suite, k, n, tmp_path, prime_con
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _SUITE_SHA256[suite, k, n]
 
 
+# sha256 of reports pinned before the exact kernel (`linalg` elimination,
+# `LinExpr` coefficients, the singular conditions and the strata block
+# sums) moved from Fraction to integer arithmetic: the `exact` workload's
+# suites on k3n6, `basis,canonical` on k1n10, and the exact suites on a
+# k = 2 family whose slopes and weights are not integers.
+_KERNEL_FAMILIES = {
+    "k3n6": (
+        {
+            "k": 3,
+            "n": 6,
+            "b": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 4], [1, 3, 9]],
+            "weights": ["2", "3", "5", "7", "11", "13"],
+        },
+        _EXACT_SUITES,
+    ),
+    "k1n10": (
+        {
+            "k": 1,
+            "n": 10,
+            "b": [[1]] * 10,
+            "weights": [str(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)],
+        },
+        "basis,canonical",
+    ),
+    "k2n4-rational": (
+        {
+            "k": 2,
+            "n": 4,
+            "b": [["1/2", "0"], ["0", "3"], ["1", "1/3"], ["2/5", "-7/4"]],
+            "weights": ["3/2", "-5", "7/3", "11"],
+        },
+        _EXACT_SUITES,
+    ),
+}
+_KERNEL_SHA256 = {
+    "k3n6": "26be6e7c9c0f8af99b3b353ee2d947872cc739fd9bb2f3427ae0d4c773da074d",
+    "k1n10": "0c7706a24ab41feac60e1b4e898c980001d252badce1eddc17f148791d4942d3",
+    "k2n4-rational": "0c2adb7d0e7dfed24af47669fcd9eed1d92c661f5e8b4aef52379b0cb410a371",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_SHA256))
+def test_exact_kernel_reports_are_pinned(name, tmp_path):
+    payload, suites = _KERNEL_FAMILIES[name]
+    out = tmp_path / "report.json"
+    cfg = _write_config(tmp_path, dict(payload, seed=1))
+    assert main(["check", "--config", cfg, "--suites", suites, "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _KERNEL_SHA256[name]
+
+
 def test_a_basis_run_takes_the_singular_gram_determinant_once(
     tmp_path, monkeypatch, prime_config
 ):

@@ -504,7 +504,12 @@ def test_a_halved_quotient_generator_fails_only_the_product_row(partition, monke
 @pytest.mark.parametrize("partition", _SLOPE_PARTITIONS)
 def test_a_sign_flip_of_k_j_v_i_fails_the_connection_and_product_rows(partition, monkeypatch):
     k1_kj_on_vi = fro._k1_kj_on_vi
-    monkeypatch.setattr(fro, "_k1_kj_on_vi", lambda *args: -k1_kj_on_vi(*args))
+
+    def flipped(*args):
+        term = k1_kj_on_vi(*args)
+        return linalg.IntegerMatrix(({q: -v for q, v in term.rows[0].items()},), term.den)
+
+    monkeypatch.setattr(fro, "_k1_kj_on_vi", flipped)
     assert _strata_failures(_SLOPE_FAMILY, partition) == {
         "connection_restriction_exact",
         "product_restriction_exact",

@@ -3,9 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from arrfrob import linalg
-from fiber_oracles import solve
+from fiber_oracles import (
+    fraction_det,
+    fraction_inv,
+    fraction_nullspace,
+    fraction_rank,
+    fraction_rref,
+    solve,
+)
 
 
 def _random_matrix(rng, rows, cols):
@@ -78,3 +86,57 @@ def test_rref_augmented_consistency():
     red, pivots = linalg.rref(rows, ncols=2)
     assert pivots == [0]
     assert red[1][0] == 0 and red[1][1] == 0 and red[1][2] != 0
+
+
+rationals = st.builds(
+    F, st.integers(min_value=-7, max_value=7), st.integers(min_value=1, max_value=5)
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """A rational matrix, often rank-deficient: some rows are rational
+    combinations of earlier ones, and some are zero."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    mat = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(("free", "free", "combination", "zero")))
+        if kind == "zero":
+            mat.append([F(0)] * cols)
+        elif kind == "combination" and mat:
+            mults = draw(st.lists(rationals, min_size=len(mat), max_size=len(mat)))
+            mat.append(
+                [sum((c * row[j] for c, row in zip(mults, mat)), F(0)) for j in range(cols)]
+            )
+        else:
+            mat.append(draw(st.lists(rationals, min_size=cols, max_size=cols)))
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices(), st.integers(0, 3))
+def test_elimination_equals_the_rational_gauss_jordan(mat, augmented):
+    # the last `augmented` columns ride along, as in an augmented system
+    cols = len(mat[0]) if mat else 0
+    ncols = max(cols - augmented, 0)
+    assert linalg.rref(mat, ncols) == fraction_rref(mat, ncols)
+    assert linalg.rref(mat) == fraction_rref(mat)
+    assert linalg.rank(mat) == fraction_rank(mat)
+    assert linalg.nullspace(mat, cols) == fraction_nullspace(mat, cols)
+    square = [row[: len(mat)] for row in mat] if cols >= len(mat) else mat[:cols]
+    assert linalg.det(square) == fraction_det(square)
+    try:
+        expected = fraction_inv(square)
+    except ValueError:
+        with pytest.raises(ValueError):
+            linalg.inv(square)
+    else:
+        assert linalg.inv(square) == expected
+
+
+def test_elimination_returns_fractions():
+    mat = [[F(1, 2), 3, F(0)], [2, F(-4, 3), F(5)]]
+    red, _ = linalg.rref(mat)
+    assert all(type(x) is F for row in red for x in row)
+    assert type(linalg.det([[F(2)]])) is F and linalg.det([]) == 1
+    assert all(type(x) is F for row in linalg.inv([[F(2), 1], [0, 3]]) for x in row)

@@ -24,19 +24,24 @@ def _sym_of_expr(expr, zs):
     return total
 
 
-def _random_expr(rng, nvars, with_log=False):
+def _random_coefficient(rng, lo, hi, rational):
+    return F(rng.randint(lo, hi), rng.randint(1, 5) if rational else 1)
+
+
+def _random_expr(rng, nvars, with_log=False, rational=False):
+    # rational: the forms' coefficients are not all integers
     expr = LinExpr.zero()
     for _ in range(rng.randint(1, 3)):
         powers = {}
         for _ in range(rng.randint(0, 2)):
             form = linear_form(
-                [F(rng.randint(-3, 3)) for _ in range(nvars)]
+                [_random_coefficient(rng, -3, 3, rational) for _ in range(nvars)]
             )
             if any(form):
                 powers[form] = powers.get(form, 0) + rng.randint(1, 2)
         logf = None
         if with_log and rng.random() < 0.5:
-            cand = linear_form([F(rng.randint(-2, 2)) for _ in range(nvars)])
+            cand = linear_form([_random_coefficient(rng, -2, 2, rational) for _ in range(nvars)])
             if any(cand):
                 logf = cand
         coef = F(rng.randint(-4, 4), rng.randint(1, 3))
@@ -178,3 +183,53 @@ def test_form_values_are_computed_once_per_fiber(monkeypatch):
     assert later.evaluate_exact(z) == 1
     assert expr.evaluate_exact(w) == expr.evaluate_exact(w)
     assert sorted(calls) == sorted([(f, z), (g, z), (h, z), (f, w), (g, w), (h, w)])
+
+
+def test_rational_forms_diff_and_multiply_as_sympy():
+    rng = random.Random(53)
+    zs = sympy.symbols("z1 z2 z3")
+    for _ in range(12):
+        expr = _random_expr(rng, 3, with_log=True, rational=True)
+        other = _random_expr(rng, 3, rational=True)
+        j = rng.randint(1, 3)
+        ours = _sym_of_expr(expr.diff(j), zs)
+        theirs = sympy.diff(_sym_of_expr(expr, zs), zs[j - 1])
+        assert sympy.simplify(ours - theirs) == 0
+        product = _sym_of_expr(expr * other, zs) - _sym_of_expr(expr, zs) * _sym_of_expr(other, zs)
+        assert sympy.simplify(product) == 0
+
+
+def test_rational_forms_evaluate_exactly_as_sympy():
+    rng = random.Random(59)
+    zs = sympy.symbols("z1 z2 z3")
+    for _ in range(30):
+        expr = _random_expr(rng, 3, rational=True).diff(rng.randint(1, 3))
+        z = tuple(F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in zs)
+        exact = _sym_of_expr(expr, zs).subs(
+            {s: sympy.Rational(v.numerator, v.denominator) for s, v in zip(zs, z)}
+        )
+        if not exact.is_finite:
+            continue  # z lies on a pole
+        assert expr.evaluate_exact(z) == F(int(exact.p), int(exact.q))
+
+
+def test_log_of_a_scaled_form_keeps_its_scale():
+    # f = (2/3)(z1 + 3 z2): log f = log(2/3) + log(z1 + 3 z2), so the
+    # value of the log term depends on the scale, its derivatives do not
+    zs = sympy.symbols("z1 z2")
+    form = linear_form([F(2, 3), F(2)])
+    expr = LinExpr.monomial(F(5, 7), {form: 2}, log_form=form)
+    z = (F(3, 2), F(1, 4))
+    symbolic = _sym_of_expr(expr, zs)
+    at = {zs[0]: sympy.Rational(3, 2), zs[1]: sympy.Rational(1, 4)}
+    assert abs(expr.evaluate(z) - complex(symbolic.subs(at).evalf(30))) < 1e-14
+    unscaled = LinExpr.monomial(F(5, 7) * F(2, 3) ** 2, {(1, 3): 2}, log_form=(1, 3))
+    assert abs(expr.evaluate(z) - unscaled.evaluate(z)) > 1e-3
+    for j in (1, 2):
+        ours = _sym_of_expr(expr.diff(j), zs)
+        assert sympy.simplify(ours - sympy.diff(symbolic, zs[j - 1])) == 0
+    third = expr.diff(1).diff(2).diff(2)
+    assert not third.has_log()
+    assert third.evaluate_exact(z) == F(
+        str(sympy.diff(symbolic, zs[0], zs[1], zs[1]).subs(at))
+    )
