@@ -33,6 +33,7 @@ from .core import (
     is_good_fiber,
     load_family,
     parse_rational,
+    per_family,
     sample_good_point,
 )
 from .linalg import _lazy_module, np
@@ -268,8 +269,15 @@ class RunSettings:
             self.suites = list(SUITES)
 
 
+@per_family
+def _sampled_fiber(family, seed):
+    """The good fiber that `sample_good_point` draws from the seed, drawn
+    once per family and seed, so the suites of a run share it."""
+    return sample_good_point(family, seed=seed).z
+
+
 def _sample_fibers(family, seed, count):
-    return [sample_good_point(family, seed=seed + 101 * i).z for i in range(count)]
+    return [_sampled_fiber(family, seed + 101 * i) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +370,7 @@ def _suite_basis(family, cfg):
         "singular_dimension": space.dimension,
         "anchor": anchor,
     }
-    z = sample_good_point(family, seed=cfg.seed).z
+    z = _sampled_fiber(family, cfg.seed)
     points = critalg.solve_critical(family, z)
     cond = critalg.evaluation_matrix(family, points, anchor)[1]
     _row(rows, "evaluation-matrix-finite-condition", bool(cond < 1e12), residual=cond)

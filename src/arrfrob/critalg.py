@@ -27,7 +27,10 @@ monomial in the generators reduces to the anchored basis
 
 The algebra of one fiber is built once in integers (`_fiber_algebra`):
 multiplication by each [a_i/f_i] on the anchored basis as a
-`linalg.IntegerMatrix`, and the unit. Every product reads these tables.
+`linalg.IntegerMatrix`, and the unit. Every product reads these tables;
+generator products are kept per fiber along sorted generator tuples
+(`_product`), as the algebra is commutative, and `unit_pairing` pairs one
+with the unit in integers.
 """
 
 from __future__ import annotations
@@ -428,25 +431,45 @@ def _slot_relation(family, T, i):
 
 
 @per_family
+def _integer_scalars(family):
+    """The minors d_T of the sorted k-subsets T and the weights a_j as
+    integer numerators over one denominator D: (minors, weights, D), with
+    minors[T] = d_T D and weights[j - 1] = a_j D."""
+    subsets = list(itertools.combinations(range(1, family.n + 1), family.k))
+    minors, minor_den = _integer_vector([family.minor(T) for T in subsets])
+    weights, weight_den = _integer_vector(family.a)
+    return (
+        {T: minors.get(p, 0) * weight_den for p, T in enumerate(subsets)},
+        [weights[j] * minor_den for j in range(family.n)],
+        minor_den * weight_den,
+    )
+
+
+@per_family
 def _product_terms(family, i, T):
-    """[a_i/f_i] * w_T by the closed-form product rule as {u: w-span
-    element}, each divided by f_u(z) (`f_minor_value`), u sorted (k+1)-index
-    tuples; no coefficient reads the fiber. i in T is first moved out."""
+    """[a_i/f_i] * w_T by the closed-form product rule as {u: {sorted key:
+    numerator}}, each w-span element over the denominator D of
+    `_integer_scalars` squared and divided by f_u(z) (`f_minor_value`), u
+    sorted (k+1)-index tuples; no coefficient reads the fiber. i in T is
+    first moved out."""
+    minors, weights, _ = _integer_scalars(family)
     if i not in T:
         full = (i,) + T
         u, sign = osflag.sort_with_sign(full)
-        out = osflag.CoVector()
+        out = {}
         for ell, uell in enumerate(full):
-            child = full[:ell] + full[ell + 1 :]
-            if family.minor(tuple(sorted(child))) == 0:
+            key, key_sign = osflag.sort_with_sign(full[:ell] + full[ell + 1 :])
+            if minors[key] == 0:
                 continue  # the w symbol of a dependent subset is zero
-            coef = sign * family.minor(T) * family.a[uell - 1]
-            out.accumulate(child, coef if ell % 2 == 0 else -coef)
+            coef = sign * key_sign * minors[T] * weights[uell - 1]
+            out[key] = coef if ell % 2 == 0 else -coef
         return {u: out}
     terms = {}
     for key, sign in _slot_relation(family, T, i):
         for u, vec in _product_terms(family, i, key).items():
-            terms[u] = terms.get(u, osflag.CoVector()) + vec * sign
+            acc = terms.setdefault(u, {})
+            for child, c in vec.items():
+                acc[child] = acc.get(child, 0) + sign * c
     return terms
 
 
@@ -457,17 +480,21 @@ def _fiber_independent_algebra(family, anchor):
     sum_u A_u / f_u(z) on the anchored basis; the unit sum_T c_T
     f_{u_T}(z)^k w_T, u_T = sorted((anchor,) + T), as (u_T, numerator of
     c_T) pairs over one denominator; and the forms f_u that are not
-    identically zero, as integer z-coefficients over one denominator."""
+    identically zero, as integer z-coefficients over one denominator.
+    A_u is formed from the integer product terms (`_product_terms`),
+    rewritten over the anchored basis (`canonicalize`)."""
     k, basis = family.k, anchored_subsets(family, anchor)
+    position = {T: p for p, T in enumerate(basis)}
+    den = _integer_scalars(family)[2] ** 2
     gens = []
     for i in range(1, family.n + 1):
         parts = {}
         for q, T in enumerate(basis):
             for u, vec in _product_terms(family, i, T).items():
-                part = parts.setdefault(u, [[0] * len(basis) for _ in basis])
+                part = parts.setdefault(u, [{} for _ in basis])
                 for U, c in canonicalize(family, vec, anchor).items():
-                    part[basis.index(U)][q] = c
-        gens.append({u: _integer_rows(part) for u, part in parts.items()})
+                    part[position[U]][q] = c
+        gens.append({u: _reduced_matrix(part, den) for u, part in parts.items()})
     unit = []
     for T in basis:
         u = (anchor,) + T
@@ -514,6 +541,25 @@ def _times(tables, gens, vec):
     return vec
 
 
+def _sorted_gens(family, gens):
+    """The generator indices as a sorted tuple, each checked to be 1..n."""
+    if not all(1 <= g <= family.n for g in gens):
+        raise ValueError(f"bad generator index in {tuple(gens)}")
+    return tuple(sorted(gens))
+
+
+@per_fiber
+def _product(family, zz, anchor, gens):
+    """The class of prod [a_g/f_g] over the sorted generator tuple gens, as
+    a one-row IntegerMatrix over the anchored basis: the table of the last
+    generator applied to the product of the others, memoized per fiber
+    along sorted prefixes, since the algebra is commutative."""
+    tables, unit = _fiber_algebra(family, zz, anchor)
+    if not gens:
+        return unit
+    return _times(tables, gens[-1:], _product(family, zz, anchor, gens[:-1]))
+
+
 def _anchored(family, wvec, anchor):
     """A w-span element as a one-row IntegerMatrix over the anchored basis."""
     if any(anchor in T for T, _ in wvec.items()):
@@ -535,10 +581,7 @@ def monomial_to_w(family, z, gens, anchor=None):
     unit, with M_g the fiber's table of [a_g/f_g]."""
     if anchor is None:
         anchor = default_anchor(family)
-    if not all(1 <= g <= family.n for g in gens):
-        raise ValueError(f"bad generator index in {tuple(gens)}")
-    tables, unit = _fiber_algebra(family, z, anchor)
-    return _covector(family, anchor, _times(tables, gens, unit))
+    return _covector(family, anchor, _product(family, z, anchor, _sorted_gens(family, gens)))
 
 
 def identity_element(family, z, anchor=None):
@@ -635,6 +678,28 @@ def _anchored_gram(family, anchor):
     basis = anchored_subsets(family, anchor)
     sign = 1 if family.k % 2 == 0 else -1
     return _integer_rows([[sign * osflag.gram_v(family, T, U) for U in basis] for T in basis])
+
+
+@per_fiber
+def _paired_unit(family, zz):
+    """The default anchor's Gram table (`_anchored_gram`) applied to the
+    fiber's unit: integer numerators by anchored position, and their
+    denominator."""
+    anchor = default_anchor(family)
+    gram = _anchored_gram(family, anchor)
+    unit = _fiber_algebra(family, zz, anchor)[1]
+    values = unit.rows[0]
+    return {p: _dot(row, values) for p, row in enumerate(gram.rows)}, gram.den * unit.den
+
+
+def unit_pairing(family, z, gens):
+    """structural_pairing(monomial_to_w(family, z, gens),
+    identity_element(family, z)) at the default anchor, in integers: the
+    product's row (`_product`) against the Gram table applied to the unit
+    (`_paired_unit`), with no w-span element formed."""
+    product = _product(family, z, default_anchor(family), _sorted_gens(family, gens))
+    paired, den = _paired_unit(family, z)
+    return Fraction(_dot(product.rows[0], paired), product.den * den)
 
 
 def structural_pairing(family, x, y):

@@ -3,9 +3,10 @@
 This module ties the two sides of the package together: the finite algebra
 of functions on the critical set (w-coordinates, critalg) and the singular
 flag subspace (v-vectors, osflag). The identification nu: w_T -> v_T is an
-isometry up to the residue-form sign (-1)^k; the analytic identification
-through critical-point residues must agree with it up to one global scalar
-that is measured, never assumed.
+isometry up to the residue-form sign (-1)^k, computed as one integer
+combination of the family's v rows (`osflag.v_rows`); the analytic
+identification through critical-point residues must agree with it up to
+one global scalar that is measured, never assumed.
 
 On top of the identification live the distinguished section q(z) with its
 polynomial coordinates, the potentials (quadratic and log-type), the
@@ -66,10 +67,22 @@ osflag = _lazy_module("arrfrob.osflag")
 
 
 def alpha_structural(family, wvec):
-    """nu: send each w_T coordinate to the singular vector v_T."""
-    out = osflag.FlagVector()
+    """nu: send each w_T coordinate to the singular vector v_T, as one
+    integer combination of the family's v rows (`osflag.v_rows`) over one
+    denominator."""
+    rows = osflag.v_rows(family)
+    position = family.flag_index.position
+    den = math.lcm(*(coef.denominator for _, coef in wvec.items()))
+    acc = {}
     for T, coef in wvec.items():
-        out = out + osflag.v_vector(family, T) * coef
+        if coef:
+            mult = coef.numerator * (den // coef.denominator)
+            for q, v in rows.rows[position(T)].items():
+                acc[q] = acc.get(q, 0) + mult * v
+    den *= rows.den
+    subsets = family.flag_index.subsets
+    out = osflag.FlagVector()
+    out.coeffs = {subsets[q]: Fraction(v, den) for q, v in acc.items() if v}
     return out
 
 
@@ -155,8 +168,7 @@ def contravariant_compositions(family):
         # alpha([S] F_T) vs sign * projection of F_T
         flag = osflag.FlagVector.basis(T)
         image = alpha_structural(family, contravariant_map_class(family, flag))
-        proj = space.project(flag)
-        if image != proj * sign:
+        if not space.is_projection(flag, image * sign):
             exact_ok = False
         # [S](alpha w_T) vs sign * w_T, compared in anchored coordinates
         back = contravariant_map_class(family, osflag.v_vector(family, T))
@@ -307,6 +319,20 @@ def _log_derivative_sorted(family, key):
     return _log_derivative_sorted(family, key[:-1]).diff(key[-1])
 
 
+def _unit_pairing(family, zz, directions, anchor):
+    """The structural pairing of the generator product with the unit. At
+    the default anchor it is formed in integer rows
+    (`critalg.unit_pairing`); at another anchor, through the w-span
+    elements of that anchor's basis."""
+    if anchor is None or anchor == default_anchor(family):
+        return critalg.unit_pairing(family, zz, directions)
+    return critalg.structural_pairing(
+        family,
+        critalg.monomial_to_w(family, zz, tuple(directions), anchor),
+        critalg.identity_element(family, zz, anchor),
+    )
+
+
 def potential_derivative_row(family, z, directions, anchor=None):
     """One report row comparing the (2k+1)-fold derivative of the log
     potential with the pairing of the generator product against the algebra
@@ -316,9 +342,7 @@ def potential_derivative_row(family, z, directions, anchor=None):
         raise ValueError(f"need {2 * k + 1} directions, got {len(directions)}")
     zz = coords(z)
     lhs = potential_log_derivative_expr(family, directions).evaluate_exact(zz)
-    wprod = critalg.monomial_to_w(family, zz, tuple(directions), anchor)
-    iden = critalg.identity_element(family, zz, anchor)
-    pairing = critalg.structural_pairing(family, wprod, iden)
+    pairing = _unit_pairing(family, zz, directions, anchor)
     rhs = pairing if k % 2 == 0 else -pairing
     return {
         "tuple": list(directions),
@@ -360,11 +384,7 @@ def multi_derivative_identity_row(family, z, directions, anchor=None):
     zz = coords(z)
     a_kr = a_constant(k, r)
     dP = potential_quadratic_derivative_expr(family, directions, anchor)
-    lhs_pair = critalg.structural_pairing(
-        family,
-        critalg.monomial_to_w(family, zz, tuple(directions), anchor),
-        critalg.identity_element(family, zz, anchor),
-    )
+    lhs_pair = _unit_pairing(family, zz, directions, anchor)
     sign = 1 if k % 2 == 0 else -1
     rhs = Fraction(sign) * family.weight_sum**r / a_kr * dP.evaluate_exact(zz)
     err = abs(lhs_pair - rhs)
@@ -652,17 +672,6 @@ def embed_flag(blocks, qvec):
     return out
 
 
-@per_family
-def _k1_v_rows(family):
-    """v_1, ..., v_n of a one-dimensional arrangement as one-row
-    IntegerMatrixes over the flag positions."""
-    index = family.flag_index
-    return tuple(
-        linalg._integer_rows([osflag.v_vector(family, (i,)).to_coordinates(index)])
-        for i in range(1, family.n + 1)
-    )
-
-
 def _k1_kj_on_vi(family, z, j, i):
     """Closed form K_j v_i = (b_i / f_{(j,i)}(z)) (a_j v_i - a_i v_j) for
     distinct indices of a one-dimensional arrangement, valid whenever
@@ -673,12 +682,12 @@ def _k1_kj_on_vi(family, z, j, i):
     if denom == 0:
         raise ValueError(f"stratum fiber degenerates the pair ({j}, {i})")
     scale = family.b[i - 1][0] / denom
-    rows = _k1_v_rows(family)
+    rows = osflag.v_rows(family)  # row m - 1 is v_m: (m,) is at position m - 1
     left, right = scale * family.a[j - 1], -scale * family.a[i - 1]
     return linalg._integer_sum(
         [
-            (left.numerator, left.denominator, rows[i - 1]),
-            (right.numerator, right.denominator, rows[j - 1]),
+            (c.numerator, c.denominator, linalg.IntegerMatrix((rows.rows[m - 1],), rows.den))
+            for c, m in ((left, i), (right, j))
         ]
     )
 

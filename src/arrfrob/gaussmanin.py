@@ -167,22 +167,12 @@ def apply_matrix(family, mat, vec):
 # per-family certificates
 
 
-@per_family
-def _integer_weights(family):
-    """The diagonal weight form, prod_{j in T} a_j for each flag position,
-    as integer numerators over one denominator."""
-    values, den = _integer_vector([osflag.weight_product(family, T) for T in family.flag_index])
-    return [values[p] for p in range(len(family.flag_index))], den
-
-
-@per_family
 def _integer_sing(family):
     """The singular basis vectors and the singular conditions as sparse
     integer vectors over the flag positions: two tuples of
     ({position: numerator}, denominator) pairs."""
     space = osflag.singular_subspace(family)
-    basis = tuple(_integer_vector(v.to_coordinates(family.flag_index)) for v in space.basis)
-    return basis, space.integer_conditions
+    return space.integer_basis, space.integer_conditions
 
 
 def _sparse_product(left, right):
@@ -363,7 +353,7 @@ def check_symmetry_and_invariance(family):
     ("asymmetric"), the circuits whose residue leaves Sing ("moving"), and
     the singular basis vectors, each as the flag of its free column, that
     sum_C L_C does not scale by |a| ("off_euler")."""
-    weights, _ = _integer_weights(family)
+    weights, _ = osflag._integer_weights(family)
     asymmetric = []
     total = [{} for _ in family.flag_index]
     for circuit in family.circuit_list:
@@ -625,7 +615,5 @@ def derivative_sections(family, z, directions, anchor=None):
         algebraic = osflag.FlagVector()
     else:
         wvec = critalg.monomial_to_w(family, zz, tuple(directions), anchor)
-        algebraic = frobenius.alpha_structural(family, wvec) * (
-            falling / family.weight_sum**r
-        )
+        algebraic = frobenius.alpha_structural(family, wvec * (falling / family.weight_sum**r))
     return symbolic, algebraic

@@ -28,8 +28,10 @@ expression carries the table its ids refer to; a family owns one table
 (`ArrangementFamily.forms`) shared by all of its expressions, and
 expressions over two tables combine by re-interning the other side's forms.
 The values of a table's forms at an exact fiber are computed once per
-fiber and kept in that fiber's entry of the owner's per-fiber tables (a
-`FiberTables`; `ArrangementFamily.release_fibers` frees them);
+fiber, from the forms' integer numerators with the fiber as one integer
+vector over one denominator, and kept in that fiber's entry of the
+owner's per-fiber tables (a `FiberTables`;
+`ArrangementFamily.release_fibers` frees them);
 `evaluate_exact` reads them there and sums the terms in integer
 arithmetic over a common denominator.
 """
@@ -51,6 +53,17 @@ def form_value(form, z):
         if c:
             total += c * zi
     return total
+
+
+def _integer_value(form, fiber):
+    """(numerator, denominator) in lowest terms of a form, given as
+    (integer numerators, denominator), at a fiber, given as one integer
+    vector over one denominator; both denominators are positive."""
+    (coeffs, den), (values, fiber_den) = form, fiber
+    num = sum(c * v for c, v in zip(coeffs, values) if c)
+    den *= fiber_den
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def _is_rational(values):
@@ -125,15 +138,17 @@ class FormTable:
 
     def values(self, zz):
         """(numerator, denominator) of every interned form at the rational
-        fiber zz, each form evaluated once per fiber; forms interned after
-        the fiber's list was built are appended to it."""
+        fiber zz, each form evaluated once per fiber from its integer
+        numerators (`_integer_value`); forms interned after the fiber's
+        list was built are appended to it."""
         entry = self._fibers.entry(zz)
         values = entry.get(FormTable)
         if values is None:
             values = entry[FormTable] = []
-        for form in self._forms[len(values) :]:
-            value = Fraction(form_value(form, zz))
-            values.append((value.numerator, value.denominator))
+        if len(values) < len(self._ints):
+            den = math.lcm(*(v.denominator for v in zz))
+            fiber = (tuple(v.numerator * (den // v.denominator) for v in zz), den)
+            values.extend(_integer_value(form, fiber) for form in self._ints[len(values) :])
         return values
 
 

@@ -6,8 +6,12 @@ with a repeated index is zero. On this basis the weight form S is diagonal,
 S(F_T, F_T) = prod_{j in T} a_j.
 
 This module builds the singular subspace (the exact kernel of the weight
-conditions), the orthogonal projection onto it, and the distinguished
-singular vectors v_T together with their closed-form Gram values.
+conditions), a test of whether one vector is the S-orthogonal projection
+of another onto it, and the distinguished singular vectors v_T together
+with their closed-form Gram values. The exact tables of a family are
+integer numerators over one denominator, built once per family: the
+weight form over the flag positions (`_integer_weights`) and the v_T as
+the rows of one matrix (`v_rows`), which nu and the pairing read.
 
 Sign convention: for k = 1 the distinguished vector is
 v_j = -F_j + (a_j/|a|) sum_i F_i (leading minus), while for k >= 2 it is
@@ -162,15 +166,39 @@ def weight_product(family, indices):
     return prod
 
 
+@per_family
+def _integer_weights(family):
+    """The diagonal weight form, prod_{j in T} a_j for each flag position,
+    as integer numerators over one denominator."""
+    values, den = linalg._integer_vector(
+        [weight_product(family, T) for T in family.flag_index]
+    )
+    return [values[p] for p in range(len(family.flag_index))], den
+
+
+def _numerators(family, u):
+    """A rational FlagVector as ({flag position: numerator}, denominator),
+    over the lcm of its denominators."""
+    position = family.flag_index.position
+    den = math.lcm(*(val.denominator for val in u.coeffs.values()))
+    values = {
+        position(key): val.numerator * (den // val.denominator)
+        for key, val in u.coeffs.items()
+    }
+    return values, den
+
+
 def contravariant_pairing(u, w, family):
-    """S(u, w) = sum over sorted independent k-subsets of u_T w_T prod a_j."""
-    small, large = (u, w) if len(u.coeffs) <= len(w.coeffs) else (w, u)
-    total = Fraction(0)
-    for key, val in small.coeffs.items():
-        other = large.coeffs.get(key)
-        if other:
-            total += val * other * weight_product(family, key)
-    return total
+    """S(u, w) = sum over sorted independent k-subsets of u_T w_T prod a_j
+    for rational u and w, in integers: each vector over the lcm of its
+    denominators (`_numerators`), against the family's weight table
+    (`_integer_weights`)."""
+    (u_values, u_den), (w_values, w_den) = _numerators(family, u), _numerators(family, w)
+    if len(u_values) > len(w_values):
+        u_values, w_values = w_values, u_values
+    weights, den = _integer_weights(family)
+    total = sum(weights[p] * x * w_values.get(p, 0) for p, x in u_values.items())
+    return Fraction(total, u_den * w_den * den)
 
 
 class SingularSubspace:
@@ -198,6 +226,8 @@ class SingularSubspace:
         self.basis = tuple(
             FlagVector.from_coordinates(index.subsets, vec) for vec in kernel
         )
+        # the basis as ({position: numerator}, denominator) pairs
+        self.integer_basis = tuple(linalg._integer_vector(vec) for vec in kernel)
         self.gram = [
             [contravariant_pairing(u, w, family) for w in self.basis]
             for u in self.basis
@@ -205,7 +235,6 @@ class SingularSubspace:
         self.gram_det = linalg.det(self.gram)
         if self.basis and self.gram_det == 0:
             raise ValueError("weight form degenerates on the singular subspace")
-        self._gram_inv = linalg.inv(self.gram) if self.basis else []
 
     @property
     def dimension(self):
@@ -214,32 +243,26 @@ class SingularSubspace:
     def contains(self, u):
         """Whether u meets every singular condition exactly: u over the lcm
         of its denominators against the conditions as integer rows."""
-        position = self.family.flag_index.position
-        den = math.lcm(*(val.denominator for val in u.coeffs.values()))
-        values = {
-            position(key): val.numerator * (den // val.denominator)
-            for key, val in u.coeffs.items()
-        }
+        values, _ = _numerators(self.family, u)
         return not any(linalg._dot(row, values) for row, _ in self.integer_conditions)
 
-    def coordinates(self, u):
-        """Coefficients of u in the singular basis (u must lie in the span)."""
-        pairings = [contravariant_pairing(b, u, self.family) for b in self.basis]
-        return [
-            sum(row[j] * pairings[j] for j in range(len(pairings)))
-            for row in self._gram_inv
-        ]
-
-    def from_coordinates(self, values):
-        out = FlagVector()
-        for val, vec in zip(values, self.basis):
-            if val != 0:
-                out = out + vec * val
-        return out
-
-    def project(self, u):
-        """Orthogonal projection of an arbitrary vector onto the subspace."""
-        return self.from_coordinates(self.coordinates(u))
+    def is_projection(self, u, v):
+        """Whether v is the S-orthogonal projection of u onto the subspace:
+        v lies in it and S(u - v, b) = 0 for every basis vector b. S is
+        nondegenerate on the subspace (`gram_det`), so that projection is
+        unique; S is diagonal, so each test is one integer dot product of
+        u - v, weighted, with the integer basis vector, and no Gram inverse
+        is formed."""
+        if not self.contains(v):
+            return False
+        u_values, u_den = _numerators(self.family, u)
+        v_values, v_den = _numerators(self.family, v)
+        # u - v over u_den * v_den, times the weights
+        weights, _ = _integer_weights(self.family)
+        weighted = {p: weights[p] * x * v_den for p, x in u_values.items()}
+        for p, x in v_values.items():
+            weighted[p] = weighted.get(p, 0) - weights[p] * x * u_den
+        return not any(linalg._dot(row, weighted) for row, _ in self.integer_basis)
 
 
 def _independent_subsets(family, size):
@@ -263,8 +286,9 @@ def singular_subspace(family):
     return space
 
 
-@per_family
-def _v_vector_sorted(family, key):
+def _v_closed_form(family, key):
+    """v for a sorted key by its closed form (the module's sign
+    convention), restricted to the flag positions."""
     asum = family.weight_sum
     k = family.k
     if k == 1:
@@ -281,12 +305,31 @@ def _v_vector_sorted(family, key):
                 vec.accumulate(key[:m] + (j,) + key[m + 1 :], -scale)
     index = family.flag_index
     vec.coeffs = {s: c for s, c in vec.coeffs.items() if s in index}
+    return vec
+
+
+@per_family
+def _v_vector_sorted(family, key):
+    """v for a sorted key, checked to lie in the singular subspace and, for
+    k >= 2, to be the projection of F_key onto it."""
+    vec = _v_closed_form(family, key)
     space = singular_subspace(family)
     if not space.contains(vec):
         raise RuntimeError(f"v vector for {key} fails the singularity conditions")
-    if k >= 2 and space.project(FlagVector.basis(key)) != vec:
+    if family.k >= 2 and not space.is_projection(FlagVector.basis(key), vec):
         raise RuntimeError(f"v vector for {key} is not the projection of F_{key}")
     return vec
+
+
+@per_family
+def v_rows(family):
+    """v_T for every flag T as the rows of one IntegerMatrix over the flag
+    positions (row p is v of the subset at position p), so that nu is one
+    integer combination of rows over one denominator."""
+    index = family.flag_index
+    return linalg._integer_rows(
+        [_v_vector_sorted(family, T).to_coordinates(index) for T in index]
+    )
 
 
 def v_vector(family, indices):

@@ -19,7 +19,9 @@ power, the compositions and the potential rows through residue sums at the
 critical points, the potential rows of every sorted tuple, the Jacobian of
 q, and the distance of a float vector from the singular subspace. Last,
 the routes that no code of the program calls: an exact linear solve, the
-value of a w-span element at one critical point, the Gauss-Jordan
+value of a w-span element at one critical point, the S-orthogonal
+projection onto the singular subspace through the inverse Gram matrix,
+which `SingularSubspace.is_projection` replaced, the Gauss-Jordan
 elimination in Fraction arithmetic that the fraction-free kernel of
 `linalg` replaced, and the adaptive Dormand-Prince transport that the
 Taylor steps of `gaussmanin.flow_flat_section` replaced, an independent
@@ -47,16 +49,16 @@ from arrfrob.gaussmanin import (
     FlowResult,
     _commutator_rows,
     _integer_sing,
-    _integer_weights,
     _l_c_entries,
     _trajectory_row,
     apply_matrix,
     fiber_k_operator,
 )
-from arrfrob.linalg import _dot, _integer_sum, rref
+from arrfrob.linalg import _dot, _integer_sum, inv, rref
 from arrfrob.osflag import (
     CoVector,
     FlagVector,
+    _integer_weights,
     contravariant_pairing,
     max_abs_diff,
     singular_subspace,
@@ -346,7 +348,7 @@ def compositions_analytic_residual(family, z):
     for T in family.flag_index:
         flag = FlagVector.basis(T)
         image = canonical_iso_analytic(family, z, contravariant_map_class(family, flag))
-        worst = max(worst, max_abs_diff(image, space.project(flag) * sign))
+        worst = max(worst, max_abs_diff(image, sing_projection(space, flag) * sign))
     return worst
 
 
@@ -417,6 +419,41 @@ def solve(a, b):
 def evaluate(family, wvec, point):
     """Value of a w-span element at a critical point."""
     return complex(critalg.values_at(family, wvec, [point])[0])
+
+
+# ---------------------------------------------------------------------------
+# the projection onto the singular subspace through the Gram inverse
+
+
+def gram_inverse(space):
+    """The inverse of the Gram matrix of a `SingularSubspace`'s basis."""
+    return inv(space.gram) if space.basis else []
+
+
+def sing_coordinates(space, u):
+    """Coefficients of u in the singular basis (u must lie in the span):
+    the inverse Gram matrix applied to the pairings of u with the basis."""
+    pairings = [contravariant_pairing(b, u, space.family) for b in space.basis]
+    return [
+        sum(row[j] * pairings[j] for j in range(len(pairings)))
+        for row in gram_inverse(space)
+    ]
+
+
+def sing_from_coordinates(space, values):
+    """The vector with the given coefficients in the singular basis."""
+    out = FlagVector()
+    for val, vec in zip(values, space.basis):
+        if val != 0:
+            out = out + vec * val
+    return out
+
+
+def sing_projection(space, u):
+    """S-orthogonal projection of any vector onto the singular subspace,
+    through the inverse Gram matrix: the reference for
+    `SingularSubspace.is_projection`."""
+    return sing_from_coordinates(space, sing_coordinates(space, u))
 
 
 # ---------------------------------------------------------------------------

@@ -1124,27 +1124,42 @@ def test_exact_suites_build_each_operator_and_form_value_once(
 ):
     from collections import Counter
 
-    from arrfrob import gaussmanin, linforms
+    from arrfrob import cli, gaussmanin, linalg, linforms
 
-    builds, values = Counter(), Counter()
-    build, value = gaussmanin.k_operator, linforms.form_value
+    builds, values, draws, inversions = Counter(), Counter(), Counter(), []
+    build, value = gaussmanin.k_operator, linforms._integer_value
+    draw, inv = cli.sample_good_point, linalg.inv
 
     def spy_build(family, z, j):
         builds[tuple(z), j] += 1
         return build(family, z, j)
 
-    def spy_value(form, z):
-        values[form, tuple(z)] += 1
-        return value(form, z)
+    def spy_value(form, fiber):
+        # a form and a fiber, each as integer numerators over a denominator
+        values[form, fiber] += 1
+        return value(form, fiber)
+
+    def spy_draw(family, seed):
+        draws[seed] += 1
+        return draw(family, seed)
+
+    def spy_inv(a):
+        inversions.append(len(a))
+        return inv(a)
 
     monkeypatch.setattr(gaussmanin, "k_operator", spy_build)
-    monkeypatch.setattr(linforms, "form_value", spy_value)
+    monkeypatch.setattr(linforms, "_integer_value", spy_value)
+    monkeypatch.setattr(cli, "sample_good_point", spy_draw)
+    monkeypatch.setattr(linalg, "inv", spy_inv)
     cfg = _write_config(tmp_path, prime_config(3, 5, seed=1))
     assert main(["check", "--config", cfg, "--suites", _EXACT_SUITES,
                  "--json", str(tmp_path / "report.json")]) == 0
     # every (fiber, j) integer K_j and every (form, fiber) value, once
     assert len(builds) >= 5 * 5 and set(builds.values()) == {1}
     assert len(values) >= 5 * 10 and set(values.values()) == {1}
+    # each of the 5 sampled fibers is drawn once, and no Gram matrix is inverted
+    assert len(draws) == 5 and set(draws.values()) == {1}
+    assert inversions == []
 
 
 _NON_GENERIC = {"k": 2, "n": 4, "b": [[1, 0], [0, 1], [1, 1], [2, 2]],

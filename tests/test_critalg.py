@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -423,6 +424,43 @@ def test_monomial_to_w_long_and_short(fam_k1_n3, z_k1_n3):
         direct = _direct_monomial_value(fam, (1, 2, 3), p)
         assert abs(evaluate(fam, long, p) - direct) < 1e-9
     assert monomial_to_w(fam, z_k1_n3, ()) == identity_element(fam, z_k1_n3)
+
+
+@pytest.mark.parametrize("k, n", [(1, 5), (2, 5), (3, 6)])
+def test_memoized_products_equal_the_tables_in_the_given_order(k, n):
+    fam = _prime_family(k, n)
+    z = sample_good_point(fam, seed=3).z
+    rng = random.Random(10 * k + n)
+    for anchor in (critalg.default_anchor(fam), 2):
+        tables, unit = critalg._fiber_algebra(fam, z, anchor)
+        for _ in range(12):
+            gens = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 2 * k + 1)))
+            product = critalg._product(fam, z, anchor, tuple(sorted(gens)))
+            assert product == critalg._times(tables, gens, unit)
+            assert monomial_to_w(fam, z, gens, anchor) == critalg._covector(
+                fam, anchor, critalg._times(tables, gens, unit)
+            )
+
+
+@pytest.mark.parametrize("k, n", [(1, 5), (2, 5), (3, 6)])
+def test_unit_pairing_equals_the_structural_pairing(k, n):
+    fam = _prime_family(k, n)
+    rng = random.Random(7 * k + n)
+    for seed in (1, 2):
+        z = sample_good_point(fam, seed=seed).z
+        for _ in range(8):
+            gens = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 2 * k + 1)))
+            pairing = critalg.unit_pairing(fam, z, gens)
+            assert isinstance(pairing, F)
+            # at the default anchor and at every other one
+            for anchor in range(1, n + 1):
+                assert pairing == structural_pairing(
+                    fam,
+                    monomial_to_w(fam, z, gens, anchor),
+                    identity_element(fam, z, anchor),
+                )
+    with pytest.raises(ValueError):
+        critalg.unit_pairing(fam, z, (0,))
 
 
 def test_w_value_scales_with_minor(fam_k2_n4):

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arrfrob import critalg, frobenius as fro, gaussmanin as gm, linalg
 from arrfrob.core import ArrangementFamily, is_good_fiber, load_family, sample_good_point
@@ -99,6 +100,44 @@ def test_compositions(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
     for fam, z in ((fam_k1_n3, z_k1_n3), (fam_k2_n4, z_k2_n4)):
         assert fro.contravariant_compositions(fam) is True
         assert compositions_analytic_residual(fam, z) < 1e-8
+
+
+def test_a_sign_flipped_image_fails_the_compositions(fam_k1_n3, fam_k2_n4, fam_k3_n5, monkeypatch):
+    real = fro.alpha_structural
+    monkeypatch.setattr(fro, "alpha_structural", lambda fam, w: -real(fam, w))
+    for fam in (fam_k1_n3, fam_k2_n4, fam_k3_n5):
+        assert fro.contravariant_compositions(fam) is False
+
+
+_NU_FAMILIES = {
+    "k1n4": ArrangementFamily(
+        k=1, n=4, b=((1,), (1,), (1,), (2,)), a=(F(2), F(-3), F(5), F(1, 2))
+    ),
+    "k2n5": ArrangementFamily(
+        k=2, n=5, b=((1, 0), (0, 1), (1, 1), (1, 2), (2, 1)), a=(F(1), F(2), F(3), F(5), F(7))
+    ),
+    "k3n5": ArrangementFamily(
+        k=3,
+        n=5,
+        b=((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 4)),
+        a=(F(2), F(3), F(5, 3), F(7), F(-11)),
+    ),
+}
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(name=st.sampled_from(sorted(_NU_FAMILIES)), data=st.data())
+def test_integer_nu_is_the_sum_of_v_vectors(name, data):
+    fam = _NU_FAMILIES[name]
+    subsets = fam.flag_index.subsets
+    coefficient = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+    wvec = CoVector()
+    for T in data.draw(st.lists(st.sampled_from(subsets), max_size=len(subsets))):
+        wvec.accumulate(T, data.draw(coefficient))
+    expected = FlagVector()
+    for T, c in wvec.items():
+        expected = expected + v_vector(fam, T) * c
+    assert fro.alpha_structural(fam, wvec) == expected
 
 
 # ---------------------------------------------------------------------------

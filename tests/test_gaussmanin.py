@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from arrfrob import gaussmanin
+from arrfrob import gaussmanin, osflag
 from arrfrob.core import ArrangementFamily, coords, f_c_value, load_family, sample_good_point
 from arrfrob.critalg import f_minor_value, monomial_to_w, solve_critical
 from arrfrob.gaussmanin import (
@@ -364,7 +364,7 @@ def test_certificate_does_no_fraction_arithmetic(k, n, monkeypatch):
     family = _prime_family(k, n)
     # the shared tables: Sing, the weights, |a| and every L_C
     gaussmanin._integer_sing(family)
-    gaussmanin._integer_weights(family)
+    osflag._integer_weights(family)
     family.weight_sum
     for circuit in family.circuit_list:
         gaussmanin._l_c_integer(family, circuit.indices)

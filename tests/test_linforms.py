@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from arrfrob.linforms import FormTable, LinExpr, form_value, linear_form
 
@@ -162,27 +163,46 @@ def test_form_values_are_computed_once_per_fiber(monkeypatch):
     import arrfrob.linforms as linforms
 
     calls = []
-    real = linforms.form_value
+    real = linforms._integer_value
 
-    def spy(form, z):
-        calls.append((form, tuple(z)))
-        return real(form, z)
+    def spy(form, fiber):
+        calls.append((form, fiber))
+        return real(form, fiber)
 
-    monkeypatch.setattr(linforms, "form_value", spy)
+    monkeypatch.setattr(linforms, "_integer_value", spy)
     forms = FormTable()
-    f, g = (F(1), F(2)), (F(-1), F(3))
-    expr = LinExpr.monomial(F(1, 2), {f: 2, g: -1}, forms=forms)
-    expr = expr + LinExpr.monomial(3, {g: 1}, forms=forms)
+    # the forms and fibers below as integer numerators over one denominator
+    f, g = ((1, 2), 1), ((-1, 3), 1)
+    expr = LinExpr.monomial(F(1, 2), {(F(1), F(2)): 2, (F(-1), F(3)): -1}, forms=forms)
+    expr = expr + LinExpr.monomial(3, {(F(-1), F(3)): 1}, forms=forms)
     z, w = (F(1), F(1)), (F(2), F(-1, 3))
+    zi, wi = ((1, 1), 1), ((6, -1), 3)
     value = expr.evaluate_exact(z)
     assert expr.evaluate_exact(z) == value == F(9, 2) / 2 + 6
-    assert sorted(calls) == sorted([(f, z), (g, z)])
+    assert sorted(calls) == sorted([(f, zi), (g, zi)])
     # a form interned later is evaluated once, on first use at the fiber
-    h = (F(0), F(1))
-    later = LinExpr.monomial(1, {h: 3}, forms=forms)
+    h = ((0, 1), 1)
+    later = LinExpr.monomial(1, {(F(0), F(1)): 3}, forms=forms)
     assert later.evaluate_exact(z) == 1
     assert expr.evaluate_exact(w) == expr.evaluate_exact(w)
-    assert sorted(calls) == sorted([(f, z), (g, z), (h, z), (f, w), (g, w), (h, w)])
+    assert sorted(calls) == sorted([(f, zi), (g, zi), (h, zi), (f, wi), (g, wi), (h, wi)])
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(data=st.data())
+def test_form_values_are_the_rational_values(data):
+    rational = st.builds(F, st.integers(-9, 9), st.integers(1, 8))
+    forms = FormTable()
+    ids = [
+        forms.intern(data.draw(st.lists(rational, min_size=3, max_size=3)))
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    coordinate = st.one_of(rational, st.integers(-5, 5))
+    zz = tuple(data.draw(st.lists(coordinate, min_size=3, max_size=3)))
+    values = forms.values(zz)
+    for fid in ids:
+        value = F(form_value(forms[fid], zz))
+        assert values[fid] == (value.numerator, value.denominator)
 
 
 def test_rational_forms_diff_and_multiply_as_sympy():

@@ -3,7 +3,9 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from arrfrob.core import ArrangementFamily
 from arrfrob.osflag import (
     CoVector,
     FlagVector,
@@ -15,6 +17,7 @@ from arrfrob.osflag import (
     v_vector,
     weight_product,
 )
+from fiber_oracles import sing_coordinates, sing_from_coordinates, sing_projection
 
 
 def _inversions(seq):
@@ -137,7 +140,7 @@ def test_gram_closed_form_matches_pairing(fixture, request):
 
 def test_projection_of_basis_is_v(fam_k2_n4):
     for key in fam_k2_n4.flag_index.subsets:
-        assert singular_subspace(fam_k2_n4).project(FlagVector.basis(key)) == v_vector(
+        assert sing_projection(singular_subspace(fam_k2_n4), FlagVector.basis(key)) == v_vector(
             fam_k2_n4, key
         )
 
@@ -145,23 +148,98 @@ def test_projection_of_basis_is_v(fam_k2_n4):
 def test_projection_k1_flips_sign(fam_k1_n3):
     # in one variable the projection of F_j is -v_j
     for j in range(1, 4):
-        proj = singular_subspace(fam_k1_n3).project(FlagVector.basis((j,)))
+        proj = sing_projection(singular_subspace(fam_k1_n3), FlagVector.basis((j,)))
         assert proj == -v_vector(fam_k1_n3, (j,))
 
 
 def test_projection_idempotent(fam_k2_n4):
     space = singular_subspace(fam_k2_n4)
     u = FlagVector.basis((1, 2)) * F(2) - FlagVector.basis((3, 4)) * F(1, 3)
-    p = space.project(u)
-    assert space.project(p) == p
+    p = sing_projection(space, u)
+    assert sing_projection(space, p) == p
     assert space.contains(p)
 
 
 def test_coordinates_roundtrip(fam_k2_n4):
     space = singular_subspace(fam_k2_n4)
     u = v_vector(fam_k2_n4, (1, 2)) + v_vector(fam_k2_n4, (2, 3)) * F(7, 2)
-    assert space.from_coordinates(space.coordinates(u)) == u
+    assert sing_from_coordinates(space, sing_coordinates(space, u)) == u
 
 
 def test_covector_is_separate_type():
     assert not isinstance(CoVector.basis((1,)), FlagVector)
+
+
+# ---------------------------------------------------------------------------
+# the projection test against the Gram route
+
+
+def _families():
+    from arrfrob.core import load_family
+    from test_cli import _KERNEL_FAMILIES
+
+    primes = (F(2), F(3), F(5), F(7), F(11))
+    rows = {
+        1: ((1,),) * 4,
+        2: ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1)),
+        3: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 4)),
+    }
+    families = {
+        f"k{k}n{len(b)}": ArrangementFamily(k=k, n=len(b), b=b, a=primes[: len(b)])
+        for k, b in rows.items()
+    }
+    families["k2n4-rational"] = load_family(_KERNEL_FAMILIES["k2n4-rational"][0])
+    return families
+
+
+_FAMILIES = _families()
+_coefficient = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    name=st.sampled_from(sorted(_FAMILIES)),
+    in_sing=st.booleans(),
+    data=st.data(),
+)
+def test_is_projection_agrees_with_the_gram_route(name, in_sing, data):
+    fam = _FAMILIES[name]
+    space = singular_subspace(fam)
+    subsets = fam.flag_index.subsets
+    span = space.basis if in_sing else [FlagVector.basis(T) for T in subsets]
+    u = FlagVector()
+    coefficients = data.draw(st.lists(_coefficient, min_size=len(span), max_size=len(span)))
+    for vec, c in zip(span, coefficients):
+        u = u + vec * c
+    proj = sing_projection(space, u)
+    delta = data.draw(_coefficient.filter(bool))
+    along = space.basis[data.draw(st.integers(0, space.dimension - 1))] * delta
+    across = FlagVector.basis(data.draw(st.sampled_from(subsets))) * delta
+    # the projection, u itself (its projection only when u is singular), and
+    # the projection moved inside Sing and out of it
+    for v in (proj, u, proj + along, proj + across):
+        assert space.is_projection(u, v) == (v == proj)
+    assert space.contains(u) or not in_sing
+
+
+@pytest.mark.parametrize("name", ["k1n4", "k2n5", "k3n5", "k2n4-rational"])
+def test_a_perturbed_v_vector_is_rejected(name, monkeypatch):
+    from arrfrob import osflag
+    from arrfrob.core import load_family
+
+    real = osflag._v_closed_form
+    base = _FAMILIES[name]
+    key = base.flag_index.subsets[1]
+    other = base.flag_index.subsets[-1]
+    moves = {"fails the singularity conditions": FlagVector.basis(other) * F(1, 7)}
+    if base.k >= 2:
+        # a move inside Sing keeps v singular: only the projection test sees it
+        moves["is not the projection"] = singular_subspace(base).basis[0] * F(1, 7)
+    for message, move in moves.items():
+        fam = ArrangementFamily(k=base.k, n=base.n, b=base.b, a=base.a)
+        monkeypatch.setattr(osflag, "_v_closed_form", lambda f, s: real(f, s) + move)
+        with pytest.raises(RuntimeError, match=message):
+            v_vector(fam, key)
+    monkeypatch.setattr(osflag, "_v_closed_form", real)
+    fresh = ArrangementFamily(k=base.k, n=base.n, b=base.b, a=base.a)
+    assert v_vector(fresh, key) == v_vector(base, key)
