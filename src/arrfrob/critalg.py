@@ -681,24 +681,25 @@ def _anchored_gram(family, anchor):
 
 
 @per_fiber
-def _paired_unit(family, zz):
-    """The default anchor's Gram table (`_anchored_gram`) applied to the
-    fiber's unit: integer numerators by anchored position, and their
-    denominator."""
-    anchor = default_anchor(family)
+def _paired_unit(family, zz, anchor):
+    """The anchor's Gram table (`_anchored_gram`) applied to the fiber's
+    unit: integer numerators by anchored position, and their denominator."""
     gram = _anchored_gram(family, anchor)
     unit = _fiber_algebra(family, zz, anchor)[1]
     values = unit.rows[0]
     return {p: _dot(row, values) for p, row in enumerate(gram.rows)}, gram.den * unit.den
 
 
-def unit_pairing(family, z, gens):
-    """structural_pairing(monomial_to_w(family, z, gens),
-    identity_element(family, z)) at the default anchor, in integers: the
-    product's row (`_product`) against the Gram table applied to the unit
-    (`_paired_unit`), with no w-span element formed."""
-    product = _product(family, z, default_anchor(family), _sorted_gens(family, gens))
-    paired, den = _paired_unit(family, z)
+def unit_pairing(family, z, gens, anchor=None):
+    """structural_pairing(monomial_to_w(family, z, gens, anchor),
+    identity_element(family, z, anchor)) in integers: the product's row
+    (`_product`) against the anchor's Gram table applied to the unit
+    (`_paired_unit`), with no w-span element formed. The value does not
+    depend on the anchor."""
+    if anchor is None:
+        anchor = default_anchor(family)
+    product = _product(family, z, anchor, _sorted_gens(family, gens))
+    paired, den = _paired_unit(family, z, anchor)
     return Fraction(_dot(product.rows[0], paired), product.den * den)
 
 

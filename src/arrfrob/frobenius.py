@@ -319,20 +319,6 @@ def _log_derivative_sorted(family, key):
     return _log_derivative_sorted(family, key[:-1]).diff(key[-1])
 
 
-def _unit_pairing(family, zz, directions, anchor):
-    """The structural pairing of the generator product with the unit. At
-    the default anchor it is formed in integer rows
-    (`critalg.unit_pairing`); at another anchor, through the w-span
-    elements of that anchor's basis."""
-    if anchor is None or anchor == default_anchor(family):
-        return critalg.unit_pairing(family, zz, directions)
-    return critalg.structural_pairing(
-        family,
-        critalg.monomial_to_w(family, zz, tuple(directions), anchor),
-        critalg.identity_element(family, zz, anchor),
-    )
-
-
 def potential_derivative_row(family, z, directions, anchor=None):
     """One report row comparing the (2k+1)-fold derivative of the log
     potential with the pairing of the generator product against the algebra
@@ -342,7 +328,7 @@ def potential_derivative_row(family, z, directions, anchor=None):
         raise ValueError(f"need {2 * k + 1} directions, got {len(directions)}")
     zz = coords(z)
     lhs = potential_log_derivative_expr(family, directions).evaluate_exact(zz)
-    pairing = _unit_pairing(family, zz, directions, anchor)
+    pairing = critalg.unit_pairing(family, zz, directions, anchor)
     rhs = pairing if k % 2 == 0 else -pairing
     return {
         "tuple": list(directions),
@@ -384,7 +370,7 @@ def multi_derivative_identity_row(family, z, directions, anchor=None):
     zz = coords(z)
     a_kr = a_constant(k, r)
     dP = potential_quadratic_derivative_expr(family, directions, anchor)
-    lhs_pair = _unit_pairing(family, zz, directions, anchor)
+    lhs_pair = critalg.unit_pairing(family, zz, directions, anchor)
     sign = 1 if k % 2 == 0 else -1
     rhs = Fraction(sign) * family.weight_sum**r / a_kr * dP.evaluate_exact(zz)
     err = abs(lhs_pair - rhs)
@@ -587,7 +573,7 @@ def twisted_closedness_k1(family, z0):
     covectors, cov_den = linalg._integer_rows(
         [[w * g.get(T) for w, T in zip(weights, family.flag_index)] for (g,) in gens]
     )
-    basis, _ = gaussmanin._integer_sing(family)
+    basis = osflag.singular_subspace(family).integer_basis
     mats = [gaussmanin.fiber_k_operator(family, zz, j) for j in range(1, family.n + 1)]
     worst = Fraction(0)
     for values, vec_den in basis:

@@ -167,14 +167,6 @@ def apply_matrix(family, mat, vec):
 # per-family certificates
 
 
-def _integer_sing(family):
-    """The singular basis vectors and the singular conditions as sparse
-    integer vectors over the flag positions: two tuples of
-    ({position: numerator}, denominator) pairs."""
-    space = osflag.singular_subspace(family)
-    return space.integer_basis, space.integer_conditions
-
-
 def _sparse_product(left, right):
     """Product of two matrices given as sparse integer rows."""
     out = []
@@ -232,7 +224,8 @@ def _restricted_residue(family, members, free, common):
     The singular basis has a 1 at its own free column and 0 at the others,
     so an image in Sing has as coordinates its entries at the free columns;
     `common` is the lcm of the basis denominators."""
-    basis, conditions = _integer_sing(family)
+    space = osflag.singular_subspace(family)
+    basis, conditions = space.integer_basis, space.integer_conditions
     columns = {}
     for indices in members:
         for p, q, coef in _l_c_integer(family, indices):
@@ -261,7 +254,7 @@ def _sing_residues(family):
     basis vector, the residue R_H = sum_C L_C of each hyperplane restricted
     to Sing (`_restricted_residue`), and the circuits of the residues that
     leave Sing ("moving")."""
-    basis, _ = _integer_sing(family)
+    basis = osflag.singular_subspace(family).integer_basis
     free = []
     for i, (values, den) in enumerate(basis):
         # the pivots a nullspace vector fills lie left of its free column
@@ -367,7 +360,7 @@ def check_symmetry_and_invariance(family):
     # sum_C L_C and |a| over the weights' denominator D: D |a| = scale / asum.denominator
     asum = family.weight_sum
     scale = _weight_denominator(family) * asum.numerator
-    basis, _ = _integer_sing(family)
+    basis = osflag.singular_subspace(family).integer_basis
     off_euler = [
         list(family.flag_index.subset(f))
         for f, (values, _) in zip(free, basis)

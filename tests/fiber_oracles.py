@@ -48,7 +48,6 @@ from arrfrob.frobenius import (
 from arrfrob.gaussmanin import (
     FlowResult,
     _commutator_rows,
-    _integer_sing,
     _l_c_entries,
     _trajectory_row,
     apply_matrix,
@@ -70,7 +69,7 @@ def commutator_residuals(family, z):
     """Exact [K_i, K_j] residual on the singular subspace plus the measured
     sup-norm of the commutator on the whole flag space, formed in integer
     arithmetic from the per-fiber integer K_j (`fiber_k_operator`)."""
-    basis, _ = _integer_sing(family)
+    basis = singular_subspace(family).integer_basis
     exact_worst = Fraction(0)
     full_worst = 0.0
     for i, j in itertools.combinations(range(1, family.n + 1), 2):
@@ -106,7 +105,8 @@ def symmetry_residual(family, mat):
 def invariance_residual(family, mat):
     """Max violation of the singular conditions on the images of the
     singular basis under an IntegerMatrix, exactly."""
-    basis, conditions = _integer_sing(family)
+    space = singular_subspace(family)
+    basis, conditions = space.integer_basis, space.integer_conditions
     worst = Fraction(0)
     for values, vec_den in basis:
         image = dict(enumerate(_dot(row, values) for row in mat.rows))
@@ -134,7 +134,7 @@ def weighted_euler_residual(family, z):
          for j, v in enumerate(zz, 1) if v]
     )
     asum, common = family.weight_sum, total.den
-    basis, _ = _integer_sing(family)
+    basis = singular_subspace(family).integer_basis
     worst = Fraction(0)
     for values, vec_den in basis:
         # (T v)_p / (common vec_den) - |a| v_p / vec_den over one denominator

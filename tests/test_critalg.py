@@ -452,8 +452,9 @@ def test_unit_pairing_equals_the_structural_pairing(k, n):
             gens = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 2 * k + 1)))
             pairing = critalg.unit_pairing(fam, z, gens)
             assert isinstance(pairing, F)
-            # at the default anchor and at every other one
+            # the integer route at every anchor, against the w-span route there
             for anchor in range(1, n + 1):
+                assert critalg.unit_pairing(fam, z, gens, anchor) == pairing
                 assert pairing == structural_pairing(
                     fam,
                     monomial_to_w(fam, z, gens, anchor),

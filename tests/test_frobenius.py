@@ -301,6 +301,19 @@ def test_multi_derivative_ladder(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
             fro.multi_derivative_identity_row(fam, z, tuple([1] * (2 * fam.k + 1)))
 
 
+def test_potential_rows_read_the_same_pairing_at_every_anchor(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
+    for fam, z in ((fam_k1_n3, z_k1_n3), (fam_k2_n4, z_k2_n4)):
+        tup = tuple((i % fam.n) + 1 for i in range(2 * fam.k + 1))
+        default = fro.potential_derivative_row(fam, z, tup)
+        ladder = [tup[:r] for r in range(1, 2 * fam.k + 1)]
+        default_ladder = [fro.multi_derivative_identity_row(fam, z, t) for t in ladder]
+        for anchor in range(1, fam.n + 1):
+            assert fro.potential_derivative_row(fam, z, tup, anchor) == default
+            rows = [fro.multi_derivative_identity_row(fam, z, t, anchor) for t in ladder]
+            assert all(row["abs_err"] == 0.0 for row in rows)
+            assert [row["lhs"] for row in rows] == [row["lhs"] for row in default_ladder]
+
+
 def test_structure_constants():
     assert fro.a_constant(2, 3) == 24
     for k in range(1, 6):

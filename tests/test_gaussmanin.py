@@ -363,7 +363,7 @@ def test_certificate_flats(k, n, circuits, flat_sizes):
 def test_certificate_does_no_fraction_arithmetic(k, n, monkeypatch):
     family = _prime_family(k, n)
     # the shared tables: Sing, the weights, |a| and every L_C
-    gaussmanin._integer_sing(family)
+    osflag.singular_subspace(family)
     osflag._integer_weights(family)
     family.weight_sum
     for circuit in family.circuit_list:
