@@ -517,14 +517,10 @@ def _suite_conformal(family, cfg):
 def _suite_potential(family, cfg):
     rows = []
     for i, z in enumerate(_sample_fibers(family, cfg.seed, cfg.samples)):
-        closed = None
-        if family.k == 1 and all(row[0] == 1 for row in family.b):
-            closed = frobenius.potential_first_closed_k1(family, z)
-        elif family.k == 2:
-            closed = frobenius.potential_first_closed_k2(family, z)
         P = frobenius.potential_first(family, z, cfg.anchor)
-        if closed is not None:
-            _row(rows, f"quadratic-potential-closed-form-sample-{i}", P == closed)
+        if family.k == 2 or (family.k == 1 and all(row[0] == 1 for row in family.b)):
+            closed = P == frobenius.potential_first_closed(family, z)
+            _row(rows, f"quadratic-potential-closed-form-sample-{i}", closed)
         scaled = frobenius.potential_first(
             family, tuple(3 * v for v in z), cfg.anchor
         )
@@ -572,11 +568,7 @@ def _lift_pattern(family):
     segments cannot touch the discriminant."""
     for m in range(1, family.n + 1):
         w = tuple(Fraction(j**m) for j in range(1, family.n + 1))
-        vals = [
-            abs(sum(lam * w[i - 1] for lam, i in zip(c.lam, c.indices)))
-            for c in circuits(family)
-        ]
-        if all(v != 0 for v in vals):
+        if is_good_fiber(family, w):
             return w
     raise ConfigError("no imaginary lift direction found for this family")
 

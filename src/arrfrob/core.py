@@ -7,7 +7,10 @@ sum(a) != 0. A base point z in C^n selects the arrangement of hyperplanes
 
 This module owns the matroid layer: independent k-subsets, circuits with
 their normalized linear relations, and the discriminant test that decides
-whether a fiber z has normal crossings (all circuit forms f_C(z) nonzero).
+whether a fiber z has normal crossings (all circuit forms f_C(z) nonzero),
+one integer dot per circuit (`circuit_rows`). A family keeps the tables of
+each fiber it is checked at in one `FiberTables`; `linforms`, whose forms
+only the tests' references read (`ArrangementFamily.forms`), runs lazily.
 
 Hyperplane indices are 1-based everywhere in the public interface; index
 tuples are sorted unless an operation explicitly permits reordering.
@@ -17,13 +20,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import re
 from fractions import Fraction
 from functools import cached_property, wraps
 
 from . import linalg
-from .linforms import FiberTables, FormTable
+
+linforms = linalg._lazy_module("arrfrob.linforms")
 
 
 class ConfigError(ValueError):
@@ -90,6 +95,32 @@ class Frozen:
         return f"{type(self).__name__}({fields})"
 
 
+class FiberTables(dict):
+    """Exact fiber (a coordinate tuple) -> the dict of that fiber's tables.
+
+    Hashing a fiber hashes its Fractions, and each of those hashes takes a
+    modular inverse. The checks of a run look one fiber up many times in a
+    row, with one coordinate tuple, so the entry of the last fiber looked
+    up is kept with that tuple and found again by identity."""
+
+    __slots__ = ("_last",)
+
+    def __init__(self):
+        super().__init__()
+        self._last = (None, None)
+
+    def entry(self, zz):
+        last, entry = self._last
+        if last is not zz:
+            entry = self.setdefault(zz, {})
+            self._last = (zz, entry)
+        return entry
+
+    def clear(self):
+        super().clear()
+        self._last = (None, None)
+
+
 class ArrangementFamily(Frozen):
     """The family (k, n, b, a): b holds n rows, each a k-tuple of Fraction,
     and a the n weights, Fraction."""
@@ -140,7 +171,7 @@ class ArrangementFamily(Frozen):
         """The family's table of interned linear forms, shared by all of
         its expressions; their values at a fiber live in that fiber's
         entry (`fiber_entry`)."""
-        return FormTable(self._fibers)
+        return linforms.FormTable(self._fibers)
 
     def fiber_entry(self, z):
         """The one dict that holds every exact table of the fiber z: the
@@ -420,11 +451,24 @@ def f_c_value(circuit, z):
     return sum(lam * zc[i - 1] for lam, i in zip(circuit.lam, circuit.indices))
 
 
+@per_family
+def circuit_rows(family):
+    """lambda^C of every circuit, in `circuit_list` order, as sparse integer
+    rows {j - 1: numerator} over one denominator (an IntegerMatrix), so
+    that f_C(z) is one integer dot with the fiber's numerators."""
+    den = math.lcm(*(x.denominator for c in family.circuit_list for x in c.lam))
+    return linalg._reduced_matrix(
+        [{i - 1: x.numerator * (den // x.denominator) for i, x in zip(c.indices, c.lam)}
+         for c in family.circuit_list],
+        den,
+    )
+
+
 def is_good_fiber(family, z):
     """True iff z avoids the discriminant: every circuit form is nonzero,
     equivalently the fiber arrangement has normal crossings."""
-    zc = coords(z)
-    return all(f_c_value(c, zc) != 0 for c in family.circuit_list)
+    values, _ = linalg._integer_vector(coords(z))
+    return all(linalg._dot(row, values) for row in circuit_rows(family).rows)
 
 
 # draws of `sample_good_point` before it gives up

@@ -1,35 +1,27 @@
 """Frobenius-type structure on the space of fibers.
 
-This module ties the two sides of the package together: the finite algebra
-of functions on the critical set (w-coordinates, critalg) and the singular
-flag subspace (v-vectors, osflag). The identification nu: w_T -> v_T is an
-isometry up to the residue-form sign (-1)^k, computed as one integer
-combination of the family's v rows (`osflag.v_rows`); the analytic
-identification through critical-point residues must agree with it up to
-one global scalar that is measured, never assumed.
+This module ties the algebra of functions on the critical set
+(w-coordinates, critalg) to the singular flag subspace (v-vectors,
+osflag). The identification nu: w_T -> v_T is an isometry up to the
+residue-form sign (-1)^k, one integer combination of the family's v rows
+(`osflag.v_rows`); the residue identification must agree with it up to one
+global scalar that is measured, never assumed. On top of nu live the
+section q(z), the quadratic and log potentials, the period forms and, for
+k = 1, the restriction to diagonal strata, where products of singular
+vectors are compared as v_S * v_T = nu(w_S w_T), so no check inverts nu.
 
-On top of the identification live the distinguished section q(z) with its
-polynomial coordinates, the potentials (quadratic and log-type), the
-period forms (flat and twisted), and the restriction of the whole
-structure to diagonal strata for one-dimensional arrangements. The product
-of singular vectors is the algebra product carried through nu,
-v_S * v_T = nu(w_S w_T), so no check inverts nu: the strata restriction
-multiplies the quotient's w_T and compares the image with closed-form
-block sums of v_j * v_i = b_j K_j v_i, formed as integer rows.
-
-Tables that do not depend on the fiber are built once per family
-(`core.per_family`): the coordinates of q and their derivatives, the
-quadratic potential P = S(q, q) and its derivatives, and the log
-potential and its derivatives. Derivatives are keyed by sorted direction
-tuples, since mixed partials commute. Tables of one fiber (the integer
-K_j(z), the values of the interned linear forms and the integer
-multiplication tables of the algebra, which the potential rows read) are
-built once per family and exact fiber, in that fiber's entry of the
-family (`core.per_fiber`), by `gaussmanin.fiber_k_operator`,
-`linforms.LinExpr.evaluate_exact` and `critalg._fiber_algebra`, so the
-checks of one run share them; `ArrangementFamily.release_fibers` frees
-them all, and with them the critical points that `critalg.solve_critical`
-keeps there, which the residue identification reads.
+q = sum_T c_T f_{u_T}^k v_T and the log potential, sum_u e_u f_u^(2k) log f_u
+over (2k)!, are sums of powers of the (k+1)-minor forms f_u, so every
+derivative the checks read is a closed form in the integers f_u(z): d^J q is
+sum_T c_T (k)_r prod_{j in J} lambda_{u_T,j} f_{u_T}^(k-r) v_T, kept once
+per fiber and sorted J (`fiber_section_derivative`); the derivatives of
+P = S(q, q) follow by Leibniz; d^(2k+1) (f^(2k) log f) is
+(2k)! prod_j lambda_j / f. The integer rows behind them are built once per
+family (`core.per_family`), and the tables of a fiber live in its entry of
+the family (`core.per_fiber`) with the integer K_j(z)
+(`gaussmanin.fiber_k_operator`), the algebra of `critalg._fiber_algebra`
+and the critical points of `critalg.solve_critical`;
+`ArrangementFamily.release_fibers` frees them all.
 `contravariant_compositions` does not read the fiber and is decided once
 per family.
 
@@ -46,6 +38,7 @@ so no verdict depends on the units of the fiber or the weights.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from collections import Counter
@@ -53,9 +46,8 @@ from fractions import Fraction
 
 from . import linalg
 from .core import coords, default_anchor, f_c_value, is_good_fiber
-from .core import ArrangementFamily, per_family
+from .core import ArrangementFamily, per_family, per_fiber
 from .linalg import _lazy_module, np
-from .linforms import LinExpr
 
 critalg = _lazy_module("arrfrob.critalg")
 gaussmanin = _lazy_module("arrfrob.gaussmanin")
@@ -183,58 +175,87 @@ def contravariant_compositions(family):
 # conformal block section
 
 
-def conformal_block_exprs(family, anchor=None):
-    """Flag coordinates of the section q(z) as exact polynomial expressions
-    in the fiber; degree k, independent of the anchor choice."""
-    return conformal_block_derivative_exprs(family, (), anchor)
-
-
-def conformal_block_derivative_exprs(family, directions, anchor=None):
-    """Flag coordinates of the derivative of q along the given directions,
-    as exact expressions. They do not depend on the fiber, so they are
-    built once per family, along sorted direction tuples since mixed
-    partials commute."""
-    if anchor is None:
-        anchor = default_anchor(family)
-    return _block_derivative_sorted(family, anchor, tuple(sorted(directions)))
+def _minor_terms(family, subsets, coefs):
+    """Per (k+1)-subset u, the numerator of its coefficient and the integer
+    z-coefficients of f_u (`critalg.f_minor_form`), with the coefficients
+    over one denominator and the forms over another."""
+    nums, den = linalg._integer_vector(coefs)
+    forms = linalg._integer_rows([critalg.f_minor_form(family, u) for u in subsets])
+    return [(nums[p], forms.rows[p]) for p in range(len(subsets))], den, forms.den
 
 
 @per_family
-def _block_derivative_sorted(family, anchor, key):
-    if key:
-        exprs = _block_derivative_sorted(family, anchor, key[:-1])
-        return tuple(expr.diff(key[-1]) for expr in exprs)
-    index = family.flag_index
-    exprs = [LinExpr.zero() for _ in range(len(index))]
-    scale = Fraction(1) / family.weight_sum**family.k
-    for T in critalg.anchored_subsets(family, anchor):
-        u = (anchor,) + T
-        denom = Fraction(1)
+def _section_rows(family, anchor):
+    """q = sum_T c_T f_{u_T}^k v_T over the anchored T, u_T = (anchor,) + T,
+    in integers (`_minor_terms`), each term with the position of v_T's row
+    in `osflag.v_rows`."""
+    basis = critalg.anchored_subsets(family, anchor)
+    coefs = []
+    for u in ((anchor,) + T for T in basis):
+        denom = family.weight_sum**family.k
         for m in range(len(u)):
             minor = family.minor(u[:m] + u[m + 1 :])
             if minor == 0:
-                raise ValueError(
-                    f"closed form needs independent subsets inside {u}"
-                )
+                raise ValueError(f"closed form needs independent subsets inside {u}")
             denom *= minor if m % 2 == 0 else -minor
-        form = critalg.f_minor_form(family, u)
-        mono = LinExpr.monomial(scale / denom, {form: family.k}, forms=family.forms)
-        for subset, coef in osflag.v_vector(family, T).coeffs.items():
-            pos = index.position(subset)
-            exprs[pos] = exprs[pos] + mono.scale(coef)
-    return tuple(exprs)
+        coefs.append(1 / denom)
+    terms, c_den, f_den = _minor_terms(family, [(anchor,) + T for T in basis], coefs)
+    position = family.flag_index.position
+    return [(c, form, position(T)) for (c, form), T in zip(terms, basis)], c_den, f_den
+
+
+@per_fiber
+def _section_forms(family, zz, anchor):
+    """The numerators of f_{u_T}(z), one integer dot per term of
+    `_section_rows`, and the fiber's denominator; z must be rational."""
+    values, z_den = linalg._integer_vector([critalg._rationalize(v) for v in zz])
+    return [linalg._dot(form, values) for _, form, _ in _section_rows(family, anchor)[0]], z_den
+
+
+def section_derivative(family, zz, key, anchor):
+    """d^key q = sum_T c_T (k)_r prod_{j in key} lambda_{u_T,j}
+    f_{u_T}(z)^(k-r) v_T at the rational fiber zz (zero for r > k), as
+    ({flag position: numerator}, c_den V f_den^k z_den^(k-r)), V the v
+    rows' denominator; unreduced, so the splits of `_quadratic_derivative`
+    share it."""
+    k, r = family.k, len(key)
+    if r > k:
+        return {}, 1
+    terms, c_den, f_den = _section_rows(family, anchor)
+    values, z_den = _section_forms(family, zz, anchor)
+    rows = osflag.v_rows(family)
+    acc = {}
+    for (c, form, pos), f in zip(terms, values):
+        mult = c * math.prod(form.get(j - 1, 0) for j in key) * f ** (k - r)
+        if mult:
+            for q, v in rows.rows[pos].items():
+                acc[q] = acc.get(q, 0) + mult * v
+    falling = math.perm(k, r)
+    den = c_den * rows.den * f_den**k * z_den ** (k - r)
+    return {q: falling * acc[q] for q in sorted(acc) if acc[q]}, den
+
+
+@per_fiber
+def fiber_section_derivative(family, zz, anchor, key):
+    """`section_derivative` once per family, exact fiber, anchor and sorted
+    direction tuple (mixed partials commute), in the fiber's entry of the
+    family (`core.per_fiber`)."""
+    return section_derivative(family, zz, key, anchor)
+
+
+def block_derivative(family, z, directions, anchor=None):
+    """The derivative of q along the directions at a rational fiber, a
+    FlagVector."""
+    key = tuple(sorted(directions))
+    values, den = fiber_section_derivative(family, z, anchor or default_anchor(family), key)
+    out, subsets = osflag.FlagVector(), family.flag_index.subsets
+    out.coeffs = {subsets[p]: Fraction(v, den) for p, v in values.items()}
+    return out
 
 
 def period_map(family, z, anchor=None):
     """The section q at a fiber, q(z) = nu of the algebra unit."""
-    zz = coords(z)
-    out = osflag.FlagVector()
-    index = family.flag_index
-    for pos, expr in enumerate(conformal_block_exprs(family, anchor)):
-        val = expr.evaluate(zz)
-        if val != 0:
-            out.coeffs[index.subset(pos)] = val
-    return out
+    return block_derivative(family, z, (), anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -247,76 +268,64 @@ def potential_first(family, z, anchor=None):
     return osflag.contravariant_pairing(q, q, family)
 
 
-def potential_first_closed_k2(family, z):
-    """Minor-form expansion of P for k = 2."""
-    if family.k != 2:
-        raise ValueError("closed form is for k = 2")
-    zz = coords(z)
-    total = Fraction(0)
-    asum = family.weight_sum
-    for i, j, k in itertools.combinations(range(1, family.n + 1), 3):
-        dij = family.minor((i, j))
-        djk = family.minor((j, k))
-        dki = family.minor((k, i))
-        if dij == 0 or djk == 0 or dki == 0:
-            raise ValueError("closed form needs a generic family")
-        f4 = critalg.f_minor_value(family, zz, (i, j, k)) ** 4
-        aa = family.a[i - 1] * family.a[j - 1] * family.a[k - 1]
-        total += aa * f4 / (dij**2 * djk**2 * dki**2)
-    return total / asum**5
-
-
-def potential_first_closed_k1(family, z):
-    """Difference expansion of P for k = 1 with unit slopes."""
-    if family.k != 1 or any(row[0] != 1 for row in family.b):
-        raise ValueError("closed form is for k = 1 with unit slopes")
-    zz = coords(z)
-    asum = family.weight_sum
-    total = Fraction(0)
-    for i, j in itertools.combinations(range(1, family.n + 1), 2):
-        total += family.a[i - 1] * family.a[j - 1] * (zz[i - 1] - zz[j - 1]) ** 2
-    return total / asum**3
+def potential_first_closed(family, z):
+    """The minor-form expansion P = sum_u e_u f_u(z)^(2k) / |a|^(2k+1) over
+    the (k+1)-subsets u, from the log potential's rows
+    (`_log_potential_rows`)."""
+    rows, e_den, f_den = _log_potential_rows(family)
+    values, z_den = linalg._integer_vector(coords(z))
+    total = sum(e * linalg._dot(form, values) ** (2 * family.k) for e, form in rows)
+    den = e_den * (f_den * z_den) ** (2 * family.k) * family.weight_sum ** (2 * family.k + 1)
+    return Fraction(total) / den
 
 
 @per_family
-def potential_log_expr(family):
-    """The log-type potential as an exact expression: for every independent
-    (k+1)-subset u a term (prod a / (2k)! prod_m d_{u less m}^2) f_u^{2k} log f_u."""
-    k = family.k
-    terms = LinExpr.zero()
-    fact = math.factorial(2 * k)
-    for u in itertools.combinations(range(1, family.n + 1), k + 1):
-        denom = Fraction(fact)
-        ok = True
-        coef = Fraction(1)
-        for m in range(k + 1):
+def _log_potential_rows(family):
+    """The log potential sum_u (e_u / (2k)!) f_u^(2k) log f_u over the
+    (k+1)-subsets u, e_u = prod_{j in u} a_j / prod_m d_{u less m}^2, in
+    integers (`_minor_terms`)."""
+    subsets = list(itertools.combinations(range(1, family.n + 1), family.k + 1))
+    coefs = []
+    for u in subsets:
+        denom = 1
+        for m in range(len(u)):
             minor = family.minor(u[:m] + u[m + 1 :])
             if minor == 0:
-                ok = False
-                break
+                raise ValueError("log potential closed form needs a generic family")
             denom *= minor * minor
-        if not ok:
-            raise ValueError("log potential closed form needs a generic family")
-        for idx in u:
-            coef *= family.a[idx - 1]
-        form = critalg.f_minor_form(family, u)
-        terms = terms + LinExpr.monomial(
-            coef / denom, {form: 2 * k}, log_form=form, forms=family.forms
-        )
-    return terms
+        coefs.append(osflag.weight_product(family, u) / denom)
+    return _minor_terms(family, subsets, coefs)
 
 
-def potential_log_derivative_expr(family, directions):
-    """Iterated derivative of the log potential; memoized along sorted
-    prefixes since mixed partials commute."""
-    return _log_derivative_sorted(family, tuple(sorted(directions)))
+def _log_potential_derivative(family, zz, directions):
+    """The (2k+1)-fold derivative of the log potential at the rational fiber
+    zz: d^(2k+1) (f^(2k) log f) = (2k)! prod_j lambda_j / f, so it is
+    sum_u e_u prod_j lambda_{u,j} / f_u(z), from integers."""
+    rows, e_den, f_den = _log_potential_rows(family)
+    values, z_den = linalg._integer_vector(zz)
+    slopes = ((e * math.prod(form.get(j - 1, 0) for j in directions), form) for e, form in rows)
+    total = sum(Fraction(s, linalg._dot(form, values)) for s, form in slopes if s)
+    return total * Fraction(z_den, e_den * f_den ** (len(directions) - 1))
 
 
-@per_family
-def _log_derivative_sorted(family, key):
-    if not key:
-        return potential_log_expr(family)
-    return _log_derivative_sorted(family, key[:-1]).diff(key[-1])
+def _log_potential_hessian(family, z, i, j):
+    """d_i d_j of the log potential at a rational fiber, in complex
+    arithmetic: d_i d_j (f^(2k) log f) = lambda_i lambda_j f^(2k-2)
+    (2k(2k-1) log f + 4k - 1). The terms without a log are summed exactly
+    and converted once; each log term is its exact coefficient, converted,
+    times the log of f_u(z)."""
+    k = family.k
+    rows, e_den, f_den = _log_potential_rows(family)
+    values, z_den = linalg._integer_vector(coords(z))
+    rest, logs = Fraction(0), []
+    for e, form in rows:
+        if form.get(i - 1) and form.get(j - 1):
+            f = Fraction(linalg._dot(form, values), f_den * z_den)
+            scale = Fraction(e * form[i - 1] * form[j - 1], e_den * f_den**2) * f ** (2 * k - 2)
+            scale /= math.factorial(2 * k)
+            rest += (4 * k - 1) * scale
+            logs.append((2 * k * (2 * k - 1) * scale, f))
+    return sum((complex(c) * cmath.log(complex(f)) for c, f in logs), complex(rest))
 
 
 def potential_derivative_row(family, z, directions, anchor=None):
@@ -327,9 +336,12 @@ def potential_derivative_row(family, z, directions, anchor=None):
     if len(directions) != 2 * k + 1:
         raise ValueError(f"need {2 * k + 1} directions, got {len(directions)}")
     zz = coords(z)
-    lhs = potential_log_derivative_expr(family, directions).evaluate_exact(zz)
+    lhs = _log_potential_derivative(family, zz, directions)
     pairing = critalg.unit_pairing(family, zz, directions, anchor)
-    rhs = pairing if k % 2 == 0 else -pairing
+    return _exact_row(directions, lhs, pairing if k % 2 == 0 else -pairing)
+
+
+def _exact_row(directions, lhs, rhs):
     return {
         "tuple": list(directions),
         "lhs": str(lhs),
@@ -339,48 +351,39 @@ def potential_derivative_row(family, z, directions, anchor=None):
     }
 
 
-def potential_quadratic_derivative_expr(family, directions, anchor=None):
-    """Iterated derivative of P (P itself for no directions), built once per
-    family and anchor; memoized along sorted prefixes since mixed partials
-    commute."""
-    if anchor is None:
-        anchor = default_anchor(family)
-    return _quadratic_derivative_sorted(family, anchor, tuple(sorted(directions)))
-
-
-@per_family
-def _quadratic_derivative_sorted(family, anchor, key):
-    if key:
-        return _quadratic_derivative_sorted(family, anchor, key[:-1]).diff(key[-1])
-    index = family.flag_index
-    total = LinExpr.zero()
-    for pos, expr in enumerate(conformal_block_exprs(family, anchor)):
-        weight = osflag.weight_product(family, index.subset(pos))
-        total = total + (expr * expr).scale(weight)
-    return total
+def _quadratic_derivative(family, zz, directions, anchor):
+    """The derivative of P = S(q, q) along the directions at the rational
+    fiber zz, by Leibniz over their positions: the sum of S(d^A q, d^B q)
+    over the splits into A and B with both orders at most k (the higher
+    derivatives of q vanish), against the weight table
+    (`osflag._integer_weights`) in integers; every split shares the
+    denominator of `section_derivative`."""
+    key, k = tuple(sorted(directions)), family.k
+    splits = Counter()
+    for size in range(max(0, len(key) - k), min(k, len(key)) + 1):
+        for chosen in itertools.combinations(range(len(key)), size):
+            left = tuple(key[i] for i in chosen)
+            right = tuple(x for i, x in enumerate(key) if i not in chosen)
+            splits[min(left, right), max(left, right)] += 1
+    weights, w_den = osflag._integer_weights(family)
+    total = 0
+    for (left, right), mult in splits.items():
+        x, x_den = fiber_section_derivative(family, zz, anchor, left)
+        y, y_den = fiber_section_derivative(family, zz, anchor, right)
+        total += mult * sum(weights[p] * v * y.get(p, 0) for p, v in x.items())
+    return Fraction(total, x_den * y_den * w_den)
 
 
 def multi_derivative_identity_row(family, z, directions, anchor=None):
     """Report row for the r-fold derivative identity of P against the
     generator product pairing, r <= 2k."""
-    r = len(directions)
-    k = family.k
+    r, k = len(directions), family.k
     if r > 2 * k:
         raise ValueError("derivative order exceeds 2k")
-    zz = coords(z)
-    a_kr = a_constant(k, r)
-    dP = potential_quadratic_derivative_expr(family, directions, anchor)
-    lhs_pair = critalg.unit_pairing(family, zz, directions, anchor)
-    sign = 1 if k % 2 == 0 else -1
-    rhs = Fraction(sign) * family.weight_sum**r / a_kr * dP.evaluate_exact(zz)
-    err = abs(lhs_pair - rhs)
-    return {
-        "tuple": list(directions),
-        "lhs": str(lhs_pair),
-        "rhs": str(rhs),
-        "mode": "exact",
-        "abs_err": float(err),
-    }
+    zz, anchor = coords(z), anchor or default_anchor(family)
+    dP = _quadratic_derivative(family, zz, directions, anchor)
+    rhs = Fraction(1 if k % 2 == 0 else -1) * family.weight_sum**r / a_constant(k, r) * dP
+    return _exact_row(directions, critalg.unit_pairing(family, zz, directions, anchor), rhs)
 
 
 def a_constant(k, r):
@@ -801,7 +804,7 @@ def strata_restriction_k1(family, partition, x):
     def block_terms(step, ell, m):
         z_eps = [z[j] + step * gap * offsets[j] for j in range(family.n)]
         return [
-            complex(potential_log_derivative_expr(family, (i, j)).evaluate(z_eps))
+            _log_potential_hessian(family, z_eps, i, j)
             for i in blocks[ell - 1]
             for j in blocks[m - 1]
         ]
@@ -809,9 +812,7 @@ def strata_restriction_k1(family, partition, x):
     worst = scale = 0.0
     for ell in range(1, quotient.n + 1):
         for m in range(ell, quotient.n + 1):
-            target = complex(
-                potential_log_derivative_expr(quotient, (ell, m)).evaluate(xx)
-            )
+            target = _log_potential_hessian(quotient, xx, ell, m)
             half = block_terms(STRATA_STEP / 2, ell, m)
             full = block_terms(STRATA_STEP, ell, m)
             value = 2 * sum(half) - sum(full)

@@ -7,7 +7,7 @@ over the weights' denominator in `_l_c_integer`).
 
 Exact checks run on integers. `k_operator` assembles K_j(z) as a
 `linalg.IntegerMatrix`, sparse integer rows over one denominator, from the
-circuit values f_C(z), computed once per circuit and fiber.
+integer circuit values f_C(z), one dot per circuit and fiber.
 `fiber_k_operator` keeps one per (fiber, j) in the fiber's entry of the
 family (`core.per_fiber`); the conformal-block equations and
 `critalg.solve_critical` read it.
@@ -44,7 +44,7 @@ import math
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .core import coords, f_c_value, per_family, per_fiber
+from .core import circuit_rows, coords, default_anchor, per_family, per_fiber
 from .linalg import _dot, _integer_vector, _lazy_module, _reduced_matrix, np
 
 critalg = _lazy_module("arrfrob.critalg")
@@ -108,30 +108,35 @@ def _l_c_integer(family, circuit_indices):
 
 @per_fiber
 def _circuit_values(family, zz):
-    """f_C(z) for every circuit of the family, once per fiber."""
-    return tuple(f_c_value(c, zz) for c in family.circuit_list)
+    """f_C(z) of every circuit, once per fiber: its row of
+    `core.circuit_rows` dotted with the fiber's numerators, over the rows'
+    denominator times the fiber's, which is returned with them."""
+    values, z_den = _integer_vector(zz)
+    return [_dot(row, values) for row in circuit_rows(family).rows], z_den
 
 
 def k_operator(family, z, j):
     """Exact K_j(z) = sum_C (lambda_j^C / f_C(z)) L_C as an IntegerMatrix.
 
-    The scales lambda_j^C / f_C(z) are brought to one denominator and the
-    integer L_C entries are summed in integer arithmetic; the result is
-    reduced by the gcd of its denominator and numerators."""
+    Each lambda_j^C / f_C(z) is an integer pair, the numerator signed, from
+    `_circuit_values`; the pairs are brought to one denominator, the
+    integer L_C entries are summed, and the result is reduced by the gcd
+    of its denominator and numerators."""
     if not 1 <= j <= family.n:
         raise ValueError(f"index {j} out of range")
+    values, z_den = _circuit_values(family, z)
     scales = []
-    for circuit, fc in zip(family.circuit_list, _circuit_values(family, z)):
-        lam_j = circuit.coefficient(j)
-        if lam_j == 0:
+    for circuit, row, fc in zip(family.circuit_list, circuit_rows(family).rows, values):
+        lam_j = row.get(j - 1)
+        if not lam_j:
             continue
         if fc == 0:
             raise ValueError(
                 f"fiber lies on the discriminant: f_C vanishes for circuit "
                 f"{circuit.indices}"
             )
-        scale = lam_j / fc
-        scales.append((circuit.indices, scale.numerator, scale.denominator))
+        num = lam_j * z_den
+        scales.append((circuit.indices, num if fc > 0 else -num, abs(fc)))
     common = math.lcm(*(den for _, _, den in scales))
     acc = [{} for _ in family.flag_index]
     for indices, num, den in scales:
@@ -191,14 +196,13 @@ def _commutator_rows(ki, kj):
     return out, den_i * den_j
 
 
-def _integer_form(circuit):
-    """The circuit form f_C as coprime integer coefficients, ((index,
-    coefficient), ...), the first positive since lambda^C starts with 1:
-    one key per hyperplane of the discriminant."""
-    den = math.lcm(*(x.denominator for x in circuit.lam))
-    values = [x.numerator * (den // x.denominator) for x in circuit.lam]
-    g = math.gcd(*values)
-    return tuple((i, v // g) for i, v in zip(circuit.indices, values))
+def _integer_form(row):
+    """A circuit form f_C, given as its row of `core.circuit_rows`, as
+    coprime integer coefficients, ((index, coefficient), ...), the first
+    positive since lambda^C starts with 1: one key per hyperplane of the
+    discriminant."""
+    g = math.gcd(*row.values())
+    return tuple((i + 1, v // g) for i, v in row.items())
 
 
 def _plucker_key(u, v):
@@ -264,8 +268,8 @@ def _sing_residues(family):
         free.append(f)
     common = math.lcm(*(den for _, den in basis))
     hyperplanes = {}
-    for circuit in family.circuit_list:
-        hyperplanes.setdefault(_integer_form(circuit), []).append(circuit.indices)
+    for circuit, row in zip(family.circuit_list, circuit_rows(family).rows):
+        hyperplanes.setdefault(_integer_form(row), []).append(circuit.indices)
     residues, moving = [], []
     for group in hyperplanes.values():
         rows, moved = _restricted_residue(family, group, free, common)
@@ -566,47 +570,37 @@ def pairing_functional(family, vec):
 
 
 def check_conformal_block(family, z, anchor=None):
-    """Exact check of (|a|/k) d_j q = K_j q at a fiber, with the section's
-    coordinates differentiated symbolically."""
-    zz = coords(z)
-    q_values, q_den = _integer_vector(
-        [expr.evaluate_exact(zz) for expr in frobenius.conformal_block_exprs(family, anchor)]
-    )
-    scale = Fraction(family.weight_sum, family.k)
+    """Exact check of (|a|/k) d_j q = K_j q at a fiber, with q and its
+    derivatives in closed form (`frobenius.fiber_section_derivative`),
+    compared in integers."""
+    zz, anchor = coords(z), anchor or default_anchor(family)
+    q_values, q_den = frobenius.fiber_section_derivative(family, zz, anchor, ())
+    asum = family.weight_sum
     for j in range(1, family.n + 1):
         mat = fiber_k_operator(family, zz, j)
-        derivs = frobenius.conformal_block_derivative_exprs(family, (j,), anchor)
-        for row, expr in zip(mat.rows, derivs):
-            lhs = scale * expr.evaluate_exact(zz)
-            # (K_j q)_p is _dot(row, q_values) / (mat.den * q_den)
-            if lhs.numerator * mat.den * q_den != _dot(row, q_values) * lhs.denominator:
-                return False
+        d_values, d_den = frobenius.fiber_section_derivative(family, zz, anchor, (j,))
+        # (|a|/k) d_values[p] / d_den against (K_j q)_p = _dot(row, q_values) / (mat.den q_den)
+        left, right = asum.numerator * mat.den * q_den, family.k * asum.denominator * d_den
+        if any(left * d_values.get(p, 0) != right * _dot(row, q_values)
+               for p, row in enumerate(mat.rows)):
+            return False
     return True
 
 
 def derivative_sections(family, z, directions, anchor=None):
     """The iterated derivative of the conformal block section in the given
-    directions, computed two ways: symbolically, and through the algebra as
+    directions, computed two ways: in closed form
+    (`frobenius.block_derivative`), and through the algebra as
     (k (k-1) ... (k-r+1) / |a|^r) alpha(product of generators).
 
-    Returns the pair (symbolic, algebraic) of flag vectors; they must agree
-    exactly. Orders r > k give the zero section.
+    Returns the pair (closed form, algebraic) of flag vectors; they must
+    agree exactly. Orders r > k give the zero section.
     """
-    index = family.flag_index
     zz = coords(z)
-    r = len(directions)
-    symbolic = osflag.FlagVector()
-    derivs = frobenius.conformal_block_derivative_exprs(family, directions, anchor)
-    for pos, expr in enumerate(derivs):
-        val = expr.evaluate_exact(zz)
-        if val != 0:
-            symbolic.coeffs[index.subset(pos)] = val
-    falling = Fraction(1)
-    for i in range(r):
-        falling *= family.k - i
-    if falling == 0:
-        algebraic = osflag.FlagVector()
-    else:
+    falling = math.perm(family.k, len(directions))  # 0 for r > k
+    algebraic = osflag.FlagVector()
+    if falling:
         wvec = critalg.monomial_to_w(family, zz, tuple(directions), anchor)
-        algebraic = frobenius.alpha_structural(family, wvec * (falling / family.weight_sum**r))
-    return symbolic, algebraic
+        scale = Fraction(falling, family.weight_sum ** len(directions))
+        algebraic = frobenius.alpha_structural(family, wvec * scale)
+    return frobenius.block_derivative(family, zz, directions, anchor), algebraic

@@ -6,34 +6,29 @@ An expression is a finite sum of terms
 
 where every f is a linear form sum_j c_j z_j with rational coefficients,
 exponents are (possibly negative) integers, and a term carries at most one
-logarithm. The family is closed under z-differentiation, which is the whole
-point: repeated derivatives of f^(2k) log f eventually cancel every log
-coefficient, after which evaluation is exact rational arithmetic.
+logarithm. The family is closed under z-differentiation: repeated
+derivatives of f^(2k) log f eventually cancel every log coefficient, after
+which evaluation is exact rational arithmetic.
 
-The arithmetic is in integers. An expression keeps its coefficients as
-integer numerators over one positive denominator, with no common factor,
-so adding, scaling and multiplying expressions multiply and add ints. A
-form is kept both as its Fraction coefficients and as integer numerators
-over one denominator; `diff` multiplies by those numerators and puts the
-result over the expression's denominator times the lcm of the forms'
-denominators.
-A log factor keeps its form as it is, scale included: log(s g) and
-log g differ by the constant log s, so a form is never replaced by a
-primitive integer multiple of it.
+No command builds a `LinExpr`: the checks differentiate q and the
+potentials in closed form (`frobenius`). `LinExpr` is the reference the
+tests compare those closed forms with (the symbolic builders of
+`tests/fiber_oracles.py`), and `perfbench/optrace.py` still traces it.
 
+The arithmetic is in integers: an expression keeps integer numerators over
+one positive denominator, with no common factor, and a form is kept both
+as its Fraction coefficients and as integer numerators over one
+denominator, which `diff` multiplies by. A log factor keeps its form as it
+is, scale included: log(s g) and log g differ by the constant log s.
 Linear forms are interned: a `FormTable` gives each distinct coefficient
-tuple a small int id, and a term key holds only those ids and exponents, so
-building and differentiating expressions never hashes a rational. Every
-expression carries the table its ids refer to; a family owns one table
-(`ArrangementFamily.forms`) shared by all of its expressions, and
-expressions over two tables combine by re-interning the other side's forms.
-The values of a table's forms at an exact fiber are computed once per
-fiber, from the forms' integer numerators with the fiber as one integer
-vector over one denominator, and kept in that fiber's entry of the
-owner's per-fiber tables (a `FiberTables`;
-`ArrangementFamily.release_fibers` frees them);
-`evaluate_exact` reads them there and sums the terms in integer
-arithmetic over a common denominator.
+tuple a small int id, and a term key holds only ids and exponents, so no
+operation hashes a rational. A family owns one table
+(`ArrangementFamily.forms`) shared by all of its expressions; expressions
+over two tables combine by re-interning the other side's forms. The values
+of a table's forms at an exact fiber are computed once per fiber, from
+integer numerators, and kept in that fiber's entry of the owner's
+`core.FiberTables` (`ArrangementFamily.release_fibers` frees them);
+`evaluate_exact` sums the terms over a common denominator.
 """
 
 from __future__ import annotations
@@ -41,6 +36,8 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+
+from .core import FiberTables
 
 
 def linear_form(coeffs):
@@ -64,36 +61,6 @@ def _integer_value(form, fiber):
     den *= fiber_den
     g = math.gcd(num, den)
     return num // g, den // g
-
-
-def _is_rational(values):
-    return all(isinstance(v, (int, Fraction)) for v in values)
-
-
-class FiberTables(dict):
-    """Exact fiber (a coordinate tuple) -> the dict of that fiber's tables.
-
-    Hashing a fiber hashes its Fractions, and each of those hashes takes a
-    modular inverse. The checks of a run look one fiber up many times in a
-    row, with one coordinate tuple, so the entry of the last fiber looked
-    up is kept with that tuple and found again by identity."""
-
-    __slots__ = ("_last",)
-
-    def __init__(self):
-        super().__init__()
-        self._last = (None, None)
-
-    def entry(self, zz):
-        last, entry = self._last
-        if last is not zz:
-            entry = self.setdefault(zz, {})
-            self._last = (zz, entry)
-        return entry
-
-    def clear(self):
-        super().clear()
-        self._last = (None, None)
 
 
 class FormTable:
@@ -324,7 +291,7 @@ class LinExpr:
         """Value at z; exact Fraction when no log factor survives and z is
         rational, complex otherwise."""
         zz = tuple(z)
-        if not self.has_log() and _is_rational(zz):
+        if not self.has_log() and all(isinstance(v, (int, Fraction)) for v in zz):
             return self.evaluate_exact(zz)
         values = {}  # form id -> complex value, for the forms this uses
 

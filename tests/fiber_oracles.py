@@ -21,7 +21,9 @@ q, and the distance of a float vector from the singular subspace. Last,
 the routes that no code of the program calls: an exact linear solve, the
 value of a w-span element at one critical point, the S-orthogonal
 projection onto the singular subspace through the inverse Gram matrix,
-which `SingularSubspace.is_projection` replaced, the Gauss-Jordan
+which `SingularSubspace.is_projection` replaced, the section q and the
+quadratic and log potentials as symbolic `LinExpr` expressions and their
+derivatives, which the closed forms of `frobenius` replaced, the Gauss-Jordan
 elimination in Fraction arithmetic that the fraction-free kernel of
 `linalg` replaced, and the adaptive Dormand-Prince transport that the
 Taylor steps of `gaussmanin.flow_flat_section` replaced, an independent
@@ -35,15 +37,13 @@ from fractions import Fraction
 import numpy as np
 
 from arrfrob import critalg
-from arrfrob.core import coords, default_anchor
+from arrfrob.core import coords, default_anchor, per_family
 from arrfrob.frobenius import (
     _k1_kj_on_vi,
     alpha_structural,
     canonical_iso_analytic,
-    conformal_block_derivative_exprs,
     contravariant_map_class,
     potential_derivative_row,
-    potential_log_derivative_expr,
 )
 from arrfrob.gaussmanin import (
     FlowResult,
@@ -54,6 +54,7 @@ from arrfrob.gaussmanin import (
     fiber_k_operator,
 )
 from arrfrob.linalg import _dot, _integer_sum, inv, rref
+from arrfrob.linforms import LinExpr
 from arrfrob.osflag import (
     CoVector,
     FlagVector,
@@ -62,6 +63,7 @@ from arrfrob.osflag import (
     max_abs_diff,
     singular_subspace,
     v_vector,
+    weight_product,
 )
 
 
@@ -454,6 +456,105 @@ def sing_projection(space, u):
     through the inverse Gram matrix: the reference for
     `SingularSubspace.is_projection`."""
     return sing_from_coordinates(space, sing_coordinates(space, u))
+
+
+# ---------------------------------------------------------------------------
+# the symbolic section and potentials
+
+
+def conformal_block_exprs(family, anchor=None):
+    """Flag coordinates of the section q(z) as exact `LinExpr` polynomials
+    in the fiber; degree k, independent of the anchor choice."""
+    return conformal_block_derivative_exprs(family, (), anchor)
+
+
+def conformal_block_derivative_exprs(family, directions, anchor=None):
+    """Flag coordinates of the derivative of q along the given directions,
+    as exact expressions, built once per family along sorted direction
+    tuples: the reference for `frobenius.section_derivative`."""
+    if anchor is None:
+        anchor = default_anchor(family)
+    return _block_derivative_sorted(family, anchor, tuple(sorted(directions)))
+
+
+@per_family
+def _block_derivative_sorted(family, anchor, key):
+    if key:
+        exprs = _block_derivative_sorted(family, anchor, key[:-1])
+        return tuple(expr.diff(key[-1]) for expr in exprs)
+    index = family.flag_index
+    exprs = [LinExpr.zero() for _ in range(len(index))]
+    scale = Fraction(1) / family.weight_sum**family.k
+    for T in critalg.anchored_subsets(family, anchor):
+        u = (anchor,) + T
+        denom = Fraction(1)
+        for m in range(len(u)):
+            minor = family.minor(u[:m] + u[m + 1 :])
+            if minor == 0:
+                raise ValueError(f"closed form needs independent subsets inside {u}")
+            denom *= minor if m % 2 == 0 else -minor
+        form = critalg.f_minor_form(family, u)
+        mono = LinExpr.monomial(scale / denom, {form: family.k}, forms=family.forms)
+        for subset, coef in v_vector(family, T).coeffs.items():
+            pos = index.position(subset)
+            exprs[pos] = exprs[pos] + mono.scale(coef)
+    return tuple(exprs)
+
+
+@per_family
+def potential_log_expr(family):
+    """The log-type potential as an exact expression: for every independent
+    (k+1)-subset u a term (prod a / (2k)! prod_m d_{u less m}^2) f_u^{2k} log f_u."""
+    k = family.k
+    terms = LinExpr.zero()
+    fact = math.factorial(2 * k)
+    for u in itertools.combinations(range(1, family.n + 1), k + 1):
+        denom = Fraction(fact)
+        for m in range(k + 1):
+            minor = family.minor(u[:m] + u[m + 1 :])
+            if minor == 0:
+                raise ValueError("log potential closed form needs a generic family")
+            denom *= minor * minor
+        coef = weight_product(family, u)
+        form = critalg.f_minor_form(family, u)
+        terms = terms + LinExpr.monomial(
+            coef / denom, {form: 2 * k}, log_form=form, forms=family.forms
+        )
+    return terms
+
+
+def potential_log_derivative_expr(family, directions):
+    """Iterated derivative of the log potential; memoized along sorted
+    prefixes since mixed partials commute."""
+    return _log_derivative_sorted(family, tuple(sorted(directions)))
+
+
+@per_family
+def _log_derivative_sorted(family, key):
+    if not key:
+        return potential_log_expr(family)
+    return _log_derivative_sorted(family, key[:-1]).diff(key[-1])
+
+
+def potential_quadratic_derivative_expr(family, directions, anchor=None):
+    """Iterated derivative of P = S(q, q) (P itself for no directions) as an
+    exact expression, built once per family and anchor along sorted
+    prefixes: P expanded as sum_T w_T q_T^2, then differentiated."""
+    if anchor is None:
+        anchor = default_anchor(family)
+    return _quadratic_derivative_sorted(family, anchor, tuple(sorted(directions)))
+
+
+@per_family
+def _quadratic_derivative_sorted(family, anchor, key):
+    if key:
+        return _quadratic_derivative_sorted(family, anchor, key[:-1]).diff(key[-1])
+    index = family.flag_index
+    total = LinExpr.zero()
+    for pos, expr in enumerate(conformal_block_exprs(family, anchor)):
+        weight = weight_product(family, index.subset(pos))
+        total = total + (expr * expr).scale(weight)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -467,14 +467,15 @@ def test_exact_suites_and_circuits_do_not_load_numpy(k2_config, tmp_path):
         "print(code, *executed())\n"
         f"code = main(['check', '--config', {k2_config!r}, '--suites', "
         f"'circuits,flatness,symmetry,conformal,potential', '--json', {out!r}])\n"
-        "print(code, *(m for m in executed() if m.split('.')[0] == 'numpy'))\n",
+        "print(code, *(m for m in executed()\n"
+        "              if m.split('.')[0] == 'numpy' or m == 'arrfrob.linforms'))\n",
     )
     assert proc.returncode == 0, proc.stderr
+    # the exact suites differentiate in closed form: `linforms` never runs
     assert proc.stdout.splitlines() == [
         "arrfrob",
-        "0 arrfrob arrfrob.cli arrfrob.core arrfrob.linalg arrfrob.linforms",
-        "0 arrfrob arrfrob.cli arrfrob.core arrfrob.gaussmanin arrfrob.linalg arrfrob.linforms "
-        "arrfrob.osflag",
+        "0 arrfrob arrfrob.cli arrfrob.core arrfrob.linalg",
+        "0 arrfrob arrfrob.cli arrfrob.core arrfrob.gaussmanin arrfrob.linalg arrfrob.osflag",
         "0",
     ]
 
@@ -946,6 +947,26 @@ def test_exact_suite_reports_are_pinned(k, n, tmp_path, prime_config):
     assert digest == _EXACT_SHA256[k, n]
 
 
+# sha256 of `check --suites conformal,potential --anchor 2` at seed 1,
+# pinned before q and the potentials were differentiated in closed form in
+# place of symbolic expressions: an anchor other than the default one
+# reaches every table of the section and of the ladder rows.
+_ANCHOR2_SHA256 = {
+    (2, 4): "5a9329f5bdbb5e7f23408f30b60e95942d801679c1ca924b989c272a1a79b345",
+    (3, 5): "4785e4cdce4872de1c2c9a13f423ba3fdd3911c1073faa3705cf6a8474e93aca",
+}
+
+
+@pytest.mark.parametrize("k, n", sorted(_ANCHOR2_SHA256))
+def test_anchor_two_conformal_and_potential_reports_are_pinned(k, n, tmp_path, prime_config):
+    out = tmp_path / "report.json"
+    cfg = _write_config(tmp_path, prime_config(k, n, seed=1))
+    assert main(["check", "--config", cfg, "--suites", "conformal,potential",
+                 "--anchor", "2", "--json", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == _ANCHOR2_SHA256[k, n]
+
+
 # sha256 of `check --suites basis,canonical` at seed 1, pinned before the
 # exact compositions were decided once per family and the solver read its
 # floats from the integer K_j(z), and pinned again when the
@@ -1124,20 +1145,20 @@ def test_exact_suites_build_each_operator_and_form_value_once(
 ):
     from collections import Counter
 
-    from arrfrob import cli, gaussmanin, linalg, linforms
+    from arrfrob import cli, frobenius, gaussmanin, linalg
 
     builds, values, draws, inversions = Counter(), Counter(), Counter(), []
-    build, value = gaussmanin.k_operator, linforms._integer_value
+    build, value = gaussmanin.k_operator, frobenius.section_derivative
     draw, inv = cli.sample_good_point, linalg.inv
 
     def spy_build(family, z, j):
         builds[tuple(z), j] += 1
         return build(family, z, j)
 
-    def spy_value(form, fiber):
-        # a form and a fiber, each as integer numerators over a denominator
-        values[form, fiber] += 1
-        return value(form, fiber)
+    def spy_value(family, zz, key, anchor):
+        # the derivative of q along the sorted directions key at the fiber zz
+        values[zz, key, anchor] += 1
+        return value(family, zz, key, anchor)
 
     def spy_draw(family, seed):
         draws[seed] += 1
@@ -1148,15 +1169,17 @@ def test_exact_suites_build_each_operator_and_form_value_once(
         return inv(a)
 
     monkeypatch.setattr(gaussmanin, "k_operator", spy_build)
-    monkeypatch.setattr(linforms, "_integer_value", spy_value)
+    monkeypatch.setattr(frobenius, "section_derivative", spy_value)
     monkeypatch.setattr(cli, "sample_good_point", spy_draw)
     monkeypatch.setattr(linalg, "inv", spy_inv)
     cfg = _write_config(tmp_path, prime_config(3, 5, seed=1))
     assert main(["check", "--config", cfg, "--suites", _EXACT_SUITES,
                  "--json", str(tmp_path / "report.json")]) == 0
-    # every (fiber, j) integer K_j and every (form, fiber) value, once
+    # every (fiber, j) integer K_j and every (fiber, sorted directions)
+    # derivative of q, once
     assert len(builds) >= 5 * 5 and set(builds.values()) == {1}
     assert len(values) >= 5 * 10 and set(values.values()) == {1}
+    assert all(key == tuple(sorted(key)) for _, key, _ in values)
     # each of the 5 sampled fibers is drawn once, and no Gram matrix is inverted
     assert len(draws) == 5 and set(draws.values()) == {1}
     assert inversions == []

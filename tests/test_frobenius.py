@@ -7,11 +7,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from arrfrob import critalg, frobenius as fro, gaussmanin as gm, linalg
 from arrfrob.core import ArrangementFamily, is_good_fiber, load_family, sample_good_point
-from arrfrob.linforms import LinExpr
 from arrfrob.osflag import (
     CoVector,
     FlagVector,
@@ -19,10 +18,10 @@ from arrfrob.osflag import (
     max_abs_diff,
     singular_subspace,
     v_vector,
-    weight_product,
 )
 from fiber_oracles import (
     compositions_analytic_residual,
+    conformal_block_derivative_exprs,
     eta_and_beta,
     induced_multiplication_on_sing,
     k_operator_agreement,
@@ -30,6 +29,8 @@ from fiber_oracles import (
     membership_residual,
     multiplication_k1_closed,
     nu_inverse,
+    potential_log_derivative_expr,
+    potential_quadratic_derivative_expr,
     potential_report,
     potential_row_analytic,
     section_jacobian,
@@ -236,13 +237,16 @@ def test_potential_frozen_example():
     assert fro.potential_first(fam, (F(0), F(1))) == F(1, 8)
 
 
-def test_potential_closed_forms(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
-    assert fro.potential_first(fam_k1_n3, z_k1_n3) == fro.potential_first_closed_k1(
-        fam_k1_n3, z_k1_n3
-    )
-    assert fro.potential_first(fam_k2_n4, z_k2_n4) == fro.potential_first_closed_k2(
-        fam_k2_n4, z_k2_n4
-    )
+def test_potential_closed_forms(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4, fam_k3_n5):
+    # sum_u e_u f_u^(2k) / |a|^(2k+1); for k = 1 with unit slopes it is
+    # sum_{i<j} a_i a_j (z_i - z_j)^2 / |a|^3
+    z3 = sample_good_point(fam_k3_n5, seed=3).z
+    for fam, z in ((fam_k1_n3, z_k1_n3), (fam_k2_n4, z_k2_n4), (fam_k3_n5, z3)):
+        assert fro.potential_first(fam, z) == fro.potential_first_closed(fam, z)
+    a, z = fam_k1_n3.a, z_k1_n3
+    pairs = itertools.combinations(range(3), 2)
+    differences = sum(a[i] * a[j] * (z[i] - z[j]) ** 2 for i, j in pairs)
+    assert fro.potential_first_closed(fam_k1_n3, z) == differences / fam_k1_n3.weight_sum**3
 
 
 def test_potential_homogeneity(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
@@ -280,14 +284,14 @@ def test_derivative_row_analytic_mode(fam_k2_n4, z_k2_n4):
 def test_worked_k2_derivative(fam_k2_n4, z_k2_n4):
     # d^5 in directions (3,1,2,1,2): a_1 a_2 a_3 / (d_12 f_123)
     fam, z = fam_k2_n4, z_k2_n4
-    lhs = fro.potential_log_derivative_expr(fam, (3, 1, 2, 1, 2)).evaluate_exact(z)
+    lhs = fro._log_potential_derivative(fam, z, (3, 1, 2, 1, 2))
     expect = F(6) / (fam.minor((1, 2)) * critalg.f_minor_value(fam, z, (1, 2, 3)))
     assert lhs == expect
 
 
 def test_derivative_order_invariance(fam_k2_n4, z_k2_n4):
-    a = fro.potential_log_derivative_expr(fam_k2_n4, (3, 1, 2, 1, 2))
-    b = fro.potential_log_derivative_expr(fam_k2_n4, (1, 1, 2, 2, 3))
+    a = potential_log_derivative_expr(fam_k2_n4, (3, 1, 2, 1, 2))
+    b = potential_log_derivative_expr(fam_k2_n4, (1, 1, 2, 2, 3))
     assert a.terms == b.terms
 
 
@@ -771,13 +775,6 @@ def _fresh_family(k, n, prime_config):
     return load_family(prime_config(k, n))
 
 
-def _diff_along(expr, directions):
-    """expr differentiated in each direction in turn."""
-    for j in directions:
-        expr = expr.diff(j)
-    return expr
-
-
 def _direction_orders(family, seed, max_order):
     """A few random direction tuples of every order up to max_order, each
     with all of its orderings."""
@@ -790,45 +787,137 @@ def _direction_orders(family, seed, max_order):
     return [sorted(set(itertools.permutations(t))) for t in tuples]
 
 
-@pytest.mark.parametrize("k, n", _TABLE_FAMILIES)
-def test_potential_ladder_table_matches_a_fresh_build(k, n, prime_config):
-    family = _fresh_family(k, n, prime_config)
-    fibers = [sample_good_point(family, seed=s).z for s in range(3)]
-    P = fro.potential_quadratic_derivative_expr(family, ())
-    assert fro.potential_quadratic_derivative_expr(family, ()) is P
-    for z in fibers:
-        assert P.evaluate_exact(z) == fro.potential_first(family, z)
-    # a new family and the unshared route: P rebuilt from q, then
-    # differentiated in each order
-    fresh = _fresh_family(k, n, prime_config)
-    index = fresh.flag_index
-    rebuilt = LinExpr.zero()
-    for pos, expr in enumerate(fro.conformal_block_exprs(fresh)):
-        rebuilt = rebuilt + (expr * expr).scale(weight_product(fresh, index.subset(pos)))
-    for orders in _direction_orders(family, seed=k + n, max_order=2 * k):
-        table = fro.potential_quadratic_derivative_expr(family, orders[0])
-        values = [table.evaluate_exact(z) for z in fibers]
-        for dirs in orders:
-            assert fro.potential_quadratic_derivative_expr(family, dirs) is table
-            derivative = _diff_along(rebuilt, dirs)
-            assert [derivative.evaluate_exact(z) for z in fibers] == values
+# The closed forms of `frobenius` against the symbolic `LinExpr` references
+# of `fiber_oracles`, at random rational fibers and at every anchor: the
+# derivatives of q up to order k + 1, the derivatives of P = S(q, q) up to
+# order 2k and the (2k+1)-fold derivatives of the log potential. The
+# closed forms read one family object and the references another, each
+# kept across examples so that both keep their per-family tables.
+_CLOSED_FORM_FAMILIES = _TABLE_FAMILIES + [(4, 6)]
+_K4N6 = {
+    "k": 4,
+    "n": 6,
+    "b": [[1, x, x * x, x**3] for x in range(6)],
+    "weights": ["2", "3", "5", "7", "11", "13"],
+}
+_closed_form_pairs = {}
+
+
+# prime_config only makes config documents, so sharing it across examples
+# is safe
+_closed_form_settings = settings(
+    deadline=None,
+    derandomize=True,
+    max_examples=20,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _closed_form_pair(k, n, prime_config):
+    """(family read by the closed forms, family read by the references)."""
+    if (k, n) not in _closed_form_pairs:
+        config = _K4N6 if k == 4 else prime_config(k, n)
+        _closed_form_pairs[k, n] = (load_family(config), load_family(config))
+    return _closed_form_pairs[k, n]
+
+
+def _draw_fiber(data, family):
+    coordinate = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+    z = tuple(data.draw(st.lists(coordinate, min_size=family.n, max_size=family.n)))
+    assume(is_good_fiber(family, z))
+    return z
+
+
+def _draw_directions(data, family, lo, hi):
+    """A direction tuple of an order drawn evenly from lo..hi."""
+    r = data.draw(st.integers(lo, hi))
+    return tuple(data.draw(st.lists(st.integers(1, family.n), min_size=r, max_size=r)))
+
+
+@pytest.mark.parametrize("k, n", _CLOSED_FORM_FAMILIES)
+@_closed_form_settings
+@given(data=st.data())
+def test_block_derivative_table_matches_a_fresh_build(k, n, prime_config, data):
+    family, reference = _closed_form_pair(k, n, prime_config)
+    z = _draw_fiber(data, family)
+    directions = _draw_directions(data, family, 0, k + 1)
+    for anchor in range(1, n + 1):
+        exprs = conformal_block_derivative_exprs(reference, directions, anchor)
+        expected = FlagVector.from_coordinates(
+            family.flag_index.subsets, [e.evaluate_exact(z) for e in exprs]
+        )
+        assert fro.block_derivative(family, z, directions, anchor) == expected
+        # one table per sorted direction tuple, whatever the order
+        key = tuple(sorted(directions))
+        table = fro.fiber_section_derivative(family, z, anchor, key)
+        assert fro.block_derivative(family, z, directions[::-1], anchor) == expected
+        assert fro.fiber_section_derivative(family, z, anchor, key) is table
+    assert len(directions) <= k or expected.is_zero()
+
+
+@pytest.mark.parametrize("k, n", _CLOSED_FORM_FAMILIES)
+@_closed_form_settings
+@given(data=st.data())
+def test_potential_ladder_table_matches_a_fresh_build(k, n, prime_config, data):
+    family, reference = _closed_form_pair(k, n, prime_config)
+    z = _draw_fiber(data, family)
+    directions = _draw_directions(data, family, 0, 2 * k)
+    for anchor in range(1, n + 1):
+        expected = potential_quadratic_derivative_expr(reference, directions, anchor)
+        value = fro._quadratic_derivative(family, z, directions, anchor)
+        assert value == expected.evaluate_exact(z)
+    if not directions:
+        assert value == fro.potential_first(family, z)
+
+
+@pytest.mark.parametrize("k, n", _CLOSED_FORM_FAMILIES)
+@_closed_form_settings
+@given(data=st.data())
+def test_log_potential_derivative_matches_the_symbolic_reference(k, n, prime_config, data):
+    family, reference = _closed_form_pair(k, n, prime_config)
+    z = _draw_fiber(data, family)
+    directions = _draw_directions(data, family, 2 * k + 1, 2 * k + 1)
+    expected = potential_log_derivative_expr(reference, directions).evaluate_exact(z)
+    assert fro._log_potential_derivative(family, z, directions) == expected
+    for anchor in range(1, n + 1):
+        row = fro.potential_derivative_row(family, z, directions, anchor)
+        assert row["lhs"] == str(expected) and row["abs_err"] == 0.0
+
+
+def _changed_section_rows(monkeypatch, change):
+    """Make `frobenius._section_rows` return the family's rows with its
+    first term changed by `change`, a function of (c_T, form, position)."""
+    build = fro._section_rows
+
+    def changed(family, anchor):
+        terms, c_den, f_den = build(family, anchor)
+        return [change(*terms[0])] + terms[1:], c_den, f_den
+
+    monkeypatch.setattr(fro, "_section_rows", changed)
 
 
 @pytest.mark.parametrize("k, n", _TABLE_FAMILIES)
-def test_block_derivative_table_matches_a_fresh_build(k, n, prime_config):
-    family = _fresh_family(k, n, prime_config)
-    fibers = [sample_good_point(family, seed=s).z for s in range(3)]
-    base = fro.conformal_block_exprs(family)
-    assert fro.conformal_block_derivative_exprs(family, ()) is base
-    exprs = fro.conformal_block_exprs(_fresh_family(k, n, prime_config))
-    for orders in _direction_orders(family, seed=2 * k + n, max_order=k + 1):
-        table = fro.conformal_block_derivative_exprs(family, orders[0])
-        assert isinstance(table, tuple)
-        values = [[e.evaluate_exact(z) for e in table] for z in fibers]
-        for dirs in orders:
-            assert fro.conformal_block_derivative_exprs(family, dirs) is table
-            fresh = [_diff_along(expr, dirs) for expr in exprs]
-            assert [[e.evaluate_exact(z) for e in fresh] for z in fibers] == values
+@pytest.mark.parametrize("target", ["coefficient", "form"])
+def test_one_changed_section_row_fails_the_block_and_ladder_rows(
+    k, n, target, prime_config, monkeypatch
+):
+    # the anchor n lies in every u_T, so lambda_{u_T,n} is a nonzero minor
+    # and d_n q reads the changed term
+    def change(c, form, pos):
+        if target == "coefficient":
+            return c + 1, form, pos
+        return c, {**form, n - 1: form[n - 1] + 1}, pos
+
+    def rows(family, z):
+        sym, alg = gm.derivative_sections(family, z, (n,))
+        ladder = fro.multi_derivative_identity_row(family, z, (n,))
+        return gm.check_conformal_block(family, z), sym == alg, ladder["abs_err"] == 0.0
+
+    z = sample_good_point(load_family(prime_config(k, n)), seed=1).z
+    _changed_section_rows(monkeypatch, change)
+    assert rows(load_family(prime_config(k, n)), z) == (False, False, False)
+    monkeypatch.undo()
+    assert rows(load_family(prime_config(k, n)), z) == (True, True, True)
 
 
 @pytest.mark.parametrize("k, n", _TABLE_FAMILIES)

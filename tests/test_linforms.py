@@ -134,8 +134,9 @@ def test_same_expression_built_in_two_orders_has_equal_terms():
 
 
 def test_expressions_of_two_families_do_not_mix():
+    from fiber_oracles import potential_quadratic_derivative_expr
+
     from arrfrob.core import load_family
-    from arrfrob.frobenius import potential_quadratic_derivative_expr
 
     weights = ["2", "3", "5", "7"]
     a = load_family({"k": 2, "n": 4, "b": [[1, 0], [0, 1], [1, 1], [1, 2]], "weights": weights})
