@@ -33,37 +33,38 @@ _EXPORTS = {
         "v_vector",
     ),
     "critalg": (
-        "CriticalPoint",
-        "MasterFunction",
         "expected_critical_count",
         "identity_element",
         "monomial_to_w",
         "multiply",
         "reduce_to_w_basis",
-        "residue_pairing_analytic",
-        "solve_critical",
         "structural_pairing",
     ),
+    "critpoints": (
+        "CriticalPoint",
+        "MasterFunction",
+        "canonical_iso_analytic",
+        "naive_iso_and_constant",
+        "residue_pairing_analytic",
+        "solve_critical",
+    ),
     "gaussmanin": (
-        "FlowResult",
         "check_conformal_block",
         "check_flatness",
         "check_symmetry_and_invariance",
         "derivative_sections",
         "flatness_certificate",
-        "flow_flat_section",
         "k_operator",
     ),
+    "transport": ("FlowResult", "flow_flat_section"),
     "frobenius": (
         "a_constant",
         "alpha_structural",
-        "canonical_iso_analytic",
-        "naive_iso_and_constant",
         "period_map",
         "potential_first",
         "potential_derivative_row",
-        "strata_restriction_k1",
     ),
+    "strata": ("strata_restriction_k1",),
     "cli": ("main", "report_schema_version"),
 }
 

@@ -1,5 +1,6 @@
-"""Command-line front end: config ingestion, suite orchestration,
-deterministic sampling, JSON report emission.
+"""Command-line front end: config ingestion, the exact suites, the suite
+table, deterministic sampling, JSON report emission. The float suites and
+verbs live with the layer they run (`critpoints`, `transport`, `strata`).
 
 Verbs: check, circuits, basis, critical, potential, gm-flow. Exit codes:
 0 all checks pass, 1 at least one identity failed (witnesses in the
@@ -22,7 +23,6 @@ import random
 import sys
 from fractions import Fraction
 
-from . import linalg
 from .core import (
     ConfigError,
     _is_int,
@@ -30,19 +30,22 @@ from .core import (
     circuits,
     default_anchor,
     format_rational,
-    is_good_fiber,
     load_family,
     parse_rational,
     per_family,
     sample_good_point,
 )
-from .linalg import _lazy_module, np
+from .linalg import _lazy_module
 
-# A verb or suite executes only the modules that it calls into.
+# A verb or suite executes only the modules that it calls into. All are bound
+# here, so a tracer of every loaded module (perfbench/optrace.py) sees them.
 critalg = _lazy_module("arrfrob.critalg")
+critpoints = _lazy_module("arrfrob.critpoints")
 frobenius = _lazy_module("arrfrob.frobenius")
 gaussmanin = _lazy_module("arrfrob.gaussmanin")
 osflag = _lazy_module("arrfrob.osflag")
+strata = _lazy_module("arrfrob.strata")
+transport = _lazy_module("arrfrob.transport")
 
 SUITES = (
     "circuits",
@@ -332,52 +335,6 @@ def _suite_circuits(family, cfg):
     return rows, {"circuits": listing}
 
 
-def _suite_basis(family, cfg):
-    rows = []
-    index = family.flag_index
-    expected_flag = sum(
-        1
-        for T in itertools.combinations(range(1, family.n + 1), family.k)
-        if family.minor(T) != 0
-    )
-    _row(rows, "flag-basis-size", len(index) == expected_flag)
-    space = osflag.singular_subspace(family)
-    _row(
-        rows,
-        "singular-dimension",
-        space.dimension == math.comb(family.n - 1, family.k),
-        witness={"dimension": space.dimension},
-    )
-    anchor = cfg.anchor
-    anchored = critalg.anchored_subsets(family, anchor)
-    _row(rows, "anchored-basis-size", len(anchored) == math.comb(family.n - 1, family.k))
-    # a zero determinant raises in `SingularSubspace`, before this row, and
-    # so shows as the suite's `suite-error` row
-    gdet = space.gram_det
-    _row(rows, "v-gram-nondegenerate", gdet != 0, witness={"det": _num(gdet)})
-    if family.k == 1:
-        vs = [osflag.v_vector(family, (j,)) for j in range(1, family.n)]
-        vdet = linalg.det([[osflag.contravariant_pairing(u, w, family) for w in vs] for u in vs])
-        closed = osflag.weight_product(family, range(1, family.n + 1)) / family.weight_sum
-        _row(
-            rows,
-            "v-gram-determinant-closed-form",
-            vdet == closed,
-            witness={"det": _num(vdet), "expected": _num(closed)},
-        )
-    extra = {
-        "flag_dimension": len(index),
-        "singular_dimension": space.dimension,
-        "anchor": anchor,
-    }
-    z = _sampled_fiber(family, cfg.seed)
-    points = critalg.solve_critical(family, z)
-    cond = critalg.evaluation_matrix(family, points, anchor)[1]
-    _row(rows, "evaluation-matrix-finite-condition", bool(cond < 1e12), residual=cond)
-    extra["evaluation_condition"] = _fixed(cond)
-    return rows, extra
-
-
 def _certificate_row(rows, ident, offenders, counts):
     """A per-family certificate's row: it passes when nothing offends; the
     witness has the family's counts and the first few offenders (circuits,
@@ -407,89 +364,6 @@ def _suite_symmetry(family, cfg):
         ("weighted-euler-certificate", "off_euler"),
     ):
         _certificate_row(rows, ident, rep[key], counts)
-    return rows, {}
-
-
-def _contraction_residual(family, points):
-    """Worst |sum_j d_{(j,)+tail} a_j / f_j(p)| over the (k-1)-subsets tail
-    and the points p, and the size of the largest single term: the relation
-    holds on the critical set, so the sum vanishes up to rounding of terms
-    of that size."""
-    worst = scale = 0.0
-    for tail in itertools.combinations(range(1, family.n + 1), family.k - 1):
-        for p in points:
-            val = 0j
-            for j in range(1, family.n + 1):
-                if j in tail:
-                    continue
-                minor = family.minor((j,) + tail)
-                if minor == 0:
-                    continue
-                term = complex(minor * family.a[j - 1]) / p.f_values[j - 1]
-                val += term
-                scale = max(scale, abs(term))
-            worst = max(worst, abs(val))
-    return worst, scale
-
-
-def _suite_critical(family, cfg):
-    rows = []
-    expected = critalg.expected_critical_count(family)
-    for i, z in enumerate(_sample_fibers(family, cfg.seed, cfg.samples)):
-        points = critalg.solve_critical(family, z)
-        _row(
-            rows,
-            f"critical-count-sample-{i}",
-            len(points) == expected,
-            witness={"found": len(points), "expected": expected},
-        )
-        # |Hess(p)| relative to the size of its terms, the test that
-        # solve_critical applies
-        master = critalg.MasterFunction(family, z)
-        minh = min(abs(p.hessian) / master.hessian_scale(p.t) for p in points)
-        _row(rows, f"hessian-nonzero-sample-{i}", minh >= critalg.HESSIAN_FLOOR, residual=minh)
-        er = critalg.euler_residual(family, z, points)
-        tol = cfg.tol * critalg.euler_scale(family, z, points)
-        _row(rows, f"euler-identity-sample-{i}", er <= tol, residual=er, tol=tol)
-        worst, scale = _contraction_residual(family, points)
-        tol = 1e-9 * scale
-        _row(rows, f"contraction-relations-sample-{i}", worst <= tol, residual=worst, tol=tol)
-    return rows, {"expected_count": expected}
-
-
-def _suite_canonical(family, cfg):
-    rows = []
-    # the exact compositions do not read the fiber: one verdict per family
-    _row(rows, "compositions-exact", frobenius.contravariant_compositions(family))
-    anchor = cfg.anchor
-    basis = critalg.anchored_subsets(family, anchor)
-    covectors = [osflag.CoVector.basis(T) for T in basis]
-    exact = np.array(
-        [[complex(critalg.structural_pairing(family, x, y)) for y in covectors] for x in covectors]
-    )
-    for i, z in enumerate(_sample_fibers(family, cfg.seed, cfg.samples)):
-        rep = frobenius.naive_iso_and_constant(family, z, anchor)
-        expected = rep["expected"]
-        deviation = abs(rep["constant"] - expected)
-        _row(
-            rows,
-            f"constant-is-{'one' if expected == 1 else 'minus-one'}-sample-{i}",
-            deviation <= 1e-7,
-            residual=deviation,
-            tol=1e-7,
-        )
-        _row(
-            rows,
-            f"identification-residual-sample-{i}",
-            rep["residual"] <= cfg.tol,
-            residual=rep["residual"],
-            tol=cfg.tol,
-        )
-        points = critalg.solve_critical(family, z)
-        analytic, terms = critalg.residue_gram(family, points, basis)
-        worst = float(np.max(np.abs(analytic - exact)))
-        tol = cfg.tol * float(np.max(terms))
-        _row(rows, f"isometry-sample-{i}", worst <= tol, residual=worst, tol=tol)
     return rows, {}
 
 
@@ -562,128 +436,17 @@ def _default_kappa(family):
     return kappa
 
 
-def _lift_pattern(family):
-    """An integer direction w with f_C(w) != 0 for every circuit. Shifting a
-    real path by i*w bounds every |f_C| below by |f_C(w)| > 0, so lifted
-    segments cannot touch the discriminant."""
-    for m in range(1, family.n + 1):
-        w = tuple(Fraction(j**m) for j in range(1, family.n + 1))
-        if is_good_fiber(family, w):
-            return w
-    raise ConfigError("no imaginary lift direction found for this family")
-
-
-def _usable_path(family, seed, waypoints=3):
-    """A piecewise-linear path between real good fibers that detours through
-    an imaginary lift, keeping a provable distance from the discriminant."""
-    pts = _sample_fibers(family, seed, waypoints)
-    lift = [complex(0, 1) * float(x) for x in _lift_pattern(family)]
-    path = [pts[0]]
-    for p in pts:
-        path.append(tuple(complex(v) + l for v, l in zip(p, lift)))
-    path.append(pts[-1])
-    return path
-
-
-def _suite_periods(family, cfg):
-    rows = []
-    path = cfg.path if cfg.path is not None else _usable_path(family, cfg.seed + 13)
-    kappa = cfg.kappa
-    space = osflag.singular_subspace(family)
-    plus, minus = space.basis[0], space.basis[min(1, space.dimension - 1)]
-    try:
-        # one transport carries every period row's sections and quadratures
-        run = frobenius.period_transport(family, path, kappa, plus, minus, plus)
-    except RuntimeError as exc:
-        _row(rows, "period-path", True, skip=True)
-        extra = {"note": f"path unusable: {exc}"}
-    else:
-        tol = max(cfg.tol, 1e-6)
-        rep = frobenius.flat_period_check(family, path, plus, run, tol)
-        _row(
-            rows,
-            "flat-period-increment",
-            rep["passed"],
-            residual=rep["abs_err"],
-            tol=tol * rep["scale"],
-        )
-        rep = frobenius.twisted_pairing_invariance(family, run, 1e-6)
-        _row(
-            rows,
-            "opposite-slope-pairing-constant",
-            rep["passed"],
-            residual=rep["drift"],
-            tol=1e-6 * rep["scale"],
-        )
-        rep = frobenius.twisted_period_relation(family, path, kappa, run, 1e-5)
-        _row(
-            rows,
-            "twisted-period-relation",
-            rep["passed"],
-            residual=rep["abs_err"],
-            tol=1e-5 * rep["scale"],
-        )
-        extra = {"kappa": _num(kappa)}
-    if family.k == 1:
-        # an exact identity at the base fiber: no transport, so an unusable
-        # path leaves it standing unless the base fiber itself is bad
-        if is_good_fiber(family, path[0]):
-            rep = frobenius.twisted_closedness_k1(family, path[0])
-            _row(
-                rows,
-                "twisted-period-closedness",
-                rep["passed"],
-                residual=rep["residual"],
-                witness={"z": _vector(path[0])},
-            )
-        else:
-            _row(rows, "twisted-period-closedness", True, skip=True)
-    return rows, extra
-
-
-def _suite_strata(family, cfg):
-    rows = []
-    if family.k != 1:
-        _row(rows, "strata-restriction", True, skip=True)
-        return rows, {"note": "strata restriction covers k = 1"}
-    partitions = cfg.partitions
-    if partitions is None:
-        partitions = [((1, 2),) + tuple((j,) for j in range(3, family.n + 1))]
-        if family.n >= 4:
-            partitions.append(
-                ((1, 2), (3, 4)) + tuple((j,) for j in range(5, family.n + 1))
-            )
-    for p_index, partition in enumerate(partitions):
-        try:
-            quotient, _ = frobenius.quotient_family_k1(family, partition)
-        except ValueError as exc:
-            _row(rows, f"strata-partition-{p_index}", True, skip=True)
-            continue
-        for i in range(min(cfg.samples, 3)):
-            x = sample_good_point(quotient, seed=cfg.seed + 23 * i).z
-            rep = frobenius.strata_restriction_k1(family, partition, x)
-            _row(
-                rows,
-                f"strata-partition-{p_index}-sample-{i}",
-                rep["passed"],
-                residual=rep["log_potential_limit_residual"],
-                tol=frobenius.STRATA_LIMIT_TOL * rep["log_potential_limit_scale"],
-                witness={k: v for k, v in rep.items() if not k.startswith("log")},
-            )
-    return rows, {}
-
-
 _SUITE_RUNNERS = {
     "circuits": _suite_circuits,
-    "basis": _suite_basis,
+    "basis": lambda family, cfg: critpoints._suite_basis(family, cfg),
     "flatness": _suite_flatness,
     "symmetry": _suite_symmetry,
-    "critical": _suite_critical,
-    "canonical": _suite_canonical,
+    "critical": lambda family, cfg: critpoints._suite_critical(family, cfg),
+    "canonical": lambda family, cfg: critpoints._suite_canonical(family, cfg),
     "conformal": _suite_conformal,
     "potential": _suite_potential,
-    "periods": _suite_periods,
-    "strata": _suite_strata,
+    "periods": lambda family, cfg: transport._suite_periods(family, cfg),
+    "strata": lambda family, cfg: strata._suite_strata(family, cfg),
 }
 
 
@@ -774,31 +537,6 @@ def _cmd_suite(args):
     return 0 if passed else 1
 
 
-def _cmd_critical(args):
-    raw, family, z = _family_from_args(args)
-    cfg = RunSettings(raw, args, family)
-    if z is None:
-        z = sample_good_point(family, seed=cfg.seed).z
-    else:
-        z = z.z
-    points = critalg.solve_critical(family, z)
-    report = {
-        "schema": report_schema_version(),
-        "z": _vector(z),
-        "points": [
-            {
-                "t": [_num(complex(v)) for v in p.t],
-                "hess": _num(complex(p.hessian)),
-                "residual": _fixed(p.residual),
-            }
-            for p in points
-        ],
-        "expected_count": critalg.expected_critical_count(family),
-    }
-    _emit(report, args)
-    return 0 if len(points) == report["expected_count"] else 1
-
-
 def _cmd_potential(args):
     raw, family, z = _family_from_args(args)
     cfg = RunSettings(raw, args, family)
@@ -824,30 +562,6 @@ def _cmd_potential(args):
     }
     _emit(report, args)
     return 0 if passed else 1
-
-
-def _cmd_gm_flow(args):
-    raw, family, z = _family_from_args(args)
-    cfg = RunSettings(raw, args, family)
-    path = cfg.path if cfg.path is not None else _usable_path(family, cfg.seed + 13, 2)
-    start = osflag.singular_subspace(family).basis[0]
-    result = gaussmanin.flow_flat_section(
-        family, path, cfg.kappa, start, rtol=cfg.tol if cfg.tol < 1e-8 else 1e-10,
-        record=True,
-    )
-    lines = [json.dumps(row, sort_keys=True) for row in result.trajectory]
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        for line in lines:
-            print(line)
-    print(
-        f"steps={result.steps} rejected={result.rejected} "
-        f"extras={len(result.extras)}",
-        file=sys.stderr,
-    )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -878,9 +592,9 @@ def main(argv=None):
         "check": _cmd_check,
         "circuits": _cmd_suite,
         "basis": _cmd_suite,
-        "critical": _cmd_critical,
+        "critical": lambda args: critpoints._cmd_critical(args),
         "potential": _cmd_potential,
-        "gm-flow": _cmd_gm_flow,
+        "gm-flow": lambda args: transport._cmd_gm_flow(args),
     }
     try:
         # validate suite names before touching the config so bad names fail

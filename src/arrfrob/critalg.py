@@ -1,22 +1,11 @@
-"""Critical points of the weighted log potential and the function algebra
-on the critical set.
+"""The function algebra on the critical set of the weighted log
+potential, in exact arithmetic.
 
 For a fiber z the potential is Phi = sum_j a_j log f_j with
 f_j = z_j + sum_m b_j^m t_m. Its critical set in the arrangement complement
 is finite (count C(n-1, k) for generic data) and the algebra of functions
-on it carries a residue form (x, y) = sum_p x(p) y(p) / Hess(p).
-
-The critical points are solved from the spectrum of the connection, for
-every k: on the singular subspace Sing, K_j(z) is conjugate through
-nu: w_T -> v_T to multiplication by [a_j/f_j] (the test oracle
-`k_operator_agreement` checks this exactly at single fibers), so the
-eigenvectors of one fixed combination sum_j c_j K_j|Sing give a_j/f_j(p)
-at every critical point p (the Stickelberger eigenvalue method). Each
-eigenvector seeds Newton's method on the master gradient, which alone
-certifies the point. `solve_critical` keeps the points of each
-fiber in that fiber's entry of the family (`core.per_fiber`), so the
-basis, critical and canonical checks of one run share them. Residue sums
-read the values w_T(p) from one float table per set of points.
+on it carries a residue form (x, y) = sum_p x(p) y(p) / Hess(p). The
+critical points and the residue sums, in floats, are in `critpoints`.
 
 Algebra elements are stored as coordinate vectors over the symbols w_T
 (T a sorted independent k-subset), where w_T is the class of the function
@@ -35,17 +24,17 @@ with the unit in integers.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from fractions import Fraction
 
-from .core import Frozen, coords, default_anchor, per_family, per_fiber
+from .core import coords, default_anchor, per_family, per_fiber
 from .linalg import _dot, _integer_rows, _integer_sum, _integer_vector, _lazy_module
-from .linalg import _reduced_matrix, np
+from .linalg import _moved_names, _reduced_matrix
 
-gaussmanin = _lazy_module("arrfrob.gaussmanin")
 osflag = _lazy_module("arrfrob.osflag")
+__getattr__ = _moved_names(__name__, critpoints=("MasterFunction", "residue_pairing_analytic",
+                                                  "solve_critical"))
 
 
 # ---------------------------------------------------------------------------
@@ -76,135 +65,8 @@ def f_minor_value(family, z, indices):
     return sum(c * zz[j] for j, c in enumerate(form) if c)
 
 
-# ---------------------------------------------------------------------------
-# master function and critical points
-
-
-class MasterFunction:
-    """The potential Phi and its t-derivatives on a fixed fiber.
-
-    The coordinates z_j, b_j^m and the products a_j b_j^m, a_j b_j^m b_j^l
-    are converted to Python complex numbers once, here, so the derivatives
-    run in float arithmetic only."""
-
-    def __init__(self, family, z):
-        self.family = family
-        self.z = coords(z)
-        ks = range(family.k)
-        self._z = [complex(v) for v in self.z]
-        self._b = [[complex(x) for x in row] for row in family.b]
-        self._ab = [[complex(a * row[m]) for a, row in zip(family.a, family.b)] for m in ks]
-        self._abb = [
-            [[complex(a * row[m] * row[l]) for a, row in zip(family.a, family.b)] for l in ks]
-            for m in ks
-        ]
-        # |d_T^2 prod_{j in T} a_j| for every k-subset T (Cauchy-Binet terms)
-        self._binet = [
-            (
-                tuple(j - 1 for j in T),
-                abs(float(family.minor(T) ** 2 * osflag.weight_product(family, T))),
-            )
-            for T in itertools.combinations(range(1, family.n + 1), family.k)
-        ]
-        # the unit of t and of the f_j on this fiber
-        self.size = max(abs(v) for v in self._z)
-
-    def f_values(self, t):
-        ks = range(self.family.k)
-        return tuple(zj + sum(bj[m] * t[m] for m in ks) for zj, bj in zip(self._z, self._b))
-
-    def value(self, t):
-        total = complex(0)
-        for a, f in zip(self.family.a, self.f_values(t)):
-            total += complex(a) * cmath.log(f)
-        return total
-
-    def gradient(self, t):
-        fs = self.f_values(t)
-        return tuple(sum(c / f for c, f in zip(row, fs)) for row in self._ab)
-
-    def gradient_scale(self, t):
-        """Size of the gradient's terms, max_m sum_j |a_j b_j^m / f_j|."""
-        fs = self.f_values(t)
-        return max(sum(abs(c / f) for c, f in zip(row, fs)) for row in self._ab)
-
-    def hessian_matrix(self, t):
-        squares = [f * f for f in self.f_values(t)]
-        return [[-sum(c / q for c, q in zip(row, squares)) for row in rows] for rows in self._abb]
-
-    def hessian_det(self, t):
-        h = self.hessian_matrix(t)
-        if self.family.k == 1:
-            return h[0][0]
-        if self.family.k == 2:
-            return h[0][0] * h[1][1] - h[0][1] * h[1][0]
-        return complex(np.linalg.det(np.array(h, dtype=complex)))
-
-    def hessian_scale(self, t):
-        """Size of the Hessian determinant's terms: by Cauchy-Binet Hess =
-        (-1)^k sum_T d_T^2 prod_{j in T} a_j / f_j^2 over the k-subsets T,
-        and the scale is the sum of the absolute values of these terms."""
-        squares = [abs(f * f) for f in self.f_values(t)]
-        return sum(c / math.prod(squares[j] for j in T) for T, c in self._binet)
-
-
-class CriticalPoint(Frozen):
-    """A critical point t, the values f_j(t), the Hessian determinant there
-    and the gradient residual that Newton's method left."""
-
-    _fields = ("t", "f_values", "hessian", "residual")
-
-
 def expected_critical_count(family):
     return math.comb(family.n - 1, family.k)
-
-
-# the most Newton steps from one seed
-NEWTON_MAX_ITER = 50
-
-
-def _newton_polish(master, t0):
-    """Newton's method on the gradient from the seed t0. The gradient is
-    measured against the size of its terms and steps against the size of
-    the fiber, so no threshold depends on the units of the weights or of z.
-    Once the gradient is below 1e-13 of its terms, one more step reaches
-    the rounding floor (the convergence is quadratic). Where that floor
-    lies higher (the f_j nearly cancel), the last of NEWTON_MAX_ITER steps is
-    kept if it meets the bound of 1e-9 that every point meets."""
-    fam = master.family
-    t = [complex(x) for x in t0]
-    close = False
-    for iteration in range(NEWTON_MAX_ITER + 1):
-        try:
-            grad = master.gradient(t)
-            scale = master.gradient_scale(t)
-        except ZeroDivisionError:
-            return None
-        res = max(abs(g) for g in grad)
-        if close or iteration == NEWTON_MAX_ITER:
-            break
-        close = res < 1e-13 * scale
-        hess = master.hessian_matrix(t)
-        if fam.k == 1:
-            h = hess[0][0]
-            if h == 0:
-                return None
-            step = [grad[0] / h]
-        else:
-            arr = np.array(hess, dtype=complex)
-            try:
-                step = list(np.linalg.solve(arr, np.array(grad, dtype=complex)))
-            except np.linalg.LinAlgError:
-                return None
-        t = [ti - si for ti, si in zip(t, step)]
-        if max(abs(s) for s in step) > 1e8 * master.size:
-            return None
-    if res > 1e-9 * scale:
-        return None
-    fs = master.f_values(t)
-    if min(abs(f) for f in fs) < 1e-9 * master.size:
-        return None
-    return CriticalPoint(tuple(t), fs, complex(master.hessian_det(t)), res)
 
 
 def _rationalize(value):
@@ -213,106 +75,6 @@ def _rationalize(value):
     if isinstance(value, (Fraction, int, float)):
         return Fraction(value)
     raise ValueError("the exact algebra needs real rational fiber coordinates")
-
-
-@per_family
-def _singular_frame(family):
-    """The exact singular basis as float columns over the flag positions,
-    and its pseudo-inverse, which maps a vector of the span to its
-    coordinates in that basis."""
-    space = osflag.singular_subspace(family)
-    frame = np.array(
-        [[float(v.get(T)) for v in space.basis] for T in family.flag_index], dtype=float
-    ).reshape(len(family.flag_index), space.dimension)
-    return frame, np.linalg.pinv(frame)
-
-
-def _spectral_seeds(family, zz):
-    """One seed t per eigenvector of sum_j c_j K_j(z) restricted to Sing.
-
-    On Sing, K_j(z) is conjugate to multiplication by [a_j/f_j] in the
-    algebra of the critical set, so the eigenvectors of one generic
-    combination are joint eigenvectors of every K_j, and the Rayleigh
-    quotient of K_j at the eigenvector of the point p is a_j/f_j(p). The
-    weights c_j are fixed and incommensurable, each divided by the size of
-    its K_j so that no generator dominates. With g_j = 1/f_j(p) read off
-    the quotients, the equations g_j (z_j + b_j . t) = 1 are linear in t
-    and are solved by least squares over all j."""
-    frame, to_coords = _singular_frame(family)
-    ops = np.array(
-        [
-            to_coords @ gaussmanin.fiber_k_operator(family, zz, j).floats() @ frame
-            for j in range(1, family.n + 1)
-        ]
-    )
-    sizes = np.linalg.norm(ops, axis=(1, 2))
-    weights = 1.0 / (np.arange(1, family.n + 1) + math.sqrt(2.0))
-    weights = weights / np.where(sizes > 0, sizes, 1.0)
-    _, vecs = np.linalg.eig(np.tensordot(weights, ops, axes=1))
-    quotients = np.einsum("ip,jiq,qp->jp", vecs.conj(), ops, vecs) / np.einsum(
-        "ip,ip->p", vecs.conj(), vecs
-    )
-    inv_f = quotients / np.array([float(a) for a in family.a])[:, None]
-    b = np.array([[float(x) for x in row] for row in family.b], dtype=float)
-    z = np.array([float(v) for v in zz], dtype=float)
-    seeds = []
-    for col in inv_f.T:
-        t = np.linalg.lstsq(col[:, None] * b, 1 - col * z, rcond=None)[0]
-        seeds.append(tuple(complex(v) for v in t))
-    return seeds
-
-
-def _canonical_order(point):
-    return tuple(v.real for v in point.t) + tuple(v.imag for v in point.t)
-
-
-# the smallest |Hess(p)| of a nondegenerate critical point, relative to
-# the size of the determinant's terms (`MasterFunction.hessian_scale`)
-HESSIAN_FLOOR = 1e-12
-
-# two polished points closer than this, relative to the size of z and t,
-# are one
-DEDUP_TOL = 1e-8
-
-
-@per_fiber
-def solve_critical(family, zz):
-    """All critical points of the potential on the fiber zz, as a tuple
-    sorted on the real and then the imaginary parts of t, solved once per
-    family and fiber.
-
-    Each eigenvector of the connection on Sing gives one seed, polished by
-    Newton's method on the master gradient. Two points closer than
-    DEDUP_TOL are one. Raises RuntimeError with a 'degenerate critical set'
-    diagnostic when a generic family does not produce the full count of
-    distinct nondegenerate points.
-    """
-    zz = tuple(_rationalize(v) for v in zz)
-    master = MasterFunction(family, zz)
-    points = []
-    for seed in _spectral_seeds(family, zz):
-        point = _newton_polish(master, seed)
-        if point is None:
-            continue
-        reach = DEDUP_TOL * max(master.size, *(abs(v) for v in point.t))
-        if any(
-            max(abs(pa - pb) for pa, pb in zip(point.t, prev.t)) < reach
-            for prev in points
-        ):
-            continue
-        points.append(point)
-    expected = expected_critical_count(family)
-    if family.generic:
-        if len(points) != expected:
-            raise RuntimeError(
-                f"degenerate critical set: found {len(points)} distinct critical "
-                f"points, expected {expected}"
-            )
-        if any(abs(p.hessian) < HESSIAN_FLOOR * master.hessian_scale(p.t) for p in points):
-            raise RuntimeError(
-                "degenerate critical set: vanishing Hessian at a critical point"
-            )
-    return tuple(sorted(points, key=_canonical_order))
 
 
 # ---------------------------------------------------------------------------
@@ -610,65 +372,7 @@ def multiply(family, z, x, y, anchor=None):
 
 
 # ---------------------------------------------------------------------------
-# evaluation and pairings
-
-
-def minor_products(family, subsets, values):
-    """d_T * prod_{j in T} values[p, j - 1] for every point p (row) and
-    subset T (column), from one row of per-hyperplane values per point."""
-    values = np.asarray(values, dtype=complex).reshape(-1, family.n)
-    if not subsets:
-        return np.zeros((len(values), 0), dtype=complex)
-    minors = np.array([float(family.minor(T)) for T in subsets])
-    return minors * np.prod(values[:, np.array(subsets, dtype=int) - 1], axis=2)
-
-
-def w_matrix(family, points, subsets):
-    """Values of w_T at the critical points in floats: one row per point,
-    one column per subset."""
-    weights = np.array([float(a) for a in family.a])
-    f_values = np.array([p.f_values for p in points], dtype=complex)
-    return minor_products(family, subsets, weights / f_values.reshape(-1, family.n))
-
-
-def values_at(family, wvec, points):
-    """Values of a w-span element at the critical points, in floats."""
-    subsets = tuple(T for T, _ in wvec.items())
-    coefs = np.array([complex(c) for _, c in wvec.items()], dtype=complex)
-    return w_matrix(family, points, subsets) @ coefs
-
-
-def evaluation_matrix(family, points, anchor=None):
-    """Matrix of anchored basis values at the critical points, with its
-    condition number."""
-    if anchor is None:
-        anchor = default_anchor(family)
-    mat = w_matrix(family, points, anchored_subsets(family, anchor))
-    cond = float(np.linalg.cond(mat)) if mat.size else float("inf")
-    return mat, cond
-
-
-def _inverse_hessians(points):
-    return 1 / np.array([p.hessian for p in points], dtype=complex)
-
-
-def residue_pairing_analytic(family, z, x, y):
-    """(x, y) = sum over the critical points of the fiber z of
-    x(p) y(p) / Hess(p)."""
-    points = solve_critical(family, z)
-    inv_h = _inverse_hessians(points)
-    return complex(np.sum(values_at(family, x, points) * values_at(family, y, points) * inv_h))
-
-
-def residue_gram(family, points, subsets):
-    """The residue pairings (w_T, w_U) over the given subsets, W^T
-    diag(1/Hess) W with W = w_matrix, and the size of their terms,
-    |W|^T diag(1/|Hess|) |W|, against which their rounding is measured."""
-    w = w_matrix(family, points, subsets)
-    inv_h = _inverse_hessians(points)
-    gram = w.T @ (inv_h[:, None] * w)
-    scale = np.abs(w).T @ (np.abs(inv_h)[:, None] * np.abs(w))
-    return gram, scale
+# pairings
 
 
 @per_family
@@ -713,29 +417,3 @@ def structural_pairing(family, x, y):
     left, right = _anchored(family, x, anchor), _anchored(family, y, anchor)
     total = sum(c * _dot(gram.rows[p], right.rows[0]) for p, c in left.rows[0].items())
     return Fraction(total, left.den * right.den * gram.den)
-
-
-def euler_residual(family, z, points):
-    """Max deviation of sum_j z_j a_j / f_j(p) from the total weight."""
-    zz = coords(z)
-    worst = 0.0
-    for p in points:
-        val = sum(
-            complex(zz[j]) * complex(family.a[j]) / p.f_values[j]
-            for j in range(family.n)
-        )
-        worst = max(worst, abs(val - complex(family.weight_sum)))
-    return worst
-
-
-def euler_scale(family, z, points):
-    """Largest sum_j |z_j a_j / f_j(p)| over the points: the size of the
-    terms of the Euler identity."""
-    zz = coords(z)
-    return max(
-        (
-            sum(abs(complex(zz[j]) * complex(family.a[j]) / p.f_values[j]) for j in range(family.n))
-            for p in points
-        ),
-        default=0.0,
-    )

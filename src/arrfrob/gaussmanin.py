@@ -1,4 +1,4 @@
-"""Connection operators on the flag space and flat-section transport.
+"""Connection operators on the flag space, in exact arithmetic.
 
 For each circuit C the operator L_C acts on the standard flag basis, and
 the connection operators are K_j(z) = sum_C (lambda_j^C / f_C(z)) L_C.
@@ -10,7 +10,7 @@ Exact checks run on integers. `k_operator` assembles K_j(z) as a
 integer circuit values f_C(z), one dot per circuit and fiber.
 `fiber_k_operator` keeps one per (fiber, j) in the fiber's entry of the
 family (`core.per_fiber`); the conformal-block equations and
-`critalg.solve_critical` read it.
+`critpoints.solve_critical` read it.
 
 The structure of the connection is decided once per family, in integer
 arithmetic on tables that do not depend on the fiber, so each verdict
@@ -23,18 +23,7 @@ each codimension-2 flat of the discriminant through it, and
 `check_flatness` reports its verdict. `check_symmetry_and_invariance`
 adds the S-symmetry of every L_C and sum_C L_C = |a| on Sing, which is
 the weighted Euler identity sum_j z_j K_j(z) = |a| on Sing at every
-fiber.
-
-`flow_flat_section` transports flat sections of kappa dI = (sum_j K_j dz_j)
-I, of one or several slopes, with path quadratures, by Taylor steps: each
-f_C is linear on a segment, so sum_C (lambda_C . zdot / f_C) L_C is a
-geometric series and the Taylor coefficients follow a linear recurrence.
-A step ends at 0.9 of the nearest pole, or where the last two terms of any
-coordinate reach rtol of its own size (at least 1e-9 of its section's
-largest); Gauss-Legendre nodes in the step carry the quadratures. Each f_C
-comes closest to 0 on a segment at a point found in closed form, and the
-transport stops if there min_C |f_C| < 1e-6 max_C |f_C|, a guard that does
-not depend on the fiber's units.
+fiber. The transport of flat sections, in floats, is in `transport`.
 """
 
 from __future__ import annotations
@@ -42,14 +31,14 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .core import circuit_rows, coords, default_anchor, per_family, per_fiber
-from .linalg import _dot, _integer_vector, _lazy_module, _reduced_matrix, np
+from .linalg import _dot, _integer_vector, _lazy_module, _moved_names, _reduced_matrix
 
 critalg = _lazy_module("arrfrob.critalg")
 frobenius = _lazy_module("arrfrob.frobenius")
 osflag = _lazy_module("arrfrob.osflag")
+__getattr__ = _moved_names(__name__, transport=("flow_flat_section",))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +140,7 @@ def k_operator(family, z, j):
 def fiber_k_operator(family, zz, j):
     """K_j(z) as built by `k_operator`, once per family and exact fiber, in
     the fiber's entry of the family (`core.per_fiber`). Every exact check
-    at the fiber reads this one IntegerMatrix, and `critalg.solve_critical`
+    at the fiber reads this one IntegerMatrix, and `critpoints.solve_critical`
     reads its floats."""
     return k_operator(family, zz, j)
 
@@ -379,190 +368,6 @@ def check_symmetry_and_invariance(family):
         "off_euler": off_euler,
         "passed": not (asymmetric or moving or off_euler),
     }
-
-
-# ---------------------------------------------------------------------------
-# flat-section transport
-
-
-@per_family
-def _circuit_arrays(family):
-    """The circuit forms' z-coefficients, and the transposed L_C flattened
-    to (circuits, dim * dim), as complex arrays: row C holds L_C^T."""
-    circuits = family.circuit_list
-    lams = [[complex(c.coefficient(i)) for i in range(1, family.n + 1)] for c in circuits]
-    size = len(family.flag_index)
-    ops = np.zeros((len(circuits), size * size), dtype=complex)
-    for op, c in zip(ops, circuits):
-        for p, q, coef in _l_c_entries(family, c.indices):
-            op[q * size + p] = complex(coef)
-    return np.array(lams, dtype=complex), ops
-
-
-# the degree of the Taylor series of each step, the fewest Gauss-Legendre
-# nodes of its quadratures, the floor of a coordinate's size in the tail
-# test relative to its section, the relative distance to the discriminant
-# at which the transport stops, and the most steps it takes
-FLOW_ORDER = 24
-FLOW_NODES = 16
-FLOW_FLOOR = 1e-9
-FLOW_GUARD = 1e-6
-FLOW_MAX_STEPS = 200_000
-
-
-def _gauss_legendre(count):
-    """The count-point Gauss-Legendre rule on [0, 1], by Newton on P_count."""
-    x = np.array([math.cos(math.pi * (i + 0.75) / (count + 0.5)) for i in range(count)])
-    for _ in range(6):
-        p0, p1 = np.ones_like(x), x
-        for j in range(2, count + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        slope = count * (x * p1 - p0) / (x * x - 1)
-        x = x - p1 / slope
-    return (1 - x) / 2, 1 / ((1 - x * x) * slope * slope)
-
-
-class FlowResult(SimpleNamespace):
-    """Quadratures (`extras`), step counts (`steps`; `rejected` is 0), the
-    `trajectory`, the sections at each waypoint as (sections, dim) arrays
-    (`waypoints`), and the flag `subsets`."""
-
-    @property
-    def section(self):
-        """The first section at the end of the path."""
-        return osflag.FlagVector.from_coordinates(self.subsets, self.waypoints[-1][0])
-
-
-def _guard_segment(alpha, rate, s0, seg_len, z0, zdot):
-    """Raise if the segment s0 + [0, seg_len] comes within a relative
-    FLOW_GUARD of the discriminant. Each f_C = alpha_C + t rate_C is linear
-    in t, so its closest point to 0 is found in closed form and compared
-    with the largest |f_C'| there."""
-    reach = np.maximum((rate * rate.conj()).real, 1e-300)  # an f_C constant on the segment: t = 0
-    closest = np.minimum(np.maximum(-(alpha * rate.conj()).real / reach, 0), seg_len)
-    sizes = np.abs(alpha[None, :] + closest[:, None] * rate[None, :])
-    near = np.diagonal(sizes) < FLOW_GUARD * sizes.max(axis=1)
-    if near.any():
-        t = closest[np.argmax(near)]
-        raise RuntimeError(
-            f"path within a relative {FLOW_GUARD} of the discriminant at s={s0 + t:.6f}, "
-            f"z={[complex(v) for v in z0 + t * zdot]}"
-        )
-
-
-def flow_flat_section(family, path, kappa, start, *, rtol=1e-10, extras=None, record=False):
-    """Transport flat sections along a piecewise-linear path in fiber space,
-    solving kappa dI = (sum_j K_j dz_j) I by Taylor steps of FLOW_ORDER.
-
-    kappa and start are one slope and its start vector (a FlagVector or
-    coordinates), or equal-length tuples of them carried in one run.
-    extras: callables g(s, z, zdot, I) integrated as quadratures, called once
-    per step on its P Gauss-Legendre nodes: s of shape (P,), z (P, n), I (P,
-    dim) or (P, sections, dim). Each returns a scalar, P values, or an (m,
-    P) array of m quadratures. Each step keeps the last two terms of every
-    coordinate within rtol of its size. The integrator aborts if the path
-    comes within a relative FLOW_GUARD of the discriminant (min_C |f_C| <
-    FLOW_GUARD max_C |f_C|), if the step underflows, or after FLOW_MAX_STEPS.
-    """
-    several = isinstance(kappa, (tuple, list))
-    slopes = np.array(kappa if several else [kappa], dtype=complex).reshape(-1, 1)
-    starts = [v.to_coordinates(family.flag_index) if isinstance(v, osflag.FlagVector) else v
-              for v in (start if several else [start])]
-    if not slopes.all():
-        raise ValueError("slope kappa must be nonzero")
-    waypoints = [np.array([complex(v) for v in coords(p)]) for p in path]
-    if len(waypoints) < 2:
-        raise ValueError("path needs at least two fiber points")
-    count, dim = len(slopes), len(family.flag_index)
-    if len(starts) != count:
-        raise ValueError("need one start vector per slope")
-    y = np.zeros((count, dim), dtype=complex)
-    for row, values in zip(y, starts):
-        # reshape raises ValueError on a start of the wrong dimension
-        row[:] = np.reshape(np.array(values, dtype=complex), dim)
-    lams, ops = _circuit_arrays(family)
-    order = FLOW_ORDER
-    # column order - j of `series` holds the degree-j coefficients, so the
-    # coefficients of degrees n, ..., 0 are its last n + 1 columns
-    series = np.zeros((count, order + 1, dim), dtype=complex)
-    degrees = np.arange(order, -1, -1)
-    geometric = np.empty((order, len(ops)), dtype=complex)
-    # the truncated period integrand has degree order + k - 1
-    nodes, weights = _gauss_legendre(max(FLOW_NODES, (order + family.k + 1) // 2))
-    extras = tuple(extras or ())
-    totals = [0.0] * len(extras)
-    ends = [y.copy()]
-    nseg = len(waypoints) - 1
-    seg_len = 1 / nseg
-    trajectory = [_trajectory_row(0.0, waypoints[0], y.ravel())] if record else []
-    steps = 0
-    for seg in range(nseg):
-        z0 = waypoints[seg]
-        zdot = (waypoints[seg + 1] - z0) * nseg  # d z / d s, s spanning 1/nseg per segment
-        alpha, rate = lams @ z0, lams @ zdot
-        s0 = seg / nseg
-        _guard_segment(alpha, rate, s0, seg_len, z0, zdot)
-        t = 0.0
-        while t < seg_len - 1e-15:
-            if steps >= FLOW_MAX_STEPS:
-                raise RuntimeError("transport exceeded the step budget")
-            # rate_C / f_C(t + h) = sum_m rho_C (-rho_C)^m h^m with rho = rate / f_C(t)
-            rho = rate / (alpha + t * rate)
-            geometric[0], geometric[1:] = rho, -rho
-            blocks = (np.cumprod(geometric, axis=0) @ ops).reshape(order * dim, dim)
-            # (n + 1) kappa I_{n+1} = sum_{m <= n} A_m I_{n-m}, in rows: I A_m^T
-            series[:, order] = y
-            for n in range(order):
-                acc = series[:, order - n:].reshape(count, (n + 1) * dim) @ blocks[:(n + 1) * dim]
-                series[:, order - n - 1] = acc / ((n + 1) * slopes)
-            radius = np.abs(rho).max()
-            tau = min(seg_len - t, 0.9 / radius) if radius else seg_len - t
-            # the terms of degrees order and order - 1 against each coordinate's size
-            mag = np.abs(y)[:, None]
-            size = np.maximum(mag, FLOW_FLOOR * mag.max(axis=2, keepdims=True))
-            tails = np.abs(series[:, :2])
-            worst = (tails / np.maximum(size, 1e-300)).max(axis=(0, 2))  # 0 on a zero section
-            tau = min([tau] + [(rtol / w) ** (1 / j) for j, w in zip((order, order - 1), worst) if w])
-            if tau < seg_len * 1e-13:
-                zc = [complex(v) for v in z0 + t * zdot]
-                raise RuntimeError(f"step size underflow at s={s0 + t:.8f}, z={zc}")
-            if extras:
-                hs = tau * nodes
-                at = (hs[:, None] ** degrees) @ series  # (sections, P, dim)
-                zs = z0 + (t + hs)[:, None] * zdot
-                sections = at.transpose(1, 0, 2) if several else at[0]
-                for i, fn in enumerate(extras):
-                    vals = np.atleast_1d(fn(s0 + t + hs, zs, zdot, sections))
-                    vals = np.broadcast_to(vals, vals.shape[:-1] + hs.shape)
-                    totals[i] = totals[i] + vals @ (tau * weights)
-            y = (tau ** degrees) @ series
-            t = seg_len if tau == seg_len - t else t + tau
-            steps += 1
-            if record:
-                trajectory.append(_trajectory_row(s0 + t, z0 + t * zdot, y.ravel()))
-        ends.append(y.copy())
-    quadratures = tuple(v for total in totals for v in np.atleast_1d(total))
-    return FlowResult(extras=quadratures, steps=steps, rejected=0, trajectory=trajectory,
-                      waypoints=ends, subsets=family.flag_index.subsets)
-
-
-def _trajectory_row(s, z, flag):
-    return {
-        "s": float(s),
-        "z": [[float(v.real), float(v.imag)] for v in z],
-        "I": [[float(v.real), float(v.imag)] for v in flag],
-    }
-
-
-def pairing_functional(family, vec):
-    """Constant data for fast S(vec, .) evaluation along a flow: weights of
-    the diagonal form folded into the fixed argument's coordinates."""
-    return np.array(
-        [
-            complex(vec.get(T)) * complex(osflag.weight_product(family, T))
-            for T in family.flag_index
-        ]
-    )
 
 
 # ---------------------------------------------------------------------------

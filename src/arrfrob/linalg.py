@@ -1,9 +1,9 @@
 """Exact linear algebra on rational matrices, computed in integers.
 
 Matrices are plain lists of row lists of rationals (Fraction or int).
-Everything here stays exact; float and complex work elsewhere goes
-through numpy, as the handle ``np`` defined here. Dimensions in this
-package are tiny (at most a few hundred rows), so Gauss-Jordan is plenty.
+Everything here stays exact; the float layer (`critpoints`, `transport`)
+computes through numpy, as the handle ``np`` defined here. Dimensions are
+tiny (at most a few hundred rows), so Gauss-Jordan is plenty.
 The elimination is fraction-free: each input row is cleared of
 denominators, each row update is an integer combination divided by the
 gcd of the new row, and the determinant follows Bareiss (Math. Comp. 22,
@@ -73,6 +73,19 @@ class _AfterOwnModules:
         for handle in _own_handles:
             handle.__spec__  # the first attribute access executes a handle
         self._loader.exec_module(module)
+
+
+def _moved_names(module_name, **moved):
+    """A `__getattr__` (PEP 562) for the module `module_name` that looks each
+    name of `moved`, given as module=(names, ...), up in that module."""
+    where = {name: module for module, names in moved.items() for name in names}
+
+    def __getattr__(name):
+        if name not in where:
+            raise AttributeError(f"module {module_name!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(f"{__package__}.{where[name]}"), name)
+
+    return __getattr__
 
 
 # numpy costs a start-up of about 0.15 s that the exact checks never use, so

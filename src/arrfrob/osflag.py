@@ -10,8 +10,9 @@ conditions), a test of whether one vector is the S-orthogonal projection
 of another onto it, and the distinguished singular vectors v_T together
 with their closed-form Gram values. The exact tables of a family are
 integer numerators over one denominator, built once per family: the
-weight form over the flag positions (`_integer_weights`) and the v_T as
-the rows of one matrix (`v_rows`), which nu and the pairing read.
+weight form over the flag positions (`_integer_weights`) and the v_T,
+written from their closed form straight into integers and checked there,
+as the rows of one matrix (`v_rows`), which nu and the pairing read.
 
 Sign convention: for k = 1 the distinguished vector is
 v_j = -F_j + (a_j/|a|) sum_i F_i (leading minus), while for k >= 2 it is
@@ -178,7 +179,9 @@ def _integer_weights(family):
 
 def _numerators(family, u):
     """A rational FlagVector as ({flag position: numerator}, denominator),
-    over the lcm of its denominators."""
+    over the lcm of its denominators; a pair of that form stays as it is."""
+    if isinstance(u, tuple):
+        return u
     position = family.flag_index.position
     den = math.lcm(*(val.denominator for val in u.coeffs.values()))
     values = {
@@ -242,7 +245,8 @@ class SingularSubspace:
 
     def contains(self, u):
         """Whether u meets every singular condition exactly: u over the lcm
-        of its denominators against the conditions as integer rows."""
+        of its denominators (`_numerators`) against the conditions as
+        integer rows."""
         values, _ = _numerators(self.family, u)
         return not any(linalg._dot(row, values) for row, _ in self.integer_conditions)
 
@@ -287,38 +291,37 @@ def singular_subspace(family):
 
 
 def _v_closed_form(family, key):
-    """v for a sorted key by its closed form (the module's sign
-    convention), restricted to the flag positions."""
-    asum = family.weight_sum
-    k = family.k
-    if k == 1:
-        (j,) = key
-        vec = -FlagVector.basis(key)
-        scale = family.a[j - 1] / asum
+    """v for a sorted key by its closed form (the module's sign convention)
+    on the flag positions, in integers: ({position: numerator} in the order
+    of the terms, denominator |a| over the weights' common denominator)."""
+    weights, _ = linalg._integer_vector(family.a)
+    total = sum(weights.values())
+    sign = 1 if total > 0 else -1  # a_j / |a| = sign * weights[j] / |total|
+    if family.k == 1:
+        vec = FlagVector({key: -sign * total})
         for i in range(1, family.n + 1):
-            vec.accumulate((i,), scale)
+            vec.accumulate((i,), sign * weights[key[0] - 1])
     else:
-        vec = FlagVector.basis(key)
-        for m in range(k):
-            scale = family.a[key[m] - 1] / asum
+        vec = FlagVector({key: sign * total})
+        for m in range(family.k):
             for j in range(1, family.n + 1):
-                vec.accumulate(key[:m] + (j,) + key[m + 1 :], -scale)
+                vec.accumulate(key[:m] + (j,) + key[m + 1 :], -sign * weights[key[m] - 1])
     index = family.flag_index
-    vec.coeffs = {s: c for s, c in vec.coeffs.items() if s in index}
-    return vec
+    return {index.position(s): c for s, c in vec.coeffs.items() if s in index}, abs(total)
 
 
 @per_family
-def _v_vector_sorted(family, key):
-    """v for a sorted key, checked to lie in the singular subspace and, for
-    k >= 2, to be the projection of F_key onto it."""
-    vec = _v_closed_form(family, key)
+def _v_row(family, key):
+    """v for a sorted key in integers (`_v_closed_form`), checked to lie in
+    Sing and, for k >= 2, to be the projection of F_key onto it."""
+    row = _v_closed_form(family, key)
     space = singular_subspace(family)
-    if not space.contains(vec):
+    if not space.contains(row):
         raise RuntimeError(f"v vector for {key} fails the singularity conditions")
-    if family.k >= 2 and not space.is_projection(FlagVector.basis(key), vec):
+    flag = ({family.flag_index.position(key): 1}, 1)
+    if family.k >= 2 and not space.is_projection(flag, row):
         raise RuntimeError(f"v vector for {key} is not the projection of F_{key}")
-    return vec
+    return row
 
 
 @per_family
@@ -326,20 +329,23 @@ def v_rows(family):
     """v_T for every flag T as the rows of one IntegerMatrix over the flag
     positions (row p is v of the subset at position p), so that nu is one
     integer combination of rows over one denominator."""
-    index = family.flag_index
-    return linalg._integer_rows(
-        [_v_vector_sorted(family, T).to_coordinates(index) for T in index]
+    rows = [_v_row(family, T) for T in family.flag_index]
+    common = math.lcm(*(den for _, den in rows))
+    return linalg._reduced_matrix(
+        [{p: v * (common // den) for p, v in sorted(row.items())} for row, den in rows], common
     )
 
 
 def v_vector(family, indices):
-    """The distinguished singular vector; repeated indices give zero and
-    unsorted tuples pick up the permutation sign."""
+    """The distinguished singular vector, built from its row (`_v_row`);
+    repeated indices give zero and unsorted tuples pick up the permutation
+    sign."""
     key, sign = sort_with_sign(tuple(indices))
-    if sign == 0:
-        return FlagVector()
-    vec = _v_vector_sorted(family, key)
-    return vec if sign == 1 else -vec
+    vec = FlagVector()
+    if sign:
+        row, den = _v_row(family, key)
+        vec.coeffs = {family.flag_index.subset(p): Fraction(sign * v, den) for p, v in row.items()}
+    return vec
 
 
 def gram_v(family, left, right):

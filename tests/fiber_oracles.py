@@ -26,7 +26,7 @@ quadratic and log potentials as symbolic `LinExpr` expressions and their
 derivatives, which the closed forms of `frobenius` replaced, the Gauss-Jordan
 elimination in Fraction arithmetic that the fraction-free kernel of
 `linalg` replaced, and the adaptive Dormand-Prince transport that the
-Taylor steps of `gaussmanin.flow_flat_section` replaced, an independent
+Taylor steps of `transport.flow_flat_section` replaced, an independent
 integrator of the same equation with the same path quadratures."""
 
 import itertools
@@ -36,20 +36,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from arrfrob import critalg
+from arrfrob import critalg, critpoints
 from arrfrob.core import coords, default_anchor, per_family
-from arrfrob.frobenius import (
-    _k1_kj_on_vi,
-    alpha_structural,
-    canonical_iso_analytic,
-    contravariant_map_class,
-    potential_derivative_row,
-)
+from arrfrob.critpoints import canonical_iso_analytic
+from arrfrob.frobenius import alpha_structural, contravariant_map_class, potential_derivative_row
 from arrfrob.gaussmanin import (
-    FlowResult,
     _commutator_rows,
     _l_c_entries,
-    _trajectory_row,
     apply_matrix,
     fiber_k_operator,
 )
@@ -65,6 +58,8 @@ from arrfrob.osflag import (
     v_vector,
     weight_product,
 )
+from arrfrob.strata import _k1_kj_on_vi
+from arrfrob.transport import FlowResult, _trajectory_row
 
 
 def commutator_residuals(family, z):
@@ -281,7 +276,7 @@ def eta_matrix_analytic(family, z, anchor=None):
     ]
     return [
         [
-            critalg.residue_pairing_analytic(family, zz, gens[i], gens[j])
+            critpoints.residue_pairing_analytic(family, zz, gens[i], gens[j])
             for j in range(family.n)
         ]
         for i in range(family.n)
@@ -368,7 +363,7 @@ def potential_row_analytic(family, z, directions, anchor=None):
     lhs = potential_log_derivative_expr(family, directions).evaluate_exact(zz)
     wprod = critalg.monomial_to_w(family, zz, tuple(directions), anchor)
     iden = critalg.identity_element(family, zz, anchor)
-    pairing = critalg.residue_pairing_analytic(family, zz, wprod, iden)
+    pairing = critpoints.residue_pairing_analytic(family, zz, wprod, iden)
     rhs = pairing if family.k % 2 == 0 else -pairing
     return abs(complex(lhs) - rhs)
 
@@ -420,7 +415,7 @@ def solve(a, b):
 
 def evaluate(family, wvec, point):
     """Value of a w-span element at a critical point."""
-    return complex(critalg.values_at(family, wvec, [point])[0])
+    return complex(critpoints.values_at(family, wvec, [point])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +683,7 @@ DP_MAX_STEPS = 200_000
 
 
 def flow_dormand_prince(family, path, kappa, start, *, rtol=1e-10, extras=None, record=False):
-    """`gaussmanin.flow_flat_section` by an adaptive Dormand-Prince
+    """`transport.flow_flat_section` by an adaptive Dormand-Prince
     integrator: the same arguments and the same FlowResult, but each extra
     g(s, z, zdot, I) is called at one point, with z of shape (n,) and I the
     section, or the (sections, dim) array, and returns a complex or a 1-D

@@ -10,7 +10,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from arrfrob import critalg, frobenius as fro, gaussmanin as gm, linalg
+from arrfrob import critalg, critpoints, frobenius as fro, gaussmanin as gm, linalg
+from arrfrob import strata, transport
 from arrfrob.core import ArrangementFamily, ConfigError, sample_good_point
 from arrfrob.osflag import (
     CoVector,
@@ -60,7 +61,7 @@ def test_criterion_01_canonical_map_k1():
                 z = sample_good_point(fam, seed=rng.randint(0, 10**6)).z
                 for m in range(1, n + 1):
                     gen = critalg.monomial_to_w(fam, z, (m,))
-                    img = fro.canonical_iso_analytic(fam, z, gen)
+                    img = critpoints.canonical_iso_analytic(fam, z, gen)
                     err = max_abs_diff(img, v_vector(fam, (m,)))
                     worst = max(worst, err)
     assert worst <= 1e-8, f"worst component error {worst:.3e}"
@@ -78,9 +79,9 @@ def test_criterion_02_canonical_map_k2_and_constant():
             for trial in range(3):
                 z = sample_good_point(fam, seed=rng.randint(0, 10**6)).z
                 for T in fam.flag_index:
-                    img = fro.canonical_iso_analytic(fam, z, CoVector.basis(T))
+                    img = critpoints.canonical_iso_analytic(fam, z, CoVector.basis(T))
                     worst_img = max(worst_img, max_abs_diff(img, v_vector(fam, T)))
-                rep = fro.naive_iso_and_constant(fam, z)
+                rep = critpoints.naive_iso_and_constant(fam, z)
                 worst_const = max(worst_const, abs(rep["constant"] - 1))
     assert worst_img <= 1e-8, f"worst image error {worst_img:.3e}"
     assert worst_const <= 1e-7, f"worst constant deviation {worst_const:.3e}"
@@ -94,14 +95,14 @@ def test_criterion_03_critical_counts():
         fam = _k1_family(tuple(F(p) for p in PRIMES[:n]))
         for trial in range(2):
             z = sample_good_point(fam, seed=rng.randint(0, 10**6)).z
-            pts = critalg.solve_critical(fam, z)
+            pts = critpoints.solve_critical(fam, z)
             assert len(pts) == n - 1
             assert all(abs(p.hessian) > 1e-10 for p in pts)
     for n in range(3, 7):
         fam = _k2_family(tuple(F(p) for p in PRIMES[:n]))
         for trial in range(2):
             z = sample_good_point(fam, seed=rng.randint(0, 10**6)).z
-            pts = critalg.solve_critical(fam, z)
+            pts = critpoints.solve_critical(fam, z)
             assert len(pts) == math.comb(n - 1, 2)
             assert all(abs(p.hessian) > 1e-10 for p in pts)
 
@@ -124,7 +125,7 @@ def test_criterion_04_isometry():
             for T in basis:
                 for U in basis:
                     x, y = CoVector.basis(T), CoVector.basis(U)
-                    analytic = critalg.residue_pairing_analytic(fam, z, x, y)
+                    analytic = critpoints.residue_pairing_analytic(fam, z, x, y)
                     exact = complex(critalg.structural_pairing(fam, x, y))
                     worst = max(worst, abs(analytic - exact))
     assert worst <= 1e-8, f"worst pairing error {worst:.3e}"
@@ -299,7 +300,7 @@ def test_criterion_11_gauss_manin_flow():
     loop.append(loop[0])
     assert len(loop) == 201  # 200 segments
     start = v_vector(fam, (1,))
-    result = gm.flow_flat_section(fam, loop, kappa=17.0, start=start)
+    result = transport.flow_flat_section(fam, loop, kappa=17.0, start=start)
     scale = max(abs(complex(c)) for c in start.coeffs.values())
     drift = max_abs_diff(result.section, start) / scale
     assert drift <= 1e-6, f"loop return drift {drift:.3e}"
@@ -309,7 +310,7 @@ def test_criterion_11_gauss_manin_flow():
     kappa_q = complex(fam.weight_sum)
     current = fro.period_map(fam, waypoints[0])
     for a, b in zip(waypoints, waypoints[1:]):
-        res = gm.flow_flat_section(fam, [a, b], kappa=kappa_q, start=current)
+        res = transport.flow_flat_section(fam, [a, b], kappa=kappa_q, start=current)
         current = res.section
         err = max_abs_diff(current, fro.period_map(fam, b))
         assert err <= 1e-8, f"section drift {err:.3e} at {b}"
@@ -317,8 +318,8 @@ def test_criterion_11_gauss_manin_flow():
     # twisted period relation along the same open path at slope 17, from
     # the one transport run of the periods suite
     plus, minus = singular_subspace(fam).basis[:2]
-    run = fro.period_transport(fam, waypoints, F(17), plus, minus, plus)
-    rep = fro.twisted_period_relation(fam, waypoints, F(17), run, 1e-5)
+    run = transport.period_transport(fam, waypoints, F(17), plus, minus, plus)
+    rep = transport.twisted_period_relation(fam, waypoints, F(17), run, 1e-5)
     assert rep["passed"], rep
     assert time.monotonic() - started <= 10.0
 
@@ -329,10 +330,10 @@ def test_criterion_12_strata_restriction():
     # at 3 random good stratum points each
     fam = _k1_family((F(1), F(2), F(3), F(5)))
     for partition in (((1, 2), (3,), (4,)), ((1, 2), (3, 4))):
-        quotient, _ = fro.quotient_family_k1(fam, partition)
+        quotient, _ = strata.quotient_family_k1(fam, partition)
         for seed in (1, 2, 3):
             x = sample_good_point(quotient, seed=seed).z
-            rep = fro.strata_restriction_k1(fam, partition, x)
+            rep = strata.strata_restriction_k1(fam, partition, x)
             assert rep["connection_restriction_exact"], (partition, seed)
             assert rep["product_restriction_exact"], (partition, seed)
             assert rep["section_restriction_exact"], (partition, seed)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import arrfrob
+from arrfrob import critpoints
 from arrfrob.cli import SUITES, main, report_schema_version
 from arrfrob.core import ConfigError
 
@@ -386,22 +387,19 @@ def test_critical_suite_passes_with_large_weights(tmp_path):
 
 
 def test_contraction_row_fails_on_a_moved_point(tmp_path, monkeypatch):
-    import arrfrob.cli as cli
-    from arrfrob import critalg
-
-    solve = critalg.solve_critical
+    solve = critpoints.solve_critical
 
     def moved(family, z):
-        master = critalg.MasterFunction(family, z)
+        master = critpoints.MasterFunction(family, z)
         out = []
         for p in solve(family, z):
             t = tuple(v * (1 + 1e-6) for v in p.t)
             out.append(
-                critalg.CriticalPoint(t, master.f_values(t), master.hessian_det(t), p.residual)
+                critpoints.CriticalPoint(t, master.f_values(t), master.hessian_det(t), p.residual)
             )
         return out
 
-    monkeypatch.setattr(cli.critalg, "solve_critical", moved)
+    monkeypatch.setattr(critpoints, "solve_critical", moved)
     rc, report = _check_report(tmp_path, _k2n4(["2", "3", "5", "7"], seed=1), "critical", "moved")
     assert rc == 1
     rows = [r for r in report["suites"]["critical"]["checks"]
@@ -453,6 +451,8 @@ def test_exact_suites_and_circuits_do_not_load_numpy(k2_config, tmp_path):
     proc = _fresh_python(
         "-c",
         "import sys, types\n"
+        "float_or_strata = ('arrfrob.linforms', 'arrfrob.critpoints', 'arrfrob.strata',\n"
+        "                   'arrfrob.transport')\n"
         "def executed():\n"
         "    return sorted(m for m, mod in sys.modules.items()\n"
         "                  if m.split('.')[0] in ('arrfrob', 'numpy')\n"
@@ -468,10 +468,11 @@ def test_exact_suites_and_circuits_do_not_load_numpy(k2_config, tmp_path):
         f"code = main(['check', '--config', {k2_config!r}, '--suites', "
         f"'circuits,flatness,symmetry,conformal,potential', '--json', {out!r}])\n"
         "print(code, *(m for m in executed()\n"
-        "              if m.split('.')[0] == 'numpy' or m == 'arrfrob.linforms'))\n",
+        "              if m.split('.')[0] == 'numpy' or m in float_or_strata))\n",
     )
     assert proc.returncode == 0, proc.stderr
-    # the exact suites differentiate in closed form: `linforms` never runs
+    # the exact suites differentiate in closed form: `linforms` never runs,
+    # and neither does the float layer nor the k = 1 strata
     assert proc.stdout.splitlines() == [
         "arrfrob",
         "0 arrfrob arrfrob.cli arrfrob.core arrfrob.linalg",
@@ -487,7 +488,7 @@ def test_numpy_runs_after_every_package_module_waiting_for_first_use():
     proc = _fresh_python(
         "-c",
         "import sys, types\n"
-        "from arrfrob import cli\n"
+        "from arrfrob import cli, linalg\n"
         "seen = []\n"
         "class Watch:\n"
         "    @staticmethod\n"
@@ -497,13 +498,14 @@ def test_numpy_runs_after_every_package_module_waiting_for_first_use():
         "                               if m.startswith('arrfrob.')\n"
         "                               and type(mod) is types.ModuleType))\n"
         "sys.meta_path.insert(0, Watch)\n"
-        "cli.np.pi\n"
+        "linalg.np.pi\n"
         "print(*seen[0])\n",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "arrfrob.cli", "arrfrob.core", "arrfrob.critalg", "arrfrob.frobenius",
-        "arrfrob.gaussmanin", "arrfrob.linalg", "arrfrob.linforms", "arrfrob.osflag",
+        "arrfrob.cli", "arrfrob.core", "arrfrob.critalg", "arrfrob.critpoints",
+        "arrfrob.frobenius", "arrfrob.gaussmanin", "arrfrob.linalg", "arrfrob.linforms",
+        "arrfrob.osflag", "arrfrob.strata", "arrfrob.transport",
     ]
 
 
@@ -989,7 +991,7 @@ def test_canonical_suite_reports_are_pinned(k, n, tmp_path, prime_config):
 
 
 # sha256 of `check --suites <suite>` at seed 1, pinned before the critical
-# points of a fiber were kept by `critalg.solve_critical` in place of a
+# points of a fiber were kept by `critpoints.solve_critical` in place of a
 # cache in `cli`, and before the period checks lost their own transport.
 # The two `periods` entries were re-pinned when the transport moved from
 # Dormand-Prince steps to Taylor steps: only the `residual` and `tolerance`
@@ -1086,16 +1088,16 @@ def test_a_basis_run_takes_the_singular_gram_determinant_once(
 def test_each_sampled_fiber_is_solved_once_per_run(tmp_path, monkeypatch, prime_config):
     # basis samples the fiber of seed 1, which critical and canonical sample
     # too, with four more: five distinct fibers, each solved once
-    from arrfrob import cli, critalg
+    from arrfrob import cli
 
-    seeds = critalg._spectral_seeds
+    seeds = critpoints._spectral_seeds
     fibers = []
 
     def counted(family, zz):
         fibers.append(zz)
         return seeds(family, zz)
 
-    monkeypatch.setattr(critalg, "_spectral_seeds", counted)
+    monkeypatch.setattr(critpoints, "_spectral_seeds", counted)
     out = tmp_path / "report.json"
     cfg = _write_config(tmp_path, prime_config(2, 5, seed=1))
     assert main(["check", "--config", cfg, "--suites", "basis,critical,canonical",

@@ -7,23 +7,25 @@ import numpy as np
 import pytest
 import sympy
 
-from arrfrob import critalg, linalg
+from arrfrob import critalg, critpoints, linalg
 from arrfrob.core import ArrangementFamily, sample_good_point
 from arrfrob.critalg import (
-    MasterFunction,
     anchored_subsets,
     canonicalize,
-    euler_residual,
-    evaluation_matrix,
     expected_critical_count,
     f_minor_value,
     identity_element,
     monomial_to_w,
     multiply,
     reduce_to_w_basis,
+    structural_pairing,
+)
+from arrfrob.critpoints import (
+    MasterFunction,
+    euler_residual,
+    evaluation_matrix,
     residue_pairing_analytic,
     solve_critical,
-    structural_pairing,
     w_matrix,
 )
 from arrfrob.osflag import CoVector
@@ -244,13 +246,13 @@ def test_newton_runs_once_per_critical_point(k, n, monkeypatch):
     # each eigenvector of the connection on Sing seeds exactly one point,
     # so Newton runs on no duplicate and no dead-end seed
     calls = []
-    polish = critalg._newton_polish
+    polish = critpoints._newton_polish
 
     def spy(master, t0, *args, **kwargs):
         calls.append(t0)
         return polish(master, t0, *args, **kwargs)
 
-    monkeypatch.setattr(critalg, "_newton_polish", spy)
+    monkeypatch.setattr(critpoints, "_newton_polish", spy)
     fam = _prime_family(k, n)
     for seed in range(3):
         calls.clear()

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from arrfrob import critalg, frobenius as fro, gaussmanin as gm, linalg
+from arrfrob import critalg, critpoints, frobenius as fro, gaussmanin as gm, linalg
+from arrfrob import strata, transport
 from arrfrob.core import ArrangementFamily, is_good_fiber, load_family, sample_good_point
 from arrfrob.osflag import (
     CoVector,
@@ -63,7 +64,7 @@ def test_nu_inverse_rejects_nonsingular(fam_k1_n3):
 
 def test_measured_constant_is_one(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
     for fam, z in ((fam_k1_n3, z_k1_n3), (fam_k2_n4, z_k2_n4)):
-        rep = fro.naive_iso_and_constant(fam, z)
+        rep = critpoints.naive_iso_and_constant(fam, z)
         assert abs(rep["constant"] - 1) < 1e-7
         assert rep["residual"] < 1e-8
 
@@ -71,11 +72,12 @@ def test_measured_constant_is_one(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
 def test_measured_constant_is_minus_one_for_k3(fam_k1_n3, fam_k2_n4, fam_k3_n5):
     # the residue identification is (-1)^k nu for k >= 2, where v_T is the
     # projection of F_T onto Sing; k = 1 flips the sign of v_j as well
-    assert fro.identification_constant(fam_k1_n3) == fro.identification_constant(fam_k2_n4) == 1
+    constant = critpoints.identification_constant
+    assert constant(fam_k1_n3) == constant(fam_k2_n4) == 1
     for seed in range(3):
         z = sample_good_point(fam_k3_n5, seed=seed).z
-        rep = fro.naive_iso_and_constant(fam_k3_n5, z)
-        assert rep["expected"] == fro.identification_constant(fam_k3_n5) == -1
+        rep = critpoints.naive_iso_and_constant(fam_k3_n5, z)
+        assert rep["expected"] == critpoints.identification_constant(fam_k3_n5) == -1
         assert abs(rep["constant"] + 1) < 1e-7
         assert rep["residual"] < 1e-8
         assert rep["spread"] < 1e-8
@@ -85,7 +87,7 @@ def test_k1_generator_images(fam_k1_n3, z_k1_n3):
     fam = fam_k1_n3
     for m in range(1, 4):
         gen = critalg.monomial_to_w(fam, z_k1_n3, (m,))
-        img = fro.canonical_iso_analytic(fam, z_k1_n3, gen)
+        img = critpoints.canonical_iso_analytic(fam, z_k1_n3, gen)
         target = v_vector(fam, (m,)) * F(1, fam.b[m - 1][0])
         assert max_abs_diff(img, target) < 1e-8
 
@@ -93,7 +95,7 @@ def test_k1_generator_images(fam_k1_n3, z_k1_n3):
 def test_k2_basis_images(fam_k2_n4, z_k2_n4):
     fam = fam_k2_n4
     for T in fam.flag_index:
-        img = fro.canonical_iso_analytic(fam, z_k2_n4, CoVector.basis(T))
+        img = critpoints.canonical_iso_analytic(fam, z_k2_n4, CoVector.basis(T))
         assert max_abs_diff(img, v_vector(fam, T)) < 1e-8
 
 
@@ -361,7 +363,7 @@ def _one_run(family, path, kappa):
     and the quadratures against the first, which is returned too."""
     space = singular_subspace(family)
     plus, minus = space.basis[0], space.basis[min(1, space.dimension - 1)]
-    return fro.period_transport(family, path, kappa, plus, minus, plus), plus
+    return transport.period_transport(family, path, kappa, plus, minus, plus), plus
 
 
 def test_flat_periods(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
@@ -369,18 +371,18 @@ def test_flat_periods(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
     for p in path2:
         assert is_good_fiber(fam_k2_n4, p)
     run, v = _one_run(fam_k2_n4, path2, F(17))
-    assert fro.flat_period_check(fam_k2_n4, path2, v, run, 1e-6)["passed"]
+    assert transport.flat_period_check(fam_k2_n4, path2, v, run, 1e-6)["passed"]
     path1 = [z_k1_n3, (F(1), F(4), F(6)), (F(-2), F(1), F(2))]
     run, v = _one_run(fam_k1_n3, path1, F(17))
-    assert fro.flat_period_check(fam_k1_n3, path1, v, run, 1e-8)["passed"]
+    assert transport.flat_period_check(fam_k1_n3, path1, v, run, 1e-8)["passed"]
 
 
 def test_twisted_pairing_and_relation(fam_k2_n4, z_k2_n4):
     fam = fam_k2_n4
     path = [z_k2_n4, (F(2), F(1), F(-9), F(6)), (F(3), F(-2), F(-8), F(4))]
     run, _ = _one_run(fam, path, F(17, 5))
-    assert fro.twisted_pairing_invariance(fam, run, 1e-7)["passed"]
-    assert fro.twisted_period_relation(fam, path, F(17, 5), run, 1e-6)["passed"]
+    assert transport.twisted_pairing_invariance(fam, run, 1e-7)["passed"]
+    assert transport.twisted_period_relation(fam, path, F(17, 5), run, 1e-6)["passed"]
 
 
 def test_twisted_relation_rejects_special_slopes(fam_k2_n4, z_k2_n4):
@@ -397,27 +399,25 @@ def test_twisted_relation_rejects_special_slopes(fam_k2_n4, z_k2_n4):
         for slope in (F(fam.weight_sum, fam.k), -F(fam.weight_sum, fam.k)):
             # the slope is rejected before the transport run is read
             with pytest.raises(ValueError):
-                fro.twisted_period_relation(fam, path, slope, None, 1e-6)
+                transport.twisted_period_relation(fam, path, slope, None, 1e-6)
 
 
 def test_twisted_closedness_k1(fam_k1_n3, z_k1_n3):
-    rep = fro.twisted_closedness_k1(fam_k1_n3, z_k1_n3)
+    rep = transport.twisted_closedness_k1(fam_k1_n3, z_k1_n3)
     assert rep["passed"]
     assert rep["residual"] == 0
 
 
 def _closedness(family, seed=1):
     """twisted_closedness_k1 at the base fiber of the periods suite's path."""
-    from arrfrob import cli
-
-    return fro.twisted_closedness_k1(family, cli._usable_path(family, seed + 13)[0])
+    return transport.twisted_closedness_k1(family, transport._usable_path(family, seed + 13)[0])
 
 
 def test_closedness_fails_when_one_generator_is_doubled(prime_config):
     assert _closedness(load_family(prime_config(1, 5)))["passed"]
     for i in range(5):
         family = load_family(prime_config(1, 5))
-        _, gens = fro._exact_generators(family, critalg.default_anchor(family))
+        _, gens = transport._exact_generators(family, critalg.default_anchor(family))
         (g,) = gens[i]
         g.coeffs = {T: 2 * c for T, c in g.coeffs.items()}
         rep = _closedness(family)
@@ -444,13 +444,11 @@ def test_closedness_fails_when_one_numerator_of_k2_changes(prime_config, monkeyp
 
 @pytest.mark.parametrize("weight_factor, fiber_factor", [(10**6, 1), (1, F(1, 10**7))])
 def test_closedness_does_not_depend_on_units(weight_factor, fiber_factor, prime_config):
-    from arrfrob import cli
-
     config = prime_config(1, 5)
     config["weights"] = [str(F(w) * weight_factor) for w in config["weights"]]
     family = load_family(config)
-    z0 = cli._usable_path(family, 14)[0]
-    rep = fro.twisted_closedness_k1(family, [fiber_factor * x for x in z0])
+    z0 = transport._usable_path(family, 14)[0]
+    rep = transport.twisted_closedness_k1(family, [fiber_factor * x for x in z0])
     assert rep["passed"] and rep["residual"] == 0
 
 
@@ -458,13 +456,13 @@ def test_periods_suite_transports_once_and_closedness_never(prime_config, monkey
     from arrfrob import cli
 
     calls = []
-    flow = gm.flow_flat_section
+    flow = transport.flow_flat_section
 
     def spy(*args, **kwargs):
         calls.append(args[2])
         return flow(*args, **kwargs)
 
-    monkeypatch.setattr(gm, "flow_flat_section", spy)
+    monkeypatch.setattr(transport, "flow_flat_section", spy)
     for k, n in ((1, 5), (2, 3), (3, 4)):
         config = tmp_path / f"k{k}n{n}.json"
         config.write_text(json.dumps(prime_config(k, n, seed=1)))
@@ -484,7 +482,7 @@ def test_transport_preserves_singularity(fam_k2_n4, z_k2_n4):
     fam = fam_k2_n4
     path = [z_k2_n4, (F(2), F(1), F(-9), F(6)), (F(3), F(-2), F(-8), F(4))]
     space = singular_subspace(fam)
-    res = gm.flow_flat_section(fam, path, F(17, 5), space.basis[0], rtol=1e-11)
+    res = transport.flow_flat_section(fam, path, F(17, 5), space.basis[0], rtol=1e-11)
     assert membership_residual(fam, res.section) < 1e-8
 
 
@@ -500,7 +498,7 @@ def test_transport_preserves_singularity(fam_k2_n4, z_k2_n4):
     ],
 )
 def test_strata_restriction(fam_k1_n4, partition, x):
-    rep = fro.strata_restriction_k1(fam_k1_n4, partition, x)
+    rep = strata.strata_restriction_k1(fam_k1_n4, partition, x)
     assert rep["passed"], rep
     assert rep["v_embedding_exact"]
     assert rep["isometry_exact"]
@@ -521,7 +519,7 @@ def test_strata_limit_survives_tight_gaps():
         (((1, 2), (3,), (4,)), (F(-3, 2), F(-8, 5), F(7, 6))),
         (((1, 2), (3, 4)), (F(-3, 2), F(-8, 5))),
     ]:
-        rep = fro.strata_restriction_k1(fam, partition, x)
+        rep = strata.strata_restriction_k1(fam, partition, x)
         assert rep["passed"], rep
         assert rep["log_potential_limit_residual"] < 1e-10
 
@@ -537,8 +535,8 @@ _SLOPE_PARTITIONS = [((1, 2), (3,), (4,), (5,), (6,)), ((1, 2), (3, 4), (5,), (6
 
 
 def _strata_failures(family, partition):
-    quotient, _ = fro.quotient_family_k1(family, partition)
-    rep = fro.strata_restriction_k1(family, partition, sample_good_point(quotient, seed=1).z)
+    quotient, _ = strata.quotient_family_k1(family, partition)
+    rep = strata.strata_restriction_k1(family, partition, sample_good_point(quotient, seed=1).z)
     return {key for key, value in rep.items() if value is False and key != "passed"}
 
 
@@ -559,13 +557,13 @@ def test_a_halved_quotient_generator_fails_only_the_product_row(partition, monke
 
 @pytest.mark.parametrize("partition", _SLOPE_PARTITIONS)
 def test_a_sign_flip_of_k_j_v_i_fails_the_connection_and_product_rows(partition, monkeypatch):
-    k1_kj_on_vi = fro._k1_kj_on_vi
+    k1_kj_on_vi = strata._k1_kj_on_vi
 
     def flipped(*args):
         term = k1_kj_on_vi(*args)
         return linalg.IntegerMatrix(({q: -v for q, v in term.rows[0].items()},), term.den)
 
-    monkeypatch.setattr(fro, "_k1_kj_on_vi", flipped)
+    monkeypatch.setattr(strata, "_k1_kj_on_vi", flipped)
     assert _strata_failures(_SLOPE_FAMILY, partition) == {
         "connection_restriction_exact",
         "product_restriction_exact",
@@ -573,7 +571,7 @@ def test_a_sign_flip_of_k_j_v_i_fails_the_connection_and_product_rows(partition,
 
 
 def test_quotient_family_weights(fam_k1_n4):
-    quotient, blocks = fro.quotient_family_k1(fam_k1_n4, ((1, 2), (3, 4)))
+    quotient, blocks = strata.quotient_family_k1(fam_k1_n4, ((1, 2), (3, 4)))
     assert quotient.n == 2 and quotient.k == 1
     assert quotient.a == (F(3), F(8))
     assert blocks == ((1, 2), (3, 4))
@@ -582,34 +580,34 @@ def test_quotient_family_weights(fam_k1_n4):
 def test_quotient_rejections(fam_k1_n4):
     famZ = ArrangementFamily(k=1, n=3, b=((1,), (1,), (1,)), a=(F(1), F(-1), F(3)))
     with pytest.raises(ValueError, match="zero total weight"):
-        fro.quotient_family_k1(famZ, ((1, 2), (3,)))
+        strata.quotient_family_k1(famZ, ((1, 2), (3,)))
     with pytest.raises(ValueError, match="cover"):
-        fro.quotient_family_k1(fam_k1_n4, ((1, 2), (3,)))
+        strata.quotient_family_k1(fam_k1_n4, ((1, 2), (3,)))
     with pytest.raises(ValueError, match="disjoint"):
-        fro.quotient_family_k1(fam_k1_n4, ((1, 2), (2, 3), (4,)))
+        strata.quotient_family_k1(fam_k1_n4, ((1, 2), (2, 3), (4,)))
     fam_mixed = ArrangementFamily(
         k=1, n=3, b=((1,), (2,), (1,)), a=(F(1), F(1), F(1))
     )
     with pytest.raises(ValueError, match="slopes"):
-        fro.quotient_family_k1(fam_mixed, ((1, 2), (3,)))
+        strata.quotient_family_k1(fam_mixed, ((1, 2), (3,)))
 
 
 def test_stratum_point_and_embedding(fam_k1_n4):
     blocks = ((1, 2), (3, 4))
-    assert fro.stratum_point(blocks, (F(1), F(-4))) == (F(1), F(1), F(-4), F(-4))
+    assert strata.stratum_point(blocks, (F(1), F(-4))) == (F(1), F(1), F(-4), F(-4))
     qv = FlagVector.basis((1,)) * F(2) + FlagVector.basis((2,))
-    out = fro.embed_flag(blocks, qv)
+    out = strata.embed_flag(blocks, qv)
     assert out.get((1,)) == F(2) and out.get((2,)) == F(2)
     assert out.get((3,)) == F(1) and out.get((4,)) == F(1)
 
 
 def test_embedding_is_isometry(fam_k1_n4):
-    quotient, blocks = fro.quotient_family_k1(fam_k1_n4, ((1, 2), (3, 4)))
+    quotient, blocks = strata.quotient_family_k1(fam_k1_n4, ((1, 2), (3, 4)))
     for l in range(1, 3):
         for m in range(1, 3):
             up = contravariant_pairing(
-                fro.embed_flag(blocks, v_vector(quotient, (l,))),
-                fro.embed_flag(blocks, v_vector(quotient, (m,))),
+                strata.embed_flag(blocks, v_vector(quotient, (l,))),
+                strata.embed_flag(blocks, v_vector(quotient, (m,))),
                 fam_k1_n4,
             )
             down = contravariant_pairing(
@@ -623,8 +621,9 @@ def _periods_pairing(family, seed):
     periods suite of `check` uses at the given config seed."""
     from arrfrob import cli
 
-    run, _ = _one_run(family, cli._usable_path(family, seed + 13), cli._default_kappa(family))
-    return fro.twisted_pairing_invariance(family, run, 1e-6)
+    path = transport._usable_path(family, seed + 13)
+    run, _ = _one_run(family, path, cli._default_kappa(family))
+    return transport.twisted_pairing_invariance(family, run, 1e-6)
 
 
 _TINY_WEIGHT = {"k": 1, "n": 3, "b": [[1], [1], [1]], "weights": ["1/1000000", "2", "3"]}
@@ -654,13 +653,13 @@ def test_pairing_drift_is_compared_with_the_pairing_scale(pairing_family):
 
 
 def test_pairing_of_two_plus_kappa_sections_fails(pairing_family, monkeypatch):
-    flow = gm.flow_flat_section
+    flow = transport.flow_flat_section
 
     def plus_slopes(family, path, kappa, start, **kwargs):
         # the one run carries (kappa, -kappa): transport both at +kappa
         return flow(family, path, tuple(abs(k) for k in kappa), start, **kwargs)
 
-    monkeypatch.setattr(fro.gaussmanin, "flow_flat_section", plus_slopes)
+    monkeypatch.setattr(transport, "flow_flat_section", plus_slopes)
     rep = _periods_pairing(pairing_family, seed=1)
     assert rep["drift"] > 1e-3 * rep["scale"]
     assert not rep["passed"]
@@ -705,7 +704,7 @@ def _padded_generators(family, anchor):
 def _generator_sections(family, z, anchor):
     """The float generator table at one (possibly complex) fiber: nu([a_i/f_i])
     for every i as an (n, dim) array."""
-    idx, table = fro._generator_table(family, anchor)
+    idx, table = transport._generator_table(family, anchor)
     return table @ np.prod(np.asarray(z)[idx], axis=1)
 
 
@@ -736,8 +735,8 @@ def test_generator_table_matches_the_monomial_route(k, n, prime_config):
 @pytest.mark.parametrize("k, n", _TABLE_FAMILIES)
 def test_generator_table_does_not_depend_on_the_anchor(k, n, prime_config):
     family = load_family(prime_config(k, n))
-    monos_1, table_1 = fro._generator_table(family, 1)
-    monos_n, table_n = fro._generator_table(family, n)
+    monos_1, table_1 = transport._generator_table(family, 1)
+    monos_n, table_n = transport._generator_table(family, n)
     assert np.array_equal(monos_1, monos_n)
     assert np.array_equal(table_1, table_n)
 
@@ -747,11 +746,11 @@ def _period_rows(family, seed):
     run that the periods suite of `check` makes at the given seed."""
     from arrfrob import cli
 
-    path = cli._usable_path(family, seed + 13)
+    path = transport._usable_path(family, seed + 13)
     kappa = cli._default_kappa(family)
     run, v = _one_run(family, path, kappa)
-    flat = fro.flat_period_check(family, path, v, run, 1e-6)
-    twisted = fro.twisted_period_relation(family, path, kappa, run, 1e-5)
+    flat = transport.flat_period_check(family, path, v, run, 1e-6)
+    twisted = transport.twisted_period_relation(family, path, kappa, run, 1e-5)
     return flat, twisted
 
 
@@ -760,7 +759,7 @@ def test_doubling_one_generator_fails_a_period_row(prime_config):
     assert flat["passed"] and twisted["passed"]
     for i in range(4):
         family = load_family(prime_config(2, 4))
-        _, table = fro._generator_table(family, critalg.default_anchor(family))
+        _, table = transport._generator_table(family, critalg.default_anchor(family))
         table[i] *= 2
         flat, twisted = _period_rows(family, seed=1)
         assert not (flat["passed"] and twisted["passed"]), i
@@ -969,7 +968,7 @@ def test_strata_limit_does_not_depend_on_the_fiber_units(
     # (residual 3e-6) and below (5.3 at x1e-7, 520 at x1e-9)
     family = load_family(prime_config(1, 5))
     scaled = tuple(v * F(10) ** exponent for v in x)
-    rep = fro.strata_restriction_k1(family, partition, scaled)
+    rep = strata.strata_restriction_k1(family, partition, scaled)
     assert rep["passed"], rep
     scale = rep["log_potential_limit_scale"]
     assert rep["log_potential_limit_residual"] <= 1e-13 * scale

@@ -5,9 +5,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from arrfrob import gaussmanin, osflag
+from arrfrob import gaussmanin, osflag, transport
 from arrfrob.core import ArrangementFamily, coords, f_c_value, load_family, sample_good_point
-from arrfrob.critalg import f_minor_value, monomial_to_w, solve_critical
+from arrfrob.critalg import f_minor_value, monomial_to_w
+from arrfrob.critpoints import solve_critical
 from arrfrob.gaussmanin import (
     _commutator_rows,
     apply_matrix,
@@ -17,9 +18,7 @@ from arrfrob.gaussmanin import (
     derivative_sections,
     fiber_k_operator,
     flatness_certificate,
-    flow_flat_section,
     k_operator,
-    pairing_functional,
 )
 from arrfrob.linalg import IntegerMatrix, _integer_rows, mat_mul
 from arrfrob.osflag import (
@@ -29,6 +28,7 @@ from arrfrob.osflag import (
     singular_subspace,
     v_vector,
 )
+from arrfrob.transport import flow_flat_section, pairing_functional
 
 from fiber_oracles import (
     commutator_residuals,
@@ -605,10 +605,8 @@ def test_a_large_quadrature_does_not_loosen_the_section(prime_config):
     # each section and each quadrature is measured against its own size; a
     # constant 1e8 quadrature used to set the scale of the whole state and
     # left the section 1.3e-2 off after 20 steps
-    from arrfrob import cli
-
     family = load_family(prime_config(1, 5))
-    path = cli._usable_path(family, 14)
+    path = transport._usable_path(family, 14)
     start = singular_subspace(family).basis[0]
     reference = flow_flat_section(family, path, 17, start, rtol=1e-13)
     loaded = flow_flat_section(family, path, 17, start, extras=(lambda s, z, zdot, flag: 1e8,))
@@ -620,10 +618,8 @@ def test_a_large_quadrature_does_not_loosen_the_section(prime_config):
 def test_sections_carried_together_match_their_own_runs(prime_config):
     # one run of the slopes (17, -17) transports each section as its own
     # run does, and stops at every waypoint
-    from arrfrob import cli
-
     family = load_family(prime_config(2, 4))
-    path = cli._usable_path(family, 14)
+    path = transport._usable_path(family, 14)
     space = singular_subspace(family)
     starts = (space.basis[0], space.basis[1])
     both = flow_flat_section(family, path, (17, -17), starts)
@@ -642,7 +638,7 @@ def test_sections_carried_together_match_their_own_runs(prime_config):
 def _period_run(family, monkeypatch):
     """The `period_transport` run that `check --suites periods` makes at
     config seed 1, and the arguments it passed to `flow_flat_section`."""
-    from arrfrob import cli, frobenius
+    from arrfrob import cli
 
     calls = []
 
@@ -650,11 +646,11 @@ def _period_run(family, monkeypatch):
         calls.append((args, kwargs))
         return flow_flat_section(*args, **kwargs)
 
-    monkeypatch.setattr(gaussmanin, "flow_flat_section", spy)
-    path = cli._usable_path(family, 14)
+    monkeypatch.setattr(transport, "flow_flat_section", spy)
+    path = transport._usable_path(family, 14)
     space = singular_subspace(family)
     plus, minus = space.basis[0], space.basis[min(1, space.dimension - 1)]
-    run = frobenius.period_transport(family, path, cli._default_kappa(family), plus, minus, plus)
+    run = transport.period_transport(family, path, cli._default_kappa(family), plus, minus, plus)
     (call,) = calls
     return run, call
 
@@ -679,10 +675,8 @@ def test_taylor_transport_matches_the_dormand_prince_oracle(k, n, monkeypatch):
 
 
 def test_taylor_error_falls_with_rtol(prime_config):
-    from arrfrob import cli
-
     family = load_family(prime_config(2, 4))
-    path = cli._usable_path(family, 14)
+    path = transport._usable_path(family, 14)
     start = singular_subspace(family).basis[0]
     reference = flow_dormand_prince(family, path, 17, start, rtol=1e-13).waypoints[-1][0]
     errors = []

@@ -235,9 +235,18 @@ def test_a_perturbed_v_vector_is_rejected(name, monkeypatch):
     if base.k >= 2:
         # a move inside Sing keeps v singular: only the projection test sees it
         moves["is not the projection"] = singular_subspace(base).basis[0] * F(1, 7)
+    def moved(move):
+        # the closed form's integer row, as a FlagVector moved by `move`
+        def closed_form(f, s):
+            row, den = real(f, s)
+            vec = FlagVector({f.flag_index.subset(p): F(v, den) for p, v in row.items()})
+            return osflag._numerators(f, vec + move)
+
+        return closed_form
+
     for message, move in moves.items():
         fam = ArrangementFamily(k=base.k, n=base.n, b=base.b, a=base.a)
-        monkeypatch.setattr(osflag, "_v_closed_form", lambda f, s: real(f, s) + move)
+        monkeypatch.setattr(osflag, "_v_closed_form", moved(move))
         with pytest.raises(RuntimeError, match=message):
             v_vector(fam, key)
     monkeypatch.setattr(osflag, "_v_closed_form", real)

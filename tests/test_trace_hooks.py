@@ -4,6 +4,7 @@ per-layer metric. The tables are read from the file, not imported."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -45,15 +46,19 @@ def test_every_traced_name_resolves():
     assert set(cli._SUITE_RUNNERS) == set(cli.SUITES)
 
 
+def _env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.skipif(not OPTRACE.exists(), reason="perfbench is not in this tree")
 def test_traced_modules_are_bound_after_the_package_and_cli_imports():
     # optrace's install() reads sys.modules["arrfrob.<module>"] for every
     # table entry right after these two imports; a module that is first
     # imported later would be missing there.
     modules = sorted({module for table in _hook_tables().values() for module, _ in table})
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -63,7 +68,33 @@ def test_traced_modules_are_bound_after_the_package_and_cli_imports():
         ],
         capture_output=True,
         text=True,
-        env=env,
+        env=_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+@pytest.mark.skipif(not OPTRACE.exists(), reason="perfbench is not in this tree")
+@pytest.mark.parametrize("k, n", [(1, 4), (2, 4)])
+def test_the_traced_run_sees_the_float_layer(k, n, tmp_path, prime_config):
+    # the float entry points live in `critpoints` and `transport` and are
+    # found in `critalg`, `gaussmanin` and `frobenius`, where the tables
+    # name them: the wrappers must reach the functions the suites call
+    config = tmp_path / "family.json"
+    config.write_text(json.dumps(prime_config(k, n, seed=1)))
+    calls = {}
+    for suites in ("periods", "basis,canonical"):
+        trace = tmp_path / f"{suites}.trace.json"
+        proc = subprocess.run(
+            [sys.executable, str(OPTRACE), str(trace), "check", "--config", str(config),
+             "--suites", suites, "--json", str(tmp_path / "report.json")],
+            capture_output=True,
+            text=True,
+            env=_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name, count in json.loads(trace.read_text())["calls"].items():
+            calls[name] = calls.get(name, 0) + count
+    for name in ("gaussmanin.flow", "critalg.solve_critical",
+                 "frobenius.naive_iso_and_constant", "frobenius.twisted_period_relation"):
+        assert calls.get(name, 0) > 0, name
