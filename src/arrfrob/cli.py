@@ -35,10 +35,13 @@ from .core import (
     per_family,
     sample_good_point,
 )
-from .linalg import _lazy_module
+from .linalg import _execute, _lazy_module
 
-# A verb or suite executes only the modules that it calls into. All are bound
-# here, so a tracer of every loaded module (perfbench/optrace.py) sees them.
+# A verb or suite executes the modules that it calls into, and a float
+# module also those it imports, so that all run before numpy loads; `check`
+# executes the module of each of its suites before the first. All are bound
+# here, unexecuted, so a tracer of every loaded module (perfbench/optrace.py)
+# sees them.
 critalg = _lazy_module("arrfrob.critalg")
 critpoints = _lazy_module("arrfrob.critpoints")
 frobenius = _lazy_module("arrfrob.frobenius")
@@ -436,6 +439,11 @@ def _default_kappa(family):
     return kappa
 
 
+# The module of each suite that lives with the layer it runs.
+_SUITE_MODULES = dict(
+    basis=critpoints, critical=critpoints, canonical=critpoints, periods=transport, strata=strata
+)
+
 _SUITE_RUNNERS = {
     "circuits": _suite_circuits,
     "basis": lambda family, cfg: critpoints._suite_basis(family, cfg),
@@ -485,6 +493,7 @@ def _family_from_args(args):
 def _cmd_check(args):
     raw, family, _ = _family_from_args(args)
     cfg = RunSettings(raw, args, family)
+    _execute(*(_SUITE_MODULES[name] for name in cfg.suites if name in _SUITE_MODULES))
     suites_report = {}
     passed = True
     errored = False

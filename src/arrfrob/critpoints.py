@@ -22,7 +22,9 @@ from .cli import RunSettings, _emit, _family_from_args, _fixed, _num, _row, _sam
 from .cli import _sampled_fiber, _vector, report_schema_version
 from .core import Frozen, coords, default_anchor, per_family, per_fiber, sample_good_point
 from .critalg import _rationalize, anchored_subsets, expected_critical_count
-from .linalg import np
+from .linalg import _execute, np
+
+_execute(critalg, frobenius, gaussmanin, osflag)  # now, before numpy loads
 
 
 class MasterFunction:

@@ -2,8 +2,10 @@
 
 Matrices are plain lists of row lists of rationals (Fraction or int).
 Everything here stays exact; the float layer (`critpoints`, `transport`)
-computes through numpy, as the handle ``np`` defined here. Dimensions are
-tiny (at most a few hundred rows), so Gauss-Jordan is plenty.
+computes through numpy, as the handle ``np`` defined here, which loads
+numpy at the first float computation, after the float module has executed
+the package modules it imports (`_execute`). Dimensions are tiny (at most
+a few hundred rows), so Gauss-Jordan is plenty.
 The elimination is fraction-free: each input row is cleared of
 denominators, each row update is an integer combination divided by the
 gcd of the new row, and the determinant follows Bareiss (Math. Comp. 22,
@@ -24,10 +26,6 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 
-# The handles that `_lazy_module` made for modules of this package.
-_own_handles = []
-
-
 def _lazy_module(name):
     """The module `name`, executed on its first attribute access rather than
     here, or the module itself if it is loaded already. A submodule is bound
@@ -39,40 +37,26 @@ def _lazy_module(name):
     if spec is None:
         raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     package, _, child = name.rpartition(".")
-    own = package == __package__
-    spec.loader = importlib.util.LazyLoader(spec.loader if own else _AfterOwnModules(spec.loader))
+    spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
     if package:
         setattr(sys.modules[package], child, module)
-    if own:
-        _own_handles.append(module)
     return module
 
 
-class _AfterOwnModules:
-    """The loader of an outside module (numpy) that first executes every
-    module of this package with a handle that has not run yet.
+def _execute(*modules):
+    """Execute each module handle of `modules` that has not run yet.
 
     Without a bytecode cache a module runs by compiling its source. Before
     numpy loads, numpy's import reuses the compiler's memory; after it, that
     memory adds to the peak RSS (3 MB of 33 MB for `check --suites
     basis,canonical`, where `frobenius` would compile after `basis` loaded
-    numpy). A command that computes in floats uses most of the package, so
-    it compiles all of it first, as the eager imports did."""
-
-    def __init__(self, loader):
-        self._loader = loader
-
-    def __getattr__(self, name):
-        return getattr(self._loader, name)
-
-    def exec_module(self, module):
-        # A module run here can add handles; the loop reaches them too.
-        for handle in _own_handles:
-            handle.__spec__  # the first attribute access executes a handle
-        self._loader.exec_module(module)
+    numpy). So a float module executes the modules it imports as it runs,
+    and `check` executes the modules of all its suites before the first."""
+    for module in modules:
+        module.__spec__  # the first attribute access executes a handle
 
 
 def _moved_names(module_name, **moved):
@@ -88,8 +72,9 @@ def _moved_names(module_name, **moved):
     return __getattr__
 
 
-# numpy costs a start-up of about 0.15 s that the exact checks never use, so
-# it loads when a float computation first runs.
+# numpy's import costs about 70 ms that the exact checks never use, so it
+# loads when a float computation first runs, after every package module
+# that the command runs (`_execute`).
 np = _lazy_module("numpy")
 
 

@@ -34,7 +34,9 @@ from types import SimpleNamespace
 from . import critalg, frobenius, gaussmanin, linalg, osflag
 from .cli import RunSettings, _family_from_args, _num, _row, _sample_fibers, _vector
 from .core import ConfigError, coords, default_anchor, is_good_fiber, per_family
-from .linalg import np
+from .linalg import _execute, np
+
+_execute(critalg, frobenius, gaussmanin, osflag)  # now, before numpy loads
 
 
 @per_family

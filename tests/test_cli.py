@@ -481,32 +481,48 @@ def test_exact_suites_and_circuits_do_not_load_numpy(k2_config, tmp_path):
     ]
 
 
-def test_numpy_runs_after_every_package_module_waiting_for_first_use():
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["check", "--suites", "periods"],
+         "cli core critalg frobenius gaussmanin linalg osflag transport"),
+        (["check", "--suites", "basis,canonical"],
+         "cli core critalg critpoints frobenius gaussmanin linalg osflag"),
+        (["check", "--suites", "basis,periods"],
+         "cli core critalg critpoints frobenius gaussmanin linalg osflag transport"),
+        (["check"],
+         "cli core critalg critpoints frobenius gaussmanin linalg osflag strata transport"),
+        (["critical"], "cli core critalg critpoints frobenius gaussmanin linalg osflag"),
+        (["gm-flow"], "cli core critalg frobenius gaussmanin linalg osflag transport"),
+    ],
+    ids=["periods", "basis,canonical", "basis,periods", "check", "critical", "gm-flow"],
+)
+def test_a_float_launch_runs_its_modules_before_numpy(k2_config, tmp_path, argv, expected):
     # compiled after numpy, a module's compiler memory would add to the peak
     # RSS of a float command; the first numpy submodule import shows which
-    # package modules had run when numpy started
+    # package modules had run when numpy started, and none may run after it.
+    # `linforms` never runs, `critpoints` and `transport` only for their own
+    # suites and verb, `strata` only for its suite.
+    argv = [*argv, "--config", k2_config, "--json", str(tmp_path / "r.json")]
     proc = _fresh_python(
         "-c",
         "import sys, types\n"
-        "from arrfrob import cli, linalg\n"
+        "def executed():\n"
+        "    return ' '.join(m[len('arrfrob.'):] for m, mod in sorted(sys.modules.items())\n"
+        "                    if m.startswith('arrfrob.') and type(mod) is types.ModuleType)\n"
         "seen = []\n"
         "class Watch:\n"
         "    @staticmethod\n"
         "    def find_spec(name, path=None, target=None):\n"
         "        if name.startswith('numpy.') and not seen:\n"
-        "            seen.append(sorted(m for m, mod in sys.modules.items()\n"
-        "                               if m.startswith('arrfrob.')\n"
-        "                               and type(mod) is types.ModuleType))\n"
+        "            seen.append(executed())\n"
         "sys.meta_path.insert(0, Watch)\n"
-        "linalg.np.pi\n"
-        "print(*seen[0])\n",
+        "from arrfrob.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, *seen, executed(), sep='\\n')\n",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [
-        "arrfrob.cli", "arrfrob.core", "arrfrob.critalg", "arrfrob.critpoints",
-        "arrfrob.frobenius", "arrfrob.gaussmanin", "arrfrob.linalg", "arrfrob.linforms",
-        "arrfrob.osflag", "arrfrob.strata", "arrfrob.transport",
-    ]
+    assert proc.stdout.splitlines() == ["0", expected, expected]
 
 
 @pytest.mark.parametrize("suites", ["periods", "basis,canonical"])

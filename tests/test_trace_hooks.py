@@ -79,20 +79,26 @@ def test_traced_modules_are_bound_after_the_package_and_cli_imports():
 def test_the_traced_run_sees_the_float_layer(k, n, tmp_path, prime_config):
     # the float entry points live in `critpoints` and `transport` and are
     # found in `critalg`, `gaussmanin` and `frobenius`, where the tables
-    # name them: the wrappers must reach the functions the suites call
+    # name them: the wrappers must reach the functions the suites call.
+    # optrace's namespace scan also runs every module that a plain launch
+    # leaves unexecuted, which must not change the report.
     config = tmp_path / "family.json"
     config.write_text(json.dumps(prime_config(k, n, seed=1)))
     calls = {}
     for suites in ("periods", "basis,canonical"):
         trace = tmp_path / f"{suites}.trace.json"
-        proc = subprocess.run(
-            [sys.executable, str(OPTRACE), str(trace), "check", "--config", str(config),
-             "--suites", suites, "--json", str(tmp_path / "report.json")],
-            capture_output=True,
-            text=True,
-            env=_env(),
-        )
-        assert proc.returncode == 0, proc.stderr
+        reports = []
+        for launcher in ([str(OPTRACE), str(trace)], ["-m", "arrfrob"]):
+            reports.append(tmp_path / f"{suites}.{len(reports)}.json")
+            proc = subprocess.run(
+                [sys.executable, *launcher, "check", "--config", str(config),
+                 "--suites", suites, "--json", str(reports[-1])],
+                capture_output=True,
+                text=True,
+                env=_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert reports[0].read_bytes() == reports[1].read_bytes()
         for name, count in json.loads(trace.read_text())["calls"].items():
             calls[name] = calls.get(name, 0) + count
     for name in ("gaussmanin.flow", "critalg.solve_critical",
