@@ -37,8 +37,8 @@ from .core import (
 )
 from .linalg import _execute, _lazy_module
 
-# A verb or suite executes the modules that it calls into, and a float
-# module also those it imports, so that all run before numpy loads; `check`
+# A verb or suite executes the modules that it calls into, and `transport`
+# also those it imports, so that all run before numpy loads; `check`
 # executes the module of each of its suites before the first. All are bound
 # here, unexecuted, so a tracer of every loaded module (perfbench/optrace.py)
 # sees them.

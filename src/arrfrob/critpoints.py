@@ -1,30 +1,246 @@
 """Critical points, residue sums and the residue identification, in
-floats, with the `basis`, `critical`, `canonical` suites and `critical` verb.
+plain complex floats, with the `basis`, `critical`, `canonical` suites and
+the `critical` verb.
 
 The critical points are solved from the spectrum of the connection, for
 every k: on the singular subspace Sing, K_j(z) is conjugate through
 nu: w_T -> v_T to multiplication by [a_j/f_j] (the test oracle
 `k_operator_agreement` checks this exactly at single fibers), so the
-eigenvectors of one fixed combination sum_j c_j K_j|Sing give a_j/f_j(p)
+Schur vectors of one fixed combination sum_j c_j K_j|Sing give a_j/f_j(p)
 at every critical point p (the Stickelberger eigenvalue method). Each
-eigenvector seeds Newton's method on the master gradient, which alone
+point seeds Newton's method on the master gradient, which alone
 certifies the point. `solve_critical` keeps the points of each
 fiber in that fiber's entry of the family (`core.per_fiber`), so the
 basis, critical and canonical checks of one run share them. Residue sums
 read the values w_T(p) from one float table per set of points.
+
+The matrices are small (side C(n-1, k)), so the dense kernels below work
+on lists of Python complex numbers, and these suites never load numpy.
 """
 
+import cmath
 import itertools
 import math
 
 from . import critalg, frobenius, gaussmanin, linalg, osflag
 from .cli import RunSettings, _emit, _family_from_args, _fixed, _num, _row, _sample_fibers
 from .cli import _sampled_fiber, _vector, report_schema_version
-from .core import Frozen, coords, default_anchor, per_family, per_fiber, sample_good_point
+from .core import Frozen, coords, default_anchor, per_fiber, sample_good_point
 from .critalg import _rationalize, anchored_subsets, expected_critical_count
-from .linalg import _execute, np
 
-_execute(critalg, frobenius, gaussmanin, osflag)  # now, before numpy loads
+# ---------------------------------------------------------------------------
+# dense kernels on lists of complex rows
+
+# the unit roundoff of a float, at which a rotation or a deflation counts
+# as converged
+_EPS = 2.0**-52
+
+
+def _norm2(x):
+    """The squared 2-norm of a complex vector."""
+    return sum(v.real * v.real + v.imag * v.imag for v in x)
+
+
+def _reflector(x):
+    """(v, beta) of the Householder reflector I - beta v v^H that maps the
+    vector x to a multiple of the first unit vector, or None if x is 0."""
+    norm = math.sqrt(_norm2(x))
+    if norm == 0:
+        return None
+    size = abs(x[0])
+    phase = x[0] / size if size else 1
+    return [x[0] + phase * norm, *x[1:]], 1 / (norm * (norm + size))
+
+
+def _reflect_rows(m, v, beta, top, left):
+    """m <- (I - beta v v^H) m on the rows top, top + 1, ... that v spans,
+    from the column left on."""
+    rows = m[top : top + len(v)]
+    image = [0j] * (len(rows[0]) - left)
+    for vi, row in zip(v, rows):
+        factor = beta * vi.conjugate()
+        image = [y + factor * x for y, x in zip(image, row[left:])]
+    for vi, row in zip(v, rows):
+        row[left:] = [x - vi * y for x, y in zip(row[left:], image)]
+
+
+def _reflect_columns(m, v, beta, left):
+    """m <- m (I - beta v v^H) on the columns left, left + 1, ..., the
+    last, that v spans."""
+    scaled = [beta * vi.conjugate() for vi in v]
+    for row in m:
+        s = sum(x * vi for x, vi in zip(row[left:], v))
+        row[left:] = [x - s * y for x, y in zip(row[left:], scaled)]
+
+
+def _turn(u, w, c, s):
+    """The pair (c u + s w, c w - conj(s) u) of two vectors."""
+    sc = s.conjugate()
+    return [c * x + s * y for x, y in zip(u, w)], [c * y - sc * x for x, y in zip(u, w)]
+
+
+# the most QR steps spent on one eigenvalue
+QR_MAX_STEPS = 60
+
+
+def _schur_vectors(a):
+    """The unitary Q, as the list of its columns, of a Schur form
+    Q^H a Q = T, T upper triangular, of a square complex matrix:
+    Householder reduction to Hessenberg form, then QR steps with Wilkinson
+    shifts on the unreduced trailing block, every transformation
+    accumulated in Q. O(d^3) for side d. The rotations depend on the
+    active block alone, and T itself is not needed, so a QR step updates
+    only that block of the Hessenberg matrix, and all of Q."""
+    n = len(a)
+    h = [[complex(x) for x in row] for row in a]
+    q = [[complex(i == j) for j in range(n)] for i in range(n)]
+    for k in range(n - 2):
+        ref = _reflector([h[i][k] for i in range(k + 1, n)])
+        if ref is not None:
+            _reflect_rows(h, *ref, k + 1, k)
+            _reflect_columns(h, *ref, k + 1)
+            _reflect_columns(q, *ref, k + 1)
+    q = [list(col) for col in zip(*q)]
+    hi, steps = n - 1, 0
+    while hi > 0:
+        lo = hi
+        while lo > 0 and abs(h[lo][lo - 1]) > _EPS * (abs(h[lo - 1][lo - 1]) + abs(h[lo][lo])):
+            lo -= 1
+        if lo > 0:
+            h[lo][lo - 1] = 0j
+        if lo == hi:
+            hi, steps = hi - 1, 0
+            continue
+        steps += 1
+        if steps > QR_MAX_STEPS:
+            raise RuntimeError("the QR iteration did not converge")
+        # the eigenvalue of the trailing 2 x 2 block nearer its last entry,
+        # and an exceptional shift every tenth step
+        a11, a12, a21, a22 = h[hi - 1][hi - 1], h[hi - 1][hi], h[hi][hi - 1], h[hi][hi]
+        if steps % 10 == 0:
+            shift = a22 + 0.75 * abs(a21)
+        else:
+            half = (a11 - a22) / 2
+            root = cmath.sqrt(half * half + a12 * a21)
+            if abs(half - root) > abs(half + root):
+                root = -root
+            shift = a22 - a12 * a21 / (half + root) if half + root else a22
+        # one QR step on the active block B: B - shift = G^H R by rotations
+        # G = [[c, s], [-conj(s), c]] of the rows i, i + 1, then
+        # B <- R G^H + shift and Q <- Q G^H
+        block = [row[lo : hi + 1] for row in h[lo : hi + 1]]
+        for i, row in enumerate(block):
+            row[i] -= shift
+        rotations = []
+        for i in range(hi - lo):
+            upper, lower = block[i], block[i + 1]
+            x, y = upper[i], lower[i]
+            r = math.hypot(abs(x), abs(y))
+            if r == 0:
+                c, s = 1.0, 0j
+            else:
+                size = abs(x)
+                c = size / r
+                s = (x / size if size else 1) * y.conjugate() / r
+            rotations.append((i, c, s.conjugate()))
+            upper[i:], lower[i:] = _turn(upper[i:], lower[i:], c, s)
+        cols = [list(col) for col in zip(*block)]
+        for i, c, sc in rotations:
+            cols[i][: i + 2], cols[i + 1][: i + 2] = _turn(
+                cols[i][: i + 2], cols[i + 1][: i + 2], c, sc
+            )
+            q[lo + i], q[lo + i + 1] = _turn(q[lo + i], q[lo + i + 1], c, sc)
+        for i, row in enumerate(zip(*cols)):
+            h[lo + i][lo : hi + 1] = row
+            h[lo + i][lo + i] += shift
+    return q
+
+
+def _least_squares(a, b):
+    """x minimizing |a x - b| for a tall complex matrix a, by Householder
+    QR, or None if a has dependent columns."""
+    m = [[*row, bi] for row, bi in zip(a, b)]
+    k = len(m[0]) - 1
+    for c in range(k):
+        ref = _reflector([row[c] for row in m[c:]])
+        if ref is None:
+            return None
+        _reflect_rows(m, *ref, c, c)
+    x = [0j] * k
+    for c in reversed(range(k)):
+        x[c] = (m[c][k] - sum(m[c][j] * x[j] for j in range(c + 1, k))) / m[c][c]
+    return x
+
+
+def _eliminate(a, b):
+    """(det a, x) with a x = b for a square complex matrix a, by Gaussian
+    elimination with partial pivoting; x is None when det a is 0."""
+    n = len(a)
+    m = [[*row, bi] for row, bi in zip(a, b)]
+    det = 1 + 0j
+    for c in range(n):
+        p = max(range(c, n), key=lambda i: abs(m[i][c]))
+        if m[p][c] == 0:
+            return 0j, None
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        pivot = m[c]
+        det *= pivot[c]
+        for i in range(c + 1, n):
+            f = m[i][c] / pivot[c]
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], pivot)]
+    x = [0j] * n
+    for c in reversed(range(n)):
+        x[c] = (m[c][n] - sum(m[c][j] * x[j] for j in range(c + 1, n))) / m[c][c]
+    return det, x
+
+
+# the most sweeps of Jacobi rotations
+JACOBI_MAX_SWEEPS = 60
+
+
+def _condition_number(mat):
+    """The 2-norm condition number s_max / s_min of a complex matrix, given
+    as a list of rows. One-sided Jacobi rotations (Hestenes) orthogonalize
+    the columns of the matrix or, if it is wide, of its conjugate
+    transpose; the singular values are then the norms of the columns."""
+    if not mat or not mat[0]:
+        return float("inf")
+    if len(mat[0]) > len(mat):
+        cols = [[x.conjugate() for x in row] for row in mat]
+    else:
+        cols = [list(col) for col in zip(*mat)]
+    # a pair of columns counts as orthogonal within sqrt(length) roundoffs
+    tol = len(cols[0]) * _EPS * _EPS
+    for _ in range(JACOBI_MAX_SWEEPS):
+        # sweeping the columns in order of falling norm converges sooner
+        cols.sort(key=_norm2, reverse=True)
+        norms = [_norm2(col) for col in cols]
+        rotated = False
+        for i, j in itertools.combinations(range(len(cols)), 2):
+            u, w = cols[i], cols[j]
+            gamma = sum(x.conjugate() * y for x, y in zip(u, w))
+            g = abs(gamma)
+            if g * g <= tol * norms[i] * norms[j]:
+                continue
+            rotated = True
+            # the real rotation of u and e^{-i arg gamma} w that makes them
+            # orthogonal (Rutishauser's t = tan of its angle)
+            zeta = (norms[j] - norms[i]) / (2 * g)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            c = 1 / math.hypot(1.0, t)
+            cols[i], cols[j] = _turn(u, w, c, -c * t * gamma.conjugate() / g)
+            norms[i], norms[j] = norms[i] - t * g, norms[j] + t * g
+        if not rotated:
+            break
+    sigma = [math.sqrt(_norm2(col)) for col in cols]
+    return max(sigma) / min(sigma) if min(sigma) else float("inf")
+
+
+# ---------------------------------------------------------------------------
+# the master function and its critical points
 
 
 class MasterFunction:
@@ -79,7 +295,7 @@ class MasterFunction:
             return h[0][0]
         if self.family.k == 2:
             return h[0][0] * h[1][1] - h[0][1] * h[1][0]
-        return complex(np.linalg.det(np.array(h, dtype=complex)))
+        return _eliminate(h, [0j] * self.family.k)[0]
 
     def hessian_scale(self, t):
         """Size of the Hessian determinant's terms: by Cauchy-Binet Hess =
@@ -106,11 +322,13 @@ def _newton_polish(master, t0):
     the fiber, so no threshold depends on the units of the weights or of z.
     Once the gradient is below 1e-13 of its terms, one more step reaches
     the rounding floor (the convergence is quadratic). Where that floor
-    lies higher (the f_j nearly cancel), the last of NEWTON_MAX_ITER steps is
-    kept if it meets the bound of 1e-9 that every point meets."""
+    lies higher (the f_j nearly cancel), Newton stops as soon as the
+    gradient, already within the bound of 1e-9 of its terms that every
+    point meets, no longer falls; at most NEWTON_MAX_ITER steps are taken."""
     fam = master.family
     t = [complex(x) for x in t0]
     close = False
+    last = math.inf
     for iteration in range(NEWTON_MAX_ITER + 1):
         try:
             grad = master.gradient(t)
@@ -118,9 +336,9 @@ def _newton_polish(master, t0):
         except ZeroDivisionError:
             return None
         res = max(abs(g) for g in grad)
-        if close or iteration == NEWTON_MAX_ITER:
+        if close or iteration == NEWTON_MAX_ITER or last <= res <= 1e-9 * scale:
             break
-        close = res < 1e-13 * scale
+        close, last = res < 1e-13 * scale, res
         hess = master.hessian_matrix(t)
         if fam.k == 1:
             h = hess[0][0]
@@ -128,10 +346,8 @@ def _newton_polish(master, t0):
                 return None
             step = [grad[0] / h]
         else:
-            arr = np.array(hess, dtype=complex)
-            try:
-                step = list(np.linalg.solve(arr, np.array(grad, dtype=complex)))
-            except np.linalg.LinAlgError:
+            step = _eliminate(hess, grad)[1]
+            if step is None:
                 return None
         t = [ti - si for ti, si in zip(t, step)]
         if max(abs(s) for s in step) > 1e8 * master.size:
@@ -144,50 +360,86 @@ def _newton_polish(master, t0):
     return CriticalPoint(tuple(t), fs, complex(master.hessian_det(t)), res)
 
 
-@per_family
-def _singular_frame(family):
-    """The exact singular basis as float columns over the flag positions,
-    and its pseudo-inverse, which maps a vector of the span to its
-    coordinates in that basis."""
-    space = osflag.singular_subspace(family)
-    frame = np.array(
-        [[float(v.get(T)) for v in space.basis] for T in family.flag_index], dtype=float
-    ).reshape(len(family.flag_index), space.dimension)
-    return frame, np.linalg.pinv(frame)
+def _sing_operators(family, zz):
+    """K_j(z) restricted to Sing for j = 1..n, in the coordinates of the
+    singular basis, as sparse float rows ({column: entry}).
+
+    K_j(z) = sum_H (lambda_j^H / f_H(z)) R_H over the hyperplanes H of the
+    discriminant, and the residue step of the certificates
+    (`gaussmanin._sing_residues`) holds each R_H applied to the singular
+    basis, at the basis' free columns. The basis is in nullspace form (a 1
+    at its own free column, 0 at the others), so these entries are the
+    coordinates of an image in Sing, which K_j(z) preserves; by linearity
+    the same combination of them gives K_j(z)|Sing. Its rows are over the
+    weights' denominator times the lcm of the basis denominators."""
+    hyperplanes, _, residues, _ = gaussmanin._sing_residues(family)
+    basis = osflag.singular_subspace(family).integer_basis
+    unit = gaussmanin._weight_denominator(family) * math.lcm(*(den for _, den in basis))
+    values, z_den = linalg._integer_vector(zz)
+    ops = [[{} for _ in basis] for _ in range(family.n)]
+    for form, rows in zip(hyperplanes, residues):
+        f_h = sum(c * values.get(i - 1, 0) for i, c in form)
+        if f_h == 0:
+            raise ValueError(
+                f"fiber lies on the discriminant: f_C vanishes for circuit "
+                f"{hyperplanes[form][0]}"
+            )
+        for i, c in form:
+            coef = c * z_den / (f_h * unit)
+            for out, row in zip(ops[i - 1], rows):
+                for q, v in row.items():
+                    out[q] = out.get(q, 0.0) + coef * v
+    return ops
 
 
 def _spectral_seeds(family, zz):
-    """One seed t per eigenvector of sum_j c_j K_j(z) restricted to Sing.
+    """One seed t per Schur vector of sum_j c_j K_j(z) restricted to Sing.
 
     On Sing, K_j(z) is conjugate to multiplication by [a_j/f_j] in the
-    algebra of the critical set, so the eigenvectors of one generic
-    combination are joint eigenvectors of every K_j, and the Rayleigh
-    quotient of K_j at the eigenvector of the point p is a_j/f_j(p). The
-    weights c_j are fixed and incommensurable, each divided by the size of
-    its K_j so that no generator dominates. With g_j = 1/f_j(p) read off
-    the quotients, the equations g_j (z_j + b_j . t) = 1 are linear in t
-    and are solved by least squares over all j."""
-    frame, to_coords = _singular_frame(family)
-    ops = np.array(
-        [
-            to_coords @ gaussmanin.fiber_k_operator(family, zz, j).floats() @ frame
-            for j in range(1, family.n + 1)
-        ]
-    )
-    sizes = np.linalg.norm(ops, axis=(1, 2))
-    weights = 1.0 / (np.arange(1, family.n + 1) + math.sqrt(2.0))
-    weights = weights / np.where(sizes > 0, sizes, 1.0)
-    _, vecs = np.linalg.eig(np.tensordot(weights, ops, axes=1))
-    quotients = np.einsum("ip,jiq,qp->jp", vecs.conj(), ops, vecs) / np.einsum(
-        "ip,ip->p", vecs.conj(), vecs
-    )
-    inv_f = quotients / np.array([float(a) for a in family.a])[:, None]
-    b = np.array([[float(x) for x in row] for row in family.b], dtype=float)
-    z = np.array([float(v) for v in zz], dtype=float)
+    algebra of the critical set. The weights c_j are fixed and
+    incommensurable, each divided by the size of its K_j so that no
+    generator dominates, and the combination M then has distinct
+    eigenvalues, one per critical point p. Every K_j commutes with M, so a
+    Schur form Q^H M Q, upper triangular, makes every Q^H K_j Q upper
+    triangular too, with a_j/f_j(p) on its diagonal at the place of p. With
+    g_j = 1/f_j(p) read off these diagonals, the equations
+    g_j (z_j + b_j . t) = 1 are linear in t and are solved by least squares
+    over all j. The data are real, so the critical set is closed under
+    conjugation: a seed within DEDUP_TOL of the real axis stands for a real
+    point (a point and its conjugate that close would be one), and is taken
+    real, so that Newton's method keeps it real."""
+    ops = _sing_operators(family, zz)
+    size = len(ops[0])
+    combined = [[0.0] * size for _ in range(size)]
+    for j, op in enumerate(ops, start=1):
+        norm = math.sqrt(sum(x * x for row in op for x in row.values()))
+        weight = 1.0 / (j + math.sqrt(2.0)) / (norm if norm > 0 else 1.0)
+        for out, row in zip(combined, op):
+            for q, x in row.items():
+                out[q] += weight * x
+    # q_rows[r][p] is the entry r of the Schur vector q_p
+    q_rows = list(zip(*_schur_vectors(combined)))
+    q_conj = [[x.conjugate() for x in row] for row in q_rows]
+    # inv_f[j][p] = (q_p^H K_j q_p) / a_j = 1 / f_j(p)
+    inv_f = []
+    for a, op in zip(family.a, ops):
+        diagonal = [0j] * size
+        for conj, row in zip(q_conj, op):
+            for s, x in row.items():
+                diagonal = [d + x * u * v for d, u, v in zip(diagonal, conj, q_rows[s])]
+        inv_f.append([d / float(a) for d in diagonal])
+    b = [[float(x) for x in row] for row in family.b]
+    z = [float(v) for v in zz]
     seeds = []
-    for col in inv_f.T:
-        t = np.linalg.lstsq(col[:, None] * b, 1 - col * z, rcond=None)[0]
-        seeds.append(tuple(complex(v) for v in t))
+    for g in zip(*inv_f):
+        t = _least_squares(
+            [[gj * x for x in row] for gj, row in zip(g, b)], [1 - gj * zj for gj, zj in zip(g, z)]
+        )
+        if t is None:
+            continue
+        if max(abs(v.imag) for v in t) < DEDUP_TOL * max(map(abs, z + t)):
+            t = [complex(v.real) for v in t]
+        seeds.append(tuple(t))
     return seeds
 
 
@@ -245,28 +497,29 @@ def solve_critical(family, zz):
 
 
 def minor_products(family, subsets, values):
-    """d_T * prod_{j in T} values[p, j - 1] for every point p (row) and
+    """d_T * prod_{j in T} values[p][j - 1] for every point p (row) and
     subset T (column), from one row of per-hyperplane values per point."""
-    values = np.asarray(values, dtype=complex).reshape(-1, family.n)
-    if not subsets:
-        return np.zeros((len(values), 0), dtype=complex)
-    minors = np.array([float(family.minor(T)) for T in subsets])
-    return minors * np.prod(values[:, np.array(subsets, dtype=int) - 1], axis=2)
+    minors = [float(family.minor(T)) for T in subsets]
+    return [
+        [m * math.prod([row[j - 1] for j in T]) for m, T in zip(minors, subsets)]
+        for row in values
+    ]
 
 
 def w_matrix(family, points, subsets):
     """Values of w_T at the critical points in floats: one row per point,
     one column per subset."""
-    weights = np.array([float(a) for a in family.a])
-    f_values = np.array([p.f_values for p in points], dtype=complex)
-    return minor_products(family, subsets, weights / f_values.reshape(-1, family.n))
+    weights = [float(a) for a in family.a]
+    return minor_products(
+        family, subsets, [[a / f for a, f in zip(weights, p.f_values)] for p in points]
+    )
 
 
 def values_at(family, wvec, points):
     """Values of a w-span element at the critical points, in floats."""
     subsets = tuple(T for T, _ in wvec.items())
-    coefs = np.array([complex(c) for _, c in wvec.items()], dtype=complex)
-    return w_matrix(family, points, subsets) @ coefs
+    coefs = [complex(c) for _, c in wvec.items()]
+    return [sum(x * c for x, c in zip(row, coefs)) for row in w_matrix(family, points, subsets)]
 
 
 def evaluation_matrix(family, points, anchor=None):
@@ -275,30 +528,34 @@ def evaluation_matrix(family, points, anchor=None):
     if anchor is None:
         anchor = default_anchor(family)
     mat = w_matrix(family, points, anchored_subsets(family, anchor))
-    cond = float(np.linalg.cond(mat)) if mat.size else float("inf")
-    return mat, cond
-
-
-def _inverse_hessians(points):
-    return 1 / np.array([p.hessian for p in points], dtype=complex)
+    return mat, _condition_number(mat)
 
 
 def residue_pairing_analytic(family, z, x, y):
     """(x, y) = sum over the critical points of the fiber z of
     x(p) y(p) / Hess(p)."""
     points = solve_critical(family, z)
-    inv_h = _inverse_hessians(points)
-    return complex(np.sum(values_at(family, x, points) * values_at(family, y, points) * inv_h))
+    return complex(
+        sum(
+            u * v / p.hessian
+            for u, v, p in zip(values_at(family, x, points), values_at(family, y, points), points)
+        )
+    )
 
 
 def residue_gram(family, points, subsets):
     """The residue pairings (w_T, w_U) over the given subsets, W^T
     diag(1/Hess) W with W = w_matrix, and the size of their terms,
     |W|^T diag(1/|Hess|) |W|, against which their rounding is measured."""
-    w = w_matrix(family, points, subsets)
-    inv_h = _inverse_hessians(points)
-    gram = w.T @ (inv_h[:, None] * w)
-    scale = np.abs(w).T @ (np.abs(inv_h)[:, None] * np.abs(w))
+    columns = list(zip(*w_matrix(family, points, subsets)))
+    inv_h = [1 / p.hessian for p in points]
+    gram = [
+        [sum(x * (h * y) for x, h, y in zip(u, inv_h, v)) for v in columns] for u in columns
+    ]
+    scale = [
+        [sum(abs(x) * (abs(h) * abs(y)) for x, h, y in zip(u, inv_h, v)) for v in columns]
+        for u in columns
+    ]
     return gram, scale
 
 
@@ -336,10 +593,10 @@ def _residue_frame(family, points):
 
 def _identified(family, wvec, points, frame):
     """`canonical_iso_analytic` from the points and their `_residue_frame`."""
-    weights = values_at(family, wvec, points) / [p.hessian for p in points]
+    weights = [v / p.hessian for v, p in zip(values_at(family, wvec, points), points)]
     out = osflag.FlagVector()
-    for T, coef in zip(family.flag_index, weights @ frame):
-        out.accumulate(T, complex(coef))
+    for i, T in enumerate(family.flag_index):
+        out.accumulate(T, complex(sum(w * row[i] for w, row in zip(weights, frame))))
     return out
 
 
@@ -501,9 +758,9 @@ def _suite_canonical(family, cfg):
     anchor = cfg.anchor
     basis = anchored_subsets(family, anchor)
     covectors = [osflag.CoVector.basis(T) for T in basis]
-    exact = np.array(
-        [[complex(critalg.structural_pairing(family, x, y)) for y in covectors] for x in covectors]
-    )
+    exact = [
+        [complex(critalg.structural_pairing(family, x, y)) for y in covectors] for x in covectors
+    ]
     for i, z in enumerate(_sample_fibers(family, cfg.seed, cfg.samples)):
         rep = naive_iso_and_constant(family, z, anchor)
         expected = rep["expected"]
@@ -524,8 +781,10 @@ def _suite_canonical(family, cfg):
         )
         points = solve_critical(family, z)
         analytic, terms = residue_gram(family, points, basis)
-        worst = float(np.max(np.abs(analytic - exact)))
-        tol = cfg.tol * float(np.max(terms))
+        worst = max(
+            abs(u - v) for row, ref in zip(analytic, exact) for u, v in zip(row, ref)
+        )
+        tol = cfg.tol * max(map(max, terms))
         _row(rows, f"isometry-sample-{i}", worst <= tol, residual=worst, tol=tol)
     return rows, {}
 

@@ -9,8 +9,7 @@ Exact checks run on integers. `k_operator` assembles K_j(z) as a
 `linalg.IntegerMatrix`, sparse integer rows over one denominator, from the
 integer circuit values f_C(z), one dot per circuit and fiber.
 `fiber_k_operator` keeps one per (fiber, j) in the fiber's entry of the
-family (`core.per_fiber`); the conformal-block equations and
-`critpoints.solve_critical` read it.
+family (`core.per_fiber`); the conformal-block equations read it.
 
 The structure of the connection is decided once per family, in integer
 arithmetic on tables that do not depend on the fiber, so each verdict
@@ -23,7 +22,9 @@ each codimension-2 flat of the discriminant through it, and
 `check_flatness` reports its verdict. `check_symmetry_and_invariance`
 adds the S-symmetry of every L_C and sum_C L_C = |a| on Sing, which is
 the weighted Euler identity sum_j z_j K_j(z) = |a| on Sing at every
-fiber. The transport of flat sections, in floats, is in `transport`.
+fiber. The critical solver (`critpoints`) assembles K_j(z) on Sing in
+floats from the same residues. The transport of flat sections, in floats,
+is in `transport`.
 """
 
 from __future__ import annotations
@@ -140,8 +141,7 @@ def k_operator(family, z, j):
 def fiber_k_operator(family, zz, j):
     """K_j(z) as built by `k_operator`, once per family and exact fiber, in
     the fiber's entry of the family (`core.per_fiber`). Every exact check
-    at the fiber reads this one IntegerMatrix, and `critpoints.solve_critical`
-    reads its floats."""
+    at the fiber reads this one IntegerMatrix."""
     return k_operator(family, zz, j)
 
 
@@ -240,8 +240,9 @@ def _restricted_residue(family, members, free, common):
 
 @per_family
 def _sing_residues(family):
-    """The residue step that `flatness_certificate` and
-    `check_symmetry_and_invariance` share, once per family: the hyperplanes
+    """The residue step that `flatness_certificate`,
+    `check_symmetry_and_invariance` and the critical solver
+    (`critpoints._sing_operators`) share, once per family: the hyperplanes
     of the discriminant ({integer form: [circuit indices, ...]}; circuits
     with proportional forms share one), the free column of each singular
     basis vector, the residue R_H = sum_C L_C of each hyperplane restricted

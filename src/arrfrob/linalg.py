@@ -1,11 +1,12 @@
 """Exact linear algebra on rational matrices, computed in integers.
 
 Matrices are plain lists of row lists of rationals (Fraction or int).
-Everything here stays exact; the float layer (`critpoints`, `transport`)
-computes through numpy, as the handle ``np`` defined here, which loads
-numpy at the first float computation, after the float module has executed
-the package modules it imports (`_execute`). Dimensions are tiny (at most
-a few hundred rows), so Gauss-Jordan is plenty.
+Everything here stays exact. Of the float layer, `critpoints` computes in
+plain Python complex numbers and `transport` through numpy, as the handle
+``np`` defined here, which loads numpy at the transport's first float
+computation, after `transport` has executed the package modules it
+imports (`_execute`). Dimensions are tiny (at most a few hundred rows), so
+Gauss-Jordan is plenty.
 The elimination is fraction-free: each input row is cleared of
 denominators, each row update is an integer combination divided by the
 gcd of the new row, and the determinant follows Bareiss (Math. Comp. 22,
@@ -51,10 +52,11 @@ def _execute(*modules):
 
     Without a bytecode cache a module runs by compiling its source. Before
     numpy loads, numpy's import reuses the compiler's memory; after it, that
-    memory adds to the peak RSS (3 MB of 33 MB for `check --suites
-    basis,canonical`, where `frobenius` would compile after `basis` loaded
-    numpy). So a float module executes the modules it imports as it runs,
-    and `check` executes the modules of all its suites before the first."""
+    memory adds to the peak RSS (3 MB of 33 MB, measured when `check
+    --suites basis,canonical` loaded numpy in `basis` and compiled
+    `frobenius` after it). So `transport` executes the modules it imports
+    as it runs, and `check` executes the modules of all its suites before
+    the first."""
     for module in modules:
         module.__spec__  # the first attribute access executes a handle
 
@@ -72,9 +74,9 @@ def _moved_names(module_name, **moved):
     return __getattr__
 
 
-# numpy's import costs about 70 ms that the exact checks never use, so it
-# loads when a float computation first runs, after every package module
-# that the command runs (`_execute`).
+# numpy's import costs about 60-70 ms that only the transport uses, so it
+# loads when the transport first computes, after every package module that
+# the command runs (`_execute`).
 np = _lazy_module("numpy")
 
 
@@ -242,17 +244,6 @@ class IntegerMatrix(NamedTuple):
         """The entries of a square matrix as a list of rows of Fractions."""
         size = len(self.rows)
         return [[Fraction(row.get(q, 0), self.den) for q in range(size)] for row in self.rows]
-
-    def floats(self):
-        """The entries of a square matrix as a float array. int / int is
-        correctly rounded, so each entry is the float of the exact rational,
-        bit for bit the float(Fraction) of the dense form."""
-        size = len(self.rows)
-        out = np.zeros((size, size), dtype=float)
-        for p, row in enumerate(self.rows):
-            for q, v in row.items():
-                out[p, q] = v / self.den
-        return out
 
 
 def _reduced_matrix(rows, den):

@@ -5,10 +5,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from arrfrob import gaussmanin, osflag, transport
+from arrfrob import critpoints, gaussmanin, osflag, transport
 from arrfrob.core import ArrangementFamily, coords, f_c_value, load_family, sample_good_point
 from arrfrob.critalg import f_minor_value, monomial_to_w
-from arrfrob.critpoints import solve_critical
 from arrfrob.gaussmanin import (
     _commutator_rows,
     apply_matrix,
@@ -444,28 +443,35 @@ def test_shared_k_operator_cannot_be_changed(fam_k2_n4):
 
 
 @pytest.mark.parametrize("k, n", [(1, 5), (2, 4), (3, 5)])
-def test_solver_reads_the_floats_of_the_exact_entries(k, n, prime_config, monkeypatch):
-    # int / int is correctly rounded: the floats solve_critical reads are
-    # float(Fraction) of the exact entries, bit for bit
-    read = []
-    floats = IntegerMatrix.floats
-
-    def spy(mat):
-        out = floats(mat)
-        read.append(out)
-        return out
-
-    monkeypatch.setattr(IntegerMatrix, "floats", spy)
+def test_solver_reads_k_j_on_sing_in_singular_coordinates(k, n, prime_config):
+    # K_j(z) preserves Sing, and in the coordinates of the singular basis
+    # the float matrices that the solver reads are the exact restriction,
+    # summed in Fractions here, to within the rounding of their entries
     family = load_family(prime_config(k, n))
+    basis = [[v.get(T) for T in family.flag_index] for v in singular_subspace(family).basis]
+    # the column where a basis vector is 1 and every other one is 0
+    free = [
+        next(q for q, x in enumerate(b) if x == 1 and all(o[q] == 0 for o in basis if o is not b))
+        for b in basis
+    ]
     for seed in range(2):
-        z = sample_good_point(family, seed=seed).z
-        read.clear()
-        solve_critical(family, z)
-        expect = [
-            np.array(_fraction_k_operator(family, z, j), dtype=float) for j in range(1, n + 1)
-        ]
-        assert len(read) == n
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(read, expect))
+        zz = coords(sample_good_point(family, seed=seed).z)
+        ops = critpoints._sing_operators(family, zz)
+        assert len(ops) == n
+        for j, op in enumerate(ops, start=1):
+            kj = _fraction_k_operator(family, zz, j)
+            images = []
+            for b in basis:
+                image = [sum(x * y for x, y in zip(row, b)) for row in kj]
+                coefs = [image[f] for f in free]
+                assert image == [sum(c * o[q] for c, o in zip(coefs, basis)) for q in range(len(b))]
+                images.append(coefs)
+            size = float(max(abs(x) for coefs in images for x in coefs))
+            assert len(op) == len(basis)
+            assert all(0 <= i < len(basis) for row in op for i in row)
+            for r, row in enumerate(op):
+                for i, coefs in enumerate(images):
+                    assert abs(row.get(i, 0.0) - float(coefs[r])) <= 1e-14 * size
 
 
 def _corrupted_k_operator(monkeypatch, target):
