@@ -43,13 +43,14 @@ def _norm2(x):
 
 def _reflector(x):
     """(v, beta) of the Householder reflector I - beta v v^H that maps the
-    vector x to a multiple of the first unit vector, or None if x is 0."""
-    norm = math.sqrt(_norm2(x))
+    vector x to a multiple of the first unit vector, or None if x is 0.
+    v is scaled to v_0 = 1, so neither v nor beta under- or overflows."""
+    norm = math.hypot(*(c for v in x for c in (v.real, v.imag)))
     if norm == 0:
         return None
     size = abs(x[0])
-    phase = x[0] / size if size else 1
-    return [x[0] + phase * norm, *x[1:]], 1 / (norm * (norm + size))
+    lead = x[0] + (x[0] / size if size else 1) * norm
+    return [1.0, *(v / lead for v in x[1:])], 1 + size / norm
 
 
 def _reflect_rows(m, v, beta, top, left):
@@ -106,8 +107,6 @@ def _schur_vectors(a):
         lo = hi
         while lo > 0 and abs(h[lo][lo - 1]) > _EPS * (abs(h[lo - 1][lo - 1]) + abs(h[lo][lo])):
             lo -= 1
-        if lo > 0:
-            h[lo][lo - 1] = 0j
         if lo == hi:
             hi, steps = hi - 1, 0
             continue
@@ -156,20 +155,26 @@ def _schur_vectors(a):
     return q
 
 
-def _least_squares(a, b):
-    """x minimizing |a x - b| for a tall complex matrix a, by Householder
-    QR, or None if a has dependent columns."""
-    m = [[*row, bi] for row, bi in zip(a, b)]
+def _back_substitute(m):
+    """x with u x = r for the augmented rows m = [u | r] whose first
+    len(x) rows hold an upper triangular u."""
     k = len(m[0]) - 1
-    for c in range(k):
-        ref = _reflector([row[c] for row in m[c:]])
-        if ref is None:
-            return None
-        _reflect_rows(m, *ref, c, c)
     x = [0j] * k
     for c in reversed(range(k)):
         x[c] = (m[c][k] - sum(m[c][j] * x[j] for j in range(c + 1, k))) / m[c][c]
     return x
+
+
+def _least_squares(a, b):
+    """x minimizing |a x - b| for a tall complex matrix a, by Householder
+    QR, or None if a has dependent columns."""
+    m = [[*row, bi] for row, bi in zip(a, b)]
+    for c in range(len(m[0]) - 1):
+        ref = _reflector([row[c] for row in m[c:]])
+        if ref is None:
+            return None
+        _reflect_rows(m, *ref, c, c)
+    return _back_substitute(m)
 
 
 def _eliminate(a, b):
@@ -191,10 +196,7 @@ def _eliminate(a, b):
             f = m[i][c] / pivot[c]
             if f:
                 m[i] = [x - f * y for x, y in zip(m[i], pivot)]
-    x = [0j] * n
-    for c in reversed(range(n)):
-        x[c] = (m[c][n] - sum(m[c][j] * x[j] for j in range(c + 1, n))) / m[c][c]
-    return det, x
+    return det, _back_substitute(m)
 
 
 # the most sweeps of Jacobi rotations
@@ -208,6 +210,12 @@ def _condition_number(mat):
     transpose; the singular values are then the norms of the columns."""
     if not mat or not mat[0]:
         return float("inf")
+    # scaled by a power of two to a largest entry in [1/2, 1), exactly, so
+    # that the squared norms neither under- nor overflow
+    shift = -math.frexp(max(abs(x) for row in mat for x in row))[1]
+    mat = [
+        [complex(math.ldexp(x.real, shift), math.ldexp(x.imag, shift)) for x in row] for row in mat
+    ]
     if len(mat[0]) > len(mat):
         cols = [[x.conjugate() for x in row] for row in mat]
     else:
@@ -291,8 +299,6 @@ class MasterFunction:
 
     def hessian_det(self, t):
         h = self.hessian_matrix(t)
-        if self.family.k == 1:
-            return h[0][0]
         if self.family.k == 2:
             return h[0][0] * h[1][1] - h[0][1] * h[1][0]
         return _eliminate(h, [0j] * self.family.k)[0]
@@ -325,7 +331,6 @@ def _newton_polish(master, t0):
     lies higher (the f_j nearly cancel), Newton stops as soon as the
     gradient, already within the bound of 1e-9 of its terms that every
     point meets, no longer falls; at most NEWTON_MAX_ITER steps are taken."""
-    fam = master.family
     t = [complex(x) for x in t0]
     close = False
     last = math.inf
@@ -339,16 +344,9 @@ def _newton_polish(master, t0):
         if close or iteration == NEWTON_MAX_ITER or last <= res <= 1e-9 * scale:
             break
         close, last = res < 1e-13 * scale, res
-        hess = master.hessian_matrix(t)
-        if fam.k == 1:
-            h = hess[0][0]
-            if h == 0:
-                return None
-            step = [grad[0] / h]
-        else:
-            step = _eliminate(hess, grad)[1]
-            if step is None:
-                return None
+        step = _eliminate(master.hessian_matrix(t), grad)[1]
+        if step is None:
+            return None
         t = [ti - si for ti, si in zip(t, step)]
         if max(abs(s) for s in step) > 1e8 * master.size:
             return None
@@ -462,7 +460,7 @@ def solve_critical(family, zz):
     sorted on the real and then the imaginary parts of t, solved once per
     family and fiber.
 
-    Each eigenvector of the connection on Sing gives one seed, polished by
+    Each Schur vector of the connection on Sing gives one seed, polished by
     Newton's method on the master gradient. Two points closer than
     DEDUP_TOL are one. Raises RuntimeError with a 'degenerate critical set'
     diagnostic when a generic family does not produce the full count of

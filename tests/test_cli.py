@@ -528,7 +528,9 @@ def test_a_float_launch_runs_its_modules_before_numpy(k2_config, tmp_path, argv,
 
 
 @pytest.mark.parametrize(
-    "argv", [["check", "--suites", "basis,canonical"], ["critical"]], ids=["basis,canonical", "critical"]
+    "argv",
+    [["check", "--suites", "basis,canonical"], ["critical"]],
+    ids=["basis,canonical", "critical"],
 )
 def test_critical_launches_never_load_numpy(k2_config, tmp_path, argv):
     # the critical points and residue sums run in plain complex floats, so
@@ -1019,10 +1021,10 @@ def test_anchor_two_conformal_and_potential_reports_are_pinned(k, n, tmp_path, p
 # other rows kept their bytes). Re-pinned when the critical points and
 # residue sums moved from numpy to plain complex floats: only the
 # `residual` fields of `canonical` rows changed (constant-is-one-sample-0
-# and -1, identification-residual-sample-1 and -4, isometry-sample-0 to
+# to -2, identification-residual-sample-1 and -2, isometry-sample-0 to
 # -4), every status and every other byte stayed the same.
 _CANONICAL_SHA256 = {
-    (2, 4): "06e5b2b5dc8caa3da60c7ebfff6735aeee784b885756e481a7dabbab951ccc9d",
+    (2, 4): "54023a3e2161f46f8b86280894654f1cc89d592601c85871efeaacfba50e583f",
 }
 
 
@@ -1051,7 +1053,7 @@ def test_canonical_suite_reports_are_pinned(k, n, tmp_path, prime_config):
 _SUITE_SHA256 = {
     ("periods", 1, 5): "5b071989acf1a1b15c41a8958aea23d98c2d57697054bf4e1d8444f7eab9eba2",
     ("periods", 2, 3): "c1c240c724c198c18c5df06eef8e1c0d31b0e5ee4e9e8de6a8844398bec63c91",
-    ("critical", 2, 4): "732770ff4d805abc564433d99b57201c54701a75cb7213c0df2081b0bead2eb0",
+    ("critical", 2, 4): "700f9c5930abddbc2cc642c7d7bd19a87edcf49acb8a7f9576ad1f67114da0c6",
 }
 
 
@@ -1070,8 +1072,9 @@ def test_period_and_critical_reports_are_pinned(suite, k, n, tmp_path, prime_con
 # k = 2 family whose slopes and weights are not integers. "k1n10" was
 # re-pinned when the critical points and residue sums moved from numpy to
 # plain complex floats: only the `residual` fields of `canonical` rows
-# changed (identification-residual-sample-0 to -4, isometry-sample-1 to
-# -4), every status and every other byte stayed the same.
+# changed (identification-residual-sample-0, -1, -3 and -4,
+# isometry-sample-1 to -4, constant-is-one-sample-4), every status and
+# every other byte stayed the same.
 _KERNEL_FAMILIES = {
     "k3n6": (
         {
@@ -1103,7 +1106,7 @@ _KERNEL_FAMILIES = {
 }
 _KERNEL_SHA256 = {
     "k3n6": "26be6e7c9c0f8af99b3b353ee2d947872cc739fd9bb2f3427ae0d4c773da074d",
-    "k1n10": "232386b8f699acc940a501dce613c2a90524b54afa16bfe4cbac20ee398b13ed",
+    "k1n10": "553e1d19218e5c620715eaaebf9e1135e19a411350114b0c29d543aec8beca56",
     "k2n4-rational": "0c2adb7d0e7dfed24af47669fcd9eed1d92c661f5e8b4aef52379b0cb410a371",
 }
 

@@ -90,8 +90,10 @@ def systems(draw):
 @given(systems())
 def test_elimination_solves_as_numpy(system):
     mat, rhs = system
-    det, x = _eliminate(mat.tolist(), rhs.tolist())
     expect = np.linalg.solve(mat, rhs)
+    # a solution past the float range has nothing to compare with
+    assume(np.isfinite(expect).all())
+    det, x = _eliminate(mat.tolist(), rhs.tolist())
     cond = np.linalg.cond(mat)
     assert np.abs(np.array(x) - expect).max() <= 1e-13 * cond * max(1.0, np.abs(expect).max())
     assert abs(det - np.linalg.det(mat)) <= 1e-13 * cond * abs(np.linalg.det(mat))
@@ -117,6 +119,8 @@ def tall_systems(draw):
 def test_least_squares_agrees_with_numpy(system):
     mat, rhs = system
     expect = np.linalg.lstsq(mat, rhs, rcond=None)[0]
+    # a solution past the float range has nothing to compare with
+    assume(np.isfinite(expect).all())
     got = np.array(_least_squares(mat.tolist(), rhs.tolist()))
     cond = np.linalg.cond(mat)
     assert np.abs(got - expect).max() <= 1e-12 * cond * cond * max(1.0, np.abs(expect).max())
