@@ -21,6 +21,7 @@ on lists of Python complex numbers, and these suites never load numpy.
 import cmath
 import itertools
 import math
+import operator
 
 from . import critalg, frobenius, gaussmanin, linalg, osflag
 from .cli import RunSettings, _emit, _family_from_args, _fixed, _num, _row, _sample_fibers
@@ -517,7 +518,7 @@ def values_at(family, wvec, points):
     """Values of a w-span element at the critical points, in floats."""
     subsets = tuple(T for T, _ in wvec.items())
     coefs = [complex(c) for _, c in wvec.items()]
-    return [sum(x * c for x, c in zip(row, coefs)) for row in w_matrix(family, points, subsets)]
+    return [sum(map(operator.mul, row, coefs)) for row in w_matrix(family, points, subsets)]
 
 
 def evaluation_matrix(family, points, anchor=None):
@@ -547,14 +548,17 @@ def residue_gram(family, points, subsets):
     |W|^T diag(1/|Hess|) |W|, against which their rounding is measured."""
     columns = list(zip(*w_matrix(family, points, subsets)))
     inv_h = [1 / p.hessian for p in points]
-    gram = [
-        [sum(x * (h * y) for x, h, y in zip(u, inv_h, v)) for v in columns] for u in columns
-    ]
-    scale = [
-        [sum(abs(x) * (abs(h) * abs(y)) for x, h, y in zip(u, inv_h, v)) for v in columns]
-        for u in columns
-    ]
+    gram = _weighted_products(columns, inv_h)
+    scale = _weighted_products(
+        [[abs(x) for x in u] for u in columns], [abs(h) for h in inv_h]
+    )
     return gram, scale
+
+
+def _weighted_products(columns, weights):
+    """sum_p u_p (weights_p v_p) for every pair (u, v) of the columns."""
+    weighted = [[h * y for h, y in zip(weights, v)] for v in columns]
+    return [[sum(map(operator.mul, u, hv)) for hv in weighted] for u in columns]
 
 
 def euler_residual(family, z, points):
@@ -593,8 +597,8 @@ def _identified(family, wvec, points, frame):
     """`canonical_iso_analytic` from the points and their `_residue_frame`."""
     weights = [v / p.hessian for v, p in zip(values_at(family, wvec, points), points)]
     out = osflag.FlagVector()
-    for i, T in enumerate(family.flag_index):
-        out.accumulate(T, complex(sum(w * row[i] for w, row in zip(weights, frame))))
+    for T, column in zip(family.flag_index, zip(*frame)):
+        out.accumulate(T, complex(sum(map(operator.mul, weights, column))))
     return out
 
 
