@@ -15,6 +15,9 @@ significant digits before serialization.
 from __future__ import annotations
 
 import argparse
+import atexit
+import cmath
+import gc
 import itertools
 import json
 import math
@@ -37,8 +40,14 @@ from .core import (
 )
 from .linalg import _execute, _lazy_module
 
-# A verb or suite executes the modules that it calls into, and `transport`
-# also those it imports, so that all run before numpy loads; `check`
+# A launch runs one command and ends. Frozen at interpreter exit, before the
+# module teardown, the heap is left to the OS instead of the exit-time
+# collections (10-29 ms a launch on a 2-core VM). A caller of `main()` that
+# goes on running keeps its collector.
+atexit.register(gc.freeze)
+
+# A verb or suite executes the modules that it calls into, so that all run
+# before numpy loads (`transport` loads numpy after them); `check`
 # executes the module of each of its suites before the first. All are bound
 # here, unexecuted, so a tracer of every loaded module (perfbench/optrace.py)
 # sees them.
@@ -290,7 +299,16 @@ def _sample_fibers(family, seed, count):
 # rows
 
 
+def _finite(value):
+    """False for a float or complex value that is infinite or NaN."""
+    return not isinstance(value, (float, complex)) or cmath.isfinite(value)
+
+
 def _row(rows, ident, ok, residual=None, tol=None, witness=None, skip=False):
+    """Append a report row. A non-finite residual or tolerance fails it: a
+    NaN compares false either way, and an infinite tolerance passes any
+    error."""
+    ok = ok and _finite(residual) and _finite(tol)
     entry = {"id": ident, "status": "skip" if skip else ("pass" if ok else "fail")}
     if residual is not None:
         entry["residual"] = _num(residual)

@@ -713,15 +713,16 @@ def _contraction_residual(family, points):
     of that size."""
     worst = scale = 0.0
     for tail in itertools.combinations(range(1, family.n + 1), family.k - 1):
+        # (j - 1, d_{(j,)+tail} a_j) for each nonzero minor, once per tail
+        products = [
+            (j - 1, complex(minor * family.a[j - 1]))
+            for j in range(1, family.n + 1)
+            if j not in tail and (minor := family.minor((j,) + tail)) != 0
+        ]
         for p in points:
             val = 0j
-            for j in range(1, family.n + 1):
-                if j in tail:
-                    continue
-                minor = family.minor((j,) + tail)
-                if minor == 0:
-                    continue
-                term = complex(minor * family.a[j - 1]) / p.f_values[j - 1]
+            for i, product in products:
+                term = product / p.f_values[i]
                 val += term
                 scale = max(scale, abs(term))
             worst = max(worst, abs(val))

@@ -3,10 +3,10 @@
 Matrices are plain lists of row lists of rationals (Fraction or int).
 Everything here stays exact. Of the float layer, `critpoints` computes in
 plain Python complex numbers and `transport` through numpy, as the handle
-``np`` defined here, which loads numpy at the transport's first float
-computation, after `transport` has executed the package modules it
-imports (`_execute`). Dimensions are tiny (at most a few hundred rows), so
-Gauss-Jordan is plenty.
+``np`` defined here. `transport` executes that handle with `_execute` at
+its first float computation, after the package modules its command runs,
+so numpy loads with the cyclic collector paused. Dimensions are tiny (at
+most a few hundred rows), so Gauss-Jordan is plenty.
 The elimination is fraction-free: each input row is cleared of
 denominators, each row update is an integer combination divided by the
 gcd of the new row, and the determinant follows Bareiss (Math. Comp. 22,
@@ -19,6 +19,7 @@ tables (K_j(z) in `gaussmanin`, the critical algebra in `critalg`) are
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import math
 import sys
@@ -48,17 +49,26 @@ def _lazy_module(name):
 
 
 def _execute(*modules):
-    """Execute each module handle of `modules` that has not run yet.
+    """Execute each module handle of `modules` that has not run yet, with
+    the cyclic collector paused, and restore the caller's collector state.
 
     Without a bytecode cache a module runs by compiling its source. Before
     numpy loads, numpy's import reuses the compiler's memory; after it, that
     memory adds to the peak RSS (3 MB of 33 MB, measured when `check
     --suites basis,canonical` loaded numpy in `basis` and compiled
-    `frobenius` after it). So `transport` executes the modules it imports
-    as it runs, and `check` executes the modules of all its suites before
-    the first."""
-    for module in modules:
-        module.__spec__  # the first attribute access executes a handle
+    `frobenius` after it). So `transport` executes the modules its command
+    runs and then numpy, and `check` executes the modules of all its suites
+    before the first. A module body allocates much and frees little, so the
+    collections that its allocations trigger find almost nothing: numpy's
+    import alone ran 28 of them, about 7 of its 75 ms on a 2-core VM."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for module in modules:
+            module.__spec__  # the first attribute access executes a handle
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _moved_names(module_name, **moved):
@@ -76,7 +86,7 @@ def _moved_names(module_name, **moved):
 
 # numpy's import costs about 60-70 ms that only the transport uses, so it
 # loads when the transport first computes, after every package module that
-# the command runs (`_execute`).
+# the command runs, through `_execute`.
 np = _lazy_module("numpy")
 
 

@@ -36,7 +36,9 @@ from .cli import RunSettings, _family_from_args, _num, _row, _sample_fibers, _ve
 from .core import ConfigError, coords, default_anchor, is_good_fiber, per_family
 from .linalg import _execute, np
 
-_execute(critalg, frobenius, gaussmanin, osflag)  # now, before numpy loads
+# what both the suite and the verb call, now; numpy and what only the
+# suite calls load at their first float computation
+_execute(gaussmanin, osflag)
 
 
 @per_family
@@ -280,6 +282,7 @@ def period_transport(family, path, kappa, start_plus, start_minus, v):
     dz_i and extras[1] of S(I, nu[a_i/f_i]) dz_i for the slope-kappa section
     I. The generator table is read once per run; it does not depend on the
     anchor, so the default one is used."""
+    _execute(critalg, frobenius, np)
     idx, table = _generator_table(family, default_anchor(family))
     weights = _flag_weights(family)
     fixed = pairing_functional(family, v)
@@ -329,12 +332,13 @@ def twisted_pairing_invariance(family, run, tol):
     `period_transport` run must stay constant at every waypoint. The drift
     is compared with tol times `scale`, the largest sum of the pairing's
     terms |w_T plus_T minus_T| over the waypoints, so the verdict does not
-    depend on the units of the weights or the sections."""
+    depend on the units of the weights or the sections. Both maxima keep a
+    NaN, so a non-finite section fails."""
     weights = _flag_weights(family)
     terms = [plus * weights * minus for plus, minus, *_ in run.waypoints]
     values = [np.sum(t) for t in terms]
-    scale = max(np.sum(np.abs(t)) for t in terms)
-    drift = max(abs(v - values[0]) for v in values)
+    scale = np.max([np.sum(np.abs(t)) for t in terms])
+    drift = np.max(np.abs(np.subtract(values, values[0])))
     return {"values": values, "drift": drift, "scale": scale, "passed": drift <= tol * scale}
 
 
@@ -492,6 +496,7 @@ def _cmd_gm_flow(args):
     cfg = RunSettings(raw, args, family)
     path = cfg.path if cfg.path is not None else _usable_path(family, cfg.seed + 13, 2)
     start = osflag.singular_subspace(family).basis[0]
+    _execute(np)
     result = flow_flat_section(
         family, path, cfg.kappa, start, rtol=cfg.tol if cfg.tol < 1e-8 else 1e-10,
         record=True,

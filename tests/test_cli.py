@@ -11,7 +11,7 @@ import pytest
 
 import arrfrob
 from arrfrob import critpoints
-from arrfrob.cli import SUITES, main, report_schema_version
+from arrfrob.cli import SUITES, _row, main, report_schema_version
 from arrfrob.core import ConfigError
 
 
@@ -407,6 +407,21 @@ def test_contraction_row_fails_on_a_moved_point(tmp_path, monkeypatch):
     assert rows and all(r["status"] == "fail" for r in rows)
 
 
+@pytest.mark.parametrize(
+    "residual, tol",
+    [(math.nan, 1.0), (1.0, math.inf), (complex(0, math.nan), 1.0), (math.inf, math.inf)],
+    ids=["nan-residual", "inf-tolerance", "nan-complex-residual", "inf-both"],
+)
+def test_a_non_finite_residual_or_tolerance_fails_the_row(residual, tol):
+    # a NaN compares false either way, and an infinite tolerance (a scale
+    # that overflowed) passes any error, so the verdict a caller computed
+    # from them cannot be trusted
+    rows = []
+    assert _row(rows, "r", True, residual=residual, tol=tol)["status"] == "fail"
+    assert _row(rows, "r", True, residual=F(1, 3), tol=1.0)["status"] == "pass"
+    assert _row(rows, "r", True, residual=residual, tol=tol, skip=True)["status"] == "skip"
+
+
 def _fresh_python(*args):
     """Run the interpreter with `args` in a new process that imports this
     checkout of arrfrob."""
@@ -493,7 +508,7 @@ def test_exact_suites_and_circuits_do_not_load_numpy(k2_config, tmp_path):
         (["check"],
          "cli core critalg critpoints frobenius gaussmanin linalg osflag strata transport"),
         (["critical"], "cli core critalg critpoints gaussmanin linalg osflag"),
-        (["gm-flow"], "cli core critalg frobenius gaussmanin linalg osflag transport"),
+        (["gm-flow"], "cli core gaussmanin linalg osflag transport"),
     ],
     ids=["periods", "basis,canonical", "basis,periods", "check", "critical", "gm-flow"],
 )
@@ -570,6 +585,87 @@ def test_first_numpy_load_gives_the_in_process_report(k2_config, tmp_path, suite
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True", "0"]
     assert main(["check", "--config", k2_config, "--suites", suites, "--json", here]) == 0
+    assert Path(fresh).read_bytes() == Path(here).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["check", "--suites", "periods"], ["gm-flow"]],
+                         ids=["periods", "gm-flow"])
+def test_numpy_loads_with_the_collector_paused(k2_config, tmp_path, argv):
+    # numpy's import allocates much and frees little; the collections that
+    # its allocations would trigger (28 of them) find almost nothing. The
+    # callback counts those that start while a numpy module body runs.
+    argv = [*argv, "--config", k2_config, "--json", str(tmp_path / "r.json")]
+    proc = _fresh_python(
+        "-c",
+        "import gc, sys\n"
+        "hits = []\n"
+        "def watch(phase, info):\n"
+        "    frame = sys._getframe().f_back\n"
+        "    while phase == 'start' and frame is not None:\n"
+        "        if (frame.f_code.co_name == '<module>'\n"
+        "                and frame.f_globals.get('__name__', '').split('.')[0] == 'numpy'):\n"
+        "            hits.append(info['generation'])\n"
+        "            break\n"
+        "        frame = frame.f_back\n"
+        "gc.callbacks.append(watch)\n"
+        "from arrfrob.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, 'numpy.linalg' in sys.modules, len(hits), gc.isenabled())\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", "0", "True"]
+
+
+def test_execute_restores_the_collectors_state():
+    # a handle runs with the collector paused, whether it returns or raises,
+    # and the caller's state comes back, enabled or not
+    proc = _fresh_python(
+        "-c",
+        "import gc\n"
+        "from arrfrob.linalg import _execute\n"
+        "class Handle:\n"
+        "    @property\n"
+        "    def __spec__(self):\n"
+        "        seen.append(gc.isenabled())\n"
+        "class Broken:\n"
+        "    @property\n"
+        "    def __spec__(self):\n"
+        "        raise ImportError('broken')\n"
+        "seen = []\n"
+        "for enabled in (True, False):\n"
+        "    (gc.enable if enabled else gc.disable)()\n"
+        "    _execute(Handle(), Handle())\n"
+        "    seen.append(gc.isenabled())\n"
+        "    try:\n"
+        "        _execute(Broken())\n"
+        "    except ImportError:\n"
+        "        seen.append(gc.isenabled())\n"
+        "print(*seen)\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True", "True",
+                                   "False", "False", "False", "False"]
+
+
+def test_a_launch_freezes_the_heap_at_exit(k2_config, tmp_path):
+    # exit handlers run last in, first out, so one registered before the
+    # import of `arrfrob.cli` runs after the freeze; the command has run
+    # with its collector, and writes the report this process writes
+    fresh = str(tmp_path / "fresh.json")
+    here = str(tmp_path / "here.json")
+    argv = ["check", "--config", k2_config, "--suites", "basis,periods"]
+    proc = _fresh_python(
+        "-c",
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('exit', gc.get_freeze_count() > 0))\n"
+        "from arrfrob.cli import main\n"
+        f"code = main({[*argv, '--json', fresh]!r})\n"
+        "print('main', gc.get_freeze_count(), gc.isenabled())\n"
+        "sys.exit(code)\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["main 0 True", "exit True"]
+    assert main([*argv, "--json", here]) == 0
     assert Path(fresh).read_bytes() == Path(here).read_bytes()
 
 
@@ -907,6 +1003,8 @@ def _assert_check_releases_the_family(tmp_path, monkeypatch, payload, suites):
     monkeypatch.setattr(cli, "load_family", load)
     rc, _ = _check_report(tmp_path, payload, suites, "release")
     assert rc == 0
+    # the heap freezes only at interpreter exit, so the caller collects
+    assert gc.get_freeze_count() == 0
     gc.collect()
     assert len(refs) == 1 and refs[0]() is None
 

@@ -385,6 +385,20 @@ def test_twisted_pairing_and_relation(fam_k2_n4, z_k2_n4):
     assert transport.twisted_period_relation(fam, path, F(17, 5), run, 1e-6)["passed"]
 
 
+def test_twisted_pairing_fails_on_a_nan_section(fam_k2_n4):
+    # Python's max kept the first drift, 0.0, over a later NaN one, so a
+    # NaN section read as drift 0.0 and passed
+    dim = len(fam_k2_n4.flag_index)
+    finite = np.ones((2, dim), dtype=complex)
+    broken = finite.copy()
+    broken[1, 0] = complex(math.nan, 0)
+    for middle, passed in ((finite, True), (broken, False)):
+        run = transport.FlowResult(waypoints=[finite, middle, finite])
+        rep = transport.twisted_pairing_invariance(fam_k2_n4, run, 1e-7)
+        assert rep["passed"] == passed
+        assert math.isnan(rep["drift"]) != passed
+
+
 def test_twisted_relation_rejects_special_slopes(fam_k2_n4, z_k2_n4):
     # on k3n4, 1/kappa + k/|a| at kappa = -11/3 = -|a|/k is -5.6e-17 in
     # floats, not 0: the slopes are compared as rationals
