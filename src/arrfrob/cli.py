@@ -9,7 +9,8 @@ report is written with a `suite-error` row (status `error`, the message as
 witness) in that suite, which does not pass, and the other suites run. An
 error outside a `check` suite exits 1. Identical (config, seed) pairs
 produce byte-identical reports; numeric fields are rounded to 12
-significant digits before serialization.
+significant digits before serialization, and a float that is not finite
+is written as null, so every report is strict JSON.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .core import (
     per_family,
     sample_good_point,
 )
-from .linalg import _execute, _lazy_module
+from .linalg import _lazy_module
 
 # A launch runs one command and ends. Frozen at interpreter exit, before the
 # module teardown, the heap is left to the OS instead of the exit-time
@@ -46,11 +47,9 @@ from .linalg import _execute, _lazy_module
 # goes on running keeps its collector.
 atexit.register(gc.freeze)
 
-# A verb or suite executes the modules that it calls into, so that all run
-# before numpy loads (`transport` loads numpy after them); `check`
-# executes the module of each of its suites before the first. All are bound
-# here, unexecuted, so a tracer of every loaded module (perfbench/optrace.py)
-# sees them.
+# Each module runs at the first use of its handle, so a command runs only
+# the modules that it calls into. All are bound here, unexecuted, so a
+# tracer of every loaded module (perfbench/optrace.py) sees them.
 critalg = _lazy_module("arrfrob.critalg")
 critpoints = _lazy_module("arrfrob.critpoints")
 frobenius = _lazy_module("arrfrob.frobenius")
@@ -82,18 +81,24 @@ def report_schema_version():
 
 
 def _fixed(x):
-    """Round a float to 12 significant digits for reproducible reports."""
+    """Round a float to 12 significant digits for reproducible reports; a
+    value that is not finite is written as null, which strict JSON allows."""
     if x == 0:
         return 0.0
+    if not math.isfinite(x):
+        return None
     return float(f"{float(x):.12e}")
 
 
 def _num(value):
     """Serialize a scalar: rationals as exact strings, floats rounded,
-    complex as a fixed [re, im] pair."""
+    complex as a fixed [re, im] pair, and a float or complex that is not
+    finite as null."""
     if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
         return format_rational(Fraction(value))
     if isinstance(value, complex):
+        if not cmath.isfinite(value):
+            return None
         return [_fixed(value.real), _fixed(value.imag)]
     if isinstance(value, float):
         return _fixed(value)
@@ -457,11 +462,6 @@ def _default_kappa(family):
     return kappa
 
 
-# The module of each suite that lives with the layer it runs.
-_SUITE_MODULES = dict(
-    basis=critpoints, critical=critpoints, canonical=critpoints, periods=transport, strata=strata
-)
-
 _SUITE_RUNNERS = {
     "circuits": _suite_circuits,
     "basis": lambda family, cfg: critpoints._suite_basis(family, cfg),
@@ -481,7 +481,7 @@ _SUITE_RUNNERS = {
 
 
 def _emit(report, args):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -511,7 +511,6 @@ def _family_from_args(args):
 def _cmd_check(args):
     raw, family, _ = _family_from_args(args)
     cfg = RunSettings(raw, args, family)
-    _execute(*(_SUITE_MODULES[name] for name in cfg.suites if name in _SUITE_MODULES))
     suites_report = {}
     passed = True
     errored = False

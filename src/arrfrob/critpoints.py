@@ -15,7 +15,7 @@ basis, critical and canonical checks of one run share them. Residue sums
 read the values w_T(p) from one float table per set of points.
 
 The matrices are small (side C(n-1, k)), so the dense kernels below work
-on lists of Python complex numbers, and these suites never load numpy.
+on lists of Python complex numbers.
 """
 
 import cmath

@@ -1,87 +1,165 @@
-"""Flat-section transport and the period rows, in floats, with the
-`periods` suite and the `gm-flow` verb.
+"""Flat-section transport and the period rows, in plain Python complex
+floats, with the `periods` suite and the `gm-flow` verb.
 
 `flow_flat_section` transports flat sections of kappa dI = (sum_j K_j dz_j)
-I, of one or several slopes, with path quadratures, by Taylor steps: each
-f_C is linear on a segment, so sum_C (lambda_C . zdot / f_C) L_C is a
-geometric series and the Taylor coefficients follow a linear recurrence.
-A step ends at 0.9 of the nearest pole, or where the last two terms of any
-coordinate reach rtol of its own size (at least 1e-9 of its section's
-largest); Gauss-Legendre nodes in the step carry the quadratures. Each f_C
-comes closest to 0 on a segment at a point found in closed form, and the
-transport stops if there min_C |f_C| < 1e-6 max_C |f_C|, a guard that does
-not depend on the fiber's units.
+I, of one or several slopes, with path quadratures, by Taylor steps. Each
+circuit operator is of rank one, L_C = x_C y_C^T, which is checked exactly
+once per family (`_rank_one_circuits`), and each f_C is linear on a
+segment. So sum_C (lambda_C . zdot / f_C) L_C is a geometric series in
+the step h, and its Taylor recurrence carries one scalar per circuit and
+order: with rho_C = (lambda_C . zdot) / f_C at the step's start,
+
+    sigma_{C,n} = y_C . I_n - rho_C sigma_{C,n-1},
+    (n + 1) kappa I_{n+1} = sum_C rho_C sigma_{C,n} x_C,
+
+each order gathering the k + 1 flags of every circuit and, at every flag,
+the n - k circuits through it. A step ends at 0.9 of the nearest pole, or
+where the last two terms of any coordinate reach rtol of its own size (at
+least 1e-9 of its section's largest). A path quadrature integrates a
+polynomial in the path parameter, paired with a section or not; on a step
+the product with the truncated series is a polynomial, integrated term by
+term in closed form. Each f_C comes closest to 0 on a segment at a point
+found in closed form, and the transport stops if there min_C |f_C| < 1e-6
+max_C |f_C|, a guard that does not depend on the fiber's units.
 
 The period rows share one transport (`period_transport`): the sections of
 slopes kappa and -kappa and the flat and twisted quadratures of
 S(., nu[a_i/f_i]) dz_i in one integrator run. nu[a_i/f_i] is a polynomial
 of degree k - 1 in the fiber, tabulated once per family, exactly
-(`_exact_generators`) and as floats (`_generator_table`). For k = 1 the
-closedness of the twisted period covector is an exact identity at the
-base fiber (`twisted_closedness_k1`), with no transport. The numeric rows
-compare residuals with a tolerance times the size of the terms compared,
-so no verdict depends on the units of the fiber or the weights.
+(`_exact_generators`) and as floats (`_generator_table`), and expanded
+along each segment (`_generator_polynomial`). For k = 1 the closedness of
+the twisted period covector is an exact identity at the base fiber
+(`twisted_closedness_k1`), with no transport. The numeric rows compare
+residuals with a tolerance times the size of the terms compared, so no
+verdict depends on the units of the fiber or the weights.
 """
 
+import cmath
 import itertools
 import json
 import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
+from operator import add, itemgetter, mul, sub, truediv
 from types import SimpleNamespace
 
 from . import critalg, frobenius, gaussmanin, linalg, osflag
 from .cli import RunSettings, _family_from_args, _num, _row, _sample_fibers, _vector
 from .core import ConfigError, coords, default_anchor, is_good_fiber, per_family
-from .linalg import _execute, np
-
-# what both the suite and the verb call, now; numpy and what only the
-# suite calls load at their first float computation
-_execute(gaussmanin, osflag)
 
 
 @per_family
-def _circuit_arrays(family):
-    """The circuit forms' z-coefficients, and the transposed L_C flattened
-    to (circuits, dim * dim), as complex arrays: row C holds L_C^T."""
+def _rank_one_circuits(family):
+    """Each circuit operator L_C of `gaussmanin._l_c_entries`, in
+    `circuit_list` order, as a pair (x_C, y_C) of sparse exact vectors
+    ({flag position: Fraction}) with L_C = x_C y_C^T: x_C is the column of
+    L_C's first entry, y_C its row scaled by that entry. Every entry of
+    L_C, zero or not, is compared with the product exactly; an L_C of
+    rank above one raises ValueError."""
+    factors = []
+    for circuit in family.circuit_list:
+        entries = {}
+        for p, q, coef in gaussmanin._l_c_entries(family, circuit.indices):
+            entries[p, q] = entries.get((p, q), 0) + coef
+        entries = {pq: coef for pq, coef in entries.items() if coef}
+        x, y = {}, {}
+        if entries:
+            (p0, q0), pivot = next(iter(entries.items()))
+            x = {p: coef for (p, q), coef in entries.items() if q == q0}
+            y = {q: Fraction(coef) / pivot for (p, q), coef in entries.items() if p == p0}
+        if any(p not in x or q not in y for p, q in entries) or any(
+            x[p] * y[q] != entries.get((p, q), 0) for p in x for q in y
+        ):
+            raise ValueError(f"circuit operator L_C of {circuit.indices} is not of rank one")
+        factors.append((x, y))
+    return factors
+
+
+def _gather(positions):
+    """A callable giving the items of a sequence at `positions`, as a tuple."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda seq: (seq[p],)
+    return itemgetter(*positions)
+
+
+def _slots(rows):
+    """Ragged rows of (position, coefficient) pairs as fixed-width slots:
+    slot j holds the j-th position and coefficient of every row, a row
+    shorter than the widest padded with coefficient 0 at position 0."""
+    width = max(1, *map(len, rows))
+    padded = [list(row) + [(0, 0j)] * (width - len(row)) for row in rows]
+    return [tuple(map(list, zip(*column))) for column in zip(*padded)]
+
+
+@per_family
+def _circuit_tables(family):
+    """The circuit forms and `_rank_one_circuits` as complex gathers: per
+    circuit a gather of its fiber coordinates and the coefficients of
+    lambda_C; the slots of the y_C . I gathers (flag positions over the
+    circuits); and the slots of the sum_C t_C x_C scatters (circuit numbers
+    over the flags)."""
     circuits = family.circuit_list
-    lams = [[complex(c.coefficient(i)) for i in range(1, family.n + 1)] for c in circuits]
-    size = len(family.flag_index)
-    ops = np.zeros((len(circuits), size * size), dtype=complex)
-    for op, c in zip(ops, circuits):
-        for p, q, coef in gaussmanin._l_c_entries(family, c.indices):
-            op[q * size + p] = complex(coef)
-    return np.array(lams, dtype=complex), ops
+    forms = [(_gather([i - 1 for i in c.indices]), [complex(v) for v in c.lam]) for c in circuits]
+    factors = _rank_one_circuits(family)
+    cols = [sorted((q, complex(v)) for q, v in y.items()) for _, y in factors]
+    through = [[] for _ in family.flag_index]
+    for c, (x, _) in enumerate(factors):
+        for p, v in sorted(x.items()):
+            through[p].append((c, complex(v)))
+    return forms, _slots(cols), _slots(through)
 
 
-# the degree of the Taylor series of each step, the fewest Gauss-Legendre
-# nodes of its quadratures, the floor of a coordinate's size in the tail
-# test relative to its section, the relative distance to the discriminant
-# at which the transport stops, and the most steps it takes
+def _combine(slots, values):
+    """sum over the slots of coefficient * gathered value, elementwise, as
+    an iterator."""
+    (get, coefs), *rest = slots
+    acc = map(mul, coefs, get(values))
+    for get, coefs in rest:
+        acc = map(add, acc, map(mul, coefs, get(values)))
+    return acc
+
+
+def _magnitudes(values):
+    """|v| of each value of a list; inf where abs() overflows."""
+    try:
+        return list(map(abs, values))
+    except OverflowError:
+        return [math.hypot(v.real, v.imag) for v in values]
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _taylor_shift(coefs, t):
+    """The coefficient vectors in h of sum_d coefs[d] (t + h)^d."""
+    if not t:
+        return coefs
+    out = list(coefs)
+    scale = complex(t).__mul__
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] = list(map(add, out[j], map(scale, out[j + 1])))
+    return out
+
+
+# the degree of the Taylor series of each step, the floor of a
+# coordinate's size in the tail test relative to its section, the
+# relative distance to the discriminant at which the transport stops, and
+# the most steps it takes
 FLOW_ORDER = 24
-FLOW_NODES = 16
 FLOW_FLOOR = 1e-9
 FLOW_GUARD = 1e-6
 FLOW_MAX_STEPS = 200_000
 
 
-def _gauss_legendre(count):
-    """The count-point Gauss-Legendre rule on [0, 1], by Newton on P_count."""
-    x = np.array([math.cos(math.pi * (i + 0.75) / (count + 0.5)) for i in range(count)])
-    for _ in range(6):
-        p0, p1 = np.ones_like(x), x
-        for j in range(2, count + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        slope = count * (x * p1 - p0) / (x * x - 1)
-        x = x - p1 / slope
-    return (1 - x) / 2, 1 / ((1 - x * x) * slope * slope)
-
-
 class FlowResult(SimpleNamespace):
     """Quadratures (`extras`), step counts (`steps`; `rejected` is 0), the
-    `trajectory`, the sections at each waypoint as (sections, dim) arrays
-    (`waypoints`), and the flag `subsets`."""
+    `trajectory`, the sections at each waypoint as one list of
+    coordinates per section (`waypoints`), and the flag `subsets`."""
 
     @property
     def section(self):
@@ -94,16 +172,15 @@ def _guard_segment(alpha, rate, s0, seg_len, z0, zdot):
     FLOW_GUARD of the discriminant. Each f_C = alpha_C + t rate_C is linear
     in t, so its closest point to 0 is found in closed form and compared
     with the largest |f_C'| there."""
-    reach = np.maximum((rate * rate.conj()).real, 1e-300)  # an f_C constant on the segment: t = 0
-    closest = np.minimum(np.maximum(-(alpha * rate.conj()).real / reach, 0), seg_len)
-    sizes = np.abs(alpha[None, :] + closest[:, None] * rate[None, :])
-    near = np.diagonal(sizes) < FLOW_GUARD * sizes.max(axis=1)
-    if near.any():
-        t = closest[np.argmax(near)]
-        raise RuntimeError(
-            f"path within a relative {FLOW_GUARD} of the discriminant at s={s0 + t:.6f}, "
-            f"z={[complex(v) for v in z0 + t * zdot]}"
-        )
+    for a, r in zip(alpha, rate):
+        reach = max((r * r.conjugate()).real, 1e-300)  # an f_C constant on the segment: t = 0
+        t = min(max(-(a * r.conjugate()).real / reach, 0), seg_len)
+        largest = max(map(abs, map(add, alpha, map(complex(t).__mul__, rate))))
+        if abs(a + t * r) < FLOW_GUARD * largest:
+            raise RuntimeError(
+                f"path within a relative {FLOW_GUARD} of the discriminant at s={s0 + t:.6f}, "
+                f"z={[u + t * v for u, v in zip(z0, zdot)]}"
+            )
 
 
 def flow_flat_section(family, path, kappa, start, *, rtol=1e-10, extras=None, record=False):
@@ -112,113 +189,141 @@ def flow_flat_section(family, path, kappa, start, *, rtol=1e-10, extras=None, re
 
     kappa and start are one slope and its start vector (a FlagVector or
     coordinates), or equal-length tuples of them carried in one run.
-    extras: callables g(s, z, zdot, I) integrated as quadratures, called once
-    per step on its P Gauss-Legendre nodes: s of shape (P,), z (P, n), I (P,
-    dim) or (P, sections, dim). Each returns a scalar, P values, or an (m,
-    P) array of m quadratures. Each step keeps the last two terms of every
-    coordinate within rtol of its size. The integrator aborts if the path
-    comes within a relative FLOW_GUARD of the discriminant (min_C |f_C| <
-    FLOW_GUARD max_C |f_C|), if the step underflows, or after FLOW_MAX_STEPS.
+    extras: a callable integrands(z0, zdot), called once per segment with
+    the segment's start and dz/ds (lists of complex), which returns the
+    segment's quadratures as (section, coefficients) pairs, as many on
+    every segment. Each integrand is sum_d c_d u^d ds, u = s - s0 the path
+    parameter from the segment's start: with section None every c_d is a
+    number, else a covector over the flags, paired with the section of that
+    number (0 for a single slope). Each step keeps the last two terms of
+    every coordinate within rtol of its size. The integrator aborts if the
+    path comes within a relative FLOW_GUARD of the discriminant (min_C
+    |f_C| < FLOW_GUARD max_C |f_C|), if the step underflows, or after
+    FLOW_MAX_STEPS. A section that stops being finite has no error left to
+    control: its tail does not limit the step, and each row that reads the
+    section fails.
     """
     several = isinstance(kappa, (tuple, list))
-    slopes = np.array(kappa if several else [kappa], dtype=complex).reshape(-1, 1)
+    slopes = [complex(v) for v in (kappa if several else [kappa])]
     starts = [v.to_coordinates(family.flag_index) if isinstance(v, osflag.FlagVector) else v
               for v in (start if several else [start])]
-    if not slopes.all():
+    if not all(slopes):
         raise ValueError("slope kappa must be nonzero")
-    waypoints = [np.array([complex(v) for v in coords(p)]) for p in path]
+    waypoints = [[complex(v) for v in coords(p)] for p in path]
     if len(waypoints) < 2:
         raise ValueError("path needs at least two fiber points")
     count, dim = len(slopes), len(family.flag_index)
     if len(starts) != count:
         raise ValueError("need one start vector per slope")
-    y = np.zeros((count, dim), dtype=complex)
-    for row, values in zip(y, starts):
-        # reshape raises ValueError on a start of the wrong dimension
-        row[:] = np.reshape(np.array(values, dtype=complex), dim)
-    lams, ops = _circuit_arrays(family)
+    y = []
+    for values in starts:
+        values = [complex(v) for v in values]
+        if len(values) != dim:
+            raise ValueError(f"start vector of dimension {len(values)}, not {dim}")
+        y += values
+    forms, cols, through = _circuit_tables(family)
+    ncirc = len(forms)
+    # the gathers and scatters of all sections at once: section b holds the
+    # coordinates b * dim, ... and the circuit values b * ncirc, ...
+    gathers = [
+        (_gather([p + b * dim for b in range(count) for p in pos]), coefs * count)
+        for pos, coefs in cols
+    ]
+    scatters = [
+        (_gather([c + b * ncirc for b in range(count) for c in pos]), coefs * count)
+        for pos, coefs in through
+    ]
     order = FLOW_ORDER
-    # column order - j of `series` holds the degree-j coefficients, so the
-    # coefficients of degrees n, ..., 0 are its last n + 1 columns
-    series = np.zeros((count, order + 1, dim), dtype=complex)
-    degrees = np.arange(order, -1, -1)
-    geometric = np.empty((order, len(ops)), dtype=complex)
-    # the truncated period integrand has degree order + k - 1
-    nodes, weights = _gauss_legendre(max(FLOW_NODES, (order + family.k + 1) // 2))
-    extras = tuple(extras or ())
-    totals = [0.0] * len(extras)
-    ends = [y.copy()]
+    divisors = [[(n + 1) * s for s in slopes for _ in range(dim)] for n in range(order)]
+    blocks = [slice(b * dim, (b + 1) * dim) for b in range(count)]
+    totals = None
+    ends = [[y[part] for part in blocks]]
     nseg = len(waypoints) - 1
     seg_len = 1 / nseg
-    trajectory = [_trajectory_row(0.0, waypoints[0], y.ravel())] if record else []
+    trajectory = [_trajectory_row(0.0, waypoints[0], y)] if record else []
     steps = 0
     for seg in range(nseg):
         z0 = waypoints[seg]
-        zdot = (waypoints[seg + 1] - z0) * nseg  # d z / d s, s spanning 1/nseg per segment
-        alpha, rate = lams @ z0, lams @ zdot
+        zdot = [(b - a) * nseg for a, b in zip(z0, waypoints[seg + 1])]  # s spans 1/nseg
+        alpha = [_dot(coefs, get(z0)) for get, coefs in forms]
+        rate = [_dot(coefs, get(zdot)) for get, coefs in forms]
         s0 = seg / nseg
         _guard_segment(alpha, rate, s0, seg_len, z0, zdot)
+        quads = extras(z0, zdot) if extras else []
+        if totals is None:
+            totals = [0.0] * len(quads)
+        paired = []
+        for i, (section, coefs) in enumerate(quads):
+            if section is None:
+                totals[i] += sum(c * seg_len ** (d + 1) / (d + 1) for d, c in enumerate(coefs))
+            else:
+                paired.append((i, blocks[section], coefs))
+        degree = order + max((len(coefs) for *_, coefs in paired), default=0)
         t = 0.0
         while t < seg_len - 1e-15:
             if steps >= FLOW_MAX_STEPS:
                 raise RuntimeError("transport exceeded the step budget")
             # rate_C / f_C(t + h) = sum_m rho_C (-rho_C)^m h^m with rho = rate / f_C(t)
-            rho = rate / (alpha + t * rate)
-            geometric[0], geometric[1:] = rho, -rho
-            blocks = (np.cumprod(geometric, axis=0) @ ops).reshape(order * dim, dim)
-            # (n + 1) kappa I_{n+1} = sum_{m <= n} A_m I_{n-m}, in rows: I A_m^T
-            series[:, order] = y
+            rho = [r / (a + t * r) for a, r in zip(alpha, rate)]
+            radius = max(map(abs, rho))
+            rho *= count
+            series = [y]
+            carried = [0j] * (count * ncirc)  # rho_C sigma_{C,n-1}
             for n in range(order):
-                acc = series[:, order - n:].reshape(count, (n + 1) * dim) @ blocks[:(n + 1) * dim]
-                series[:, order - n - 1] = acc / ((n + 1) * slopes)
-            radius = np.abs(rho).max()
+                carried = list(map(mul, rho, map(sub, _combine(gathers, series[n]), carried)))
+                series.append(list(map(truediv, _combine(scatters, carried), divisors[n])))
             tau = min(seg_len - t, 0.9 / radius) if radius else seg_len - t
             # the terms of degrees order and order - 1 against each coordinate's size
-            mag = np.abs(y)[:, None]
-            size = np.maximum(mag, FLOW_FLOOR * mag.max(axis=2, keepdims=True))
-            tails = np.abs(series[:, :2])
-            worst = (tails / np.maximum(size, 1e-300)).max(axis=(0, 2))  # 0 on a zero section
-            tau = min([tau] + [(rtol / w) ** (1 / j) for j, w in zip((order, order - 1), worst) if w])
+            mags = _magnitudes(y)
+            sizes = []
+            for part in blocks:
+                floor = max(FLOW_FLOOR * max(mags[part]), 1e-300)
+                sizes += map(max, mags[part], repeat(floor))
+            for j in (order, order - 1):
+                worst = max(map(truediv, _magnitudes(series[j]), sizes))
+                # 0 on a zero section; not finite on a section that is not
+                if worst and math.isfinite(worst):
+                    tau = min(tau, (rtol / worst) ** (1 / j))
             if tau < seg_len * 1e-13:
-                zc = [complex(v) for v in z0 + t * zdot]
+                zc = [a + t * b for a, b in zip(z0, zdot)]
                 raise RuntimeError(f"step size underflow at s={s0 + t:.8f}, z={zc}")
-            if extras:
-                hs = tau * nodes
-                at = (hs[:, None] ** degrees) @ series  # (sections, P, dim)
-                zs = z0 + (t + hs)[:, None] * zdot
-                sections = at.transpose(1, 0, 2) if several else at[0]
-                for i, fn in enumerate(extras):
-                    vals = np.atleast_1d(fn(s0 + t + hs, zs, zdot, sections))
-                    vals = np.broadcast_to(vals, vals.shape[:-1] + hs.shape)
-                    totals[i] = totals[i] + vals @ (tau * weights)
-            y = (tau ** degrees) @ series
+            if paired:
+                # the integral over the step of h^p is tau^(p+1) / (p+1)
+                powers = [tau ** (p + 1) / (p + 1) for p in range(degree)]
+                for i, part, coefs in paired:
+                    terms = [term[part] for term in series]
+                    for e, cov in enumerate(_taylor_shift(coefs, t)):
+                        totals[i] += sum(map(mul, powers[e:], map(_dot, repeat(cov), terms)))
+            h = complex(tau).__mul__
+            y = series[order]
+            for term in reversed(series[:order]):
+                y = list(map(add, map(h, y), term))
             t = seg_len if tau == seg_len - t else t + tau
             steps += 1
             if record:
-                trajectory.append(_trajectory_row(s0 + t, z0 + t * zdot, y.ravel()))
-        ends.append(y.copy())
-    quadratures = tuple(v for total in totals for v in np.atleast_1d(total))
-    return FlowResult(extras=quadratures, steps=steps, rejected=0, trajectory=trajectory,
+                trajectory.append(_trajectory_row(s0 + t, [a + t * b for a, b in zip(z0, zdot)], y))
+        ends.append([y[part] for part in blocks])
+    return FlowResult(extras=tuple(totals), steps=steps, rejected=0, trajectory=trajectory,
                       waypoints=ends, subsets=family.flag_index.subsets)
 
 
 def _trajectory_row(s, z, flag):
+    """One `gm-flow` line: a complex value as its [re, im] pair, or null
+    where it is not finite."""
     return {
         "s": float(s),
-        "z": [[float(v.real), float(v.imag)] for v in z],
-        "I": [[float(v.real), float(v.imag)] for v in flag],
+        "z": [[v.real, v.imag] if cmath.isfinite(v) else None for v in z],
+        "I": [[v.real, v.imag] if cmath.isfinite(v) else None for v in flag],
     }
 
 
 def pairing_functional(family, vec):
     """Constant data for fast S(vec, .) evaluation along a flow: weights of
     the diagonal form folded into the fixed argument's coordinates."""
-    return np.array(
-        [
-            complex(vec.get(T)) * complex(osflag.weight_product(family, T))
-            for T in family.flag_index
-        ]
-    )
+    return [
+        complex(vec.get(T)) * complex(osflag.weight_product(family, T))
+        for T in family.flag_index
+    ]
 
 
 @per_family
@@ -247,27 +352,56 @@ def _exact_generators(family, anchor):
 
 @per_family
 def _generator_table(family, anchor):
-    """`_exact_generators` as floats for the integrator: the monomials as an
-    (M, k-1) array of 0-based coordinate indices and the complex table
-    P[i, flag, m] of their coefficient vectors."""
+    """`_exact_generators` as floats for the integrator: the monomials as
+    tuples of 0-based coordinate indices and the table P[i][m] of the
+    complex coordinates of their coefficient vectors."""
     monos, gens = _exact_generators(family, anchor)
     index = family.flag_index
-    table = np.array(
-        [[[complex(vec.get(T)) for vec in row] for T in index] for row in gens],
-        dtype=complex,
-    )
-    idx = np.array(monos, dtype=int).reshape(len(monos), family.k - 1) - 1
-    return idx, table
+    table = [[[complex(vec.get(T)) for T in index] for vec in row] for row in gens]
+    return [tuple(j - 1 for j in mono) for mono in monos], table
+
+
+def _generator_polynomial(family, z0, zdot):
+    """sum_i zdot_i nu[a_i/f_i](z0 + u zdot) as a polynomial in u: its k
+    coefficient vectors over the flags, degree 0 first. Each segment
+    expands the float table once; the table does not depend on the anchor,
+    so the default one is used."""
+    monos, table = _generator_table(family, default_anchor(family))
+    gens = [[0j] * len(family.flag_index) for _ in range(family.k)]
+    for m, mono in enumerate(monos):
+        # sum_i zdot_i P[i][m], times the monomial's coefficients in u
+        combined = [0j] * len(gens[0])
+        for rate, row in zip(zdot, table):
+            combined = list(map(add, combined, map(rate.__mul__, row[m])))
+        poly = [1 + 0j]
+        for j in mono:
+            poly = list(map(add, [a * z0[j] for a in poly] + [0j],
+                            [0j] + [a * zdot[j] for a in poly]))
+        for d, c in enumerate(poly):
+            gens[d] = list(map(add, gens[d], map(c.__mul__, combined)))
+    return gens
 
 
 @per_family
 def _flag_weights(family):
     """The weight form prod_{j in T} a_j over the flag positions, complex."""
-    return np.array([complex(osflag.weight_product(family, T)) for T in family.flag_index])
+    return [complex(osflag.weight_product(family, T)) for T in family.flag_index]
 
 
 def _flag_array(family, vec):
-    return np.array([complex(vec.get(T)) for T in family.flag_index], dtype=complex)
+    return [complex(vec.get(T)) for T in family.flag_index]
+
+
+def _nan_max(values):
+    """max(values), or NaN if any value is NaN: Python's max drops a NaN
+    that follows another value, since every comparison with NaN is false."""
+    values = list(values)
+    return math.nan if any(v != v for v in values) else max(values)
+
+
+def _abs(value):
+    """|value|; inf where abs() overflows."""
+    return _magnitudes([value])[0]
 
 
 # the relative step tolerance of the period transport
@@ -277,24 +411,21 @@ PERIOD_RTOL = 1e-10
 def period_transport(family, path, kappa, start_plus, start_minus, v):
     """The one `flow_flat_section` run that every period row reads. It
     carries the slope-kappa section from start_plus, the slope -kappa
-    section from start_minus, and two quadratures, each step evaluating
-    the generators once at all of its nodes: extras[0] of S(v, nu[a_i/f_i])
-    dz_i and extras[1] of S(I, nu[a_i/f_i]) dz_i for the slope-kappa section
-    I. The generator table is read once per run; it does not depend on the
-    anchor, so the default one is used."""
-    _execute(critalg, frobenius, np)
-    idx, table = _generator_table(family, default_anchor(family))
+    section from start_minus, and two quadratures, each from the generator
+    polynomial of its segment: extras[0] of S(v, nu[a_i/f_i]) dz_i, which
+    reads no section, and extras[1] of S(I, nu[a_i/f_i]) dz_i for the
+    slope-kappa section I."""
     weights = _flag_weights(family)
     fixed = pairing_functional(family, v)
 
-    def integrand(s, z, zdot, sections):
-        # sum_i zdot_i nu[a_i/f_i] at every node: (nodes, dim)
-        along = np.prod(z[..., idx], axis=-1) @ (zdot @ table.transpose(1, 0, 2)).T
-        return along @ fixed, np.sum(sections[..., 0, :] * weights * along, axis=-1)
+    def integrands(z0, zdot):
+        gens = _generator_polynomial(family, z0, zdot)
+        return [(None, [_dot(fixed, g) for g in gens]),
+                (0, [list(map(mul, weights, g)) for g in gens])]
 
     return flow_flat_section(
         family, path, (kappa, -kappa), (start_plus, start_minus), rtol=PERIOD_RTOL,
-        extras=[integrand],
+        extras=integrands,
     )
 
 
@@ -315,9 +446,9 @@ def flat_period_check(family, path, v, run, tol):
         - complex(osflag.contravariant_pairing(v, q0, family))
     )
     scale = abs(factor) * sum(
-        float(np.sum(np.abs(fixed * _flag_array(family, q)))) for q in (q0, q1)
+        sum(_magnitudes(list(map(mul, fixed, _flag_array(family, q))))) for q in (q0, q1)
     )
-    err = abs(quad - delta)
+    err = _abs(quad - delta)
     return {
         "quadrature": quad,
         "increment": delta,
@@ -335,10 +466,10 @@ def twisted_pairing_invariance(family, run, tol):
     depend on the units of the weights or the sections. Both maxima keep a
     NaN, so a non-finite section fails."""
     weights = _flag_weights(family)
-    terms = [plus * weights * minus for plus, minus, *_ in run.waypoints]
-    values = [np.sum(t) for t in terms]
-    scale = np.max([np.sum(np.abs(t)) for t in terms])
-    drift = np.max(np.abs(np.subtract(values, values[0])))
+    terms = [list(map(mul, map(mul, plus, weights), minus)) for plus, minus, *_ in run.waypoints]
+    values = [sum(t) for t in terms]
+    scale = _nan_max(sum(_magnitudes(t)) for t in terms)
+    drift = _nan_max(_magnitudes([v - values[0] for v in values]))
     return {"values": values, "drift": drift, "scale": scale, "passed": drift <= tol * scale}
 
 
@@ -353,17 +484,14 @@ def twisted_period_relation(family, path, kappa, run, tol):
         raise ValueError(f"the slopes +-|a|/k = +-{special} are excluded for twisted periods")
     factor = 1 / complex(kappa) + family.k / complex(family.weight_sum)
     weights = _flag_weights(family)
-    start_coords = run.waypoints[0][0]
-    end_coords = run.waypoints[-1][0]
-    q0c = _flag_array(family, frobenius.period_map(family, path[0]))
-    q1c = _flag_array(family, frobenius.period_map(family, path[-1]))
-    delta = np.dot(end_coords * weights, q1c) - np.dot(start_coords * weights, q0c)
-    scale = float(
-        np.sum(np.abs(end_coords * weights * q1c))
-        + np.sum(np.abs(start_coords * weights * q0c))
-    )
+    ends = []
+    for coords_, point in ((run.waypoints[-1][0], path[-1]), (run.waypoints[0][0], path[0])):
+        q = _flag_array(family, frobenius.period_map(family, point))
+        ends.append(list(map(mul, map(mul, coords_, weights), q)))
+    delta = sum(ends[0]) - sum(ends[1])
+    scale = sum(_magnitudes(ends[0])) + sum(_magnitudes(ends[1]))
     quad = run.extras[1]
-    err = abs(delta - factor * quad)
+    err = _abs(delta - factor * quad)
     return {
         "increment": delta,
         "quadrature": quad,
@@ -496,12 +624,11 @@ def _cmd_gm_flow(args):
     cfg = RunSettings(raw, args, family)
     path = cfg.path if cfg.path is not None else _usable_path(family, cfg.seed + 13, 2)
     start = osflag.singular_subspace(family).basis[0]
-    _execute(np)
     result = flow_flat_section(
         family, path, cfg.kappa, start, rtol=cfg.tol if cfg.tol < 1e-8 else 1e-10,
         record=True,
     )
-    lines = [json.dumps(row, sort_keys=True) for row in result.trajectory]
+    lines = [json.dumps(row, sort_keys=True, allow_nan=False) for row in result.trajectory]
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction as F
 
@@ -6,7 +7,14 @@ import numpy as np
 import pytest
 
 from arrfrob import critpoints, gaussmanin, osflag, transport
-from arrfrob.core import ArrangementFamily, coords, f_c_value, load_family, sample_good_point
+from arrfrob.core import (
+    ArrangementFamily,
+    coords,
+    default_anchor,
+    f_c_value,
+    load_family,
+    sample_good_point,
+)
 from arrfrob.critalg import f_minor_value, monomial_to_w
 from arrfrob.gaussmanin import (
     _commutator_rows,
@@ -329,13 +337,14 @@ _ROWS = {
     1: ((1,),) * 10,
     2: ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1)),
     3: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 4), (1, 3, 9)),
-    4: tuple((1, x, x * x, x**3) for x in range(6)),
+    4: tuple((1, x, x * x, x**3) for x in range(7)),
 }
 
 
 def _prime_family(k, n):
     """The first n primes as weights; k2n7 adds the rows (1, 3) and (3, 1)
-    to the benchmark's k = 2 rows, and k4n6 has the rows (1, x, x^2, x^3)."""
+    to the benchmark's k = 2 rows, and k4n6 and k4n7 have the rows
+    (1, x, x^2, x^3)."""
     return ArrangementFamily(k=k, n=n, b=_ROWS[k][:n], a=tuple(F(p) for p in _PRIMES[:n]))
 
 
@@ -596,29 +605,63 @@ def test_flow_needs_two_waypoints(fam_k1_n3, z_k1_n3):
 
 
 def test_extras_quadrature(fam_k1_n3, z_k1_n3):
-    path = [z_k1_n3, (F(1, 2), F(1), F(3))]
+    # a quadrature that reads no section is summed per segment in closed
+    # form: 1 and u^2 over s in [0, 1], two segments of length 1/2
+    path = [z_k1_n3, (F(1, 2), F(1), F(3)), (F(1), F(2), F(5))]
     result = flow_flat_section(
         fam_k1_n3,
         path,
         kappa=2.0,
         start=FlagVector.zero(),
-        extras=(lambda s, z, zdot, flag: 1.0,),
+        extras=lambda z0, zdot: [(None, [1.0]), (None, [0.0, 0.0, 1.0])],
     )
     assert abs(result.extras[0] - 1.0) < 1e-10
+    assert abs(result.extras[1] - 1 / 12) < 1e-10
+
+
+def test_a_paired_quadrature_integrates_its_polynomial(fam_k1_n3, z_k1_n3):
+    # kappa = |a|/k carries q(z), linear in z for k = 1, so on one segment
+    # the section is q0 + u (q1 - q0): against a covector c and the weight
+    # u^2, the integral over [0, 1] is c.q0 / 3 + c.(q1 - q0) / 4. z_1 runs
+    # to 1/100 of the hyperplane z_1 = z_2, so the steps cut the segment,
+    # and each shifts the weight to its own start.
+    from arrfrob.frobenius import period_map
+
+    fam = fam_k1_n3
+    z1 = (F(99, 100), F(1), F(3))
+    index = fam.flag_index
+    q0 = [complex(c) for c in period_map(fam, z_k1_n3).to_coordinates(index)]
+    q1 = [complex(c) for c in period_map(fam, z1).to_coordinates(index)]
+    cov = [complex(1 + p, -p) for p in range(len(index))]
+    result = flow_flat_section(
+        fam, [z_k1_n3, z1], kappa=complex(fam.weight_sum) / fam.k, start=period_map(fam, z_k1_n3),
+        extras=lambda z0, zdot: [(0, [[0j] * len(index), [0j] * len(index), cov])],
+    )
+    assert result.steps > 1
+    dot = lambda u, v: sum(a * b for a, b in zip(u, v))
+    expected = dot(cov, q0) / 3 + dot(cov, [b - a for a, b in zip(q0, q1)]) / 4
+    assert abs(result.extras[0] - expected) <= 1e-12 * abs(expected)
 
 
 def test_a_large_quadrature_does_not_loosen_the_section(prime_config):
     # each section and each quadrature is measured against its own size; a
     # constant 1e8 quadrature used to set the scale of the whole state and
-    # left the section 1.3e-2 off after 20 steps
+    # left the section 1.3e-2 off after 20 steps. A quadrature never sets
+    # the step: 1e8 and 1e8 times the section's coordinate sum here.
     family = load_family(prime_config(1, 5))
     path = transport._usable_path(family, 14)
     start = singular_subspace(family).basis[0]
-    reference = flow_flat_section(family, path, 17, start, rtol=1e-13)
-    loaded = flow_flat_section(family, path, 17, start, extras=(lambda s, z, zdot, flag: 1e8,))
+    dim = len(family.flag_index)
+
+    def large(z0, zdot):
+        return [(None, [1e8]), (0, [[1e8] * dim])]
+
+    reference = flow_flat_section(family, path, 17, start, rtol=1e-13, extras=large)
+    loaded = flow_flat_section(family, path, 17, start, extras=large)
     error = max_abs_diff(loaded.section, reference.section) / reference.section.norm_inf()
     assert error <= 1e-9
     assert abs(loaded.extras[0] - 1e8) <= 1e-12 * 1e8
+    assert abs(loaded.extras[1] - reference.extras[1]) <= 1e-9 * abs(reference.extras[1])
 
 
 def test_sections_carried_together_match_their_own_runs(prime_config):
@@ -643,7 +686,8 @@ def test_sections_carried_together_match_their_own_runs(prime_config):
 
 def _period_run(family, monkeypatch):
     """The `period_transport` run that `check --suites periods` makes at
-    config seed 1, and the arguments it passed to `flow_flat_section`."""
+    config seed 1, the arguments it passed to `flow_flat_section`, and the
+    singular vector that its flat quadrature pairs with."""
     from arrfrob import cli
 
     calls = []
@@ -658,7 +702,25 @@ def _period_run(family, monkeypatch):
     plus, minus = space.basis[0], space.basis[min(1, space.dimension - 1)]
     run = transport.period_transport(family, path, cli._default_kappa(family), plus, minus, plus)
     (call,) = calls
-    return run, call
+    return run, call, plus
+
+
+def _period_integrand(family, v):
+    """The two period integrands of `period_transport` at one point of the
+    path, for the Dormand-Prince oracle: S(v, g) and S(I, g) for the first
+    section I, g = sum_i zdot_i nu[a_i/f_i](z) evaluated from the float
+    generator table at z itself, not expanded along the segment."""
+    monos, table = transport._generator_table(family, default_anchor(family))
+    idx = np.array(monos, dtype=int).reshape(len(monos), family.k - 1)
+    table = np.array(table, dtype=complex)  # (n, monomials, dim)
+    weights = np.array(transport._flag_weights(family))
+    fixed = np.array(transport.pairing_functional(family, v))
+
+    def integrand(s, z, zdot, sections):
+        along = np.prod(z[idx], axis=1) @ np.tensordot(zdot, table, axes=1)
+        return np.array([fixed @ along, np.sum(sections[0] * weights * along)])
+
+    return integrand
 
 
 @pytest.mark.parametrize("k, n", [(1, 5), (2, 4), (3, 5), (4, 6)])
@@ -667,17 +729,80 @@ def test_taylor_transport_matches_the_dormand_prince_oracle(k, n, monkeypatch):
     # section at every waypoint, and each quadrature against the integral of
     # the size of its integrand, whose terms cancel
     family = _prime_family(k, n)
-    run, (args, kwargs) = _period_run(family, monkeypatch)
-    reference = flow_dormand_prince(*args, **dict(kwargs, rtol=1e-13))
+    run, (args, kwargs), v = _period_run(family, monkeypatch)
+    integrand = _period_integrand(family, v)
+    reference = flow_dormand_prince(*args, **dict(kwargs, rtol=1e-13, extras=[integrand]))
     for got, ref in zip(run.waypoints, reference.waypoints, strict=True):
         for got_b, ref_b in zip(got, ref, strict=True):
-            assert np.max(np.abs(got_b - ref_b)) <= 1e-9 * np.max(np.abs(ref_b))
-    (integrand,) = kwargs["extras"]
-    sizes = flow_flat_section(*args, extras=[lambda *point: np.abs(integrand(*point))]).extras
+            assert np.max(np.abs(np.array(got_b) - ref_b)) <= 1e-9 * np.max(np.abs(ref_b))
+    sizes = flow_dormand_prince(
+        *args, **dict(kwargs, rtol=1e-6, extras=[lambda *point: np.abs(integrand(*point))])
+    ).extras
     for got, ref, size in zip(run.extras, reference.extras, sizes, strict=True):
-        assert abs(got - ref) <= 1e-9 * size
+        assert abs(got - ref) <= 1e-9 * abs(size)
     if (k, n) == (1, 5):
         assert run.steps <= 60 and run.rejected == 0
+
+
+@pytest.mark.parametrize(
+    "k, n, mixed",
+    [(1, 5, False), (1, 10, False), (2, 5, False), (2, 7, False), (3, 5, False),
+     (3, 6, False), (4, 6, False), (4, 7, False), (2, 5, True), (3, 6, True)],
+)
+def test_every_circuit_operator_has_rank_one(k, n, mixed):
+    # mixed: the last weight negated. Each L_C, summed densely from its
+    # entries, is x_C y_C^T exactly, both supported on the k + 1 flags
+    # inside the circuit.
+    family = _prime_family(k, n)
+    if mixed:
+        family = ArrangementFamily(k=k, n=n, b=family.b, a=(*family.a[:-1], -family.a[-1]))
+    size = len(family.flag_index)
+    factors = transport._rank_one_circuits(family)
+    for circuit, (x, y) in zip(family.circuit_list, factors, strict=True):
+        dense = [[F(0)] * size for _ in range(size)]
+        for p, q, coef in gaussmanin._l_c_entries(family, circuit.indices):
+            dense[p][q] += coef
+        assert dense == [[x.get(p, 0) * y.get(q, 0) for q in range(size)] for p in range(size)]
+        assert len(x) == len(y) == k + 1
+
+
+@pytest.mark.parametrize("entry", [0, 1, -1], ids=["pivot", "second", "last"])
+def test_one_changed_circuit_entry_breaks_the_rank_one_check(entry, monkeypatch, tmp_path):
+    # 1 added to one entry of one L_C: the check raises, and the periods
+    # suite reports an error, never a skip or a pass
+    from arrfrob import cli
+
+    entries = gaussmanin._l_c_entries
+    target = _prime_family(2, 5).circuit_list[3].indices
+
+    def changed(family, indices):
+        out = list(entries(family, indices))
+        if indices == target:
+            p, q, coef = out[entry]
+            out[entry] = (p, q, coef + 1)
+        return tuple(out)
+
+    monkeypatch.setattr(gaussmanin, "_l_c_entries", changed)
+    with pytest.raises(ValueError, match="rank one"):
+        transport._rank_one_circuits(_prime_family(2, 5))
+    config = tmp_path / "k2n5.json"
+    config.write_text(json.dumps({"k": 2, "n": 5, "b": [list(r) for r in _ROWS[2][:5]],
+                                  "weights": [str(p) for p in _PRIMES[:5]], "seed": 1}))
+    out = tmp_path / "report.json"
+    assert cli.main(["check", "--config", str(config), "--suites", "periods",
+                     "--json", str(out)]) == 3
+    (row,) = json.loads(out.read_text())["suites"]["periods"]["checks"]
+    assert row["status"] == "error" and "rank one" in row["witness"]["error"]
+
+
+def test_a_magnitude_that_overflows_reads_inf():
+    # abs() of a complex raises OverflowError past the largest float, where
+    # numpy's abs read inf
+    huge = complex(1.5e308, 1.5e308)
+    with pytest.raises(OverflowError):
+        abs(huge)
+    assert transport._magnitudes([1j, huge, complex(math.nan, 0)])[:2] == [1.0, math.inf]
+    assert math.isnan(transport._magnitudes([huge, complex(math.nan, 0)])[1])
 
 
 def test_taylor_error_falls_with_rtol(prime_config):
