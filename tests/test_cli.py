@@ -635,6 +635,37 @@ def test_no_command_imports_numpy(k2_config, tmp_path, blocked):
         assert Path(fresh[i]).read_bytes() == (tmp_path / f"here{i}.json").read_bytes(), runs[i]
 
 
+@pytest.mark.parametrize("argv", [["check", "--suites", "periods"], ["gm-flow"]],
+                         ids=["periods", "gm-flow"])
+def test_numpy_loads_with_the_collector_paused(k2_config, tmp_path, argv):
+    # numpy's import allocates much and frees little, so the collections that
+    # its allocations trigger find almost nothing; the float commands now
+    # import no numpy at all. With numpy importable, the callback counts the
+    # collections that start while a numpy module body runs: none, and the
+    # command leaves the collector enabled.
+    argv = [*argv, "--config", k2_config, "--json", str(tmp_path / "r.json")]
+    proc = _fresh_python(
+        "-c",
+        "import gc, importlib.util, sys\n"
+        "hits = []\n"
+        "def watch(phase, info):\n"
+        "    frame = sys._getframe().f_back\n"
+        "    while phase == 'start' and frame is not None:\n"
+        "        if (frame.f_code.co_name == '<module>'\n"
+        "                and frame.f_globals.get('__name__', '').split('.')[0] == 'numpy'):\n"
+        "            hits.append(info['generation'])\n"
+        "            break\n"
+        "        frame = frame.f_back\n"
+        "gc.callbacks.append(watch)\n"
+        "from arrfrob.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, importlib.util.find_spec('numpy') is not None,\n"
+        "      'numpy' in sys.modules, len(hits), gc.isenabled())\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", "False", "0", "True"]
+
+
 def test_a_launch_freezes_the_heap_at_exit(k2_config, tmp_path):
     # exit handlers run last in, first out, so one registered before the
     # import of `arrfrob.cli` runs after the freeze; the command has run
