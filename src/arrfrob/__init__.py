@@ -34,9 +34,6 @@ _EXPORTS = {
     ),
     "critalg": (
         "expected_critical_count",
-        "identity_element",
-        "monomial_to_w",
-        "multiply",
         "reduce_to_w_basis",
         "structural_pairing",
     ),
@@ -48,22 +45,22 @@ _EXPORTS = {
         "residue_pairing_analytic",
         "solve_critical",
     ),
-    "gaussmanin": (
+    "gaussmanin": ("k_operator",),
+    "exact": (
+        "a_constant",
         "check_conformal_block",
         "check_flatness",
         "check_symmetry_and_invariance",
         "derivative_sections",
         "flatness_certificate",
-        "k_operator",
+        "identity_element",
+        "monomial_to_w",
+        "multiply",
+        "potential_derivative_row",
+        "potential_first",
     ),
     "transport": ("FlowResult", "flow_flat_section"),
-    "frobenius": (
-        "a_constant",
-        "alpha_structural",
-        "period_map",
-        "potential_first",
-        "potential_derivative_row",
-    ),
+    "frobenius": ("alpha_structural", "period_map"),
     "strata": ("strata_restriction_k1",),
     "cli": ("main", "report_schema_version"),
 }

@@ -1,21 +1,25 @@
-"""Command-line front end: config ingestion, the exact suites, the suite
-table, deterministic sampling, JSON report emission. The float suites and
-verbs live with the layer they run (`critpoints`, `transport`, `strata`).
+"""Command-line front end: the command line, config ingestion, the
+`circuits` suite, the suite table, deterministic sampling, JSON report
+emission. Every other suite and verb lives with the layer it runs: the
+exact suites and the `potential` verb in `exact`, the float ones in
+`critpoints`, `transport` and `strata`.
 
-Verbs: check, circuits, basis, critical, potential, gm-flow. Exit codes:
+A command line is VERB [--name VALUE | --name=VALUE]... with the verbs
+check, circuits, basis, critical, potential, gm-flow and the options
+--config, --suites, --seed, --tol, --json, --anchor (`_parse_args`); one
+that is not prints the usage line and exits 2, and -h or --help prints the
+help and exits 0. Exit codes:
 0 all checks pass, 1 at least one identity failed (witnesses in the
-report), 2 configuration problem, 3 a `check` suite raised an error: the
-report is written with a `suite-error` row (status `error`, the message as
-witness) in that suite, which does not pass, and the other suites run. An
-error outside a `check` suite exits 1. Identical (config, seed) pairs
+report), 2 configuration problem, 3 a `check` suite raised an error, a
+value beyond float range (OverflowError) included: the report is written
+with a `suite-error` row (status `error`, the message as witness) in that
+suite, which does not pass, and the other suites run. An error outside a
+`check` suite exits 1. Identical (config, seed) pairs
 produce byte-identical reports; numeric fields are rounded to 12
 significant digits before serialization, and a float that is not finite
 is written as null, so every report is strict JSON.
 """
 
-from __future__ import annotations
-
-import argparse
 import atexit
 import cmath
 import gc
@@ -23,9 +27,9 @@ import itertools
 import json
 import math
 import os
-import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .core import (
     ConfigError,
@@ -52,6 +56,7 @@ atexit.register(gc.freeze)
 # tracer of every loaded module (perfbench/optrace.py) sees them.
 critalg = _lazy_module("arrfrob.critalg")
 critpoints = _lazy_module("arrfrob.critpoints")
+exact = _lazy_module("arrfrob.exact")
 frobenius = _lazy_module("arrfrob.frobenius")
 gaussmanin = _lazy_module("arrfrob.gaussmanin")
 osflag = _lazy_module("arrfrob.osflag")
@@ -361,99 +366,6 @@ def _suite_circuits(family, cfg):
     return rows, {"circuits": listing}
 
 
-def _certificate_row(rows, ident, offenders, counts):
-    """A per-family certificate's row: it passes when nothing offends; the
-    witness has the family's counts and the first few offenders (circuits,
-    the circuits of a flat, or flags)."""
-    witness = dict(counts, count=len(offenders), offenders=offenders[:5])
-    _row(rows, ident, not offenders, witness=witness)
-
-
-def _suite_flatness(family, cfg):
-    rows = []
-    cert = gaussmanin.check_flatness(family)
-    counts = {key: cert[key] for key in ("circuits", "hyperplanes")}
-    _certificate_row(rows, "singular-invariance-certificate", cert["moving"], counts)
-    _certificate_row(
-        rows, "kohno-certificate", cert["failing"], dict(counts, flats=cert["flats"])
-    )
-    return rows, {}
-
-
-def _suite_symmetry(family, cfg):
-    rows = []
-    rep = gaussmanin.check_symmetry_and_invariance(family)
-    counts = {key: rep[key] for key in ("circuits", "hyperplanes")}
-    for ident, key in (
-        ("residue-symmetry-certificate", "asymmetric"),
-        ("singular-invariance-certificate", "moving"),
-        ("weighted-euler-certificate", "off_euler"),
-    ):
-        _certificate_row(rows, ident, rep[key], counts)
-    return rows, {}
-
-
-def _suite_conformal(family, cfg):
-    rows = []
-    for i, z in enumerate(_sample_fibers(family, cfg.seed, cfg.samples)):
-        ok = gaussmanin.check_conformal_block(family, z, cfg.anchor)
-        _row(rows, f"block-equations-sample-{i}", ok, witness={"z": _vector(z)})
-        q = frobenius.period_map(family, z, cfg.anchor)
-        scaled = frobenius.period_map(
-            family, tuple(2 * v for v in z), cfg.anchor
-        )
-        _row(rows, f"block-homogeneity-sample-{i}", scaled == q * Fraction(2**family.k))
-        rng = random.Random(cfg.seed + i)
-        for r in range(1, family.k + 1):
-            dirs = tuple(rng.randint(1, family.n) for _ in range(r))
-            sym, alg = gaussmanin.derivative_sections(family, z, dirs, cfg.anchor)
-            _row(rows, f"derivative-section-r{r}-sample-{i}", sym == alg)
-        over = tuple(1 for _ in range(family.k + 1))
-        sym, alg = gaussmanin.derivative_sections(family, z, over, cfg.anchor)
-        _row(rows, f"derivative-section-degree-bound-sample-{i}", sym.is_zero() and alg.is_zero())
-    return rows, {}
-
-
-def _suite_potential(family, cfg):
-    rows = []
-    for i, z in enumerate(_sample_fibers(family, cfg.seed, cfg.samples)):
-        P = frobenius.potential_first(family, z, cfg.anchor)
-        if family.k == 2 or (family.k == 1 and all(row[0] == 1 for row in family.b)):
-            closed = P == frobenius.potential_first_closed(family, z)
-            _row(rows, f"quadratic-potential-closed-form-sample-{i}", closed)
-        scaled = frobenius.potential_first(
-            family, tuple(3 * v for v in z), cfg.anchor
-        )
-        _row(rows, f"quadratic-potential-homogeneity-sample-{i}", scaled == Fraction(3) ** (2 * family.k) * P)
-        rng = random.Random(cfg.seed + 7 * i)
-        tuples = [
-            tuple(rng.randint(1, family.n) for _ in range(2 * family.k + 1))
-            for _ in range(cfg.samples)
-        ]
-        worst_row = None
-        ok = True
-        for tup in tuples:
-            row = frobenius.potential_derivative_row(family, z, tup, cfg.anchor)
-            if row["abs_err"] != 0.0:
-                ok = False
-                worst_row = row
-        _row(rows, f"log-potential-derivatives-sample-{i}", ok, witness=worst_row)
-        ok = True
-        for r in range(1, 2 * family.k + 1):
-            tup = tuple(rng.randint(1, family.n) for _ in range(r))
-            row = frobenius.multi_derivative_identity_row(family, z, tup, cfg.anchor)
-            if row["abs_err"] != 0.0:
-                ok = False
-        _row(rows, f"potential-derivative-ladder-sample-{i}", ok)
-    _row(rows, "structure-constant-2-3", frobenius.a_constant(2, 3) == 24)
-    _row(
-        rows,
-        "structure-constant-top",
-        all(frobenius.a_constant(k, 2 * k) == math.factorial(2 * k) for k in range(1, 6)),
-    )
-    return rows, {}
-
-
 def _default_kappa(family):
     kappa = Fraction(17)
     special = Fraction(family.weight_sum, family.k)
@@ -465,12 +377,12 @@ def _default_kappa(family):
 _SUITE_RUNNERS = {
     "circuits": _suite_circuits,
     "basis": lambda family, cfg: critpoints._suite_basis(family, cfg),
-    "flatness": _suite_flatness,
-    "symmetry": _suite_symmetry,
+    "flatness": lambda family, cfg: exact._suite_flatness(family, cfg),
+    "symmetry": lambda family, cfg: exact._suite_symmetry(family, cfg),
     "critical": lambda family, cfg: critpoints._suite_critical(family, cfg),
     "canonical": lambda family, cfg: critpoints._suite_canonical(family, cfg),
-    "conformal": _suite_conformal,
-    "potential": _suite_potential,
+    "conformal": lambda family, cfg: exact._suite_conformal(family, cfg),
+    "potential": lambda family, cfg: exact._suite_potential(family, cfg),
     "periods": lambda family, cfg: transport._suite_periods(family, cfg),
     "strata": lambda family, cfg: strata._suite_strata(family, cfg),
 }
@@ -519,7 +431,7 @@ def _cmd_check(args):
             rows, extra = _SUITE_RUNNERS[name](family, cfg)
         except ConfigError:
             raise
-        except (ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError, OverflowError) as exc:
             # one suite's error leaves the other suites' verdicts standing
             rows = [{"id": "suite-error", "status": "error", "witness": {"error": str(exc)}}]
             extra = {}
@@ -563,63 +475,72 @@ def _cmd_suite(args):
     return 0 if passed else 1
 
 
-def _cmd_potential(args):
-    raw, family, z = _family_from_args(args)
-    cfg = RunSettings(raw, args, family)
-    zz = z.z if z is not None else sample_good_point(family, seed=cfg.seed).z
-    tuples = cfg.tuples
-    if tuples is None:
-        rng = random.Random(cfg.seed)
-        tuples = [
-            tuple(rng.randint(1, family.n) for _ in range(2 * family.k + 1))
-            for _ in range(cfg.samples)
-        ]
-    rows = [
-        frobenius.potential_derivative_row(family, zz, tup, cfg.anchor)
-        for tup in tuples
-    ]
-    passed = all(r["abs_err"] == 0.0 for r in rows)
-    report = {
-        "schema": report_schema_version(),
-        "z": _vector(zz),
-        "P": _num(frobenius.potential_first(family, zz, cfg.anchor)),
-        "derivatives": rows,
-        "passed": passed,
-    }
-    _emit(report, args)
-    return 0 if passed else 1
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="arrfrob",
-        description="Verification suites for weighted hyperplane-family structures.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("check", "circuits", "basis", "critical", "potential", "gm-flow"):
-        p = sub.add_parser(verb)
-        p.add_argument("--config", default=None)
-        p.add_argument("--suites", default=None)
-        p.add_argument("--seed", default=None)
-        p.add_argument("--tol", default=None)
-        p.add_argument("--json", default=None)
-        p.add_argument("--anchor", default=None)
-    return parser
+VERBS = ("check", "circuits", "basis", "critical", "potential", "gm-flow")
+OPTIONS = ("config", "suites", "seed", "tol", "json", "anchor")
+USAGE = (
+    f"usage: arrfrob [-h] {{{','.join(VERBS)}}}\n"
+    "               [--config PATH] [--suites NAMES] [--seed N] [--tol X]\n"
+    "               [--json PATH] [--anchor J]"
+)
+HELP = f"""{USAGE}
+
+Verification suites for weighted hyperplane-family structures. Each option
+takes one value, as --name VALUE or --name=VALUE; the last one given counts.
+
+options:
+  -h, --help      show this help message and exit
+  --config PATH   the family's JSON config
+  --suites NAMES  comma-separated suites for check (default: every suite)
+  --seed N        sampling seed, over the config's
+  --tol X         numeric tolerance, over the config's
+  --json PATH     write the report to PATH instead of stdout
+  --anchor J      anchored-basis index in 1..n, over the config's"""
+
+
+class _UsageError(Exception):
+    """A command line that is not VERB [--name VALUE | --name=VALUE]..."""
+
+
+def _parse_args(argv):
+    """The verb and the options of a command line, as attributes; an absent
+    option is None. A value may not start with '--'."""
+    if not argv or argv[0] not in VERBS:
+        raise _UsageError(f"choose a verb from {', '.join(VERBS)}, got {argv[0]!r}"
+                         if argv else "a verb is required")
+    args = SimpleNamespace(verb=argv[0], **dict.fromkeys(OPTIONS))
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name[:2] != "--" or name[2:] not in OPTIONS:
+            raise _UsageError(f"unrecognized argument: {token}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise _UsageError(f"{name} expects one value")
+        setattr(args, name[2:], value)
+    return args
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(HELP)
+        return 0
+    try:
+        args = _parse_args(argv)
+    except _UsageError as exc:
+        print(f"{USAGE}\narrfrob: error: {exc}", file=sys.stderr)
+        return 2
     handlers = {
         "check": _cmd_check,
         "circuits": _cmd_suite,
         "basis": _cmd_suite,
         "critical": lambda args: critpoints._cmd_critical(args),
-        "potential": _cmd_potential,
+        "potential": lambda args: exact._cmd_potential(args),
         "gm-flow": lambda args: transport._cmd_gm_flow(args),
     }
     try:
@@ -633,7 +554,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

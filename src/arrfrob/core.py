@@ -16,8 +16,6 @@ Hyperplane indices are 1-based everywhere in the public interface; index
 tuples are sorted unless an operation explicitly permits reordering.
 """
 
-from __future__ import annotations
-
 import itertools
 import json
 import math

@@ -6,42 +6,42 @@ osflag). The identification nu: w_T -> v_T is an isometry up to the
 residue-form sign (-1)^k, one integer combination of the family's v rows
 (`osflag.v_rows`); the residue identification (`critpoints`) must agree
 with it up to one global scalar that is measured, never assumed. On top of
-nu live the section q(z), the quadratic and log potentials, the period
-forms (`transport`) and, for k = 1, the restriction to diagonal strata
+nu live the section q(z), the potentials (`exact`), the period forms
+(`transport`) and, for k = 1, the restriction to diagonal strata
 (`strata`).
 
-q = sum_T c_T f_{u_T}^k v_T and the log potential, sum_u e_u f_u^(2k) log f_u
-over (2k)!, are sums of powers of the (k+1)-minor forms f_u, so every
-derivative the checks read is a closed form in the integers f_u(z): d^J q is
+q = sum_T c_T f_{u_T}^k v_T is a sum of powers of the (k+1)-minor forms
+f_u (`_minor_terms`), so every derivative the checks read is a closed form
+in the integers f_u(z): d^J q is
 sum_T c_T (k)_r prod_{j in J} lambda_{u_T,j} f_{u_T}^(k-r) v_T, kept once
-per fiber and sorted J (`fiber_section_derivative`); the derivatives of
-P = S(q, q) follow by Leibniz; d^(2k+1) (f^(2k) log f) is
-(2k)! prod_j lambda_j / f. The integer rows behind them are built once per
-family (`core.per_family`), and the tables of a fiber live in its entry of
-the family (`core.per_fiber`) with the integer K_j(z)
-(`gaussmanin.fiber_k_operator`), the algebra of `critalg._fiber_algebra`
-and the critical points of `critpoints.solve_critical`;
-`ArrangementFamily.release_fibers` frees them all.
-`contravariant_compositions` does not read the fiber and is decided once
-per family.
+per fiber and sorted J (`fiber_section_derivative`). The integer rows
+behind it are built once per family (`core.per_family`), and the tables of
+a fiber live in its entry of the family (`core.per_fiber`) with the
+integer K_j(z) (`gaussmanin.fiber_k_operator`), the algebra of
+`exact._fiber_algebra` and the critical points of
+`critpoints.solve_critical`; `ArrangementFamily.release_fibers` frees them
+all. `contravariant_compositions` does not read the fiber and is decided
+once per family. The potentials P = S(q, q) and the log potential, and the
+rows that compare their derivatives with the algebra, are in `exact`,
+which float launches never run.
 """
 
-from __future__ import annotations
-
-import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 
 from . import linalg
-from .core import coords, default_anchor, per_family, per_fiber
+from .core import default_anchor, per_family, per_fiber
 from .linalg import _lazy_module, _moved_names
 
 critalg = _lazy_module("arrfrob.critalg")
 osflag = _lazy_module("arrfrob.osflag")
-__getattr__ = _moved_names(__name__, critpoints=("naive_iso_and_constant",), transport=(
-    "flat_period_check", "twisted_closedness_k1", "twisted_pairing_invariance",
-    "twisted_period_relation"))
+__getattr__ = _moved_names(
+    __name__,
+    critpoints=("naive_iso_and_constant",),
+    exact=("multi_derivative_identity_row", "potential_derivative_row"),
+    transport=("flat_period_check", "twisted_closedness_k1", "twisted_pairing_invariance",
+               "twisted_period_relation"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +146,8 @@ def section_derivative(family, zz, key, anchor):
     """d^key q = sum_T c_T (k)_r prod_{j in key} lambda_{u_T,j}
     f_{u_T}(z)^(k-r) v_T at the rational fiber zz (zero for r > k), as
     ({flag position: numerator}, c_den V f_den^k z_den^(k-r)), V the v
-    rows' denominator; unreduced, so the splits of `_quadratic_derivative`
-    share it."""
+    rows' denominator; unreduced, so the splits of
+    `exact._quadratic_derivative` share it."""
     k, r = family.k, len(key)
     if r > k:
         return {}, 1
@@ -186,129 +186,3 @@ def block_derivative(family, z, directions, anchor=None):
 def period_map(family, z, anchor=None):
     """The section q at a fiber, q(z) = nu of the algebra unit."""
     return block_derivative(family, z, (), anchor)
-
-
-# ---------------------------------------------------------------------------
-# potentials
-
-
-def potential_first(family, z, anchor=None):
-    """The quadratic potential P = S(q, q) at a fiber."""
-    q = period_map(family, z, anchor)
-    return osflag.contravariant_pairing(q, q, family)
-
-
-def potential_first_closed(family, z):
-    """The minor-form expansion P = sum_u e_u f_u(z)^(2k) / |a|^(2k+1) over
-    the (k+1)-subsets u, from the log potential's rows
-    (`_log_potential_rows`)."""
-    rows, e_den, f_den = _log_potential_rows(family)
-    values, z_den = linalg._integer_vector(coords(z))
-    total = sum(e * linalg._dot(form, values) ** (2 * family.k) for e, form in rows)
-    den = e_den * (f_den * z_den) ** (2 * family.k) * family.weight_sum ** (2 * family.k + 1)
-    return Fraction(total) / den
-
-
-@per_family
-def _log_potential_rows(family):
-    """The log potential sum_u (e_u / (2k)!) f_u^(2k) log f_u over the
-    (k+1)-subsets u, e_u = prod_{j in u} a_j / prod_m d_{u less m}^2, in
-    integers (`_minor_terms`)."""
-    subsets = list(itertools.combinations(range(1, family.n + 1), family.k + 1))
-    coefs = []
-    for u in subsets:
-        denom = 1
-        for m in range(len(u)):
-            minor = family.minor(u[:m] + u[m + 1 :])
-            if minor == 0:
-                raise ValueError("log potential closed form needs a generic family")
-            denom *= minor * minor
-        coefs.append(osflag.weight_product(family, u) / denom)
-    return _minor_terms(family, subsets, coefs)
-
-
-def _log_potential_derivative(family, zz, directions):
-    """The (2k+1)-fold derivative of the log potential at the rational fiber
-    zz: d^(2k+1) (f^(2k) log f) = (2k)! prod_j lambda_j / f, so it is
-    sum_u e_u prod_j lambda_{u,j} / f_u(z), from integers."""
-    rows, e_den, f_den = _log_potential_rows(family)
-    values, z_den = linalg._integer_vector(zz)
-    slopes = ((e * math.prod(form.get(j - 1, 0) for j in directions), form) for e, form in rows)
-    total = sum(Fraction(s, linalg._dot(form, values)) for s, form in slopes if s)
-    return total * Fraction(z_den, e_den * f_den ** (len(directions) - 1))
-
-
-def potential_derivative_row(family, z, directions, anchor=None):
-    """One report row comparing the (2k+1)-fold derivative of the log
-    potential with the pairing of the generator product against the algebra
-    unit, both exact."""
-    k = family.k
-    if len(directions) != 2 * k + 1:
-        raise ValueError(f"need {2 * k + 1} directions, got {len(directions)}")
-    zz = coords(z)
-    lhs = _log_potential_derivative(family, zz, directions)
-    pairing = critalg.unit_pairing(family, zz, directions, anchor)
-    return _exact_row(directions, lhs, pairing if k % 2 == 0 else -pairing)
-
-
-def _exact_row(directions, lhs, rhs):
-    return {
-        "tuple": list(directions),
-        "lhs": str(lhs),
-        "rhs": str(rhs),
-        "mode": "exact",
-        "abs_err": float(abs(lhs - rhs)),
-    }
-
-
-def _quadratic_derivative(family, zz, directions, anchor):
-    """The derivative of P = S(q, q) along the directions at the rational
-    fiber zz, by Leibniz over their positions: the sum of S(d^A q, d^B q)
-    over the splits into A and B with both orders at most k (the higher
-    derivatives of q vanish), against the weight table
-    (`osflag._integer_weights`) in integers; every split shares the
-    denominator of `section_derivative`."""
-    key, k = tuple(sorted(directions)), family.k
-    splits = Counter()
-    for size in range(max(0, len(key) - k), min(k, len(key)) + 1):
-        for chosen in itertools.combinations(range(len(key)), size):
-            left = tuple(key[i] for i in chosen)
-            right = tuple(x for i, x in enumerate(key) if i not in chosen)
-            splits[min(left, right), max(left, right)] += 1
-    weights, w_den = osflag._integer_weights(family)
-    total = 0
-    for (left, right), mult in splits.items():
-        x, x_den = fiber_section_derivative(family, zz, anchor, left)
-        y, y_den = fiber_section_derivative(family, zz, anchor, right)
-        total += mult * sum(weights[p] * v * y.get(p, 0) for p, v in x.items())
-    return Fraction(total, x_den * y_den * w_den)
-
-
-def multi_derivative_identity_row(family, z, directions, anchor=None):
-    """Report row for the r-fold derivative identity of P against the
-    generator product pairing, r <= 2k."""
-    r, k = len(directions), family.k
-    if r > 2 * k:
-        raise ValueError("derivative order exceeds 2k")
-    zz, anchor = coords(z), anchor or default_anchor(family)
-    dP = _quadratic_derivative(family, zz, directions, anchor)
-    rhs = Fraction(1 if k % 2 == 0 else -1) * family.weight_sum**r / a_constant(k, r) * dP
-    return _exact_row(directions, critalg.unit_pairing(family, zz, directions, anchor), rhs)
-
-
-def a_constant(k, r):
-    """The combinatorial normalization constant of the derivative
-    identities; defined for r <= 2k."""
-    if r > 2 * k:
-        raise ValueError("derivative order exceeds 2k")
-    kfact2 = math.factorial(k) ** 2
-    lo = 0 if r <= k else r - k
-    hi = r if r <= k else k
-    total = 0
-    for i in range(lo, hi + 1):
-        total += (
-            math.comb(r, i)
-            * kfact2
-            // (math.factorial(k - i) * math.factorial(k - r + i))
-        )
-    return total

@@ -14,8 +14,6 @@ tables (K_j(z) in `gaussmanin`, the critical algebra in `critalg`) are
 `IntegerMatrix`es, so exact checks on them use integers too.
 """
 
-from __future__ import annotations
-
 import importlib.util
 import math
 import sys

@@ -31,8 +31,6 @@ integer numerators, and kept in that fiber's entry of the owner's
 `evaluate_exact` sums the terms over a common denominator.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from fractions import Fraction

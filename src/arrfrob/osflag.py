@@ -21,8 +21,6 @@ conventions are kept exactly as-is; downstream k=1 closed forms all use
 the first one.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from fractions import Fraction

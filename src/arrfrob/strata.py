@@ -7,7 +7,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from . import critalg, frobenius, gaussmanin, linalg, osflag
+from . import critalg, exact, frobenius, gaussmanin, linalg, osflag
 from .cli import _row
 from .core import ArrangementFamily, coords, f_c_value, is_good_fiber, sample_good_point
 
@@ -130,7 +130,7 @@ def _log_potential_hessian(family, z, i, j):
     and converted once; each log term is its exact coefficient, converted,
     times the log of f_u(z)."""
     k = family.k
-    rows, e_den, f_den = frobenius._log_potential_rows(family)
+    rows, e_den, f_den = exact._log_potential_rows(family)
     values, z_den = linalg._integer_vector(coords(z))
     rest, logs = Fraction(0), []
     for e, form in rows:
@@ -204,9 +204,9 @@ def strata_restriction_k1(family, partition, x):
         mat = gaussmanin.k_operator(quotient, xx, ell)
         w_ell = osflag.CoVector.basis((ell,))
         for m in range(1, quotient.n + 1):
-            image = gaussmanin.apply_matrix(quotient, mat, osflag.v_vector(quotient, (m,)))
+            image = exact.apply_matrix(quotient, mat, osflag.v_vector(quotient, (m,)))
             k_ok = k_ok and embedded(image) == k_sums[ell, m]
-            product = critalg.multiply(quotient, xx, w_ell, osflag.CoVector.basis((m,)))
+            product = exact.multiply(quotient, xx, w_ell, osflag.CoVector.basis((m,)))
             product = frobenius.alpha_structural(quotient, product)
             product_ok = product_ok and embedded(product) == products[ell, m]
     report["connection_restriction_exact"] = k_ok
@@ -216,9 +216,9 @@ def strata_restriction_k1(family, partition, x):
     q_full = frobenius.period_map(family, z)
     q_quot = frobenius.period_map(quotient, xx)
     report["section_restriction_exact"] = embed_flag(blocks, q_quot) == q_full
-    report["potential_restriction_exact"] = frobenius.potential_first(
+    report["potential_restriction_exact"] = exact.potential_first(
         family, z
-    ) == frobenius.potential_first(quotient, xx)
+    ) == exact.potential_first(quotient, xx)
 
     # second derivatives of the log potential: block sums approach the
     # quotient values as the fiber approaches the stratum.  The finite-step

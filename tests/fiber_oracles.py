@@ -3,8 +3,8 @@ references of the Frobenius structure that no command runs.
 
 The program decides the flatness, the S-symmetry, the Sing invariance and
 the weighted Euler identity of every K_j(z) once per family, from the
-circuit operators (`gaussmanin.check_flatness`,
-`gaussmanin.check_symmetry_and_invariance`). The first functions here
+circuit operators (`exact.check_flatness`,
+`exact.check_symmetry_and_invariance`). The first functions here
 decide them at one fiber instead, from the exact K_j(z) that
 `fiber_k_operator` builds there, so the tests can compare the two routes
 and check single fibers.
@@ -36,16 +36,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from arrfrob import critalg, critpoints
+from arrfrob import critalg, critpoints, exact
 from arrfrob.core import coords, default_anchor, per_family
 from arrfrob.critpoints import canonical_iso_analytic
-from arrfrob.frobenius import alpha_structural, contravariant_map_class, potential_derivative_row
-from arrfrob.gaussmanin import (
-    _commutator_rows,
-    _l_c_entries,
-    apply_matrix,
-    fiber_k_operator,
-)
+from arrfrob.exact import _commutator_rows, apply_matrix, potential_derivative_row
+from arrfrob.frobenius import alpha_structural, contravariant_map_class
+from arrfrob.gaussmanin import _l_c_entries, fiber_k_operator
 from arrfrob.linalg import _dot, _integer_sum, inv, rref
 from arrfrob.linforms import LinExpr
 from arrfrob.osflag import (
@@ -175,7 +171,7 @@ def induced_multiplication_on_sing(family, z, x_flag, y_flag, anchor=None):
     """Product of two singular vectors transported through the algebra."""
     wx = nu_inverse(family, x_flag, anchor)
     wy = nu_inverse(family, y_flag, anchor)
-    product = critalg.multiply(family, z, wx, wy, anchor)
+    product = exact.multiply(family, z, wx, wy, anchor)
     return alpha_structural(family, product)
 
 
@@ -202,9 +198,9 @@ def k_operator_agreement(family, z, anchor=None):
     worst_ok = True
     for j in range(1, family.n + 1):
         mat = fiber_k_operator(family, zz, j)
-        gen = critalg.monomial_to_w(family, zz, (j,), anchor)
+        gen = exact.monomial_to_w(family, zz, (j,), anchor)
         for T in critalg.anchored_subsets(family, anchor or default_anchor(family)):
-            product = critalg.multiply(family, zz, gen, CoVector.basis(T), anchor)
+            product = exact.multiply(family, zz, gen, CoVector.basis(T), anchor)
             if alpha_structural(family, product) != apply_matrix(family, mat, v_vector(family, T)):
                 worst_ok = False
     return worst_ok
@@ -233,7 +229,7 @@ def eta_matrix_structural(family, z, anchor=None):
     through the structural identification (exact)."""
     zz = coords(z)
     gens = [
-        critalg.monomial_to_w(family, zz, (i,), anchor)
+        exact.monomial_to_w(family, zz, (i,), anchor)
         for i in range(1, family.n + 1)
     ]
     mat = []
@@ -271,7 +267,7 @@ def eta_matrix_analytic(family, z, anchor=None):
     """eta via critical-point residues (numeric)."""
     zz = coords(z)
     gens = [
-        critalg.monomial_to_w(family, zz, (i,), anchor)
+        exact.monomial_to_w(family, zz, (i,), anchor)
         for i in range(1, family.n + 1)
     ]
     return [
@@ -350,19 +346,19 @@ def compositions_analytic_residual(family, z):
 
 
 def potential_report(family, z):
-    """`frobenius.potential_derivative_row` for every sorted tuple of 2k + 1
+    """`exact.potential_derivative_row` for every sorted tuple of 2k + 1
     directions."""
     tuples = itertools.combinations_with_replacement(range(1, family.n + 1), 2 * family.k + 1)
     return [potential_derivative_row(family, z, tup) for tup in tuples]
 
 
 def potential_row_analytic(family, z, directions, anchor=None):
-    """`frobenius.potential_derivative_row` with the pairing summed over the
+    """`exact.potential_derivative_row` with the pairing summed over the
     critical points of z in floats, and its absolute error."""
     zz = coords(z)
     lhs = potential_log_derivative_expr(family, directions).evaluate_exact(zz)
-    wprod = critalg.monomial_to_w(family, zz, tuple(directions), anchor)
-    iden = critalg.identity_element(family, zz, anchor)
+    wprod = exact.monomial_to_w(family, zz, tuple(directions), anchor)
+    iden = exact.identity_element(family, zz, anchor)
     pairing = critpoints.residue_pairing_analytic(family, zz, wprod, iden)
     rhs = pairing if family.k % 2 == 0 else -pairing
     return abs(complex(lhs) - rhs)

@@ -250,7 +250,7 @@ def test_console_entry_point(k1_config):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
-    # a bare invocation prints usage and exits 2 via argparse
+    # a bare invocation prints usage and exits 2
     bare = subprocess.run(
         [sys.executable, "-m", "arrfrob"], capture_output=True, text=True, env=env
     )
@@ -353,6 +353,41 @@ def _check_report(tmp_path, payload, suites, name):
          "--suites", suites, "--json", str(out)]
     )
     return rc, json.loads(out.read_text()) if out.exists() else None
+
+
+def test_a_value_beyond_float_range_gives_an_error_row(tmp_path):
+    # a weight of 10^400 is exact in the exact suites, and makes the float
+    # conversion of the critical solver raise OverflowError: the suite
+    # reports it and the other suites' rows stand
+    payload = _k2n4([str(10**400), "3", "5", "7"], seed=1)
+    rc, report = _check_report(tmp_path, payload, "circuits,basis", "huge")
+    assert rc == 3
+    statuses = _statuses(report)
+    assert {status for suite, _, status in statuses if suite == "circuits"} == {"pass"}
+    assert [row[1:] for row in statuses if row[0] == "basis"] == [("suite-error", "error")]
+    assert report["suites"]["circuits"]["passed"] and not report["passed"]
+
+
+_BEYOND_FLOAT = {
+    "weight-huge": {"weights": [str(10**400), "3", "5", "7"]},
+    "weight-tiny": {"weights": [f"1/{10**400}", "3", "5", "7"]},
+    "b-huge": {"b": [[1, 0], [0, 1], [1, 1], [1, 10**400]]},
+    "z-huge": {"z": ["0", "1", "3", str(10**400)]},
+}
+
+
+@pytest.mark.parametrize(
+    "verb, case",
+    [(verb, case) for verb in ("critical", "gm-flow") for case in sorted(_BEYOND_FLOAT)
+     if (verb, case) != ("gm-flow", "z-huge")],  # gm-flow transports along `path`, not z
+)
+def test_a_value_beyond_float_range_exits_1_without_a_traceback(tmp_path, verb, case):
+    change = _BEYOND_FLOAT[case]
+    config = _write_config(tmp_path, dict(_k2n4(["2", "3", "5", "7"], seed=1), **change))
+    proc = _fresh_python("-m", "arrfrob", verb, "--config", config,
+                         "--json", str(tmp_path / "r.json"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_scaled_weights_give_the_same_verdicts(tmp_path):
@@ -535,11 +570,14 @@ def test_exact_suites_and_circuits_do_not_load_numpy(k2_config, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     # the exact suites differentiate in closed form: `linforms` never runs,
-    # and neither does the float layer nor the k = 1 strata
+    # and neither does the float layer nor the k = 1 strata; the exact
+    # suites run in `exact`, which executes `critalg` and `frobenius` only
+    # when a suite calls into them
     assert proc.stdout.splitlines() == [
         "arrfrob",
         "0 arrfrob arrfrob.cli arrfrob.core arrfrob.linalg",
-        "0 arrfrob arrfrob.cli arrfrob.core arrfrob.gaussmanin arrfrob.linalg arrfrob.osflag",
+        "0 arrfrob arrfrob.cli arrfrob.core arrfrob.exact arrfrob.gaussmanin arrfrob.linalg "
+        "arrfrob.osflag",
         "0",
     ]
 
@@ -554,7 +592,7 @@ def test_exact_suites_and_circuits_do_not_load_numpy(k2_config, tmp_path):
         (["check", "--suites", "basis,periods"],
          "cli core critalg critpoints frobenius gaussmanin linalg osflag transport"),
         (["check"],
-         "cli core critalg critpoints frobenius gaussmanin linalg osflag strata transport"),
+         "cli core critalg critpoints exact frobenius gaussmanin linalg osflag strata transport"),
         (["critical"], "cli core critalg critpoints gaussmanin linalg osflag"),
         (["gm-flow"], "cli core gaussmanin linalg osflag transport"),
     ],
@@ -563,8 +601,9 @@ def test_exact_suites_and_circuits_do_not_load_numpy(k2_config, tmp_path):
 def test_a_float_launch_runs_its_modules_before_numpy(k2_config, tmp_path, argv, expected):
     # a module that a launch does not run is never compiled: `linforms`
     # never runs, `critpoints` and `transport` only for their own suites
-    # and verb, `strata` only for its suite. No launch imports numpy at all
-    # (`test_no_command_imports_numpy`).
+    # and verb, `strata` only for its suite, and `exact` only for the exact
+    # suites, the `potential` verb and `strata`. No launch imports numpy,
+    # argparse or gettext at all (`test_no_command_imports_numpy`).
     argv = [*argv, "--config", k2_config, "--json", str(tmp_path / "r.json")]
     proc = _fresh_python(
         "-c",
@@ -616,7 +655,8 @@ def test_no_command_imports_numpy(k2_config, tmp_path, blocked):
     # the float layers compute in plain Python complex numbers: a fresh
     # process that runs every command imports no numpy module, runs each to
     # the exit code that this process, which has numpy loaded, gets, and
-    # writes the same bytes
+    # writes the same bytes. The command line is parsed without argparse,
+    # so neither it nor gettext is imported either.
     runs = [[*argv, "--config", k2_config] for argv in _VERB_RUNS]
     fresh = [str(tmp_path / f"fresh{i}.json") for i in range(len(runs))]
     proc = _fresh_python(
@@ -626,7 +666,8 @@ def test_no_command_imports_numpy(k2_config, tmp_path, blocked):
         + "from arrfrob.cli import main\n"
         f"codes = [main([*argv, '--json', out]) for argv, out in zip({runs!r}, {fresh!r})]\n"
         "print(*codes, *sorted(m for m, mod in sys.modules.items()\n"
-        "                      if m.split('.')[0] == 'numpy' and mod is not None))\n",
+        "                      if m.split('.')[0] in ('numpy', 'argparse', 'gettext')\n"
+        "                      and mod is not None))\n",
     )
     assert proc.returncode == 0, proc.stderr
     codes = [main([*argv, "--json", str(tmp_path / f"here{i}.json")]) for i, argv in enumerate(runs)]
@@ -695,6 +736,58 @@ def test_python_m_arrfrob_cli_and_lazy_main():
     assert "RuntimeWarning" not in bare.stderr
     assert arrfrob.main is main
     assert arrfrob.report_schema_version() == report_schema_version()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bogus"], ["--config", "x.json"], ["check", "--bogus", "1"], ["check", "extra"],
+     ["check", "--conf", "x.json"], ["check", "--config"],
+     ["check", "--config", "--suites", "basis"]],
+    ids=["unknown-verb", "option-first", "unknown-option", "positional", "abbreviated",
+         "no-value-at-end", "no-value-before-option"],
+)
+def test_a_malformed_command_line_prints_usage_and_exits_2(argv):
+    # a bare invocation is `test_python_m_arrfrob_cli_and_lazy_main`'s case
+    proc = _fresh_python("-m", "arrfrob", *argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: arrfrob")
+    assert "arrfrob: error: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["check", "-h"], ["gm-flow", "--help"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: arrfrob") and err == ""
+    for name in ("check", "circuits", "basis", "critical", "potential", "gm-flow",
+                 "--config", "--suites", "--seed", "--tol", "--json", "--anchor"):
+        assert name in out
+
+
+def test_an_option_is_read_in_both_forms(k2_config, tmp_path):
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    assert main(["check", "--config", k2_config, "--suites", "circuits,basis",
+                 "--seed", "7", "--json", str(spaced)]) == 0
+    assert main(["check", f"--config={k2_config}", "--suites=circuits,basis", "--seed=7",
+                 f"--json={joined}"]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert json.loads(spaced.read_text())["seed"] == 7
+    # the last value of a repeated option counts, and a value may be negative
+    again = tmp_path / "again.json"
+    assert main(["check", "--config", k2_config, "--suites", "periods", "--suites",
+                 "circuits,basis", "--seed", "-3", "--seed", "7", "--json", str(again)]) == 0
+    assert again.read_bytes() == spaced.read_bytes()
+
+
+def test_main_without_arguments_reads_sys_argv(k1_config, tmp_path, monkeypatch):
+    # the `project.scripts` entry point calls main() with no argument
+    out = tmp_path / "r.json"
+    monkeypatch.setattr(sys, "argv", ["arrfrob", "circuits", "--config", k1_config,
+                                      "--json", str(out)])
+    assert main() == 0
+    assert json.loads(out.read_text())["passed"] is True
 
 
 def test_every_public_name_is_its_defining_module_object():
@@ -767,12 +860,12 @@ def test_k4_family_passes_every_suite(tmp_path, seed):
 
 
 def test_changed_table_numerator_fails_the_ladder(tmp_path, monkeypatch):
-    from arrfrob import critalg, linalg
+    from arrfrob import exact, linalg
 
     payload = _k2n4(["2", "3", "5", "7"], seed=1)
     rc, report = _check_report(tmp_path, payload, "potential", "kept")
     assert rc == 0
-    real = critalg._fiber_algebra
+    real = exact._fiber_algebra
 
     def tampered(family, z, anchor):
         # one numerator of the table of [a_1/f_1], off by one
@@ -781,7 +874,7 @@ def test_changed_table_numerator_fails_the_ladder(tmp_path, monkeypatch):
         rows[0] = {**rows[0], 0: rows[0].get(0, 0) + 1}
         return (linalg.IntegerMatrix(tuple(rows), tables[0].den),) + tables[1:], unit
 
-    monkeypatch.setattr(critalg, "_fiber_algebra", tampered)
+    monkeypatch.setattr(exact, "_fiber_algebra", tampered)
     rc, report = _check_report(tmp_path, payload, "potential", "changed")
     assert rc == 1
     ladder = [row for row in _statuses(report) if "ladder" in row[1]]

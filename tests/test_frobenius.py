@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from arrfrob import critalg, critpoints, frobenius as fro, gaussmanin as gm, linalg
+from arrfrob import critalg, critpoints, exact, frobenius as fro, gaussmanin as gm, linalg
 from arrfrob import strata, transport
 from arrfrob.core import ArrangementFamily, is_good_fiber, load_family, sample_good_point
 from arrfrob.osflag import (
@@ -86,7 +86,7 @@ def test_measured_constant_is_minus_one_for_k3(fam_k1_n3, fam_k2_n4, fam_k3_n5):
 def test_k1_generator_images(fam_k1_n3, z_k1_n3):
     fam = fam_k1_n3
     for m in range(1, 4):
-        gen = critalg.monomial_to_w(fam, z_k1_n3, (m,))
+        gen = exact.monomial_to_w(fam, z_k1_n3, (m,))
         img = critpoints.canonical_iso_analytic(fam, z_k1_n3, gen)
         target = v_vector(fam, (m,)) * F(1, fam.b[m - 1][0])
         assert max_abs_diff(img, target) < 1e-8
@@ -161,7 +161,7 @@ def test_section_anchor_independence(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4, fam
         qa = fro.period_map(fam, z, anchor=fam.n)
         qb = fro.period_map(fam, z, anchor=1)
         assert qa == qb
-        assert qa == fro.alpha_structural(fam, critalg.identity_element(fam, z))
+        assert qa == fro.alpha_structural(fam, exact.identity_element(fam, z))
 
 
 def test_section_homogeneity(fam_k2_n4, z_k2_n4):
@@ -236,7 +236,7 @@ def test_induced_product_properties(fam_k2_n4, z_k2_n4):
 
 def test_potential_frozen_example():
     fam = ArrangementFamily(k=1, n=2, b=((1,), (1,)), a=(F(1), F(1)))
-    assert fro.potential_first(fam, (F(0), F(1))) == F(1, 8)
+    assert exact.potential_first(fam, (F(0), F(1))) == F(1, 8)
 
 
 def test_potential_closed_forms(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4, fam_k3_n5):
@@ -244,32 +244,32 @@ def test_potential_closed_forms(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4, fam_k3_n
     # sum_{i<j} a_i a_j (z_i - z_j)^2 / |a|^3
     z3 = sample_good_point(fam_k3_n5, seed=3).z
     for fam, z in ((fam_k1_n3, z_k1_n3), (fam_k2_n4, z_k2_n4), (fam_k3_n5, z3)):
-        assert fro.potential_first(fam, z) == fro.potential_first_closed(fam, z)
+        assert exact.potential_first(fam, z) == exact.potential_first_closed(fam, z)
     a, z = fam_k1_n3.a, z_k1_n3
     pairs = itertools.combinations(range(3), 2)
     differences = sum(a[i] * a[j] * (z[i] - z[j]) ** 2 for i, j in pairs)
-    assert fro.potential_first_closed(fam_k1_n3, z) == differences / fam_k1_n3.weight_sum**3
+    assert exact.potential_first_closed(fam_k1_n3, z) == differences / fam_k1_n3.weight_sum**3
 
 
 def test_potential_homogeneity(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
     for fam, z in ((fam_k1_n3, z_k1_n3), (fam_k2_n4, z_k2_n4)):
         for t in (F(2), F(-3), F(1, 2)):
             zs = tuple(t * v for v in z)
-            assert fro.potential_first(fam, zs) == t ** (
+            assert exact.potential_first(fam, zs) == t ** (
                 2 * fam.k
-            ) * fro.potential_first(fam, z)
+            ) * exact.potential_first(fam, z)
 
 
 def test_potential_vanishes_on_diagonal(fam_k1_n3):
-    assert fro.potential_first(fam_k1_n3, (F(2), F(2), F(2))) == 0
+    assert exact.potential_first(fam_k1_n3, (F(2), F(2), F(2))) == 0
 
 
 def test_derivative_row_k1_frozen(fam_k1_n3, z_k1_n3):
     # third derivative in directions (1, 1, 2): -a_1 a_2 / (z_1 - z_2)
-    row = fro.potential_derivative_row(fam_k1_n3, z_k1_n3, (1, 1, 2))
+    row = exact.potential_derivative_row(fam_k1_n3, z_k1_n3, (1, 1, 2))
     assert row["abs_err"] == 0.0
     assert row["lhs"] == str(F(-2) / (z_k1_n3[0] - z_k1_n3[1]))
-    row = fro.potential_derivative_row(fam_k1_n3, z_k1_n3, (1, 2, 3))
+    row = exact.potential_derivative_row(fam_k1_n3, z_k1_n3, (1, 2, 3))
     assert row["lhs"] == "0" and row["abs_err"] == 0.0
 
 
@@ -286,7 +286,7 @@ def test_derivative_row_analytic_mode(fam_k2_n4, z_k2_n4):
 def test_worked_k2_derivative(fam_k2_n4, z_k2_n4):
     # d^5 in directions (3,1,2,1,2): a_1 a_2 a_3 / (d_12 f_123)
     fam, z = fam_k2_n4, z_k2_n4
-    lhs = fro._log_potential_derivative(fam, z, (3, 1, 2, 1, 2))
+    lhs = exact._log_potential_derivative(fam, z, (3, 1, 2, 1, 2))
     expect = F(6) / (fam.minor((1, 2)) * critalg.f_minor_value(fam, z, (1, 2, 3)))
     assert lhs == expect
 
@@ -301,32 +301,32 @@ def test_multi_derivative_ladder(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
     for fam, z in ((fam_k1_n3, z_k1_n3), (fam_k2_n4, z_k2_n4)):
         for r in range(1, 2 * fam.k + 1):
             tup = tuple((i % fam.n) + 1 for i in range(r))
-            row = fro.multi_derivative_identity_row(fam, z, tup)
+            row = exact.multi_derivative_identity_row(fam, z, tup)
             assert row["abs_err"] == 0.0
         with pytest.raises(ValueError):
-            fro.multi_derivative_identity_row(fam, z, tuple([1] * (2 * fam.k + 1)))
+            exact.multi_derivative_identity_row(fam, z, tuple([1] * (2 * fam.k + 1)))
 
 
 def test_potential_rows_read_the_same_pairing_at_every_anchor(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
     for fam, z in ((fam_k1_n3, z_k1_n3), (fam_k2_n4, z_k2_n4)):
         tup = tuple((i % fam.n) + 1 for i in range(2 * fam.k + 1))
-        default = fro.potential_derivative_row(fam, z, tup)
+        default = exact.potential_derivative_row(fam, z, tup)
         ladder = [tup[:r] for r in range(1, 2 * fam.k + 1)]
-        default_ladder = [fro.multi_derivative_identity_row(fam, z, t) for t in ladder]
+        default_ladder = [exact.multi_derivative_identity_row(fam, z, t) for t in ladder]
         for anchor in range(1, fam.n + 1):
-            assert fro.potential_derivative_row(fam, z, tup, anchor) == default
-            rows = [fro.multi_derivative_identity_row(fam, z, t, anchor) for t in ladder]
+            assert exact.potential_derivative_row(fam, z, tup, anchor) == default
+            rows = [exact.multi_derivative_identity_row(fam, z, t, anchor) for t in ladder]
             assert all(row["abs_err"] == 0.0 for row in rows)
             assert [row["lhs"] for row in rows] == [row["lhs"] for row in default_ladder]
 
 
 def test_structure_constants():
-    assert fro.a_constant(2, 3) == 24
+    assert exact.a_constant(2, 3) == 24
     for k in range(1, 6):
-        assert fro.a_constant(k, 2 * k) == math.factorial(2 * k)
-        assert fro.a_constant(k, 1) == 2 * k
+        assert exact.a_constant(k, 2 * k) == math.factorial(2 * k)
+        assert exact.a_constant(k, 1) == 2 * k
     with pytest.raises(ValueError):
-        fro.a_constant(2, 5)
+        exact.a_constant(2, 5)
 
 
 def test_kernel_relations(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
@@ -556,7 +556,7 @@ def _strata_failures(family, partition):
 
 @pytest.mark.parametrize("partition", _SLOPE_PARTITIONS)
 def test_a_halved_quotient_generator_fails_only_the_product_row(partition, monkeypatch):
-    fiber_algebra = critalg._fiber_algebra
+    fiber_algebra = exact._fiber_algebra
 
     def halved(family, zz, anchor):
         tables, unit = fiber_algebra(family, zz, anchor)
@@ -565,7 +565,7 @@ def test_a_halved_quotient_generator_fails_only_the_product_row(partition, monke
         first = linalg.IntegerMatrix(tables[0].rows, 2 * tables[0].den)
         return (first,) + tables[1:], unit
 
-    monkeypatch.setattr(critalg, "_fiber_algebra", halved)
+    monkeypatch.setattr(exact, "_fiber_algebra", halved)
     assert _strata_failures(_SLOPE_FAMILY, partition) == {"product_restriction_exact"}
 
 
@@ -742,7 +742,7 @@ def test_generator_table_matches_the_monomial_route(k, n, prime_config):
         gens = _generator_sections(family, [complex(v) for v in z], anchor)
         assert gens.shape == (n, len(index))
         for i in range(1, n + 1):
-            vec = fro.alpha_structural(family, critalg.monomial_to_w(family, z, (i,), anchor))
+            vec = fro.alpha_structural(family, exact.monomial_to_w(family, z, (i,), anchor))
             ref = np.array([complex(vec.get(T)) for T in index])
             assert np.max(np.abs(gens[i - 1] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -895,10 +895,10 @@ def test_potential_ladder_table_matches_a_fresh_build(k, n, prime_config, data):
     directions = _draw_directions(data, family, 0, 2 * k)
     for anchor in range(1, n + 1):
         expected = potential_quadratic_derivative_expr(reference, directions, anchor)
-        value = fro._quadratic_derivative(family, z, directions, anchor)
+        value = exact._quadratic_derivative(family, z, directions, anchor)
         assert value == expected.evaluate_exact(z)
     if not directions:
-        assert value == fro.potential_first(family, z)
+        assert value == exact.potential_first(family, z)
 
 
 @pytest.mark.parametrize("k, n", _CLOSED_FORM_FAMILIES)
@@ -909,9 +909,9 @@ def test_log_potential_derivative_matches_the_symbolic_reference(k, n, prime_con
     z = _draw_fiber(data, family)
     directions = _draw_directions(data, family, 2 * k + 1, 2 * k + 1)
     expected = potential_log_derivative_expr(reference, directions).evaluate_exact(z)
-    assert fro._log_potential_derivative(family, z, directions) == expected
+    assert exact._log_potential_derivative(family, z, directions) == expected
     for anchor in range(1, n + 1):
-        row = fro.potential_derivative_row(family, z, directions, anchor)
+        row = exact.potential_derivative_row(family, z, directions, anchor)
         assert row["lhs"] == str(expected) and row["abs_err"] == 0.0
 
 
@@ -940,9 +940,9 @@ def test_one_changed_section_row_fails_the_block_and_ladder_rows(
         return c, {**form, n - 1: form[n - 1] + 1}, pos
 
     def rows(family, z):
-        sym, alg = gm.derivative_sections(family, z, (n,))
-        ladder = fro.multi_derivative_identity_row(family, z, (n,))
-        return gm.check_conformal_block(family, z), sym == alg, ladder["abs_err"] == 0.0
+        sym, alg = exact.derivative_sections(family, z, (n,))
+        ladder = exact.multi_derivative_identity_row(family, z, (n,))
+        return exact.check_conformal_block(family, z), sym == alg, ladder["abs_err"] == 0.0
 
     z = sample_good_point(load_family(prime_config(k, n)), seed=1).z
     _changed_section_rows(monkeypatch, change)
@@ -961,15 +961,15 @@ def test_generator_products_match_a_fresh_build(k, n, prime_config):
         for i in range(1, n + 1):
             for T in subsets:
                 # [a_i/f_i] w_T = d_T [a_i/f_i] prod_{j in T} [a_j/f_j]
-                shared = critalg.monomial_to_w(family, z, (i,) + T)
+                shared = exact.monomial_to_w(family, z, (i,) + T)
                 # the caller owns the returned vector: changing it leaves
                 # the shared product alone
                 shared.accumulate(subsets[0], F(1, 7))
-                again = critalg.monomial_to_w(family, z, (i,) + T)
-                assert again == critalg.monomial_to_w(fresh, z, (i,) + T)
+                again = exact.monomial_to_w(family, z, (i,) + T)
+                assert again == exact.monomial_to_w(fresh, z, (i,) + T)
         # one table per generator and fiber, shared and read-only
-        tables, unit = critalg._fiber_algebra(family, z, n)
-        assert critalg._fiber_algebra(family, z, n)[0] is tables
+        tables, unit = exact._fiber_algebra(family, z, n)
+        assert exact._fiber_algebra(family, z, n)[0] is tables
         assert len(tables) == n and all(isinstance(t, linalg.IntegerMatrix) for t in tables)
         with pytest.raises(TypeError):
             tables[0].rows[0][0] = 1
@@ -980,7 +980,7 @@ def test_generator_products_match_a_fresh_build(k, n, prime_config):
     for orders in _direction_orders(family, seed=n, max_order=k + 2)[2 * k:]:
         fresh = _fresh_family(k, n, prime_config)
         for dirs in orders:
-            assert critalg.monomial_to_w(family, z, dirs) == critalg.monomial_to_w(
+            assert exact.monomial_to_w(family, z, dirs) == exact.monomial_to_w(
                 fresh, z, dirs
             )
 

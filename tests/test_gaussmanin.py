@@ -15,18 +15,18 @@ from arrfrob.core import (
     load_family,
     sample_good_point,
 )
-from arrfrob.critalg import f_minor_value, monomial_to_w
-from arrfrob.gaussmanin import (
+from arrfrob.critalg import f_minor_value
+from arrfrob.exact import (
     _commutator_rows,
     apply_matrix,
     check_conformal_block,
     check_flatness,
     check_symmetry_and_invariance,
     derivative_sections,
-    fiber_k_operator,
     flatness_certificate,
-    k_operator,
+    monomial_to_w,
 )
+from arrfrob.gaussmanin import fiber_k_operator, k_operator
 from arrfrob.linalg import IntegerMatrix, _integer_rows, mat_mul
 from arrfrob.osflag import (
     FlagVector,
