@@ -14,10 +14,12 @@ report), 2 configuration problem, 3 a `check` suite raised an error, a
 value beyond float range (OverflowError) included: the report is written
 with a `suite-error` row (status `error`, the message as witness) in that
 suite, which does not pass, and the other suites run. An error outside a
-`check` suite exits 1. Identical (config, seed) pairs
-produce byte-identical reports; numeric fields are rounded to 12
-significant digits before serialization, and a float that is not finite
-is written as null, so every report is strict JSON.
+`check` suite exits 1. The message of an OverflowError names the config
+key of the first value beyond float range, such as `weights[2]`.
+Identical (config, seed) pairs produce byte-identical reports; numeric
+fields are rounded to 12 significant digits before serialization, and a
+float that is not finite is written as null, so every report is strict
+JSON.
 """
 
 import atexit
@@ -420,6 +422,33 @@ def _family_from_args(args):
     return raw, family, getattr(family, "preferred_z", None)
 
 
+# the verbs that read the config's `z`; every other verb samples its fibers
+Z_VERBS = ("critical", "potential")
+
+
+def _beyond_float_range(family, z=None):
+    """The config key, such as `weights[2]` or `b[3][1]`, of the first
+    weight, b entry or z entry beyond float range, or None: a value whose
+    float overflows, or a nonzero value whose float is 0."""
+    entries = [(f"weights[{i}]", a) for i, a in enumerate(family.a)]
+    entries += [(f"b[{j}][{m}]", x) for j, row in enumerate(family.b) for m, x in enumerate(row)]
+    entries += [(f"z[{i}]", v) for i, v in enumerate(z.z if z is not None else ())]
+    for key, value in entries:
+        try:
+            if value and not float(value):
+                return key
+        except OverflowError:
+            return key
+    return None
+
+
+def _error_text(exc, family, z=None):
+    """The message of an error that a suite or verb raised; an
+    OverflowError names the config key of the value beyond float range."""
+    key = _beyond_float_range(family, z) if isinstance(exc, OverflowError) else None
+    return f"{key} is beyond float range: {exc}" if key else str(exc)
+
+
 def _cmd_check(args):
     raw, family, _ = _family_from_args(args)
     cfg = RunSettings(raw, args, family)
@@ -433,7 +462,8 @@ def _cmd_check(args):
             raise
         except (ValueError, RuntimeError, OverflowError) as exc:
             # one suite's error leaves the other suites' verdicts standing
-            rows = [{"id": "suite-error", "status": "error", "witness": {"error": str(exc)}}]
+            witness = {"error": _error_text(exc, family)}
+            rows = [{"id": "suite-error", "status": "error", "witness": witness}]
             extra = {}
             errored = True
         ok = all(r["status"] not in ("fail", "error") for r in rows)
@@ -554,7 +584,13 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OverflowError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        # the config loaded before the verb raised, so it loads again here
+        _, family, z = _family_from_args(args)
+        print(f"error: {_error_text(exc, family, z if args.verb in Z_VERBS else None)}",
+              file=sys.stderr)
         return 1
     return code

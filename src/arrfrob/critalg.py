@@ -200,7 +200,8 @@ def _anchored(family, wvec, anchor):
 @per_family
 def _anchored_gram(family, anchor):
     """(-1)^k S(v_T, v_U) (`osflag.gram_v`) over the anchored basis, as an
-    IntegerMatrix, once per family."""
+    IntegerMatrix, once per family: the exact Gram of the `canonical`
+    suite's isometry rows."""
     basis = anchored_subsets(family, anchor)
     sign = 1 if family.k % 2 == 0 else -1
     return _integer_rows([[sign * osflag.gram_v(family, T, U) for U in basis] for T in basis])

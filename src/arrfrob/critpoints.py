@@ -12,7 +12,13 @@ point seeds Newton's method on the master gradient, which alone
 certifies the point. `solve_critical` keeps the points of each
 fiber in that fiber's entry of the family (`core.per_fiber`), so the
 basis, critical and canonical checks of one run share them. Residue sums
-read the values w_T(p) from one float table per set of points.
+read the values w_T(p) from one float table per set of points. What the
+suites compare with does not read the fiber and is built once per family
+(`core.per_family`): the compositions of nu with the weight-form map,
+decided on the integer v rows (`osflag.v_rows`) and the slot relation,
+the isometry Gram (`critalg._anchored_gram`), each nu(w_T) as complex
+pairs and the master function's tables of b and the weights. So each
+fiber does only float work, and these suites never run `frobenius`.
 
 The matrices are small (side C(n-1, k)), so the dense kernels below work
 on lists of Python complex numbers.
@@ -23,10 +29,10 @@ import itertools
 import math
 import operator
 
-from . import critalg, frobenius, gaussmanin, linalg, osflag
+from . import critalg, gaussmanin, linalg, osflag
 from .cli import RunSettings, _emit, _family_from_args, _fixed, _num, _row, _sample_fibers
 from .cli import _sampled_fiber, _vector, report_schema_version
-from .core import Frozen, coords, default_anchor, per_fiber, sample_good_point
+from .core import Frozen, coords, default_anchor, per_family, per_fiber, sample_good_point
 from .critalg import _rationalize, anchored_subsets, expected_critical_count
 
 # ---------------------------------------------------------------------------
@@ -252,32 +258,40 @@ def _condition_number(mat):
 # the master function and its critical points
 
 
+@per_family
+def _master_tables(family):
+    """b_j^m and the products a_j b_j^m, a_j b_j^m b_j^l as Python complex
+    numbers, and the Cauchy-Binet terms |d_T^2 prod_{j in T} a_j| of every
+    k-subset T: the tables of `MasterFunction` that no fiber changes."""
+    ks = range(family.k)
+    b = [[complex(x) for x in row] for row in family.b]
+    ab = [[complex(a * row[m]) for a, row in zip(family.a, family.b)] for m in ks]
+    abb = [
+        [[complex(a * row[m] * row[l]) for a, row in zip(family.a, family.b)] for l in ks]
+        for m in ks
+    ]
+    binet = [
+        (
+            tuple(j - 1 for j in T),
+            abs(float(family.minor(T) ** 2 * osflag.weight_product(family, T))),
+        )
+        for T in itertools.combinations(range(1, family.n + 1), family.k)
+    ]
+    return b, ab, abb, binet
+
+
 class MasterFunction:
     """The potential Phi and its t-derivatives on a fixed fiber.
 
-    The coordinates z_j, b_j^m and the products a_j b_j^m, a_j b_j^m b_j^l
-    are converted to Python complex numbers once, here, so the derivatives
-    run in float arithmetic only."""
+    The coordinates z_j are converted to Python complex numbers here, and
+    the family's tables once per family (`_master_tables`), so the
+    derivatives run in float arithmetic only."""
 
     def __init__(self, family, z):
         self.family = family
         self.z = coords(z)
-        ks = range(family.k)
         self._z = [complex(v) for v in self.z]
-        self._b = [[complex(x) for x in row] for row in family.b]
-        self._ab = [[complex(a * row[m]) for a, row in zip(family.a, family.b)] for m in ks]
-        self._abb = [
-            [[complex(a * row[m] * row[l]) for a, row in zip(family.a, family.b)] for l in ks]
-            for m in ks
-        ]
-        # |d_T^2 prod_{j in T} a_j| for every k-subset T (Cauchy-Binet terms)
-        self._binet = [
-            (
-                tuple(j - 1 for j in T),
-                abs(float(family.minor(T) ** 2 * osflag.weight_product(family, T))),
-            )
-            for T in itertools.combinations(range(1, family.n + 1), family.k)
-        ]
+        self._b, self._ab, self._abb, self._binet = _master_tables(family)
         # the unit of t and of the f_j on this fiber
         self.size = max(abs(v) for v in self._z)
 
@@ -593,13 +607,12 @@ def _residue_frame(family, points):
     return minor_products(family, family.flag_index.subsets, inverse_f)
 
 
-def _identified(family, wvec, points, frame):
-    """`canonical_iso_analytic` from the points and their `_residue_frame`."""
-    weights = [v / p.hessian for v, p in zip(values_at(family, wvec, points), points)]
-    out = osflag.FlagVector()
-    for T, column in zip(family.flag_index, zip(*frame)):
-        out.accumulate(T, complex(sum(map(operator.mul, weights, column))))
-    return out
+def _identified(values, points, frame):
+    """The coordinates of `canonical_iso_analytic` over the flag positions,
+    from the values of the algebra element at the points and the points'
+    `_residue_frame`."""
+    weights = [v / p.hessian for v, p in zip(values, points)]
+    return [complex(sum(map(operator.mul, weights, column))) for column in zip(*frame)]
 
 
 def canonical_iso_analytic(family, z, wvec):
@@ -607,7 +620,11 @@ def canonical_iso_analytic(family, z, wvec):
     sum_p g(p) sum_T (d_T / prod_{j in T} f_j(p)) F_T / Hess(p) over the
     critical points p of the fiber z."""
     points = solve_critical(family, z)
-    return _identified(family, wvec, points, _residue_frame(family, points))
+    values = _identified(values_at(family, wvec, points), points, _residue_frame(family, points))
+    out = osflag.FlagVector()
+    for T, value in zip(family.flag_index, values):
+        out.accumulate(T, value)
+    return out
 
 
 def identification_constant(family):
@@ -622,6 +639,19 @@ def identification_constant(family):
     return 1 if family.k == 1 else (-1) ** family.k
 
 
+@per_family
+def _nu_values(family, anchor):
+    """nu(w_T) = v_T for every anchored T as complex (flag position, value)
+    pairs, nonzero values in the order of its row (`osflag._v_row`), with
+    its largest |value|."""
+    out = []
+    for T in anchored_subsets(family, anchor):
+        row, den = osflag._v_row(family, T)
+        pairs = [(p, complex(v / den)) for p, v in row.items()]
+        out.append((pairs, max(abs(v) for _, v in pairs)))
+    return out
+
+
 def naive_iso_and_constant(family, z, anchor=None):
     """Measure the scalar relating the analytic identification to nu on the
     anchored basis. Returns the fitted constant, its spread over matrix
@@ -633,21 +663,21 @@ def naive_iso_and_constant(family, z, anchor=None):
     pairs = []
     points = solve_critical(family, z)
     frame = _residue_frame(family, points)
-    for T in anchored_subsets(family, anchor):
-        analytic = _identified(family, osflag.CoVector.basis(T), points, frame)
-        structural = osflag.v_vector(family, T)
-        pairs.append((analytic, structural))
-        scale = structural.norm_inf()
-        for key, sval in structural.coeffs.items():
-            if abs(complex(sval)) > 1e-3 * scale:
-                ratios.append(analytic.get(key) / complex(sval))
+    columns = zip(*w_matrix(family, points, anchored_subsets(family, anchor)))
+    for values, (nu, scale) in zip(columns, _nu_values(family, anchor)):
+        analytic = _identified(values, points, frame)
+        pairs.append((analytic, nu))
+        for p, value in nu:
+            if abs(value) > 1e-3 * scale:
+                ratios.append(analytic[p] / value)
     if not ratios:
         raise RuntimeError("no usable entries to measure the constant")
     constant = sum(ratios) / len(ratios)
     spread = max(abs(r - constant) for r in ratios)
     worst = 0.0
-    for analytic, structural in pairs:
-        worst = max(worst, osflag.max_abs_diff(analytic, structural * constant))
+    for analytic, nu in pairs:
+        scaled = {p: value * constant for p, value in nu}
+        worst = max(worst, *(abs(a - scaled.get(p, 0j)) for p, a in enumerate(analytic)))
     return {
         "constant": constant,
         "spread": spread,
@@ -684,8 +714,13 @@ def _suite_basis(family, cfg):
     gdet = space.gram_det
     _row(rows, "v-gram-nondegenerate", gdet != 0, witness={"det": _num(gdet)})
     if family.k == 1:
-        vs = [osflag.v_vector(family, (j,)) for j in range(1, family.n)]
-        vdet = linalg.det([[osflag.contravariant_pairing(u, w, family) for w in vs] for u in vs])
+        # S(v_i, v_j) for i, j < n paired directly from the integer v rows
+        # and weights, over the denominator V^2 W of each entry
+        v = osflag.v_rows(family)
+        weights, w_den = osflag._integer_weights(family)
+        vs = [v.rows[index.position((j,))] for j in range(1, family.n)]
+        gram = [[sum(weights[p] * x * w.get(p, 0) for p, x in u.items()) for w in vs] for u in vs]
+        vdet = linalg.det(gram) / (v.den**2 * w_den) ** len(vs)
         closed = osflag.weight_product(family, range(1, family.n + 1)) / family.weight_sum
         _row(
             rows,
@@ -754,16 +789,49 @@ def _suite_critical(family, cfg):
     return rows, {"expected_count": expected}
 
 
+@per_family
+def contravariant_compositions(family, anchor=None):
+    """Whether alpha o [S] = (-1)^k pi and [S] o alpha = (-1)^k id, with the
+    k = 1 conventions flipping both signs, exactly through nu, in integers.
+    [S] sends F_T to w_T and nu sends w_T to v_T, the row of T in
+    `osflag.v_rows`: alpha([S] F_T) is that row, tested as the projection
+    of F_T (`SingularSubspace.is_projection`), and [S](nu w_T) reads its
+    entries as w-coordinates, rewritten over the anchored basis by the
+    slot relation (`critalg._slot_relation`). Nothing here reads the
+    fiber, so the verdict is decided once per family."""
+    if anchor is None:
+        anchor = default_anchor(family)
+    sign = -1 if family.k == 1 else 1
+    space = osflag.singular_subspace(family)
+    rows = osflag.v_rows(family)
+    # w_S over the anchored basis, as (subset, +-1) pairs, per flag position
+    anchored = [
+        critalg._slot_relation(family, S, anchor) if anchor in S else ((S, 1),)
+        for S in family.flag_index
+    ]
+    for p, row in enumerate(rows.rows):
+        if not space.is_projection(({p: 1}, 1), ({q: sign * v for q, v in row.items()}, rows.den)):
+            return False
+        back = {}
+        for q, v in row.items():
+            for key, s in anchored[q]:
+                back[key] = back.get(key, 0) + s * v
+        if {key: v for key, v in back.items() if v} != {
+            key: sign * s * rows.den for key, s in anchored[p]
+        }:
+            return False
+    return True
+
+
 def _suite_canonical(family, cfg):
     rows = []
     # the exact compositions do not read the fiber: one verdict per family
-    _row(rows, "compositions-exact", frobenius.contravariant_compositions(family))
+    _row(rows, "compositions-exact", contravariant_compositions(family))
     anchor = cfg.anchor
     basis = anchored_subsets(family, anchor)
-    covectors = [osflag.CoVector.basis(T) for T in basis]
-    exact = [
-        [complex(critalg.structural_pairing(family, x, y)) for y in covectors] for x in covectors
-    ]
+    # (-1)^k S(v_T, v_U) over the anchored basis, from one integer Gram
+    gram = critalg._anchored_gram(family, anchor)
+    exact = [[complex(row.get(q, 0) / gram.den) for q in range(len(basis))] for row in gram.rows]
     for i, z in enumerate(_sample_fibers(family, cfg.seed, cfg.samples)):
         rep = naive_iso_and_constant(family, z, anchor)
         expected = rep["expected"]

@@ -20,10 +20,11 @@ a fiber live in its entry of the family (`core.per_fiber`) with the
 integer K_j(z) (`gaussmanin.fiber_k_operator`), the algebra of
 `exact._fiber_algebra` and the critical points of
 `critpoints.solve_critical`; `ArrangementFamily.release_fibers` frees them
-all. `contravariant_compositions` does not read the fiber and is decided
-once per family. The potentials P = S(q, q) and the log potential, and the
-rows that compare their derivatives with the algebra, are in `exact`,
-which float launches never run.
+all. The potentials P = S(q, q) and the log potential, and the rows that
+compare their derivatives with the algebra, are in `exact`, which float
+launches never run. The compositions of nu with the weight-form map are
+decided in integers in `critpoints` (`contravariant_compositions`), so the
+`basis` and `canonical` suites never run this module.
 """
 
 import math
@@ -37,7 +38,7 @@ critalg = _lazy_module("arrfrob.critalg")
 osflag = _lazy_module("arrfrob.osflag")
 __getattr__ = _moved_names(
     __name__,
-    critpoints=("naive_iso_and_constant",),
+    critpoints=("contravariant_compositions", "naive_iso_and_constant"),
     exact=("multi_derivative_identity_row", "potential_derivative_row"),
     transport=("flat_period_check", "twisted_closedness_k1", "twisted_pairing_invariance",
                "twisted_period_relation"),
@@ -66,39 +67,6 @@ def alpha_structural(family, wvec):
     out = osflag.FlagVector()
     out.coeffs = {subsets[q]: Fraction(v, den) for q, v in acc.items() if v}
     return out
-
-
-def contravariant_map_class(family, flagvec):
-    """The weight-form map from flags to algebra classes, F_T -> w_T."""
-    out = osflag.CoVector()
-    for T, coef in flagvec.items():
-        out.coeffs[T] = coef
-    return out
-
-
-@per_family
-def contravariant_compositions(family):
-    """Whether alpha o [S] = (-1)^k pi and [S] o alpha = (-1)^k id, with the
-    k = 1 conventions flipping both signs, exactly through nu. Neither nu,
-    the weight form nor the Sing projection reads the fiber, so the verdict
-    is decided once per family."""
-    sign = -1 if family.k == 1 else 1
-    space = osflag.singular_subspace(family)
-    anchor = default_anchor(family)
-    exact_ok = True
-    for T in family.flag_index:
-        # alpha([S] F_T) vs sign * projection of F_T
-        flag = osflag.FlagVector.basis(T)
-        image = alpha_structural(family, contravariant_map_class(family, flag))
-        if not space.is_projection(flag, image * sign):
-            exact_ok = False
-        # [S](alpha w_T) vs sign * w_T, compared in anchored coordinates
-        back = contravariant_map_class(family, osflag.v_vector(family, T))
-        lhs = critalg.canonicalize(family, back, anchor)
-        rhs = critalg.canonicalize(family, osflag.CoVector.basis(T) * sign, anchor)
-        if lhs != rhs:
-            exact_ok = False
-    return exact_ok
 
 
 # ---------------------------------------------------------------------------

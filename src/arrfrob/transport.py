@@ -620,7 +620,7 @@ def _suite_periods(family, cfg):
 
 
 def _cmd_gm_flow(args):
-    raw, family, z = _family_from_args(args)
+    raw, family, _ = _family_from_args(args)
     cfg = RunSettings(raw, args, family)
     path = cfg.path if cfg.path is not None else _usable_path(family, cfg.seed + 13, 2)
     start = osflag.singular_subspace(family).basis[0]

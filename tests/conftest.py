@@ -57,8 +57,10 @@ def z_k1_n3():
     return (F(0), F(1), F(3))
 
 
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
 _PRIME_ROWS = {
-    1: ((1,),) * 5,
+    1: ((1,),) * 10,
     2: ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1)),
     3: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 4)),
 }
@@ -67,14 +69,15 @@ _PRIME_ROWS = {
 @pytest.fixture
 def prime_config():
     """Config documents of the generic families with the first n primes
-    as weights that the benchmark runs, keyed by (k, n) with n <= 5."""
+    as weights that the benchmark runs, keyed by (k, n) with n <= 5, or
+    n <= 10 for k = 1."""
 
     def make(k, n, **extra):
         return dict(
             k=k,
             n=n,
             b=[list(row) for row in _PRIME_ROWS[k][:n]],
-            weights=[str(p) for p in (2, 3, 5, 7, 11)[:n]],
+            weights=[str(p) for p in _PRIMES[:n]],
             **extra,
         )
 

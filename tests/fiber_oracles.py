@@ -15,9 +15,10 @@ two singular vectors through the algebra, its closed form for k = 1, the
 generator action K_j(z) = nu [a_j/f_j] nu^{-1}, the metric eta by three
 routes, and the contraction relations of the log potential. Then the
 second routes that the program does not take: the unit as a reduced k-th
-power, the compositions and the potential rows through residue sums at the
-critical points, the potential rows of every sorted tuple, the Jacobian of
-q, and the distance of a float vector from the singular subspace. Last,
+power, the compositions in Fraction vectors, which the integer rows of
+`critpoints.contravariant_compositions` replaced, the compositions and the
+potential rows through residue sums at the critical points, the potential
+rows of every sorted tuple, the Jacobian of q, and the distance of a float vector from the singular subspace. Last,
 the routes that no code of the program calls: an exact linear solve, the
 value of a w-span element at one critical point, the S-orthogonal
 projection onto the singular subspace through the inverse Gram matrix,
@@ -40,7 +41,7 @@ from arrfrob import critalg, critpoints, exact
 from arrfrob.core import coords, default_anchor, per_family
 from arrfrob.critpoints import canonical_iso_analytic
 from arrfrob.exact import _commutator_rows, apply_matrix, potential_derivative_row
-from arrfrob.frobenius import alpha_structural, contravariant_map_class
+from arrfrob.frobenius import alpha_structural
 from arrfrob.gaussmanin import _l_c_entries, fiber_k_operator
 from arrfrob.linalg import _dot, _integer_sum, inv, rref
 from arrfrob.linforms import LinExpr
@@ -329,6 +330,39 @@ def reduced_unit_power(family, z, anchor=None):
         if coef:
             out = out + critalg.reduce_to_w_basis(family, Counter(mono), anchor) * coef
     return out
+
+
+def contravariant_map_class(family, flagvec):
+    """The weight-form map from flags to algebra classes, F_T -> w_T."""
+    out = CoVector()
+    for T, coef in flagvec.items():
+        out.coeffs[T] = coef
+    return out
+
+
+def contravariant_compositions_fraction(family, anchor=None):
+    """`critpoints.contravariant_compositions` in Fraction vectors: nu
+    through `frobenius.alpha_structural`, the projection test on
+    FlagVectors and the rewrite over the anchored basis through
+    `critalg.canonicalize`."""
+    if anchor is None:
+        anchor = default_anchor(family)
+    sign = -1 if family.k == 1 else 1
+    space = singular_subspace(family)
+    exact_ok = True
+    for T in family.flag_index:
+        # alpha([S] F_T) vs sign * projection of F_T
+        flag = FlagVector.basis(T)
+        image = alpha_structural(family, contravariant_map_class(family, flag))
+        if not space.is_projection(flag, image * sign):
+            exact_ok = False
+        # [S](alpha w_T) vs sign * w_T, compared in anchored coordinates
+        back = contravariant_map_class(family, v_vector(family, T))
+        lhs = critalg.canonicalize(family, back, anchor)
+        rhs = critalg.canonicalize(family, CoVector.basis(T) * sign, anchor)
+        if lhs != rhs:
+            exact_ok = False
+    return exact_ok
 
 
 def compositions_analytic_residual(family, z):

@@ -12,7 +12,7 @@ import pytest
 import arrfrob
 from arrfrob import critpoints
 from arrfrob.cli import SUITES, _row, main, report_schema_version
-from arrfrob.core import ConfigError
+from arrfrob.core import ConfigError, format_rational, sample_good_point
 
 
 def _write_config(tmp_path, payload, name="fam.json"):
@@ -368,11 +368,26 @@ def test_a_value_beyond_float_range_gives_an_error_row(tmp_path):
     assert report["suites"]["circuits"]["passed"] and not report["passed"]
 
 
+def test_a_value_beyond_float_range_is_named_by_its_config_key(tmp_path):
+    # the `suite-error` witness and the verb's `error:` line name the
+    # weight, by its key and index, and keep the float layer's message
+    payload = _k2n4(["2", "3", str(10**400), "7"], seed=1)
+    rc, report = _check_report(tmp_path, payload, "basis", "huge")
+    assert rc == 3
+    (row,) = report["suites"]["basis"]["checks"]
+    assert row["witness"]["error"].startswith("weights[2] is beyond float range: ")
+    proc = _fresh_python("-m", "arrfrob", "critical", "--config",
+                         _write_config(tmp_path, payload, "huge-verb.json"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: weights[2] is beyond float range: ")
+
+
+# the change to the k2n4 config and the config key that the error names
 _BEYOND_FLOAT = {
-    "weight-huge": {"weights": [str(10**400), "3", "5", "7"]},
-    "weight-tiny": {"weights": [f"1/{10**400}", "3", "5", "7"]},
-    "b-huge": {"b": [[1, 0], [0, 1], [1, 1], [1, 10**400]]},
-    "z-huge": {"z": ["0", "1", "3", str(10**400)]},
+    "weight-huge": ({"weights": [str(10**400), "3", "5", "7"]}, "weights[0]"),
+    "weight-tiny": ({"weights": [f"1/{10**400}", "3", "5", "7"]}, "weights[0]"),
+    "b-huge": ({"b": [[1, 0], [0, 1], [1, 1], [1, 10**400]]}, "b[3][1]"),
+    "z-huge": ({"z": ["0", "1", "3", str(10**400)]}, "z[3]"),
 }
 
 
@@ -382,12 +397,27 @@ _BEYOND_FLOAT = {
      if (verb, case) != ("gm-flow", "z-huge")],  # gm-flow transports along `path`, not z
 )
 def test_a_value_beyond_float_range_exits_1_without_a_traceback(tmp_path, verb, case):
-    change = _BEYOND_FLOAT[case]
+    change, key = _BEYOND_FLOAT[case]
     config = _write_config(tmp_path, dict(_k2n4(["2", "3", "5", "7"], seed=1), **change))
     proc = _fresh_python("-m", "arrfrob", verb, "--config", config,
                          "--json", str(tmp_path / "r.json"))
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {key} is beyond float range: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_z_entry_leaves_a_check_report_unchanged(tmp_path, fam_k2_n4):
+    # `check` samples its fibers from the seed and never reads the config's
+    # `z`, which only the `critical` and `potential` verbs read
+    payload = _k2n4(["1", "2", "3", "5"], seed=1)
+    z = sample_good_point(fam_k2_n4, seed=99).z
+    _, plain = _check_report(tmp_path, payload, ",".join(SUITES), "plain")
+    _check_report(tmp_path, dict(payload, z=[format_rational(v) for v in z]), ",".join(SUITES),
+                  "with-z")
+    assert (tmp_path / "plain.report.json").read_bytes() == (
+        tmp_path / "with-z.report.json"
+    ).read_bytes()
+    assert plain["passed"]
 
 
 def test_scaled_weights_give_the_same_verdicts(tmp_path):
@@ -588,7 +618,7 @@ def test_exact_suites_and_circuits_do_not_load_numpy(k2_config, tmp_path):
         (["check", "--suites", "periods"],
          "cli core critalg frobenius gaussmanin linalg osflag transport"),
         (["check", "--suites", "basis,canonical"],
-         "cli core critalg critpoints frobenius gaussmanin linalg osflag"),
+         "cli core critalg critpoints gaussmanin linalg osflag"),
         (["check", "--suites", "basis,periods"],
          "cli core critalg critpoints frobenius gaussmanin linalg osflag transport"),
         (["check"],
@@ -602,7 +632,9 @@ def test_a_float_launch_runs_its_modules_before_numpy(k2_config, tmp_path, argv,
     # a module that a launch does not run is never compiled: `linforms`
     # never runs, `critpoints` and `transport` only for their own suites
     # and verb, `strata` only for its suite, and `exact` only for the exact
-    # suites, the `potential` verb and `strata`. No launch imports numpy,
+    # suites, the `potential` verb and `strata`; `frobenius` runs for the
+    # periods and never for `basis` or `canonical`, whose compositions are
+    # decided on integer rows in `critpoints`. No launch imports numpy,
     # argparse or gettext at all (`test_no_command_imports_numpy`).
     argv = [*argv, "--config", k2_config, "--json", str(tmp_path / "r.json")]
     proc = _fresh_python(
@@ -1232,9 +1264,14 @@ def test_anchor_two_conformal_and_potential_reports_are_pinned(k, n, tmp_path, p
 # residue sums moved from numpy to plain complex floats: only the
 # `residual` fields of `canonical` rows changed (constant-is-one-sample-0
 # to -2, identification-residual-sample-1 and -2, isometry-sample-0 to
-# -4), every status and every other byte stayed the same.
+# -4), every status and every other byte stayed the same. The k1n10 and
+# k3n5 entries were pinned before the exact inputs of both suites were
+# built once per family in integers: k1n10 reaches the k = 1 sign
+# conventions and the `v-gram-determinant-closed-form` row.
 _CANONICAL_SHA256 = {
+    (1, 10): "553e1d19218e5c620715eaaebf9e1135e19a411350114b0c29d543aec8beca56",
     (2, 4): "54023a3e2161f46f8b86280894654f1cc89d592601c85871efeaacfba50e583f",
+    (3, 5): "bff56c949026ec0d692f24c8a771eeb8a8850cb758f70a747a0bb8256e98c68b",
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from arrfrob import critalg, critpoints, exact, frobenius as fro, gaussmanin as gm, linalg
-from arrfrob import strata, transport
+from arrfrob import osflag, strata, transport
 from arrfrob.core import ArrangementFamily, is_good_fiber, load_family, sample_good_point
 from arrfrob.osflag import (
     CoVector,
@@ -22,6 +22,7 @@ from arrfrob.osflag import (
 )
 from fiber_oracles import (
     compositions_analytic_residual,
+    contravariant_compositions_fraction,
     conformal_block_derivative_exprs,
     eta_and_beta,
     induced_multiplication_on_sing,
@@ -101,15 +102,58 @@ def test_k2_basis_images(fam_k2_n4, z_k2_n4):
 
 def test_compositions(fam_k1_n3, z_k1_n3, fam_k2_n4, z_k2_n4):
     for fam, z in ((fam_k1_n3, z_k1_n3), (fam_k2_n4, z_k2_n4)):
-        assert fro.contravariant_compositions(fam) is True
+        assert critpoints.contravariant_compositions(fam) is True
         assert compositions_analytic_residual(fam, z) < 1e-8
 
 
+def _last_weight_negated(family):
+    return ArrangementFamily(k=family.k, n=family.n, b=family.b, a=(*family.a[:-1], -family.a[-1]))
+
+
+def test_the_integer_compositions_agree_with_the_fraction_route(
+    fam_k1_n3, fam_k2_n4, fam_k2_n5, fam_k3_n5
+):
+    cases = [(fam, None) for fam in (fam_k1_n3, fam_k2_n4, fam_k3_n5)]
+    cases += [(_last_weight_negated(fam_k2_n5), None)]
+    cases += [(fam, 2) for fam in (fam_k1_n3, fam_k2_n4, fam_k3_n5)]
+    for fam, anchor in cases:
+        verdict = contravariant_compositions_fraction(fam, anchor)
+        assert verdict is True
+        args = () if anchor is None else (anchor,)
+        assert critpoints.contravariant_compositions(fam, *args) is verdict
+
+
+def _sign_flipped_rows(monkeypatch):
+    real = osflag.v_rows
+
+    def flipped(fam):
+        rows = real(fam)
+        return linalg.IntegerMatrix(tuple({q: -v for q, v in row.items()} for row in rows.rows),
+                                    rows.den)
+
+    monkeypatch.setattr(osflag, "v_rows", flipped)
+
+
 def test_a_sign_flipped_image_fails_the_compositions(fam_k1_n3, fam_k2_n4, fam_k3_n5, monkeypatch):
-    real = fro.alpha_structural
-    monkeypatch.setattr(fro, "alpha_structural", lambda fam, w: -real(fam, w))
+    _sign_flipped_rows(monkeypatch)
     for fam in (fam_k1_n3, fam_k2_n4, fam_k3_n5):
-        assert fro.contravariant_compositions(fam) is False
+        # the Fraction route reads nu from the same rows
+        assert contravariant_compositions_fraction(fam) is False
+        assert critpoints.contravariant_compositions(fam) is False
+
+
+def test_a_sign_flipped_slot_relation_fails_the_compositions(
+    fam_k1_n3, fam_k2_n4, fam_k3_n5, monkeypatch
+):
+    # the projection test does not read the slot relation, so only the
+    # rewrite of [S](nu w_T) over the anchored basis can fail here
+    real = critalg._slot_relation
+    monkeypatch.setattr(
+        critalg, "_slot_relation", lambda fam, T, i: tuple((key, -s) for key, s in real(fam, T, i))
+    )
+    for fam in (fam_k1_n3, fam_k2_n4, fam_k3_n5):
+        assert contravariant_compositions_fraction(fam) is False
+        assert critpoints.contravariant_compositions(fam) is False
 
 
 _NU_FAMILIES = {
